@@ -25,11 +25,12 @@ test:
 	$(GO) build ./... && $(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/obs/ ./internal/incremental/ ./internal/wal/ ./internal/cluster/ ./cmd/cfdserve/ ./cmd/cfdrouter/
+	$(GO) test -race ./internal/obs/ ./internal/incremental/ ./internal/wal/ ./internal/cluster/ ./internal/httpapi/ ./cmd/cfdserve/ ./cmd/cfdrouter/
 
 # End-to-end observability check: boot a durable cfdserve, push batches
-# through /apply, scrape GET /metrics and assert the expected series and
-# family count, then boot a follower and assert its lag gauge scrapes.
+# through /v1/apply, scrape GET /v1/metrics and assert the expected
+# series and family count, then boot a follower and assert its lag
+# gauge scrapes.
 # CFD_SOAK scales the applied load (nightly runs it at 8).
 metrics-smoke:
 	sh scripts/metrics_smoke.sh

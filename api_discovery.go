@@ -61,7 +61,7 @@ func DiscoveredToCFDs(ds []DiscoveredCFD) []*CFD { return discovery.CFDs(ds) }
 // group-deltas re-score only the X-groups it touched — call Refresh
 // after applying changes to fold them in and learn what appeared or
 // retired, Mined for the current set. Detach with CFDMiner.Close. The
-// cfdserve GET /discover endpoint and cfddetect -watch -mine are this
+// cfdserve GET /v1/discover endpoint and cfddetect -watch -mine are this
 // path as a service.
 func WatchDiscovery(m *Monitor, cfg DiscoveryConfig) (*CFDMiner, error) {
 	return discovery.NewMiner(m, cfg)

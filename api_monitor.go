@@ -94,7 +94,7 @@ type (
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // DefaultMetrics returns the process-global registry daemons share, so
-// one /metrics scrape covers every component wired into it.
+// one /v1/metrics scrape covers every component wired into it.
 func DefaultMetrics() *MetricsRegistry { return obs.Default() }
 
 // DisabledMetrics returns the sentinel registry that turns
@@ -106,8 +106,8 @@ func DisabledMetrics() *MetricsRegistry { return obs.Disabled() }
 // log segments as record-aligned chunks, and a MonitorFollower tails
 // them into its own WAL directory as a read-only replica that can be
 // promoted to a writable primary at the record boundary it has applied.
-// cfdserve serves the primary side as GET /wal/snapshot and
-// GET /wal/stream, and runs the follower side with -follow.
+// cfdserve serves the primary side as GET /v1/wal/snapshot and
+// GET /v1/wal/stream, and runs the follower side with -follow.
 type (
 	// MonitorFollower is a hot standby: a read-only Monitor tailing a
 	// primary's WAL stream. See FollowMonitor.
@@ -130,7 +130,7 @@ type (
 // Replication errors.
 var (
 	// ErrMonitorReadOnly reports a mutation against a following monitor;
-	// promote it first (MonitorFollower.Promote, POST /promote).
+	// promote it first (MonitorFollower.Promote, POST /v1/promote).
 	ErrMonitorReadOnly = incremental.ErrReadOnly
 	// ErrMonitorFenced reports a write refused because the node is
 	// fenced: a higher-epoch history exists (a standby was promoted),

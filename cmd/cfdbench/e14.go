@@ -1,19 +1,13 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -22,8 +16,8 @@ import (
 	"repro/internal/incremental"
 )
 
-// sortDurations and pctl are the latency-quantile helpers shared by the
-// serving driver and e14's routed-write distribution.
+// sortDurations and pctl are the latency-quantile helpers shared by
+// e14's routed-write distribution and e15's point reads.
 func sortDurations(ds []time.Duration) {
 	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
 }
@@ -278,157 +272,4 @@ func (b *bench) flushEnvelope(dir string, k, writers int) time.Duration {
 	}
 	wg.Wait()
 	return time.Since(start) / time.Duration(writers*perW)
-}
-
-// serveBench is the serving driver behind -serve: N concurrent HTTP
-// clients fire at a live cfdserve or cfdrouter base URL for a fixed
-// duration and report qps plus latency quantiles. With -rate R the load
-// is open-loop — admissions are paced at R req/s regardless of how fast
-// responses come back, and admissions the saturated client pool cannot
-// absorb are counted as shed instead of silently stretching the loop —
-// with rate 0 each client runs closed-loop, back to back. A non-empty
-// -insert-values row makes every request a POST /insert of that tuple
-// (each gets a fresh key); empty means GET /violations, the read path.
-// With both -insert-values and -read-frac F, each request is a read
-// with probability F and an insert otherwise — a mixed read/write load
-// against one URL, the shape a monitor dashboard plus its feed produce.
-func (b *bench) serveBench(base string, clients int, rate float64, dur time.Duration, insert string, readFrac float64) {
-	method, path := http.MethodGet, "/violations"
-	var body []byte
-	if insert != "" {
-		buf, err := json.Marshal(map[string]any{"values": strings.Split(insert, ",")})
-		if err != nil {
-			b.fatal(err)
-		}
-		body, method, path = buf, http.MethodPost, "/insert"
-	}
-	if readFrac < 0 || readFrac > 1 {
-		b.fatal(fmt.Errorf("-read-frac %v: want a fraction in [0,1]", readFrac))
-	}
-	mixed := insert != "" && readFrac > 0
-	hc := &http.Client{
-		Timeout:   30 * time.Second,
-		Transport: &http.Transport{MaxIdleConns: clients, MaxIdleConnsPerHost: clients},
-	}
-
-	var (
-		mu    sync.Mutex
-		lats  []time.Duration
-		rlats []time.Duration
-		nerrs int
-		shed  int
-		seq   atomic.Uint64
-	)
-	issue := func() {
-		m, p, bd := method, path, body
-		isRead := false
-		if mixed {
-			// Deterministic interleave: request i is a read when the
-			// scaled counter crosses an integer boundary, giving exactly
-			// the requested mix without a shared RNG.
-			n := seq.Add(1)
-			if uint64(float64(n)*readFrac) != uint64(float64(n-1)*readFrac) {
-				m, p, bd, isRead = http.MethodGet, "/violations", nil, true
-			}
-		}
-		req, err := http.NewRequest(m, base+p, bytes.NewReader(bd))
-		if err != nil {
-			b.fatal(err)
-		}
-		if bd != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		t0 := time.Now()
-		resp, rerr := hc.Do(req)
-		d := time.Since(t0)
-		ok := rerr == nil && resp.StatusCode < 400
-		if rerr == nil {
-			_, _ = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-		mu.Lock()
-		switch {
-		case !ok:
-			nerrs++
-		case isRead:
-			rlats = append(rlats, d)
-		default:
-			lats = append(lats, d)
-		}
-		mu.Unlock()
-	}
-
-	deadline := time.Now().Add(dur)
-	var ticks chan struct{}
-	if rate > 0 {
-		ticks = make(chan struct{}, 1024)
-		go func() {
-			t := time.NewTicker(time.Duration(float64(time.Second) / rate))
-			defer t.Stop()
-			for time.Now().Before(deadline) {
-				<-t.C
-				select {
-				case ticks <- struct{}{}:
-				default:
-					mu.Lock()
-					shed++
-					mu.Unlock()
-				}
-			}
-			close(ticks)
-		}()
-	}
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if ticks != nil {
-				for range ticks {
-					issue()
-				}
-				return
-			}
-			for time.Now().Before(deadline) {
-				issue()
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	sortDurations(lats)
-	qps := float64(len(lats)+len(rlats)) / elapsed.Seconds()
-	p50, p95, p99 := pctl(lats, 0.50), pctl(lats, 0.95), pctl(lats, 0.99)
-	mode := "closed"
-	if rate > 0 {
-		mode = fmt.Sprintf("open @ %.0f/s", rate)
-	}
-	label := method + " " + base + path
-	if mixed {
-		label = fmt.Sprintf("%.0f%% reads + inserts %s", readFrac*100, base)
-	}
-	b.header(fmt.Sprintf("serve: %s (%s, %d clients, %s)", label, mode, clients, dur),
-		"qps", "ok", "errors", "shed", "p50", "p95", "p99")
-	b.row(fmt.Sprintf("%.0f", qps), fmt.Sprint(len(lats)+len(rlats)), fmt.Sprint(nerrs), fmt.Sprint(shed),
-		p50.String(), p95.String(), p99.String())
-	prefix := fmt.Sprintf("serve/clients=%d", clients)
-	b.record(prefix+"/p50", measurement{d: p50})
-	b.record(prefix+"/p95", measurement{d: p95})
-	b.record(prefix+"/p99", measurement{d: p99})
-	if mixed {
-		sortDurations(rlats)
-		rp50, rp95, rp99 := pctl(rlats, 0.50), pctl(rlats, 0.95), pctl(rlats, 0.99)
-		b.header(fmt.Sprintf("serve reads: GET %s/violations (%d of %d requests)", base, len(rlats), len(lats)+len(rlats)),
-			"p50", "p95", "p99")
-		b.row(rp50.String(), rp95.String(), rp99.String())
-		b.record(prefix+"/read/p50", measurement{d: rp50})
-		b.record(prefix+"/read/p95", measurement{d: rp95})
-		b.record(prefix+"/read/p99", measurement{d: rp99})
-	}
-	if nerrs > 0 {
-		fmt.Fprintf(os.Stderr, "cfdbench: %d of %d requests failed\n", nerrs, nerrs+len(lats)+len(rlats))
-		b.failed = true
-	}
 }

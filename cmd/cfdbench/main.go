@@ -39,11 +39,8 @@
 // repair of the instance; acceptance is a ≥10× speedup at 100K
 // tuples).
 //
-// A second mode, -serve URL, turns cfdbench into a serving driver: N
-// concurrent HTTP clients fire at a live cfdserve or cfdrouter for
-// -duration, open-loop at -rate req/s (or closed-loop at rate 0), and
-// report qps with p50/p95/p99 latency; -insert-values picks the write
-// path (POST /insert) over the default read path (GET /violations).
+// Load against live daemons over real sockets is bench/'s job
+// (bash bench/run.sh), not this command's.
 //
 // With -json the tables are suppressed and a single JSON array of
 // measurements is written to stdout, so a per-PR perf trajectory
@@ -79,13 +76,6 @@ func main() {
 		only    = flag.String("only", "", "comma-separated experiment ids (9a,9b,9c,9d,9e,9f,merge,e9,e10,e11,e12,e13,e14,e15,e16)")
 		jsonOut = flag.Bool("json", false, "emit results as a JSON array instead of tables")
 		repeat  = flag.Int("repeat", 1, "measure each series this many times and keep the fastest")
-
-		serveURL   = flag.String("serve", "", "serving-driver mode: fire HTTP load at this cfdserve/cfdrouter base URL instead of running experiments")
-		clients    = flag.Int("clients", 8, "serving driver: concurrent HTTP clients")
-		rate       = flag.Float64("rate", 0, "serving driver: aggregate open-loop admission rate in req/s (0 = closed loop)")
-		duration   = flag.Duration("duration", 10*time.Second, "serving driver: how long to fire")
-		insertVals = flag.String("insert-values", "", "serving driver: comma-separated tuple values to POST /insert (empty: GET /violations)")
-		readFrac   = flag.Float64("read-frac", 0, "serving driver: with -insert-values, fraction of requests issued as GET /violations reads (0..1)")
 	)
 	flag.Parse()
 	sel := map[string]bool{}
@@ -97,20 +87,6 @@ func main() {
 	want := func(id string) bool { return len(sel) == 0 || sel[id] }
 
 	b := &bench{quick: *quick, jsonOut: *jsonOut, repeat: *repeat}
-	if *serveURL != "" {
-		b.serveBench(strings.TrimRight(*serveURL, "/"), *clients, *rate, *duration, *insertVals, *readFrac)
-		if b.jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(b.results); err != nil {
-				b.fatal(err)
-			}
-		}
-		if b.failed {
-			os.Exit(1)
-		}
-		return
-	}
 	if want("9a") {
 		b.fig9ab("9a", 1.0)
 	}

@@ -1,37 +1,35 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/httpapi"
 )
 
 // TestRouterErrorEnvelope is the router half of the uniform error
 // contract: every non-2xx response is {"error": {"code", "message"}}
-// with the documented code, on the /v1 spellings and the legacy
-// aliases alike.
+// with the documented code — every route of the table under the wrong
+// method, paths outside /v1 and oversized bodies included.
 func TestRouterErrorEnvelope(t *testing.T) {
 	schema, sigma := custFixture(t)
 	m, err := repro.NewMonitor(schema, sigma, repro.MonitorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	node := &stubNode{m: m}
-	nts := httptest.NewServer(node.handler())
-	defer nts.Close()
-	_, url := startRouter(t, []repro.ClusterGroupConfig{
-		{Name: "g0", Primary: newHTTPBackend(nts.URL, 10*time.Second)},
+	srv, api := startRouter(t, []repro.ClusterGroupConfig{
+		{Name: "g0", Primary: newHTTPBackend(startNode(t, m, nil), 10*time.Second)},
 	})
+	url := strings.TrimSuffix(api, httpapi.Prefix)
 
 	do := func(method, path, body string) (int, map[string]any) {
 		t.Helper()
-		req, err := http.NewRequest(method, url+path, bytes.NewReader([]byte(body)))
+		req, err := http.NewRequest(method, url+path, strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,17 +46,20 @@ func TestRouterErrorEnvelope(t *testing.T) {
 		return resp.StatusCode, v
 	}
 
-	tests := []struct {
+	type row struct {
 		name       string
 		method     string
 		path       string
 		body       string
 		wantStatus int
 		wantCode   string
-	}{
+	}
+	tests := []row{
 		{"method not allowed", http.MethodGet, "/v1/insert", "", http.StatusMethodNotAllowed, "method_not_allowed"},
 		{"bad JSON body", http.MethodPost, "/v1/apply", "{", http.StatusBadRequest, "bad_request"},
-		{"bad JSON on legacy alias", http.MethodPost, "/apply", "{", http.StatusBadRequest, "bad_request"},
+		{"unversioned spelling", http.MethodPost, "/apply", "{}", http.StatusNotFound, "not_found"},
+		{"unknown path", http.MethodGet, "/v1/nope", "", http.StatusNotFound, "not_found"},
+		{"oversized body", http.MethodPost, "/v1/apply", strings.Repeat(" ", httpapi.MaxBodyBytes+1), http.StatusRequestEntityTooLarge, "too_large"},
 		{"keyless delete op", http.MethodPost, "/v1/apply", `{"ops":[{"op":"delete"}]}`, http.StatusBadRequest, "bad_request"},
 		{"unknown op", http.MethodPost, "/v1/apply", `{"ops":[{"op":"merge"}]}`, http.StatusBadRequest, "bad_request"},
 		{"bad ring key", http.MethodGet, "/v1/ring?key=zap", "", http.StatusBadRequest, "bad_request"},
@@ -67,6 +68,14 @@ func TestRouterErrorEnvelope(t *testing.T) {
 		{"repairs bad consistency", http.MethodGet, "/v1/repairs?consistency=quorum", "", http.StatusBadRequest, "bad_request"},
 		{"promote unknown group", http.MethodPost, "/v1/promote", `{"group":"g9"}`, http.StatusConflict, "conflict"},
 		{"metrics method not allowed", http.MethodPost, "/v1/metrics", "{}", http.StatusMethodNotAllowed, "method_not_allowed"},
+	}
+	// Every route of the table, under the method it does not take.
+	for _, rt := range srv.routes() {
+		wrong := http.MethodPost
+		if rt.Method == wrong {
+			wrong = http.MethodGet
+		}
+		tests = append(tests, row{wrong + " " + rt.Path, wrong, httpapi.Prefix + rt.Path, "", http.StatusMethodNotAllowed, "method_not_allowed"})
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

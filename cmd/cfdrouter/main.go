@@ -16,21 +16,17 @@
 // the write instead of forking history; a 403 whose envelope carries
 // code "fenced" makes the router re-query the node's epoch and retry
 // once, which heals the case where an operator promoted a standby
-// behind a stable primary address. POST /promote fails a group over to
-// its first standby and re-points writes with no re-seeding: the
+// behind a stable primary address. POST /v1/promote fails a group over
+// to its first standby and re-points writes with no re-seeding: the
 // standby already holds the replicated state.
 //
-// Endpoints live under /v1 with deprecated unversioned aliases (kept
-// one release; see docs/operations.md): /v1/insert /v1/delete
-// /v1/update /v1/apply (the cfdserve mutation shapes, minus the choice
-// of node), /v1/violations (cluster-wide total), /v1/repairs (per-group
-// fan-out of the shards' live repair suggestions; /v1 only), /v1/stats
-// (router view; ?shards=1 fans out per-group node stats), /v1/ring
-// (ownership probe), /v1/promote, /v1/metrics. Failures use the same
-// error envelope as cfdserve: {"error": {"code", "message", ...}}.
+// The endpoints are the route table in routes below (rendered into
+// docs/operations.md): the cfdserve mutation shapes minus the choice of
+// node, cluster-wide reads, the ownership probe and failover. Failures
+// use the same error envelope as cfdserve.
 //
-// Reads fan out: /violations and /stats?shards=1 accept
-// ?consistency=primary|any. "primary" (the default) serves every
+// Reads fan out: /v1/violations, /v1/repairs and /v1/stats?shards=1
+// accept ?consistency=primary|any. "primary" (the default) serves every
 // group's read from its current primary; "any" round-robins the primary
 // and the group's standbys, skipping any standby that is fenced behind
 // the group's epoch or lagging the primary's WAL tail by more than
@@ -65,92 +61,19 @@ import (
 
 	"repro"
 	"repro/internal/cliutil"
+	"repro/internal/httpapi"
 	"repro/internal/obs"
 )
 
 var processStart = time.Now()
-
-// --- wire shapes shared with cfdserve ---
-
-type wireOp struct {
-	Op     string   `json:"op"`
-	Values []string `json:"values,omitempty"`
-	Key    *int64   `json:"key,omitempty"`
-	Attr   string   `json:"attr,omitempty"`
-	Value  string   `json:"value,omitempty"`
-}
-
-type wireChange struct {
-	CFD   int      `json:"cfd"`
-	Kind  string   `json:"kind"`
-	Tuple *int64   `json:"tuple,omitempty"`
-	Key   []string `json:"key,omitempty"`
-}
-
-type wireDelta struct {
-	Added   []wireChange `json:"added"`
-	Removed []wireChange `json:"removed"`
-}
-
-func toWireDelta(d *repro.ViolationDelta) wireDelta {
-	conv := func(cs []repro.ViolationChange) []wireChange {
-		out := make([]wireChange, 0, len(cs))
-		for _, c := range cs {
-			wc := wireChange{CFD: c.CFD, Kind: c.Kind.String()}
-			if c.Kind == repro.ConstViolation {
-				tuple := c.Tuple
-				wc.Tuple = &tuple
-			} else {
-				wc.Key = c.Key
-			}
-			out = append(out, wc)
-		}
-		return out
-	}
-	return wireDelta{Added: conv(d.Added), Removed: conv(d.Removed)}
-}
-
-func fromWireDelta(w wireDelta) (*repro.ViolationDelta, error) {
-	conv := func(in []wireChange) ([]repro.ViolationChange, error) {
-		out := make([]repro.ViolationChange, 0, len(in))
-		for _, c := range in {
-			vc := repro.ViolationChange{CFD: c.CFD}
-			switch c.Kind {
-			case "const":
-				if c.Tuple == nil {
-					return nil, fmt.Errorf("const change without tuple key")
-				}
-				vc.Kind = repro.ConstViolation
-				vc.Tuple = *c.Tuple
-			case "variable":
-				vc.Kind = repro.VariableViolation
-				vc.Key = c.Key
-			default:
-				return nil, fmt.Errorf("unknown change kind %q", c.Kind)
-			}
-			out = append(out, vc)
-		}
-		return out, nil
-	}
-	added, err := conv(w.Added)
-	if err != nil {
-		return nil, err
-	}
-	removed, err := conv(w.Removed)
-	if err != nil {
-		return nil, err
-	}
-	return &repro.ViolationDelta{Added: added, Removed: removed}, nil
-}
 
 // --- httpBackend: one shard-group node over the cfdserve wire ---
 
 // httpBackend adapts a cfdserve node to the router's ClusterBackend:
 // mutations go through POST /v1/apply stamped with X-Cfd-Epoch, the
 // epoch and key watermark come from GET /v1/stats, failover runs over
-// POST /v1/promote and POST /v1/fence. An error envelope carrying the
-// machine-readable code "fenced" (or "read_only") is mapped back onto
-// the sentinel error the router dispatches on.
+// POST /v1/promote and POST /v1/fence. A refusal's envelope unwraps to
+// the sentinel error ("fenced", "read_only") the router dispatches on.
 type httpBackend struct {
 	base string
 	hc   *http.Client
@@ -160,9 +83,8 @@ func newHTTPBackend(base string, timeout time.Duration) *httpBackend {
 	return &httpBackend{base: strings.TrimRight(base, "/"), hc: &http.Client{Timeout: timeout}}
 }
 
-// call runs one JSON exchange. A nil body means a bare request (GET or
-// an empty POST); a non-2xx response is decoded for its error message
-// and machine code.
+// call runs one JSON exchange against an endpoint path below /v1. A nil
+// body means a bare request (GET or an empty POST).
 func (b *httpBackend) call(ctx context.Context, method, path string, body any, epoch *uint64, out any) error {
 	var rd io.Reader
 	if body != nil {
@@ -172,7 +94,7 @@ func (b *httpBackend) call(ctx context.Context, method, path string, body any, e
 		}
 		rd = bytes.NewReader(buf)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, b.base+path, rd)
+	req, err := http.NewRequestWithContext(ctx, method, b.base+httpapi.Prefix+path, rd)
 	if err != nil {
 		return err
 	}
@@ -180,7 +102,7 @@ func (b *httpBackend) call(ctx context.Context, method, path string, body any, e
 		req.Header.Set("Content-Type", "application/json")
 	}
 	if epoch != nil {
-		req.Header.Set("X-Cfd-Epoch", strconv.FormatUint(*epoch, 10))
+		httpapi.SetEpoch(req, *epoch)
 	}
 	resp, err := b.hc.Do(req)
 	if err != nil {
@@ -188,37 +110,7 @@ func (b *httpBackend) call(ctx context.Context, method, path string, body any, e
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		// The uniform envelope {"error": {"code", "message"}}; a pre-/v1
-		// node's flat {"error": "...", "code": "..."} is still understood.
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		var env struct {
-			Error struct {
-				Code    string `json:"code"`
-				Message string `json:"message"`
-			} `json:"error"`
-		}
-		ecode, emsg := "", ""
-		if err := json.Unmarshal(raw, &env); err == nil {
-			ecode, emsg = env.Error.Code, env.Error.Message
-		} else {
-			var flat struct {
-				Error string `json:"error"`
-				Code  string `json:"code"`
-			}
-			if json.Unmarshal(raw, &flat) == nil {
-				ecode, emsg = flat.Code, flat.Error
-			}
-		}
-		switch ecode {
-		case "fenced":
-			return fmt.Errorf("shard %s: %w", b.base, repro.ErrMonitorFenced)
-		case "read_only":
-			return fmt.Errorf("shard %s: %w", b.base, repro.ErrMonitorReadOnly)
-		}
-		if emsg == "" {
-			emsg = fmt.Sprintf("status %d", resp.StatusCode)
-		}
-		return fmt.Errorf("shard %s%s: %s", b.base, path, emsg)
+		return fmt.Errorf("shard %s%s: %w", b.base, path, httpapi.ErrorFromResponse(resp))
 	}
 	if out == nil {
 		return nil
@@ -227,111 +119,57 @@ func (b *httpBackend) call(ctx context.Context, method, path string, body any, e
 }
 
 func (b *httpBackend) Apply(ctx context.Context, epoch uint64, cs *repro.ChangeSet) (*repro.ViolationDelta, error) {
-	ops := make([]wireOp, 0, len(cs.Ops))
-	for i := range cs.Ops {
-		op := &cs.Ops[i]
-		key := op.Key
-		switch op.Kind {
-		case repro.OpInsert:
-			// The router assigned every insert's key before splitting, so
-			// the shard must honor it rather than allocate its own.
-			ops = append(ops, wireOp{Op: "insert", Key: &key, Values: op.Tuple})
-		case repro.OpDelete:
-			ops = append(ops, wireOp{Op: "delete", Key: &key})
-		case repro.OpUpdate:
-			ops = append(ops, wireOp{Op: "update", Key: &key, Attr: op.Attr, Value: op.Value})
-		default:
-			return nil, fmt.Errorf("unknown op kind %v", op.Kind)
-		}
-	}
-	var res struct {
-		Delta wireDelta `json:"delta"`
-	}
-	if err := b.call(ctx, http.MethodPost, "/v1/apply", map[string]any{"ops": ops}, &epoch, &res); err != nil {
+	// The router assigned every insert's key before splitting (keyed
+	// ops), so the shard honors it rather than allocating its own.
+	ops, err := httpapi.EncodeOps(cs)
+	if err != nil {
 		return nil, err
 	}
-	return fromWireDelta(res.Delta)
+	var res struct {
+		Delta httpapi.Delta `json:"delta"`
+	}
+	if err := b.call(ctx, http.MethodPost, "/apply", map[string]any{"ops": ops}, &epoch, &res); err != nil {
+		return nil, err
+	}
+	return res.Delta.Decode()
 }
 
-func (b *httpBackend) stats(ctx context.Context) (epoch uint64, nextKey int64, err error) {
-	var st struct {
-		Epoch   uint64 `json:"epoch"`
-		NextKey int64  `json:"next_key"`
-	}
-	if err := b.call(ctx, http.MethodGet, "/v1/stats", nil, nil, &st); err != nil {
-		return 0, 0, err
-	}
-	return st.Epoch, st.NextKey, nil
+func (b *httpBackend) stats(ctx context.Context) (st httpapi.NodeStats, err error) {
+	err = b.call(ctx, http.MethodGet, "/stats", nil, nil, &st)
+	return st, err
 }
 
 func (b *httpBackend) Epoch(ctx context.Context) (uint64, error) {
-	epoch, _, err := b.stats(ctx)
-	return epoch, err
+	st, err := b.stats(ctx)
+	return st.Epoch, err
 }
 
 func (b *httpBackend) NextKey(ctx context.Context) (int64, error) {
-	_, next, err := b.stats(ctx)
-	return next, err
+	st, err := b.stats(ctx)
+	return st.NextKey, err
 }
 
 func (b *httpBackend) Promote(ctx context.Context) (uint64, error) {
 	var res struct {
 		Epoch uint64 `json:"epoch"`
 	}
-	if err := b.call(ctx, http.MethodPost, "/v1/promote", nil, nil, &res); err != nil {
+	if err := b.call(ctx, http.MethodPost, "/promote", nil, nil, &res); err != nil {
 		return 0, err
 	}
 	return res.Epoch, nil
 }
 
 func (b *httpBackend) Fence(ctx context.Context, epoch uint64) error {
-	return b.call(ctx, http.MethodPost, "/v1/fence", map[string]any{"epoch": epoch}, nil, nil)
-}
-
-// violationTotal reads the node's live violation count, for the
-// router's cluster-wide /violations aggregate.
-func (b *httpBackend) violationTotal(ctx context.Context) (int, error) {
-	var res struct {
-		Total int `json:"total"`
-	}
-	if err := b.call(ctx, http.MethodGet, "/v1/violations", nil, nil, &res); err != nil {
-		return 0, err
-	}
-	return res.Total, nil
-}
-
-// shardRepairs is one node's GET /v1/repairs response as the router
-// re-serves it: the suggestions pass through untouched.
-type shardRepairs struct {
-	Suggestions []json.RawMessage `json:"suggestions"`
-	Total       int               `json:"total"`
-	Version     uint64            `json:"version"`
-}
-
-// repairs reads the node's live repair suggestions, for the router's
-// per-group fan-out of GET /v1/repairs. query carries the forwarded
-// trust_threshold/limit parameters ("" for none).
-func (b *httpBackend) repairs(ctx context.Context, query string) (shardRepairs, error) {
-	var res shardRepairs
-	if err := b.call(ctx, http.MethodGet, "/v1/repairs"+query, nil, nil, &res); err != nil {
-		return shardRepairs{}, err
-	}
-	return res, nil
+	return b.call(ctx, http.MethodPost, "/fence", map[string]any{"epoch": epoch}, nil, nil)
 }
 
 // ReadPosition implements the read fan-out's staleness probe over the
 // wire: the node's epoch and — for a following standby — its replication
-// byte lag, both straight from GET /stats. A primary (no replica block,
-// or one already promoted) is its own tail: lag 0.
+// byte lag, both straight from GET /v1/stats. A primary (no replica
+// block, or one already promoted) is its own tail: lag 0.
 func (b *httpBackend) ReadPosition(ctx context.Context) (repro.ClusterReadPosition, error) {
-	var st struct {
-		Epoch   uint64 `json:"epoch"`
-		Replica *struct {
-			Following bool  `json:"following"`
-			LagBytes  int64 `json:"lag_bytes"`
-		} `json:"replica"`
-	}
-	if err := b.call(ctx, http.MethodGet, "/v1/stats", nil, nil, &st); err != nil {
+	st, err := b.stats(ctx)
+	if err != nil {
 		return repro.ClusterReadPosition{}, err
 	}
 	pos := repro.ClusterReadPosition{Epoch: st.Epoch}
@@ -343,428 +181,248 @@ func (b *httpBackend) ReadPosition(ctx context.Context) (repro.ClusterReadPositi
 
 // --- the daemon ---
 
-// apiError is the uniform machine-readable error envelope shared with
-// cfdserve: every non-2xx response is {"error": {"code", "message"}}.
-type apiError struct {
-	Code    string  `json:"code"`
-	Message string  `json:"message"`
-	Epoch   *uint64 `json:"epoch,omitempty"`
-}
-
-// codeFor maps an HTTP status to its envelope code; statuses with a
-// more specific cause (fenced, stale_cursor) are stamped at the call
-// site instead.
-func codeFor(status int) string {
-	switch status {
-	case http.StatusBadRequest:
-		return "bad_request"
-	case http.StatusForbidden:
-		return "fenced"
-	case http.StatusNotFound:
-		return "not_found"
-	case http.StatusMethodNotAllowed:
-		return "method_not_allowed"
-	case http.StatusConflict:
-		return "conflict"
-	case http.StatusGone:
-		return "stale_cursor"
-	case http.StatusBadGateway:
-		return "bad_gateway"
-	default:
-		return "internal"
-	}
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]apiError{"error": {Code: codeFor(status), Message: err.Error()}})
-}
-
 type routerServer struct {
 	rt     *repro.ClusterRouter
 	vnodes int
 	reg    *repro.MetricsRegistry
+
+	routedOps, shardFails, readErrs *obs.Counter
+	// Fan-out read latency against shard nodes, by endpoint.
+	readViolations, readStats, readRepairs *obs.Histogram
+}
+
+func newRouterServer(rt *repro.ClusterRouter, vnodes int, reg *repro.MetricsRegistry) *routerServer {
+	readDur := func(endpoint string) *obs.Histogram {
+		return reg.DurationHistogram("cfdrouter_read_seconds", "Fan-out read latency against shard nodes, by endpoint.", obs.L("endpoint", endpoint))
+	}
+	return &routerServer{
+		rt: rt, vnodes: vnodes, reg: reg,
+		routedOps:      reg.Counter("cfdrouter_routed_ops_total", "Mutation ops routed to shard groups."),
+		shardFails:     reg.Counter("cfdrouter_shard_failures_total", "Sub-batches refused or failed by a shard group."),
+		readErrs:       reg.Counter("cfdrouter_read_errors_total", "Fan-out reads against shard nodes that failed."),
+		readViolations: readDur("/violations"), readStats: readDur("/stats"), readRepairs: readDur("/repairs"),
+	}
+}
+
+// routes is the router's endpoint table.
+func (s *routerServer) routes() []httpapi.Route {
+	get, post := httpapi.GET, httpapi.POST
+	return append(httpapi.MutationRoutes(s.apply, s.rt.Owner), []httpapi.Route{
+		get("/violations", s.violations, `cluster-wide violation count, summed over one read per group: ?consistency=primary|any`),
+		get("/repairs", s.repairs,
+			`each group's live repair suggestions under its name and node URL: ?consistency=, ?trust_threshold= and ?limit= forwarded`),
+		get("/stats", s.stats, `per-group epoch and standbys, next_key, vnodes; ?shards=1 adds one node /v1/stats per group (?consistency= applies)`),
+		get("/ring", s.ring, `ring members; ?key=K answers which group owns a key`),
+		post("/promote", s.promote, `fail a group over to its first standby: {"group": "g0"} → {"group", "epoch", "promoted"}`),
+		get("/metrics", httpapi.MetricsHandler(s.reg), `Prometheus text exposition of the router's registry`),
+	}...)
 }
 
 func (s *routerServer) handler() http.Handler {
-	mux := http.NewServeMux()
-	reg := s.reg
-	handle := func(path string, h http.HandlerFunc) {
-		reqs := reg.Counter("cfdrouter_http_requests_total", "HTTP requests served, by endpoint.", obs.L("path", path))
-		errs := reg.Counter("cfdrouter_http_errors_total", "HTTP responses with status >= 400, by endpoint.", obs.L("path", path))
-		dur := reg.DurationHistogram("cfdrouter_http_request_seconds", "HTTP request latency, by endpoint.", obs.L("path", path))
-		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-			start := time.Now()
-			sw := statusWriter{ResponseWriter: w}
-			h(&sw, r)
-			reqs.Inc()
-			if sw.status >= 400 {
-				errs.Inc()
-			}
-			dur.ObserveSince(start)
-		})
-	}
-	// route registers the versioned spelling and its deprecated
-	// unversioned alias (kept one release; see docs/operations.md).
-	// Each spelling gets its own metric series, so alias traffic stays
-	// visible during the migration.
-	route := func(path string, h http.HandlerFunc) {
-		handle("/v1"+path, h)
-		handle(path, h)
-	}
-	routedOps := reg.Counter("cfdrouter_routed_ops_total", "Mutation ops routed to shard groups.")
-	shardFails := reg.Counter("cfdrouter_shard_failures_total", "Sub-batches refused or failed by a shard group.")
-	readViolDur := reg.DurationHistogram("cfdrouter_read_seconds", "Fan-out read latency against shard nodes, by endpoint.", obs.L("endpoint", "/violations"))
-	readStatsDur := reg.DurationHistogram("cfdrouter_read_seconds", "Fan-out read latency against shard nodes, by endpoint.", obs.L("endpoint", "/stats"))
-	readRepairDur := reg.DurationHistogram("cfdrouter_read_seconds", "Fan-out read latency against shard nodes, by endpoint.", obs.L("endpoint", "/repairs"))
-	readErrs := reg.Counter("cfdrouter_read_errors_total", "Fan-out reads against shard nodes that failed.")
-	// pickRead resolves one group's read target honoring ?consistency=.
-	pickRead := func(ctx context.Context, name string, mode repro.ClusterReadConsistency) (*httpBackend, error) {
-		be, err := s.rt.PickRead(ctx, name, mode)
-		if err != nil {
-			return nil, fmt.Errorf("group %s: %w", name, err)
-		}
-		hb, ok := be.(*httpBackend)
-		if !ok {
-			return nil, fmt.Errorf("group %s: read target is not an HTTP backend", name)
-		}
-		return hb, nil
-	}
-	readBody := func(w http.ResponseWriter, r *http.Request, v any) bool {
-		if r.Method != http.MethodPost {
-			writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-			return false
-		}
-		if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
-			return false
-		}
-		return true
-	}
-	// routeErr maps a routed apply's failure. A partial failure (some
-	// groups committed, some refused) is the router's defining error
-	// shape: 502 naming the failed groups, with the delta of the
-	// committed ones alongside so the caller can reconcile.
-	routeErr := func(w http.ResponseWriter, err error, delta *repro.ViolationDelta) {
-		var ae *repro.ClusterApplyError
-		if errors.As(err, &ae) {
-			shardFails.Add(uint64(len(ae.Failed)))
-			failed := make(map[string]string, len(ae.Failed))
-			for name, ferr := range ae.Failed {
-				failed[name] = ferr.Error()
-			}
-			body := map[string]any{
-				"error":  apiError{Code: codeFor(http.StatusBadGateway), Message: err.Error()},
-				"failed": failed,
-			}
-			if delta != nil {
-				body["delta"] = toWireDelta(delta)
-			}
-			writeJSON(w, http.StatusBadGateway, body)
-			return
-		}
-		writeErr(w, http.StatusBadRequest, err)
-	}
-	apply := func(w http.ResponseWriter, r *http.Request, cs *repro.ChangeSet) (*repro.ViolationDelta, bool) {
-		delta, err := s.rt.Apply(r.Context(), cs)
-		if err != nil {
-			routeErr(w, err, delta)
-			return nil, false
-		}
-		routedOps.Add(uint64(cs.Len()))
-		return delta, true
-	}
+	return httpapi.Handler("cfdrouter", s.reg, s.routes())
+}
 
-	route("/insert", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Values []string `json:"values"`
-			Key    *int64   `json:"key"`
+// apply is the router's write path under the shared mutation endpoints.
+// A partial failure (some groups committed, some refused) is the
+// router's defining error shape: 502 naming the failed groups, with the
+// delta of the committed ones alongside so the caller can reconcile.
+func (s *routerServer) apply(w http.ResponseWriter, r *http.Request, cs *repro.ChangeSet, _ int) (*repro.ViolationDelta, bool) {
+	delta, err := s.rt.Apply(r.Context(), cs)
+	var ae *repro.ClusterApplyError
+	switch {
+	case err == nil:
+		s.routedOps.Add(uint64(cs.Len()))
+		return delta, true
+	case errors.As(err, &ae):
+		s.shardFails.Add(uint64(len(ae.Failed)))
+		failed := make(map[string]string, len(ae.Failed))
+		for name, ferr := range ae.Failed {
+			failed[name] = ferr.Error()
 		}
-		if !readBody(w, r, &req) {
-			return
+		body := map[string]any{"error": httpapi.Envelope(http.StatusBadGateway, err), "failed": failed}
+		if delta != nil {
+			body["delta"] = httpapi.EncodeDelta(delta)
 		}
-		var cs repro.ChangeSet
-		if req.Key != nil {
-			cs.InsertKeyed(*req.Key, repro.Tuple(req.Values))
-		} else {
-			cs.Insert(repro.Tuple(req.Values))
-		}
-		delta, ok := apply(w, r, &cs)
-		if !ok {
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"key": cs.Ops[0].Key, "shard": s.rt.Owner(cs.Ops[0].Key), "delta": toWireDelta(delta),
-		})
-	})
-	route("/delete", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Key int64 `json:"key"`
-		}
-		if !readBody(w, r, &req) {
-			return
-		}
-		var cs repro.ChangeSet
-		cs.Delete(req.Key)
-		if delta, ok := apply(w, r, &cs); ok {
-			writeJSON(w, http.StatusOK, map[string]any{"delta": toWireDelta(delta)})
-		}
-	})
-	route("/update", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Key   int64  `json:"key"`
-			Attr  string `json:"attr"`
-			Value string `json:"value"`
-		}
-		if !readBody(w, r, &req) {
-			return
-		}
-		var cs repro.ChangeSet
-		cs.Update(req.Key, req.Attr, req.Value)
-		if delta, ok := apply(w, r, &cs); ok {
-			writeJSON(w, http.StatusOK, map[string]any{"delta": toWireDelta(delta)})
-		}
-	})
-	route("/apply", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Ops []wireOp `json:"ops"`
-		}
-		if !readBody(w, r, &req) {
-			return
-		}
-		var cs repro.ChangeSet
-		for i, o := range req.Ops {
-			switch o.Op {
-			case "insert":
-				if o.Key != nil {
-					cs.InsertKeyed(*o.Key, repro.Tuple(o.Values))
-				} else {
-					cs.Insert(repro.Tuple(o.Values))
-				}
-			case "delete":
-				if o.Key == nil {
-					writeErr(w, http.StatusBadRequest, fmt.Errorf("ops[%d]: delete requires a key", i))
-					return
-				}
-				cs.Delete(*o.Key)
-			case "update":
-				if o.Key == nil {
-					writeErr(w, http.StatusBadRequest, fmt.Errorf("ops[%d]: update requires a key", i))
-					return
-				}
-				cs.Update(*o.Key, o.Attr, o.Value)
-			default:
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("ops[%d]: unknown op %q", i, o.Op))
-				return
+		httpapi.WriteJSON(w, http.StatusBadGateway, body)
+	default:
+		httpapi.WriteError(w, http.StatusBadRequest, err)
+	}
+	return nil, false
+}
+
+// readMode parses ?consistency=, answering 400 on a junk mode.
+func readMode(w http.ResponseWriter, r *http.Request) (repro.ClusterReadConsistency, bool) {
+	mode, err := repro.ParseClusterReadConsistency(r.URL.Query().Get("consistency"))
+	if err != nil {
+		httpapi.WriteError(w, http.StatusBadRequest, err)
+	}
+	return mode, err == nil
+}
+
+// readGroup runs one fan-out read against the node mode picks for the
+// group, timed under the endpoint's histogram. The status classifies a
+// failure: 500 when no node could be picked, 502 when the node failed.
+func (s *routerServer) readGroup(ctx context.Context, name string, mode repro.ClusterReadConsistency, dur *obs.Histogram, read func(*httpBackend) error) (int, error) {
+	be, err := s.rt.PickRead(ctx, name, mode)
+	if err != nil {
+		return http.StatusInternalServerError, fmt.Errorf("group %s: %w", name, err)
+	}
+	hb, ok := be.(*httpBackend)
+	if !ok {
+		return http.StatusInternalServerError, fmt.Errorf("group %s: read target is not an HTTP backend", name)
+	}
+	start := time.Now()
+	err = read(hb)
+	dur.ObserveSince(start)
+	if err != nil {
+		s.readErrs.Inc()
+		return http.StatusBadGateway, fmt.Errorf("group %s: %w", name, err)
+	}
+	return http.StatusOK, nil
+}
+
+// violations answers the cluster-wide violation count: the sum of one
+// read per group. Totals are disjoint because each group owns its key
+// range.
+func (s *routerServer) violations(w http.ResponseWriter, r *http.Request) {
+	mode, ok := readMode(w, r)
+	if !ok {
+		return
+	}
+	groups := make(map[string]int)
+	total := 0
+	for _, name := range s.rt.Groups() {
+		status, err := s.readGroup(r.Context(), name, mode, s.readViolations, func(hb *httpBackend) error {
+			var res struct {
+				Total int `json:"total"`
 			}
-		}
-		delta, ok := apply(w, r, &cs)
-		if !ok {
-			return
-		}
-		keys := make([]int64, 0, len(cs.Ops))
-		for i := range cs.Ops {
-			if cs.Ops[i].Kind == repro.OpInsert {
-				keys = append(keys, cs.Ops[i].Key)
+			if err := hb.call(r.Context(), http.MethodGet, "/violations", nil, nil, &res); err != nil {
+				return err
 			}
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"ops": cs.Len(), "keys": keys, "delta": toWireDelta(delta),
-		})
-	})
-	// Cluster-wide violation count: the sum of one read per group.
-	// Totals are disjoint because each group owns its key range. With
-	// ?consistency=any the per-group read may land on a fresh standby
-	// instead of the primary.
-	route("/violations", func(w http.ResponseWriter, r *http.Request) {
-		mode, err := repro.ParseClusterReadConsistency(r.URL.Query().Get("consistency"))
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		groups := make(map[string]int)
-		total := 0
-		for _, name := range s.rt.Groups() {
-			hb, err := pickRead(r.Context(), name, mode)
-			if err != nil {
-				writeErr(w, http.StatusInternalServerError, err)
-				return
-			}
-			start := time.Now()
-			n, err := hb.violationTotal(r.Context())
-			readViolDur.ObserveSince(start)
-			if err != nil {
-				readErrs.Inc()
-				writeErr(w, http.StatusBadGateway, fmt.Errorf("group %s: %w", name, err))
-				return
-			}
-			groups[name] = n
-			total += n
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"groups": groups, "total": total, "consistency": mode.String()})
-	})
-	// Cluster-wide live repair suggestions: one GET /v1/repairs per
-	// group, merged under per-group labels (?consistency= applies, and
-	// ?trust_threshold=/?limit= are forwarded to every node). The merged
-	// view is deliberately unpaginated — suggestion IDs and versions are
-	// per-node, so each group's list arrives whole (or ?limit-truncated)
-	// and accepted IDs must be applied against the owning group's node,
-	// named in its "node" field. New in /v1; no unversioned alias.
-	handle("/v1/repairs", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
-			return
-		}
-		mode, err := repro.ParseClusterReadConsistency(r.URL.Query().Get("consistency"))
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		fwd := url.Values{}
-		for _, k := range []string{"trust_threshold", "limit"} {
-			if v := r.URL.Query().Get(k); v != "" {
-				fwd.Set(k, v)
-			}
-		}
-		query := ""
-		if len(fwd) > 0 {
-			query = "?" + fwd.Encode()
-		}
-		groups := make(map[string]any)
-		total := 0
-		for _, name := range s.rt.Groups() {
-			hb, err := pickRead(r.Context(), name, mode)
-			if err != nil {
-				writeErr(w, http.StatusInternalServerError, err)
-				return
-			}
-			start := time.Now()
-			res, err := hb.repairs(r.Context(), query)
-			readRepairDur.ObserveSince(start)
-			if err != nil {
-				readErrs.Inc()
-				writeErr(w, http.StatusBadGateway, fmt.Errorf("group %s: %w", name, err))
-				return
-			}
-			if res.Suggestions == nil {
-				res.Suggestions = []json.RawMessage{}
-			}
-			groups[name] = map[string]any{
-				"suggestions": res.Suggestions,
-				"total":       res.Total,
-				"version":     res.Version,
-				"node":        hb.base,
-			}
+			groups[name] = res.Total
 			total += res.Total
+			return nil
+		})
+		if err != nil {
+			httpapi.WriteError(w, status, err)
+			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"groups": groups, "total": total, "consistency": mode.String()})
-	})
-	route("/stats", func(w http.ResponseWriter, r *http.Request) {
-		out := map[string]any{
-			"groups":         s.rt.Status(),
-			"next_key":       s.rt.NextKey(),
-			"vnodes":         s.vnodes,
-			"uptime_seconds": time.Since(processStart).Seconds(),
+	}
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"groups": groups, "total": total, "consistency": mode.String()})
+}
+
+// repairs merges one GET /v1/repairs per group under per-group labels.
+// The merged view is deliberately unpaginated — suggestion IDs and
+// versions are per-node, so each group's list arrives whole (or
+// ?limit-truncated) and accepted IDs must be applied against the owning
+// group's node, named in its "node" field.
+func (s *routerServer) repairs(w http.ResponseWriter, r *http.Request) {
+	mode, ok := readMode(w, r)
+	if !ok {
+		return
+	}
+	fwd := url.Values{}
+	for _, k := range []string{"trust_threshold", "limit"} {
+		if v := r.URL.Query().Get(k); v != "" {
+			fwd.Set(k, v)
 		}
-		// ?shards=1 additionally fans out one GET /stats per group,
-		// routed like any other read (?consistency= applies).
-		if sq := r.URL.Query().Get("shards"); sq != "" && sq != "0" && sq != "false" {
-			mode, err := repro.ParseClusterReadConsistency(r.URL.Query().Get("consistency"))
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, err)
-				return
+	}
+	path := "/repairs"
+	if len(fwd) > 0 {
+		path += "?" + fwd.Encode()
+	}
+	groups := make(map[string]any)
+	total := 0
+	for _, name := range s.rt.Groups() {
+		status, err := s.readGroup(r.Context(), name, mode, s.readRepairs, func(hb *httpBackend) error {
+			// The suggestions pass through untouched.
+			var res struct {
+				Suggestions []json.RawMessage `json:"suggestions"`
+				Total       int               `json:"total"`
+				Version     uint64            `json:"version"`
+				Node        string            `json:"node"`
 			}
-			shards := make(map[string]any)
-			for _, name := range s.rt.Groups() {
-				hb, err := pickRead(r.Context(), name, mode)
-				if err != nil {
-					shards[name] = map[string]any{"error": err.Error()}
-					continue
-				}
-				start := time.Now()
+			if err := hb.call(r.Context(), http.MethodGet, path, nil, nil, &res); err != nil {
+				return err
+			}
+			res.Node = hb.base
+			groups[name] = res
+			total += res.Total
+			return nil
+		})
+		if err != nil {
+			httpapi.WriteError(w, status, err)
+			return
+		}
+	}
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"groups": groups, "total": total, "consistency": mode.String()})
+}
+
+// stats answers the router's own view; ?shards=1 additionally fans one
+// GET /v1/stats out per group, routed like any other read.
+func (s *routerServer) stats(w http.ResponseWriter, r *http.Request) {
+	out := map[string]any{
+		"groups":         s.rt.Status(),
+		"next_key":       s.rt.NextKey(),
+		"vnodes":         s.vnodes,
+		"uptime_seconds": time.Since(processStart).Seconds(),
+	}
+	if sq := r.URL.Query().Get("shards"); sq != "" && sq != "0" && sq != "false" {
+		mode, ok := readMode(w, r)
+		if !ok {
+			return
+		}
+		shards := make(map[string]any)
+		for _, name := range s.rt.Groups() {
+			_, err := s.readGroup(r.Context(), name, mode, s.readStats, func(hb *httpBackend) error {
 				var raw map[string]any
-				err = hb.call(r.Context(), http.MethodGet, "/v1/stats", nil, nil, &raw)
-				readStatsDur.ObserveSince(start)
-				if err != nil {
-					readErrs.Inc()
-					shards[name] = map[string]any{"error": err.Error()}
-					continue
+				if err := hb.call(r.Context(), http.MethodGet, "/stats", nil, nil, &raw); err != nil {
+					return err
 				}
 				raw["node"] = hb.base
 				shards[name] = raw
-			}
-			out["shards"] = shards
-		}
-		writeJSON(w, http.StatusOK, out)
-	})
-	// Ownership probe: which group would serve a key.
-	route("/ring", func(w http.ResponseWriter, r *http.Request) {
-		if kq := r.URL.Query().Get("key"); kq != "" {
-			key, err := strconv.ParseInt(kq, 10, 64)
+				return nil
+			})
 			if err != nil {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("bad key %q: %w", kq, err))
-				return
+				shards[name] = map[string]any{"error": err.Error()}
 			}
-			writeJSON(w, http.StatusOK, map[string]any{"key": key, "owner": s.rt.Owner(key)})
-			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"members": s.rt.Groups(), "vnodes": s.vnodes})
-	})
-	// Failover: promote the group's first standby and re-point writes.
-	route("/promote", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Group string `json:"group"`
-		}
-		if !readBody(w, r, &req) {
-			return
-		}
-		epoch, err := s.rt.Promote(r.Context(), req.Group)
+		out["shards"] = shards
+	}
+	httpapi.WriteJSON(w, http.StatusOK, out)
+}
+
+// ring is the ownership probe: which group would serve a key.
+func (s *routerServer) ring(w http.ResponseWriter, r *http.Request) {
+	if kq := r.URL.Query().Get("key"); kq != "" {
+		key, err := strconv.ParseInt(kq, 10, 64)
 		if err != nil {
-			writeErr(w, http.StatusConflict, err)
+			httpapi.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad key %q: %w", kq, err))
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"group": req.Group, "epoch": epoch, "promoted": true})
-	})
-	route("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = reg.WritePrometheus(w)
-	})
-	return mux
-}
-
-// statusWriter records the response status so the middleware can count
-// error responses; an implicit 200 (first Write without WriteHeader) is
-// recorded too.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"key": key, "owner": s.rt.Owner(key)})
+		return
 	}
-	w.ResponseWriter.WriteHeader(code)
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"members": s.rt.Groups(), "vnodes": s.vnodes})
 }
 
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
+// promote fails a group over to its first standby and re-points writes.
+func (s *routerServer) promote(w http.ResponseWriter, r *http.Request) {
+	var req struct {
+		Group string `json:"group"`
 	}
-	return w.ResponseWriter.Write(b)
+	if !httpapi.ReadBody(w, r, &req) {
+		return
+	}
+	epoch, err := s.rt.Promote(r.Context(), req.Group)
+	if err != nil {
+		httpapi.WriteError(w, http.StatusConflict, err)
+		return
+	}
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"group": req.Group, "epoch": epoch, "promoted": true})
 }
 
-// shardFlag accumulates repeated -shard name=primaryURL[,standbyURL...]
-// definitions in declaration order.
+// shardDef is one -shard name=primaryURL[,standbyURL...] definition.
 type shardDef struct {
 	name     string
 	primary  string
@@ -841,7 +499,7 @@ func main() {
 		lg.Error("startup failed", "error", err)
 		os.Exit(2)
 	}
-	srv := &routerServer{rt: rt, vnodes: *vnodes, reg: repro.DefaultMetrics()}
+	srv := newRouterServer(rt, *vnodes, repro.DefaultMetrics())
 
 	lis, err := net.Listen("tcp", *httpAddr)
 	if err != nil {
@@ -849,17 +507,7 @@ func main() {
 		os.Exit(2)
 	}
 	fmt.Printf("routing %d shard groups on %s (next key %d)\n", len(groups), lis.Addr(), rt.NextKey())
-	hs := &http.Server{Handler: srv.handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(lis) }()
-	select {
-	case err = <-errc:
-	case <-ctx.Done():
-		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		err = hs.Shutdown(sctx)
-	}
-	if err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := httpapi.Serve(ctx, lis, srv.handler()); err != nil {
 		lg.Error("server failed", "error", err)
 		os.Exit(1)
 	}

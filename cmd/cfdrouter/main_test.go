@@ -8,19 +8,17 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
-	"sync"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/httpapi"
+	"repro/internal/node"
 )
 
-// The daemon is tested against stub shard nodes that speak the cfdserve
-// wire subset the router programs against (/v1/apply with X-Cfd-Epoch,
-// /v1/stats, /v1/violations, /v1/repairs, /v1/promote, /v1/fence), each
-// backed by a real monitor. The cfdserve side of the same contract is
-// pinned by its own fencing wire test.
+// The daemon is tested against real shard nodes: internal/node's
+// handlers — the same ones cfdserve serves — over a monitor (or a
+// follower wrapping one).
 
 func custFixture(t *testing.T) (*repro.Schema, []*repro.CFD) {
 	t.Helper()
@@ -40,146 +38,18 @@ func custFixture(t *testing.T) (*repro.Schema, []*repro.CFD) {
 	return schema, sigma
 }
 
-// stubNode is one shard-group node: a monitor (or a follower wrapping
-// one) behind the wire endpoints the router's httpBackend uses.
-type stubNode struct {
-	mu sync.Mutex
-	m  *repro.Monitor
-	f  *repro.MonitorFollower
-}
-
-func (n *stubNode) mon() *repro.Monitor {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.f != nil {
-		return n.f.Monitor()
+// startNode serves a real cfdserve node over m (and the follower f
+// driving it, nil on a primary) and returns its base URL; wrap, when
+// given, sits in front of the node's handler.
+func startNode(t *testing.T, m *repro.Monitor, f *repro.MonitorFollower, wrap ...func(http.Handler) http.Handler) string {
+	t.Helper()
+	h := node.New(m, f).Handler()
+	for _, w := range wrap {
+		h = w(h)
 	}
-	return n.m
-}
-
-func (n *stubNode) handler() http.Handler {
-	mux := http.NewServeMux()
-	// Like cfdserve, every endpoint lives under /v1 with an unversioned
-	// alias.
-	handle := func(path string, h http.HandlerFunc) {
-		mux.HandleFunc("/v1"+path, h)
-		mux.HandleFunc(path, h)
-	}
-	writeJSON := func(w http.ResponseWriter, code int, v any) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(code)
-		_ = json.NewEncoder(w).Encode(v)
-	}
-	envelope := func(code, msg string) map[string]any {
-		return map[string]any{"error": map[string]string{"code": code, "message": msg}}
-	}
-	handle("/apply", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Ops []wireOp `json:"ops"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-			return
-		}
-		var cs repro.ChangeSet
-		for _, o := range req.Ops {
-			switch o.Op {
-			case "insert":
-				if o.Key != nil {
-					cs.InsertKeyed(*o.Key, repro.Tuple(o.Values))
-				} else {
-					cs.Insert(repro.Tuple(o.Values))
-				}
-			case "delete":
-				cs.Delete(*o.Key)
-			case "update":
-				cs.Update(*o.Key, o.Attr, o.Value)
-			}
-		}
-		var delta *repro.ViolationDelta
-		var err error
-		if h := r.Header.Get("X-Cfd-Epoch"); h != "" {
-			epoch, perr := strconv.ParseUint(h, 10, 64)
-			if perr != nil {
-				writeJSON(w, http.StatusBadRequest, map[string]string{"error": perr.Error()})
-				return
-			}
-			delta, err = n.mon().ApplyAt(&cs, epoch)
-		} else {
-			delta, err = n.mon().Apply(&cs)
-		}
-		switch {
-		case errors.Is(err, repro.ErrMonitorFenced):
-			writeJSON(w, http.StatusForbidden, envelope("fenced", err.Error()))
-		case errors.Is(err, repro.ErrMonitorReadOnly):
-			writeJSON(w, http.StatusConflict, envelope("read_only", err.Error()))
-		case err != nil:
-			writeJSON(w, http.StatusBadRequest, envelope("bad_request", err.Error()))
-		default:
-			writeJSON(w, http.StatusOK, map[string]any{"delta": toWireDelta(delta)})
-		}
-	})
-	handle("/stats", func(w http.ResponseWriter, r *http.Request) {
-		stats := map[string]any{
-			"epoch": n.mon().Epoch(), "next_key": n.mon().NextKey(),
-		}
-		n.mu.Lock()
-		f := n.f
-		n.mu.Unlock()
-		if f != nil {
-			st := f.Status()
-			stats["replica"] = map[string]any{
-				"following": st.Following, "lag_bytes": st.LagBytes,
-			}
-		}
-		writeJSON(w, http.StatusOK, stats)
-	})
-	handle("/violations", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"total": n.mon().ViolationCount()})
-	})
-	// The cfdserve GET /v1/repairs shape, minus ETag/cursor machinery:
-	// a throwaway suggester over the node's live violation set.
-	handle("/repairs", func(w http.ResponseWriter, r *http.Request) {
-		sg, err := repro.WatchRepairs(n.mon(), repro.SuggestOptions{})
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, envelope("bad_request", err.Error()))
-			return
-		}
-		defer sg.Close()
-		sg.Refresh()
-		sugs := sg.Suggestions()
-		out := make([]map[string]any, 0, len(sugs))
-		for _, s := range sugs {
-			out = append(out, map[string]any{"id": s.ID, "kind": s.Kind.String(), "cost": s.Cost})
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"suggestions": out, "total": len(sugs), "version": sg.Version()})
-	})
-	handle("/promote", func(w http.ResponseWriter, r *http.Request) {
-		n.mu.Lock()
-		f := n.f
-		n.mu.Unlock()
-		if f == nil {
-			writeJSON(w, http.StatusConflict, envelope("conflict", "not a follower"))
-			return
-		}
-		if err := f.Promote(); err != nil {
-			writeJSON(w, http.StatusConflict, envelope("conflict", err.Error()))
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"promoted": true, "epoch": f.Monitor().Epoch()})
-	})
-	handle("/fence", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Epoch uint64 `json:"epoch"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, envelope("bad_request", err.Error()))
-			return
-		}
-		n.mon().Fence(req.Epoch)
-		writeJSON(w, http.StatusOK, map[string]any{"epoch": n.mon().Epoch(), "fenced": n.mon().Fenced()})
-	})
-	return mux
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	return ts.URL
 }
 
 func postBody(t *testing.T, url, body string) (int, map[string]any) {
@@ -206,23 +76,23 @@ func getBody(t *testing.T, url string) (int, map[string]any) {
 	return resp.StatusCode, v
 }
 
-// startRouter builds a routerServer over the given shard groups and
-// serves it from an httptest server.
+// startRouter builds a routerServer over the given shard groups, serves
+// it from an httptest server and returns the versioned API root.
 func startRouter(t *testing.T, groups []repro.ClusterGroupConfig) (*routerServer, string) {
 	t.Helper()
 	rt, err := repro.NewClusterRouter(context.Background(), groups, repro.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &routerServer{rt: rt, reg: repro.NewMetricsRegistry()}
+	srv := newRouterServer(rt, 0, repro.NewMetricsRegistry())
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(ts.Close)
-	return srv, ts.URL
+	return srv, ts.URL + httpapi.Prefix
 }
 
 func TestDaemonRoutesAcrossShards(t *testing.T) {
 	schema, sigma := custFixture(t)
-	nodes := make(map[string]*stubNode, 3)
+	nodes := make(map[string]*repro.Monitor, 3)
 	var groups []repro.ClusterGroupConfig
 	for i := 0; i < 3; i++ {
 		name := fmt.Sprintf("g%d", i)
@@ -230,11 +100,8 @@ func TestDaemonRoutesAcrossShards(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		node := &stubNode{m: m}
-		ts := httptest.NewServer(node.handler())
-		t.Cleanup(ts.Close)
-		nodes[name] = node
-		groups = append(groups, repro.ClusterGroupConfig{Name: name, Primary: newHTTPBackend(ts.URL, 10*time.Second)})
+		nodes[name] = m
+		groups = append(groups, repro.ClusterGroupConfig{Name: name, Primary: newHTTPBackend(startNode(t, m, nil), 10*time.Second)})
 	}
 	srv, url := startRouter(t, groups)
 
@@ -255,8 +122,8 @@ func TestDaemonRoutesAcrossShards(t *testing.T) {
 		key := int64(kv.(float64))
 		_, ringRes := getBody(t, fmt.Sprintf("%s/ring?key=%d", url, key))
 		owner, _ := ringRes["owner"].(string)
-		for name, node := range nodes {
-			_, ok := node.mon().Get(key)
+		for name, m := range nodes {
+			_, ok := m.Get(key)
 			if want := name == owner; ok != want {
 				t.Fatalf("key %d: present=%v on %s, owner %s", key, ok, name, owner)
 			}
@@ -276,8 +143,8 @@ func TestDaemonRoutesAcrossShards(t *testing.T) {
 	}
 	code, res = getBody(t, url+"/violations")
 	var wantTotal int64
-	for _, node := range nodes {
-		wantTotal += node.mon().ViolationCount()
+	for _, m := range nodes {
+		wantTotal += m.ViolationCount()
 	}
 	if code != http.StatusOK || fmt.Sprint(res["total"]) != fmt.Sprint(wantTotal) || wantTotal == 0 {
 		t.Fatalf("violations: %d %v, nodes hold %d", code, res, wantTotal)
@@ -285,7 +152,7 @@ func TestDaemonRoutesAcrossShards(t *testing.T) {
 
 	// The live-repair fan-out merges each group's suggestions under its
 	// name; the violating tuple's owner contributes at least one.
-	code, res = getBody(t, url+"/v1/repairs")
+	code, res = getBody(t, url+"/repairs")
 	if code != http.StatusOK || res["total"].(float64) == 0 {
 		t.Fatalf("repairs: %d %v, want a non-zero total", code, res)
 	}
@@ -297,10 +164,6 @@ func TestDaemonRoutesAcrossShards(t *testing.T) {
 	og := rg[owner].(map[string]any)
 	if sugs := og["suggestions"].([]any); len(sugs) == 0 || og["node"] == "" {
 		t.Fatalf("owner group %s repairs = %v", owner, og)
-	}
-	// The alias-free endpoint: the unversioned spelling 404s.
-	if code, _ = getBody(t, url+"/repairs"); code != http.StatusNotFound {
-		t.Fatalf("unversioned /repairs: %d, want 404", code)
 	}
 
 	// A routed update heals it; a routed delete removes the tuple from
@@ -316,7 +179,7 @@ func TestDaemonRoutesAcrossShards(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatal("delete failed")
 	}
-	if _, ok := nodes[srv.rt.Owner(badKey)].mon().Get(badKey); ok {
+	if _, ok := nodes[srv.rt.Owner(badKey)].Get(badKey); ok {
 		t.Fatal("deleted key still on its owner shard")
 	}
 
@@ -355,16 +218,10 @@ func TestDaemonPromoteFailover(t *testing.T) {
 	}
 	defer f.Close()
 
-	pnode := &stubNode{m: p}
-	fnode := &stubNode{f: f}
-	pts := httptest.NewServer(pnode.handler())
-	defer pts.Close()
-	fts := httptest.NewServer(fnode.handler())
-	defer fts.Close()
 	_, url := startRouter(t, []repro.ClusterGroupConfig{{
 		Name:     "g0",
-		Primary:  newHTTPBackend(pts.URL, 10*time.Second),
-		Standbys: []repro.ClusterBackend{newHTTPBackend(fts.URL, 10*time.Second)},
+		Primary:  newHTTPBackend(startNode(t, p, nil), 10*time.Second),
+		Standbys: []repro.ClusterBackend{newHTTPBackend(startNode(t, f.Monitor(), f), 10*time.Second)},
 	}})
 
 	code, res := postBody(t, url+"/insert", `{"values":["01","908","1111111","Mike","Tree Ave.","MH","07974"]}`)

@@ -4,29 +4,26 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/httpapi"
 )
 
-// countingNode wraps a stubNode's handler and counts /violations hits,
-// so the test can see which node actually served each routed read.
-type countingNode struct {
-	node  *stubNode
-	reads atomic.Int64
-}
-
-func (c *countingNode) handler() http.Handler {
-	inner := c.node.handler()
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/violations" || r.URL.Path == "/violations" {
-			c.reads.Add(1)
-		}
-		inner.ServeHTTP(w, r)
-	})
+// countViolationReads wraps a node's handler and counts /v1/violations
+// hits, so the test can see which node actually served each routed
+// read.
+func countViolationReads(reads *atomic.Int64) func(http.Handler) http.Handler {
+	return func(inner http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == httpapi.Prefix+"/violations" {
+				reads.Add(1)
+			}
+			inner.ServeHTTP(w, r)
+		})
+	}
 }
 
 // TestDaemonReadFanout: consistency=primary pins every routed read to
@@ -47,16 +44,11 @@ func TestDaemonReadFanout(t *testing.T) {
 	}
 	defer f.Close()
 
-	pc := &countingNode{node: &stubNode{m: p}}
-	fc := &countingNode{node: &stubNode{f: f}}
-	pts := httptest.NewServer(pc.handler())
-	defer pts.Close()
-	fts := httptest.NewServer(fc.handler())
-	defer fts.Close()
+	var preads, freads atomic.Int64
 	_, url := startRouter(t, []repro.ClusterGroupConfig{{
 		Name:     "g0",
-		Primary:  newHTTPBackend(pts.URL, 10*time.Second),
-		Standbys: []repro.ClusterBackend{newHTTPBackend(fts.URL, 10*time.Second)},
+		Primary:  newHTTPBackend(startNode(t, p, nil, countViolationReads(&preads)), 10*time.Second),
+		Standbys: []repro.ClusterBackend{newHTTPBackend(startNode(t, f.Monitor(), f, countViolationReads(&freads)), 10*time.Second)},
 	}})
 
 	// Two tuples in one (CC, AC, PN) group with differing CT: one
@@ -89,7 +81,7 @@ func TestDaemonReadFanout(t *testing.T) {
 			t.Fatalf("primary read %d: %d %v", i, code, res)
 		}
 	}
-	if n := fc.reads.Load(); n != 0 {
+	if n := freads.Load(); n != 0 {
 		t.Fatalf("consistency=primary sent %d reads to the standby", n)
 	}
 
@@ -100,10 +92,10 @@ func TestDaemonReadFanout(t *testing.T) {
 			t.Fatalf("any read %d: %d %v", i, code, res)
 		}
 	}
-	if fc.reads.Load() == 0 {
+	if freads.Load() == 0 {
 		t.Fatal("consistency=any never used the synced standby")
 	}
-	if pc.reads.Load() == 0 {
+	if preads.Load() == 0 {
 		t.Fatal("consistency=any never used the primary")
 	}
 

@@ -1,21 +1,23 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro"
+	"repro/internal/httpapi"
+	"repro/internal/node"
 )
 
 // TestErrorEnvelope pins the uniform error surface: every non-2xx
 // response from cfdserve is {"error": {"code", "message"}} with the
-// documented code for its status, across the versioned endpoints and
-// their legacy aliases, and across node roles (primary, read-only
-// standby, fenced).
+// documented code for its status — every route of the table under the
+// wrong method, paths outside /v1, oversized bodies — and across node
+// roles (primary, read-only standby, fenced).
 func TestErrorEnvelope(t *testing.T) {
 	// Three nodes, one per role. The standby follows the primary
 	// in-process; the fenced node is latched by an epoch-1 stamp.
@@ -24,8 +26,8 @@ func TestErrorEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer psrv.close()
-	pts := httptest.NewServer(psrv.handler())
+	defer psrv.Close()
+	pts := httptest.NewServer(psrv.Handler())
 	defer pts.Close()
 
 	sigma, err := repro.ParseCFDSet(figure2CFDs)
@@ -33,24 +35,23 @@ func TestErrorEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 	f, err := repro.FollowMonitor(context.Background(), sigma, repro.MonitorOptions{Durable: t.TempDir()},
-		repro.FollowOptions{Source: repro.NewMonitorChunkSource(psrv.mon())})
+		repro.FollowOptions{Source: repro.NewMonitorChunkSource(psrv.Monitor())})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsrv := &server{}
-	fsrv.setReplica(f.Monitor(), f)
-	fts := httptest.NewServer(fsrv.handler())
+	fsrv := node.New(f.Monitor(), f)
+	fts := httptest.NewServer(fsrv.Handler())
 	defer fts.Close()
-	defer fsrv.closeReplica()
+	defer fsrv.Close()
 
 	xsrv := newTestServer(t)
-	xsrv.mon().Fence(1)
-	xts := httptest.NewServer(xsrv.handler())
+	xsrv.Monitor().Fence(1)
+	xts := httptest.NewServer(xsrv.Handler())
 	defer xts.Close()
 
 	do := func(base, method, path, body string) (int, map[string]any) {
 		t.Helper()
-		req, err := http.NewRequest(method, base+path, bytes.NewReader([]byte(body)))
+		req, err := http.NewRequest(method, base+path, strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +68,7 @@ func TestErrorEnvelope(t *testing.T) {
 		return resp.StatusCode, v
 	}
 
-	tests := []struct {
+	type row struct {
 		name       string
 		base       string
 		method     string
@@ -75,10 +76,13 @@ func TestErrorEnvelope(t *testing.T) {
 		body       string
 		wantStatus int
 		wantCode   string
-	}{
+	}
+	tests := []row{
 		{"method not allowed", pts.URL, http.MethodGet, "/v1/insert", "", http.StatusMethodNotAllowed, "method_not_allowed"},
 		{"bad JSON body", pts.URL, http.MethodPost, "/v1/insert", "{", http.StatusBadRequest, "bad_request"},
-		{"bad JSON on legacy alias", pts.URL, http.MethodPost, "/insert", "{", http.StatusBadRequest, "bad_request"},
+		{"unversioned spelling", pts.URL, http.MethodPost, "/insert", "{}", http.StatusNotFound, "not_found"},
+		{"unknown path", pts.URL, http.MethodGet, "/v1/nope", "", http.StatusNotFound, "not_found"},
+		{"oversized body", pts.URL, http.MethodPost, "/v1/apply", strings.Repeat(" ", httpapi.MaxBodyBytes+1), http.StatusRequestEntityTooLarge, "too_large"},
 		{"delete unknown key", pts.URL, http.MethodPost, "/v1/delete", `{"key":99999}`, http.StatusNotFound, "not_found"},
 		{"violations unknown key", pts.URL, http.MethodGet, "/v1/violations?key=99999", "", http.StatusNotFound, "not_found"},
 		{"violations bad cursor", pts.URL, http.MethodGet, "/v1/violations?cursor=zap", "", http.StatusBadRequest, "bad_request"},
@@ -93,7 +97,15 @@ func TestErrorEnvelope(t *testing.T) {
 		{"standby refuses writes", fts.URL, http.MethodPost, "/v1/insert", `{"values":["01","908","1111111","Eve","Tree Ave.","MH","07974"]}`, http.StatusConflict, "read_only"},
 		{"standby refuses snapshot", fts.URL, http.MethodPost, "/v1/snapshot", "", http.StatusConflict, "conflict"},
 		{"fenced node refuses writes", xts.URL, http.MethodPost, "/v1/insert", `{"values":["01","908","1111111","Eve","Tree Ave.","MH","07974"]}`, http.StatusForbidden, "fenced"},
-		{"fenced node legacy alias", xts.URL, http.MethodPost, "/update", `{"key":0,"attr":"CT","value":"MH"}`, http.StatusForbidden, "fenced"},
+		{"fenced node unversioned spelling", xts.URL, http.MethodPost, "/update", `{"key":0,"attr":"CT","value":"MH"}`, http.StatusNotFound, "not_found"},
+	}
+	// Every route of the table, under the method it does not take.
+	for _, rt := range psrv.Routes() {
+		wrong := http.MethodPost
+		if rt.Method == wrong {
+			wrong = http.MethodGet
+		}
+		tests = append(tests, row{wrong + " " + rt.Path, pts.URL, wrong, httpapi.Prefix + rt.Path, "", http.StatusMethodNotAllowed, "method_not_allowed"})
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"testing"
 
@@ -38,11 +37,10 @@ func postJSONEpoch(t *testing.T, url, body, epoch string) (int, map[string]any) 
 
 func TestFencingWire(t *testing.T) {
 	srv := newTestServer(t)
-	ts := httptest.NewServer(srv.handler())
-	defer ts.Close()
+	api := serveAPI(t, srv)
 
 	// A fresh node is an unfenced primary at epoch 0.
-	code, st := getJSONCode(t, ts.URL+"/stats")
+	code, st := getJSONCode(t, api+"/stats")
 	if code != http.StatusOK {
 		t.Fatalf("stats: %d", code)
 	}
@@ -52,30 +50,30 @@ func TestFencingWire(t *testing.T) {
 
 	// A write stamped with the node's current epoch is accepted.
 	row := `{"values":["01","908","1111111","Rick","Tree Ave.","NYC","07974"]}`
-	if code, res := postJSONEpoch(t, ts.URL+"/insert", row, "0"); code != http.StatusOK {
+	if code, res := postJSONEpoch(t, api+"/insert", row, "0"); code != http.StatusOK {
 		t.Fatalf("epoch-0 insert: %d %v", code, res)
 	}
 	// A garbage stamp is the caller's bad request, not a conflict.
-	if code, res := postJSONEpoch(t, ts.URL+"/update", `{"key":0,"attr":"CT","value":"MH"}`, "zap"); code != http.StatusBadRequest {
+	if code, res := postJSONEpoch(t, api+"/update", `{"key":0,"attr":"CT","value":"MH"}`, "zap"); code != http.StatusBadRequest {
 		t.Fatalf("bad epoch stamp: %d %v, want 400", code, res)
 	}
 
 	// Caller-chosen insert keys are honored and echoed back; reusing a
 	// live key is a bad request, not a silent overwrite.
-	code, res := postJSON(t, ts.URL+"/insert", `{"key":100,"values":["01","908","1111111","Eve","Tree Ave.","NYC","07974"]}`)
+	code, res := postJSON(t, api+"/insert", `{"key":100,"values":["01","908","1111111","Eve","Tree Ave.","NYC","07974"]}`)
 	if code != http.StatusOK || fmt.Sprint(res["key"]) != "100" {
 		t.Fatalf("keyed insert: %d %v, want key 100", code, res)
 	}
-	if code, res = postJSON(t, ts.URL+"/insert", `{"key":100,"values":["01","908","1111111","Dup","Tree Ave.","NYC","07974"]}`); code != http.StatusBadRequest {
+	if code, res = postJSON(t, api+"/insert", `{"key":100,"values":["01","908","1111111","Dup","Tree Ave.","NYC","07974"]}`); code != http.StatusBadRequest {
 		t.Fatalf("colliding keyed insert: %d %v, want 400", code, res)
 	}
 	// Batched keyed inserts flow through /apply the same way, and a
 	// delete with no key is rejected instead of targeting key 0.
-	code, res = postJSON(t, ts.URL+"/apply", `{"ops":[{"op":"insert","key":200,"values":["01","908","1111111","Ada","Tree Ave.","NYC","07974"]}]}`)
+	code, res = postJSON(t, api+"/apply", `{"ops":[{"op":"insert","key":200,"values":["01","908","1111111","Ada","Tree Ave.","NYC","07974"]}]}`)
 	if code != http.StatusOK || fmt.Sprint(res["keys"]) != "[200]" {
 		t.Fatalf("apply keyed insert: %d %v, want keys [200]", code, res)
 	}
-	if code, res = postJSON(t, ts.URL+"/apply", `{"ops":[{"op":"delete"}]}`); code != http.StatusBadRequest {
+	if code, res = postJSON(t, api+"/apply", `{"ops":[{"op":"delete"}]}`); code != http.StatusBadRequest {
 		t.Fatalf("keyless delete: %d %v, want 400", code, res)
 	}
 
@@ -86,20 +84,20 @@ func TestFencingWire(t *testing.T) {
 		env, _ := res["error"].(map[string]any)
 		return env
 	}
-	code, res = postJSONEpoch(t, ts.URL+"/insert", row, "7")
+	code, res = postJSONEpoch(t, api+"/insert", row, "7")
 	if env := fencedEnv(res); code != http.StatusForbidden || env["code"] != "fenced" || fmt.Sprint(env["epoch"]) != "0" {
 		t.Fatalf("epoch-7 insert: %d %v, want 403 code=fenced epoch=0", code, res)
 	}
-	if code, res = postJSON(t, ts.URL+"/insert", row); code != http.StatusForbidden || fencedEnv(res)["code"] != "fenced" {
+	if code, res = postJSON(t, api+"/insert", row); code != http.StatusForbidden || fencedEnv(res)["code"] != "fenced" {
 		t.Fatalf("unstamped insert on fenced node: %d %v, want 403 code=fenced", code, res)
 	}
-	if _, st = getJSONCode(t, ts.URL+"/stats"); st["fenced"] != true {
+	if _, st = getJSONCode(t, api+"/stats"); st["fenced"] != true {
 		t.Fatalf("stats after fencing stamp = %v", st["fenced"])
 	}
 	// POST /fence is the explicit form of the same latch: monotonic, so
 	// a lower term is a no-op; the node's own epoch never moves (only
 	// promotion raises it).
-	code, res = postJSON(t, ts.URL+"/fence", `{"epoch":1}`)
+	code, res = postJSON(t, api+"/fence", `{"epoch":1}`)
 	if code != http.StatusOK || fmt.Sprint(res["epoch"]) != "0" || res["fenced"] != true {
 		t.Fatalf("fence: %d %v", code, res)
 	}
@@ -113,16 +111,15 @@ func TestWALStreamEpochHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.close()
-	ts := httptest.NewServer(srv.handler())
-	defer ts.Close()
+	defer srv.Close()
+	api := serveAPI(t, srv)
 
-	_, st := getJSONCode(t, ts.URL+"/stats")
+	_, st := getJSONCode(t, api+"/stats")
 	wal, ok := st["wal"].(map[string]any)
 	if !ok {
 		t.Fatalf("no wal block in stats: %v", st)
 	}
-	resp, err := http.Get(fmt.Sprintf("%s/wal/stream?from=%v,0", ts.URL, wal["generation"]))
+	resp, err := http.Get(fmt.Sprintf("%s/wal/stream?from=%v,0", api, wal["generation"]))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,11 @@
 // Command cfdserve turns the incremental Monitor into a long-lived
 // service: it loads a CSV instance and a CFD set once, then accepts
-// tuple-level changes and violation queries over a line-oriented protocol
-// (stdin/stdout) or an HTTP/JSON API — every write answered with the exact
-// violation delta it caused.
+// tuple-level changes and violation queries over an HTTP/JSON API —
+// every write answered with the exact violation delta it caused.
 //
 // Usage:
 //
-//	cfdserve -data tax.csv -cfds cfds.txt                # line loop on stdin
-//	cfdserve -data tax.csv -cfds cfds.txt -http :8080    # HTTP API
+//	cfdserve -data tax.csv -cfds cfds.txt -http :8080
 //	cfdserve -data tax.csv -cfds cfds.txt -http :8080 -wal-dir /var/lib/cfd
 //	cfdserve -data tax.csv -cfds cfds.txt -http :8080 -wal-dir /var/lib/cfd \
 //	         -fsync -group-commit-ops 512                # durable + group commit
@@ -16,8 +14,11 @@
 //	cfdserve -data tax.csv -cfds cfds.txt -http :8080 \
 //	         -pprof-addr localhost:6060 -log-level debug -log-json
 //
-// See docs/operations.md for the full runbook: topology recipes,
-// promotion/failover procedure, the metrics catalog and tuning.
+// See docs/operations.md for the full runbook: the endpoint list
+// (generated from the route table in internal/node), the error
+// envelope, topology recipes, promotion/failover procedure, the metrics
+// catalog and tuning. To feed a change stream without an HTTP client,
+// cfddetect -watch - reads one from stdin.
 //
 // With -wal-dir the node is durable: every accepted change is appended to
 // a write-ahead log before it is applied, background snapshots bound the
@@ -27,126 +28,36 @@
 // (http.Server.Shutdown), a final snapshot is taken and the journal is
 // synced before the process exits.
 //
-// A durable node ships its WAL: GET /wal/snapshot streams the newest
-// snapshot image and GET /wal/stream serves record-aligned segment
+// A durable node ships its WAL: GET /v1/wal/snapshot streams the newest
+// snapshot image and GET /v1/wal/stream serves record-aligned segment
 // chunks — closed segments (keep some with -retain-segments so a
 // briefly-disconnected follower can resume instead of resyncing) and the
 // flushed live tail. With -follow <primary-url> the node runs as a hot
 // standby instead: it tails the primary's stream into its own -wal-dir,
-// serves /violations, /stats and /discover from the replicated state,
-// refuses mutations (409 with an explanatory error), and reports its
-// replication lag under "replica" in /stats. POST /promote — or
+// serves /v1/violations, /v1/stats and /v1/discover from the replicated
+// state, refuses mutations (409 "read_only"), and reports its
+// replication lag under "replica" in /v1/stats. POST /v1/promote — or
 // -promote-after, which does it automatically once the primary has been
 // unreachable for that long — flips the standby into a writable primary
 // at the exact record boundary it has applied; a follower restart
 // resumes from its local snapshot + log tail, and a follower whose
 // cursor fell below the primary's retention window resyncs from the
-// current snapshot automatically. Follow mode requires -http (the line
-// protocol cannot mutate a replica anyway); -data is not used.
-//
-// Line protocol (one command per line):
-//
-//	insert v1,v2,...        add a tuple (CSV values, schema order)
-//	delete KEY              remove a tuple by key
-//	update KEY ATTR VALUE   change one attribute
-//	batch                   start collecting a ChangeSet...
-//	  insert/delete/update    ...of ops (same syntax), applied by
-//	end                     ...END as ONE batch: all-or-nothing,
-//	                        one WAL record, one fsync
-//	abort                   discard the open batch
-//	violations              dump the live violation set
-//	satisfied               print true/false
-//	stats                   print tuples=N violations=M satisfied=B
-//	snapshot                force a snapshot (durable mode)
-//	quit                    exit
-//
-// HTTP API (JSON). Every endpoint lives under the /v1 prefix; the
-// unversioned spellings below it are deprecated aliases kept for one
-// release (see the versioning policy in docs/operations.md). New
-// surface — the repair endpoints — exists under /v1 only.
-//
-//	POST /v1/insert  {"values": ["01","908",...]}    → {"key": K, "delta": {...}}
-//	POST /v1/delete  {"key": 3}                      → {"delta": {...}}
-//	POST /v1/update  {"key": 3, "attr": "CT", "value": "NYC"}
-//	POST /v1/apply   {"ops": [{"op":"insert","values":[...]},
-//	               {"op":"insert","key":7,"values":[...]},   (keyed: router-owned key spaces)
-//	               {"op":"update","key":3,"attr":"CT","value":"NYC"},
-//	               {"op":"delete","key":4}, ...]}    → {"keys": [K,...], "delta": {...}}
-//	POST /v1/snapshot                                → {"generation": N} (admin; durable mode)
-//	POST /v1/promote                                 → {"promoted": true, "epoch": E, ...} (follow mode)
-//	POST /v1/fence   {"epoch": E}                    → {"epoch": ..., "fenced": true/false} (admin)
-//	GET  /v1/violations                              → the live set (paginated, ETag "v<version>")
-//	GET  /v1/repairs                                 → live cost-ranked repair suggestions
-//	                                                   (paginated, ETag "r<version>"; ?trust_threshold=F
-//	                                                   wires the streaming miner as the trust source)
-//	POST /v1/repairs/apply {"ids": ["c0:3",...]}     → applies accepted suggestions as one ChangeSet
-//	GET  /v1/stats                                   → {"tuples":N,...,"epoch":E,"role":"primary",...}
-//	GET  /v1/metrics                                 → Prometheus text exposition of the node's metrics
-//	GET  /v1/discover                                → the streaming miner's current CFD set
-//	GET  /v1/wal/snapshot                            → snapshot image (binary; X-Wal-Seq header)
-//	GET  /v1/wal/stream?from=SEQ,OFF[&max=BYTES]     → framed WAL records (binary; X-Wal-* headers,
-//	                                                   X-Wal-Epoch carries the fencing epoch)
-//
-// Errors: every endpoint answers failures with the uniform envelope
-// {"error": {"code": "...", "message": "...", "epoch": E?}} — among the
-// codes, "fenced" (403, with the node's current epoch), "read_only"
-// (409, the node is a standby), "stale_cursor" (410, the paginated set
-// changed under the cursor) and "not_found" (404, unknown key or
-// suggestion id) are machine-dispatched by routers and clients; the
-// rest ("bad_request", "method_not_allowed", "conflict", "internal")
-// classify the failure.
-//
-// GET /v1/repairs serves the live repair suggester (see WatchRepairs):
-// the first call attaches it to the monitor's violation-delta and
-// group-statistics feeds (one full planning pass); every later call
-// re-plans only the violations the interleaving writes touched.
-// Suggestions are cost-ranked; POST /v1/repairs/apply turns accepted
-// ids into an ordinary fenced ChangeSet through the same apply path as
-// POST /v1/apply. With ?trust_threshold=F the streaming miner becomes
-// the suggester's trust source: a CFD whose live confidence falls below
-// F suggests constraint relaxation instead of data edits.
-//
-// Fencing: every mutation may carry an X-Cfd-Epoch header stamping the
-// epoch the caller believes this node's history is at (routers do; see
-// cmd/cfdrouter). A mismatch is refused with 403 and {"error":{"code":
-// "fenced", "epoch": E}} — the node either was deposed by a promotion
-// (its epoch is lower than the cluster's) or has already moved past the
-// caller's stale token.
-// POST /v1/promote durably bumps the epoch before the first write is
-// accepted, and followers refuse /v1/wal/stream chunks whose X-Wal-Epoch
-// is below their own — a deposed primary cannot ship a forked history.
+// current snapshot automatically. -data is not used in follow mode.
 //
 // Observability: every endpoint is wrapped in request/error counters and
 // a latency histogram (cfdserve_http_* series, labeled by path), and the
 // monitor's own instrumentation — apply-stage timings, WAL append/fsync
 // latencies, replication lag, miner refresh cost — is exposed through
-// GET /metrics in the Prometheus text format, no client library
+// GET /v1/metrics in the Prometheus text format, no client library
 // required. -pprof-addr serves net/http/pprof on a second, private
 // listener for CPU/heap profiles. Diagnostics go through log/slog:
 // -log-level picks the threshold (debug, info, warn, error) and
 // -log-json switches the stderr stream to JSON lines; the startup
 // banner stays on stdout for scripts that parse the bound address.
-//
-// GET /discover serves streaming CFD discovery over the live instance:
-// the first call attaches a miner to the monitor's group indexes (one
-// full scoring pass); every later call re-scores only the groups the
-// interleaving writes touched. Config query params — max_lhs (serving
-// limit 3: the lattice is exponential in it and an attach quiesces
-// writers), min_support, min_confidence, max_patterns — select the
-// mining configuration; a call with a different config re-attaches the
-// miner (another full pass), so clients should settle on one.
-//
-// POST /apply and BATCH…END apply the op vector through Monitor.Apply:
-// the batch is validated as a unit (an invalid op rejects all of it),
-// journaled as a single WAL record, and answered with the combined net
-// violation delta plus the keys assigned to its inserts, in op order.
 package main
 
 import (
-	"bufio"
 	"context"
-	"encoding/csv"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -155,31 +66,24 @@ import (
 	"net"
 	"net/http"
 	_ "net/http/pprof" // -pprof-addr serves the DefaultServeMux handlers
-	"net/url"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/debug"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"repro"
 	"repro/internal/cliutil"
-	"repro/internal/obs"
+	"repro/internal/httpapi"
+	"repro/internal/node"
 )
-
-// processStart anchors the uptime reported by GET /stats.
-var processStart = time.Now()
 
 func main() {
 	var (
 		dataPath     = flag.String("data", "", "CSV instance to monitor (required, except in follow mode)")
 		cfdPath      = flag.String("cfds", "", "CFD file in text notation (required)")
-		httpAddr     = flag.String("http", "", "serve the HTTP API on this address instead of the line protocol")
+		httpAddr     = flag.String("http", "", "serve the HTTP API on this address (required)")
 		shards       = flag.Int("shards", 0, "lock shards per index (0 = default)")
 		walDir       = flag.String("wal-dir", "", "durable mode: write-ahead log + snapshots in this directory; restarts recover from it instead of reloading the CSV")
 		fsync        = flag.Bool("fsync", false, "fsync the WAL after every record (acknowledged writes survive OS crash; slower)")
@@ -188,9 +92,9 @@ func main() {
 		snapRecords  = flag.Int("snapshot-records", 10000, "roll a background snapshot after this many WAL records (0 = off)")
 		snapInterval = flag.Duration("snapshot-interval", 0, "also snapshot on this wall-clock period, e.g. 5m (0 = off)")
 		retainSegs   = flag.Int("retain-segments", 2, "durable mode: closed WAL segments kept behind the current one, so a briefly-disconnected follower resumes its cursor instead of resyncing (0 = none)")
-		follow       = flag.String("follow", "", "run as a hot standby of this primary URL, tailing its WAL into -wal-dir (requires -http and -wal-dir; -data is not used)")
+		follow       = flag.String("follow", "", "run as a hot standby of this primary URL, tailing its WAL into -wal-dir (requires -wal-dir; -data is not used)")
 		followPoll   = flag.Duration("follow-poll", 200*time.Millisecond, "follow mode: idle wait between tail polls once caught up")
-		promoteAfter = flag.Duration("promote-after", 0, "follow mode: auto-promote to a writable primary once the primary has been unreachable this long (0 = manual POST /promote)")
+		promoteAfter = flag.Duration("promote-after", 0, "follow mode: auto-promote to a writable primary once the primary has been unreachable this long (0 = manual POST /v1/promote)")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this second, private address (off when empty)")
 		logLevel     = flag.String("log-level", "info", "log threshold: debug, info, warn or error")
 		logJSON      = flag.Bool("log-json", false, "write logs to stderr as JSON lines instead of text")
@@ -199,6 +103,11 @@ func main() {
 	lg, err := cliutil.NewLogger(*logLevel, *logJSON)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cfdserve:", err)
+		os.Exit(2)
+	}
+	if *httpAddr == "" || *cfdPath == "" || (*follow == "" && *dataPath == "") || (*follow != "" && *walDir == "") {
+		fmt.Fprintln(os.Stderr, "cfdserve: -http and -cfds are required, plus -data (or -follow with -wal-dir)")
+		flag.Usage()
 		os.Exit(2)
 	}
 	opts := repro.MonitorOptions{
@@ -225,10 +134,6 @@ func main() {
 	}
 
 	if *follow != "" {
-		if *cfdPath == "" || *walDir == "" || *httpAddr == "" {
-			lg.Error("-follow requires -cfds, -wal-dir and -http")
-			os.Exit(2)
-		}
 		fo := repro.FollowOptions{
 			Source:       newHTTPSource(strings.TrimRight(*follow, "/")),
 			PollInterval: *followPoll,
@@ -241,57 +146,32 @@ func main() {
 		return
 	}
 
-	if *dataPath == "" || *cfdPath == "" {
-		flag.Usage()
-		os.Exit(2)
-	}
 	srv, err := newServer(*dataPath, *cfdPath, opts)
 	if err != nil {
 		lg.Error("startup failed", "error", err)
 		os.Exit(2)
 	}
-	srv.log = lg
-	if *snapInterval > 0 && srv.mon().JournalStats().Durable {
-		go srv.snapshotLoop(ctx, *snapInterval)
+	srv.Log = lg
+	m := srv.Monitor()
+	if *snapInterval > 0 && m.JournalStats().Durable {
+		go snapshotLoop(ctx, srv, *snapInterval)
 	}
 	source := "loaded from CSV"
-	if srv.mon().Recovered() {
-		source = fmt.Sprintf("recovered from %s (generation %d)", *walDir, srv.mon().JournalStats().Generation)
+	if m.Recovered() {
+		source = fmt.Sprintf("recovered from %s (generation %d)", *walDir, m.JournalStats().Generation)
 	}
-
-	if *httpAddr != "" {
-		lis, err := net.Listen("tcp", *httpAddr)
-		if err != nil {
-			lg.Error("listen failed", "error", err)
-			os.Exit(2)
-		}
-		fmt.Printf("monitoring %d tuples against %d CFDs on %s (%s)\n",
-			srv.mon().Len(), len(srv.mon().Sigma()), lis.Addr(), source)
-		err = srv.serveHTTP(ctx, lis)
-		if cerr := srv.close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			lg.Error("server failed", "error", err)
-			os.Exit(2)
-		}
-		return
+	lis, err := net.Listen("tcp", *httpAddr)
+	if err != nil {
+		lg.Error("listen failed", "error", err)
+		os.Exit(2)
 	}
-	fmt.Printf("monitoring %d tuples against %d CFDs (%s); type 'help' for commands\n",
-		srv.mon().Len(), len(srv.mon().Sigma()), source)
-	done := make(chan error, 1)
-	go func() { done <- srv.lineLoop(os.Stdin, os.Stdout) }()
-	var loopErr error
-	select {
-	case loopErr = <-done:
-	case <-ctx.Done():
-		fmt.Println("signal received, shutting down")
+	fmt.Printf("monitoring %d tuples against %d CFDs on %s (%s)\n", m.Len(), len(m.Sigma()), lis.Addr(), source)
+	err = httpapi.Serve(ctx, lis, srv.Handler())
+	if cerr := srv.Close(); err == nil {
+		err = cerr
 	}
-	if cerr := srv.close(); loopErr == nil {
-		loopErr = cerr
-	}
-	if loopErr != nil {
-		lg.Error("line loop failed", "error", loopErr)
+	if err != nil {
+		lg.Error("server failed", "error", err)
 		os.Exit(2)
 	}
 }
@@ -309,8 +189,8 @@ func runFollower(ctx context.Context, lg *slog.Logger, cfdPath, httpAddr string,
 	if err != nil {
 		return err
 	}
-	srv := &server{log: lg}
-	srv.setReplica(f.Monitor(), f)
+	srv := node.New(f.Monitor(), f)
+	srv.Log = lg
 	lis, err := net.Listen("tcp", httpAddr)
 	if err != nil {
 		f.Close()
@@ -325,12 +205,12 @@ func runFollower(ctx context.Context, lg *slog.Logger, cfdPath, httpAddr string,
 	tailDone := make(chan struct{})
 	go func() {
 		defer close(tailDone)
-		srv.followLoop(fctx, sigma, opts, fo)
+		followLoop(fctx, srv, sigma, opts, fo)
 	}()
-	err = srv.serveHTTP(ctx, lis)
+	err = httpapi.Serve(ctx, lis, srv.Handler())
 	fcancel()
 	<-tailDone
-	if cerr := srv.closeReplica(); err == nil {
+	if cerr := srv.Close(); err == nil {
 		err = cerr
 	}
 	return err
@@ -339,20 +219,20 @@ func runFollower(ctx context.Context, lg *slog.Logger, cfdPath, httpAddr string,
 // followLoop supervises the tail loop: transient fetch errors retry
 // inside Run, a cursor below the primary's retention window rebuilds the
 // follower with a full resync (swapping the served monitor atomically),
-// and promotion — POST /promote or -promote-after — ends the loop with
-// the monitor writable.
-func (s *server) followLoop(ctx context.Context, sigma []*repro.CFD, opts repro.MonitorOptions, fo repro.FollowOptions) {
+// and promotion — POST /v1/promote or -promote-after — ends the loop
+// with the monitor writable.
+func followLoop(ctx context.Context, s *node.Server, sigma []*repro.CFD, opts repro.MonitorOptions, fo repro.FollowOptions) {
 	for {
-		f := s.fol()
+		f := s.Follower()
 		err := f.Run(ctx)
 		if err == nil || ctx.Err() != nil {
 			if f.Status().Promoted {
-				s.logger().Info("promoted: accepting writes at the last applied record boundary")
+				s.Logger().Info("promoted: accepting writes at the last applied record boundary")
 			}
 			return
 		}
 		if errors.Is(err, repro.ErrWALSegmentGone) {
-			s.logger().Warn("cursor below primary retention window; resyncing from snapshot")
+			s.Logger().Warn("cursor below primary retention window; resyncing from snapshot")
 			// The old follower must close first: the rebuild wipes and
 			// re-locks the same local directory. Reads keep serving the
 			// (now frozen) old monitor while the resync retries — a
@@ -364,10 +244,10 @@ func (s *server) followLoop(ctx context.Context, sigma []*repro.CFD, opts repro.
 			for {
 				nf, rerr := repro.FollowMonitor(ctx, sigma, opts, resync)
 				if rerr == nil {
-					s.setReplica(nf.Monitor(), nf)
+					s.SetReplica(nf.Monitor(), nf)
 					break
 				}
-				s.logger().Error("resync failed, will retry", "error", rerr)
+				s.Logger().Error("resync failed, will retry", "error", rerr)
 				select {
 				case <-ctx.Done():
 					return
@@ -380,102 +260,25 @@ func (s *server) followLoop(ctx context.Context, sigma []*repro.CFD, opts repro.
 		// cannot safely continue, and promotion onto broken storage is
 		// worse. Keep serving reads; the operator sees this and the
 		// replica block's last_error.
-		s.logger().Error("follower stopped", "error", err)
+		s.Logger().Error("follower stopped", "error", err)
 		return
 	}
 }
 
-type server struct {
-	// mv is the served monitor and fv the follower driving it (nil on a
-	// primary). Both are atomic: a retention-window resync rebuilds the
-	// replica and swaps them under live request traffic.
-	mv atomic.Pointer[repro.Monitor]
-	fv atomic.Pointer[repro.MonitorFollower]
-
-	// log is the diagnostic logger; nil (tests building a bare server)
-	// falls back to slog.Default via logger().
-	log *slog.Logger
-
-	// The lazily-attached discovery miner behind GET /discover, cached
-	// per config: re-attaching costs a full scoring pass, so the one
-	// live miner is kept until a request names a different config.
-	mineMu   sync.Mutex
-	miner    *repro.CFDMiner
-	minerCfg repro.DiscoveryConfig
-
-	// The lazily-attached repair suggester behind GET /v1/repairs,
-	// cached per trust threshold: re-attaching pays a full planning
-	// pass, so the one live suggester is kept until a request names a
-	// different threshold.
-	sugMu  sync.Mutex
-	sug    *repro.RepairSuggester
-	sugThr float64
-}
-
-// mon returns the currently served monitor.
-func (s *server) mon() *repro.Monitor { return s.mv.Load() }
-
-// fol returns the follower, nil on a primary.
-func (s *server) fol() *repro.MonitorFollower { return s.fv.Load() }
-
-// logger never returns nil.
-func (s *server) logger() *slog.Logger {
-	if s.log != nil {
-		return s.log
-	}
-	return slog.Default()
-}
-
-// metrics is the registry the HTTP surface publishes on: the served
-// monitor's (the process-global one when main wired opts.Metrics, a
-// private one in tests — so httptest servers scrape hermetically).
-func (s *server) metrics() *obs.Registry {
-	if m := s.mon(); m != nil {
-		return m.Metrics()
-	}
-	return obs.Disabled()
-}
-
-// setReplica swaps in a (new) replicated monitor + follower pair. The
-// whole swap — miner retirement included — happens under mineMu, so a
-// concurrent /discover cannot read the old monitor and cache a fresh
-// miner against it after the swap (minerFor reads s.mon() under the
-// same mutex). The follower is stored before the monitor so a reader
-// that sees the new monitor also sees its follower.
-func (s *server) setReplica(m *repro.Monitor, f *repro.MonitorFollower) {
-	s.mineMu.Lock()
-	defer s.mineMu.Unlock()
-	if s.miner != nil {
-		s.miner.Close()
-		s.miner = nil
-	}
-	// The suggester is retired the same way, under its own mutex —
-	// suggesterFor reads s.mon() under sugMu, so it either caches
-	// against the new monitor or has its stale suggester closed here.
-	s.sugMu.Lock()
-	if s.sug != nil {
-		s.sug.Close()
-		s.sug = nil
-	}
-	s.fv.Store(f)
-	s.mv.Store(m)
-	s.sugMu.Unlock()
-}
-
-func newServer(dataPath, cfdPath string, opts repro.MonitorOptions) (*server, error) {
+// newServer boots a primary: from the WAL directory when it holds
+// state, from the CSV otherwise.
+func newServer(dataPath, cfdPath string, opts repro.MonitorOptions) (*node.Server, error) {
 	sigma, err := cliutil.LoadCFDs(cfdPath)
 	if err != nil {
 		return nil, err
 	}
-	srv := &server{}
 	// A durable node that has booted before carries its state (schema
 	// included) in the WAL directory — the CSV is not parsed, or even
 	// required to exist, after the first boot.
 	if opts.Durable != "" {
 		m, err := repro.OpenMonitor(sigma, opts)
 		if err == nil {
-			srv.mv.Store(m)
-			return srv, nil
+			return node.New(m, nil), nil
 		}
 		if !errors.Is(err, repro.ErrNoMonitorState) {
 			return nil, err
@@ -493,33 +296,12 @@ func newServer(dataPath, cfdPath string, opts repro.MonitorOptions) (*server, er
 	if err != nil {
 		return nil, err
 	}
-	srv.mv.Store(m)
-	return srv, nil
-}
-
-// serveHTTP serves the API until ctx is cancelled, then shuts down
-// gracefully: the listener closes, in-flight responses are flushed, and
-// only then does the call return.
-func (s *server) serveHTTP(ctx context.Context, lis net.Listener) error {
-	hs := &http.Server{Handler: s.handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(lis) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+	return node.New(m, nil), nil
 }
 
 // snapshotLoop forces a snapshot on a wall-clock cadence, alongside the
 // record-count trigger of -snapshot-records.
-func (s *server) snapshotLoop(ctx context.Context, every time.Duration) {
+func snapshotLoop(ctx context.Context, s *node.Server, every time.Duration) {
 	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
@@ -527,1213 +309,17 @@ func (s *server) snapshotLoop(ctx context.Context, every time.Duration) {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			if err := s.mon().ForceSnapshot(); err != nil {
-				s.logger().Error("periodic snapshot failed", "error", err)
+			if err := s.Monitor().ForceSnapshot(); err != nil {
+				s.Logger().Error("periodic snapshot failed", "error", err)
 			}
 		}
 	}
-}
-
-// close flushes the durable state on the way out: a final snapshot (so
-// the next boot recovers instantly) and a synced journal. A still-
-// following replica must not roll its own generations, so only writable
-// monitors snapshot here.
-func (s *server) close() error {
-	m := s.mon()
-	if m.JournalStats().Durable && !m.ReadOnly() {
-		if err := m.ForceSnapshot(); err != nil {
-			s.logger().Error("final snapshot failed", "error", err)
-		}
-	}
-	return m.Close()
-}
-
-// closeReplica shuts follow mode down: the follower's journal closes
-// through Follower.Close while still following; a promoted monitor is a
-// primary now and takes the primary's close path (final snapshot).
-func (s *server) closeReplica() error {
-	f := s.fol()
-	if f == nil {
-		return s.close()
-	}
-	if f.Status().Promoted {
-		if err := f.Close(); err != nil {
-			return err
-		}
-		return s.close()
-	}
-	return f.Close()
-}
-
-// --- line protocol ---
-
-// lineLoop runs the text protocol until quit/EOF; a scanner failure (line
-// over the buffer cap, read error) is returned so the caller can report it
-// instead of exiting as if the stream ended cleanly.
-//
-// BATCH…END frames are collected here: between the two markers every
-// insert/delete/update line lands in one ChangeSet, applied by END as a
-// single Monitor.Apply — all-or-nothing, one WAL record. A malformed op
-// line poisons the frame: the framing still runs to END (a pipelining
-// client's remaining op lines must not escape into immediate execution),
-// but the whole frame is then discarded — nothing in it is applied.
-func (s *server) lineLoop(in io.Reader, out io.Writer) error {
-	sc := bufio.NewScanner(in)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	var batch *repro.ChangeSet
-	batchDead := false
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if batch != nil {
-			verb, rest, _ := strings.Cut(line, " ")
-			switch strings.ToLower(verb) {
-			case "end":
-				if batchDead {
-					fmt.Fprintln(out, "batch discarded: earlier op was malformed, nothing applied")
-				} else {
-					s.applyBatch(batch, out)
-				}
-				batch, batchDead = nil, false
-			case "abort":
-				fmt.Fprintln(out, "batch discarded")
-				batch, batchDead = nil, false
-			default:
-				if batchDead {
-					continue // swallow the rest of the poisoned frame
-				}
-				if err := parseOp(strings.ToLower(verb), rest, batch); err != nil {
-					fmt.Fprintln(out, "error:", err)
-					batchDead = true
-				}
-			}
-			continue
-		}
-		if low := strings.ToLower(line); low == "quit" || low == "exit" {
-			return nil
-		}
-		if strings.ToLower(line) == "batch" {
-			batch = &repro.ChangeSet{}
-			fmt.Fprintln(out, "batch open: insert/delete/update ops, then 'end' (or 'abort')")
-			continue
-		}
-		s.execLine(line, out)
-	}
-	if batch != nil {
-		fmt.Fprintln(out, "error: unterminated batch discarded")
-	}
-	return sc.Err()
-}
-
-// parseOp parses one mutation line into the open ChangeSet.
-func parseOp(verb, rest string, cs *repro.ChangeSet) error {
-	switch verb {
-	case "insert":
-		rec, err := csv.NewReader(strings.NewReader(rest)).Read()
-		if err != nil {
-			return fmt.Errorf("bad CSV values: %w", err)
-		}
-		cs.Insert(repro.Tuple(rec))
-	case "delete":
-		key, err := strconv.ParseInt(strings.TrimSpace(rest), 10, 64)
-		if err != nil {
-			return fmt.Errorf("bad key: %w", err)
-		}
-		cs.Delete(key)
-	case "update":
-		parts := strings.SplitN(rest, " ", 3)
-		if len(parts) != 3 {
-			return fmt.Errorf("usage: update KEY ATTR VALUE")
-		}
-		key, err := strconv.ParseInt(parts[0], 10, 64)
-		if err != nil {
-			return fmt.Errorf("bad key: %w", err)
-		}
-		cs.Update(key, parts[1], parts[2])
-	default:
-		return fmt.Errorf("unknown op %q in batch (insert/delete/update, then 'end' — or 'abort' to discard)", verb)
-	}
-	return nil
-}
-
-// applyBatch runs the collected frame as one Monitor.Apply and reports
-// the inserted keys (in op order) plus the combined net delta.
-func (s *server) applyBatch(cs *repro.ChangeSet, out io.Writer) {
-	delta, err := s.mon().Apply(cs)
-	if err != nil {
-		fmt.Fprintln(out, "error:", err)
-		return
-	}
-	fmt.Fprintf(out, "applied %d ops\n", cs.Len())
-	for i := range cs.Ops {
-		if cs.Ops[i].Kind == repro.OpInsert {
-			fmt.Fprintf(out, "key %d\n", cs.Ops[i].Key)
-		}
-	}
-	printDelta(out, delta)
-}
-
-func (s *server) execLine(line string, out io.Writer) {
-	verb, rest, _ := strings.Cut(line, " ")
-	// One casing rule everywhere: verbs fold like the BATCH…END markers.
-	switch strings.ToLower(verb) {
-	case "help":
-		fmt.Fprintln(out, "commands: insert v1,v2,... | delete KEY | update KEY ATTR VALUE | batch ... end | violations | satisfied | stats | snapshot | quit")
-	case "insert":
-		rec, err := csv.NewReader(strings.NewReader(rest)).Read()
-		if err != nil {
-			fmt.Fprintln(out, "error: bad CSV values:", err)
-			return
-		}
-		key, delta, err := s.mon().Insert(repro.Tuple(rec))
-		if err != nil {
-			fmt.Fprintln(out, "error:", err)
-			return
-		}
-		fmt.Fprintf(out, "key %d\n", key)
-		printDelta(out, delta)
-	case "delete":
-		key, err := strconv.ParseInt(strings.TrimSpace(rest), 10, 64)
-		if err != nil {
-			fmt.Fprintln(out, "error: bad key:", err)
-			return
-		}
-		delta, err := s.mon().Delete(key)
-		if err != nil {
-			fmt.Fprintln(out, "error:", err)
-			return
-		}
-		fmt.Fprintln(out, "deleted", key)
-		printDelta(out, delta)
-	case "update":
-		parts := strings.SplitN(rest, " ", 3)
-		if len(parts) != 3 {
-			fmt.Fprintln(out, "error: usage: update KEY ATTR VALUE")
-			return
-		}
-		key, err := strconv.ParseInt(parts[0], 10, 64)
-		if err != nil {
-			fmt.Fprintln(out, "error: bad key:", err)
-			return
-		}
-		delta, err := s.mon().Update(key, parts[1], parts[2])
-		if err != nil {
-			fmt.Fprintln(out, "error:", err)
-			return
-		}
-		fmt.Fprintln(out, "updated", key)
-		printDelta(out, delta)
-	case "violations":
-		st := s.mon().Violations()
-		if st.Clean() {
-			fmt.Fprintln(out, "no violations")
-			return
-		}
-		for i, v := range st.PerCFD {
-			if v.Total() == 0 {
-				continue
-			}
-			fmt.Fprintf(out, "cfd %d: %d constant-violating tuples, %d conflicting groups\n",
-				i, len(v.ConstTuples), len(v.VariableKeys))
-			for _, k := range v.ConstTuples {
-				fmt.Fprintf(out, "  tuple %d\n", k)
-			}
-			for _, x := range v.VariableKeys {
-				fmt.Fprintf(out, "  group X = (%s)\n", strings.Join(x, ", "))
-			}
-		}
-	case "satisfied":
-		fmt.Fprintln(out, s.mon().Satisfied())
-	case "stats":
-		fmt.Fprintf(out, "tuples=%d violations=%d satisfied=%v\n",
-			s.mon().Len(), s.mon().ViolationCount(), s.mon().Satisfied())
-		if js := s.mon().JournalStats(); js.Durable {
-			fmt.Fprintf(out, "wal dir=%s generation=%d segment_records=%d recovered=%v\n",
-				js.Dir, js.Generation, js.SegmentRecords, js.Recovered)
-		}
-	case "snapshot":
-		if err := s.mon().ForceSnapshot(); err != nil {
-			fmt.Fprintln(out, "error:", err)
-			return
-		}
-		fmt.Fprintf(out, "snapshot done, generation %d\n", s.mon().JournalStats().Generation)
-	default:
-		fmt.Fprintf(out, "error: unknown command %q (try 'help')\n", verb)
-	}
-}
-
-// maxDiscoverLHS bounds max_lhs on the serving endpoint: the candidate
-// lattice is exponential in it, and a config change pays a full
-// scoring pass under the monitor's write locks — an unbounded value
-// would let one cheap GET stall every writer for minutes.
-const maxDiscoverLHS = 3
-
-// discoverConfig parses the /discover query params into a mining config,
-// normalized to the miner's documented defaults so that an explicit
-// "?max_lhs=1" (or a zero value the miner would default) and a bare
-// request share one cached miner.
-func discoverConfig(q url.Values) (repro.DiscoveryConfig, error) {
-	cfg := repro.DiscoveryConfig{MaxLHS: 1, MinSupport: 2, MinConfidence: 1}
-	intParam := func(name string, dst *int) error {
-		if v := q.Get(name); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return fmt.Errorf("bad %s %q: %w", name, v, err)
-			}
-			*dst = n
-		}
-		return nil
-	}
-	if err := intParam("max_lhs", &cfg.MaxLHS); err != nil {
-		return cfg, err
-	}
-	if err := intParam("min_support", &cfg.MinSupport); err != nil {
-		return cfg, err
-	}
-	if err := intParam("max_patterns", &cfg.MaxPatterns); err != nil {
-		return cfg, err
-	}
-	if v := q.Get("min_confidence"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return cfg, fmt.Errorf("bad min_confidence %q: %w", v, err)
-		}
-		cfg.MinConfidence = f
-	}
-	if cfg.MaxLHS > maxDiscoverLHS {
-		return cfg, fmt.Errorf("max_lhs %d above the serving limit %d", cfg.MaxLHS, maxDiscoverLHS)
-	}
-	// Normalize the values the miner would default, so every spelling of
-	// the same effective config hits the same cached miner instead of
-	// paying a re-attach.
-	if cfg.MaxLHS <= 0 {
-		cfg.MaxLHS = 1
-	}
-	if cfg.MinSupport <= 0 {
-		cfg.MinSupport = 2
-	}
-	if cfg.MinConfidence <= 0 {
-		cfg.MinConfidence = 1
-	}
-	return cfg, nil
-}
-
-// minerFor returns the cached miner when the config matches, otherwise
-// attaches a fresh one (full scoring pass) and retires the old.
-func (s *server) minerFor(cfg repro.DiscoveryConfig) (*repro.CFDMiner, error) {
-	s.mineMu.Lock()
-	defer s.mineMu.Unlock()
-	if s.miner != nil && s.minerCfg == cfg {
-		return s.miner, nil
-	}
-	mi, err := repro.WatchDiscovery(s.mon(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	if s.miner != nil {
-		s.miner.Close()
-	}
-	s.miner, s.minerCfg = mi, cfg
-	return mi, nil
-}
-
-// suggesterFor returns the cached repair suggester when the trust
-// threshold matches, otherwise attaches a fresh one (full planning
-// pass) and retires the old. A positive threshold wires the cached
-// streaming miner in as the trust source — its candidate confidences
-// are refreshed here so the suggester's trust pass reads live values.
-func (s *server) suggesterFor(thr float64) (*repro.RepairSuggester, error) {
-	var trust repro.RepairTrustSource
-	if thr > 0 {
-		mi, err := s.minerFor(repro.DiscoveryConfig{MaxLHS: 1, MinSupport: 2, MinConfidence: 1})
-		if err != nil {
-			return nil, err
-		}
-		mi.Refresh()
-		trust = mi
-	}
-	s.sugMu.Lock()
-	defer s.sugMu.Unlock()
-	if s.sug != nil && s.sugThr == thr {
-		return s.sug, nil
-	}
-	sg, err := repro.WatchRepairs(s.mon(), repro.SuggestOptions{Trust: trust, TrustThreshold: thr})
-	if err != nil {
-		return nil, err
-	}
-	if s.sug != nil {
-		s.sug.Close()
-	}
-	s.sug, s.sugThr = sg, thr
-	return sg, nil
-}
-
-// --- error envelope ---
-
-// apiError is the uniform error envelope every endpoint (here and in
-// cmd/cfdrouter) answers failures with:
-//
-//	{"error": {"code": "...", "message": "...", "epoch": E?}}
-//
-// Code is the machine-dispatched classification; Epoch rides along on
-// "fenced" errors so the caller can refresh its token without another
-// round trip.
-type apiError struct {
-	Code    string  `json:"code"`
-	Message string  `json:"message"`
-	Epoch   *uint64 `json:"epoch,omitempty"`
-}
-
-// codeFor maps a response status to the envelope code; role errors
-// ("fenced", "read_only") are stamped explicitly by mutErr instead.
-func codeFor(status int) string {
-	switch status {
-	case http.StatusBadRequest:
-		return "bad_request"
-	case http.StatusForbidden:
-		return "fenced"
-	case http.StatusNotFound:
-		return "not_found"
-	case http.StatusMethodNotAllowed:
-		return "method_not_allowed"
-	case http.StatusConflict:
-		return "conflict"
-	case http.StatusGone:
-		return "stale_cursor"
-	case http.StatusBadGateway:
-		return "bad_gateway"
-	default:
-		return "internal"
-	}
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]apiError{"error": {Code: codeFor(status), Message: err.Error()}})
-}
-
-func printDelta(out io.Writer, d *repro.ViolationDelta) {
-	for _, c := range d.Added {
-		fmt.Fprintf(out, "+ %s\n", c)
-	}
-	for _, c := range d.Removed {
-		fmt.Fprintf(out, "- %s\n", c)
-	}
-	if d.Empty() {
-		fmt.Fprintln(out, "no violation change")
-	}
-}
-
-// --- HTTP API ---
-
-type jsonChange struct {
-	CFD   int      `json:"cfd"`
-	Kind  string   `json:"kind"`
-	Tuple *int64   `json:"tuple,omitempty"`
-	Key   []string `json:"key,omitempty"`
-}
-
-type jsonDelta struct {
-	Added   []jsonChange `json:"added"`
-	Removed []jsonChange `json:"removed"`
-}
-
-func toJSONDelta(d *repro.ViolationDelta) jsonDelta {
-	conv := func(cs []repro.ViolationChange) []jsonChange {
-		out := make([]jsonChange, 0, len(cs))
-		for _, c := range cs {
-			jc := jsonChange{CFD: c.CFD, Kind: c.Kind.String()}
-			if c.Kind == repro.ConstViolation {
-				tuple := c.Tuple
-				jc.Tuple = &tuple
-			} else {
-				jc.Key = c.Key
-			}
-			out = append(out, jc)
-		}
-		return out
-	}
-	return jsonDelta{Added: conv(d.Added), Removed: conv(d.Removed)}
-}
-
-type jsonEdit struct {
-	Key  int64  `json:"key"`
-	Attr string `json:"attr"`
-	From string `json:"from"`
-	To   string `json:"to"`
-}
-
-type jsonSuggestion struct {
-	ID   string  `json:"id"`
-	CFD  int     `json:"cfd"`
-	Kind string  `json:"kind"`
-	Cost float64 `json:"cost"`
-	// Key is set on tuple-level suggestions (constant violations), X on
-	// group-level ones (variable violations).
-	Key        *int64     `json:"key,omitempty"`
-	X          []string   `json:"x,omitempty"`
-	Attr       string     `json:"attr,omitempty"`
-	To         string     `json:"to,omitempty"`
-	Tuples     int        `json:"tuples,omitempty"`
-	Confidence float64    `json:"confidence,omitempty"`
-	Reason     string     `json:"reason,omitempty"`
-	Edits      []jsonEdit `json:"edits,omitempty"`
-}
-
-func toJSONSuggestion(sg *repro.RepairSuggestion) jsonSuggestion {
-	out := jsonSuggestion{
-		ID: sg.ID, CFD: sg.CFD, Kind: sg.Kind.String(), Cost: sg.Cost,
-		X: sg.X, Attr: sg.Attr, To: sg.To, Tuples: sg.Tuples,
-		Confidence: sg.Confidence, Reason: sg.Reason,
-	}
-	if sg.X == nil && sg.Kind != repro.SuggestRelax {
-		key := sg.Key
-		out.Key = &key
-	}
-	for _, e := range sg.Edits {
-		out.Edits = append(out.Edits, jsonEdit{Key: e.Key, Attr: e.Attr, From: e.From, To: e.To})
-	}
-	return out
-}
-
-// statusWriter records the response status so the middleware can count
-// error responses; an implicit 200 (first Write without WriteHeader) is
-// recorded too.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-// buildInfo is the binary's identity for GET /stats, computed once: the
-// Go version is always present, the rest as the build embedded it.
-var buildInfo = sync.OnceValue(func() map[string]any {
-	info := map[string]any{"go": runtime.Version()}
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		return info
-	}
-	info["module"] = bi.Main.Path
-	if bi.Main.Version != "" {
-		info["version"] = bi.Main.Version
-	}
-	for _, kv := range bi.Settings {
-		if kv.Key == "vcs.revision" {
-			info["revision"] = kv.Value
-		}
-	}
-	return info
-})
-
-// applyMut applies one HTTP mutation's ChangeSet, honoring the
-// X-Cfd-Epoch fencing stamp when the caller (a router) sent one: the
-// write is refused unless this node's history is at exactly that epoch.
-// Requests without the header take the plain path — single-node
-// clients, for whom the node's own epoch is trivially current.
-func (s *server) applyMut(r *http.Request, cs *repro.ChangeSet) (*repro.ViolationDelta, error) {
-	if h := r.Header.Get("X-Cfd-Epoch"); h != "" {
-		epoch, err := strconv.ParseUint(h, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad X-Cfd-Epoch %q: %w", h, err)
-		}
-		return s.mon().ApplyAt(cs, epoch)
-	}
-	return s.mon().Apply(cs)
-}
-
-func (s *server) handler() http.Handler {
-	mux := http.NewServeMux()
-	reg := s.metrics()
-	// handle wraps every endpoint in its per-path request metrics: a
-	// request counter, an error counter (status >= 400), and a latency
-	// histogram. The handles are registered up front so the hot path
-	// only does atomic adds.
-	handle := func(path string, h http.HandlerFunc) {
-		reqs := reg.Counter("cfdserve_http_requests_total", "HTTP requests served, by endpoint.", obs.L("path", path))
-		errs := reg.Counter("cfdserve_http_errors_total", "HTTP responses with status >= 400, by endpoint.", obs.L("path", path))
-		dur := reg.DurationHistogram("cfdserve_http_request_seconds", "HTTP request latency, by endpoint.", obs.L("path", path))
-		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-			start := time.Now()
-			sw := statusWriter{ResponseWriter: w}
-			h(&sw, r)
-			reqs.Inc()
-			if sw.status >= 400 {
-				errs.Inc()
-			}
-			dur.ObserveSince(start)
-		})
-	}
-	// route registers an endpoint under /v1 and at its deprecated
-	// unversioned alias (kept one release; see docs/operations.md). Each
-	// spelling carries its own per-path metric series, so alias traffic
-	// is visible during the migration window. New endpoints (the repair
-	// surface) register via handle("/v1/...") only.
-	route := func(path string, h http.HandlerFunc) {
-		handle("/v1"+path, h)
-		handle(path, h)
-	}
-	readBody := func(w http.ResponseWriter, r *http.Request, v any) bool {
-		if r.Method != http.MethodPost {
-			writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-			return false
-		}
-		if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad JSON body: %w", err))
-			return false
-		}
-		return true
-	}
-	// mutErr maps a refused mutation onto the envelope's role codes: a
-	// fenced node answers 403 "fenced" with its current epoch (the
-	// caller's token is stale — re-query and retry), a read-only standby
-	// answers 409 "read_only" (promote it or write to the primary), and
-	// anything else is the caller's bad request at the fallback status.
-	mutErr := func(w http.ResponseWriter, err error, fallback int) {
-		switch {
-		case errors.Is(err, repro.ErrMonitorFenced):
-			epoch := s.mon().Epoch()
-			writeJSON(w, http.StatusForbidden, map[string]apiError{"error": {Code: "fenced", Message: err.Error(), Epoch: &epoch}})
-		case errors.Is(err, repro.ErrMonitorReadOnly):
-			writeJSON(w, http.StatusConflict, map[string]apiError{"error": {Code: "read_only", Message: err.Error()}})
-		default:
-			writeErr(w, fallback, err)
-		}
-	}
-
-	route("/insert", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Values []string `json:"values"`
-			// Key, when present, is a caller-chosen key (a router that
-			// owns the key space); absent means the node allocates.
-			Key *int64 `json:"key"`
-		}
-		if !readBody(w, r, &req) {
-			return
-		}
-		var cs repro.ChangeSet
-		if req.Key != nil {
-			cs.InsertKeyed(*req.Key, repro.Tuple(req.Values))
-		} else {
-			cs.Insert(repro.Tuple(req.Values))
-		}
-		delta, err := s.applyMut(r, &cs)
-		if err != nil {
-			mutErr(w, err, http.StatusBadRequest)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"key": cs.Ops[0].Key, "delta": toJSONDelta(delta)})
-	})
-	route("/delete", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Key int64 `json:"key"`
-		}
-		if !readBody(w, r, &req) {
-			return
-		}
-		var cs repro.ChangeSet
-		cs.Delete(req.Key)
-		delta, err := s.applyMut(r, &cs)
-		if err != nil {
-			mutErr(w, err, http.StatusNotFound)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"delta": toJSONDelta(delta)})
-	})
-	route("/update", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Key   int64  `json:"key"`
-			Attr  string `json:"attr"`
-			Value string `json:"value"`
-		}
-		if !readBody(w, r, &req) {
-			return
-		}
-		var cs repro.ChangeSet
-		cs.Update(req.Key, req.Attr, req.Value)
-		delta, err := s.applyMut(r, &cs)
-		if err != nil {
-			mutErr(w, err, http.StatusBadRequest)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"delta": toJSONDelta(delta)})
-	})
-	// Batched ingest: one ChangeSet per request, applied atomically as a
-	// single WAL record. Inserted keys come back in op order.
-	route("/apply", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Ops []struct {
-				Op string `json:"op"`
-				// Key targets delete/update; on an insert it is the
-				// optional caller-chosen key (routed writes).
-				Values []string `json:"values,omitempty"`
-				Key    *int64   `json:"key,omitempty"`
-				Attr   string   `json:"attr,omitempty"`
-				Value  string   `json:"value,omitempty"`
-			} `json:"ops"`
-		}
-		if !readBody(w, r, &req) {
-			return
-		}
-		var cs repro.ChangeSet
-		for i, o := range req.Ops {
-			switch o.Op {
-			case "insert":
-				if o.Key != nil {
-					cs.InsertKeyed(*o.Key, repro.Tuple(o.Values))
-				} else {
-					cs.Insert(repro.Tuple(o.Values))
-				}
-			case "delete":
-				if o.Key == nil {
-					writeErr(w, http.StatusBadRequest, fmt.Errorf("ops[%d]: delete requires a key", i))
-					return
-				}
-				cs.Delete(*o.Key)
-			case "update":
-				if o.Key == nil {
-					writeErr(w, http.StatusBadRequest, fmt.Errorf("ops[%d]: update requires a key", i))
-					return
-				}
-				cs.Update(*o.Key, o.Attr, o.Value)
-			default:
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("ops[%d]: unknown op %q", i, o.Op))
-				return
-			}
-		}
-		delta, err := s.applyMut(r, &cs)
-		if err != nil {
-			mutErr(w, err, http.StatusBadRequest)
-			return
-		}
-		keys := make([]int64, 0, len(cs.Ops))
-		for i := range cs.Ops {
-			if cs.Ops[i].Kind == repro.OpInsert {
-				keys = append(keys, cs.Ops[i].Key)
-			}
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"ops": cs.Len(), "keys": keys, "delta": toJSONDelta(delta),
-		})
-	})
-	// GET /violations serves the maintained violation view (a pointer
-	// load at an unchanged version, never a shard scan). Query surface:
-	//   ?key=K            point lookup — the violations tuple K is in
-	//   ?cfd=I            only CFD I's violations (total follows the filter)
-	//   ?limit=N&cursor=C cursor pagination; cursors are stable within a
-	//                     view version ("v<version>:<offset>") and expire
-	//                     (410) when the set changes
-	// The response carries ETag "v<version>"; a poll with If-None-Match
-	// at the current version is answered 304 from the version counter
-	// alone, without materializing anything.
-	route("/violations", func(w http.ResponseWriter, r *http.Request) {
-		type perCFD struct {
-			CFD          int        `json:"cfd"`
-			ConstTuples  []int64    `json:"const_tuples"`
-			VariableKeys [][]string `json:"variable_keys"`
-		}
-		q := r.URL.Query()
-		if ks := q.Get("key"); ks != "" {
-			key, err := strconv.ParseInt(ks, 10, 64)
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("bad key %q", ks))
-				return
-			}
-			st, ok := s.mon().ViolationsFor(key)
-			if !ok {
-				writeErr(w, http.StatusNotFound, fmt.Errorf("no tuple with key %d", key))
-				return
-			}
-			out := make([]perCFD, 0, len(st.PerCFD))
-			for i, v := range st.PerCFD {
-				if v.Total() > 0 {
-					out = append(out, perCFD{CFD: i, ConstTuples: v.ConstTuples, VariableKeys: v.VariableKeys})
-				}
-			}
-			writeJSON(w, http.StatusOK, map[string]any{"key": key, "per_cfd": out, "total": st.Total()})
-			return
-		}
-		etag := fmt.Sprintf("%q", fmt.Sprintf("v%d", s.mon().ViewVersion()))
-		if inm := r.Header.Get("If-None-Match"); inm != "" && inm == etag {
-			w.Header().Set("ETag", etag)
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-		view := s.mon().View()
-		st := view.State()
-		w.Header().Set("ETag", fmt.Sprintf("%q", fmt.Sprintf("v%d", view.Version())))
-		cfdSel := -1
-		if cs := q.Get("cfd"); cs != "" {
-			i, err := strconv.Atoi(cs)
-			if err != nil || i < 0 || i >= len(st.PerCFD) {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("bad cfd %q (have %d)", cs, len(st.PerCFD)))
-				return
-			}
-			cfdSel = i
-		}
-		limit := 0
-		if ls := q.Get("limit"); ls != "" {
-			n, err := strconv.Atoi(ls)
-			if err != nil || n <= 0 {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("bad limit %q", ls))
-				return
-			}
-			limit = n
-		}
-		offset := 0
-		if cur := q.Get("cursor"); cur != "" {
-			var cv uint64
-			if _, err := fmt.Sscanf(cur, "v%d:%d", &cv, &offset); err != nil || offset < 0 {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("bad cursor %q", cur))
-				return
-			}
-			if cv != view.Version() {
-				writeErr(w, http.StatusGone, fmt.Errorf("cursor %q expired (view is at v%d)", cur, view.Version()))
-				return
-			}
-		}
-		room := limit
-		if limit <= 0 {
-			room = int(^uint(0) >> 1)
-		}
-		skip := offset
-		total, emitted := 0, 0
-		out := make([]perCFD, 0, len(st.PerCFD))
-		for i, v := range st.PerCFD {
-			if cfdSel >= 0 && i != cfdSel {
-				continue
-			}
-			total += v.Total()
-			if room == 0 && skip == 0 && limit > 0 {
-				continue
-			}
-			p := perCFD{CFD: i}
-			if n := len(v.ConstTuples); skip < n {
-				take := min(room, n-skip)
-				p.ConstTuples = v.ConstTuples[skip : skip+take]
-				room -= take
-				skip = 0
-			} else {
-				skip -= n
-			}
-			if n := len(v.VariableKeys); room > 0 && skip < n {
-				take := min(room, n-skip)
-				p.VariableKeys = v.VariableKeys[skip : skip+take]
-				room -= take
-				skip = 0
-			} else if room > 0 {
-				skip -= n
-			}
-			if len(p.ConstTuples) > 0 || len(p.VariableKeys) > 0 || (limit <= 0 && cfdSel < 0) {
-				emitted += len(p.ConstTuples) + len(p.VariableKeys)
-				out = append(out, p)
-			}
-		}
-		resp := map[string]any{"per_cfd": out, "total": total, "version": view.Version()}
-		if limit > 0 && emitted > 0 && offset+emitted < total {
-			resp["next_cursor"] = fmt.Sprintf("v%d:%d", view.Version(), offset+emitted)
-		}
-		writeJSON(w, http.StatusOK, resp)
-	})
-	// GET /v1/repairs serves the live repair suggester: cost-ranked fix
-	// suggestions for the current violation set, re-planned in O(Δ)
-	// between calls. Query surface mirrors /violations:
-	//   ?limit=N&cursor=C   cursor pagination; cursors are stable within
-	//                       a suggestion version ("r<version>:<offset>")
-	//                       and expire (410) when the set changes
-	//   ?trust_threshold=F  wire the streaming miner as the trust
-	//                       source: CFDs below confidence F suggest
-	//                       relaxation instead of data edits
-	// The response carries ETag "r<version>"; a poll with If-None-Match
-	// at the current version is answered 304. /v1 only — no legacy alias.
-	handle("/v1/repairs", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
-			return
-		}
-		q := r.URL.Query()
-		thr := 0.0
-		if v := q.Get("trust_threshold"); v != "" {
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f < 0 || f > 1 {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("bad trust_threshold %q (want 0..1)", v))
-				return
-			}
-			thr = f
-		}
-		limit := 0
-		if ls := q.Get("limit"); ls != "" {
-			n, err := strconv.Atoi(ls)
-			if err != nil || n <= 0 {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("bad limit %q", ls))
-				return
-			}
-			limit = n
-		}
-		sg, err := s.suggesterFor(thr)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		sg.Refresh()
-		version := sg.Version()
-		etag := fmt.Sprintf("%q", fmt.Sprintf("r%d", version))
-		w.Header().Set("ETag", etag)
-		if inm := r.Header.Get("If-None-Match"); inm != "" && inm == etag {
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-		offset := 0
-		if cur := q.Get("cursor"); cur != "" {
-			var cv uint64
-			if _, err := fmt.Sscanf(cur, "r%d:%d", &cv, &offset); err != nil || offset < 0 {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("bad cursor %q", cur))
-				return
-			}
-			if cv != version {
-				writeErr(w, http.StatusGone, fmt.Errorf("cursor %q expired (suggestions are at r%d)", cur, version))
-				return
-			}
-		}
-		sugs := sg.Suggestions()
-		end := len(sugs)
-		if offset > end {
-			offset = end
-		}
-		if limit > 0 && offset+limit < end {
-			end = offset + limit
-		}
-		out := make([]jsonSuggestion, 0, end-offset)
-		for i := offset; i < end; i++ {
-			out = append(out, toJSONSuggestion(&sugs[i]))
-		}
-		resp := map[string]any{"suggestions": out, "total": len(sugs), "version": version}
-		if end < len(sugs) {
-			resp["next_cursor"] = fmt.Sprintf("r%d:%d", version, end)
-		}
-		writeJSON(w, http.StatusOK, resp)
-	})
-	// POST /v1/repairs/apply converts accepted suggestion ids into one
-	// ordinary ChangeSet and applies it through the same path as
-	// POST /apply — fencing (X-Cfd-Epoch), WAL, group commit and
-	// replication all unchanged. Unknown or retired ids answer 404; the
-	// client re-fetches /v1/repairs and retries.
-	handle("/v1/repairs/apply", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			IDs []string `json:"ids"`
-			// TrustThreshold selects the same cached suggester a prior
-			// GET /v1/repairs?trust_threshold=F attached.
-			TrustThreshold float64 `json:"trust_threshold"`
-		}
-		if !readBody(w, r, &req) {
-			return
-		}
-		if len(req.IDs) == 0 {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("ids is empty"))
-			return
-		}
-		sg, err := s.suggesterFor(req.TrustThreshold)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		sg.Refresh()
-		cs, edits, err := sg.Plan(req.IDs)
-		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, repro.ErrUnknownRepairSuggestion) {
-				status = http.StatusNotFound
-			}
-			writeErr(w, status, err)
-			return
-		}
-		jes := make([]jsonEdit, 0, len(edits))
-		for _, e := range edits {
-			jes = append(jes, jsonEdit{Key: e.Key, Attr: e.Attr, From: e.From, To: e.To})
-		}
-		if cs.Len() == 0 {
-			// Every accepted edit already holds (another client fixed the
-			// data first); nothing to journal.
-			writeJSON(w, http.StatusOK, map[string]any{"ops": 0, "edits": jes, "delta": toJSONDelta(&repro.ViolationDelta{})})
-			return
-		}
-		delta, err := s.applyMut(r, cs)
-		if err != nil {
-			mutErr(w, err, http.StatusBadRequest)
-			return
-		}
-		sg.Refresh()
-		writeJSON(w, http.StatusOK, map[string]any{"ops": cs.Len(), "edits": jes, "delta": toJSONDelta(delta)})
-	})
-	route("/stats", func(w http.ResponseWriter, r *http.Request) {
-		role := "primary"
-		if s.mon().ReadOnly() {
-			role = "follower"
-		}
-		stats := map[string]any{
-			"tuples":         s.mon().Len(),
-			"violations":     s.mon().ViolationCount(),
-			"satisfied":      s.mon().Satisfied(),
-			"epoch":          s.mon().Epoch(),
-			"fenced":         s.mon().Fenced(),
-			"role":           role,
-			"next_key":       s.mon().NextKey(),
-			"uptime_seconds": time.Since(processStart).Seconds(),
-			"build":          buildInfo(),
-		}
-		if js := s.mon().JournalStats(); js.Durable {
-			wal := map[string]any{
-				"dir":             js.Dir,
-				"generation":      js.Generation,
-				"segment_records": js.SegmentRecords,
-				"recovered":       js.Recovered,
-			}
-			if js.LastSnapshotErr != "" {
-				wal["last_snapshot_error"] = js.LastSnapshotErr
-			}
-			stats["wal"] = wal
-		}
-		if f := s.fol(); f != nil {
-			st := f.Status()
-			replica := map[string]any{
-				"following":       st.Following,
-				"promoted":        st.Promoted,
-				"seq":             st.Seq,
-				"offset":          st.Offset,
-				"applied_records": st.AppliedRecords,
-				"primary_seq":     st.PrimarySeq,
-				"primary_offset":  st.PrimaryOffset,
-				"lag_bytes":       st.LagBytes,
-				"lag_segments":    st.LagSegments,
-			}
-			if !st.LastSync.IsZero() {
-				replica["last_sync"] = st.LastSync.Format(time.RFC3339Nano)
-			}
-			if st.LastError != "" {
-				replica["last_error"] = st.LastError
-			}
-			stats["replica"] = replica
-		}
-		writeJSON(w, http.StatusOK, stats)
-	})
-	// Prometheus text exposition of everything on the node's registry:
-	// the monitor's hot-path series plus the middleware's own.
-	route("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := reg.WritePrometheus(w); err != nil {
-			s.logger().Error("metrics scrape failed", "error", err)
-		}
-	})
-	// Streaming discovery: the current mined CFD set under the config the
-	// query params select. The miner re-scores incrementally between
-	// calls; only a config change pays a full pass.
-	route("/discover", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
-			return
-		}
-		cfg, err := discoverConfig(r.URL.Query())
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		mi, err := s.minerFor(cfg)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		mi.Refresh()
-		ds, err := mi.Mined()
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-		type mined struct {
-			LHS     []string `json:"lhs"`
-			RHS     []string `json:"rhs"`
-			IsFD    bool     `json:"is_fd"`
-			Support []int    `json:"support"`
-			CFD     string   `json:"cfd"`
-		}
-		out := make([]mined, len(ds))
-		for i, d := range ds {
-			out[i] = mined{LHS: d.CFD.LHS, RHS: d.CFD.RHS, IsFD: d.IsFD, Support: d.Support, CFD: d.CFD.String()}
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"config": map[string]any{
-				"max_lhs":        cfg.MaxLHS,
-				"min_support":    cfg.MinSupport,
-				"min_confidence": cfg.MinConfidence,
-				"max_patterns":   cfg.MaxPatterns,
-			},
-			"tuples": s.mon().Len(),
-			"count":  len(out),
-			"mined":  out,
-		})
-	})
-	// Admin: force a snapshot now — roll the WAL generation without
-	// waiting for the record-count or interval triggers.
-	route("/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-			return
-		}
-		if err := s.mon().ForceSnapshot(); err != nil {
-			// Not-durable and read-only are the caller's mistake (409); a
-			// failed write on a durable node is a server-side disk
-			// problem (500).
-			status := http.StatusInternalServerError
-			if !s.mon().JournalStats().Durable || errors.Is(err, repro.ErrMonitorReadOnly) {
-				status = http.StatusConflict
-			}
-			writeErr(w, status, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"generation": s.mon().JournalStats().Generation})
-	})
-	// Admin: flip a follower into a writable primary at the record
-	// boundary it has applied. Idempotent; 409 on a node that is not
-	// following anything.
-	route("/promote", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-			return
-		}
-		f := s.fol()
-		if f == nil {
-			writeErr(w, http.StatusConflict, fmt.Errorf("not a follower"))
-			return
-		}
-		if err := f.Promote(); err != nil {
-			// A closed follower (mid-resync) cannot be promoted — the
-			// node's state conflicts with the request; retry once the
-			// resync lands.
-			writeErr(w, http.StatusConflict, err)
-			return
-		}
-		st := f.Status()
-		writeJSON(w, http.StatusOK, map[string]any{
-			"promoted": true, "seq": st.Seq, "offset": st.Offset,
-			"applied_records": st.AppliedRecords, "epoch": f.Monitor().Epoch(),
-		})
-	})
-	// Admin: fence this node at an epoch — it refuses every write under
-	// a lower term from now on. A router calls this on the deposed
-	// primary right after promoting a standby; idempotent (Fence only
-	// ever raises the watermark), safe on any role.
-	route("/fence", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Epoch uint64 `json:"epoch"`
-		}
-		if !readBody(w, r, &req) {
-			return
-		}
-		s.mon().Fence(req.Epoch)
-		writeJSON(w, http.StatusOK, map[string]any{
-			"epoch": s.mon().Epoch(), "fenced": s.mon().Fenced(),
-		})
-	})
-	// WAL shipping: the newest snapshot image, for a follower's initial
-	// sync (or resync after falling below the retention window).
-	route("/wal/snapshot", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
-			return
-		}
-		seq, rc, size, err := s.mon().ShipSnapshot()
-		if err != nil {
-			status := http.StatusInternalServerError
-			if !s.mon().JournalStats().Durable {
-				status = http.StatusConflict
-			}
-			writeErr(w, status, err)
-			return
-		}
-		defer rc.Close()
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
-		w.Header().Set("X-Wal-Seq", strconv.FormatUint(seq, 10))
-		_, _ = io.Copy(w, rc)
-	})
-	// WAL shipping: record-aligned chunks of a segment, from a
-	// (generation, offset) cursor. The body is raw framed records; the
-	// cursor protocol lives in the X-Wal-* headers. 410 Gone tells the
-	// follower its cursor fell below the retention window.
-	route("/wal/stream", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET required"))
-			return
-		}
-		q := r.URL.Query()
-		var seq uint64
-		var off int64
-		if _, err := fmt.Sscanf(q.Get("from"), "%d,%d", &seq, &off); err != nil || off < 0 {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad cursor %q (want from=SEQ,OFFSET)", q.Get("from")))
-			return
-		}
-		maxBytes := 1 << 20
-		if v := q.Get("max"); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n <= 0 {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("bad max %q", v))
-				return
-			}
-			maxBytes = n
-		}
-		ch, err := s.mon().WALChunk(seq, off, maxBytes)
-		if err != nil {
-			status := http.StatusInternalServerError
-			switch {
-			case errors.Is(err, repro.ErrWALSegmentGone):
-				status = http.StatusGone
-			case !s.mon().JournalStats().Durable:
-				status = http.StatusConflict
-			}
-			writeErr(w, status, err)
-			return
-		}
-		h := w.Header()
-		h.Set("Content-Type", "application/octet-stream")
-		h.Set("X-Wal-Seq", strconv.FormatUint(ch.Seq, 10))
-		h.Set("X-Wal-Offset", strconv.FormatInt(ch.Offset, 10))
-		h.Set("X-Wal-Records", strconv.Itoa(ch.Records))
-		h.Set("X-Wal-Closed", strconv.FormatBool(ch.Closed))
-		h.Set("X-Wal-Next-Seq", strconv.FormatUint(ch.NextSeq, 10))
-		h.Set("X-Wal-End-Seq", strconv.FormatUint(ch.EndSeq, 10))
-		h.Set("X-Wal-End-Offset", strconv.FormatInt(ch.EndOffset, 10))
-		h.Set("X-Wal-Epoch", strconv.FormatUint(ch.Epoch, 10))
-		_, _ = w.Write(ch.Data)
-	})
-	return mux
 }
 
 // --- the follower's HTTP chunk source ---
 
 // httpSource implements the follower side of the shipping protocol over
-// a primary cfdserve's /wal endpoints.
+// a primary cfdserve's /v1/wal endpoints.
 type httpSource struct {
 	base string
 	c    http.Client
@@ -1761,117 +347,58 @@ func newHTTPSource(base string) *httpSource {
 	}
 }
 
+// get fetches one shipping endpoint; the caller closes the 200 body. A
+// 410 surfaces as ErrWALSegmentGone (via the envelope). Every other
+// error STATUS still proves the primary is alive and answering, so it
+// carries ErrPrimaryResponded — the follower retries on it but never
+// arms -promote-after (only transport-level failures may).
 func (h *httpSource) get(ctx context.Context, path string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, h.base+path, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, h.base+httpapi.Prefix+path, nil)
 	if err != nil {
 		return nil, err
 	}
-	return h.c.Do(req)
-}
-
-// httpErr folds a non-200 response into an error, preserving
-// ErrWALSegmentGone across the wire via 410. The body is the uniform
-// envelope {"error": {"code", "message"}}; the legacy flat form
-// {"error": "msg"} from a pre-/v1 primary is still understood. Every
-// other error STATUS still proves the primary is alive and answering,
-// so it carries ErrPrimaryResponded — the follower retries on it but
-// never arms -promote-after (only transport-level failures may).
-func httpErr(resp *http.Response) error {
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	var env struct {
-		Error apiError `json:"error"`
+	resp, err := h.c.Do(req)
+	if err != nil {
+		return nil, err
 	}
-	msg := ""
-	if err := json.Unmarshal(raw, &env); err == nil {
-		msg = env.Error.Message
-	} else {
-		var flat struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(raw, &flat) == nil {
-			msg = flat.Error
-		}
+	if resp.StatusCode == http.StatusOK {
+		return resp, nil
 	}
-	if msg == "" {
-		msg = resp.Status
+	defer resp.Body.Close()
+	err = httpapi.ErrorFromResponse(resp)
+	if errors.Is(err, repro.ErrWALSegmentGone) {
+		return nil, fmt.Errorf("primary: %w", err)
 	}
-	if resp.StatusCode == http.StatusGone {
-		return fmt.Errorf("primary: %s: %w", msg, repro.ErrWALSegmentGone)
-	}
-	return fmt.Errorf("primary: %s (%s): %w", msg, resp.Status, repro.ErrPrimaryResponded)
+	return nil, fmt.Errorf("primary: %v: %w", err, repro.ErrPrimaryResponded)
 }
 
 func (h *httpSource) Snapshot(ctx context.Context) (uint64, io.ReadCloser, error) {
-	resp, err := h.get(ctx, "/v1/wal/snapshot")
+	resp, err := h.get(ctx, "/wal/snapshot")
 	if err != nil {
 		return 0, nil, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		defer resp.Body.Close()
-		return 0, nil, httpErr(resp)
-	}
-	seq, err := strconv.ParseUint(resp.Header.Get("X-Wal-Seq"), 10, 64)
+	seq, err := strconv.ParseUint(resp.Header.Get(httpapi.SeqHeader), 10, 64)
 	if err != nil {
 		resp.Body.Close()
-		return 0, nil, fmt.Errorf("primary snapshot: bad X-Wal-Seq %q", resp.Header.Get("X-Wal-Seq"))
+		return 0, nil, fmt.Errorf("primary snapshot: bad %s %q", httpapi.SeqHeader, resp.Header.Get(httpapi.SeqHeader))
 	}
 	return seq, resp.Body, nil
 }
 
 func (h *httpSource) Chunk(ctx context.Context, seq uint64, offset int64, maxBytes int) (repro.WALShipChunk, error) {
-	var ch repro.WALShipChunk
 	// A chunk body is at most maxBytes plus framing; if it cannot arrive
 	// within this deadline the connection is dead or useless, and the
 	// tail loop should learn that rather than block.
 	ctx, cancel := context.WithTimeout(ctx, 2*time.Minute)
 	defer cancel()
-	resp, err := h.get(ctx, fmt.Sprintf("/v1/wal/stream?from=%d,%d&max=%d", seq, offset, maxBytes))
+	resp, err := h.get(ctx, fmt.Sprintf("/wal/stream?from=%d,%d&max=%d", seq, offset, maxBytes))
 	if err != nil {
-		return ch, err
+		return repro.WALShipChunk{}, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return ch, httpErr(resp)
-	}
-	hd := resp.Header
-	fail := func(name string, err error) (repro.WALShipChunk, error) {
-		return ch, fmt.Errorf("primary chunk: bad %s %q: %v", name, hd.Get(name), err)
-	}
-	if ch.Seq, err = strconv.ParseUint(hd.Get("X-Wal-Seq"), 10, 64); err != nil {
-		return fail("X-Wal-Seq", err)
-	}
-	if ch.Offset, err = strconv.ParseInt(hd.Get("X-Wal-Offset"), 10, 64); err != nil {
-		return fail("X-Wal-Offset", err)
-	}
-	if ch.Records, err = strconv.Atoi(hd.Get("X-Wal-Records")); err != nil {
-		return fail("X-Wal-Records", err)
-	}
-	if ch.Closed, err = strconv.ParseBool(hd.Get("X-Wal-Closed")); err != nil {
-		return fail("X-Wal-Closed", err)
-	}
-	if ch.NextSeq, err = strconv.ParseUint(hd.Get("X-Wal-Next-Seq"), 10, 64); err != nil {
-		return fail("X-Wal-Next-Seq", err)
-	}
-	if ch.EndSeq, err = strconv.ParseUint(hd.Get("X-Wal-End-Seq"), 10, 64); err != nil {
-		return fail("X-Wal-End-Seq", err)
-	}
-	if ch.EndOffset, err = strconv.ParseInt(hd.Get("X-Wal-End-Offset"), 10, 64); err != nil {
-		return fail("X-Wal-End-Offset", err)
-	}
-	// X-Wal-Epoch is the fencing term; a pre-fencing primary does not
-	// send it, which parses as epoch 0 — the legacy unfenced history.
-	if v := hd.Get("X-Wal-Epoch"); v != "" {
-		if ch.Epoch, err = strconv.ParseUint(v, 10, 64); err != nil {
-			return fail("X-Wal-Epoch", err)
-		}
-	}
-	data, err := io.ReadAll(resp.Body)
+	ch, err := httpapi.ReadChunk(resp)
 	if err != nil {
-		// A connection torn mid-chunk is a retryable fetch failure; what
-		// DID arrive still ends on a record boundary at the scan layer,
-		// but simplest is to drop the partial chunk and re-request.
 		return ch, fmt.Errorf("primary chunk: %w", err)
 	}
-	ch.Data = data
 	return ch, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -17,6 +18,8 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/httpapi"
+	"repro/internal/node"
 )
 
 const custCSV = `CC,AC,PN,NM,STR,CT,ZIP
@@ -46,7 +49,7 @@ func writeInputs(t *testing.T) (data, cfds string) {
 	return data, cfds
 }
 
-func newTestServer(t *testing.T) *server {
+func newTestServer(t *testing.T) *node.Server {
 	t.Helper()
 	data, cfds := writeInputs(t)
 	srv, err := newServer(data, cfds, repro.MonitorOptions{})
@@ -56,71 +59,22 @@ func newTestServer(t *testing.T) *server {
 	return srv
 }
 
-func TestLineProtocol(t *testing.T) {
-	srv := newTestServer(t)
-	in := strings.NewReader(strings.Join([]string{
-		"stats",
-		"satisfied",
-		`insert 01,908,1111111,Rick,"Tree Ave.",NYC,07974`, // disagrees with Mike on CT and violates 908→MH
-		"violations",
-		"update 2 CT MH", // heal both violations
-		"satisfied",
-		"delete 2",
-		"delete 2", // double delete errors
-		"bogus",
-		"quit",
-		"stats", // never reached
-	}, "\n"))
-	var out bytes.Buffer
-	srv.lineLoop(in, &out)
-	text := out.String()
-	for _, want := range []string{
-		"tuples=2 violations=0 satisfied=true",
-		"true",
-		"key 2",
-		"+ cfd 1 const tuple 2",
-		"+ cfd 1 variable key (01, 908, 1111111)",
-		"cfd 1: 1 constant-violating tuples, 1 conflicting groups",
-		"updated 2",
-		"- cfd 1 const tuple 2",
-		"- cfd 1 variable key (01, 908, 1111111)",
-		"deleted 2",
-		"error: incremental: no tuple with key 2",
-		`unknown command "bogus"`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("output missing %q:\n%s", want, text)
-		}
-	}
-	if strings.Count(text, "tuples=") != 1 {
-		t.Errorf("quit did not stop the loop:\n%s", text)
-	}
-}
-
-func TestLineProtocolErrors(t *testing.T) {
-	srv := newTestServer(t)
-	in := strings.NewReader(strings.Join([]string{
-		"insert onlyone",
-		"delete notakey",
-		"update 0",
-		"update x CT NYC",
-		"update 0 NOPE x",
-	}, "\n"))
-	var out bytes.Buffer
-	srv.lineLoop(in, &out)
-	if got := strings.Count(out.String(), "error:"); got != 5 {
-		t.Errorf("want 5 errors, got %d:\n%s", got, out.String())
-	}
+// serveAPI serves the node for the test's lifetime and returns the
+// versioned API root every request path hangs off.
+func serveAPI(t *testing.T, srv *node.Server) string {
+	t.Helper()
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return ts.URL + httpapi.Prefix
 }
 
 func TestHTTPAPI(t *testing.T) {
 	srv := newTestServer(t)
-	ts := httptest.NewServer(srv.handler())
-	defer ts.Close()
+	api := serveAPI(t, srv)
 
 	getJSON := func(path string, v any) {
 		t.Helper()
-		resp, err := http.Get(ts.URL + path)
+		resp, err := http.Get(api + path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +89,7 @@ func TestHTTPAPI(t *testing.T) {
 	postJSON := func(path string, body any, v any) int {
 		t.Helper()
 		b, _ := json.Marshal(body)
-		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(b))
+		resp, err := http.Post(api+path, "application/json", bytes.NewReader(b))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,8 +113,8 @@ func TestHTTPAPI(t *testing.T) {
 	}
 
 	var ins struct {
-		Key   int64     `json:"key"`
-		Delta jsonDelta `json:"delta"`
+		Key   int64         `json:"key"`
+		Delta httpapi.Delta `json:"delta"`
 	}
 	code := postJSON("/insert", map[string]any{
 		"values": []string{"01", "908", "1111111", "Rick", "Tree Ave.", "NYC", "07974"},
@@ -181,7 +135,7 @@ func TestHTTPAPI(t *testing.T) {
 	}
 
 	var upd struct {
-		Delta jsonDelta `json:"delta"`
+		Delta httpapi.Delta `json:"delta"`
 	}
 	if code := postJSON("/update", map[string]any{"key": 2, "attr": "CT", "value": "MH"}, &upd); code != http.StatusOK {
 		t.Fatalf("update: code=%d", code)
@@ -200,7 +154,7 @@ func TestHTTPAPI(t *testing.T) {
 		t.Fatalf("bad arity insert: code=%d, want 400", code)
 	}
 	// GET on a POST endpoint is rejected.
-	resp, err := http.Get(ts.URL + "/insert")
+	resp, err := http.Get(api + "/insert")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,66 +169,16 @@ func TestHTTPAPI(t *testing.T) {
 	}
 }
 
-// TestLineProtocolBatch: a BATCH…END frame applies as one ChangeSet —
-// inserted keys echoed in op order, one combined delta, all-or-nothing
-// on bad frames.
-func TestLineProtocolBatch(t *testing.T) {
-	srv := newTestServer(t)
-	in := strings.NewReader(strings.Join([]string{
-		"batch",
-		`insert 01,908,1111111,Rick,"Tree Ave.",NYC,07974`, // violates 908→MH + group
-		"update 2 CT MH", // ...healed within the same batch
-		`insert 01,212,9999999,Pam,"Elm Str.",NYC,11111`,
-		"end",
-		"stats",
-		"batch", // a frame with an invalid op is discarded whole...
-		"delete 0",
-		"bogus op",
-		"delete 1", // ...and later op lines stay inside the dead frame
-		"end",
-		"batch",
-		"delete 3",
-		"abort",
-		"stats",
-		"quit",
-	}, "\n"))
-	var out bytes.Buffer
-	if err := srv.lineLoop(in, &out); err != nil {
-		t.Fatal(err)
-	}
-	text := out.String()
-	for _, want := range []string{
-		"batch open",
-		"applied 3 ops",
-		"key 2",
-		"key 3",
-		"no violation change", // insert+heal in one batch nets to zero
-		"tuples=4 violations=0 satisfied=true",
-		`unknown op "bogus" in batch`,
-		"batch discarded: earlier op was malformed, nothing applied",
-		"batch discarded",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("output missing %q:\n%s", want, text)
-		}
-	}
-	// The discarded frames applied nothing: still 4 tuples at the end.
-	if strings.Count(text, "tuples=4") != 2 {
-		t.Errorf("aborted/invalid batches changed state:\n%s", text)
-	}
-}
-
 // TestHTTPApply: POST /apply runs a ChangeSet atomically and reports the
 // inserted keys and the combined delta.
 func TestHTTPApply(t *testing.T) {
 	srv := newTestServer(t)
-	ts := httptest.NewServer(srv.handler())
-	defer ts.Close()
+	api := serveAPI(t, srv)
 
 	post := func(body any) (int, map[string]json.RawMessage) {
 		t.Helper()
 		b, _ := json.Marshal(body)
-		resp, err := http.Post(ts.URL+"/apply", "application/json", bytes.NewReader(b))
+		resp, err := http.Post(api+"/apply", "application/json", bytes.NewReader(b))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,8 +205,8 @@ func TestHTTPApply(t *testing.T) {
 	if len(keys) != 1 || keys[0] != 2 {
 		t.Fatalf("keys = %v, want [2]", keys)
 	}
-	if srv.mon().Len() != 2 || !srv.mon().Satisfied() {
-		t.Fatalf("after batch: len=%d satisfied=%v", srv.mon().Len(), srv.mon().Satisfied())
+	if srv.Monitor().Len() != 2 || !srv.Monitor().Satisfied() {
+		t.Fatalf("after batch: len=%d satisfied=%v", srv.Monitor().Len(), srv.Monitor().Satisfied())
 	}
 
 	// An invalid op rejects the whole vector.
@@ -313,7 +217,7 @@ func TestHTTPApply(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Fatalf("invalid batch: code=%d, want 400", code)
 	}
-	if got, _ := srv.mon().Get(2); got[5] != "MH" {
+	if got, _ := srv.Monitor().Get(2); got[5] != "MH" {
 		t.Fatal("rejected batch partially applied")
 	}
 	// Unknown op name.
@@ -356,22 +260,26 @@ func TestDurableServerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	srv.lineLoop(strings.NewReader(strings.Join([]string{
-		`insert 01,908,1111111,Rick,"Tree Ave.",NYC,07974`,
-		"snapshot",
-		`insert 01,908,1111111,Ann,"Tree Ave.",MH,07974`,
-		"stats",
-	}, "\n")), &out)
-	if !strings.Contains(out.String(), "snapshot done, generation 2") {
-		t.Fatalf("snapshot command failed:\n%s", out.String())
+	api := serveAPI(t, srv)
+	insert := func(name, ct string) {
+		t.Helper()
+		code, res := postJSON(t, api+"/apply", fmt.Sprintf(
+			`{"ops":[{"op":"insert","values":["01","908","1111111",%q,"Tree Ave.",%q,"07974"]}]}`, name, ct))
+		if code != http.StatusOK {
+			t.Fatalf("apply: %d %v", code, res)
+		}
 	}
-	if !strings.Contains(out.String(), "wal dir=") {
-		t.Fatalf("stats missing wal line:\n%s", out.String())
+	insert("Rick", "NYC")
+	if code, res := postJSON(t, api+"/snapshot", ""); code != http.StatusOK || fmt.Sprint(res["generation"]) != "2" {
+		t.Fatalf("snapshot: %d %v, want generation 2", code, res)
 	}
-	wantViolations := srv.mon().ViolationCount()
-	wantLen := srv.mon().Len()
-	if err := srv.close(); err != nil {
+	insert("Ann", "MH")
+	if _, st := getJSONCode(t, api+"/stats"); st["wal"] == nil {
+		t.Fatalf("stats missing wal block: %v", st)
+	}
+	wantViolations := srv.Monitor().ViolationCount()
+	wantLen := srv.Monitor().Len()
+	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -379,13 +287,13 @@ func TestDurableServerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv2.close()
-	if !srv2.mon().Recovered() {
+	defer srv2.Close()
+	if !srv2.Monitor().Recovered() {
 		t.Fatal("restarted server did not recover from the WAL dir")
 	}
-	if srv2.mon().Len() != wantLen || srv2.mon().ViolationCount() != wantViolations {
+	if srv2.Monitor().Len() != wantLen || srv2.Monitor().ViolationCount() != wantViolations {
 		t.Fatalf("recovered %d tuples / %d violations, want %d / %d",
-			srv2.mon().Len(), srv2.mon().ViolationCount(), wantLen, wantViolations)
+			srv2.Monitor().Len(), srv2.Monitor().ViolationCount(), wantLen, wantViolations)
 	}
 }
 
@@ -397,11 +305,10 @@ func TestSnapshotEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.close()
-	ts := httptest.NewServer(srv.handler())
-	defer ts.Close()
+	defer srv.Close()
+	api := serveAPI(t, srv)
 
-	resp, err := http.Post(ts.URL+"/snapshot", "application/json", nil)
+	resp, err := http.Post(api+"/snapshot", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +323,7 @@ func TestSnapshotEndpoint(t *testing.T) {
 		t.Fatalf("POST /snapshot: code=%d generation=%d", resp.StatusCode, snap.Generation)
 	}
 
-	resp, err = http.Get(ts.URL + "/snapshot")
+	resp, err = http.Get(api + "/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +337,7 @@ func TestSnapshotEndpoint(t *testing.T) {
 			Generation uint64 `json:"generation"`
 		} `json:"wal"`
 	}
-	resp, err = http.Get(ts.URL + "/stats")
+	resp, err = http.Get(api + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,9 +350,8 @@ func TestSnapshotEndpoint(t *testing.T) {
 	}
 
 	plain := newTestServer(t)
-	tsPlain := httptest.NewServer(plain.handler())
-	defer tsPlain.Close()
-	resp, err = http.Post(tsPlain.URL+"/snapshot", "application/json", nil)
+	apiPlain := serveAPI(t, plain)
+	resp, err = http.Post(apiPlain+"/snapshot", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,9 +371,9 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- srv.serveHTTP(ctx, lis) }()
+	go func() { done <- httpapi.Serve(ctx, lis, srv.Handler()) }()
 
-	url := "http://" + lis.Addr().String()
+	url := "http://" + lis.Addr().String() + httpapi.Prefix
 	resp, err := http.Get(url + "/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -497,8 +403,7 @@ func TestGracefulShutdown(t *testing.T) {
 // configs are rejected.
 func TestDiscoverEndpoint(t *testing.T) {
 	srv := newTestServer(t)
-	ts := httptest.NewServer(srv.handler())
-	defer ts.Close()
+	api := serveAPI(t, srv)
 
 	type minedEntry struct {
 		LHS     []string `json:"lhs"`
@@ -514,7 +419,7 @@ func TestDiscoverEndpoint(t *testing.T) {
 	}
 	get := func(path string, wantCode int) discoverResp {
 		t.Helper()
-		resp, err := http.Get(ts.URL + path)
+		resp, err := http.Get(api + path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -551,7 +456,7 @@ func TestDiscoverEndpoint(t *testing.T) {
 	// A second 908/MH tuple gives AC → CT a supported testing group; the
 	// next /discover re-scores incrementally and mines it as an FD.
 	body := strings.NewReader(`{"values":["01","908","1111111","Rick","Tree Ave.","MH","07974"]}`)
-	resp, err := http.Post(ts.URL+"/insert", "application/json", body)
+	resp, err := http.Post(api+"/insert", "application/json", body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,7 +486,7 @@ func TestDiscoverEndpoint(t *testing.T) {
 	if norm := get("/discover?max_lhs=0&min_support=0", http.StatusOK); norm.Count != strict.Count && norm.Tuples != 3 {
 		t.Errorf("normalized default config should serve: %+v", norm)
 	}
-	if resp, err := http.Post(ts.URL+"/discover", "application/json", strings.NewReader("{}")); err != nil {
+	if resp, err := http.Post(api+"/discover", "application/json", strings.NewReader("{}")); err != nil {
 		t.Fatal(err)
 	} else {
 		resp.Body.Close()
@@ -603,11 +508,10 @@ func TestStatsShape(t *testing.T) {
 		sort.Strings(out)
 		return out
 	}
-	fetch := func(srv *server) map[string]any {
+	fetch := func(srv *node.Server) map[string]any {
 		t.Helper()
-		ts := httptest.NewServer(srv.handler())
-		defer ts.Close()
-		resp, err := http.Get(ts.URL + "/stats")
+		api := serveAPI(t, srv)
+		resp, err := http.Get(api + "/stats")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -643,7 +547,7 @@ func TestStatsShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dsrv.close()
+	defer dsrv.Close()
 	st = fetch(dsrv)
 	want = []string{"build", "epoch", "fenced", "next_key", "role", "satisfied", "tuples", "uptime_seconds", "violations", "wal"}
 	if got := keysOf(st); !reflect.DeepEqual(got, want) {
@@ -665,24 +569,23 @@ func TestStatsShape(t *testing.T) {
 // dashboard to work with.
 func TestMetricsEndpoint(t *testing.T) {
 	srv := newTestServer(t)
-	ts := httptest.NewServer(srv.handler())
-	defer ts.Close()
+	api := serveAPI(t, srv)
 
 	body := strings.NewReader(`{"values":["01","908","1111111","Rick","Tree Ave.","NYC","07974"]}`)
-	resp, err := http.Post(ts.URL+"/insert", "application/json", body)
+	resp, err := http.Post(api+"/insert", "application/json", body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	// A first scrape, so the second sees /metrics' own request counted.
-	resp, err = http.Get(ts.URL + "/metrics")
+	resp, err = http.Get(api + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 
-	resp, err = http.Get(ts.URL + "/metrics")
+	resp, err = http.Get(api + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -707,9 +610,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"cfd_violations_added_total 2",
 		"cfd_tuples 3",
 		"cfd_violations 2",
-		`cfdserve_http_requests_total{path="/insert"} 1`,
-		`cfdserve_http_requests_total{path="/metrics"} 1`,
-		`cfdserve_http_request_seconds_count{path="/insert"} 1`,
+		`cfdserve_http_requests_total{path="/v1/insert"} 1`,
+		`cfdserve_http_requests_total{path="/v1/metrics"} 1`,
+		`cfdserve_http_request_seconds_count{path="/v1/insert"} 1`,
 	} {
 		if !strings.Contains(text, want+"\n") {
 			t.Errorf("scrape missing %q:\n%s", want, text)
@@ -719,7 +622,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("scrape has %d families, want >= 15:\n%s", families, text)
 	}
 
-	resp, err = http.Post(ts.URL+"/metrics", "text/plain", strings.NewReader(""))
+	resp, err = http.Post(api+"/metrics", "text/plain", strings.NewReader(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -732,20 +635,19 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestHTTPErrorCounter: the middleware counts >= 400 responses.
 func TestHTTPErrorCounter(t *testing.T) {
 	srv := newTestServer(t)
-	ts := httptest.NewServer(srv.handler())
-	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/delete", "application/json", strings.NewReader(`{"key": 999}`))
+	api := serveAPI(t, srv)
+	resp, err := http.Post(api+"/delete", "application/json", strings.NewReader(`{"key": 999}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	resp, err = http.Get(ts.URL + "/metrics")
+	resp, err = http.Get(api + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(raw), `cfdserve_http_errors_total{path="/delete"} 1`+"\n") {
+	if !strings.Contains(string(raw), `cfdserve_http_errors_total{path="/v1/delete"} 1`+"\n") {
 		t.Errorf("404 not counted as an error:\n%s", raw)
 	}
 }

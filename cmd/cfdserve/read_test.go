@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 )
 
@@ -21,9 +20,9 @@ type violResp struct {
 	NextCursor string `json:"next_cursor"`
 }
 
-func readViolations(t *testing.T, ts *httptest.Server, path, ifNoneMatch string) (int, string, *violResp) {
+func readViolations(t *testing.T, api string, path, ifNoneMatch string) (int, string, *violResp) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, ts.URL+path, nil)
+	req, err := http.NewRequest(http.MethodGet, api+path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,10 +48,10 @@ func readViolations(t *testing.T, ts *httptest.Server, path, ifNoneMatch string)
 	return resp.StatusCode, resp.Header.Get("ETag"), &vr
 }
 
-func mutate(t *testing.T, ts *httptest.Server, path string, body any) {
+func mutate(t *testing.T, api string, path string, body any) {
 	t.Helper()
 	b, _ := json.Marshal(body)
-	resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(b))
+	resp, err := http.Post(api+path, "application/json", bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,14 +66,13 @@ func mutate(t *testing.T, ts *httptest.Server, path string, body any) {
 // actually changes the violation set — and gets fresh content after.
 func TestViolationsETag(t *testing.T) {
 	srv := newTestServer(t)
-	ts := httptest.NewServer(srv.handler())
-	defer ts.Close()
+	api := serveAPI(t, srv)
 
-	code, etag, _ := readViolations(t, ts, "/violations", "")
+	code, etag, _ := readViolations(t, api, "/violations", "")
 	if code != http.StatusOK || etag == "" {
 		t.Fatalf("first read: code=%d etag=%q", code, etag)
 	}
-	code, etag2, _ := readViolations(t, ts, "/violations", etag)
+	code, etag2, _ := readViolations(t, api, "/violations", etag)
 	if code != http.StatusNotModified {
 		t.Fatalf("conditional re-read: code=%d, want 304", code)
 	}
@@ -83,10 +81,10 @@ func TestViolationsETag(t *testing.T) {
 	}
 
 	// A write that changes the violation set invalidates the tag.
-	mutate(t, ts, "/insert", map[string]any{
+	mutate(t, api, "/insert", map[string]any{
 		"values": []string{"01", "908", "1111111", "Rick", "Tree Ave.", "NYC", "07974"},
 	})
-	code, etag3, vr := readViolations(t, ts, "/violations", etag)
+	code, etag3, vr := readViolations(t, api, "/violations", etag)
 	if code != http.StatusOK || vr == nil || vr.Total != 2 {
 		t.Fatalf("post-write conditional read: code=%d resp=%+v", code, vr)
 	}
@@ -100,13 +98,12 @@ func TestViolationsETag(t *testing.T) {
 // a write is refused with 410 Gone rather than silently skewed.
 func TestViolationsPagination(t *testing.T) {
 	srv := newTestServer(t)
-	ts := httptest.NewServer(srv.handler())
-	defer ts.Close()
-	mutate(t, ts, "/insert", map[string]any{
+	api := serveAPI(t, srv)
+	mutate(t, api, "/insert", map[string]any{
 		"values": []string{"01", "908", "1111111", "Rick", "Tree Ave.", "NYC", "07974"},
 	})
 
-	_, _, all := readViolations(t, ts, "/violations", "")
+	_, _, all := readViolations(t, api, "/violations", "")
 	if all.Total != 2 {
 		t.Fatalf("unpaginated total = %d, want 2", all.Total)
 	}
@@ -118,7 +115,7 @@ func TestViolationsPagination(t *testing.T) {
 		if cursor != "" {
 			path += "&cursor=" + cursor
 		}
-		code, _, vr := readViolations(t, ts, path, "")
+		code, _, vr := readViolations(t, api, path, "")
 		if code != http.StatusOK {
 			t.Fatalf("page %d: code=%d", page, code)
 		}
@@ -138,12 +135,12 @@ func TestViolationsPagination(t *testing.T) {
 	}
 
 	// First page again, then write: its cursor must now be refused.
-	_, _, first := readViolations(t, ts, "/violations?limit=1", "")
+	_, _, first := readViolations(t, api, "/violations?limit=1", "")
 	if first.NextCursor == "" {
 		t.Fatal("limit=1 page has no next_cursor")
 	}
-	mutate(t, ts, "/update", map[string]any{"key": 2, "attr": "CT", "value": "MH"})
-	code, _, _ := readViolations(t, ts, "/violations?limit=1&cursor="+first.NextCursor, "")
+	mutate(t, api, "/update", map[string]any{"key": 2, "attr": "CT", "value": "MH"})
+	code, _, _ := readViolations(t, api, "/violations?limit=1&cursor="+first.NextCursor, "")
 	if code != http.StatusGone {
 		t.Fatalf("stale cursor: code=%d, want 410", code)
 	}
@@ -153,15 +150,14 @@ func TestViolationsPagination(t *testing.T) {
 // from the per-key stores without materializing the full view.
 func TestViolationsPointLookup(t *testing.T) {
 	srv := newTestServer(t)
-	ts := httptest.NewServer(srv.handler())
-	defer ts.Close()
-	mutate(t, ts, "/insert", map[string]any{
+	api := serveAPI(t, srv)
+	mutate(t, api, "/insert", map[string]any{
 		"values": []string{"01", "908", "1111111", "Rick", "Tree Ave.", "NYC", "07974"},
 	})
 
 	get := func(path string) (int, map[string]json.RawMessage) {
 		t.Helper()
-		resp, err := http.Get(ts.URL + path)
+		resp, err := http.Get(api + path)
 		if err != nil {
 			t.Fatal(err)
 		}

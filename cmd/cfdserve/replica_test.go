@@ -12,6 +12,8 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/httpapi"
+	"repro/internal/node"
 )
 
 // The end-to-end replication test: a durable primary serving /wal over
@@ -49,9 +51,10 @@ func TestHTTPReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer psrv.close()
-	pts := httptest.NewServer(psrv.handler())
+	defer psrv.Close()
+	pts := httptest.NewServer(psrv.Handler())
 	defer pts.Close()
+	papi := pts.URL + httpapi.Prefix
 
 	// Boot the follower over the wire exactly as -follow does.
 	ctx := context.Background()
@@ -65,30 +68,28 @@ func TestHTTPReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsrv := &server{}
-	fsrv.setReplica(f.Monitor(), f)
-	fts := httptest.NewServer(fsrv.handler())
-	defer fts.Close()
+	fsrv := node.New(f.Monitor(), f)
+	fapi := serveAPI(t, fsrv)
 
 	// A dirty write on the primary ships to the follower.
-	code, res := postJSON(t, pts.URL+"/insert", `{"values":["01","908","1111111","Rick","Tree Ave.","NYC","07974"]}`)
+	code, res := postJSON(t, papi+"/insert", `{"values":["01","908","1111111","Rick","Tree Ave.","NYC","07974"]}`)
 	if code != http.StatusOK {
 		t.Fatalf("primary insert: %d %v", code, res)
 	}
 	if _, err := f.Sync(ctx); err != nil {
 		t.Fatal(err)
 	}
-	code, fv := getJSONCode(t, fts.URL+"/violations")
+	code, fv := getJSONCode(t, fapi+"/violations")
 	if code != http.StatusOK {
 		t.Fatalf("follower violations: %d", code)
 	}
-	_, pv := getJSONCode(t, pts.URL+"/violations")
+	_, pv := getJSONCode(t, papi+"/violations")
 	if fmt.Sprint(fv["total"]) != fmt.Sprint(pv["total"]) || fmt.Sprint(fv["total"]) == "0" {
 		t.Fatalf("follower total %v, primary %v", fv["total"], pv["total"])
 	}
 
 	// Replica stats: present, caught up, following.
-	code, st := getJSONCode(t, fts.URL+"/stats")
+	code, st := getJSONCode(t, fapi+"/stats")
 	if code != http.StatusOK {
 		t.Fatalf("follower stats: %d", code)
 	}
@@ -99,53 +100,53 @@ func TestHTTPReplication(t *testing.T) {
 	if rep["following"] != true || rep["promoted"] != false || fmt.Sprint(rep["lag_bytes"]) != "0" {
 		t.Fatalf("replica block = %v", rep)
 	}
-	if _, hasRep := getStats(t, pts.URL); hasRep {
+	if _, hasRep := getStats(t, papi); hasRep {
 		t.Fatal("primary stats has a replica block")
 	}
 
 	// Mutations and snapshot rolls are conflicts on a follower.
-	if code, res = postJSON(t, fts.URL+"/insert", `{"values":["01","908","1111111","Eve","Tree Ave.","MH","07974"]}`); code != http.StatusConflict {
+	if code, res = postJSON(t, fapi+"/insert", `{"values":["01","908","1111111","Eve","Tree Ave.","MH","07974"]}`); code != http.StatusConflict {
 		t.Fatalf("follower insert: %d %v, want 409", code, res)
 	}
-	if code, res = postJSON(t, fts.URL+"/apply", `{"ops":[{"op":"delete","key":0}]}`); code != http.StatusConflict {
+	if code, res = postJSON(t, fapi+"/apply", `{"ops":[{"op":"delete","key":0}]}`); code != http.StatusConflict {
 		t.Fatalf("follower apply: %d %v, want 409", code, res)
 	}
-	if code, res = postJSON(t, fts.URL+"/snapshot", ``); code != http.StatusConflict {
+	if code, res = postJSON(t, fapi+"/snapshot", ``); code != http.StatusConflict {
 		t.Fatalf("follower snapshot: %d %v, want 409", code, res)
 	}
 	// /promote on a primary is a conflict too.
-	if code, res = postJSON(t, pts.URL+"/promote", ``); code != http.StatusConflict {
+	if code, res = postJSON(t, papi+"/promote", ``); code != http.StatusConflict {
 		t.Fatalf("primary promote: %d %v, want 409", code, res)
 	}
 
 	// Stream cursor validation.
-	if code, _ = getJSONCode(t, pts.URL+"/wal/stream?from=zap"); code != http.StatusBadRequest {
+	if code, _ = getJSONCode(t, papi+"/wal/stream?from=zap"); code != http.StatusBadRequest {
 		t.Fatalf("bad cursor: %d, want 400", code)
 	}
-	if code, _ = getJSONCode(t, pts.URL+"/wal/stream?from=99,0"); code != http.StatusInternalServerError {
+	if code, _ = getJSONCode(t, papi+"/wal/stream?from=99,0"); code != http.StatusInternalServerError {
 		t.Fatalf("future cursor: %d, want 500", code)
 	}
 
 	// Promote the follower; it starts accepting writes at its boundary.
-	code, res = postJSON(t, fts.URL+"/promote", ``)
+	code, res = postJSON(t, fapi+"/promote", ``)
 	if code != http.StatusOK || res["promoted"] != true {
 		t.Fatalf("promote: %d %v", code, res)
 	}
-	code, res = postJSON(t, fts.URL+"/promote", ``) // idempotent
+	code, res = postJSON(t, fapi+"/promote", ``) // idempotent
 	if code != http.StatusOK {
 		t.Fatalf("re-promote: %d %v", code, res)
 	}
-	code, res = postJSON(t, fts.URL+"/update", `{"key":2,"attr":"CT","value":"MH"}`)
+	code, res = postJSON(t, fapi+"/update", `{"key":2,"attr":"CT","value":"MH"}`)
 	if code != http.StatusOK {
 		t.Fatalf("post-promotion update: %d %v", code, res)
 	}
-	if fsrv.mon().ViolationCount() != 0 {
-		t.Fatalf("healing update left %d violations", fsrv.mon().ViolationCount())
+	if fsrv.Monitor().ViolationCount() != 0 {
+		t.Fatalf("healing update left %d violations", fsrv.Monitor().ViolationCount())
 	}
-	if code, _ = getJSONCode(t, fts.URL+"/stats"); code != http.StatusOK {
+	if code, _ = getJSONCode(t, fapi+"/stats"); code != http.StatusOK {
 		t.Fatal("stats after promotion failed")
 	}
-	if err := fsrv.closeReplica(); err != nil {
+	if err := fsrv.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -161,12 +162,11 @@ func getStats(t *testing.T, base string) (map[string]any, bool) {
 // TestWALEndpointsRequireDurable: a memory-only node has nothing to ship.
 func TestWALEndpointsRequireDurable(t *testing.T) {
 	srv := newTestServer(t)
-	ts := httptest.NewServer(srv.handler())
-	defer ts.Close()
-	if code, _ := getJSONCode(t, ts.URL+"/wal/snapshot"); code != http.StatusConflict {
+	api := serveAPI(t, srv)
+	if code, _ := getJSONCode(t, api+"/wal/snapshot"); code != http.StatusConflict {
 		t.Fatalf("/wal/snapshot on memory node: %d, want 409", code)
 	}
-	if code, _ := getJSONCode(t, ts.URL+"/wal/stream?from=0,0"); code != http.StatusConflict {
+	if code, _ := getJSONCode(t, api+"/wal/stream?from=0,0"); code != http.StatusConflict {
 		t.Fatalf("/wal/stream on memory node: %d, want 409", code)
 	}
 }
@@ -181,10 +181,10 @@ func TestHTTPSourceGone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer psrv.close()
-	pts := httptest.NewServer(psrv.handler())
+	defer psrv.Close()
+	pts := httptest.NewServer(psrv.Handler())
 	defer pts.Close()
-	if err := psrv.mon().ForceSnapshot(); err != nil {
+	if err := psrv.Monitor().ForceSnapshot(); err != nil {
 		t.Fatal(err)
 	}
 	src := newHTTPSource(pts.URL)

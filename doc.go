@@ -28,9 +28,9 @@
 //     proportional to the affected index buckets, emitting the exact
 //     violation delta of every change (NewMonitor, LoadMonitor). Changes
 //     batch as ChangeSets through Monitor.Apply — see "Batched ingest"
-//     below. The cfdserve command exposes it as a line-oriented or HTTP
-//     service (POST /apply, BATCH…END framing), and cfddetect -watch
-//     tails a CSV change stream through it (-batch coalescing).
+//     below. The cfdserve command exposes it as an HTTP service (POST
+//     /v1/apply), and cfddetect -watch tails a CSV change stream — a
+//     file or stdin — through it (-batch coalescing).
 //   - Durability for the serving path (internal/wal): with
 //     MonitorOptions.Durable set to a directory, the Monitor journals
 //     every mutation to a write-ahead log and periodically snapshots its
@@ -42,22 +42,23 @@
 //     record-aligned chunks, and a MonitorFollower (FollowMonitor) tails
 //     them into its own WAL directory as a read-only replica, promotable
 //     to a writable primary at the record boundary it has applied.
-//     cfdserve exposes both sides: GET /wal/snapshot + GET /wal/stream
-//     on the primary, -follow / POST /promote on the standby.
+//     cfdserve exposes both sides: GET /v1/wal/snapshot + GET
+//     /v1/wal/stream on the primary, -follow / POST /v1/promote on the
+//     standby.
 //   - Scale-out writes (internal/cluster; see "Replication" below): a
 //     consistent-hash ring partitions tuple keys across independent
 //     shard groups, each a primary with optional followers; a Router
 //     splits every ChangeSet by owning group, fans the sub-batches out
 //     in parallel under epoch-stamped fencing, and merges the violation
 //     deltas (NewClusterRouter, ClusterLocalBackend). The cfdrouter
-//     command is the HTTP daemon over cfdserve shard nodes, and the E14
-//     benchmark plus cfdbench -serve measure the scaling.
+//     command is the HTTP daemon over cfdserve shard nodes; the E14
+//     benchmark and bench/'s routed-mixed workload measure the scaling.
 //   - Streaming CFD discovery (the Section 7 future-work item; see
 //     internal/discovery): one mining code path over the Monitor's
 //     generalized group-statistics substrate — DiscoverCFDs mines an
 //     instance from scratch by seeding a miner, WatchDiscovery keeps
 //     the mined set current under changes. See "Streaming discovery"
-//     below. cfdserve serves it as GET /discover and cfddetect -watch
+//     below. cfdserve serves it as GET /v1/discover and cfddetect -watch
 //     -mine prints mined CFDs as they appear and retire.
 //   - A heuristic repair algorithm (Section 6): cost-based value
 //     modification with the CFD-specific LHS-breaking move (Repair),
@@ -164,7 +165,7 @@
 // Snapshot cadence: MonitorOptions.SnapshotEvery rolls a background,
 // single-flight snapshot after that many journaled records (0 disables;
 // Monitor.ForceSnapshot rolls one synchronously — cfdserve exposes this
-// as POST /snapshot). A snapshot advances the generation: snap-(N+1) is
+// as POST /v1/snapshot). A snapshot advances the generation: snap-(N+1) is
 // written, an empty wal-(N+1) is started, and only then is generation N
 // garbage-collected, so at every crash point the directory holds one
 // complete recovery path.
@@ -189,7 +190,7 @@
 // the roll (snapshots below the newest are always collected), which is
 // what lets a briefly-disconnected follower resume its cursor instead of
 // re-shipping a snapshot. The shipping surface (Monitor.WALChunk,
-// Monitor.ShipSnapshot; cfdserve GET /wal/stream and /wal/snapshot)
+// Monitor.ShipSnapshot; cfdserve GET /v1/wal/stream and /v1/wal/snapshot)
 // serves closed segments in full and the live segment up to its flushed
 // boundary, always cut at record boundaries — a chunk never splits a
 // framed record, so a connection torn mid-record leaves the cursor
@@ -217,7 +218,7 @@
 // from the current snapshot (FollowOptions.Resync; cfdserve does this
 // automatically).
 //
-// Promotion semantics: MonitorFollower.Promote (cfdserve POST /promote,
+// Promotion semantics: MonitorFollower.Promote (cfdserve POST /v1/promote,
 // or -promote-after on sustained primary loss) stops the tail loop,
 // lets any in-flight chunk finish under the journal mutex, and lifts
 // the read-only gate — an atomic flip at the exact record boundary the
@@ -227,14 +228,14 @@
 //
 // Fencing: promotion bumps the node's epoch — a monotonic term number
 // journaled as a WAL record before the first post-promotion write and
-// echoed on /wal/stream chunks (X-Wal-Epoch), in /stats, and as the
+// echoed on /v1/wal/stream chunks (X-Wal-Epoch), in /v1/stats, and as the
 // cfd_epoch gauge. A mutation can be stamped with the epoch the caller
 // believes the history is at (Monitor.ApplyAt; X-Cfd-Epoch on cfdserve
 // mutations): a node whose epoch differs refuses it with
 // ErrMonitorFenced, and a stamp from a NEWER epoch permanently fences
 // the node — the deposed primary learns of its deposition from the
 // very write that would have forked history, with no coordination
-// channel needed. POST /fence (Monitor.Fence) delivers the same verdict
+// channel needed. POST /v1/fence (Monitor.Fence) delivers the same verdict
 // eagerly, and cluster.Router.Promote calls it on the old primary
 // best-effort after every failover. A merely-partitioned old primary
 // therefore cannot accept a routed write into a diverged history:
@@ -292,9 +293,9 @@
 //
 // cfdserve serves its registry — the monitor series above plus
 // per-endpoint cfdserve_http_requests_total / cfdserve_http_errors_total
-// / cfdserve_http_request_seconds — as GET /metrics in the Prometheus
+// / cfdserve_http_request_seconds — as GET /v1/metrics in the Prometheus
 // text format, points Prometheus at itself with a plain scrape config,
-// and reports uptime and build identity in GET /stats. -pprof-addr
+// and reports uptime and build identity in GET /v1/stats. -pprof-addr
 // opens a second, private listener with net/http/pprof for CPU and heap
 // profiles (go tool pprof http://host:port/debug/pprof/profile).
 // Diagnostics in both CLIs flow through log/slog: -log-level picks the

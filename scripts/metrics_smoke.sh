@@ -1,9 +1,10 @@
 #!/bin/sh
 # metrics_smoke.sh — end-to-end scrape check for cfdserve's observability
-# surface: boot a durable primary, push batches through /apply, exercise
-# /discover and /snapshot, then assert GET /metrics exposes the expected
-# series (apply-stage latencies, WAL fsync timing, miner refresh, HTTP
-# middleware) with enough distinct families for a dashboard. A follower
+# surface: boot a durable primary, push batches through /v1/apply,
+# exercise /v1/discover and /v1/snapshot, then assert GET /v1/metrics
+# exposes the expected series (apply-stage latencies, WAL fsync timing,
+# miner refresh, HTTP middleware under their /v1 paths only) with
+# enough distinct families for a dashboard. A follower
 # is booted against the primary and must expose its replication-lag
 # gauge. CFD_SOAK (default 1) scales the applied batches, so the nightly
 # soak drives the same script harder.
@@ -74,11 +75,11 @@ echo "metrics-smoke: primary on $ADDR"
 n=0
 total=$((SOAK * 5))
 while [ "$n" -lt "$total" ]; do
-    key=$(curl -fsS -X POST "http://$ADDR/apply" -d '{"ops":[
+    key=$(curl -fsS -X POST "http://$ADDR/v1/apply" -d '{"ops":[
         {"op":"insert","values":["01","908","1111111","Rick","Tree Ave.","NYC","07974"]}
     ]}' | sed -n 's/.*"keys":\[\([0-9]*\)\].*/\1/p')
     [ -n "$key" ] || fail "apply returned no inserted key"
-    curl -fsS -X POST "http://$ADDR/apply" -d '{"ops":[
+    curl -fsS -X POST "http://$ADDR/v1/apply" -d '{"ops":[
         {"op":"update","key":'"$key"',"attr":"CT","value":"MH"},
         {"op":"delete","key":'"$key"'}
     ]}' > /dev/null
@@ -87,10 +88,10 @@ done
 echo "metrics-smoke: applied $total batches"
 
 # Exercise the miner and the snapshot path so their series have data.
-curl -fsS "http://$ADDR/discover" > /dev/null
-curl -fsS -X POST "http://$ADDR/snapshot" -d '' > /dev/null
+curl -fsS "http://$ADDR/v1/discover" > /dev/null
+curl -fsS -X POST "http://$ADDR/v1/snapshot" -d '' > /dev/null
 
-curl -fsS "http://$ADDR/metrics" > "$TMP/metrics.txt"
+curl -fsS "http://$ADDR/v1/metrics" > "$TMP/metrics.txt"
 for series in \
     'cfd_apply_ops_total{op="insert"}' \
     'cfd_apply_ops_total{op="update"}' \
@@ -113,11 +114,16 @@ for series in \
     cfd_miner_mined_cfds \
     cfd_tuples \
     cfd_violations \
-    'cfdserve_http_requests_total{path="/apply"}' \
+    'cfdserve_http_requests_total{path="/v1/apply"}' \
     cfdserve_http_request_seconds_bucket \
 ; do
     grep -qF "$series" "$TMP/metrics.txt" || fail "scrape missing series $series"
 done
+
+# The unversioned aliases and their series are gone for good.
+if grep -qF 'path="/apply"' "$TMP/metrics.txt"; then
+    fail 'scrape still has an unversioned path="/apply" series'
+fi
 
 families="$(grep -c '^# TYPE ' "$TMP/metrics.txt")"
 [ "$families" -ge 15 ] || fail "scrape has only $families metric families, want >= 15"
@@ -132,7 +138,7 @@ FADDR="$(addr_of "$TMP/follower.log")" || fail "follower did not report its addr
 
 i=0
 while :; do
-    curl -fsS "http://$FADDR/metrics" > "$TMP/fmetrics.txt" 2>/dev/null || true
+    curl -fsS "http://$FADDR/v1/metrics" > "$TMP/fmetrics.txt" 2>/dev/null || true
     if grep -q '^cfd_replica_lag_bytes' "$TMP/fmetrics.txt"; then
         break
     fi
