@@ -4,7 +4,7 @@ GO ?= go
 # experiment per layer — batch detection (9a), strategy comparison
 # (merge), the durable serving path (e9), batched ingest (e10),
 # streaming discovery (e11), WAL shipping (e12), write-path raw
-# speed (e13: group-commit coalescing + tuple-store memory) and
+# speed (e13: commit-window coalescing + tuple-store memory) and
 # cluster write scaling (e14: routed fsynced writes across shard
 # groups), the read path (e15: violation-view vs scan reads,
 # point queries, routed standby reads) and live repair (e16:
@@ -36,10 +36,12 @@ metrics-smoke:
 	sh scripts/metrics_smoke.sh
 
 # The batch pipeline's property tests under the race detector, twice, so
-# goroutine schedules vary: the randomized batched-stream oracle test and
-# the mid-batch kill/recover test.
+# goroutine schedules vary: the randomized batched-stream oracle test,
+# the mid-batch kill/recover test, and the commit-window tests (one
+# record per window with per-writer outcomes; consumer attach with
+# backfill under concurrent writers).
 race-batch:
-	$(GO) test -race -count 2 -run 'TestRandomBatchesMatchOracle|TestCrashRecoveryBatchAllOrNothing|TestApplyBatch' ./internal/incremental/
+	$(GO) test -race -count 2 -run 'TestRandomBatchesMatchOracle|TestCrashRecoveryBatchAllOrNothing|TestApplyBatch|TestCommitWindow' ./internal/incremental/
 
 # The streaming-discovery property tests under the race detector, twice:
 # the randomized miner-vs-Discover oracle equivalence and the
@@ -107,9 +109,10 @@ bench-discovery:
 bench-replication:
 	$(GO) run ./cmd/cfdbench -quick -only e12
 
-# Quick local iteration on the write-path series only (E13): group-commit
-# window coalescing under concurrent single-op writers, and the
-# value-ID-column vs string-tuple memory comparison.
+# Quick local iteration on the write-path series only (E13): how the
+# always-on commit queue coalesces concurrent single-op fsynced writers
+# (1/4/16) against hand-batched ChangeSets, and the value-ID-column vs
+# string-tuple memory comparison.
 bench-groupcommit:
 	$(GO) run ./cmd/cfdbench -quick -only e13
 

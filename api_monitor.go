@@ -14,29 +14,23 @@ type (
 	// A durable Monitor (MonitorOptions.Durable) additionally offers
 	// ForceSnapshot, Close, Recovered and JournalStats.
 	Monitor = incremental.Monitor
-	// MonitorOptions tunes the monitor: lock-shard count, plus the
-	// durability knobs — Durable (the WAL directory; non-empty enables
-	// write-ahead journaling and snapshot/log recovery), Fsync (sync every
-	// record), GroupCommit (coalesce concurrent writers into shared
-	// commit windows: one WAL record and one fsync per window; see
-	// MonitorGroupCommit), SnapshotEvery (background snapshot cadence in
-	// records) and RetainSegments (closed segments kept for WAL
-	// shipping) — and Metrics, the observability registry the monitor
-	// instruments itself into (nil: a private registry; DefaultMetrics():
-	// the process-global one; DisabledMetrics(): off).
+	// MonitorOptions tunes the monitor's durability — Durable (the WAL
+	// directory; non-empty enables write-ahead journaling and
+	// snapshot/log recovery), Fsync (sync every commit window),
+	// SnapshotEvery (background snapshot cadence in records) and
+	// RetainSegments (closed segments kept for WAL shipping) — and
+	// Metrics, the observability registry the monitor instruments itself
+	// into (nil: a private registry; DefaultMetrics(): the process-global
+	// one; DisabledMetrics(): off). Concurrent writers always share
+	// commit windows: one WAL record and one fsync per window.
 	MonitorOptions = incremental.Options
-	// MonitorGroupCommit configures the group-commit window
-	// (MonitorOptions.GroupCommit): MaxDelay is the leader's grace
-	// period, MaxOps closes a window early. The zero value disables
-	// group commit; setting either field enables it.
-	MonitorGroupCommit = incremental.GroupCommit
 	// MonitorJournalStats describes a monitor's durable state (generation,
 	// records since last snapshot, recovery provenance).
 	MonitorJournalStats = incremental.JournalStats
 	// ChangeSet is an ordered vector of insert/delete/update ops applied
-	// as one batch via Monitor.Apply: validated as a unit, journaled as a
-	// single WAL record (one fsync per batch in durable mode, atomic
-	// under crash), and applied with one pass per affected lock shard.
+	// as one batch via Monitor.Apply: validated as a unit, journaled
+	// inside a single WAL record (atomic under crash), and applied
+	// shard-parallel when large.
 	// Build one with its Insert/Delete/Update methods or an Ops literal;
 	// after Apply, inserted keys are in ChangeOp.Key.
 	ChangeSet = incremental.ChangeSet

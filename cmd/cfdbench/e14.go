@@ -36,11 +36,11 @@ func pctl(sorted []time.Duration, q float64) time.Duration {
 // fsynced monitor with its own WAL — so the fsync serialization that
 // caps a single node's write rate parallelizes with the group count.
 // 16 closed-loop partition-affine writers issue n single-op
-// ChangeSets through the router at 1, 2 and 4 shard groups; group
-// commit stays OFF so every op pays a real fsync and the journal is the
-// bottleneck being sharded (with coalescing on, a fixed writer count
-// hides the scaling: 16 writers sharing 1 window ≈ 4 writers × 4
-// windows). Acceptance: ≥ 3× the single-shard op rate at 4 groups on
+// ChangeSets through the router at 1, 2 and 4 shard groups. Every
+// group coalesces its writers into commit windows, so a fixed writer
+// count partly hides the scaling — 16 writers sharing 1 window ≈ 4
+// writers × 4 windows — and the ratio understates what sharding buys
+// an fsync-bound node. Acceptance: ≥ 3× the single-shard op rate at 4 groups on
 // hardware that exposes the parallelism — cores ≥ groups and a flush
 // path whose concurrent-stream throughput keeps climbing at 4 streams.
 //
@@ -197,7 +197,7 @@ func (b *bench) e14() {
 		rows = append(rows, row{shards: shards, m: out, lats: lats, env: env})
 	}
 
-	b.header(fmt.Sprintf("E14: cluster write scaling (SZ = %d, 3 CFDs, durable+fsync, %d writers, gc off)", sz, writers),
+	b.header(fmt.Sprintf("E14: cluster write scaling (SZ = %d, 3 CFDs, durable+fsync, %d writers)", sz, writers),
 		"shards", "µs/op", "ops/sec", "p50", "p95", "p99", "× vs 1", "env ×")
 	base, envBase := rows[0].m.d, rows[0].env
 	for _, r := range rows {

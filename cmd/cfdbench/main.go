@@ -21,16 +21,14 @@
 // WAL segment shipping (a restarted follower's catch-up — local
 // snapshot + log tail recovery plus shipping the records it missed — vs
 // the cold CSV re-seed a standby-less shard pays; acceptance is a ≥5×
-// speedup at 100K tuples); e13 measures write-path raw speed (group
-// commit: fsynced single-op throughput at 1/4/16 concurrent writers
-// with the commit window on vs off and vs hand-batched ChangeSets —
-// acceptance is ≥4 coalesced writers within ~2× of the batched per-op
-// rate — plus the tuple-store memory series: bytes/tuple of the dense
+// speedup at 100K tuples); e13 measures write-path raw speed (the commit
+// window: fsynced single-op throughput at 1/4/16 concurrent writers vs
+// hand-batched ChangeSets — acceptance is ≥4 coalesced writers within
+// ~2× of the batched per-op rate — plus the tuple-store memory series: bytes/tuple of the dense
 // value-ID columns vs the interned-string layout at 1M tuples;
 // acceptance is a ≥2× reduction); e14 measures cluster write scaling (a
 // consistent-hash router fanning keyed single-op updates across 1/2/4
-// independent fsynced shard groups under 16 closed-loop writers, group
-// commit off so the per-journal fsync is the bottleneck being sharded;
+// independent fsynced shard groups under 16 closed-loop writers;
 // acceptance is ≥3× the single-shard op rate at 4 groups); e15
 // measures read-path scaling (violation reads against the incremental
 // view vs a per-request rescan, snapshot-isolated pagination, and
@@ -606,7 +604,7 @@ func (b *bench) e10() {
 
 	// mutateBatched drives n CT updates through m as ChangeSets of size
 	// batch, split evenly across writers goroutines (each on its own key
-	// range, so contention is the pipeline's — journal mutex, shard
+	// range, so contention is the pipeline's — the writer lock, shard
 	// locks — not artificial same-key serialization). The per-writer pass
 	// counter keeps every revisit a real value flip, as in e9.
 	pass := 0
@@ -954,12 +952,11 @@ func (b *bench) e12() {
 	b.row("catch-up vs re-seed", fmt.Sprintf("%.1fx", float64(csvLoad.d)/float64(catchup.d)))
 }
 
-// e13: write-path raw speed. Part one is the group-commit window —
-// concurrent writers issuing single fsynced ops coalesce into one
-// combined WAL record and one fsync per window, so per-op cost should
-// fall toward the hand-batched rate as writers grow. Acceptance: at
-// ≥ 4 writers the coalesced single-op rate is within ~2× of the
-// batched reference. Part two is the dense value-ID tuple store —
+// e13: write-path raw speed. Part one is the commit window — concurrent
+// writers issuing single fsynced ops coalesce into one combined WAL
+// record and one fsync per window, so per-op cost should fall toward the
+// hand-batched rate as writers grow. Acceptance: at ≥ 4 writers the
+// coalesced single-op rate is within ~2× of the batched reference. Part two is the dense value-ID tuple store —
 // bytes/tuple of the monitor's packed uint32 columns vs the
 // interned-string tuple layout it replaced, at 1M tuples (200K under
 // -quick). Acceptance: ≥ 2× reduction.
@@ -1044,30 +1041,16 @@ func (b *bench) e13() {
 		nSingle, nBatch = 160, 1600
 	}
 
-	// Baseline: window off, every op pays its own append + fsync.
-	moff, err := incremental.Load(data.Dirty, sigma, incremental.Options{
-		Durable: filepath.Join(dir, "off"), Fsync: true,
-	})
-	if err != nil {
-		b.fatal(err)
-	}
-	offSingle := best(nSingle, 1, 4, moff)
-	b.record(fmt.Sprintf("e13/SZ=%d/fsync/gc=off/writers=4", sz), offSingle)
-	batched := best(nBatch, 16, 4, moff)
-	b.record(fmt.Sprintf("e13/SZ=%d/fsync/batch=16/writers=4", sz), batched)
-	if err := moff.Close(); err != nil {
-		b.fatal(err)
-	}
-
-	// Window on: op-bounded, no deliberate delay — coalescing is driven
-	// by writers stacking up behind the in-flight fsync.
+	// Every monitor coalesces: the window is whoever queued up behind the
+	// in-flight fsync, so one writer gets no company and 16 get plenty.
 	mon, err := incremental.Load(data.Dirty, sigma, incremental.Options{
 		Durable: filepath.Join(dir, "on"), Fsync: true,
-		GroupCommit: incremental.GroupCommit{MaxOps: 512},
 	})
 	if err != nil {
 		b.fatal(err)
 	}
+	batched := best(nBatch, 16, 4, mon)
+	b.record(fmt.Sprintf("e13/SZ=%d/fsync/batch=16/writers=4", sz), batched)
 	onByWriters := map[int]measurement{}
 	for _, writers := range []int{1, 4, 16} {
 		m := best(nSingle, 1, writers, mon)
@@ -1075,24 +1058,6 @@ func (b *bench) e13() {
 		b.record(fmt.Sprintf("e13/SZ=%d/fsync/gc=on/writers=%d", sz, writers), m)
 	}
 	if err := mon.Close(); err != nil {
-		b.fatal(err)
-	}
-
-	// Delay variant: a deliberate 200µs grace period fills the window to
-	// the full writer population even on devices whose fsync is too fast
-	// to gather company on its own (the self-tuning window's size tracks
-	// the fsync duration, so cheap fsyncs mean small windows — and cheap
-	// per-op costs, which is why both configurations are worth showing).
-	mdl, err := incremental.Load(data.Dirty, sigma, incremental.Options{
-		Durable: filepath.Join(dir, "delay"), Fsync: true,
-		GroupCommit: incremental.GroupCommit{MaxDelay: 200 * time.Microsecond, MaxOps: 512},
-	})
-	if err != nil {
-		b.fatal(err)
-	}
-	delay16 := best(nSingle, 1, 16, mdl)
-	b.record(fmt.Sprintf("e13/SZ=%d/fsync/gc=delay/writers=16", sz), delay16)
-	if err := mdl.Close(); err != nil {
 		b.fatal(err)
 	}
 
@@ -1144,7 +1109,7 @@ func (b *bench) e13() {
 	b.record(fmt.Sprintf("e13/N=%d/mem/idcols", nMem), measurement{d: time.Duration(idTotal), allocs: idPer})
 	b.record(fmt.Sprintf("e13/N=%d/mem/strtuples", nMem), measurement{d: time.Duration(strTotal), allocs: strPer})
 
-	b.header(fmt.Sprintf("E13: group commit + ID columns (SZ = %d, 3 CFDs, durable+fsync)", sz),
+	b.header(fmt.Sprintf("E13: commit window + ID columns (SZ = %d, 3 CFDs, durable+fsync)", sz),
 		"series", "writers", "µs/op", "ops/sec")
 	us := func(m measurement) string { return fmt.Sprintf("%.1f", float64(m.d.Nanoseconds())/1e3) }
 	rate := func(m measurement) string {
@@ -1153,21 +1118,15 @@ func (b *bench) e13() {
 		}
 		return fmt.Sprintf("%.0f", 1e9/float64(m.d.Nanoseconds()))
 	}
-	b.row("gc off, single-op", "4", us(offSingle), rate(offSingle))
 	for _, writers := range []int{1, 4, 16} {
 		m := onByWriters[writers]
-		b.row("gc on, single-op", fmt.Sprint(writers), us(m), rate(m))
+		b.row("single-op", fmt.Sprint(writers), us(m), rate(m))
 	}
-	b.row("gc delay=200µs, single-op", "16", us(delay16), rate(delay16))
 	b.row("batched (batch=16)", "4", us(batched), rate(batched))
-	b.row("gc on vs off (4 writers)", "-",
-		fmt.Sprintf("%.1fx", float64(offSingle.d)/float64(onByWriters[4].d)), "-")
-	best16 := onByWriters[16]
-	if delay16.d < best16.d {
-		best16 = delay16
-	}
-	b.row("gc best (16 writers) vs batched", "-",
-		fmt.Sprintf("%.1fx (want ≤ ~2x on sync-bound devices)", float64(best16.d)/float64(batched.d)), "-")
+	b.row("16 writers vs 1", "-",
+		fmt.Sprintf("%.1fx", float64(onByWriters[1].d)/float64(onByWriters[16].d)), "-")
+	b.row("16 writers vs batched", "-",
+		fmt.Sprintf("%.1fx (want ≤ ~2x on sync-bound devices)", float64(onByWriters[16].d)/float64(batched.d)), "-")
 
 	b.header(fmt.Sprintf("E13: tuple-store memory (N = %d, %d attrs)", nMem, width),
 		"layout", "bytes/tuple", "total MB")

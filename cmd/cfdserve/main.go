@@ -8,7 +8,7 @@
 //	cfdserve -data tax.csv -cfds cfds.txt -http :8080
 //	cfdserve -data tax.csv -cfds cfds.txt -http :8080 -wal-dir /var/lib/cfd
 //	cfdserve -data tax.csv -cfds cfds.txt -http :8080 -wal-dir /var/lib/cfd \
-//	         -fsync -group-commit-ops 512                # durable + group commit
+//	         -fsync                                      # power-loss durable
 //	cfdserve -cfds cfds.txt -http :8081 -wal-dir /var/lib/cfd2 \
 //	         -follow http://primary:8080                 # hot standby
 //	cfdserve -data tax.csv -cfds cfds.txt -http :8080 \
@@ -23,7 +23,10 @@
 // With -wal-dir the node is durable: every accepted change is appended to
 // a write-ahead log before it is applied, background snapshots bound the
 // log, and a restart recovers the last acknowledged state from the
-// directory — the CSV is only read on the very first boot. SIGTERM/SIGINT
+// directory — the CSV is only read on the very first boot. Every
+// acknowledged write has reached the OS, so killing the process loses
+// nothing; -fsync extends that to OS crash and power loss. Concurrent
+// writers share commit windows: one WAL record (and one fsync) each. SIGTERM/SIGINT
 // shut the server down gracefully: in-flight HTTP responses are flushed
 // (http.Server.Shutdown), a final snapshot is taken and the journal is
 // synced before the process exits.
@@ -32,7 +35,7 @@
 // snapshot image and GET /v1/wal/stream serves record-aligned segment
 // chunks — closed segments (keep some with -retain-segments so a
 // briefly-disconnected follower can resume instead of resyncing) and the
-// flushed live tail. With -follow <primary-url> the node runs as a hot
+// live tail. With -follow <primary-url> the node runs as a hot
 // standby instead: it tails the primary's stream into its own -wal-dir,
 // serves /v1/violations, /v1/stats and /v1/discover from the replicated
 // state, refuses mutations (409 "read_only"), and reports its
@@ -84,11 +87,8 @@ func main() {
 		dataPath     = flag.String("data", "", "CSV instance to monitor (required, except in follow mode)")
 		cfdPath      = flag.String("cfds", "", "CFD file in text notation (required)")
 		httpAddr     = flag.String("http", "", "serve the HTTP API on this address (required)")
-		shards       = flag.Int("shards", 0, "lock shards per index (0 = default)")
 		walDir       = flag.String("wal-dir", "", "durable mode: write-ahead log + snapshots in this directory; restarts recover from it instead of reloading the CSV")
-		fsync        = flag.Bool("fsync", false, "fsync the WAL after every record (acknowledged writes survive OS crash; slower)")
-		gcDelay      = flag.Duration("group-commit-delay", 0, "group commit: window leader waits this long for more writers before committing (0 = no deliberate wait)")
-		gcOps        = flag.Int("group-commit-ops", 0, "group commit: close a window early once this many ops are queued; setting either -group-commit-* flag enables coalescing concurrent writers into one WAL record + fsync per window")
+		fsync        = flag.Bool("fsync", false, "fsync the WAL after every commit window (acknowledged writes survive OS crash and power loss, not just process death; slower)")
 		snapRecords  = flag.Int("snapshot-records", 10000, "roll a background snapshot after this many WAL records (0 = off)")
 		snapInterval = flag.Duration("snapshot-interval", 0, "also snapshot on this wall-clock period, e.g. 5m (0 = off)")
 		retainSegs   = flag.Int("retain-segments", 2, "durable mode: closed WAL segments kept behind the current one, so a briefly-disconnected follower resumes its cursor instead of resyncing (0 = none)")
@@ -111,10 +111,8 @@ func main() {
 		os.Exit(2)
 	}
 	opts := repro.MonitorOptions{
-		Shards:         *shards,
 		Durable:        *walDir,
 		Fsync:          *fsync,
-		GroupCommit:    repro.MonitorGroupCommit{MaxDelay: *gcDelay, MaxOps: *gcOps},
 		SnapshotEvery:  *snapRecords,
 		RetainSegments: *retainSegs,
 		// The daemon publishes on the process-global registry, so the

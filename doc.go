@@ -100,21 +100,20 @@
 // (internal/incremental) truncates logs inside batch records and checks
 // recovery lands exactly on a batch boundary.
 //
-// Fsync-per-batch: with MonitorOptions.Fsync, a batch costs one disk
-// sync regardless of its length — the E10 benchmarks (cmd/cfdbench
+// Fsync-per-window: with MonitorOptions.Fsync, a batch costs at most one
+// disk sync regardless of its length — the E10 benchmarks (cmd/cfdbench
 // -only e10, make bench-batch) measure the resulting throughput curve
 // against batch size under concurrent writers; a 1000-op ChangeSet
 // lands an order of magnitude faster than 1000 single fsynced ops.
-// Apply also amortizes the in-memory work: ops are bucketed by lock
-// shard, each affected shard is visited once per batch, and disjoint
-// shards apply in parallel.
+// Apply also amortizes the in-memory work: a batch of 64 ops or more is
+// bucketed by lock shard and the touched shards apply in parallel.
 //
 // # Streaming discovery
 //
 // A Monitor maintains, on request (Monitor.TrackGroups), group
 // statistics for arbitrary attribute pairs (X → A): every live X-group's
-// support and A-value distribution, updated inside the same ChangeSet
-// apply path that maintains the violation indexes. Each apply leaves
+// support and A-value distribution, folded under the writer lock right
+// after every apply that maintains the violation indexes. Each apply leaves
 // coalesced group-delta events behind — group created or destroyed,
 // support ±, distinct ± collapse to one delta per touched group — which
 // a subscriber drains on its own schedule.
@@ -147,20 +146,23 @@
 // # Durability guarantees
 //
 // A durable Monitor (MonitorOptions.Durable = dir) appends one
-// length-prefixed, CRC-checked record per mutation — per ChangeSet, for
-// batches — to the generation's log segment (dir/wal-N, zero-padded)
-// before touching the in-memory state, under a single journal mutex, so
-// log order always equals apply order and a replay rebuilds the exact
-// pre-crash state.
+// length-prefixed, CRC-checked record per commit window — the
+// ChangeSets of the writers that queued up together — to the
+// generation's log segment (dir/wal-N, zero-padded) before touching the
+// in-memory state, under the monitor's single writer lock, so log order
+// always equals apply order and a replay rebuilds the exact pre-crash
+// state.
 //
-// What is fsynced when: with MonitorOptions.Fsync, the log is fsynced
-// after every record — an acknowledged mutation then survives OS crash
-// and power loss, at the cost of one disk sync per write. Without it
-// (the default), records are buffered and reach the OS when the buffer
-// fills, on snapshot rotation, and on Close; a process crash loses at
-// most the unflushed tail, never an fsynced prefix. Snapshots are always
-// fully durable regardless of Fsync: each one goes to a temp file that
-// is fsynced and renamed into place, followed by a directory fsync.
+// What survives what: every record reaches the OS in one write(2)
+// before its writers are acknowledged, so killing the process — kill -9,
+// a panic, the OOM killer — loses no acknowledged mutation, with or
+// without Fsync. With MonitorOptions.Fsync the log is also fsynced after
+// every window, so an acknowledged mutation survives OS crash and power
+// loss too, at the cost of one disk sync per window. Without it (the
+// default), only an OS crash or power loss can lose the unsynced tail.
+// Snapshots are always fully durable regardless of Fsync: each one goes
+// to a temp file that is fsynced and renamed into place, followed by a
+// directory fsync.
 //
 // Snapshot cadence: MonitorOptions.SnapshotEvery rolls a background,
 // single-flight snapshot after that many journaled records (0 disables;
@@ -191,8 +193,8 @@
 // what lets a briefly-disconnected follower resume its cursor instead of
 // re-shipping a snapshot. The shipping surface (Monitor.WALChunk,
 // Monitor.ShipSnapshot; cfdserve GET /v1/wal/stream and /v1/wal/snapshot)
-// serves closed segments in full and the live segment up to its flushed
-// boundary, always cut at record boundaries — a chunk never splits a
+// serves closed segments in full and the live segment up to its current
+// length, always cut at record boundaries — a chunk never splits a
 // framed record, so a connection torn mid-record leaves the cursor
 // exactly where a crashed append would.
 //
@@ -207,9 +209,9 @@
 // reuses the ordinary torn-tail-tolerant recovery before resuming the
 // stream (the E12 benchmark measures this catch-up against a CSV
 // re-seed). Replication is asynchronous: an acknowledged primary write
-// may not have reached the follower yet and — with Fsync off — a crashed
-// primary can even recover behind a follower that already applied its
-// unsynced tail; promotion, not re-subscription, is the intended
+// may not have reached the follower yet and — with Fsync off — a primary
+// whose OS crashed can even recover behind a follower that already
+// applied its unsynced tail; promotion, not re-subscription, is the intended
 // response to a dead primary (see the fencing note below). Reads
 // (Violations, stats, discovery
 // miners) serve on the follower throughout; mutations and ForceSnapshot
@@ -220,7 +222,7 @@
 //
 // Promotion semantics: MonitorFollower.Promote (cfdserve POST /v1/promote,
 // or -promote-after on sustained primary loss) stops the tail loop,
-// lets any in-flight chunk finish under the journal mutex, and lifts
+// lets any in-flight chunk finish under the writer lock, and lifts
 // the read-only gate — an atomic flip at the exact record boundary the
 // follower has applied. From then on the monitor journals its own
 // mutations into the same directory and behaves as a primary in every
@@ -267,17 +269,17 @@
 //	cfd_apply_batches_total         ChangeSets applied through Monitor.Apply
 //	cfd_apply_rejected_total        ChangeSets rejected by validation
 //	cfd_apply_seconds               whole-batch apply latency
-//	cfd_apply_validate_seconds      the validation stage
+//	cfd_apply_validate_seconds      the validation stage, per commit window
 //	cfd_apply_wal_append_seconds    the journal stage (append + any fsync)
-//	cfd_apply_shard_seconds         the shard-apply stage
-//	cfd_group_commit_window_ops     ops journaled per commit window
+//	cfd_apply_shard_seconds         the apply + consumer-fold stage
+//	cfd_group_commit_window_ops     ops committed per commit window
 //	cfd_group_commit_window_writers writers coalesced per commit window
-//	cfd_group_commit_wait_seconds   follower wait for the leader's fsync
+//	cfd_group_commit_wait_seconds   a follower's wait for its leader
 //	cfd_violations_added_total      violation-delta entries raised
 //	cfd_violations_removed_total    violation-delta entries retired
 //	cfd_tuples, cfd_violations      live set sizes (gauges)
-//	cfd_wal_append_seconds          WAL record framing + buffering
-//	cfd_wal_fsync_seconds           WAL flush + fsync
+//	cfd_wal_append_seconds          WAL record framing + write(2)
+//	cfd_wal_fsync_seconds           WAL fsync
 //	cfd_wal_records_total           WAL records appended
 //	cfd_wal_append_bytes_total      WAL bytes appended, framing included
 //	cfd_wal_snapshot_seconds        snapshot write
@@ -305,12 +307,13 @@
 // # Write-path raw speed
 //
 // Two mechanisms serve unbatched write traffic (see ARCHITECTURE.md for
-// the full write-path walk-through). Group commit
-// (MonitorOptions.GroupCommit) coalesces concurrent single-op writers
-// into shared commit windows — one combined WAL record and one fsync
-// per window, with per-writer validation and deltas — closing most of
-// the gap to hand-batched ChangeSets without asking callers to batch.
-// And the monitor stores tuples and group keys as dense value IDs
+// the full write-path walk-through). The commit queue, always on and
+// knob-free, coalesces concurrent writers into shared commit windows —
+// whoever queued while the previous window held the writer lock rides
+// the next one: one combined WAL record and one fsync per window, with
+// per-writer validation and deltas — closing most of the gap to
+// hand-batched ChangeSets without asking callers to batch. And the
+// monitor stores tuples and group keys as dense value IDs
 // (4-byte columns interned through one value pool) rather than string
 // maps, so group probes hash and compare integers and resident memory
 // per tuple drops accordingly; the E13 benchmarks (cmd/cfdbench -only
@@ -336,7 +339,7 @@
 // Accepted suggestions never bypass the write path: Plan turns a set of
 // suggestion IDs into an ordinary ChangeSet (plus the per-cell edit
 // list for display), which flows through Monitor.Apply — and therefore
-// through group commit, the WAL, replication and fencing — like any
+// through the commit queue, the WAL, replication and fencing — like any
 // other write. cfdserve serves the ranked set as GET /v1/repairs
 // (cost-ascending, paginated, version-tagged for If-None-Match) and
 // applies picked IDs via POST /v1/repairs/apply; cfdrouter fans

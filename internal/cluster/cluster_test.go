@@ -138,7 +138,7 @@ type testGroup struct {
 // prefix.
 func replayOracle(t *testing.T, sigma []*core.CFD, accepted []*incremental.ChangeSet) *incremental.Monitor {
 	t.Helper()
-	m, err := incremental.New(custSchema(), sigma, incremental.Options{Shards: 2})
+	m, err := incremental.New(custSchema(), sigma, incremental.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,18 +244,18 @@ func TestClusterMatchesOracleUnderFailover(t *testing.T) {
 	var cfgs []cluster.GroupConfig
 	for _, name := range names {
 		p, err := incremental.New(custSchema(), sigma, incremental.Options{
-			Shards: 2, Durable: t.TempDir(), RetainSegments: 4,
+			Durable: t.TempDir(), RetainSegments: 4,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		f, err := incremental.NewFollower(ctx, sigma, incremental.Options{
-			Shards: 2, Durable: t.TempDir(),
+			Durable: t.TempDir(),
 		}, incremental.FollowOptions{Source: incremental.NewMonitorSource(p)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle, err := incremental.New(custSchema(), sigma, incremental.Options{Shards: 2})
+		oracle, err := incremental.New(custSchema(), sigma, incremental.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

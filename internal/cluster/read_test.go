@@ -37,7 +37,7 @@ func (p *posBackend) ReadPosition(context.Context) (cluster.ReadPosition, error)
 // keeps the 500ms read-position cache from bleeding between cases.
 func readCluster(t *testing.T, maxLag int64, standbys ...cluster.Backend) (*cluster.Router, *incremental.Monitor) {
 	t.Helper()
-	m, err := incremental.New(custSchema(), custSigma(t), incremental.Options{Shards: 2})
+	m, err := incremental.New(custSchema(), custSigma(t), incremental.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,12 +137,12 @@ func TestPickReadSkipsDeposedEpoch(t *testing.T) {
 func TestPickReadFollowerIntegration(t *testing.T) {
 	ctx := context.Background()
 	sigma := custSigma(t)
-	p, err := incremental.New(custSchema(), sigma, incremental.Options{Shards: 2, Durable: t.TempDir()})
+	p, err := incremental.New(custSchema(), sigma, incremental.Options{Durable: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	f, err := incremental.NewFollower(ctx, sigma, incremental.Options{Shards: 2, Durable: t.TempDir()},
+	f, err := incremental.NewFollower(ctx, sigma, incremental.Options{Durable: t.TempDir()},
 		incremental.FollowOptions{Source: incremental.NewMonitorSource(p)})
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ func memCluster(t *testing.T, k int) (*cluster.Router, map[string]*incremental.M
 	var cfgs []cluster.GroupConfig
 	for i := 0; i < k; i++ {
 		name := string(rune('a' + i))
-		m, err := incremental.New(custSchema(), sigma, incremental.Options{Shards: 2})
+		m, err := incremental.New(custSchema(), sigma, incremental.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,12 +120,12 @@ func (s *swapBackend) Fence(ctx context.Context, epoch uint64) error {
 func TestRouterRetriesStaleEpoch(t *testing.T) {
 	ctx := context.Background()
 	sigma := custSigma(t)
-	p, err := incremental.New(custSchema(), sigma, incremental.Options{Shards: 2, Durable: t.TempDir()})
+	p, err := incremental.New(custSchema(), sigma, incremental.Options{Durable: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	f, err := incremental.NewFollower(ctx, sigma, incremental.Options{Shards: 2, Durable: t.TempDir()},
+	f, err := incremental.NewFollower(ctx, sigma, incremental.Options{Durable: t.TempDir()},
 		incremental.FollowOptions{Source: incremental.NewMonitorSource(p)})
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package incremental
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -9,13 +10,15 @@ import (
 	"repro/internal/relation"
 )
 
-// This file is the batched mutation path: every change to a Monitor —
-// including the single-op Insert/Delete/Update, which are one-element
-// wrappers — flows through Apply as a ChangeSet. A batch is validated as
-// a unit, journaled as one WAL record (one fsync in durable mode), and
-// applied with one visit per affected tuple shard: ops are bucketed by
-// shard, each shard's bucket runs under a single lock acquisition, and
-// disjoint shards apply in parallel.
+// This file is the write path: every change to a Monitor — including
+// the single-op Insert/Delete/Update, which are one-element wrappers —
+// flows through Apply as a ChangeSet, and every ChangeSet through the
+// commit queue onto the writer lock. The queue coalesces concurrent
+// writers into one window: each request is validated by the one
+// key-existence check (validateWindowReq), the accepted ones are
+// journaled as ONE WAL record (one fsync in durable mode), and each is
+// then applied and folded by the one apply step (applyLocked) that
+// recovery replay and follower replication end in too.
 
 // OpKind distinguishes the three mutation kinds of a ChangeSet op. The
 // values double as the WAL record op codes (see journal.go).
@@ -120,9 +123,10 @@ func (op *Op) Keyed() bool { return op.keyed }
 // validated (arity, domains, attribute names, and key existence — a key
 // inserted earlier in the batch counts as existing) before any op is
 // applied, and an invalid op rejects the entire ChangeSet. On a durable
-// monitor the batch is journaled as a single WAL record before the
-// in-memory apply — one fsync per batch when Options.Fsync is set — so a
-// crash mid-batch replays as all of the batch or none of it.
+// monitor the batch is journaled as part of a single WAL record before
+// the in-memory apply — one fsync per commit window when Options.Fsync
+// is set — so a crash mid-batch replays as all of the batch or none of
+// it.
 //
 // Inserted keys are written back into cs.Ops[i].Key. Unlike the
 // single-op Update, a same-value update inside an explicit batch is
@@ -155,42 +159,13 @@ func (m *Monitor) Apply(cs *ChangeSet) (*Delta, error) {
 		}
 		return reject(ErrFenced)
 	}
-	if m.j != nil && m.gc == nil {
-		// Early poisoned/closed check so a refusing journal rejects
-		// before resolveOps burns keys or clones tuples; the
-		// authoritative check re-runs under journal.mu in applyBatch.
-		// The group-commit path skips it: taking journal.mu here would
-		// serialize writers behind the in-flight fsync BEFORE they can
-		// enqueue, collapsing every commit window to one op. It relies
-		// on the same authoritative re-check inside the window.
-		if err := m.j.usableNow(); err != nil {
-			return reject(err)
-		}
-	}
 	if err := m.resolveOps(cs.Ops); err != nil {
 		return reject(err)
 	}
-	var d *Delta
-	var err error
-	if m.j != nil {
-		if m.gc != nil {
-			d, err = m.gc.apply(m, cs.Ops)
-		} else {
-			d, err = m.j.applyBatch(m, cs.Ops)
-		}
-	} else {
-		d, err = m.applyOpsMemory(cs.Ops)
-		if err == nil {
-			d = d.normalize()
-		}
-	}
+	d, err := m.commit(cs.Ops)
 	if err != nil {
 		return reject(err)
 	}
-	// Fold the applied delta into the maintained violation view (O(Δ);
-	// see view.go). Each group-commit writer folds its own delta, so a
-	// window's changes are folded exactly once across its writers.
-	m.foldView(d)
 	if met != nil {
 		met.batches.Inc()
 		met.countOps(cs.Ops)
@@ -242,7 +217,7 @@ func (m *Monitor) resolveOps(ops []Op) error {
 				op.Key = m.nextKey.Add(1) - 1
 			}
 		case OpDelete:
-			// Existence is stateful; checked in validateOps.
+			// Existence is stateful; checked in validateWindowReq.
 		case OpUpdate:
 			ai, ok := m.schema.Index(op.Attr)
 			if !ok {
@@ -291,226 +266,106 @@ func (m *Monitor) internOps(ops []Op) {
 	}
 }
 
-// bucketOps groups op indexes by tuple shard, preserving vector order
-// within each bucket, and returns the affected shard list in ascending
-// order (the lock-acquisition order).
-func (m *Monitor) bucketOps(ops []Op) (perShard [][]int32, shards []int) {
-	perShard = make([][]int32, m.shards)
-	for i := range ops {
-		si := shardOfTuple(ops[i].Key, m.shards)
-		if perShard[si] == nil {
-			shards = append(shards, si)
-		}
-		perShard[si] = append(perShard[si], int32(i))
-	}
-	// shards accumulated in first-touch order; sort ascending.
-	for i := 1; i < len(shards); i++ {
-		for j := i; j > 0 && shards[j] < shards[j-1]; j-- {
-			shards[j], shards[j-1] = shards[j-1], shards[j]
-		}
-	}
-	return perShard, shards
+// --- the commit queue ---
+
+// commitReq is one writer's resolved ChangeSet waiting for a window.
+type commitReq struct {
+	ops []Op
+	d   *Delta
+	err error
+	// wake receives once: true hands this writer the lead of the next
+	// window, false reports its outcome (d, err) is final. Nil for a
+	// writer that found no leader: it leads its own window at once.
+	wake chan bool
 }
 
-// validateBucket simulates one shard's ops against its live store: every
-// delete and update must target a key that exists at that point in the
-// batch. The caller holds at least a read lock on the shard.
-func (m *Monitor) validateBucket(ops []Op, idxs []int32, sh *tupleShard) error {
-	// Allocator-keyed inserts need no existence check (their keys are
-	// fresh by construction), so a pure-insert bucket (the whole of a
-	// seed load) validates in one scan with no overlay at all. Keyed
-	// inserts DO check — a caller-chosen key may collide with a live
-	// tuple, and insertLocked would silently overwrite it.
-	hasRef := false
-	for _, oi := range idxs {
-		if ops[oi].Kind != OpInsert || ops[oi].keyed {
-			hasRef = true
-			break
-		}
-	}
-	if !hasRef {
-		return nil
-	}
-	// Lazily allocated: the overlay only exists once something writes it.
-	var overlay map[int64]bool
-	exists := func(key int64) bool {
-		if v, ok := overlay[key]; ok {
-			return v
-		}
-		_, ok := sh.m[key]
-		return ok
-	}
-	set := func(key int64, live bool) {
-		if overlay == nil {
-			overlay = make(map[int64]bool, 4)
-		}
-		overlay[key] = live
-	}
-	for n, oi := range idxs {
-		// The overlay only matters to later ops in the bucket; the final
-		// op never writes it, so a single-op bucket stays allocation-free.
-		last := n == len(idxs)-1
-		op := &ops[oi]
-		switch op.Kind {
-		case OpInsert:
-			if op.keyed && exists(op.Key) {
-				return opErr(len(ops), int(oi), fmt.Errorf("incremental: tuple with key %d already exists", op.Key))
-			}
-			if !last {
-				set(op.Key, true)
-			}
-		case OpDelete:
-			if !exists(op.Key) {
-				return opErr(len(ops), int(oi), fmt.Errorf("incremental: no tuple with key %d", op.Key))
-			}
-			if !last {
-				set(op.Key, false)
-			}
-		case OpUpdate:
-			if !exists(op.Key) {
-				return opErr(len(ops), int(oi), fmt.Errorf("incremental: no tuple with key %d", op.Key))
-			}
-		}
-	}
-	return nil
+// commitQueue is the writers' way onto the writer lock (Monitor.mu).
+type commitQueue struct {
+	mu      sync.Mutex
+	pending []*commitReq
+	leading bool // a writer is committing, or about to
 }
 
-// applyBucket applies one shard's ops in vector order. The caller holds
-// the shard write lock; the ops were validated, so failures cannot
-// happen and would indicate a torn invariant.
-func (m *Monitor) applyBucket(ops []Op, idxs []int32, sh *tupleShard, d *Delta, sc *opScratch) error {
-	for _, oi := range idxs {
-		op := &ops[oi]
-		switch op.Kind {
-		case OpInsert:
-			m.insertLocked(sh, op.Key, op.ids, d, sc)
-		case OpDelete:
-			if err := m.deleteLocked(sh, op.Key, d, sc); err != nil {
-				return err
+// commit runs one resolved ChangeSet through the commit queue and
+// returns this writer's own outcome. A writer that finds no leader
+// leads: it takes the writer lock, then the whole queue as its window —
+// everything that arrived while the lock was busy (with the previous
+// window's fsync, say) rides along, so the window sizes itself to the
+// writers that actually overlap. Afterwards it hands the lead to the new
+// queue head and releases its window's followers. No goroutine, timer
+// or bound: an idle monitor's window is the one writer that arrived.
+func (m *Monitor) commit(ops []Op) (*Delta, error) {
+	req := &commitReq{ops: ops}
+	q := &m.q
+	q.mu.Lock()
+	q.pending = append(q.pending, req)
+	lead := !q.leading
+	if !lead {
+		req.wake = make(chan bool, 1)
+	}
+	q.leading = true
+	q.mu.Unlock()
+	if !lead {
+		var t0 time.Time
+		if m.met != nil {
+			t0 = time.Now()
+		}
+		if !<-req.wake {
+			if m.met != nil {
+				m.met.gcWaitSeconds.ObserveSince(t0)
 			}
-		case OpUpdate:
-			if err := m.updateLocked(sh, op.Key, op.ai, op.vid, d, sc); err != nil {
-				return err
-			}
+			return req.d, req.err
 		}
 	}
-	return nil
+	m.mu.Lock()
+	q.mu.Lock()
+	window := q.pending // req is its head: it led an empty queue or was handed the lead as head
+	q.pending = nil
+	q.mu.Unlock()
+	m.commitWindowLocked(window)
+	m.mu.Unlock()
+	q.mu.Lock()
+	if len(q.pending) > 0 {
+		q.pending[0].wake <- true
+	} else {
+		q.leading = false
+	}
+	q.mu.Unlock()
+	for _, r := range window[1:] {
+		r.wake <- false
+	}
+	return req.d, req.err
 }
 
-// parallelApplyMin is the batch size below which shard-parallel apply is
-// not worth the goroutine dispatch.
-const parallelApplyMin = 64
-
-// applyBuckets runs every shard bucket — sequentially for small batches,
-// one goroutine per affected shard for large ones — and merges the
-// per-shard deltas in ascending shard order. locked reports whether the
-// caller already holds the shard write locks (the memory path locks all
-// affected shards up front for batch atomicity; the journaled path
-// serializes writers on journal.mu instead and lets each bucket take its
-// own shard lock for just its apply pass).
-func (m *Monitor) applyBuckets(ops []Op, perShard [][]int32, shards []int, locked bool) (*Delta, error) {
-	if len(shards) == 1 || len(ops) < parallelApplyMin {
-		d := &Delta{}
-		sc := getScratch()
-		defer putScratch(sc)
-		for _, si := range shards {
-			sh := &m.tuples[si]
-			if !locked {
-				sh.mu.Lock()
+// commitWindowLocked validates, journals and applies one window. Each
+// request is validated against the store plus the effects of the
+// requests accepted before it, so one writer's bad op rejects that
+// writer, never the window. The accepted requests are journaled as ONE
+// record in window order — log order equals apply order — and then
+// applied one by one, so every writer gets its own delta. The caller
+// holds m.mu; outcomes land in each request.
+func (m *Monitor) commitWindowLocked(reqs []*commitReq) {
+	if m.j != nil {
+		if err := m.j.usable(); err != nil {
+			for _, r := range reqs {
+				r.err = err
 			}
-			err := m.applyBucket(ops, perShard[si], sh, d, sc)
-			if !locked {
-				sh.mu.Unlock()
-			}
-			if err != nil {
-				return nil, err
-			}
+			return
 		}
-		return d, nil
-	}
-	deltas := make([]Delta, len(shards))
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for wi, si := range shards {
-		wg.Add(1)
-		go func(wi, si int) {
-			defer wg.Done()
-			sc := getScratch()
-			defer putScratch(sc)
-			sh := &m.tuples[si]
-			if !locked {
-				sh.mu.Lock()
-			}
-			errs[wi] = m.applyBucket(ops, perShard[si], sh, &deltas[wi], sc)
-			if !locked {
-				sh.mu.Unlock()
-			}
-		}(wi, si)
-	}
-	wg.Wait()
-	d := &Delta{}
-	for wi := range deltas {
-		if errs[wi] != nil {
-			return nil, errs[wi]
-		}
-		d.Added = append(d.Added, deltas[wi].Added...)
-		d.Removed = append(d.Removed, deltas[wi].Removed...)
-	}
-	return d, nil
-}
-
-// singleIdx is the bucket index vector of every one-op batch.
-var singleIdx = [1]int32{0}
-
-// applySingle is the fast path shared by the one-element wrappers and
-// replay: one shard, one lock, no bucketing allocations. validate is
-// false only on the journaled path, where validateOps already ran under
-// journal.mu and nothing can have interleaved since.
-func (m *Monitor) applySingle(ops []Op, validate bool) (*Delta, error) {
-	sh := &m.tuples[shardOfTuple(ops[0].Key, m.shards)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if validate {
-		if err := m.validateBucket(ops, singleIdx[:], sh); err != nil {
-			return nil, err
-		}
-	}
-	m.internOps(ops)
-	d := &Delta{}
-	sc := getScratch()
-	defer putScratch(sc)
-	if err := m.applyBucket(ops, singleIdx[:], sh, d, sc); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// applyOpsMemory is the non-durable batch path: write-lock every
-// affected shard in ascending order, validate the whole batch, apply it
-// shard-parallel, and only then release — so a concurrent writer sees
-// either none of the batch or all of it on the shards they share, and a
-// validation failure applies nothing at all.
-func (m *Monitor) applyOpsMemory(ops []Op) (*Delta, error) {
-	if len(ops) == 1 {
-		return m.applySingle(ops, true)
 	}
 	met := m.met
-	perShard, shards := m.bucketOps(ops)
-	for _, si := range shards {
-		m.tuples[si].mu.Lock()
-	}
-	defer func() {
-		for _, si := range shards {
-			m.tuples[si].mu.Unlock()
-		}
-	}()
 	var t0 time.Time
 	if met != nil {
 		t0 = time.Now()
 	}
-	for _, si := range shards {
-		if err := m.validateBucket(ops, perShard[si], &m.tuples[si]); err != nil {
-			return nil, err
+	var overlay map[int64]bool
+	if len(reqs) > 1 {
+		overlay = make(map[int64]bool)
+	}
+	total := 0 // ops accepted; a request is accepted while its err is nil
+	for _, r := range reqs {
+		if r.err = m.validateWindowReq(r.ops, overlay); r.err == nil {
+			total += len(r.ops)
 		}
 	}
 	if met != nil {
@@ -518,38 +373,219 @@ func (m *Monitor) applyOpsMemory(ops []Op) (*Delta, error) {
 		met.validateSeconds.ObserveDuration(t1.Sub(t0))
 		t0 = t1
 	}
-	m.internOps(ops)
-	d, err := m.applyBuckets(ops, perShard, shards, true)
+	if total == 0 {
+		return
+	}
+	if m.j != nil {
+		allOps := reqs[0].ops
+		if len(reqs) > 1 {
+			allOps = make([]Op, 0, total)
+			for _, r := range reqs {
+				if r.err == nil {
+					allOps = append(allOps, r.ops...)
+				}
+			}
+		}
+		if err := m.j.log.Append(encodeOps(allOps)); err != nil {
+			// The record may or may not be on disk: poison the journal.
+			m.j.appendErr = err
+			for _, r := range reqs {
+				if r.err == nil {
+					r.err = err
+				}
+			}
+			return
+		}
+		if met != nil {
+			t1 := time.Now()
+			met.walAppendSeconds.ObserveDuration(t1.Sub(t0))
+			t0 = t1
+		}
+	}
+	writers := 0
+	for _, r := range reqs {
+		if r.err == nil {
+			r.d = m.applyLocked(r.ops)
+			writers++
+		}
+	}
 	if met != nil {
 		met.shardApplySeconds.ObserveSince(t0)
+		met.gcWindowOps.Observe(uint64(total))
+		met.gcWindowWriters.Observe(uint64(writers))
 	}
-	return d, err
+	if m.j != nil {
+		m.j.afterAppend(m, total)
+	}
 }
 
-// validateOps is the journaled single-op pre-append validation: an
-// existence check under a brief read lock. It runs under journal.mu, so
-// the outcome cannot be invalidated before the apply.
-func (m *Monitor) validateOps(ops []Op) error {
-	sh := &m.tuples[shardOfTuple(ops[0].Key, m.shards)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return m.validateBucket(ops, singleIdx[:], sh)
-}
-
-// validateShards is the batched equivalent, over buckets the caller
-// already computed (and shares with the apply pass): existence checks
-// for every bucket under brief read locks, under journal.mu.
-func (m *Monitor) validateShards(ops []Op, perShard [][]int32, shards []int) error {
-	for _, si := range shards {
-		sh := &m.tuples[si]
-		sh.mu.RLock()
-		err := m.validateBucket(ops, perShard[si], sh)
-		sh.mu.RUnlock()
-		if err != nil {
-			return err
+// validateWindowReq is the monitor's one key-existence check, for live
+// windows and replayed records alike: every delete and update must
+// target a key that exists at that point — in the store, in overlay (the
+// effects of the requests accepted before this one in its window), or
+// earlier in ops — and a keyed insert must not collide. Effects are
+// staged and merged into overlay only on success, so a rejected request
+// leaves no trace; a nil overlay means no later request will read it.
+// The caller holds m.mu, so the store is read without shard locks.
+func (m *Monitor) validateWindowReq(ops []Op, overlay map[int64]bool) error {
+	// Allocator-keyed inserts are fresh by construction: a request of
+	// nothing else, with nobody after it (a seed load), has nothing to
+	// check and nothing to stage.
+	refs := overlay != nil
+	for i := 0; i < len(ops) && !refs; i++ {
+		refs = ops[i].Kind != OpInsert || ops[i].keyed
+	}
+	if !refs {
+		return nil
+	}
+	var staged map[int64]bool
+	exists := func(key int64) bool {
+		if v, ok := staged[key]; ok {
+			return v
+		}
+		if v, ok := overlay[key]; ok {
+			return v
+		}
+		_, ok := m.tuples[shardOfTuple(key)].m[key]
+		return ok
+	}
+	set := func(key int64, live bool) {
+		if staged == nil {
+			staged = make(map[int64]bool, 4)
+		}
+		staged[key] = live
+	}
+	for i := range ops {
+		op := &ops[i]
+		switch op.Kind {
+		case OpInsert:
+			if op.keyed && exists(op.Key) {
+				return opErr(len(ops), i, fmt.Errorf("incremental: tuple with key %d already exists", op.Key))
+			}
+			set(op.Key, true)
+		case OpDelete:
+			if !exists(op.Key) {
+				return opErr(len(ops), i, fmt.Errorf("incremental: no tuple with key %d", op.Key))
+			}
+			set(op.Key, false)
+		case OpUpdate:
+			if !exists(op.Key) {
+				return opErr(len(ops), i, fmt.Errorf("incremental: no tuple with key %d", op.Key))
+			}
+		}
+	}
+	if overlay != nil {
+		for k, v := range staged {
+			overlay[k] = v
 		}
 	}
 	return nil
+}
+
+// --- the apply-and-fold step ---
+
+// tupleChange is one applied op's stored tuple before and after it (nil
+// before an insert, nil after a delete), recorded only while a
+// GroupStats consumer is attached.
+type tupleChange struct{ before, after idTuple }
+
+// parallelApplyMin is the op count below which shard-parallel apply is
+// not worth the goroutine dispatch.
+const parallelApplyMin = 64
+
+// applyLocked is the one apply-and-fold step every state change ends in:
+// a live window's requests, a recovered record, a shipped one. The ops
+// were validated under the same hold of m.mu, so nothing can fail. It
+// applies the ops — shard-parallel at parallelApplyMin ops or more —
+// then folds the net delta into the view and every attached DeltaSub,
+// and the recorded tuple changes into every attached GroupStats.
+func (m *Monitor) applyLocked(ops []Op) *Delta {
+	m.internOps(ops)
+	var moved []tupleChange
+	if len(m.stats) > 0 {
+		moved = make([]tupleChange, len(ops))
+	}
+	d := m.applyOps(ops, moved).normalize()
+	m.foldView(d)
+	for _, s := range m.subs {
+		s.fold(d)
+	}
+	for _, h := range m.stats {
+		h.fold(ops, moved)
+	}
+	return d
+}
+
+// applyOps applies ops in vector order — sequentially for small vectors,
+// one goroutine per touched tuple shard for large ones — and merges the
+// per-shard deltas in ascending shard order.
+func (m *Monitor) applyOps(ops []Op, moved []tupleChange) *Delta {
+	if len(ops) < parallelApplyMin {
+		d := &Delta{}
+		sc := getScratch()
+		defer putScratch(sc)
+		for i := range ops {
+			m.applyOp(ops, i, d, sc, moved)
+		}
+		return d
+	}
+	perShard, touched := m.bucketOps(ops)
+	deltas := make([]Delta, len(touched))
+	var wg sync.WaitGroup
+	for wi, si := range touched {
+		wg.Add(1)
+		go func(d *Delta, idxs []int32) {
+			defer wg.Done()
+			sc := getScratch()
+			defer putScratch(sc)
+			for _, i := range idxs {
+				m.applyOp(ops, int(i), d, sc, moved)
+			}
+		}(&deltas[wi], perShard[si])
+	}
+	wg.Wait()
+	d := &Delta{}
+	for wi := range deltas {
+		d.Added = append(d.Added, deltas[wi].Added...)
+		d.Removed = append(d.Removed, deltas[wi].Removed...)
+	}
+	return d
+}
+
+// applyOp applies validated op i under its tuple-shard lock, so readers
+// see whole ops, and records its tuple change when moved is non-nil.
+func (m *Monitor) applyOp(ops []Op, i int, d *Delta, sc *opScratch, moved []tupleChange) {
+	op := &ops[i]
+	sh := &m.tuples[shardOfTuple(op.Key)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	before := sh.m[op.Key]
+	switch op.Kind {
+	case OpInsert:
+		m.insertLocked(sh, op.Key, op.ids, d, sc)
+	case OpDelete:
+		m.deleteLocked(sh, op.Key, before, d, sc)
+	case OpUpdate:
+		m.updateLocked(sh, op.Key, before, op.ai, op.vid, d, sc)
+	}
+	if moved != nil {
+		moved[i] = tupleChange{before, sh.m[op.Key]}
+	}
+}
+
+// bucketOps groups op indexes by tuple shard, preserving vector order
+// within each bucket, and returns the touched shards in ascending order.
+func (m *Monitor) bucketOps(ops []Op) (perShard [][]int32, touched []int) {
+	perShard = make([][]int32, shards)
+	for i := range ops {
+		si := shardOfTuple(ops[i].Key)
+		if perShard[si] == nil {
+			touched = append(touched, si)
+		}
+		perShard[si] = append(perShard[si], int32(i))
+	}
+	sort.Ints(touched)
+	return perShard, touched
 }
 
 // --- scratch pool ---

@@ -29,9 +29,9 @@ func TestApplyRejectsPoisonedJournal(t *testing.T) {
 	}
 
 	boom := errors.New("disk went away")
-	m.j.mu.Lock()
+	m.mu.Lock()
 	m.j.appendErr = boom
-	m.j.mu.Unlock()
+	m.mu.Unlock()
 
 	poolBefore := m.vals.Len()
 	cs := (&ChangeSet{}).Insert(relation.Tuple{"a2", "b2"}).Update(0, "B", "b3")
@@ -71,7 +71,7 @@ func TestBatchKeysInterned(t *testing.T) {
 	schema := relation.MustSchema("T", relation.Attr("A"), relation.Attr("B"))
 	cfd := core.MustCFD([]string{"A"}, []string{"B"},
 		core.PatternRow{X: []core.Pattern{core.W()}, Y: []core.Pattern{core.W()}})
-	m, err := New(schema, []*core.CFD{cfd}, Options{Shards: 4})
+	m, err := New(schema, []*core.CFD{cfd}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

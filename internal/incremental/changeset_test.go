@@ -14,7 +14,7 @@ import (
 // keys in vector order, and returns the combined net delta.
 func TestApplyBatchBasics(t *testing.T) {
 	rel, sigma := custFixture(t)
-	m, err := incremental.Load(rel, sigma, incremental.Options{Shards: 4})
+	m, err := incremental.Load(rel, sigma, incremental.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestApplyEmptyAndNil(t *testing.T) {
 func TestApplyBatchSelfContained(t *testing.T) {
 	rel, sigma := custFixture(t)
 	for _, durable := range []bool{false, true} {
-		opts := incremental.Options{Shards: 4}
+		opts := incremental.Options{}
 		if durable {
 			opts.Durable = t.TempDir()
 		}
@@ -126,7 +126,7 @@ func TestApplyBatchSelfContained(t *testing.T) {
 func TestApplyBatchAllOrNothing(t *testing.T) {
 	rel, sigma := custFixture(t)
 	for _, durable := range []bool{false, true} {
-		opts := incremental.Options{Shards: 4}
+		opts := incremental.Options{}
 		if durable {
 			opts.Durable = t.TempDir()
 		}
@@ -271,11 +271,11 @@ func TestRandomBatchesMatchOracle(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(cfg.seed + 7))
 			dir := t.TempDir()
-			m, err := incremental.New(cfg.schema, cfg.sigma, incremental.Options{Shards: 4})
+			m, err := incremental.New(cfg.schema, cfg.sigma, incremental.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			md, err := incremental.New(cfg.schema, cfg.sigma, incremental.Options{Shards: 4, Durable: dir})
+			md, err := incremental.New(cfg.schema, cfg.sigma, incremental.Options{Durable: dir})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -379,7 +379,7 @@ func TestRandomBatchesMatchOracle(t *testing.T) {
 			if err := md.Close(); err != nil {
 				t.Fatal(err)
 			}
-			rec, err := incremental.New(cfg.schema, cfg.sigma, incremental.Options{Shards: 4, Durable: dir})
+			rec, err := incremental.New(cfg.schema, cfg.sigma, incremental.Options{Durable: dir})
 			if err != nil {
 				t.Fatal(err)
 			}

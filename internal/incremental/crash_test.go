@@ -42,6 +42,40 @@ func copyDir(t *testing.T, src, dst string) {
 	}
 }
 
+// TestCrashRecoveryAckedWithoutFsync: without Options.Fsync an
+// acknowledged ChangeSet has still reached the OS, so a process killed
+// right after the ack — its directory copied as it stands, with no
+// Close, Sync or snapshot — recovers it.
+func TestCrashRecoveryAckedWithoutFsync(t *testing.T) {
+	rel, sigma := custFixture(t)
+	dir := t.TempDir()
+	m, err := incremental.Load(rel, sigma, incremental.Options{Durable: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	var cs incremental.ChangeSet
+	cs.Insert(relation.Tuple{"01", "908", "1111111", "Eve", "Tree Ave.", "NYC", "07974"}).
+		Delete(2).
+		Update(0, "CT", "MH")
+	if _, err := m.Apply(&cs); err != nil {
+		t.Fatal(err)
+	}
+	img := t.TempDir()
+	copyDir(t, dir, img)
+	r, err := incremental.Open(sigma, incremental.Options{Durable: img})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, ok := r.Get(cs.Ops[0].Key); !ok || r.Len() != m.Len() {
+		t.Fatalf("recovered %d tuples (inserted key %d present: %v), want %d", r.Len(), cs.Ops[0].Key, ok, m.Len())
+	}
+	if !r.Violations().Equal(m.Violations()) {
+		t.Fatalf("recovered state diverged:\n got %v\nwant %v", describe(r.Violations()), describe(m.Violations()))
+	}
+}
+
 func TestCrashRecoveryMatchesBatchDetector(t *testing.T) {
 	cfg := streamConfigs(t)[0] // the cust / Figure 2 scenario
 	rng := rand.New(rand.NewSource(777))
@@ -50,7 +84,7 @@ func TestCrashRecoveryMatchesBatchDetector(t *testing.T) {
 	// Fsync per record keeps the on-disk segment exact after every op, so
 	// the file size after op k IS the k'th record boundary.
 	m, err := incremental.New(cfg.schema, cfg.sigma, incremental.Options{
-		Shards: 4, Durable: dir, Fsync: true,
+		Durable: dir, Fsync: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +178,7 @@ func TestCrashRecoveryMatchesBatchDetector(t *testing.T) {
 		if err := os.Truncate(filepath.Join(img, filepath.Base(segment)), cut); err != nil {
 			t.Fatal(err)
 		}
-		rec, err := incremental.New(cfg.schema, cfg.sigma, incremental.Options{Shards: 4, Durable: img})
+		rec, err := incremental.New(cfg.schema, cfg.sigma, incremental.Options{Durable: img})
 		if err != nil {
 			t.Fatalf("cut@%d: recovery failed: %v", cut, err)
 		}
@@ -200,7 +234,7 @@ func TestCrashRecoveryBatchAllOrNothing(t *testing.T) {
 	dir := t.TempDir()
 
 	m, err := incremental.New(cfg.schema, cfg.sigma, incremental.Options{
-		Shards: 4, Durable: dir, Fsync: true,
+		Durable: dir, Fsync: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -328,7 +362,7 @@ func TestCrashRecoveryBatchAllOrNothing(t *testing.T) {
 		if err := os.Truncate(filepath.Join(img, filepath.Base(segment)), cut); err != nil {
 			t.Fatal(err)
 		}
-		rec, err := incremental.New(cfg.schema, cfg.sigma, incremental.Options{Shards: 4, Durable: img})
+		rec, err := incremental.New(cfg.schema, cfg.sigma, incremental.Options{Durable: img})
 		if err != nil {
 			t.Fatalf("cut@%d: recovery failed: %v", cut, err)
 		}

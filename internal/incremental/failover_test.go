@@ -76,7 +76,7 @@ func TestFailoverPromotedMatchesOracle(t *testing.T) {
 			// Fsync per record keeps the segment size exact after every
 			// apply, so file sizes ARE record boundaries.
 			p, err := incremental.New(cfg.schema, cfg.sigma, incremental.Options{
-				Shards: 4, Durable: pdir, Fsync: true, RetainSegments: 16,
+				Durable: pdir, Fsync: true, RetainSegments: 16,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -108,7 +108,7 @@ func TestFailoverPromotedMatchesOracle(t *testing.T) {
 			budget := 1 + rng.Intn(25)
 			src := &flakySource{inner: incremental.NewMonitorSource(p), budget: budget}
 			f, err := incremental.NewFollower(ctx, cfg.sigma,
-				incremental.Options{Shards: 4, Durable: fdir},
+				incremental.Options{Durable: fdir},
 				incremental.FollowOptions{Source: src, MaxChunk: 1 + rng.Intn(256)})
 			if err != nil {
 				t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 // epoch before the gate lifts, the epoch survives restart (log replay)
 // and snapshot rolls, and chains across successive promotions.
 func TestPromotionBumpsEpochDurably(t *testing.T) {
-	p, f, _, fdir := followerFixture(t, incremental.Options{Shards: 4, RetainSegments: 4})
+	p, f, _, fdir := followerFixture(t, incremental.Options{RetainSegments: 4})
 	defer p.Close()
 	ctx := context.Background()
 
@@ -48,7 +48,7 @@ func TestPromotionBumpsEpochDurably(t *testing.T) {
 	if err := m1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := incremental.Open(m1.Sigma(), incremental.Options{Shards: 4, Durable: fdir})
+	m2, err := incremental.Open(m1.Sigma(), incremental.Options{Durable: fdir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestPromotionBumpsEpochDurably(t *testing.T) {
 	if err := m2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m3, err := incremental.Open(m1.Sigma(), incremental.Options{Shards: 4, Durable: fdir})
+	m3, err := incremental.Open(m1.Sigma(), incremental.Options{Durable: fdir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestPromotionBumpsEpochDurably(t *testing.T) {
 	// A follower of the promoted node inherits the epoch and a further
 	// promotion moves past it.
 	f2, err := incremental.NewFollower(ctx, m1.Sigma(),
-		incremental.Options{Shards: 4, Durable: t.TempDir()},
+		incremental.Options{Durable: t.TempDir()},
 		incremental.FollowOptions{Source: incremental.NewMonitorSource(m3)})
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestPromotionBumpsEpochDurably(t *testing.T) {
 // further mutation, while stamped writes at the current epoch pass.
 func TestFencedAppendsRefused(t *testing.T) {
 	rel, sigma := custFixture(t)
-	p, err := incremental.Load(rel, sigma, incremental.Options{Shards: 4, Durable: t.TempDir()})
+	p, err := incremental.Load(rel, sigma, incremental.Options{Durable: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestFencedAppendsRefused(t *testing.T) {
 // one's stream with ErrFenced (permanently: Run returns, never retries
 // or auto-promotes).
 func TestFollowerRefusesDeposedSource(t *testing.T) {
-	p, fA, _, _ := followerFixture(t, incremental.Options{Shards: 4, RetainSegments: 4})
+	p, fA, _, _ := followerFixture(t, incremental.Options{RetainSegments: 4})
 	defer p.Close()
 	ctx := context.Background()
 
@@ -180,7 +180,7 @@ func TestFollowerRefusesDeposedSource(t *testing.T) {
 	// A standby seeded from the new primary holds epoch 1.
 	fbDir := t.TempDir()
 	fB, err := incremental.NewFollower(ctx, mA.Sigma(),
-		incremental.Options{Shards: 4, Durable: fbDir},
+		incremental.Options{Durable: fbDir},
 		incremental.FollowOptions{Source: incremental.NewMonitorSource(mA)})
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ func TestFollowerRefusesDeposedSource(t *testing.T) {
 	// stale config): generations line up, the chunk fetch succeeds — and
 	// the epoch check refuses it before one forked byte applies.
 	fB2, err := incremental.NewFollower(ctx, mA.Sigma(),
-		incremental.Options{Shards: 4, Durable: fbDir},
+		incremental.Options{Durable: fbDir},
 		incremental.FollowOptions{Source: incremental.NewMonitorSource(p)})
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +225,7 @@ func TestFollowerRefusesDeposedSource(t *testing.T) {
 func TestInsertKeyed(t *testing.T) {
 	rel, sigma := custFixture(t)
 	dir := t.TempDir()
-	m, err := incremental.Load(rel, sigma, incremental.Options{Shards: 4, Durable: dir})
+	m, err := incremental.Load(rel, sigma, incremental.Options{Durable: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestInsertKeyed(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := incremental.Open(sigma, incremental.Options{Shards: 4, Durable: dir})
+	m2, err := incremental.Open(sigma, incremental.Options{Durable: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,8 +296,7 @@ func TestInsertKeyed(t *testing.T) {
 func TestInsertKeyedGroupCommit(t *testing.T) {
 	rel, sigma := custFixture(t)
 	m, err := incremental.Load(rel, sigma, incremental.Options{
-		Shards: 4, Durable: t.TempDir(),
-		GroupCommit: incremental.GroupCommit{MaxOps: 64},
+		Durable: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)

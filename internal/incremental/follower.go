@@ -472,7 +472,7 @@ func (f *Follower) isStopped() bool {
 
 // Promote flips the follower into a writable primary at the record
 // boundary it has applied: the tail loop is stopped, any in-flight chunk
-// finishes under the journal mutex, and the read-only gate lifts — from
+// finishes under the writer lock, and the read-only gate lifts — from
 // then on the monitor journals its own mutations into the same local
 // directory, which already holds exactly the applied prefix. The new
 // primary takes a fresh fencing epoch — one past the highest term it has
@@ -499,9 +499,10 @@ func (f *Follower) Promote() error {
 		target = e
 	}
 	// f.mu is held across the journaled bump: Sync's apply path takes
-	// j.mu without f.mu (and releases it before advance takes f.mu), so
-	// the order f.mu → j.mu is acyclic — and holding it means a failed
-	// bump leaves the follower un-promoted, never half-promoted.
+	// the writer lock without f.mu (and releases it before advance takes
+	// f.mu), so the order f.mu → writer lock is acyclic — and holding it
+	// means a failed bump leaves the follower un-promoted, never
+	// half-promoted.
 	if err := f.m.promoteTo(target + 1); err != nil {
 		return err
 	}

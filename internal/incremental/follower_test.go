@@ -27,7 +27,7 @@ func followerFixture(t *testing.T, popts incremental.Options) (p *incremental.Mo
 		t.Fatal(err)
 	}
 	f, err = incremental.NewFollower(context.Background(), sigma,
-		incremental.Options{Shards: 4, Durable: fdir},
+		incremental.Options{Durable: fdir},
 		incremental.FollowOptions{Source: incremental.NewMonitorSource(p)})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func sameState(t *testing.T, p, f *incremental.Monitor) {
 }
 
 func TestFollowerTailsPrimary(t *testing.T) {
-	p, f, _, fdir := followerFixture(t, incremental.Options{Shards: 4, RetainSegments: 4})
+	p, f, _, fdir := followerFixture(t, incremental.Options{RetainSegments: 4})
 	defer p.Close()
 	defer f.Close()
 	ctx := context.Background()
@@ -135,7 +135,7 @@ func TestFollowerTailsPrimary(t *testing.T) {
 // snapshot + log tail and resumes the stream at its local cursor — the
 // catch-up path E12 measures against a CSV re-seed.
 func TestFollowerRestartResumes(t *testing.T) {
-	p, f, _, fdir := followerFixture(t, incremental.Options{Shards: 4, RetainSegments: 4})
+	p, f, _, fdir := followerFixture(t, incremental.Options{RetainSegments: 4})
 	defer p.Close()
 	ctx := context.Background()
 	if _, err := f.Sync(ctx); err != nil {
@@ -153,7 +153,7 @@ func TestFollowerRestartResumes(t *testing.T) {
 	}
 
 	f2, err := incremental.NewFollower(ctx, p.Sigma(),
-		incremental.Options{Shards: 4, Durable: fdir},
+		incremental.Options{Durable: fdir},
 		incremental.FollowOptions{Source: incremental.NewMonitorSource(p)})
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestFollowerRestartResumes(t *testing.T) {
 // unrecoverable from the tail — Sync reports ErrSegmentGone and a
 // Resync rebuild re-seeds from the current snapshot.
 func TestFollowerResync(t *testing.T) {
-	p, f, _, fdir := followerFixture(t, incremental.Options{Shards: 4}) // retain nothing
+	p, f, _, fdir := followerFixture(t, incremental.Options{}) // retain nothing
 	defer p.Close()
 	ctx := context.Background()
 	if _, err := f.Sync(ctx); err != nil {
@@ -198,7 +198,7 @@ func TestFollowerResync(t *testing.T) {
 	}
 
 	f2, err := incremental.NewFollower(ctx, p.Sigma(),
-		incremental.Options{Shards: 4, Durable: fdir},
+		incremental.Options{Durable: fdir},
 		incremental.FollowOptions{Source: incremental.NewMonitorSource(p)})
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestFollowerResync(t *testing.T) {
 	}
 
 	f3, err := incremental.NewFollower(ctx, p.Sigma(),
-		incremental.Options{Shards: 4, Durable: fdir},
+		incremental.Options{Durable: fdir},
 		incremental.FollowOptions{Source: incremental.NewMonitorSource(p), Resync: true})
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestFollowerResync(t *testing.T) {
 // applied boundary; the promoted node journals its own writes and a
 // restart of its directory recovers them.
 func TestFollowerPromote(t *testing.T) {
-	p, f, _, fdir := followerFixture(t, incremental.Options{Shards: 4, RetainSegments: 4})
+	p, f, _, fdir := followerFixture(t, incremental.Options{RetainSegments: 4})
 	ctx := context.Background()
 	if _, err := f.Sync(ctx); err != nil {
 		t.Fatal(err)
@@ -265,7 +265,7 @@ func TestFollowerPromote(t *testing.T) {
 	}
 
 	// The promoted directory is a normal primary directory now.
-	reborn, err := incremental.New(fm.Schema(), fm.Sigma(), incremental.Options{Shards: 4, Durable: fdir})
+	reborn, err := incremental.New(fm.Schema(), fm.Sigma(), incremental.Options{Durable: fdir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestFollowerPromote(t *testing.T) {
 // refuse promotion rather than acknowledge a flip that cannot serve a
 // single write.
 func TestFollowerClosedRefusesPromote(t *testing.T) {
-	p, f, _, _ := followerFixture(t, incremental.Options{Shards: 4, RetainSegments: 4})
+	p, f, _, _ := followerFixture(t, incremental.Options{RetainSegments: 4})
 	defer p.Close()
 	if _, err := f.Sync(context.Background()); err != nil {
 		t.Fatal(err)
@@ -307,12 +307,12 @@ func TestFollowerClosedRefusesPromote(t *testing.T) {
 func TestFollowerAutoPromote(t *testing.T) {
 	ctx := context.Background()
 	rel, sigma := custFixture(t)
-	p, err := incremental.Load(rel, sigma, incremental.Options{Shards: 4, Durable: t.TempDir(), RetainSegments: 4})
+	p, err := incremental.Load(rel, sigma, incremental.Options{Durable: t.TempDir(), RetainSegments: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g, err := incremental.NewFollower(ctx, sigma,
-		incremental.Options{Shards: 4, Durable: t.TempDir()},
+		incremental.Options{Durable: t.TempDir()},
 		incremental.FollowOptions{
 			Source:       incremental.NewMonitorSource(p),
 			PollInterval: 5 * time.Millisecond,
@@ -365,13 +365,13 @@ func (s respondingSource) Chunk(ctx context.Context, seq uint64, offset int64, m
 func TestFollowerNoAutoPromoteOnLivePrimary(t *testing.T) {
 	ctx := context.Background()
 	rel, sigma := custFixture(t)
-	p, err := incremental.Load(rel, sigma, incremental.Options{Shards: 4, Durable: t.TempDir(), RetainSegments: 4})
+	p, err := incremental.Load(rel, sigma, incremental.Options{Durable: t.TempDir(), RetainSegments: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 	g, err := incremental.NewFollower(ctx, sigma,
-		incremental.Options{Shards: 4, Durable: t.TempDir()},
+		incremental.Options{Durable: t.TempDir()},
 		incremental.FollowOptions{
 			Source:       respondingSource{inner: incremental.NewMonitorSource(p)},
 			PollInterval: time.Millisecond,
@@ -395,7 +395,7 @@ func TestFollowerNoAutoPromoteOnLivePrimary(t *testing.T) {
 // loop and follower-side readers; after the writers quiesce the follower
 // must converge to the primary's exact state.
 func TestFollowerConcurrentStream(t *testing.T) {
-	p, f, _, _ := followerFixture(t, incremental.Options{Shards: 4, RetainSegments: 8, SnapshotEvery: 50})
+	p, f, _, _ := followerFixture(t, incremental.Options{RetainSegments: 8, SnapshotEvery: 50})
 	defer p.Close()
 	defer f.Close()
 	ctx, cancel := context.WithCancel(context.Background())

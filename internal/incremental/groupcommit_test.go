@@ -5,25 +5,22 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/incremental"
 	"repro/internal/relation"
 )
 
-// gcOptions returns durable options with group commit enabled in the
-// self-tuning configuration (no deliberate delay, op-bounded windows).
+// gcOptions returns durable, fsynced options; every monitor runs its
+// writers through the commit window.
 func gcOptions(dir string) incremental.Options {
 	return incremental.Options{
-		Durable:     dir,
-		Fsync:       true,
-		GroupCommit: incremental.GroupCommit{MaxOps: 8},
+		Durable: dir,
+		Fsync:   true,
 	}
 }
 
-// TestGroupCommitSingleWriter: with no concurrency a window holds one
-// writer, and the monitor must behave exactly like the plain journaled
-// path — same deltas, same state, same recovery.
+// TestGroupCommitSingleWriter: with no concurrency every window holds
+// one writer, and recovery must land on exactly the live state.
 func TestGroupCommitSingleWriter(t *testing.T) {
 	rel, sigma := custFixture(t)
 	dir := t.TempDir()
@@ -185,9 +182,6 @@ func TestGroupCommitPerWriterRejection(t *testing.T) {
 	dir := t.TempDir()
 	opts := gcOptions(dir)
 	opts.Fsync = false
-	// A deliberate delay widens the windows so valid and invalid writers
-	// actually share them.
-	opts.GroupCommit = incremental.GroupCommit{MaxDelay: 2 * time.Millisecond, MaxOps: 64}
 	m, err := incremental.Load(rel, sigma, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,7 @@ func TestIDGroupingMatchesStringGrouping(t *testing.T) {
 
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		m, err := incremental.New(schema, sigma, incremental.Options{Shards: 4})
+		m, err := incremental.New(schema, sigma, incremental.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

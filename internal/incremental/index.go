@@ -14,7 +14,7 @@ import (
 // group and constant-violation stores. The tableau-free generalization of
 // the group index — per-X-group support and Y-value distributions for
 // arbitrary attribute pairs, feeding the streaming CFD miner — lives in
-// stats.go on the same sharding substrate.
+// stats.go, folded from the same apply step.
 //
 // Everything here speaks value IDs (relation.Interner.ID): tuples are
 // stored as []uint32 columns, tableau constants are resolved to IDs once
@@ -186,11 +186,11 @@ type tupleShard struct {
 // with relation.HashIDs over the unpacked vector (see the invariant in
 // relation/idcol.go): the hot path routes on HashIDs of the projection,
 // while snapshot recovery re-derives the shard from the packed key here.
-func shardOfKey(s string, n int) int {
-	return int(relation.Hash(s) % uint32(n))
+func shardOfKey(s string) int {
+	return int(relation.Hash(s) % shards)
 }
 
 // shardOfTuple maps a tuple key to a shard index.
-func shardOfTuple(key int64, n int) int {
-	return int(uint64(key) % uint64(n))
+func shardOfTuple(key int64) int {
+	return int(uint64(key) % shards)
 }

@@ -20,21 +20,15 @@ import (
 // Options.SnapshotEvery records, and startup recovers the latest snapshot
 // plus the log tail instead of re-evaluating Σ over every tuple.
 //
-// The journal serializes batches with one mutex — the invariant is that
-// WAL log order equals apply order, so replaying the log rebuilds the
-// exact pre-crash state; see the locking notes in monitor.go. The
-// critical section is as narrow as that invariant allows: validation and
-// the single append run strictly ordered under journal.mu, and the
-// in-memory apply of the batch then fans out shard-parallel while still
-// inside it (per-key ordering is preserved because a key's ops land in
-// one shard bucket, applied in vector order). Readers (Violations,
-// Satisfied, Get, ...) are untouched: they still run against the
-// lock-sharded indexes concurrently with a journaled writer, and never
-// wait on the append or the fsync. The write path gives up cross-batch
-// multi-writer parallelism for durability; the WAL append (and fsync,
-// when enabled) dominates the cost of a journaled write anyway, as E9
-// and E10 measure — which is exactly why a ChangeSet, journaled as ONE
-// record with ONE fsync, beats the same ops applied one at a time.
+// The journal has no lock of its own: every field is guarded by the
+// monitor's writer lock (Monitor.mu), which every state change holds, so
+// WAL log order equals apply order and replaying the log rebuilds the
+// exact pre-crash state; see the locking notes in monitor.go. The commit
+// window appends one record per window (changeset.go); recovery replay
+// and follower replication decode records back into ops and run them
+// through the same validator and apply step, minus the append. Readers
+// (Violations, Satisfied, Get, ...) never wait on the append or the
+// fsync: they run against the lock-sharded indexes.
 
 // errClosed reports a mutation against a closed durable monitor.
 var errClosed = errors.New("incremental: monitor journal is closed")
@@ -82,10 +76,9 @@ const (
 	opEpoch  = 5
 )
 
-// journal is the durable state attached to a Monitor.
+// journal is the durable state attached to a Monitor; the monitor's
+// writer lock guards all of it.
 type journal struct {
-	// mu serializes append+apply pairs; index shard locks nest under it.
-	mu        sync.Mutex
 	dir       string
 	fsync     bool
 	snapEvery int
@@ -208,11 +201,13 @@ func attachJournal(m *Monitor, opts Options, seed *relation.Relation) error {
 		// afterAppend counts it), so the snapshot cadence survives a
 		// crash-recovery cycle: replay accumulates ops, not records.
 		ops := 0
+		m.mu.Lock()
 		_, validLen, torn, err := wal.Replay(logPath, func(p []byte) error {
-			n, err := m.applyRecordN(p)
+			n, err := m.replayLocked(p)
 			ops += n
 			return err
 		})
+		m.mu.Unlock()
 		if err != nil {
 			return err
 		}
@@ -244,7 +239,7 @@ func attachJournal(m *Monitor, opts Options, seed *relation.Relation) error {
 // --- the write path ---
 
 // usable errors a mutation when the journal is closed or poisoned; it
-// runs under j.mu.
+// runs under the writer lock.
 func (j *journal) usable() error {
 	if j.closed {
 		return errClosed
@@ -253,82 +248,6 @@ func (j *journal) usable() error {
 		return fmt.Errorf("incremental: journal failed, snapshot or restart to recover: %w", j.appendErr)
 	}
 	return nil
-}
-
-// usableNow is the pre-resolution fast reject: a poisoned or closed
-// journal refuses a ChangeSet before any keys are burned or tuples
-// cloned. Advisory only — applyBatch re-checks under the same mutex it
-// appends under.
-func (j *journal) usableNow() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.usable()
-}
-
-// applyBatch journals a resolved ChangeSet as one record and applies it.
-// Validation (key existence, simulated through the batch prefix) runs
-// under j.mu before the append, so only applicable records reach the
-// log; the in-memory apply then fans out shard-parallel — still under
-// j.mu, preserving log order == apply order against other batches.
-func (j *journal) applyBatch(m *Monitor, ops []Op) (*Delta, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.usable(); err != nil {
-		return nil, err
-	}
-	met := m.met
-	var t0 time.Time
-	if met != nil {
-		t0 = time.Now()
-	}
-	// Buckets are computed once and shared by validation and apply; the
-	// one-element wrappers skip bucketing entirely.
-	var perShard [][]int32
-	var shards []int
-	if len(ops) == 1 {
-		if err := m.validateOps(ops); err != nil {
-			return nil, err
-		}
-	} else {
-		perShard, shards = m.bucketOps(ops)
-		if err := m.validateShards(ops, perShard, shards); err != nil {
-			return nil, err
-		}
-	}
-	if met != nil {
-		t1 := time.Now()
-		met.validateSeconds.ObserveDuration(t1.Sub(t0))
-		t0 = t1
-	}
-	if err := j.log.Append(encodeOps(ops)); err != nil {
-		j.appendErr = err
-		return nil, err
-	}
-	if met != nil {
-		t1 := time.Now()
-		met.walAppendSeconds.ObserveDuration(t1.Sub(t0))
-		t0 = t1
-	}
-	var d *Delta
-	var err error
-	if len(ops) == 1 {
-		d, err = m.applySingle(ops, false)
-	} else {
-		m.internOps(ops)
-		d, err = m.applyBuckets(ops, perShard, shards, false)
-	}
-	if met != nil {
-		met.shardApplySeconds.ObserveSince(t0)
-	}
-	if err != nil {
-		// Unreachable after validation; if the invariant ever tears, the
-		// in-memory state no longer matches the log — poison the journal
-		// rather than serve the divergence.
-		j.appendErr = err
-		return nil, err
-	}
-	j.afterAppend(m, len(ops))
-	return d.normalize(), nil
 }
 
 // encodeOps encodes a batch as one WAL payload: single ops keep the
@@ -359,12 +278,12 @@ func encodeOp(op Op) []byte {
 	}
 }
 
-// afterAppend runs under j.mu: counts the journaled ops and kicks the
-// background snapshotter once the segment outgrows the threshold (the
-// cadence counts mutations, so a 1000-op batch advances it by 1000, not
-// by one record). The snapshot runs in its own goroutine (single-flight)
-// and takes j.mu itself, so it briefly quiesces writers while the state
-// image is serialized.
+// afterAppend runs under the writer lock: counts the journaled ops and
+// kicks the background snapshotter once the segment outgrows the
+// threshold (the cadence counts mutations, so a 1000-op batch advances
+// it by 1000, not by one record). The snapshot runs in its own goroutine
+// (single-flight) and takes the writer lock itself, so it briefly
+// quiesces writers while the state image is serialized.
 func (j *journal) afterAppend(m *Monitor, n int) {
 	j.records += n
 	if j.snapEvery > 0 && j.records >= j.snapEvery && j.records >= j.retryAt &&
@@ -383,8 +302,8 @@ func (j *journal) afterAppend(m *Monitor, n int) {
 // ForceSnapshot — is recorded in lastSnapErr for JournalStats, so a
 // stale failure never outlives a later successful snapshot.
 func (j *journal) snapshot(m *Monitor) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if j.closed {
 		return errClosed
 	}
@@ -502,22 +421,14 @@ func encodeUpdate(key int64, ai int, val relation.Value) []byte {
 	return append(buf, val...)
 }
 
-// applyRecordN replays one WAL record onto the monitor, returning how
-// many mutations it carried (1, or a batch's op count). Records were
-// validated before they were appended, so application errors mean the
-// directory does not belong to this schema/Σ. A batch record recurses
-// over its sub-payloads — the record CRC already guarantees the vector
-// is whole, so replay never sees part of a batch.
-func (m *Monitor) applyRecordN(payload []byte) (int, error) {
-	if len(payload) > 0 && payload[0] == opBatch {
-		total := 0
-		err := wal.DecodeBatch(payload[1:], func(sub []byte) error {
-			n, err := m.applyRecordN(sub)
-			total += n
-			return err
-		})
-		return total, err
-	}
+// replayLocked applies one journaled record — a recovered log tail's or
+// a shipped chunk's — through the live window's validator and
+// apply-and-fold step, minus the append, and returns how many mutations
+// it carried (a batch record's op count). Records were validated before
+// they were appended, so an error means the directory does not belong
+// to this schema/Σ. The record CRC already guarantees a batch is whole,
+// so replay never sees part of one. The caller holds m.mu.
+func (m *Monitor) replayLocked(payload []byte) (int, error) {
 	if len(payload) > 0 && payload[0] == opEpoch {
 		// Fencing marker: no mutation, just the term the rest of the
 		// segment is written under. Epochs only grow along a log, but
@@ -532,61 +443,52 @@ func (m *Monitor) applyRecordN(payload []byte) (int, error) {
 		}
 		return 0, nil
 	}
-	return 1, m.applyRecord(payload)
-}
-
-// applyRecord replays one single-op record.
-func (m *Monitor) applyRecord(payload []byte) error {
-	d := &dec{s: string(payload)}
-	op := d.byte()
-	key := int64(d.uvarint())
-	switch op {
-	case opInsert:
-		vals := d.strs(m.schema.Len())
-		if d.err != nil {
-			return d.err
-		}
-		if err := m.replayOp(Op{Kind: OpInsert, Key: key, owned: relation.Tuple(vals)}); err != nil {
-			return fmt.Errorf("incremental: replaying insert: %w", err)
-		}
-		if nk := key + 1; nk > m.nextKey.Load() {
+	var ops []Op
+	var err error
+	if len(payload) > 0 && payload[0] == opBatch {
+		err = wal.DecodeBatch(payload[1:], func(sub []byte) error {
+			op, err := m.decodeOp(sub)
+			ops = append(ops, op)
+			return err
+		})
+	} else {
+		ops = make([]Op, 1)
+		ops[0], err = m.decodeOp(payload)
+	}
+	if err == nil {
+		err = m.validateWindowReq(ops, nil)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("incremental: replaying record: %w", err)
+	}
+	for i := range ops {
+		if nk := ops[i].Key + 1; ops[i].Kind == OpInsert && nk > m.nextKey.Load() {
 			m.nextKey.Store(nk)
 		}
-	case opDelete:
-		if d.err != nil {
-			return d.err
-		}
-		if err := m.replayOp(Op{Kind: OpDelete, Key: key}); err != nil {
-			return fmt.Errorf("incremental: replaying delete: %w", err)
-		}
-	case opUpdate:
-		ai := int(d.uvarint())
-		val := d.str()
-		if d.err != nil {
-			return d.err
-		}
-		if ai >= m.schema.Len() {
-			return fmt.Errorf("incremental: replaying update: attribute index %d out of range", ai)
-		}
-		if err := m.replayOp(Op{Kind: OpUpdate, Key: key, ai: ai, Value: val}); err != nil {
-			return fmt.Errorf("incremental: replaying update: %w", err)
-		}
-	default:
-		return fmt.Errorf("incremental: unknown WAL op %d", op)
 	}
-	return nil
+	m.applyLocked(ops)
+	return len(ops), nil
 }
 
-// replayOp applies one already-decoded record op through the same
-// validated batch path live mutations use, folding its delta into the
-// maintained view — this covers both recovery replay and the follower's
-// replication apply, which bypass the public Apply.
-func (m *Monitor) replayOp(op Op) error {
-	d, err := m.applyOpsMemory([]Op{op})
-	if err == nil {
-		m.foldView(d)
+// decodeOp decodes one single-op payload into an op ready for
+// validation. A journaled insert carries its key, so it decodes as keyed:
+// a collision with a live tuple reads as corruption, not an overwrite.
+func (m *Monitor) decodeOp(payload []byte) (Op, error) {
+	d := &dec{s: string(payload)}
+	op := Op{Kind: OpKind(d.byte()), Key: int64(d.uvarint())}
+	switch op.Kind {
+	case OpInsert:
+		op.owned, op.keyed = d.strs(m.schema.Len()), true
+	case OpDelete:
+	case OpUpdate:
+		op.ai, op.Value = int(d.uvarint()), d.str()
+		if d.err == nil && op.ai >= m.schema.Len() {
+			return op, fmt.Errorf("incremental: update attribute index %d out of range", op.ai)
+		}
+	default:
+		return op, fmt.Errorf("incremental: unknown WAL op %d", op.Kind)
 	}
-	return err
+	return op, d.err
 }
 
 // --- surface ---
@@ -610,7 +512,7 @@ func (m *Monitor) ForceSnapshot() error {
 	return m.j.snapshot(m)
 }
 
-// Close flushes and syncs the journal; further mutations error. It is a
+// Close syncs and closes the journal; further mutations error. It is a
 // no-op for a non-durable monitor. Close does not snapshot — callers that
 // want the fastest next boot call ForceSnapshot first.
 func (m *Monitor) Close() error {
@@ -618,8 +520,8 @@ func (m *Monitor) Close() error {
 		return nil
 	}
 	j := m.j
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if j.closed {
 		return nil
 	}
@@ -655,8 +557,8 @@ func (m *Monitor) JournalStats() JournalStats {
 		return JournalStats{}
 	}
 	j := m.j
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	st := JournalStats{
 		Durable:        true,
 		Dir:            j.dir,

@@ -22,24 +22,24 @@ import (
 type monMetrics struct {
 	reg *obs.Registry
 
-	// Apply pipeline (changeset.go, journal.go).
+	// Apply pipeline (changeset.go).
 	opsInsert, opsDelete, opsUpdate *obs.Counter
 	batches, rejected               *obs.Counter
 	fencedRejected                  *obs.Counter
 	applySeconds                    *obs.Histogram // whole Apply, all modes
-	validateSeconds                 *obs.Histogram // batch validation stage
+	validateSeconds                 *obs.Histogram // window validation stage
 	walAppendSeconds                *obs.Histogram // journal append incl. fsync
-	shardApplySeconds               *obs.Histogram // sharded in-memory apply
+	shardApplySeconds               *obs.Histogram // in-memory apply + folds
 	violationsAdded                 *obs.Counter
 	violationsRemoved               *obs.Counter
 
 	// Maintained violation view (view.go).
 	viewRebuilds *obs.Counter
 
-	// Group commit (groupcommit.go).
-	gcWindowOps     *obs.Histogram // ops journaled per commit window
-	gcWindowWriters *obs.Histogram // writers coalesced per commit window
-	gcWaitSeconds   *obs.Histogram // follower wait for the leader's fsync
+	// Commit queue (changeset.go), under the cfd_group_commit_* names.
+	gcWindowOps     *obs.Histogram // ops committed per window
+	gcWindowWriters *obs.Histogram // writers coalesced per window
+	gcWaitSeconds   *obs.Histogram // follower wait for its leader's commit
 
 	// Journal rotation (journal.go).
 	snapshotSeconds *obs.Histogram // WriteSnapshot alone
@@ -60,23 +60,23 @@ func newMonMetrics(reg *obs.Registry) *monMetrics {
 	mm.rejected = reg.Counter("cfd_apply_rejected_total", "ChangeSets refused before applying (validation failure, read-only follower, poisoned journal).")
 	mm.fencedRejected = reg.Counter("cfd_fenced_appends_total", "Mutations refused because the node is fenced (a higher-epoch primary exists).")
 	mm.applySeconds = reg.DurationHistogram("cfd_apply_seconds", "End-to-end Monitor.Apply latency per ChangeSet.")
-	mm.validateSeconds = reg.DurationHistogram("cfd_apply_validate_seconds", "Batch validation stage: arity/domain/key-existence checks.")
-	mm.walAppendSeconds = reg.DurationHistogram("cfd_apply_wal_append_seconds", "WAL append stage per batch, including the fsync when enabled.")
-	mm.shardApplySeconds = reg.DurationHistogram("cfd_apply_shard_seconds", "Sharded in-memory apply stage per batch.")
+	mm.validateSeconds = reg.DurationHistogram("cfd_apply_validate_seconds", "Key-existence validation stage per commit window.")
+	mm.walAppendSeconds = reg.DurationHistogram("cfd_apply_wal_append_seconds", "WAL append stage per commit window, including the fsync when enabled.")
+	mm.shardApplySeconds = reg.DurationHistogram("cfd_apply_shard_seconds", "In-memory apply and consumer fold stage per commit window.")
 	mm.violationsAdded = reg.Counter("cfd_violations_added_total", "Violations that appeared, summed over apply deltas.")
 	mm.violationsRemoved = reg.Counter("cfd_violations_removed_total", "Violations that were retired, summed over apply deltas.")
 	mm.viewRebuilds = reg.Counter("cfd_violations_view_rebuilds_total", "Lazy materializations of the violation view (at most one per view version).")
-	mm.gcWindowOps = reg.Histogram("cfd_group_commit_window_ops", "Ops journaled per group-commit window (one WAL record, one fsync).")
-	mm.gcWindowWriters = reg.Histogram("cfd_group_commit_window_writers", "Concurrent writers coalesced per group-commit window.")
-	mm.gcWaitSeconds = reg.DurationHistogram("cfd_group_commit_wait_seconds", "Time a window follower waits for its leader's append and fsync.")
+	mm.gcWindowOps = reg.Histogram("cfd_group_commit_window_ops", "Ops committed per commit window (one WAL record and at most one fsync when durable).")
+	mm.gcWindowWriters = reg.Histogram("cfd_group_commit_window_writers", "Concurrent writers coalesced per commit window.")
+	mm.gcWaitSeconds = reg.DurationHistogram("cfd_group_commit_wait_seconds", "Time a window follower waits for its leader's validate, append, fsync and apply.")
 
 	mm.snapshotSeconds = reg.DurationHistogram("cfd_wal_snapshot_seconds", "Time to serialize and durably write one full-state snapshot.")
 	mm.rollSeconds = reg.DurationHistogram("cfd_wal_segment_roll_seconds", "Time for one whole generation roll: segment sync, snapshot, fresh segment, GC.")
 	mm.snapshots = reg.Counter("cfd_wal_snapshots_total", "Completed generation rolls (snapshot + fresh segment).")
 
 	mm.logStats = wal.LogStats{
-		AppendSeconds: reg.DurationHistogram("cfd_wal_append_seconds", "Time to frame and buffer one WAL record (fsync excluded)."),
-		SyncSeconds:   reg.DurationHistogram("cfd_wal_fsync_seconds", "Time to flush and fsync the WAL segment."),
+		AppendSeconds: reg.DurationHistogram("cfd_wal_append_seconds", "Time to frame and write one WAL record (fsync excluded)."),
+		SyncSeconds:   reg.DurationHistogram("cfd_wal_fsync_seconds", "Time to fsync the WAL segment."),
 		Records:       reg.Counter("cfd_wal_records_total", "Records appended to the WAL."),
 		Bytes:         reg.Counter("cfd_wal_append_bytes_total", "Bytes appended to the WAL, framing included."),
 	}

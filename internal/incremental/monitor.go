@@ -13,9 +13,7 @@
 //
 // Every mutation flows through one batched path: Apply takes a ChangeSet
 // (an ordered vector of insert/delete/update ops), and the single-op
-// Insert, Delete and Update are one-element wrappers over it. A batch is
-// bucketed by tuple shard and each affected shard is visited once, under
-// a single lock acquisition, with disjoint shards applied in parallel.
+// Insert, Delete and Update are one-element wrappers over it.
 //
 // State is stored as dense value-ID columns: every distinct value is
 // interned once (relation.Interner) and handed a uint32 ID, tuples are
@@ -26,33 +24,28 @@
 // both). Strings reappear only at API boundaries (Get, Violations,
 // deltas), materialized through the interner.
 //
-// Internally every index is sharded by hash with per-shard read/write
-// locks. A mutation holds its tuple-shard lock for the whole operation (so
-// two writers hitting the same key serialize as whole operations) and
-// acquires index shard locks one at a time underneath it; concurrent
-// readers (Violations, Satisfied, Len) never wait longer than one shard,
-// and operations on different tuple shards proceed in parallel. A
-// memory-only batch write-locks its affected shards in ascending order
-// (keeping the lock graph acyclic) for the whole batch, so batches are
-// atomic against concurrent writers.
+// The monitor is a single-writer state machine. Monitor.mu, the writer
+// lock, is held by every state change — live Apply on memory and durable
+// monitors, recovery replay, a follower's replication, promotion,
+// snapshot rolls and consumer attach/detach — so state changes are
+// totally ordered, and in durable mode WAL log order equals apply order,
+// which is what makes replay rebuild the exact pre-crash state. Writers
+// reach the lock through the commit queue (changeset.go): a writer that
+// finds no leader takes the lock and commits everything queued behind it
+// as one window — one validation pass, one WAL record, one fsync — while
+// every writer still gets its own outcome and its own delta. Inside a
+// window, a vector of parallelApplyMin ops or more applies shard-parallel
+// across the tuple shards; per-key order survives because one key's ops
+// land in one shard bucket, applied in vector order.
 //
-// Durable mode adds one invariant on top: journal.mu serializes batches
-// so that WAL log order equals apply order — that equality is what makes
-// log replay rebuild the exact pre-crash state. The critical section is
-// no wider than the invariant requires: validation and the single
-// record append (one fsync per batch) run strictly ordered under
-// journal.mu, and the in-memory apply then fans out shard-parallel while
-// still inside it; per-key ordering survives because one key's ops land
-// in one shard bucket, applied in vector order. The randomized property
-// tests replay long mixed update streams — single ops and batches — and
-// cross-check the live set against a fresh detect.Direct run after every
-// step.
-//
-// Options.GroupCommit stacks batch economics onto unbatched traffic:
-// concurrent single-op writers are coalesced into one WAL record and one
-// fsync per commit window by a leader-based protocol (see groupcommit.go)
-// — each writer still gets its own validation outcome and its own delta,
-// and shares the leader's fsync for durability.
+// Readers never take the writer lock. Every index is sharded by hash
+// with per-shard read/write locks: the apply holds an op's tuple-shard
+// lock across the store write and its index maintenance, and takes index
+// shard locks one at a time underneath it, so readers (Violations,
+// Satisfied, Get, ViolationsFor) wait at most one op on one shard. The
+// randomized property tests replay long mixed update streams — single
+// ops and batches — and cross-check the live set against a fresh
+// detect.Direct run after every step.
 //
 // With Options.Durable set, the monitor becomes a persistent node: every
 // mutation is appended to a write-ahead change log (internal/wal) before
@@ -68,6 +61,7 @@ package incremental
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -78,11 +72,6 @@ import (
 
 // Options configures a Monitor.
 type Options struct {
-	// Shards is the number of lock shards per index; 0 means the default
-	// (16). More shards reduce contention under concurrent writers at the
-	// cost of a little memory.
-	Shards int
-
 	// Durable, when non-empty, is a directory the monitor journals to: a
 	// write-ahead change log records every mutation before it is applied,
 	// and snapshots of the full state (tuples, group indexes, live
@@ -91,19 +80,13 @@ type Options struct {
 	// replay — instead of starting from the given seed.
 	Durable string
 
-	// Fsync, in durable mode, fsyncs the log after every record: an
-	// acknowledged mutation then survives OS crash and power loss, at the
-	// cost of one disk sync per write. Without it records are buffered and
-	// reach the OS on snapshot, Close, or when the buffer fills — a crash
-	// can lose the unflushed tail, never the acknowledged prefix on disk.
+	// Fsync, in durable mode, fsyncs the log after every commit window:
+	// an acknowledged mutation then survives OS crash and power loss, at
+	// the cost of one disk sync per window. Without it every acknowledged
+	// record has still reached the OS in one write(2) before the ack, so
+	// it survives the process dying (kill -9, panic, OOM); only an OS
+	// crash or power loss can lose the unsynced tail.
 	Fsync bool
-
-	// GroupCommit, in durable mode, coalesces concurrent writers into
-	// shared commit windows: one WAL record and one fsync per window
-	// instead of per ChangeSet. The zero value disables it; see the
-	// GroupCommit type for the window knobs. Ignored without Durable —
-	// a memory-only monitor has no fsync to amortize.
-	GroupCommit GroupCommit
 
 	// SnapshotEvery, in durable mode, rolls a background snapshot after
 	// this many journaled records, truncating the log. 0 disables
@@ -140,7 +123,9 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-const defaultShards = 16
+// shards is the lock-shard count of every index: the tuple store, the
+// per-CFD group and constant-violation stores.
+const shards = 16
 
 // cfdState is the per-CFD live state: the static tableau index plus the
 // sharded group and constant-violation stores.
@@ -154,8 +139,8 @@ type cfdState struct {
 	groups []groupShard
 	consts []constShard
 	// violations counts this CFD's live violations (constant-violating
-	// tuples plus violating groups); maintained under the shard locks,
-	// read lock-free by Satisfied.
+	// tuples plus violating groups); maintained by the apply, read
+	// lock-free by Satisfied.
 	violations atomic.Int64
 }
 
@@ -164,7 +149,6 @@ type cfdState struct {
 type Monitor struct {
 	schema *relation.Schema
 	sigma  []*core.CFD
-	shards int
 
 	nextKey atomic.Int64
 	size    atomic.Int64
@@ -183,23 +167,26 @@ type Monitor struct {
 	// instead of allocating it per mutation.
 	vals, keys *relation.Interner
 
-	// statsState anchors the group-statistics subscriptions (TrackGroups;
-	// see stats.go) — the generalized, tableau-free form of the group
-	// indexes, maintained from the same apply path.
-	statsState
-
 	// met holds the pre-registered metric handles; nil when built with
 	// obs.Disabled(), which every timing site checks before touching
 	// the clock.
 	met *monMetrics
 
+	// mu is the writer lock, held by every state change (see the package
+	// comment); q is the commit queue writers reach it through. The
+	// journal, the attached consumers and every store write are guarded
+	// by mu.
+	mu sync.Mutex
+	q  commitQueue
+
 	// j is the durable journal; nil for a memory-only monitor.
 	j *journal
 
-	// gc is the group-commit window (nil when disabled); Apply routes
-	// journaled ChangeSets through it so concurrent writers share one
-	// WAL record and fsync. See groupcommit.go.
-	gc *committer
+	// subs and stats are the attached consumers: violation-delta
+	// subscriptions (subscribe.go) and group statistics (stats.go),
+	// folded after every apply under mu.
+	subs  []*DeltaSub
+	stats []*GroupStats
 
 	// readOnly gates the public mutation surface while the monitor
 	// follows a primary's WAL stream (see follower.go): Apply and
@@ -244,10 +231,6 @@ func New(schema *relation.Schema, sigma []*core.CFD, opts Options) (*Monitor, er
 
 // build constructs the in-memory monitor without any journal wiring.
 func build(schema *relation.Schema, sigma []*core.CFD, opts Options) (*Monitor, error) {
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = defaultShards
-	}
 	vals := opts.Intern
 	if vals == nil {
 		vals = relation.NewInterner()
@@ -255,7 +238,6 @@ func build(schema *relation.Schema, sigma []*core.CFD, opts Options) (*Monitor, 
 	m := &Monitor{
 		schema:   schema,
 		sigma:    sigma,
-		shards:   shards,
 		tuples:   make([]tupleShard, shards),
 		attrCFDs: make([][]int, schema.Len()),
 		vals:     vals,
@@ -297,9 +279,6 @@ func build(schema *relation.Schema, sigma []*core.CFD, opts Options) (*Monitor, 
 		}
 	}
 	m.view.init(len(sigma))
-	if opts.GroupCommit.enabled() {
-		m.gc = newCommitter(opts.GroupCommit)
-	}
 	reg := opts.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -394,14 +373,6 @@ func (m *Monitor) checkTuple(t relation.Tuple) error {
 
 // Insert adds a tuple, returning its stable key and the violation delta.
 // It is a one-element ChangeSet over the batched Apply path.
-//
-// Every mutation holds its tuple-shard lock across both the store write
-// and the index maintenance, so two operations on the same key (same
-// shard) serialize as whole operations — interleaving their remove/add
-// index passes would corrupt the group multisets. Index shard locks are
-// only ever acquired while holding a tuple-shard lock, never the reverse,
-// and a batch acquires its tuple-shard locks in ascending shard order,
-// so the ordering is acyclic.
 func (m *Monitor) Insert(t relation.Tuple) (int64, *Delta, error) {
 	cs := ChangeSet{Ops: []Op{{Kind: OpInsert, Tuple: t}}}
 	d, err := m.Apply(&cs)
@@ -429,68 +400,48 @@ func (m *Monitor) Update(key int64, attr string, val relation.Value) (*Delta, er
 	if !m.schema.Attrs[ai].Domain.Contains(val) {
 		return nil, fmt.Errorf("incremental: %q.%s: value %q outside domain %s", m.schema.Name, attr, val, m.schema.Attrs[ai].Domain.Name)
 	}
-	// Same-value pre-check so no-ops are not journaled. The value can
-	// change between this read and the apply, but a racing writer makes
-	// either order a valid linearization; updateLocked re-checks under
-	// the shard lock, so a record journaled for a lost race replays as a
-	// no-op, never as a wrong value.
-	sh := &m.tuples[shardOfTuple(key, m.shards)]
+	// Same-value pre-check so no-ops are not journaled; a missing key is
+	// left to the commit window's validator. The value can change between
+	// this read and the apply, but a racing writer makes either order a
+	// valid linearization; updateLocked re-checks, so a record journaled
+	// for a lost race replays as a no-op, never as a wrong value.
+	sh := &m.tuples[shardOfTuple(key)]
 	sh.mu.RLock()
 	old, ok := sh.m[key]
-	same := ok && m.vals.ByID(old[ai]) == val
 	sh.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("incremental: no tuple with key %d", key)
-	}
-	if same {
+	if ok && m.vals.ByID(old[ai]) == val { // stored ID vectors are immutable
 		return &Delta{}, nil
 	}
 	return m.Apply(&ChangeSet{Ops: []Op{{Kind: OpUpdate, Key: key, Attr: attr, Value: val}}})
 }
 
-// insertLocked stores an already-validated tuple (as its ID vector,
-// resolved by internOps) under key and folds it into every CFD's live
-// state. The caller holds sh's write lock and owns key uniqueness (fresh
-// from nextKey, or a replayed record).
+// insertLocked stores a validated tuple (as its ID vector, resolved by
+// internOps) under key and folds it into every CFD's live state. The
+// caller holds the writer lock and sh's write lock.
 func (m *Monitor) insertLocked(sh *tupleShard, key int64, ids idTuple, d *Delta, sc *opScratch) {
 	sh.m[key] = ids
 	m.size.Add(1)
 	for ci := range m.cfds {
 		m.add(ci, key, ids, d, sc)
 	}
-	for _, h := range m.statsHooks() {
-		h.add(ids)
-	}
 }
 
-// deleteLocked removes the tuple and unfolds it from every CFD's state;
-// the caller holds sh's write lock.
-func (m *Monitor) deleteLocked(sh *tupleShard, key int64, d *Delta, sc *opScratch) error {
-	t, ok := sh.m[key]
-	if !ok {
-		return fmt.Errorf("incremental: no tuple with key %d", key)
-	}
+// deleteLocked removes the validated tuple t stored under key and
+// unfolds it from every CFD's state; locking as for insertLocked.
+func (m *Monitor) deleteLocked(sh *tupleShard, key int64, t idTuple, d *Delta, sc *opScratch) {
 	delete(sh.m, key)
 	m.size.Add(-1)
 	for ci := range m.cfds {
 		m.remove(ci, key, t, d, sc)
 	}
-	for _, h := range m.statsHooks() {
-		h.remove(t)
-	}
-	return nil
 }
 
-// updateLocked changes one already-validated attribute (vid is the new
-// value's ID, resolved by internOps) in place; the caller holds sh's
-// write lock. A same-value update applies as a no-op.
-func (m *Monitor) updateLocked(sh *tupleShard, key int64, ai int, vid uint32, d *Delta, sc *opScratch) error {
-	old, ok := sh.m[key]
-	if !ok {
-		return fmt.Errorf("incremental: no tuple with key %d", key)
-	}
+// updateLocked sets attribute ai of the validated tuple old stored under
+// key to the value ID vid (resolved by internOps); locking as for
+// insertLocked. A same-value update applies as a no-op.
+func (m *Monitor) updateLocked(sh *tupleShard, key int64, old idTuple, ai int, vid uint32, d *Delta, sc *opScratch) {
 	if old[ai] == vid {
-		return nil
+		return
 	}
 	next := append(idTuple(nil), old...)
 	next[ai] = vid
@@ -499,16 +450,12 @@ func (m *Monitor) updateLocked(sh *tupleShard, key int64, ai int, vid uint32, d 
 		m.remove(ci, key, old, d, sc)
 		m.add(ci, key, next, d, sc)
 	}
-	for _, h := range m.statsHooks() {
-		h.update(old, next, ai)
-	}
-	return nil
 }
 
 // Get returns a copy of the tuple with the given key, materialized from
 // its ID columns.
 func (m *Monitor) Get(key int64) (relation.Tuple, bool) {
-	sh := &m.tuples[shardOfTuple(key, m.shards)]
+	sh := &m.tuples[shardOfTuple(key)]
 	sh.mu.RLock()
 	t, ok := sh.m[key]
 	sh.mu.RUnlock()
@@ -546,8 +493,8 @@ func (m *Monitor) Snapshot() *relation.Relation {
 }
 
 // Satisfied reports whether the live instance currently satisfies Σ. It is
-// lock-free: a per-CFD violation counter is maintained under the shard
-// locks and read atomically here.
+// lock-free: a per-CFD violation counter is maintained by the apply and
+// read atomically here.
 func (m *Monitor) Satisfied() bool {
 	for _, cs := range m.cfds {
 		if cs.violations.Load() != 0 {
@@ -651,7 +598,7 @@ func (m *Monitor) add(ci int, key int64, t idTuple, d *Delta, sc *opScratch) {
 	sc.y = projectIDs(sc.y[:0], t, cs.yIdx)
 	sc.rows = cs.rows.matchInto(sc.rows[:0], sc.x)
 	if cs.constViolates(sc.rows, sc.y) {
-		sh := &cs.consts[shardOfTuple(key, m.shards)]
+		sh := &cs.consts[shardOfTuple(key)]
 		sh.mu.Lock()
 		sh.m[key] = true
 		sh.mu.Unlock()
@@ -661,7 +608,7 @@ func (m *Monitor) add(ci int, key int64, t idTuple, d *Delta, sc *opScratch) {
 	xh := relation.HashIDs(sc.x)
 	sc.key = relation.AppendIDKey(sc.key[:0], sc.x)
 	yk := m.internYKey(sc)
-	sh := &cs.groups[int(xh%uint32(m.shards))]
+	sh := &cs.groups[int(xh%shards)]
 	sh.mu.Lock()
 	g, ok := sh.m[string(sc.key)]
 	if !ok {
@@ -692,7 +639,7 @@ func (m *Monitor) remove(ci int, key int64, t idTuple, d *Delta, sc *opScratch) 
 	// The departing tuple is in hand, so its Y-projection is recomputed
 	// here instead of being indexed per member.
 	sc.y = projectIDs(sc.y[:0], t, cs.yIdx)
-	csh := &cs.consts[shardOfTuple(key, m.shards)]
+	csh := &cs.consts[shardOfTuple(key)]
 	csh.mu.Lock()
 	wasConst := csh.m[key]
 	if wasConst {
@@ -706,7 +653,7 @@ func (m *Monitor) remove(ci int, key int64, t idTuple, d *Delta, sc *opScratch) 
 	xh := relation.HashIDs(sc.x)
 	sc.key = relation.AppendIDKey(sc.key[:0], sc.x)
 	yk := m.internYKey(sc)
-	sh := &cs.groups[int(xh%uint32(m.shards))]
+	sh := &cs.groups[int(xh%shards)]
 	sh.mu.Lock()
 	g, ok := sh.m[string(sc.key)]
 	if !ok {

@@ -119,7 +119,7 @@ func TestInsertDeltas(t *testing.T) {
 		core.PatternRow{X: []core.Pattern{core.W()}, Y: []core.Pattern{core.W()}},
 		core.PatternRow{X: []core.Pattern{core.C("1")}, Y: []core.Pattern{core.C("x")}},
 	)
-	m, err := incremental.New(schema, []*core.CFD{cfd}, incremental.Options{Shards: 4})
+	m, err := incremental.New(schema, []*core.CFD{cfd}, incremental.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestErrors(t *testing.T) {
 // locking.
 func TestConcurrentReadersAndWriters(t *testing.T) {
 	rel, sigma := custFixture(t)
-	m, err := incremental.Load(rel, sigma, incremental.Options{Shards: 8})
+	m, err := incremental.Load(rel, sigma, incremental.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 func TestConcurrentSameKeyUpdates(t *testing.T) {
 	rel, sigma := custFixture(t)
 	for round := 0; round < 20; round++ {
-		m, err := incremental.Load(rel, sigma, incremental.Options{Shards: 4})
+		m, err := incremental.Load(rel, sigma, incremental.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -398,7 +398,7 @@ func TestConcurrentSameKeyUpdates(t *testing.T) {
 func TestConcurrentUpdateDeleteSameKey(t *testing.T) {
 	rel, sigma := custFixture(t)
 	for round := 0; round < 20; round++ {
-		m, err := incremental.Load(rel, sigma, incremental.Options{Shards: 4})
+		m, err := incremental.Load(rel, sigma, incremental.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

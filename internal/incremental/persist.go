@@ -338,9 +338,10 @@ func checkCells(d *dec, want []core.Pattern) bool {
 
 // --- the snapshot itself ---
 
-// writeSnapshot serializes the full Monitor state. The journal holds its
-// mutex across the call, so no mutation is in flight; unexported because
-// a caller without that quiescing would serialize a torn image.
+// writeSnapshot serializes the full Monitor state. The caller holds the
+// writer lock (or owns a monitor nobody else holds yet), so no mutation
+// is in flight and the stores are read without shard locks; unexported
+// because a caller without that quiescing would serialize a torn image.
 func (m *Monitor) writeSnapshot(w io.Writer) error {
 	if _, err := io.WriteString(w, snapMagic); err != nil {
 		return err
@@ -364,13 +365,10 @@ func (m *Monitor) writeSnapshot(w io.Writer) error {
 	// Tuple store, keyed; tuples are ID vectors of schema arity.
 	e.uvarint(uint64(m.size.Load()))
 	for si := range m.tuples {
-		sh := &m.tuples[si]
-		sh.mu.RLock()
-		for k, t := range sh.m {
+		for k, t := range m.tuples[si].m {
 			e.uvarint(uint64(k))
 			e.ids(t)
 		}
-		sh.mu.RUnlock()
 	}
 
 	// Per-CFD live state: violation counter, constant violations, groups
@@ -380,25 +378,18 @@ func (m *Monitor) writeSnapshot(w io.Writer) error {
 		e.uvarint(uint64(cs.violations.Load()))
 		var nconsts uint64
 		for si := range cs.consts {
-			cs.consts[si].mu.RLock()
 			nconsts += uint64(len(cs.consts[si].m))
-			cs.consts[si].mu.RUnlock()
 		}
 		e.uvarint(nconsts)
 		for si := range cs.consts {
-			sh := &cs.consts[si]
-			sh.mu.RLock()
-			for k := range sh.m {
+			for k := range cs.consts[si].m {
 				e.uvarint(uint64(k))
 			}
-			sh.mu.RUnlock()
 		}
 		var ngroups, nyks uint64
 		for si := range cs.groups {
-			cs.groups[si].mu.RLock()
 			ngroups += uint64(len(cs.groups[si].m))
 			nyks += uint64(len(cs.groups[si].yCounts))
-			cs.groups[si].mu.RUnlock()
 		}
 		// Groups are written in a stable order and the yCounts entries
 		// reference them by that ordinal, so restoring never re-hashes a
@@ -407,9 +398,7 @@ func (m *Monitor) writeSnapshot(w io.Writer) error {
 		e.uvarint(ngroups)
 		groupIdx := make(map[*group]uint64, ngroups)
 		for si := range cs.groups {
-			sh := &cs.groups[si]
-			sh.mu.RLock()
-			for _, g := range sh.m {
+			for _, g := range cs.groups[si].m {
 				groupIdx[g] = uint64(len(groupIdx))
 				e.ids(g.xids) // len(LHS) IDs
 				if g.selected {
@@ -420,20 +409,16 @@ func (m *Monitor) writeSnapshot(w io.Writer) error {
 				e.uvarint(uint64(g.size))
 				e.uvarint(uint64(g.distinct))
 			}
-			sh.mu.RUnlock()
 		}
 		e.uvarint(nyks)
 		var ykIDs []uint32
 		for si := range cs.groups {
-			sh := &cs.groups[si]
-			sh.mu.RLock()
-			for kk, c := range sh.yCounts {
+			for kk, c := range cs.groups[si].yCounts {
 				e.uvarint(groupIdx[kk.g])
 				ykIDs = relation.DecodeIDKey(ykIDs[:0], kk.yk)
 				e.ids(ykIDs) // len(RHS) IDs
 				e.uvarint(uint64(c))
 			}
-			sh.mu.RUnlock()
 		}
 	}
 	if e.err != nil {
@@ -511,7 +496,7 @@ func (m *Monitor) readSnapshot(r io.Reader, sizeHint int64) error {
 
 	// presize over-allocates shard maps ~12% above the uniform share so
 	// hash skew doesn't trigger a growth rehash mid-fill.
-	presize := func(n int) int { return n / m.shards * 9 / 8 }
+	presize := func(n int) int { return n / shards * 9 / 8 }
 	ntuples := int(d.uvarint())
 	for si := range m.tuples {
 		m.tuples[si].m = make(map[int64]idTuple, presize(ntuples))
@@ -530,7 +515,7 @@ func (m *Monitor) readSnapshot(r io.Reader, sizeHint int64) error {
 		if d.err != nil {
 			return d.err
 		}
-		m.tuples[shardOfTuple(k, m.shards)].m[k] = t
+		m.tuples[shardOfTuple(k)].m[k] = t
 	}
 
 	for _, cs := range m.cfds {
@@ -545,7 +530,7 @@ func (m *Monitor) readSnapshot(r io.Reader, sizeHint int64) error {
 			if d.err != nil {
 				return d.err
 			}
-			cs.consts[shardOfTuple(k, m.shards)].m[k] = true
+			cs.consts[shardOfTuple(k)].m[k] = true
 		}
 		ngroups := int(d.uvarint())
 		for si := range cs.groups {
@@ -574,7 +559,7 @@ func (m *Monitor) readSnapshot(r io.Reader, sizeHint int64) error {
 			}
 			keyBuf = relation.AppendIDKey(keyBuf[:0], g.xids)
 			xk := string(keyBuf)
-			si := shardOfKey(xk, m.shards)
+			si := shardOfKey(xk)
 			groupShardIdx[i] = int32(si)
 			cs.groups[si].m[xk] = g
 		}

@@ -20,7 +20,7 @@ func snapshotFixture(t *testing.T) (*relation.Schema, []*core.CFD, *Monitor) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(schema, sigma, Options{Shards: 4})
+	m, err := New(schema, sigma, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,9 +47,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := m.writeSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// Restore under a different shard count: the image is shard-layout
-	// independent.
-	m2, err := New(schema, sigma, Options{Shards: 7})
+	m2, err := New(schema, sigma, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

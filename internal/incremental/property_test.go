@@ -203,7 +203,7 @@ func TestRandomStreamsMatchOracle(t *testing.T) {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(cfg.seed))
-			m, err := incremental.New(cfg.schema, cfg.sigma, incremental.Options{Shards: 4})
+			m, err := incremental.New(cfg.schema, cfg.sigma, incremental.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,11 +11,11 @@ import (
 
 // This file is the primary side of WAL segment shipping: a durable
 // monitor exposes its snapshot and its log segments — closed ones in
-// full, the live tail up to the flushed boundary — as record-aligned
-// chunks a Follower tails into its own WAL directory. The journal mutex
-// is held only to pin a consistent (generation, flushed-size) view; the
-// file reads themselves run outside it, against immutable closed
-// segments or the append-only prefix of the live one.
+// full, the live tail up to its current length — as record-aligned
+// chunks a Follower tails into its own WAL directory. The writer lock is
+// held only to pin a consistent (generation, size) view; the file reads
+// themselves run outside it, against immutable closed segments or the
+// append-only prefix of the live one.
 
 // ErrSegmentGone reports a shipping cursor below the primary's retention
 // window: the segment was garbage-collected, and the follower must
@@ -37,8 +37,8 @@ type ShipChunk struct {
 	Closed  bool
 	NextSeq uint64
 	// EndSeq and EndOffset are the primary's current generation and its
-	// flushed segment length — the position a fully-caught-up follower
-	// would hold, used for replication-lag accounting.
+	// segment length — the position a fully-caught-up follower would
+	// hold, used for replication-lag accounting.
 	EndSeq    uint64
 	EndOffset int64
 	// Epoch is the fencing epoch the source is serving at. A follower
@@ -48,21 +48,22 @@ type ShipChunk struct {
 }
 
 // shipView pins a consistent view of the journal for one chunk read:
-// the live generation, its flushed length, and whether the requested
-// segment is closed. The log buffer is flushed so the live tail is
-// readable from the file.
-func (j *journal) shipView(seq uint64) (view ShipChunk, err error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+// the live generation, its length, and whether the requested segment is
+// closed. Every acknowledged record has reached the file, so the live
+// tail up to that length is readable.
+func (m *Monitor) shipView(seq uint64) (view ShipChunk, err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	j := m.j
 	if j.closed {
 		return view, errClosed
 	}
-	flushed, err := j.log.FlushedSize()
+	size, err := j.log.Size()
 	if err != nil {
 		return view, err
 	}
 	view.Seq = seq
-	view.EndSeq, view.EndOffset = j.seq, flushed
+	view.EndSeq, view.EndOffset = j.seq, size
 	if seq > j.seq {
 		return view, fmt.Errorf("incremental: ship cursor at generation %d, primary at %d", seq, j.seq)
 	}
@@ -90,14 +91,14 @@ func (m *Monitor) WALChunk(seq uint64, offset int64, maxBytes int) (ShipChunk, e
 		maxBytes = 1 << 20
 	}
 	for attempt := 0; ; attempt++ {
-		view, err := m.j.shipView(seq)
+		view, err := m.shipView(seq)
 		if err != nil {
 			return view, err
 		}
 		// Stamped after the view is pinned: promoteTo publishes the new
-		// epoch under j.mu before its first post-promotion record can be
-		// appended, so a chunk carrying such a record always carries an
-		// epoch at least that high.
+		// epoch under the writer lock before its first post-promotion
+		// record can be appended, so a chunk carrying such a record always
+		// carries an epoch at least that high.
 		view.Epoch = m.epoch.Load()
 		view.Offset = offset
 		limit := view.EndOffset
@@ -147,14 +148,14 @@ func (m *Monitor) ShipSnapshot() (seq uint64, rc io.ReadCloser, size int64, err 
 	}
 	for attempt := 0; ; attempt++ {
 		j := m.j
-		j.mu.Lock()
+		m.mu.Lock()
 		if j.closed {
-			j.mu.Unlock()
+			m.mu.Unlock()
 			return 0, nil, 0, errClosed
 		}
 		seq = j.seq
 		f, err := os.Open(wal.SnapshotPath(j.dir, seq))
-		j.mu.Unlock()
+		m.mu.Unlock()
 		if err == nil {
 			fi, serr := f.Stat()
 			if serr != nil {
@@ -174,16 +175,16 @@ func (m *Monitor) ShipSnapshot() (seq uint64, rc io.ReadCloser, size int64, err 
 	}
 }
 
-// walCursor reports the durable monitor's current (generation, flushed
-// byte length) — where a follower's cursor starts after local recovery.
+// walCursor reports the durable monitor's current (generation, byte
+// length) — where a follower's cursor starts after local recovery.
 func (m *Monitor) walCursor() (seq uint64, off int64, err error) {
 	j := m.j
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if j.closed {
 		return 0, 0, errClosed
 	}
-	off, err = j.log.FlushedSize()
+	off, err = j.log.Size()
 	return j.seq, off, err
 }
 
@@ -194,7 +195,7 @@ var errNotFollowing = errors.New("incremental: monitor is not following (promote
 
 // replicate appends one shipped chunk to the local segment and applies
 // it record by record — the follower's only mutation path. It runs under
-// the journal mutex, preserving log order == apply order against the
+// the writer lock, preserving log order == apply order against the
 // local rolls; the read-only gate must be up (a promoted monitor refuses
 // further chunks, so promotion is a clean cut at a record boundary).
 // Each record is re-framed through the local Log, which recomputes an
@@ -202,8 +203,8 @@ var errNotFollowing = errors.New("incremental: monitor is not following (promote
 // primary's prefix, so the shipping cursor IS the local file size.
 func (m *Monitor) replicate(chunk []byte) (records int, consumed int64, err error) {
 	j := m.j
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if !m.readOnly.Load() {
 		return 0, 0, errNotFollowing
 	}
@@ -215,7 +216,7 @@ func (m *Monitor) replicate(chunk []byte) (records int, consumed int64, err erro
 			j.appendErr = err
 			return err
 		}
-		n, err := m.applyRecordN(p)
+		n, err := m.replayLocked(p)
 		if err != nil {
 			// The record landed in the local log but not in memory: the
 			// two no longer agree — poison, like a live apply failure.
@@ -237,8 +238,8 @@ func (m *Monitor) replicate(chunk []byte) (records int, consumed int64, err erro
 // interrupted rotation.
 func (m *Monitor) rollTo(newSeq uint64) error {
 	j := m.j
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if !m.readOnly.Load() {
 		// Promotion landed first: the monitor rolls on its own cadence
 		// now, not the primary's.
@@ -253,7 +254,7 @@ func (m *Monitor) rollTo(newSeq uint64) error {
 	return j.rollLocked(m, newSeq)
 }
 
-// promoteTo lifts the read-only gate under the journal mutex: any
+// promoteTo lifts the read-only gate under the writer lock: any
 // in-flight replicate chunk finished first, so the flip happens at the
 // exact record boundary the follower has applied, and every mutation
 // after it journals locally like a primary's. Before the gate lifts the
@@ -263,6 +264,8 @@ func (m *Monitor) rollTo(newSeq uint64) error {
 // one place a follower's directory legitimately diverges from the old
 // primary's: it is the first record of the new history.
 func (m *Monitor) promoteTo(epoch uint64) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.j == nil {
 		if epoch > m.epoch.Load() {
 			m.epoch.Store(epoch)
@@ -271,8 +274,6 @@ func (m *Monitor) promoteTo(epoch uint64) error {
 		return nil
 	}
 	j := m.j
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	if err := j.usable(); err != nil {
 		return err
 	}

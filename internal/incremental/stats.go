@@ -2,21 +2,22 @@ package incremental
 
 import (
 	"fmt"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/relation"
 )
 
-// This file generalizes the sharded group index of index.go beyond CFD
-// tableaux: a GroupStats subscription maintains, for arbitrary attribute
-// pairs (X → A), the live X-groups of the monitored instance — support
-// (member count) and the full A-value distribution — updated from the
-// same single ChangeSet apply path every mutation flows through
-// (insertLocked/deleteLocked/updateLocked, under the tuple-shard lock).
-// Each mutation leaves a coalesced group-delta behind: group created or
-// destroyed, support ±, distinct-Y ± all surface as one dirty mark per
-// (pair, group) that Drain turns into GroupDelta events. The streaming
+// This file generalizes the group index of index.go beyond CFD tableaux:
+// a GroupStats subscription maintains, for arbitrary attribute pairs
+// (X → A), the live X-groups of the monitored instance — support (member
+// count) and the full A-value distribution. It is a consumer of the one
+// apply step: while it is attached, the apply records each op's stored
+// tuple before and after, and the subscription folds those changes under
+// the writer lock, right after the apply (applyLocked). Each mutation
+// leaves a coalesced group-delta behind: group created or destroyed,
+// support ±, distinct-Y ± all surface as one dirty mark per (pair, group)
+// that Drain turns into GroupDelta events. The streaming
 // CFD miner in internal/discovery is the canonical subscriber: it
 // re-scores exactly the groups a batch touched instead of re-mining the
 // instance.
@@ -91,7 +92,7 @@ type statGroup struct {
 	x []uint32
 	// size is the member count.
 	size int
-	// dirty marks membership in the shard's dirty list — a repeat mark
+	// dirty marks membership in the pair's dirty list — a repeat mark
 	// is one branch, not a map operation (the fold hot path's dominant
 	// cost in profiles).
 	dirty bool
@@ -164,32 +165,27 @@ func (g *statGroup) top(in *relation.Interner) (best uint32, n int) {
 	return best, n
 }
 
-// statShard is one lock shard of a pair's group store: the live groups
+// pairTrack is the live group store of one tracked pair: the groups
 // keyed by packed X-projection IDs, plus the dirty list — the coalesced
 // group-delta log the subscriber drains. A destroyed group leaves the
 // map but stays on the list (size 0) until drained.
-type statShard struct {
-	mu    sync.RWMutex
-	m     map[string]*statGroup
-	dirty []*statGroup
-}
-
-// pairTrack is the resolved, sharded index of one tracked pair.
 type pairTrack struct {
 	pair   AttrPair
 	xIdx   []int
 	aIdx   int
-	shards []statShard
+	groups map[string]*statGroup
+	dirty  []*statGroup
 }
 
 // GroupStats is one live group-statistics subscription over a Monitor,
-// created by TrackGroups. All methods are safe for concurrent use and
-// run concurrently with monitor mutations; Drain and Stat observe each
-// shard at a consistent point, not the whole index.
+// created by TrackGroups. All methods are safe for concurrent use; mu
+// orders Drain, Stat and Count against the fold, so each observes the
+// statistics between two applied requests.
 type GroupStats struct {
 	// in is the monitor's value pool; IDs in the index resolve through
 	// it when deltas and stats cross to the caller.
 	in    *relation.Interner
+	mu    sync.RWMutex
 	pairs []pairTrack
 	// byAttr maps an attribute position to the pairs whose X ∪ {A}
 	// mentions it — the only pairs an update of that attribute touches.
@@ -214,12 +210,11 @@ func (h *GroupStats) KeyOf(x []relation.Value) string {
 }
 
 // TrackGroups attaches a group-statistics subscription for the given
-// attribute pairs and returns its handle. The current instance is
-// folded in atomically — every tuple shard is write-locked for the
-// duration, briefly quiescing writers — and every subsequent mutation
-// updates the statistics inside the same apply path that maintains the
-// violation indexes. Every folded group starts dirty, so the first
-// Drain hands the subscriber the complete initial state.
+// attribute pairs and returns its handle. The current instance is folded
+// in under the writer lock — briefly quiescing writers — so the attach
+// is atomic against the apply path, and every later apply folds its
+// tuple changes in. Every folded group starts dirty, so the first Drain
+// hands the subscriber the complete initial state.
 //
 // The statistics are memory-only: a durable monitor does not journal or
 // snapshot them, and a subscription does not survive a restart —
@@ -235,135 +230,84 @@ func (m *Monitor) TrackGroups(pairs []AttrPair) (*GroupStats, error) {
 		if !ok {
 			return nil, fmt.Errorf("incremental: tracking pair %d: schema %q has no attribute %q", pi, m.schema.Name, p.A)
 		}
-		t := pairTrack{pair: p, xIdx: xIdx, aIdx: aIdx, shards: make([]statShard, m.shards)}
-		for si := range t.shards {
-			t.shards[si].m = make(map[string]*statGroup)
-		}
-		h.pairs = append(h.pairs, t)
+		h.pairs = append(h.pairs, pairTrack{pair: p, xIdx: xIdx, aIdx: aIdx, groups: make(map[string]*statGroup)})
 		for _, ai := range append(append([]int(nil), xIdx...), aIdx) {
 			h.byAttr[ai] = append(h.byAttr[ai], int32(pi))
 		}
 	}
 
-	m.statsMu.Lock()
-	defer m.statsMu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	// The fold is one bounded allocation burst that immediately becomes
 	// resident state (groups, projections, distributions) — park the
 	// collector for its duration, the discipline recovery applies.
 	defer pauseGC()()
-	// Quiesce writers: every mutation holds its tuple-shard lock, so
-	// holding all of them (ascending, the batch path's lock order) makes
-	// the fold + install atomic against the apply path.
-	for si := range m.tuples {
-		m.tuples[si].mu.Lock()
-	}
-	defer func() {
-		for si := range m.tuples {
-			m.tuples[si].mu.Unlock()
-		}
-	}()
-	// Fold pair-major: one pair's group maps stay cache-hot across the
-	// whole pass instead of touching every pair's maps per tuple. The
-	// handle is not published yet and writers are quiesced, so the fold
-	// runs without shard locks.
+	// Fold pair-major: one pair's group map stays cache-hot across the
+	// whole pass. The writer lock keeps the store still, so it is read
+	// without shard locks; the handle is not published yet, so neither
+	// is h.mu needed.
 	for pi := range h.pairs {
-		p := &h.pairs[pi]
-		var stack [64]byte
 		for si := range m.tuples {
 			for _, t := range m.tuples[si].m {
-				sh, key := p.shardFor(stack[:], t)
-				p.addLocked(sh, key, t)
+				h.pairs[pi].add(t)
 			}
 		}
 	}
-	cur := m.stats.Load()
-	var next []*GroupStats
-	if cur != nil {
-		next = append(next, *cur...)
-	}
-	next = append(next, h)
-	m.stats.Store(&next)
+	m.stats = append(m.stats, h)
 	return h, nil
 }
 
 // UntrackGroups detaches a subscription; its handle stays readable but
 // no longer follows mutations. Unknown handles are ignored.
 func (m *Monitor) UntrackGroups(h *GroupStats) {
-	m.statsMu.Lock()
-	defer m.statsMu.Unlock()
-	cur := m.stats.Load()
-	if cur == nil {
-		return
-	}
-	next := make([]*GroupStats, 0, len(*cur))
-	for _, o := range *cur {
-		if o != h {
-			next = append(next, o)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.stats = slices.DeleteFunc(m.stats, func(o *GroupStats) bool { return o == h })
+}
+
+// fold moves every applied op's old tuple out of, and its new tuple
+// into, each tracked pair — in vector order, under the writer lock. An
+// update only touches the pairs that mention its attribute, and a
+// same-value update none.
+func (h *GroupStats) fold(ops []Op, moved []tupleChange) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for i, c := range moved {
+		if ops[i].Kind != OpUpdate {
+			for pi := range h.pairs {
+				h.pairs[pi].move(c)
+			}
+		} else if ai := ops[i].ai; c.before[ai] != c.after[ai] {
+			for _, pi := range h.byAttr[ai] {
+				h.pairs[pi].move(c)
+			}
 		}
 	}
-	m.stats.Store(&next)
 }
 
-// statsHooks returns the live subscriptions; nil when nobody tracks.
-// One atomic load — the whole cost of the feature on an untracked
-// monitor's hot path.
-func (m *Monitor) statsHooks() []*GroupStats {
-	if p := m.stats.Load(); p != nil {
-		return *p
+func (p *pairTrack) move(c tupleChange) {
+	if c.before != nil {
+		p.remove(c.before)
 	}
-	return nil
-}
-
-// add folds a stored tuple into every tracked pair. The caller holds
-// the tuple's shard lock.
-func (h *GroupStats) add(t idTuple) {
-	for pi := range h.pairs {
-		h.addPair(pi, t)
+	if c.after != nil {
+		p.add(c.after)
 	}
 }
 
-// remove unfolds a departing tuple from every tracked pair.
-func (h *GroupStats) remove(t idTuple) {
-	for pi := range h.pairs {
-		h.removePair(pi, t)
-	}
-}
-
-// update re-folds an updated tuple under the pairs that mention the
-// changed attribute — the others see the same X-projection and A-value
-// on both sides and are left alone.
-func (h *GroupStats) update(old, next idTuple, ai int) {
-	for _, pi := range h.byAttr[ai] {
-		h.removePair(int(pi), old)
-		h.addPair(int(pi), next)
-	}
-}
-
-// shardFor packs t's X-projection IDs under pair p into scratch and
-// returns the owning shard. The returned key aliases buf. Routing uses
-// HashBytes over the packed key, which by the idcol.go invariant equals
-// HashIDs of the vector — the same hash Stat derives from an XKey.
-func (p *pairTrack) shardFor(buf []byte, t idTuple) (*statShard, []byte) {
+// key packs t's X-projection IDs under the pair into buf.
+func (p *pairTrack) key(buf []byte, t idTuple) []byte {
 	key := buf[:0]
 	for _, j := range p.xIdx {
 		key = relation.AppendIDKey(key, t[j:j+1])
 	}
-	return &p.shards[int(relation.HashBytes(key)%uint32(len(p.shards)))], key
+	return key
 }
 
-func (h *GroupStats) addPair(pi int, t idTuple) {
-	p := &h.pairs[pi]
+// add folds one tuple into its group, creating the group on first sight.
+func (p *pairTrack) add(t idTuple) {
 	var stack [64]byte
-	sh, key := p.shardFor(stack[:], t)
-	sh.mu.Lock()
-	p.addLocked(sh, key, t)
-	sh.mu.Unlock()
-}
-
-// addLocked folds one tuple into its group; the caller holds sh's lock
-// (or owns the whole index, as the attach fold does).
-func (p *pairTrack) addLocked(sh *statShard, key []byte, t idTuple) {
-	g, ok := sh.m[string(key)]
+	key := p.key(stack[:], t)
+	g, ok := p.groups[string(key)]
 	if !ok {
 		k := string(key)
 		x := make([]uint32, len(p.xIdx))
@@ -371,72 +315,61 @@ func (p *pairTrack) addLocked(sh *statShard, key []byte, t idTuple) {
 			x[i] = t[j]
 		}
 		g = &statGroup{key: k, x: x}
-		sh.m[k] = g
+		p.groups[k] = g
 	}
 	g.add(t[p.aIdx])
-	if !g.dirty {
-		g.dirty = true
-		sh.dirty = append(sh.dirty, g)
-	}
+	p.markDirty(g)
 }
 
-func (h *GroupStats) removePair(pi int, t idTuple) {
-	p := &h.pairs[pi]
+// remove unfolds a departing tuple from its group.
+func (p *pairTrack) remove(t idTuple) {
 	var stack [64]byte
-	sh, key := p.shardFor(stack[:], t)
-	sh.mu.Lock()
-	g, ok := sh.m[string(key)]
+	g, ok := p.groups[string(p.key(stack[:], t))]
 	if !ok {
-		sh.mu.Unlock()
 		return
 	}
 	g.remove(t[p.aIdx])
-	if !g.dirty {
-		g.dirty = true
-		sh.dirty = append(sh.dirty, g)
-	}
+	p.markDirty(g)
 	if g.size == 0 {
 		// The group leaves the store but stays on the dirty list: its
 		// final delta (Support 0) is how the subscriber learns it died.
-		delete(sh.m, g.key)
+		delete(p.groups, g.key)
 	}
-	sh.mu.Unlock()
+}
+
+func (p *pairTrack) markDirty(g *statGroup) {
+	if !g.dirty {
+		g.dirty = true
+		p.dirty = append(p.dirty, g)
+	}
 }
 
 // Drain appends every group-delta accumulated since the previous drain
-// to buf and returns it, clearing the dirty sets. Shards are visited
-// one at a time, so a concurrent writer never waits longer than one
-// shard; each delta carries its group's state as of its shard's visit.
+// to buf and returns it, clearing the dirty lists. Each delta carries
+// its group's state as of the drain.
 func (h *GroupStats) Drain(buf []GroupDelta) []GroupDelta {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	for pi := range h.pairs {
 		p := &h.pairs[pi]
-		for si := range p.shards {
-			sh := &p.shards[si]
-			sh.mu.Lock()
-			if len(sh.dirty) == 0 {
-				sh.mu.Unlock()
-				continue
-			}
-			for _, g := range sh.dirty {
-				g.dirty = false
-				d := GroupDelta{Pair: pi, XKey: g.key}
-				// A destroyed group (size 0) left the store; its delta
-				// reports only the death. A key destroyed and re-created
-				// within one window drains as two list entries, old
-				// object first, so the subscriber nets out correctly.
-				if g.size > 0 {
-					d.X = h.in.Materialize(make([]relation.Value, 0, len(g.x)), g.x)
-					d.Support, d.Distinct = g.size, g.distinct()
-					if d.Distinct == 1 {
-						top, n := g.top(h.in)
-						d.Top, d.TopCount = h.in.ByID(top), n
-					}
+		for _, g := range p.dirty {
+			g.dirty = false
+			d := GroupDelta{Pair: pi, XKey: g.key}
+			// A destroyed group (size 0) left the store; its delta
+			// reports only the death. A key destroyed and re-created
+			// within one window drains as two list entries, old object
+			// first, so the subscriber nets out correctly.
+			if g.size > 0 {
+				d.X = h.in.Materialize(make([]relation.Value, 0, len(g.x)), g.x)
+				d.Support, d.Distinct = g.size, g.distinct()
+				if d.Distinct == 1 {
+					top, n := g.top(h.in)
+					d.Top, d.TopCount = h.in.ByID(top), n
 				}
-				buf = append(buf, d)
 			}
-			sh.dirty = sh.dirty[:0]
-			sh.mu.Unlock()
+			buf = append(buf, d)
 		}
+		p.dirty = p.dirty[:0]
 	}
 	return buf
 }
@@ -445,11 +378,9 @@ func (h *GroupStats) Drain(buf []GroupDelta) []GroupDelta {
 // distribution's top value (an O(distinct) scan — GroupDelta carries
 // Top for free only in the single-value case).
 func (h *GroupStats) Stat(pair int, xkey string) (GroupStat, bool) {
-	p := &h.pairs[pair]
-	sh := &p.shards[int(relation.Hash(xkey)%uint32(len(p.shards)))]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	g, ok := sh.m[xkey]
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	g, ok := h.pairs[pair].groups[xkey]
 	if !ok {
 		return GroupStat{}, false
 	}
@@ -468,12 +399,10 @@ func (h *GroupStats) Stat(pair int, xkey string) (GroupStat, bool) {
 // value is a pattern constant rather than the group majority. Zero when
 // the group (or the value) is unknown.
 func (h *GroupStats) Count(pair int, xkey string, v relation.Value) int {
-	p := &h.pairs[pair]
 	id := h.in.ID(v)
-	sh := &p.shards[int(relation.Hash(xkey)%uint32(len(p.shards)))]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	g, ok := sh.m[xkey]
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	g, ok := h.pairs[pair].groups[xkey]
 	if !ok {
 		return 0
 	}
@@ -481,10 +410,4 @@ func (h *GroupStats) Count(pair int, xkey string, v relation.Value) int {
 		return g.c0
 	}
 	return g.rest[id]
-}
-
-// statsState is the Monitor-side anchor of the subscriptions.
-type statsState struct {
-	statsMu sync.Mutex
-	stats   atomic.Pointer[[]*GroupStats]
 }

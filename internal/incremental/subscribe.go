@@ -2,6 +2,7 @@ package incremental
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -11,8 +12,9 @@ import (
 
 // This file is the violation view's subscription surface: a DeltaSub is
 // a coalesced log of which live violations a stretch of applied batches
-// touched, folded by the same foldView pass that maintains the view
-// base — O(Δ) per batch, one dirty mark per violation between drains.
+// touched, folded right after the view by the one apply step
+// (applyLocked) — O(Δ) per batch, one dirty mark per violation between
+// drains.
 // The streaming repair Suggester in internal/repair is the canonical
 // subscriber: it re-plans exactly the suggestions whose violations a
 // batch touched instead of re-detecting the instance.
@@ -31,8 +33,8 @@ type TouchedCFD struct {
 func (t *TouchedCFD) Empty() bool { return len(t.Consts) == 0 && len(t.Vars) == 0 }
 
 // DeltaSub is one live violation-delta subscription over a Monitor,
-// created by TrackDeltas. Folding happens inside the apply path's view
-// fold; Drain is safe to call concurrently with mutations.
+// created by TrackDeltas. Folding happens under the writer lock after
+// every apply; Drain is safe to call concurrently with mutations.
 type DeltaSub struct {
 	mu   sync.Mutex
 	cfds []touchSet
@@ -45,9 +47,9 @@ type touchSet struct {
 	vars   map[string][]relation.Value
 }
 
-// fold marks every violation the delta names as touched. Called from
-// foldView with the view mutex held; takes the sub's own mutex so Drain
-// can run concurrently.
+// fold marks every violation the delta names as touched. Called under
+// the writer lock; takes the sub's own mutex so Drain can run
+// concurrently.
 func (s *DeltaSub) fold(d *Delta) {
 	s.mu.Lock()
 	for _, c := range d.Added {
@@ -78,8 +80,8 @@ func (s *DeltaSub) mark(c Change) {
 }
 
 // markAll marks every currently-live violation in the view base as
-// touched — the seed at attach time and the recovery-rebuild path.
-// The caller holds the view mutex.
+// touched — the backfill at attach time. The caller holds the writer
+// lock, so the base is still.
 func (s *DeltaSub) markAll(base []viewBase) {
 	s.mu.Lock()
 	for ci := range base {
@@ -138,39 +140,31 @@ func (s *DeltaSub) Drain() []TouchedCFD {
 	return out
 }
 
-// TrackDeltas attaches a violation-delta subscription: every violation
-// currently live is pre-marked as touched (so the first Drain hands the
-// subscriber the complete initial set), and every subsequent applied
-// batch marks the violations its delta names. Like group statistics,
-// subscriptions are memory-only and do not survive a restart. Detach
-// with UntrackDeltas.
+// TrackDeltas attaches a violation-delta subscription under the writer
+// lock: every violation currently live is pre-marked as touched (so the
+// first Drain hands the subscriber the complete initial set), and every
+// subsequent applied batch marks the violations its delta names. Like
+// group statistics, subscriptions are memory-only and do not survive a
+// restart. Detach with UntrackDeltas.
 func (m *Monitor) TrackDeltas() *DeltaSub {
 	s := &DeltaSub{cfds: make([]touchSet, len(m.cfds))}
 	for i := range s.cfds {
 		s.cfds[i].consts = make(map[int64]struct{})
 		s.cfds[i].vars = make(map[string][]relation.Value)
 	}
-	v := &m.view
-	v.mu.Lock()
-	s.markAll(v.base)
-	v.subs = append(v.subs, s)
-	v.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s.markAll(m.view.base)
+	m.subs = append(m.subs, s)
 	return s
 }
 
 // UntrackDeltas detaches a subscription; its accumulated marks stay
 // drainable but no longer follow mutations. Unknown handles are ignored.
 func (m *Monitor) UntrackDeltas(s *DeltaSub) {
-	v := &m.view
-	v.mu.Lock()
-	next := v.subs[:0]
-	for _, o := range v.subs {
-		if o != s {
-			next = append(next, o)
-		}
-	}
-	v.subs = next
-	v.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.subs = slices.DeleteFunc(m.subs, func(o *DeltaSub) bool { return o == s })
 }
 
 // ViolatingGroup reports whether CFD ci currently has a variable
@@ -190,7 +184,7 @@ func (m *Monitor) ViolatingGroup(ci int, x []relation.Value) bool {
 		ids[i] = m.vals.ID(v)
 	}
 	key := relation.AppendIDKey(nil, ids)
-	gsh := &cs.groups[int(relation.HashIDs(ids)%uint32(m.shards))]
+	gsh := &cs.groups[int(relation.HashIDs(ids)%shards)]
 	gsh.mu.RLock()
 	g := gsh.m[string(key)]
 	ok := g != nil && g.violating()

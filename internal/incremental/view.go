@@ -16,14 +16,11 @@ import (
 //
 // The write path already computes exactly which violations appear and
 // retire per batch; foldView folds that delta into per-CFD refcount maps
-// (the "base"). Refcounts — not booleans — because concurrent memory-path
-// batches fold in whichever order they finish, which may differ from the
-// order their shard-level transitions actually happened: counts commute
-// under any fold order (a count may be transiently negative), and
-// presence is simply count > 0 once the folds of all completed batches
-// are in. The view version bumps only when a fold flips presence, so
-// flip-flop batches (a group leaving and re-entering violation) keep the
-// version — and the ETags derived from it — stable.
+// (the "base"). Every fold runs under the writer lock in apply order, so
+// a count only ever moves between 0 and 1 and presence is count > 0. The
+// view version bumps only when a fold flips presence, so flip-flop
+// batches (a group leaving and re-entering violation) keep the version —
+// and the ETags derived from it — stable.
 //
 // Publication is copy-on-write: the canonical *State is rebuilt lazily,
 // at most once per version, by the first reader that sees a stale
@@ -95,18 +92,15 @@ func (b *viewBase) canonical() CFDViolations {
 }
 
 // viewState anchors the Monitor's maintained view: the fold maps, the
-// version counter, and the published pointer. mu guards base, dirty and
-// version writes; the published pointer and version reads are lock-free.
+// version counter, and the published pointer. Base writes happen under
+// the writer lock; mu orders them, dirty and version against the lazy
+// rebuild, and the published pointer and version reads are lock-free.
 type viewState struct {
 	mu      sync.Mutex
 	version atomic.Uint64
 	cur     atomic.Pointer[ViolationsView]
 	base    []viewBase
 	dirty   []bool
-	// subs are the attached violation-delta subscriptions (subscribe.go),
-	// folded alongside the base so subscribers see exactly the violations
-	// each batch touched. Guarded by mu, like the base.
-	subs []*DeltaSub
 }
 
 func (v *viewState) init(ncfds int) {
@@ -149,8 +143,8 @@ func (v *viewState) fold(c Change, sign int) bool {
 }
 
 // foldView folds one applied delta into the maintained view base —
-// O(len(delta)), called once per applied batch (and per replayed
-// record). The version bumps only if some presence actually flipped.
+// O(len(delta)), called by the apply step under the writer lock. The
+// version bumps only if some presence actually flipped.
 func (m *Monitor) foldView(d *Delta) {
 	if d == nil || (len(d.Added) == 0 && len(d.Removed) == 0) {
 		return
@@ -173,15 +167,13 @@ func (m *Monitor) foldView(d *Delta) {
 	if changed {
 		v.version.Add(1)
 	}
-	for _, s := range v.subs {
-		s.fold(d)
-	}
 	v.mu.Unlock()
 }
 
 // rebuildViewBase reseeds the fold maps from a full shard scan — the
-// recovery path, where readSnapshot filled the stores directly without
-// producing deltas. WAL-tail replay folds on top of this base.
+// recovery path, where readSnapshot filled the stores of a monitor
+// nobody else holds yet, without producing deltas. WAL-tail replay
+// folds on top of this base.
 func (m *Monitor) rebuildViewBase() {
 	v := &m.view
 	v.mu.Lock()
@@ -195,31 +187,20 @@ func (m *Monitor) rebuildViewBase() {
 			continue
 		}
 		for si := range cs.consts {
-			sh := &cs.consts[si]
-			sh.mu.RLock()
-			for k := range sh.m {
+			for k := range cs.consts[si].m {
 				b.consts[k] = 1
 			}
-			sh.mu.RUnlock()
 		}
 		for si := range cs.groups {
-			sh := &cs.groups[si]
-			sh.mu.RLock()
-			for _, g := range sh.m {
+			for _, g := range cs.groups[si].m {
 				if g.violating() {
 					xs := m.vals.Materialize(make([]relation.Value, 0, len(g.xids)), g.xids)
 					b.vars[relation.EncodeKey(xs)] = &varCount{xs: xs, n: 1}
 				}
 			}
-			sh.mu.RUnlock()
 		}
 	}
 	v.version.Add(1)
-	// A rebuilt base invalidates whatever the subscribers believed: every
-	// live violation counts as touched again.
-	for _, s := range v.subs {
-		s.markAll(v.base)
-	}
 }
 
 // ViewVersion returns the current violation-set version without
@@ -281,7 +262,7 @@ func (m *Monitor) Violations() *State { return m.View().State() }
 // it belongs to is in conflict. The second result is false when no live
 // tuple holds the key.
 func (m *Monitor) ViolationsFor(key int64) (*State, bool) {
-	tsh := &m.tuples[shardOfTuple(key, m.shards)]
+	tsh := &m.tuples[shardOfTuple(key)]
 	tsh.mu.RLock()
 	t, ok := tsh.m[key]
 	tsh.mu.RUnlock()
@@ -297,7 +278,7 @@ func (m *Monitor) ViolationsFor(key int64) (*State, bool) {
 		if cs.violations.Load() == 0 {
 			continue
 		}
-		csh := &cs.consts[shardOfTuple(key, m.shards)]
+		csh := &cs.consts[shardOfTuple(key)]
 		csh.mu.RLock()
 		isConst := csh.m[key]
 		csh.mu.RUnlock()
@@ -307,7 +288,7 @@ func (m *Monitor) ViolationsFor(key int64) (*State, bool) {
 		x = projectIDs(x[:0], t, cs.xIdx)
 		xh := relation.HashIDs(x)
 		keyBuf = relation.AppendIDKey(keyBuf[:0], x)
-		gsh := &cs.groups[int(xh%uint32(m.shards))]
+		gsh := &cs.groups[int(xh%shards)]
 		gsh.mu.RLock()
 		var xs []relation.Value
 		if g := gsh.m[string(keyBuf)]; g != nil && g.violating() {

@@ -22,7 +22,7 @@ func TestViewMatchesScanUnderRandomStreams(t *testing.T) {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(cfg.seed + 7))
-			m, err := incremental.New(cfg.schema, cfg.sigma, incremental.Options{Shards: 4})
+			m, err := incremental.New(cfg.schema, cfg.sigma, incremental.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +149,7 @@ func TestViewMatchesScanUnderRandomStreams(t *testing.T) {
 // once each despite the interleaving.
 func TestViewConcurrentReadersWriters(t *testing.T) {
 	cfg := streamConfigs(t)[0]
-	m, err := incremental.New(cfg.schema, cfg.sigma, incremental.Options{Shards: 4})
+	m, err := incremental.New(cfg.schema, cfg.sigma, incremental.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,17 +38,19 @@ const headerSize = 8
 // as corruption rather than an allocation request.
 const maxRecord = 64 << 20
 
-// Log is an append-only record log. Appends are buffered; with fsync
-// enabled every Append flushes and syncs before returning, otherwise
-// records reach the OS on Sync/Close or when the buffer fills.
+// Log is an append-only record log. Append hands each framed record to
+// the OS in one write(2) before it returns, so a record is in the page
+// cache — and survives the process dying — as soon as it is
+// acknowledged; with fsync enabled Append also syncs it to the device
+// (surviving OS crash and power loss). There is no user-space buffer.
 //
 // A Log is not safe for concurrent use; callers serialize appends (the
-// Monitor's journal lock does this).
+// Monitor's writer lock does this).
 type Log struct {
 	f     *os.File
-	w     *bufio.Writer
 	fsync bool
-	hdr   [headerSize]byte
+	// buf is the reused frame: header and payload, written in one call.
+	buf []byte
 
 	// stats are the optional metric hooks (obs handles are nil-safe);
 	// timed caches whether any timer is armed, so an uninstrumented log
@@ -62,9 +64,9 @@ type Log struct {
 // handles down, keeping this package free of metric names. Any field
 // may be nil.
 type LogStats struct {
-	// AppendSeconds times framing + buffering one record, fsync excluded.
+	// AppendSeconds times framing + writing one record, fsync excluded.
 	AppendSeconds *obs.Histogram
-	// SyncSeconds times Sync: buffer flush + file fsync.
+	// SyncSeconds times Sync: the file fsync.
 	SyncSeconds *obs.Histogram
 	// Records counts appended records, Bytes the appended bytes
 	// including framing.
@@ -85,7 +87,7 @@ func Create(path string, fsync bool) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Log{f: f, w: bufio.NewWriter(f), fsync: fsync}, nil
+	return &Log{f: f, fsync: fsync}, nil
 }
 
 // OpenAppend opens an existing segment for appending (after recovery has
@@ -95,11 +97,12 @@ func OpenAppend(path string, fsync bool) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Log{f: f, w: bufio.NewWriter(f), fsync: fsync}, nil
+	return &Log{f: f, fsync: fsync}, nil
 }
 
-// Append writes one framed record. With fsync enabled the record is
-// durable when Append returns.
+// Append frames one record and writes it with a single write(2): when
+// Append returns the record is readable through any other handle on the
+// file. With fsync enabled it is also on the device.
 func (l *Log) Append(payload []byte) error {
 	if len(payload) > maxRecord {
 		return fmt.Errorf("wal: record of %d bytes exceeds limit", len(payload))
@@ -108,12 +111,14 @@ func (l *Log) Append(payload []byte) error {
 	if l.timed {
 		start = time.Now()
 	}
-	binary.LittleEndian.PutUint32(l.hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(l.hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := l.w.Write(l.hdr[:]); err != nil {
-		return err
+	l.buf = binary.LittleEndian.AppendUint32(l.buf[:0], uint32(len(payload)))
+	l.buf = binary.LittleEndian.AppendUint32(l.buf, crc32.ChecksumIEEE(payload))
+	l.buf = append(l.buf, payload...)
+	_, err := l.f.Write(l.buf)
+	if cap(l.buf) > 1<<20 {
+		l.buf = nil // one huge batch must not pin its frame for the log's life
 	}
-	if _, err := l.w.Write(payload); err != nil {
+	if err != nil {
 		return err
 	}
 	l.stats.Records.Inc()
@@ -127,13 +132,10 @@ func (l *Log) Append(payload []byte) error {
 	return nil
 }
 
-// FlushedSize flushes buffered records to the OS and reports the
-// segment's current byte length — the upper bound a shipping cursor may
-// read to. Everything below it is whole framed records.
-func (l *Log) FlushedSize() (int64, error) {
-	if err := l.w.Flush(); err != nil {
-		return 0, err
-	}
+// Size reports the segment's current byte length — the upper bound a
+// shipping cursor may read to. Everything below it is whole framed
+// records, since every acknowledged Append has reached the file.
+func (l *Log) Size() (int64, error) {
 	fi, err := l.f.Stat()
 	if err != nil {
 		return 0, err
@@ -141,14 +143,11 @@ func (l *Log) FlushedSize() (int64, error) {
 	return fi.Size(), nil
 }
 
-// Sync flushes buffered records and fsyncs the file.
+// Sync fsyncs the file.
 func (l *Log) Sync() error {
 	var start time.Time
 	if l.timed {
 		start = time.Now()
-	}
-	if err := l.w.Flush(); err != nil {
-		return err
 	}
 	if err := l.f.Sync(); err != nil {
 		return err
@@ -159,7 +158,7 @@ func (l *Log) Sync() error {
 	return nil
 }
 
-// Close flushes, syncs and closes the segment.
+// Close syncs and closes the segment.
 func (l *Log) Close() error {
 	if err := l.Sync(); err != nil {
 		l.f.Close()

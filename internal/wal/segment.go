@@ -90,8 +90,8 @@ func ScanRecords(chunk []byte, fn func(payload []byte) error) (consumed int64, r
 
 // ReadChunk reads whole framed records from the segment at path, starting
 // at byte offset and bounded by maxBytes of framed data and limit (the
-// flushed segment length — bytes past it may still be in a writer's
-// buffer and are not served). A record larger than maxBytes is returned
+// segment length the caller pinned — bytes past it may belong to an
+// append still in progress and are not served). A record larger than maxBytes is returned
 // alone, so a cursor can never wedge against the cap. The returned next
 // offset is offset + len(data).
 //

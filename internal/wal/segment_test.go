@@ -223,8 +223,8 @@ func TestScanRecordsCorrupt(t *testing.T) {
 	}
 }
 
-// TestReadChunkLimit: the flushed-size limit caps what ships — bytes past
-// it (a writer's unflushed buffer on the live tail) are invisible, and an
+// TestReadChunkLimit: the pinned-size limit caps what ships — bytes past
+// it (an append in progress on the live tail) are invisible, and an
 // offset past the limit is the caller's bug.
 func TestReadChunkLimit(t *testing.T) {
 	payloads := segPayloads(6)
@@ -249,8 +249,9 @@ func TestReadChunkLimit(t *testing.T) {
 	}
 }
 
-// TestFlushedSize: the shipping bound tracks appends through the buffer.
-func TestFlushedSize(t *testing.T) {
+// TestSize: the shipping bound covers every appended record the moment
+// Append returns — there is no buffer to flush first.
+func TestSize(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal-00000001")
 	l, err := Create(path, false)
 	if err != nil {
@@ -260,16 +261,40 @@ func TestFlushedSize(t *testing.T) {
 	if err := l.Append([]byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	// Buffered: the file may still be empty — FlushedSize forces it out.
-	size, err := l.FlushedSize()
+	size, err := l.Size()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := int64(headerSize + 5); size != want {
-		t.Fatalf("FlushedSize = %d, want %d", size, want)
+		t.Fatalf("Size = %d, want %d", size, want)
 	}
 	data, records, err := ReadChunk(path, 0, 1<<20, size)
 	if err != nil || records != 1 || int64(len(data)) != size {
 		t.Fatalf("live tail chunk: %d bytes %d records err=%v", len(data), records, err)
+	}
+}
+
+// TestAppendVisibleWithoutSync: an acknowledged record has reached the
+// file even with fsync off and no Sync or Close — a second handle (what
+// recovery after a process kill opens) replays it.
+func TestAppendVisibleWithoutSync(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal-00000001")
+	l, err := Create(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for _, p := range []string{"one", "two"} {
+		if err := l.Append([]byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []string
+	n, _, torn, err := Replay(path, func(p []byte) error {
+		got = append(got, string(p))
+		return nil
+	})
+	if err != nil || torn || n != 2 || got[0] != "one" || got[1] != "two" {
+		t.Fatalf("replay through a second handle: %v records=%d torn=%v err=%v", got, n, torn, err)
 	}
 }
