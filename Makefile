@@ -44,10 +44,12 @@ race-batch:
 	$(GO) test -race -count 2 -run 'TestRandomBatchesMatchOracle|TestCrashRecoveryBatchAllOrNothing|TestApplyBatch|TestCommitWindow' ./internal/incremental/
 
 # The streaming-discovery property tests under the race detector, twice:
-# the randomized miner-vs-Discover oracle equivalence and the
-# concurrent-writers refresh loop.
+# the randomized miner-vs-Discover oracle equivalence, the
+# concurrent-writers refresh loop, confidence in [0, 1] under writers,
+# the attached miner's heap budget per tuple, and the shared
+# X-partitions against a fresh per-pair recount.
 race-discovery:
-	$(GO) test -race -count 2 -run 'TestMinerMatchesDiscoverOracle|TestMinerConcurrentRefresh' ./internal/discovery/
+	$(GO) test -race -count 2 -run 'TestMinerMatchesDiscoverOracle|TestMinerConcurrentRefresh|TestMinerConfidenceInRange|TestMinerHeapPerTuple|TestSharedPartitionsMatchRecount' ./internal/discovery/ ./internal/incremental/
 
 # The failover property test under the race detector, twice: kill the
 # primary at a random record boundary, promote the follower, cross-check

@@ -20,12 +20,19 @@ import (
 // touched; the full instance is scanned once, at attach time, and never
 // again.
 //
+// The miner keeps no copy of the substrate's groups. Each drained
+// delta carries the group's previous and current statistics, so a
+// candidate's aggregates move by subtracting the one and adding the
+// other; the only per-group state is the pattern row of each group
+// that currently contributes one, which Mined prints.
+//
 // A Miner is safe for concurrent use with monitor mutations: Refresh
-// and Mined serialize on the miner's own mutex and observe the
-// substrate shard by shard, so under concurrent writers the mined set
-// is eventually consistent — every change is re-scored by some later
-// Refresh, and a quiescent monitor always yields exactly Discover's
-// output on the same instance (property-tested).
+// and Mined serialize on the miner's own mutex, and each drain reads
+// the substrate under its lock, between two applied requests. Under
+// concurrent writers the mined set is eventually consistent — every
+// change is re-scored by some later Refresh, and a quiescent monitor
+// always yields exactly Discover's output on the same instance
+// (property-tested).
 type Miner struct {
 	mu     sync.Mutex
 	cfg    Config
@@ -34,7 +41,6 @@ type Miner struct {
 	cands  []candidate
 	index  map[string]int32 // fdKey -> candidate, for Confidence lookups
 	det    []bool           // scratch of the per-emit pruning pass
-	drain  []incremental.GroupDelta
 	closed bool
 
 	// Metric handles, registered on the monitor's registry at attach
@@ -108,31 +114,25 @@ const (
 	emitPatterns
 )
 
-// mgroup is the miner's score of one X-group: the mirror of the
-// substrate's statistics plus the group's current pattern contribution.
-type mgroup struct {
-	x              []relation.Value
-	size, distinct int
-	// agree is the dominant A-value's member count — size for a pure
-	// group, the distribution's top count for a mixed one. Aggregated
-	// per candidate, it is the live-confidence numerator.
-	agree int
-	// hasPat marks a supported group whose dominant A-value clears
-	// MinConfidence; patVal/patSup are the mined pattern's RHS constant
-	// and support (the group size, as in CFDMiner-style mining).
-	hasPat bool
-	patVal relation.Value
-	patSup int
+// patRow is the pattern row one contributing X-group yields: its
+// X-projection, the dominant A-value as RHS constant, and the group's
+// support (as in CFDMiner-style mining).
+type patRow struct {
+	x   []relation.Value
+	val relation.Value
+	sup int
 }
 
 // candidate is one embedded FD of the lattice with its aggregate scores,
-// maintained incrementally by folding group mirrors in and out.
+// maintained incrementally by tallying group statistics in and out.
 type candidate struct {
 	pair incremental.AttrPair
 	// subs indexes the (|X|-1)-subset candidates with the same RHS;
 	// pruning consults only these — determination is transitive.
-	subs   []int32
-	groups map[string]*mgroup
+	subs []int32
+	// pats holds the pattern rows of the groups currently contributing
+	// one, by XKey; nil until the first.
+	pats map[string]patRow
 	// impure counts groups whose members disagree on A; the FD holds
 	// globally iff it is zero.
 	impure int
@@ -140,8 +140,6 @@ type candidate struct {
 	// actually test the FD. An FD over a near-unique LHS holds vacuously
 	// and is only emitted once evidence reaches MinSupport.
 	evidence int
-	// patterns counts groups currently contributing a pattern row.
-	patterns int
 	// agree/total aggregate the groups' dominant-value counts and sizes:
 	// total-agree is the number of tuples a minimal A-edit repair of the
 	// FD would touch, making agree/total the live confidence Confidence
@@ -153,32 +151,18 @@ type candidate struct {
 	curPatterns int
 }
 
-func (c *candidate) fold(g *mgroup) {
-	if g.distinct > 1 {
-		c.impure++
+// tally adds (sign 1) or subtracts (sign -1) one group's contribution,
+// given its support, distinct A-values and dominant-value count. A
+// support of 0 — no group — contributes nothing.
+func (c *candidate) tally(sign, support, distinct, top int) {
+	if distinct > 1 {
+		c.impure += sign
 	}
-	if g.size >= 2 {
-		c.evidence += g.size
+	if support >= 2 {
+		c.evidence += sign * support
 	}
-	if g.hasPat {
-		c.patterns++
-	}
-	c.agree += g.agree
-	c.total += g.size
-}
-
-func (c *candidate) unfold(g *mgroup) {
-	if g.distinct > 1 {
-		c.impure--
-	}
-	if g.size >= 2 {
-		c.evidence -= g.size
-	}
-	if g.hasPat {
-		c.patterns--
-	}
-	c.agree -= g.agree
-	c.total -= g.size
+	c.agree += sign * top
+	c.total += sign * support
 }
 
 // fdKey canonically names an embedded FD.
@@ -215,10 +199,7 @@ func NewMiner(m *incremental.Monitor, cfg Config) (*Miner, error) {
 			}
 			index[fdKey(x, a)] = int32(len(cands))
 			pairs = append(pairs, incremental.AttrPair{X: x, A: a})
-			cands = append(cands, candidate{
-				pair:   incremental.AttrPair{X: x, A: a},
-				groups: make(map[string]*mgroup),
-			})
+			cands = append(cands, candidate{pair: incremental.AttrPair{X: x, A: a}})
 		}
 	}
 	for ci := range cands {
@@ -280,29 +261,7 @@ func (mi *Miner) Refresh() []MinedChange {
 	mi.mu.Lock()
 	defer mi.mu.Unlock()
 	start := time.Now()
-	mi.drain = mi.hub.Drain(mi.drain[:0])
-	mi.metRescored.Add(uint64(len(mi.drain)))
-	for i := range mi.drain {
-		d := &mi.drain[i]
-		c := &mi.cands[d.Pair]
-		g, ok := c.groups[d.XKey]
-		if ok {
-			c.unfold(g)
-		}
-		if d.Support == 0 {
-			if ok {
-				delete(c.groups, d.XKey)
-			}
-			continue
-		}
-		if !ok {
-			g = &mgroup{}
-			c.groups[d.XKey] = g
-		}
-		g.x, g.size, g.distinct = d.X, d.Support, d.Distinct
-		mi.score(d, g)
-		c.fold(g)
-	}
+	mi.metRescored.Add(uint64(mi.hub.DrainFunc(mi.rescore)))
 	out := mi.emit()
 	var mined int64
 	for ci := range mi.cands {
@@ -315,36 +274,36 @@ func (mi *Miner) Refresh() []MinedChange {
 	return out
 }
 
-// score recomputes one group's pattern contribution and its dominant
-// count. The single-value case reads both straight off the delta; a
-// mixed group consults the substrate for its distribution top (an
-// O(distinct) scan, paid only for touched mixed groups).
-func (mi *Miner) score(d *incremental.GroupDelta, g *mgroup) {
-	g.hasPat, g.patVal, g.patSup = false, "", 0
-	if d.Distinct == 1 {
-		g.agree = d.Support
-		if d.Support >= mi.cfg.MinSupport {
-			g.hasPat, g.patVal, g.patSup = true, d.Top, d.Support
+// rescore moves one drained group from its previous statistics to its
+// current ones: the candidate's aggregates lose the old contribution and
+// gain the new, and the group's pattern row is stored, replaced or
+// dropped. It runs inside the drain, so the delta is one consistent
+// reading of the group.
+func (mi *Miner) rescore(d *incremental.GroupDelta) {
+	c := &mi.cands[d.Pair]
+	c.tally(-1, d.PrevSupport, d.PrevDistinct, d.PrevTopCount)
+	c.tally(1, d.Support, d.Distinct, d.TopCount)
+	switch {
+	case mi.yields(d.Support, d.TopCount):
+		if c.pats == nil {
+			c.pats = make(map[string]patRow)
 		}
-		return
+		c.pats[d.XKey] = patRow{x: d.X, val: d.Top, sup: d.Support}
+	case mi.yields(d.PrevSupport, d.PrevTopCount):
+		delete(c.pats, d.XKey)
 	}
-	st, ok := mi.hub.Stat(d.Pair, d.XKey)
-	if !ok {
-		// The group died between the drain and the probe; its death delta
-		// is already pending, so any value is transient. Lower bound.
-		g.agree = d.Support - (d.Distinct - 1)
-		return
-	}
-	g.agree = st.TopCount
-	if d.Support >= mi.cfg.MinSupport && mi.cfg.MinConfidence < 1 &&
-		float64(st.TopCount)/float64(st.Support) >= mi.cfg.MinConfidence {
-		g.hasPat, g.patVal, g.patSup = true, st.Top, st.Support
-	}
+}
+
+// yields reports whether a group with the given support and dominant
+// A-value count contributes a pattern row: it is supported, and its
+// dominant value clears MinConfidence (a pure group's is 1).
+func (mi *Miner) yields(support, top int) bool {
+	return support >= mi.cfg.MinSupport && float64(top)/float64(support) >= mi.cfg.MinConfidence
 }
 
 // emit re-evaluates every candidate's place in the mined set and diffs
 // it against the previous pass. O(candidates) — group work happened in
-// Refresh's delta loop.
+// rescore, inside the drain.
 func (mi *Miner) emit() []MinedChange {
 	var out []MinedChange
 	for ci := range mi.cands {
@@ -366,14 +325,14 @@ func (mi *Miner) emit() []MinedChange {
 				if c.evidence >= mi.cfg.MinSupport {
 					kind = emitFD
 				}
-			} else if c.patterns > 0 {
+			} else if len(c.pats) > 0 {
 				kind = emitPatterns
 			}
 		}
 		// Report (and diff on) the pattern count Mined actually emits —
 		// the MaxPatterns cap applies here too, so contributing groups
 		// beyond the cap neither inflate the count nor fire updates.
-		patterns := c.patterns
+		patterns := len(c.pats)
 		if mi.cfg.MaxPatterns > 0 && patterns > mi.cfg.MaxPatterns {
 			patterns = mi.cfg.MaxPatterns
 		}
@@ -471,21 +430,19 @@ func (mi *Miner) Mined() ([]Discovered, error) {
 func (c *candidate) buildPatterns(cfg Config) (*Discovered, error) {
 	type pat struct {
 		key string
-		g   *mgroup
+		row patRow
 	}
-	pats := make([]pat, 0, c.patterns)
-	for _, g := range c.groups {
-		if g.hasPat {
-			// Tie-break on the value-encoded X, not the store's opaque
-			// XKey: the latter is built from interner IDs, whose order
-			// depends on arrival order, while the mined set must be
-			// deterministic for a given instance (and match Discover).
-			pats = append(pats, pat{key: relation.EncodeKey(g.x), g: g})
-		}
+	pats := make([]pat, 0, len(c.pats))
+	for _, row := range c.pats {
+		// Tie-break on the value-encoded X, not the store's opaque XKey:
+		// the latter is built from interner IDs, whose order depends on
+		// arrival order, while the mined set must be deterministic for a
+		// given instance (and match Discover).
+		pats = append(pats, pat{key: relation.EncodeKey(row.x), row: row})
 	}
 	sort.Slice(pats, func(i, j int) bool {
-		if pats[i].g.patSup != pats[j].g.patSup {
-			return pats[i].g.patSup > pats[j].g.patSup
+		if pats[i].row.sup != pats[j].row.sup {
+			return pats[i].row.sup > pats[j].row.sup
 		}
 		return pats[i].key < pats[j].key
 	})
@@ -495,12 +452,12 @@ func (c *candidate) buildPatterns(cfg Config) (*Discovered, error) {
 	rows := make([]core.PatternRow, len(pats))
 	support := make([]int, len(pats))
 	for i, p := range pats {
-		row := core.PatternRow{X: make([]core.Pattern, len(p.g.x)), Y: []core.Pattern{core.C(p.g.patVal)}}
-		for j, v := range p.g.x {
+		row := core.PatternRow{X: make([]core.Pattern, len(p.row.x)), Y: []core.Pattern{core.C(p.row.val)}}
+		for j, v := range p.row.x {
 			row.X[j] = core.C(v)
 		}
 		rows[i] = row
-		support[i] = p.g.patSup
+		support[i] = p.row.sup
 	}
 	cfd, err := core.NewCFD(c.pair.X, []string{c.pair.A}, rows...)
 	if err != nil {

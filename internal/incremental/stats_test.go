@@ -1,6 +1,10 @@
 package incremental
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -261,5 +265,289 @@ func TestMultiAttrPairKeys(t *testing.T) {
 	sort.Strings(xs)
 	if len(xs) != 2 || xs[0] != "908" || xs[1] != "MH" {
 		t.Errorf("X = %v", ds[0].X)
+	}
+}
+
+// groupState is one group's drained statistics, as a subscriber would
+// hold them.
+type groupState struct {
+	Support, Distinct, TopCount int
+	Top                         relation.Value
+}
+
+// recount returns pair's live groups by XKey, from a fresh subscription
+// tracking that pair alone — nothing shared with anything — after
+// checking it against a brute-force count over the instance.
+func recount(t *testing.T, m *Monitor, pair AttrPair) (map[string]groupState, *GroupStats) {
+	t.Helper()
+	h, err := m.TrackGroups([]AttrPair{pair})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.UntrackGroups(h)
+	out := make(map[string]groupState)
+	for _, d := range h.Drain(nil) {
+		out[d.XKey] = groupState{d.Support, d.Distinct, d.TopCount, d.Top}
+	}
+
+	xIdx, _ := m.Schema().Indexes(pair.X)
+	ai, _ := m.Schema().Index(pair.A)
+	counts := make(map[string]map[relation.Value]int)
+	for _, tu := range m.Snapshot().Tuples {
+		x := make([]relation.Value, len(xIdx))
+		for i, j := range xIdx {
+			x[i] = tu[j]
+		}
+		k := h.KeyOf(x)
+		if counts[k] == nil {
+			counts[k] = make(map[relation.Value]int)
+		}
+		counts[k][tu[ai]]++
+	}
+	brute := make(map[string]groupState)
+	for k, dist := range counts {
+		st := groupState{Distinct: len(dist)}
+		for v, c := range dist {
+			st.Support += c
+			if c > st.TopCount || (c == st.TopCount && v < st.Top) {
+				st.Top, st.TopCount = v, c
+			}
+		}
+		brute[k] = st
+	}
+	if !reflect.DeepEqual(out, brute) {
+		t.Fatalf("fresh TrackGroups(%v) drained\n%v\nbrute force\n%v", pair, out, brute)
+	}
+	return out, h
+}
+
+// TestSharedPartitionsMatchRecount drives one subscription whose pairs
+// share partitions — two pairs on X = AC, a repeated pair, a
+// two-attribute X and an unshared X; NM's wide pool grows distributions
+// past the spill's linear range — through random ChangeSets and
+// checks, after every drain, that sharing is invisible: the deltas
+// folded by a subscriber, Stat and Count all equal a fresh per-pair
+// recount, every delta's Prev fields equal what that pair last drained
+// for the group, and an update dirties only the pairs that mention its
+// attribute.
+func TestSharedPartitionsMatchRecount(t *testing.T) {
+	schema := relation.MustSchema("R", relation.Attr("AC"), relation.Attr("CT"), relation.Attr("NM"), relation.Attr("ZIP"))
+	pools := [][]relation.Value{{"908", "212", "215"}, {"MH", "NYC"}, {"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l", "m", "n", "o", "p", "q", "r", "s", "t"}, {"z1", "z2", "z3", "z4", "z5"}}
+	pairs := []AttrPair{
+		{X: []string{"AC"}, A: "CT"},
+		{X: []string{"AC"}, A: "NM"},
+		{X: []string{"AC", "CT"}, A: "ZIP"},
+		{X: []string{"ZIP"}, A: "AC"},
+		{X: []string{"AC"}, A: "CT"},
+	}
+	mentions := func(p AttrPair, attr string) bool { return p.A == attr || slices.Contains(p.X, attr) }
+
+	m, err := New(schema, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := m.TrackGroups(pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	randTuple := func() relation.Tuple {
+		tu := make(relation.Tuple, len(pools))
+		for i, pool := range pools {
+			tu[i] = pool[rng.Intn(len(pool))]
+		}
+		return tu
+	}
+
+	// view is the subscriber side: every pair's groups as folded from
+	// the drained deltas.
+	type gid struct {
+		pair int
+		xkey string
+	}
+	view := make(map[gid]groupState)
+	drain := func(step int) []GroupDelta {
+		t.Helper()
+		ds := h.Drain(nil)
+		for _, d := range ds {
+			k := gid{d.Pair, d.XKey}
+			prev := view[k]
+			if d.PrevSupport != prev.Support || d.PrevDistinct != prev.Distinct || d.PrevTopCount != prev.TopCount {
+				t.Fatalf("step %d: pair %d delta %+v carries Prev %d/%d/%d, last drained %+v",
+					step, d.Pair, d, d.PrevSupport, d.PrevDistinct, d.PrevTopCount, prev)
+			}
+			if d.Support == 0 {
+				delete(view, k)
+			} else {
+				view[k] = groupState{d.Support, d.Distinct, d.TopCount, d.Top}
+			}
+		}
+		for pi, p := range pairs {
+			want, fresh := recount(t, m, p)
+			got := make(map[string]groupState)
+			for k, st := range view {
+				if k.pair == pi {
+					got[k.xkey] = st
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: pair %d %v folded\n%v\nrecount\n%v", step, pi, p, got, want)
+			}
+			for xkey := range want {
+				a, _ := h.Stat(pi, xkey)
+				b, _ := fresh.Stat(0, xkey)
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("step %d: pair %d Stat(%q) = %+v, recount %+v", step, pi, xkey, a, b)
+				}
+				ai, _ := schema.Index(p.A)
+				for _, v := range pools[ai] {
+					if a, b := h.Count(pi, xkey, v), fresh.Count(0, xkey, v); a != b {
+						t.Fatalf("step %d: pair %d Count(%q, %s) = %d, recount %d", step, pi, xkey, v, a, b)
+					}
+				}
+			}
+		}
+		return ds
+	}
+
+	var live []int64
+	apply := func(cs *ChangeSet) {
+		t.Helper()
+		if _, err := m.Apply(cs); err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range cs.Ops {
+			if op.Kind == OpInsert && !op.keyed {
+				live = append(live, op.Key)
+			}
+		}
+	}
+	for step := 0; step < 60; step++ {
+		// One to three ChangeSets per drain window, so deltas coalesce.
+		for w := rng.Intn(3); w >= 0; w-- {
+			var cs ChangeSet
+			for n := rng.Intn(8) + 1; n > 0; n-- {
+				switch op := rng.Intn(10); {
+				case op < 4 || len(live) == 0:
+					cs.Insert(randTuple())
+				case op < 6:
+					i := rng.Intn(len(live))
+					cs.Delete(live[i])
+					live = append(live[:i], live[i+1:]...)
+				default:
+					ai := rng.Intn(len(pools))
+					cs.Update(live[rng.Intn(len(live))], schema.Attrs[ai].Name, pools[ai][rng.Intn(len(pools[ai]))])
+				}
+			}
+			apply(&cs)
+		}
+		drain(step)
+
+		if len(live) == 0 {
+			continue
+		}
+		// A key deleted and re-inserted within one window: its groups
+		// that die with it are re-created, and drain as two deltas.
+		key := live[rng.Intn(len(live))]
+		tu, _ := m.Get(key)
+		var cs ChangeSet
+		cs.Delete(key).InsertKeyed(key, tu)
+		apply(&cs)
+		if rng.Intn(2) == 0 {
+			apply(new(ChangeSet).Delete(key))
+			apply(new(ChangeSet).InsertKeyed(key, randTuple()))
+		}
+		drain(step)
+
+		// An update of one attribute dirties only the pairs that mention
+		// it; a same-value update dirties nothing.
+		ai := rng.Intn(len(pools))
+		attr := schema.Attrs[ai].Name
+		tu, _ = m.Get(key)
+		apply(new(ChangeSet).Update(key, attr, tu[ai]))
+		if ds := drain(step); len(ds) != 0 {
+			t.Fatalf("step %d: same-value update of %s drained %d deltas", step, attr, len(ds))
+		}
+		var nv relation.Value
+		for nv = tu[ai]; nv == tu[ai]; {
+			nv = pools[ai][rng.Intn(len(pools[ai]))]
+		}
+		apply(new(ChangeSet).Update(key, attr, nv))
+		touched := make(map[int]bool)
+		for _, d := range drain(step) {
+			if !mentions(pairs[d.Pair], attr) {
+				t.Fatalf("step %d: update of %s drained pair %d %v", step, attr, d.Pair, pairs[d.Pair])
+			}
+			touched[d.Pair] = true
+		}
+		for pi, p := range pairs {
+			if mentions(p, attr) && !touched[pi] {
+				t.Fatalf("step %d: update of %s did not drain pair %d %v", step, attr, pi, p)
+			}
+		}
+	}
+}
+
+// TestStatGroupSpill drives one distribution through random adds
+// and removes over a few or many distinct values — its spill table
+// grows and drains, its cached mode is kept, dropped and rescanned;
+// ties are settled after each add the way the fold does, or left to
+// top, which then sees several adds at once — and checks distinct,
+// count and top against a brute-force tally.
+func TestStatGroupSpill(t *testing.T) {
+	for _, tc := range []struct {
+		values int
+		settle bool
+	}{{40, true}, {40, false}, {6, true}, {6, false}} {
+		settle := tc.settle
+		in := relation.NewInterner()
+		ids := make([]uint32, tc.values)
+		for i := range ids {
+			// Reverse interning order, so ID order disagrees with value order.
+			ids[i] = in.ID(relation.Value(fmt.Sprintf("v%02d", len(ids)-1-i)))
+		}
+		rng := rand.New(rand.NewSource(3))
+		g := &statGroup{}
+		want := make(map[uint32]int)
+		var members []uint32
+		for step := 0; step < 4000; step++ {
+			if len(members) > 0 && rng.Intn(5) < 2 {
+				i := rng.Intn(len(members))
+				v := members[i]
+				members = append(members[:i], members[i+1:]...)
+				g.remove(v)
+				if want[v]--; want[v] == 0 {
+					delete(want, v)
+				}
+			} else {
+				v := ids[rng.Intn(len(ids))]
+				members = append(members, v)
+				g.add(v)
+				if settle {
+					g.settle(in)
+				}
+				want[v]++
+			}
+			if !settle && rng.Intn(8) > 0 {
+				continue
+			}
+			var top uint32
+			n := 0
+			for v, c := range want {
+				if c > n || (c == n && in.ByID(v) < in.ByID(top)) {
+					top, n = v, c
+				}
+			}
+			gotTop, gotN := g.top(in)
+			if g.distinct() != len(want) || gotN != n || (n > 0 && gotTop != top) {
+				t.Fatalf("%+v step %d: distinct %d top %s/%d, want %d %s/%d",
+					tc, step, g.distinct(), in.ByID(gotTop), gotN, len(want), in.ByID(top), n)
+			}
+			for v, c := range want {
+				if got := g.count(v); got != c {
+					t.Fatalf("%+v step %d: count(%s) = %d, want %d", tc, step, in.ByID(v), got, c)
+				}
+			}
+		}
 	}
 }
