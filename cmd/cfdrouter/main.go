@@ -51,6 +51,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	_ "net/http/pprof" // -pprof-addr serves the DefaultServeMux handlers
 	"net/url"
 	"os"
 	"os/signal"

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -272,5 +273,14 @@ func TestDaemonPromoteFailover(t *testing.T) {
 	g0 := st["groups"].([]any)[0].(map[string]any)
 	if fmt.Sprint(g0["epoch"]) != "1" || fmt.Sprint(g0["standbys"]) != "0" {
 		t.Fatalf("group status after failover = %v", g0)
+	}
+}
+
+// TestPprofRoutesRegistered: -pprof-addr serves http.DefaultServeMux, so
+// the binary must register net/http/pprof's handlers on it.
+func TestPprofRoutesRegistered(t *testing.T) {
+	req := httptest.NewRequest(http.MethodGet, "/debug/pprof/profile", nil)
+	if _, pattern := http.DefaultServeMux.Handler(req); !strings.HasSuffix(pattern, "/debug/pprof/profile") {
+		t.Errorf("DefaultServeMux routes /debug/pprof/profile to pattern %q", pattern)
 	}
 }

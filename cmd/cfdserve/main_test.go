@@ -651,3 +651,12 @@ func TestHTTPErrorCounter(t *testing.T) {
 		t.Errorf("404 not counted as an error:\n%s", raw)
 	}
 }
+
+// TestPprofRoutesRegistered: -pprof-addr serves http.DefaultServeMux, so
+// the binary must register net/http/pprof's handlers on it.
+func TestPprofRoutesRegistered(t *testing.T) {
+	req := httptest.NewRequest(http.MethodGet, "/debug/pprof/profile", nil)
+	if _, pattern := http.DefaultServeMux.Handler(req); !strings.HasSuffix(pattern, "/debug/pprof/profile") {
+		t.Errorf("DefaultServeMux routes /debug/pprof/profile to pattern %q", pattern)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -270,4 +271,45 @@ func TestDetectEmptySigma(t *testing.T) {
 	if _, err := Detect(custRelation(), nil, Options{Strategy: SQLMerged}); err == nil {
 		t.Error("merged detection of an empty Σ should error (nothing to merge)")
 	}
+}
+
+// TestConcurrentViaDriverDetections: every ViaDriver detection registers
+// its catalog under its own DSN, so concurrent detections over different
+// instances never query, or unregister, each other's catalog.
+func TestConcurrentViaDriverDetections(t *testing.T) {
+	sigma := figure2CFDs()
+	pick := func(rng *rand.Rand, vals ...relation.Value) relation.Value { return vals[rng.Intn(len(vals))] }
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		rng := rand.New(rand.NewSource(int64(g)))
+		rel := relation.New(custRelation().Schema)
+		for i := 0; i < 20+rng.Intn(20); i++ {
+			rel.MustInsert(pick(rng, "01", "44"), pick(rng, "908", "212", "215"), pick(rng, "1", "2"),
+				fmt.Sprint(i), pick(rng, "Elm", "Oak"), pick(rng, "NYC", "MH", "PHI"), pick(rng, "z1", "z2"))
+		}
+		want, err := Detect(rel, sigma, Options{Strategy: Direct})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Strategy: SQLPerCFD, Form: sqlgen.DNF, ViaDriver: true}
+		if g%2 == 1 {
+			opts = Options{Strategy: SQLMerged, Form: sqlgen.CNF, ViaDriver: true}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 10; round++ {
+				got, err := Detect(rel, sigma, opts)
+				if err != nil {
+					t.Errorf("goroutine %d round %d: %v", g, round, err)
+					return
+				}
+				if !got.Equal(want) {
+					t.Errorf("goroutine %d round %d: %+v, Direct %+v", g, round, got.PerCFD, want.PerCFD)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -3,6 +3,7 @@ package detect
 import (
 	"database/sql"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/relation"
@@ -69,14 +70,15 @@ func (r driverRunner) close() error {
 	return err
 }
 
-var dsnCounter int
+// dsnCounter names each ViaDriver detection's catalog; concurrent
+// detections must never share a DSN.
+var dsnCounter atomic.Int64
 
 func newRunner(db *sqlmini.DB, opts Options) (queryRunner, error) {
 	if !opts.ViaDriver {
 		return engineRunner{db: db}, nil
 	}
-	dsnCounter++
-	dsn := fmt.Sprintf("detect-%d", dsnCounter)
+	dsn := fmt.Sprintf("detect-%d", dsnCounter.Add(1))
 	sqldriver.Register(dsn, db)
 	handle, err := sql.Open(sqldriver.DriverName, dsn)
 	if err != nil {

@@ -17,8 +17,11 @@
 //     left-hand-side cell to a fresh placeholder value, breaking the
 //     match (fresh values are unique and match only '_' patterns).
 //
-// A final detection pass certifies the result; Result.Satisfied reports
-// whether the repair reached I′ ⊨ Σ within the pass budget.
+// The last pass certifies the result: a pass whose detection finds no
+// violation proves I′ ⊨ Σ; a pass that finds violations but can change no
+// cell (only an empty-LHS match cannot be broken) proves the opposite; and
+// a run that exhausts the pass budget sweeps the detector once more.
+// Result.Satisfied reports whether the repair reached I′ ⊨ Σ.
 package repair
 
 import (
@@ -81,7 +84,8 @@ type Result struct {
 	// Cost is the total weight of cells that differ from the original
 	// instance (each cell counted once, at its final value).
 	Cost float64
-	// Satisfied reports Repaired ⊨ Σ (certified by a final detection pass).
+	// Satisfied reports Repaired ⊨ Σ, certified by the indexed detector
+	// of the last pass (or of one extra sweep when MaxPasses ran out).
 	Satisfied bool
 	// Passes is the number of detect-resolve iterations used.
 	Passes int
@@ -148,19 +152,28 @@ func (r *repairer) set(row int, col int, v relation.Value) {
 }
 
 func (r *repairer) run() (*Result, error) {
-	passes := 0
+	passes, satisfied := 0, false
 	for ; passes < r.opts.MaxPasses; passes++ {
-		n, err := r.pass()
+		found, applied, err := r.pass()
 		if err != nil {
 			return nil, err
 		}
-		if n == 0 {
+		if found == 0 {
+			satisfied = true
 			break
 		}
+		if applied == 0 {
+			break // violations remain and nothing could change them
+		}
 	}
-	satisfied, err := core.SatisfiesSet(r.work, r.sigma)
-	if err != nil {
-		return nil, err
+	if passes == r.opts.MaxPasses {
+		// The budget ran out after a pass that changed cells: sweep once
+		// more to learn whether that pass finished the job.
+		vs, err := r.violations()
+		if err != nil {
+			return nil, err
+		}
+		satisfied = len(vs) == 0
 	}
 	res := &Result{
 		Repaired:  r.work,
@@ -181,34 +194,39 @@ func (r *repairer) run() (*Result, error) {
 	return res, nil
 }
 
-// pass runs one detect-resolve iteration and returns the number of applied
-// changes.
-func (r *repairer) pass() (int, error) {
-	var allViolations []violationRef
+// violations runs the indexed detector over every CFD of Σ.
+func (r *repairer) violations() ([]violationRef, error) {
+	var out []violationRef
 	for ci, c := range r.sigma {
 		vs, err := detect.FindDetailed(r.work, c)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		for _, v := range vs {
-			allViolations = append(allViolations, violationRef{cfd: ci, v: v})
+			out = append(out, violationRef{cfd: ci, v: v})
 		}
 	}
-	if len(allViolations) == 0 {
-		return 0, nil
+	return out, nil
+}
+
+// pass runs one detect-resolve iteration and returns the number of
+// violations it found in the instance it started from and the number of
+// changes it applied.
+func (r *repairer) pass() (found, applied int, err error) {
+	vs, err := r.violations()
+	if err != nil || len(vs) == 0 {
+		return 0, 0, err
 	}
 	before := len(r.changes)
-	plan := r.buildPlan(allViolations)
+	plan := r.buildPlan(vs)
 	r.applyPlan(plan)
-	applied := len(r.changes) - before
-	if applied == 0 {
+	if len(r.changes) == before {
 		// The plan proposed only values the cells already hold (possible
 		// when forces conflict); break the LHS of every remaining
 		// violation to guarantee progress.
-		r.breakAll(allViolations)
-		applied = len(r.changes) - before
+		r.breakAll(vs)
 	}
-	return applied, nil
+	return len(vs), len(r.changes) - before, nil
 }
 
 type violationRef struct {

@@ -8,9 +8,10 @@ import (
 	"repro/internal/relation"
 )
 
-// project turns surviving WHERE rows into the final result: grouping and
-// aggregation (GROUP BY / HAVING / COUNT), projection, DISTINCT, ORDER BY.
-func (ex *selectExec) project(rows []joined) (*Result, error) {
+// project turns surviving WHERE rows (flat provenance, see runWhere) into
+// the final result: grouping and aggregation (GROUP BY / HAVING / COUNT),
+// projection, DISTINCT, ORDER BY.
+func (ex *selectExec) project(rows []int32) (*Result, error) {
 	s := ex.stmt
 
 	// Expand the select list: star items become explicit column refs
@@ -115,7 +116,7 @@ func itemName(it SelectItem) string {
 	return exprString(it.Expr)
 }
 
-func (ex *selectExec) projectPlain(rows []joined, items []SelectItem) ([]string, [][]relation.Value, error) {
+func (ex *selectExec) projectPlain(rows []int32, items []SelectItem) ([]string, [][]relation.Value, error) {
 	comp := &compiler{scope: ex.scope}
 	fns := make([]valFn, len(items))
 	cols := make([]string, len(items))
@@ -127,13 +128,18 @@ func (ex *selectExec) projectPlain(rows []joined, items []SelectItem) ([]string,
 		fns[i] = fn
 		cols[i] = itemName(it)
 	}
-	out := make([][]relation.Value, len(rows))
-	for ri, r := range rows {
-		vals := make([]relation.Value, len(fns))
+	n := len(ex.sources)
+	f := newFrame(n)
+	out := make([][]relation.Value, len(rows)/n)
+	// One backing array for every output row.
+	vals := make([]relation.Value, len(out)*len(fns))
+	for ri := range out {
+		ex.load(f, rows[ri*n:(ri+1)*n])
+		row := vals[ri*len(fns) : (ri+1)*len(fns) : (ri+1)*len(fns)]
 		for i, fn := range fns {
-			vals[i] = fn(r.vals)
+			row[i] = fn(f)
 		}
-		out[ri] = vals
+		out[ri] = row
 	}
 	return cols, out, nil
 }
@@ -144,7 +150,7 @@ type aggState struct {
 	distinct map[string]struct{}
 }
 
-func (ex *selectExec) projectGrouped(rows []joined, items []SelectItem, aggNodes []*CountExpr) ([]string, [][]relation.Value, error) {
+func (ex *selectExec) projectGrouped(rows []int32, items []SelectItem, aggNodes []*CountExpr) ([]string, [][]relation.Value, error) {
 	s := ex.stmt
 	inComp := &compiler{scope: ex.scope}
 
@@ -182,28 +188,33 @@ func (ex *selectExec) projectGrouped(rows []joined, items []SelectItem, aggNodes
 
 	// Group.
 	type group struct {
-		first []relation.Value
+		first []int32 // provenance of the group's first row
 		aggs  []aggState
 	}
+	n := len(ex.sources)
+	f := newFrame(n)
 	groups := make(map[string]*group)
-	var order []string
+	var order []*group
 	keyBuf := make([]relation.Value, len(keyFns))
 	argBuf := make([]relation.Value, 8)
-	for _, r := range rows {
+	var enc []byte
+	for off := 0; off < len(rows); off += n {
+		prov := rows[off : off+n]
+		ex.load(f, prov)
 		for i, fn := range keyFns {
-			keyBuf[i] = fn(r.vals)
+			keyBuf[i] = fn(f)
 		}
-		k := relation.EncodeKey(keyBuf)
-		g, ok := groups[k]
+		enc = relation.AppendKey(enc[:0], keyBuf)
+		g, ok := groups[string(enc)]
 		if !ok {
-			g = &group{first: r.vals, aggs: make([]aggState, len(plans))}
+			g = &group{first: prov, aggs: make([]aggState, len(plans))}
 			for i, p := range plans {
 				if p.node.Distinct {
 					g.aggs[i].distinct = make(map[string]struct{})
 				}
 			}
-			groups[k] = g
-			order = append(order, k)
+			groups[string(enc)] = g
+			order = append(order, g)
 		}
 		for i, p := range plans {
 			switch {
@@ -212,16 +223,19 @@ func (ex *selectExec) projectGrouped(rows []joined, items []SelectItem, aggNodes
 			default:
 				args := argBuf[:0]
 				for _, fn := range p.args {
-					args = append(args, fn(r.vals))
+					args = append(args, fn(f))
 				}
-				g.aggs[i].distinct[relation.EncodeKey(args)] = struct{}{}
+				enc = relation.AppendKey(enc[:0], args)
+				if _, seen := g.aggs[i].distinct[string(enc)]; !seen {
+					g.aggs[i].distinct[string(enc)] = struct{}{}
+				}
 			}
 		}
 	}
 
 	// Compile HAVING and the select list in aggregate context: aggregate
-	// values live in slots appended after the input row.
-	aggComp := &compiler{scope: ex.scope, aggs: slots, aggBase: ex.width}
+	// values live in the frame's slots.
+	aggComp := &compiler{scope: ex.scope, aggs: slots}
 	var havingFn boolFn
 	if s.Having != nil {
 		fn, err := aggComp.compileBool(s.Having)
@@ -242,23 +256,22 @@ func (ex *selectExec) projectGrouped(rows []joined, items []SelectItem, aggNodes
 	}
 
 	var out [][]relation.Value
-	ext := make([]relation.Value, ex.width+len(plans))
-	for _, k := range order {
-		g := groups[k]
-		copy(ext, g.first)
+	f.aggs = make([]relation.Value, len(plans))
+	for _, g := range order {
+		ex.load(f, g.first)
 		for i := range plans {
-			n := g.aggs[i].count
+			c := g.aggs[i].count
 			if g.aggs[i].distinct != nil {
-				n = len(g.aggs[i].distinct)
+				c = len(g.aggs[i].distinct)
 			}
-			ext[ex.width+i] = strconv.Itoa(n)
+			f.aggs[i] = strconv.Itoa(c)
 		}
-		if havingFn != nil && !havingFn(ext) {
+		if havingFn != nil && !havingFn(f) {
 			continue
 		}
 		vals := make([]relation.Value, len(fns))
 		for i, fn := range fns {
-			vals[i] = fn(ext)
+			vals[i] = fn(f)
 		}
 		out = append(out, vals)
 	}
@@ -272,19 +285,19 @@ func orderRows(cols []string, rows [][]relation.Value, by []OrderItem) error {
 	}
 	keys := make([]sortKey, len(by))
 	outScope := &scope{}
-	for _, c := range cols {
-		outScope.cols = append(outScope.cols, column{name: c})
+	for i, c := range cols {
+		outScope.cols = append(outScope.cols, column{name: c, col: i})
 	}
 	for i, o := range by {
 		ref, ok := o.Expr.(*ColRef)
 		if !ok {
 			return fmt.Errorf("sqlmini: ORDER BY supports output column references only, got %s", exprString(o.Expr))
 		}
-		idx, err := outScope.resolve("", ref.Name)
+		c, err := outScope.resolve("", ref.Name)
 		if err != nil {
 			return err
 		}
-		keys[i] = sortKey{idx: idx, desc: o.Desc}
+		keys[i] = sortKey{idx: c.col, desc: o.Desc}
 	}
 	sort.SliceStable(rows, func(a, b int) bool {
 		for _, k := range keys {

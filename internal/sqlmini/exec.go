@@ -1,6 +1,26 @@
 package sqlmini
 
+// Execution over row positions.
+//
+// A SELECT never builds a joined row. Every FROM item is materialized once
+// as an execSource (a base table's tuples are shared, not copied), and a
+// column reference compiles to (source, column). Compiled expressions read
+// a frame: each source's current row and rowid, read in place, plus the
+// aggregate slots of a grouped query. The join enumeration sets one
+// source's frame entry per candidate row, and a surviving row is kept as
+// its provenance only — one int32 position per source, in a flat slice;
+// projection, grouping and HAVING load the frame back from it.
+//
+// Hoisting: at a join step, a conjunct of the form (d1 OR d2 OR ...) may
+// have disjuncts that read only the step's own source — the merged CNF
+// queries' (txp.A = '_' or txp.A = '@'). Those are evaluated once per
+// source row into a []bool before the enumeration, and the per-pair test
+// becomes flag[j] || rest(frame). Every pair is still visited, so a CNF
+// WHERE clause still plans and runs as a nested loop; Explain reports the
+// hoisted count.
+
 import (
+	"encoding/binary"
 	"fmt"
 	"strconv"
 
@@ -18,21 +38,21 @@ type Result struct {
 	Rows [][]relation.Value
 }
 
-// execSource is one FROM item, materialized: local rows plus its segment
-// placement in the full-width join row. The trailing column of every source
-// is the rowid pseudo-column.
+// execSource is one FROM item, materialized. cols ends with RowidColumn,
+// which is not stored in rows.
 type execSource struct {
 	alias  string
-	cols   []string // includes trailing RowidColumn
+	cols   []string
 	rows   [][]relation.Value
 	rowids []relation.Value
-	off    int
-	width  int
 }
 
-func (s *execSource) fill(scratch []relation.Value, i int) {
-	copy(scratch[s.off:], s.rows[i])
-	scratch[s.off+s.width-1] = s.rowids[i]
+// value reads column col (or the rowid) of row j.
+func (s *execSource) value(j, col int) relation.Value {
+	if col == rowidCol {
+		return s.rowids[j]
+	}
+	return s.rows[j][col]
 }
 
 // atom is one WHERE conjunct with the set of sources it references.
@@ -46,19 +66,27 @@ type atom struct {
 // different sources — the only conjunct shape the planner can turn into a
 // hash join (mirroring the optimizer behaviour the paper reports).
 type equiCand struct {
-	a          *atom
-	srcL, srcR int
-	absL, absR int
-	consumed   bool
+	a        *atom
+	l, r     column
+	consumed bool
+}
+
+// hoistedAtom is a conjunct split at a join step: inner ORs the disjuncts
+// that read only the step's source, rest the others. flags holds inner per
+// source row, filled at execution.
+type hoistedAtom struct {
+	inner, rest boolFn
+	flags       []bool
 }
 
 // joinStep joins one source into the accumulated row, either by hash
 // lookup (probeKeys/buildKeys non-empty) or nested iteration.
 type joinStep struct {
 	src       int
-	probeKeys []int // absolute indexes into the accumulated row
-	buildKeys []int // local column indexes within the new source
+	probeKeys []valFn  // read from the sources already joined
+	buildKeys []column // columns of the new source
 	atoms     []boolFn
+	hoisted   []*hoistedAtom
 	hash      map[string][]int // built at execution time
 }
 
@@ -67,7 +95,6 @@ type selectExec struct {
 	stmt    *Select
 	sources []*execSource
 	scope   *scope
-	width   int
 }
 
 func (db *DB) runSelect(s *Select) (*Result, error) {
@@ -88,12 +115,12 @@ func (ex *selectExec) buildSources() error {
 	}
 	ex.scope = &scope{}
 	seen := make(map[string]bool)
-	for _, fi := range ex.stmt.From {
+	for si, fi := range ex.stmt.From {
 		if seen[fi.Alias] {
 			return fmt.Errorf("sqlmini: duplicate FROM alias %q", fi.Alias)
 		}
 		seen[fi.Alias] = true
-		src := &execSource{alias: fi.Alias, off: ex.width}
+		src := &execSource{alias: fi.Alias}
 		if fi.Sub != nil {
 			res, err := ex.db.runSelect(fi.Sub)
 			if err != nil {
@@ -112,82 +139,76 @@ func (ex *selectExec) buildSources() error {
 				src.rows[i] = t
 			}
 		}
-		src.width = len(src.cols)
 		src.rowids = make([]relation.Value, len(src.rows))
 		for i := range src.rowids {
 			src.rowids[i] = strconv.Itoa(i)
 		}
-		for _, c := range src.cols {
-			ex.scope.cols = append(ex.scope.cols, column{qual: src.alias, name: c})
+		for ci, c := range src.cols {
+			if ci == len(src.cols)-1 {
+				ci = rowidCol
+			}
+			ex.scope.cols = append(ex.scope.cols, column{qual: src.alias, name: c, src: si, col: ci})
 		}
-		ex.width += src.width
 		ex.sources = append(ex.sources, src)
 	}
 	return nil
 }
 
-// sourceOf maps an absolute column index to its source index.
-func (ex *selectExec) sourceOf(abs int) int {
-	for i, s := range ex.sources {
-		if abs >= s.off && abs < s.off+s.width {
-			return i
-		}
+// set makes row j of source s (materialized as src) the frame's current one.
+func (f *frame) set(s int, src *execSource, j int) {
+	f.rows[s], f.rowids[s], f.pos[s] = src.rows[j], src.rowids[j], int32(j)
+}
+
+// load points the frame at the joined row with provenance prov.
+func (ex *selectExec) load(f *frame, prov []int32) {
+	for s, j := range prov {
+		f.set(s, ex.sources[s], int(j))
 	}
-	return -1
 }
 
-// joined is one surviving WHERE row: the full-width values and, for
-// cross-disjunct deduplication, the local row id of every source.
-type joined struct {
-	vals []relation.Value
-	prov []int32
-}
-
-// runWhere evaluates the FROM/WHERE part. The WHERE clause is first split
-// into top-level disjuncts; each disjunct is planned independently (its
-// equality conjuncts drive hash joins), and results are unioned with
-// dedup on row provenance. A single disjunct whose conjuncts contain OR —
-// the CNF shape — yields no usable join keys and executes as nested loops,
-// reproducing the paper's CNF-vs-DNF optimizer effect.
-func (ex *selectExec) runWhere() ([]joined, error) {
+// runWhere evaluates the FROM/WHERE part and returns the surviving rows as
+// flat provenance: row i is out[i*n:(i+1)*n] for n sources. The WHERE
+// clause is first split into top-level disjuncts; each disjunct is planned
+// independently (its equality conjuncts drive hash joins), and results
+// are unioned with dedup on provenance. A single disjunct whose conjuncts
+// contain OR — the CNF shape — yields no usable join keys and executes as
+// nested loops, reproducing the paper's CNF-vs-DNF optimizer effect.
+func (ex *selectExec) runWhere() ([]int32, error) {
 	var disjuncts []Expr
 	if ex.stmt.Where == nil {
 		disjuncts = []Expr{nil}
 	} else {
 		disjuncts = splitOr(ex.stmt.Where, nil)
 	}
-	var out []joined
-	var seen map[string]bool
+	n := len(ex.sources)
+	var out []int32
+	var seen map[string]struct{}
 	if len(disjuncts) > 1 {
-		seen = make(map[string]bool)
+		seen = make(map[string]struct{})
 	}
+	var key []byte
 	for _, d := range disjuncts {
-		rows, err := ex.runDisjunct(d)
+		plan, err := ex.planDisjunct(d)
 		if err != nil {
 			return nil, err
 		}
+		rows := ex.execDisjunct(plan)
 		if seen == nil {
 			out = rows
 			continue
 		}
-		for _, r := range rows {
-			k := provKey(r.prov)
-			if !seen[k] {
-				seen[k] = true
-				out = append(out, r)
+		for i := 0; i < len(rows); i += n {
+			key = key[:0]
+			for _, p := range rows[i : i+n] {
+				key = binary.LittleEndian.AppendUint32(key, uint32(p))
+			}
+			if _, dup := seen[string(key)]; !dup {
+				seen[string(key)] = struct{}{}
+				out = append(out, rows[i:i+n]...)
 			}
 		}
 	}
 	return out, nil
-}
-
-func provKey(prov []int32) string {
-	b := make([]byte, 0, len(prov)*5)
-	for _, p := range prov {
-		b = strconv.AppendInt(b, int64(p), 36)
-		b = append(b, ',')
-	}
-	return string(b)
 }
 
 // disjunctPlan is the physical plan of one disjunct: per-source
@@ -197,12 +218,17 @@ type disjunctPlan struct {
 	steps      []*joinStep
 }
 
-func (ex *selectExec) runDisjunct(d Expr) ([]joined, error) {
-	plan, err := ex.planDisjunct(d)
-	if err != nil {
-		return nil, err
+// maskOf is the set of sources an expression references.
+func (ex *selectExec) maskOf(e Expr) (uint64, error) {
+	var mask uint64
+	for _, ref := range colRefsOf(e, nil) {
+		c, err := ex.scope.resolve(ref.Qual, ref.Name)
+		if err != nil {
+			return 0, err
+		}
+		mask |= 1 << uint(c.src)
 	}
-	return ex.execDisjunct(plan)
+	return mask, nil
 }
 
 // planDisjunct classifies the disjunct's conjuncts (prefilter / hash-join
@@ -224,13 +250,9 @@ func (ex *selectExec) planDisjunct(d Expr) (*disjunctPlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		var mask uint64
-		for _, ref := range colRefsOf(c, nil) {
-			abs, err := ex.scope.resolve(ref.Qual, ref.Name)
-			if err != nil {
-				return nil, err
-			}
-			mask |= 1 << uint(ex.sourceOf(abs))
+		mask, err := ex.maskOf(c)
+		if err != nil {
+			return nil, err
 		}
 		a := &atom{e: c, mask: mask, fn: fn}
 		// Single-source (or constant) conjuncts become prefilters.
@@ -248,14 +270,11 @@ func (ex *selectExec) planDisjunct(d Expr) (*disjunctPlan, error) {
 			lRef, lok := b.L.(*ColRef)
 			rRef, rok := b.R.(*ColRef)
 			if lok && rok {
-				absL, errL := ex.scope.resolve(lRef.Qual, lRef.Name)
-				absR, errR := ex.scope.resolve(rRef.Qual, rRef.Name)
-				if errL == nil && errR == nil {
-					sL, sR := ex.sourceOf(absL), ex.sourceOf(absR)
-					if sL != sR {
-						equis = append(equis, &equiCand{a: a, srcL: sL, srcR: sR, absL: absL, absR: absR})
-						continue
-					}
+				l, errL := ex.scope.resolve(lRef.Qual, lRef.Name)
+				r, errR := ex.scope.resolve(rRef.Qual, rRef.Name)
+				if errL == nil && errR == nil && l.src != r.src {
+					equis = append(equis, &equiCand{a: a, l: l, r: r})
+					continue
 				}
 			}
 		}
@@ -276,8 +295,8 @@ func (ex *selectExec) planDisjunct(d Expr) (*disjunctPlan, error) {
 				if e.consumed {
 					continue
 				}
-				if (e.srcL == cand && joinedMask&(1<<uint(e.srcR)) != 0) ||
-					(e.srcR == cand && joinedMask&(1<<uint(e.srcL)) != 0) {
+				if (e.l.src == cand && joinedMask&(1<<uint(e.r.src)) != 0) ||
+					(e.r.src == cand && joinedMask&(1<<uint(e.l.src)) != 0) {
 					next = cand
 					break
 				}
@@ -298,19 +317,18 @@ func (ex *selectExec) planDisjunct(d Expr) (*disjunctPlan, error) {
 			step.src = next
 		} else {
 			step.src = next
-			src := ex.sources[next]
 			for _, e := range equis {
 				if e.consumed {
 					continue
 				}
 				switch {
-				case e.srcL == next && joinedMask&(1<<uint(e.srcR)) != 0:
-					step.buildKeys = append(step.buildKeys, e.absL-src.off)
-					step.probeKeys = append(step.probeKeys, e.absR)
+				case e.l.src == next && joinedMask&(1<<uint(e.r.src)) != 0:
+					step.buildKeys = append(step.buildKeys, e.l)
+					step.probeKeys = append(step.probeKeys, colFn(e.r))
 					e.consumed = true
-				case e.srcR == next && joinedMask&(1<<uint(e.srcL)) != 0:
-					step.buildKeys = append(step.buildKeys, e.absR-src.off)
-					step.probeKeys = append(step.probeKeys, e.absL)
+				case e.r.src == next && joinedMask&(1<<uint(e.l.src)) != 0:
+					step.buildKeys = append(step.buildKeys, e.r)
+					step.probeKeys = append(step.probeKeys, colFn(e.l))
 					e.consumed = true
 				}
 			}
@@ -320,7 +338,9 @@ func (ex *selectExec) planDisjunct(d Expr) (*disjunctPlan, error) {
 		for _, a := range atoms {
 			if !assigned[a] && a.mask&^joinedMask == 0 {
 				assigned[a] = true
-				step.atoms = append(step.atoms, a.fn)
+				if err := ex.attach(step, a, comp); err != nil {
+					return nil, err
+				}
 			}
 		}
 		// Unconsumed equi candidates spanning the joined set degrade to
@@ -334,40 +354,59 @@ func (ex *selectExec) planDisjunct(d Expr) (*disjunctPlan, error) {
 		}
 		steps = append(steps, step)
 	}
-	// Atoms referencing only source 0 ended up as prefilters; any atom not
-	// yet assigned references only source 0 via mask — attach to step 0.
-	for _, a := range atoms {
-		if !assigned[a] {
-			steps[0].atoms = append(steps[0].atoms, a.fn)
-		}
-	}
 	return &disjunctPlan{prefilters: prefilters, steps: steps}, nil
 }
 
+// attach adds a residual conjunct to a join step, hoisting the disjuncts
+// that read only the step's own source (see the file comment).
+func (ex *selectExec) attach(step *joinStep, a *atom, comp *compiler) error {
+	var inner, rest []Expr
+	for _, d := range splitOr(a.e, nil) {
+		mask, err := ex.maskOf(d)
+		if err != nil {
+			return err
+		}
+		if mask&^(1<<uint(step.src)) == 0 {
+			inner = append(inner, d)
+		} else {
+			rest = append(rest, d)
+		}
+	}
+	if len(inner) == 0 {
+		step.atoms = append(step.atoms, a.fn)
+		return nil
+	}
+	innerFn, err := comp.compileBool(orOf(inner))
+	if err != nil {
+		return err
+	}
+	restFn, err := comp.compileBool(orOf(rest))
+	if err != nil {
+		return err
+	}
+	step.hoisted = append(step.hoisted, &hoistedAtom{inner: innerFn, rest: restFn})
+	return nil
+}
+
 // execDisjunct evaluates a planned disjunct: prefilter the sources, build
-// the hash tables, then enumerate join rows depth-first.
-func (ex *selectExec) execDisjunct(plan *disjunctPlan) ([]joined, error) {
+// the hash tables and hoisted flags, then enumerate join rows depth-first
+// into flat provenance.
+func (ex *selectExec) execDisjunct(plan *disjunctPlan) []int32 {
 	steps := plan.steps
-	scratch := make([]relation.Value, ex.width)
+	f := newFrame(len(ex.sources))
 
 	// Prefilter every source.
 	filtered := make([][]int, len(ex.sources))
 	for i, src := range ex.sources {
-		if len(plan.prefilters[i]) == 0 {
-			idx := make([]int, len(src.rows))
-			for j := range idx {
-				idx[j] = j
-			}
-			filtered[i] = idx
-			continue
-		}
-		var idx []int
+		idx := make([]int, 0, len(src.rows))
 	rowLoop:
 		for j := range src.rows {
-			src.fill(scratch, j)
-			for _, f := range plan.prefilters[i] {
-				if !f(scratch) {
-					continue rowLoop
+			if len(plan.prefilters[i]) > 0 {
+				f.set(i, src, j)
+				for _, fn := range plan.prefilters[i] {
+					if !fn(f) {
+						continue rowLoop
+					}
 				}
 			}
 			idx = append(idx, j)
@@ -375,70 +414,70 @@ func (ex *selectExec) execDisjunct(plan *disjunctPlan) ([]joined, error) {
 		filtered[i] = idx
 	}
 
-	// Build hash tables for hash steps.
-	key := make([]relation.Value, 8)
+	// Build hash tables and hoisted flags over the filtered rows. Keys are
+	// encoded into one reused buffer; a probe does not allocate.
+	var vals []relation.Value
+	var key []byte
 	for _, st := range steps[1:] {
-		st.hash = nil
+		src := ex.sources[st.src]
+		for _, h := range st.hoisted {
+			h.flags = make([]bool, len(src.rows))
+			for _, j := range filtered[st.src] {
+				f.set(st.src, src, j)
+				h.flags[j] = h.inner(f)
+			}
+		}
 		if len(st.buildKeys) == 0 {
 			continue
 		}
-		src := ex.sources[st.src]
 		st.hash = make(map[string][]int, len(filtered[st.src]))
 		for _, j := range filtered[st.src] {
-			row := src.rows[j]
-			k := key[:0]
+			vals = vals[:0]
 			for _, bk := range st.buildKeys {
-				if bk == src.width-1 {
-					k = append(k, src.rowids[j])
-				} else {
-					k = append(k, row[bk])
-				}
+				vals = append(vals, src.value(j, bk.col))
 			}
-			ks := relation.EncodeKey(k)
-			st.hash[ks] = append(st.hash[ks], j)
+			key = relation.AppendKey(key[:0], vals)
+			st.hash[string(key)] = append(st.hash[string(key)], j)
 		}
 	}
 
 	// Enumerate: depth-first over the join steps, streaming into out.
-	var out []joined
-	prov := make([]int32, len(ex.sources))
+	var out []int32
 	var rec func(depth int)
 	rec = func(depth int) {
 		if depth == len(steps) {
-			out = append(out, joined{
-				vals: append([]relation.Value(nil), scratch...),
-				prov: append([]int32(nil), prov...),
-			})
+			out = append(out, f.pos...)
 			return
 		}
 		st := steps[depth]
-		src := ex.sources[st.src]
-		emit := func(j int) {
-			src.fill(scratch, j)
-			for _, f := range st.atoms {
-				if !f(scratch) {
-					return
+		s, src := st.src, ex.sources[st.src]
+		cands := filtered[s]
+		if st.hash != nil {
+			vals = vals[:0]
+			for _, pk := range st.probeKeys {
+				vals = append(vals, pk(f))
+			}
+			key = relation.AppendKey(key[:0], vals)
+			cands = st.hash[string(key)]
+		}
+	pairs:
+		for _, j := range cands {
+			f.set(s, src, j)
+			for _, h := range st.hoisted {
+				if !h.flags[j] && !h.rest(f) {
+					continue pairs
 				}
 			}
-			prov[st.src] = int32(j)
+			for _, fn := range st.atoms {
+				if !fn(f) {
+					continue pairs
+				}
+			}
 			rec(depth + 1)
-		}
-		if st.hash != nil {
-			k := key[:0]
-			for _, pk := range st.probeKeys {
-				k = append(k, scratch[pk])
-			}
-			for _, j := range st.hash[relation.EncodeKey(k)] {
-				emit(j)
-			}
-			return
-		}
-		for _, j := range filtered[st.src] {
-			emit(j)
 		}
 	}
 	rec(0)
-	return out, nil
+	return out
 }
 
 func popcountOne(mask uint64) (n, only int) {

@@ -8,7 +8,9 @@ import (
 // Explain renders the physical plan of a SELECT without executing it —
 // the window into the optimizer effect the paper's Section 5 discusses:
 // CNF WHERE clauses (every conjunct carrying OR) plan as nested loops,
-// while DNF disjuncts plan hash joins from their equality conjuncts.
+// while DNF disjuncts plan hash joins from their equality conjuncts. A
+// step's "hoisted" count is how many of its residual filters evaluate
+// their own-source disjuncts once per row instead of once per pair.
 func (db *DB) Explain(sql string) (string, error) {
 	st, err := Parse(sql)
 	if err != nil {
@@ -70,8 +72,11 @@ func (db *DB) explainSelect(sel *Select, b *strings.Builder, indent string) erro
 				pre = fmt.Sprintf(", %d prefilter(s)", n)
 			}
 			post := ""
-			if n := len(st.atoms); n > 0 {
+			if n := len(st.atoms) + len(st.hoisted); n > 0 {
 				post = fmt.Sprintf(", %d residual filter(s)", n)
+			}
+			if n := len(st.hoisted); n > 0 {
+				post += fmt.Sprintf(", %d hoisted", n)
 			}
 			stepIndent := indent + "  "
 			if len(disjuncts) > 1 {
@@ -83,7 +88,7 @@ func (db *DB) explainSelect(sel *Select, b *strings.Builder, indent string) erro
 			case len(st.buildKeys) > 0:
 				keys := make([]string, len(st.buildKeys))
 				for i, bk := range st.buildKeys {
-					keys[i] = src.alias + "." + src.cols[bk]
+					keys[i] = bk.qual + "." + bk.name
 				}
 				fmt.Fprintf(b, "%shash join %s on (%s) (%d rows%s%s)\n",
 					stepIndent, src.alias, strings.Join(keys, ", "), len(src.rows), pre, post)

@@ -151,3 +151,17 @@ func TestExplainMatchesExecution(t *testing.T) {
 		t.Errorf("execution after Explain returned %d rows, want 2", len(res.Rows))
 	}
 }
+
+// TestExplainCountsHoistedFilters: in the CNF shape, the OR conjuncts'
+// pattern-only disjuncts (p.CC = '_') are hoisted to once per p row; the
+// step still plans as a nested loop.
+func TestExplainCountsHoistedFilters(t *testing.T) {
+	db := explainDB(t)
+	out := mustExplain(t, db, `
+		select t._rowid from cust t, tp p
+		where (t.CC = p.CC or p.CC = '_') and (t.AC = p.AC or p.AC = '_')
+		  and (t.CT <> p.CT and p.CT <> '_')`)
+	if !strings.Contains(out, "nested loop p (2 rows, 1 prefilter(s), 3 residual filter(s), 2 hoisted)") {
+		t.Errorf("want 2 of 3 residual filters hoisted:\n%s", out)
+	}
+}

@@ -9,54 +9,84 @@ import (
 )
 
 // column is one visible column during compilation: qualifier (the FROM
-// alias, or "" for output columns) and name.
+// alias, or "" for output columns), name, and where its value lives — the
+// FROM source and the column within that source's row. col is rowidCol for
+// the rowid pseudo-column, which is not stored in the row.
 type column struct {
 	qual string
 	name string
+	src  int
+	col  int
 }
 
-// scope maps column references to absolute positions in the row layout.
+const rowidCol = -1
+
+// scope resolves column references.
 type scope struct {
 	cols []column
 }
 
-func (s *scope) resolve(qual, name string) (int, error) {
+func (s *scope) resolve(qual, name string) (column, error) {
 	if qual != "" {
-		for i, c := range s.cols {
+		for _, c := range s.cols {
 			if c.qual == qual && c.name == name {
-				return i, nil
+				return c, nil
 			}
 		}
-		return 0, fmt.Errorf("sqlmini: unknown column %s.%s", qual, name)
+		return column{}, fmt.Errorf("sqlmini: unknown column %s.%s", qual, name)
 	}
 	found := -1
 	for i, c := range s.cols {
 		if c.name == name {
 			if found >= 0 {
-				return 0, fmt.Errorf("sqlmini: ambiguous column %s", name)
+				return column{}, fmt.Errorf("sqlmini: ambiguous column %s", name)
 			}
 			found = i
 		}
 	}
 	if found < 0 {
-		return 0, fmt.Errorf("sqlmini: unknown column %s", name)
+		return column{}, fmt.Errorf("sqlmini: unknown column %s", name)
 	}
-	return found, nil
+	return s.cols[found], nil
 }
 
-// valFn computes a scalar value from a row; boolFn a predicate.
-type valFn func(row []relation.Value) relation.Value
+// frame is what compiled expressions read: each FROM source's current row
+// and rowid, in place, plus the aggregate slots of a grouped query.
+type frame struct {
+	rows   [][]relation.Value // per source: the current row
+	rowids []relation.Value   // per source: the current row's rowid
+	pos    []int32            // per source: the current row's position
+	aggs   []relation.Value
+}
 
-type boolFn func(row []relation.Value) bool
+func newFrame(nsrc int) *frame {
+	return &frame{
+		rows:   make([][]relation.Value, nsrc),
+		rowids: make([]relation.Value, nsrc),
+		pos:    make([]int32, nsrc),
+	}
+}
 
-// compiler turns expressions into closures over a fixed row layout. When
-// aggs is non-nil, CountExpr nodes compile to reads of the aggregate slots
-// appended after the base row (aggregate context: HAVING and the select
-// list of a grouped query).
+// valFn computes a scalar value from a frame; boolFn a predicate.
+type valFn func(f *frame) relation.Value
+
+type boolFn func(f *frame) bool
+
+// colFn reads one column of the frame.
+func colFn(c column) valFn {
+	src, col := c.src, c.col
+	if col == rowidCol {
+		return func(f *frame) relation.Value { return f.rowids[src] }
+	}
+	return func(f *frame) relation.Value { return f.rows[src][col] }
+}
+
+// compiler turns expressions into closures over a frame. When aggs is
+// non-nil, CountExpr nodes compile to reads of the frame's aggregate slots
+// (aggregate context: HAVING and the select list of a grouped query).
 type compiler struct {
-	scope   *scope
-	aggs    map[*CountExpr]int
-	aggBase int
+	scope *scope
+	aggs  map[*CountExpr]int
 }
 
 func (c *compiler) compileBool(e Expr) (boolFn, error) {
@@ -72,7 +102,7 @@ func (c *compiler) compileBool(e Expr) (boolFn, error) {
 			if err != nil {
 				return nil, err
 			}
-			return func(row []relation.Value) bool { return l(row) && r(row) }, nil
+			return func(f *frame) bool { return l(f) && r(f) }, nil
 		case "OR":
 			l, err := c.compileBool(v.L)
 			if err != nil {
@@ -82,7 +112,7 @@ func (c *compiler) compileBool(e Expr) (boolFn, error) {
 			if err != nil {
 				return nil, err
 			}
-			return func(row []relation.Value) bool { return l(row) || r(row) }, nil
+			return func(f *frame) bool { return l(f) || r(f) }, nil
 		}
 		return c.compileCmp(v)
 	case *NotOp:
@@ -90,7 +120,7 @@ func (c *compiler) compileBool(e Expr) (boolFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(row []relation.Value) bool { return !inner(row) }, nil
+		return func(f *frame) bool { return !inner(f) }, nil
 	}
 	return nil, fmt.Errorf("sqlmini: expected a boolean expression, got %s", exprString(e))
 }
@@ -106,17 +136,17 @@ func (c *compiler) compileCmp(v *BinOp) (boolFn, error) {
 	}
 	switch v.Op {
 	case "=":
-		return func(row []relation.Value) bool { return l(row) == r(row) }, nil
+		return func(f *frame) bool { return l(f) == r(f) }, nil
 	case "<>":
-		return func(row []relation.Value) bool { return l(row) != r(row) }, nil
+		return func(f *frame) bool { return l(f) != r(f) }, nil
 	case "<":
-		return func(row []relation.Value) bool { return compareValues(l(row), r(row)) < 0 }, nil
+		return func(f *frame) bool { return compareValues(l(f), r(f)) < 0 }, nil
 	case "<=":
-		return func(row []relation.Value) bool { return compareValues(l(row), r(row)) <= 0 }, nil
+		return func(f *frame) bool { return compareValues(l(f), r(f)) <= 0 }, nil
 	case ">":
-		return func(row []relation.Value) bool { return compareValues(l(row), r(row)) > 0 }, nil
+		return func(f *frame) bool { return compareValues(l(f), r(f)) > 0 }, nil
 	case ">=":
-		return func(row []relation.Value) bool { return compareValues(l(row), r(row)) >= 0 }, nil
+		return func(f *frame) bool { return compareValues(l(f), r(f)) >= 0 }, nil
 	}
 	return nil, fmt.Errorf("sqlmini: unsupported operator %q", v.Op)
 }
@@ -125,13 +155,13 @@ func (c *compiler) compileVal(e Expr) (valFn, error) {
 	switch v := e.(type) {
 	case *Lit:
 		val := v.Val
-		return func([]relation.Value) relation.Value { return val }, nil
+		return func(*frame) relation.Value { return val }, nil
 	case *ColRef:
-		idx, err := c.scope.resolve(v.Qual, v.Name)
+		col, err := c.scope.resolve(v.Qual, v.Name)
 		if err != nil {
 			return nil, err
 		}
-		return func(row []relation.Value) relation.Value { return row[idx] }, nil
+		return colFn(col), nil
 	case *CaseExpr:
 		type branch struct {
 			cond boolFn
@@ -157,14 +187,14 @@ func (c *compiler) compileVal(e Expr) (valFn, error) {
 			}
 			elseFn = fn
 		}
-		return func(row []relation.Value) relation.Value {
+		return func(f *frame) relation.Value {
 			for _, b := range branches {
-				if b.cond(row) {
-					return b.then(row)
+				if b.cond(f) {
+					return b.then(f)
 				}
 			}
 			if elseFn != nil {
-				return elseFn(row)
+				return elseFn(f)
 			}
 			return ""
 		}, nil
@@ -176,8 +206,7 @@ func (c *compiler) compileVal(e Expr) (valFn, error) {
 		if !ok {
 			return nil, fmt.Errorf("sqlmini: internal: unregistered aggregate %s", exprString(v))
 		}
-		idx := c.aggBase + slot
-		return func(row []relation.Value) relation.Value { return row[idx] }, nil
+		return func(f *frame) relation.Value { return f.aggs[slot] }, nil
 	}
 	return nil, fmt.Errorf("sqlmini: expected a scalar expression, got %s", exprString(e))
 }
@@ -255,6 +284,15 @@ func splitOr(e Expr, out []Expr) []Expr {
 		return splitOr(b.R, out)
 	}
 	return append(out, e)
+}
+
+// orOf joins disjuncts back into one expression (the inverse of splitOr).
+func orOf(ds []Expr) Expr {
+	e := ds[0]
+	for _, d := range ds[1:] {
+		e = &BinOp{Op: "OR", L: e, R: d}
+	}
+	return e
 }
 
 // splitAnd flattens top-level AND into conjuncts.
