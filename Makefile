@@ -25,7 +25,7 @@ test:
 	$(GO) build ./... && $(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/obs/ ./internal/incremental/ ./internal/wal/ ./internal/cluster/ ./internal/httpapi/ ./internal/detect/ ./cmd/cfdserve/ ./cmd/cfdrouter/
+	$(GO) test -race ./internal/obs/ ./internal/relation/ ./internal/incremental/ ./internal/wal/ ./internal/cluster/ ./internal/httpapi/ ./internal/detect/ ./cmd/cfdserve/ ./cmd/cfdrouter/
 
 # End-to-end observability check: boot a durable cfdserve, push batches
 # through /v1/apply, scrape GET /v1/metrics and assert the expected
@@ -68,9 +68,10 @@ race-cluster:
 # The read-path property tests under the race detector, twice: the
 # randomized view-vs-scan oracle (including flip-flop batches), the
 # concurrent readers-vs-writers hammer on the lock-free violation view,
-# and the router's standby read fan-out with its staleness guard.
+# point reads that must see whole commit windows, and the router's
+# standby read fan-out with its staleness guard.
 race-readpath:
-	$(GO) test -race -count 2 -run 'TestViewMatchesScanUnderRandomStreams|TestViewConcurrentReadersWriters|TestPickRead' ./internal/incremental/ ./internal/cluster/
+	$(GO) test -race -count 2 -run 'TestViewMatchesScanUnderRandomStreams|TestViewConcurrentReadersWriters|TestViolationsForSeesWholeWindows|TestPickRead' ./internal/incremental/ ./internal/cluster/
 
 # The repair-suggester property tests under the race detector, twice:
 # randomized dirt streams must converge to I' |= Sigma through the

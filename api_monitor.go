@@ -29,8 +29,8 @@ type (
 	MonitorJournalStats = incremental.JournalStats
 	// ChangeSet is an ordered vector of insert/delete/update ops applied
 	// as one batch via Monitor.Apply: validated as a unit, journaled
-	// inside a single WAL record (atomic under crash), and applied
-	// shard-parallel when large.
+	// inside a single WAL record (atomic under crash), and applied in
+	// vector order.
 	// Build one with its Insert/Delete/Update methods or an Ops literal;
 	// after Apply, inserted keys are in ChangeOp.Key.
 	ChangeSet = incremental.ChangeSet

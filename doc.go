@@ -105,8 +105,9 @@
 // -only e10, make bench-batch) measure the resulting throughput curve
 // against batch size under concurrent writers; a 1000-op ChangeSet
 // lands an order of magnitude faster than 1000 single fsynced ops.
-// Apply also amortizes the in-memory work: a batch of 64 ops or more is
-// bucketed by lock shard and the touched shards apply in parallel.
+// Apply also amortizes the in-memory work: a whole commit window applies
+// in one loop under one hold of the store lock, so point readers see it
+// whole or not at all.
 //
 // # Streaming discovery
 //

@@ -125,8 +125,8 @@ func main() {
 	//
 	// Changes that arrive together should land together: a ChangeSet is
 	// an ordered op vector applied by ONE Monitor.Apply — validated as a
-	// unit (an invalid op rejects all of it), one pass per lock shard,
-	// and in durable mode one WAL record and one fsync. The delta is the
+	// unit (an invalid op rejects all of it), applied in one pass, and
+	// in durable mode one WAL record and one fsync. The delta is the
 	// batch's net effect across all its ops.
 	var cs repro.ChangeSet
 	cs.Insert(repro.Tuple{"01", "908", "1111111", "Eve", "Tree Ave.", "NYC", "07974"})

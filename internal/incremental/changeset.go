@@ -2,7 +2,6 @@ package incremental
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -16,9 +15,9 @@ import (
 // commit queue onto the writer lock. The queue coalesces concurrent
 // writers into one window: each request is validated by the one
 // key-existence check (validateWindowReq), the accepted ones are
-// journaled as ONE WAL record (one fsync in durable mode), and each is
-// then applied and folded by the one apply step (applyLocked) that
-// recovery replay and follower replication end in too.
+// journaled as ONE WAL record (one fsync in durable mode), and all of
+// them are then applied and folded by the one apply step (applyLocked)
+// that recovery replay and follower replication end in too.
 
 // OpKind distinguishes the three mutation kinds of a ChangeSet op. The
 // values double as the WAL record op codes (see journal.go).
@@ -342,7 +341,7 @@ func (m *Monitor) commit(ops []Op) (*Delta, error) {
 // requests accepted before it, so one writer's bad op rejects that
 // writer, never the window. The accepted requests are journaled as ONE
 // record in window order — log order equals apply order — and then
-// applied one by one, so every writer gets its own delta. The caller
+// applied in that order, each writer getting its own delta. The caller
 // holds m.mu; outcomes land in each request.
 func (m *Monitor) commitWindowLocked(reqs []*commitReq) {
 	if m.j != nil {
@@ -402,17 +401,22 @@ func (m *Monitor) commitWindowLocked(reqs []*commitReq) {
 			t0 = t1
 		}
 	}
-	writers := 0
+	vecs := make([][]Op, 0, len(reqs))
 	for _, r := range reqs {
 		if r.err == nil {
-			r.d = m.applyLocked(r.ops)
-			writers++
+			vecs = append(vecs, r.ops)
+		}
+	}
+	deltas := m.applyLocked(vecs)
+	for _, r := range reqs {
+		if r.err == nil {
+			r.d, deltas = deltas[0], deltas[1:]
 		}
 	}
 	if met != nil {
 		met.shardApplySeconds.ObserveSince(t0)
 		met.gcWindowOps.Observe(uint64(total))
-		met.gcWindowWriters.Observe(uint64(writers))
+		met.gcWindowWriters.Observe(uint64(len(vecs)))
 	}
 	if m.j != nil {
 		m.j.afterAppend(m, total)
@@ -426,7 +430,7 @@ func (m *Monitor) commitWindowLocked(reqs []*commitReq) {
 // earlier in ops — and a keyed insert must not collide. Effects are
 // staged and merged into overlay only on success, so a rejected request
 // leaves no trace; a nil overlay means no later request will read it.
-// The caller holds m.mu, so the store is read without shard locks.
+// The caller holds m.mu, so the store is read without the store lock.
 func (m *Monitor) validateWindowReq(ops []Op, overlay map[int64]bool) error {
 	// Allocator-keyed inserts are fresh by construction: a request of
 	// nothing else, with nobody after it (a seed load), has nothing to
@@ -446,7 +450,7 @@ func (m *Monitor) validateWindowReq(ops []Op, overlay map[int64]bool) error {
 		if v, ok := overlay[key]; ok {
 			return v
 		}
-		_, ok := m.tuples[shardOfTuple(key)].m[key]
+		_, ok := m.tuples[key]
 		return ok
 	}
 	set := func(key int64, live bool) {
@@ -489,118 +493,70 @@ func (m *Monitor) validateWindowReq(ops []Op, overlay map[int64]bool) error {
 // GroupStats consumer is attached.
 type tupleChange struct{ before, after idTuple }
 
-// parallelApplyMin is the op count below which shard-parallel apply is
-// not worth the goroutine dispatch.
-const parallelApplyMin = 64
-
 // applyLocked is the one apply-and-fold step every state change ends in:
-// a live window's requests, a recovered record, a shipped one. The ops
-// were validated under the same hold of m.mu, so nothing can fail. It
-// applies the ops — shard-parallel at parallelApplyMin ops or more —
-// then folds the net delta into the view and every attached DeltaSub,
-// and the recorded tuple changes into every attached GroupStats.
-func (m *Monitor) applyLocked(ops []Op) *Delta {
-	m.internOps(ops)
-	var moved []tupleChange
-	if len(m.stats) > 0 {
-		moved = make([]tupleChange, len(ops))
-	}
-	d := m.applyOps(ops, moved).normalize()
-	m.foldView(d)
-	for _, s := range m.subs {
-		s.fold(d)
-	}
-	for _, h := range m.stats {
-		h.fold(ops, moved)
-	}
-	return d
-}
-
-// applyOps applies ops in vector order — sequentially for small vectors,
-// one goroutine per touched tuple shard for large ones — and merges the
-// per-shard deltas in ascending shard order.
-func (m *Monitor) applyOps(ops []Op, moved []tupleChange) *Delta {
-	if len(ops) < parallelApplyMin {
-		d := &Delta{}
-		sc := getScratch()
-		defer putScratch(sc)
-		for i := range ops {
-			m.applyOp(ops, i, d, sc, moved)
+// a live window's requests, a recovered record, a shipped one. Each
+// element of vecs is one request's ops, validated under the same hold of
+// m.mu, so nothing can fail. Every op applies in one loop, in vector
+// order, under one exclusive hold of the store lock, so a reader sees
+// the whole window or none of it. Outside that hold, each request's
+// delta is normalized and folded into the view and every attached
+// DeltaSub, and its recorded tuple changes into every attached
+// GroupStats. The deltas come back aligned with vecs.
+func (m *Monitor) applyLocked(vecs [][]Op) []*Delta {
+	deltas := make([]*Delta, len(vecs))
+	moved := make([][]tupleChange, len(vecs))
+	for i, ops := range vecs {
+		m.internOps(ops)
+		deltas[i] = &Delta{}
+		if len(m.stats) > 0 {
+			moved[i] = make([]tupleChange, len(ops))
 		}
-		return d
 	}
-	perShard, touched := m.bucketOps(ops)
-	deltas := make([]Delta, len(touched))
-	var wg sync.WaitGroup
-	for wi, si := range touched {
-		wg.Add(1)
-		go func(d *Delta, idxs []int32) {
-			defer wg.Done()
-			sc := getScratch()
-			defer putScratch(sc)
-			for _, i := range idxs {
-				m.applyOp(ops, int(i), d, sc, moved)
-			}
-		}(&deltas[wi], perShard[si])
+	m.storeMu.Lock()
+	for i, ops := range vecs {
+		for j := range ops {
+			m.applyOp(ops, j, deltas[i], moved[i])
+		}
 	}
-	wg.Wait()
-	d := &Delta{}
-	for wi := range deltas {
-		d.Added = append(d.Added, deltas[wi].Added...)
-		d.Removed = append(d.Removed, deltas[wi].Removed...)
+	m.storeMu.Unlock()
+	for i, d := range deltas {
+		d.normalize()
+		m.foldView(d)
+		for _, s := range m.subs {
+			s.fold(d)
+		}
+		for _, h := range m.stats {
+			h.fold(vecs[i], moved[i])
+		}
 	}
-	return d
+	return deltas
 }
 
-// applyOp applies validated op i under its tuple-shard lock, so readers
-// see whole ops, and records its tuple change when moved is non-nil.
-func (m *Monitor) applyOp(ops []Op, i int, d *Delta, sc *opScratch, moved []tupleChange) {
+// applyOp applies validated op i and records its tuple change when moved
+// is non-nil. The caller holds the writer lock and the store lock.
+func (m *Monitor) applyOp(ops []Op, i int, d *Delta, moved []tupleChange) {
 	op := &ops[i]
-	sh := &m.tuples[shardOfTuple(op.Key)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	before := sh.m[op.Key]
+	sc := &m.scratch
+	before := m.tuples[op.Key]
 	switch op.Kind {
 	case OpInsert:
-		m.insertLocked(sh, op.Key, op.ids, d, sc)
+		m.insertLocked(op.Key, op.ids, d, sc)
 	case OpDelete:
-		m.deleteLocked(sh, op.Key, before, d, sc)
+		m.deleteLocked(op.Key, before, d, sc)
 	case OpUpdate:
-		m.updateLocked(sh, op.Key, before, op.ai, op.vid, d, sc)
+		m.updateLocked(op.Key, before, op.ai, op.vid, d, sc)
 	}
 	if moved != nil {
-		moved[i] = tupleChange{before, sh.m[op.Key]}
+		moved[i] = tupleChange{before, m.tuples[op.Key]}
 	}
 }
 
-// bucketOps groups op indexes by tuple shard, preserving vector order
-// within each bucket, and returns the touched shards in ascending order.
-func (m *Monitor) bucketOps(ops []Op) (perShard [][]int32, touched []int) {
-	perShard = make([][]int32, shards)
-	for i := range ops {
-		si := shardOfTuple(ops[i].Key)
-		if perShard[si] == nil {
-			touched = append(touched, si)
-		}
-		perShard[si] = append(perShard[si], int32(i))
-	}
-	sort.Ints(touched)
-	return perShard, touched
-}
-
-// --- scratch pool ---
-
-// opScratch holds the reusable buffers of one apply worker: encoded-key,
-// projection and tableau-match scratch. Pooled so the single-op wrappers
-// don't pay an allocation per mutation.
+// opScratch holds the writer's reusable buffers: encoded-key, projection
+// and tableau-match scratch. The monitor owns one, guarded by the writer
+// lock, so no mutation allocates them.
 type opScratch struct {
 	key  []byte
 	ykey []byte
 	x, y []uint32
 	rows []int
 }
-
-var scratchPool = sync.Pool{New: func() any { return &opScratch{} }}
-
-func getScratch() *opScratch   { return scratchPool.Get().(*opScratch) }
-func putScratch(sc *opScratch) { scratchPool.Put(sc) }

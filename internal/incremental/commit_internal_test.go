@@ -235,3 +235,34 @@ func TestCommitWindowAttachWithBackfill(t *testing.T) {
 		}
 	}
 }
+
+// TestJournalStatsSkipsWriterLock pins that GET /v1/stats never waits on
+// a commit window: with the writer lock held — as it is across a
+// window's append, fsync and folds, or a snapshot roll — JournalStats
+// still answers, with the generation and segment records as of the last
+// commit.
+func TestJournalStatsSkipsWriterLock(t *testing.T) {
+	schema, sigma := metricsSchema(t)
+	seed := relation.New(schema)
+	seed.MustInsert("a", "1")
+	m, err := Load(seed, sigma, Options{Durable: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if _, _, err := m.Insert(relation.Tuple{"a", "2"}); err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	got := make(chan JournalStats, 1)
+	go func() { got <- m.JournalStats() }()
+	select {
+	case st := <-got:
+		if !st.Durable || st.Generation != 1 || st.SegmentRecords != 1 || st.LastSnapshotErr != "" {
+			t.Fatalf("JournalStats = %+v, want durable generation 1 with 1 record", st)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("JournalStats blocked on the writer lock")
+	}
+}

@@ -1,8 +1,6 @@
 package incremental
 
 import (
-	"sync"
-
 	"repro/internal/core"
 	"repro/internal/relation"
 )
@@ -10,11 +8,13 @@ import (
 // This file holds the persistent index structures behind the Monitor: the
 // static tableau-row index (the inverse of detect/direct.go's constant-mask
 // bucketing — pattern rows are indexed once and probed per tuple, instead
-// of the data being indexed per detection run) and the lock-sharded live
-// group and constant-violation stores. The tableau-free generalization of
-// the group index — per-X-group support and Y-value distributions for
-// arbitrary attribute pairs, feeding the streaming CFD miner — lives in
-// stats.go, folded from the same apply step.
+// of the data being indexed per detection run) and the live group entries
+// of each CFD's group store. The stores themselves are plain maps on the
+// Monitor and its cfdStates, behind the one store lock (see monitor.go).
+// The tableau-free generalization of the group index — per-X-group
+// support and Y-value distributions for arbitrary attribute pairs,
+// feeding the streaming CFD miner — lives in stats.go, folded from the
+// same apply step.
 //
 // Everything here speaks value IDs (relation.Interner.ID): tuples are
 // stored as []uint32 columns, tableau constants are resolved to IDs once
@@ -122,10 +122,10 @@ func buildYPatterns(cfd *core.CFD, vals *relation.Interner) [][]yCell {
 // group is the live state of one distinct X-projection under one CFD. A
 // group is in variable violation when at least one tableau row selects it
 // and its members disagree on Y. The membership multiset itself lives in
-// the shard-level yCounts map (one flat map per shard instead of one or
-// two small maps per group — the dominant allocation cost of both the hot
-// write path and snapshot recovery at 100K-tuple scale); the group only
-// carries the counters those entries maintain.
+// the CFD's yCounts map (one flat map per CFD instead of one or two small
+// maps per group — the dominant allocation cost of both the hot write
+// path and snapshot recovery at 100K-tuple scale); the group only carries
+// the counters those entries maintain.
 type group struct {
 	// xids is the shared X-projection as value IDs (owned by the group;
 	// treated as immutable once stored). Materialize through the
@@ -143,7 +143,7 @@ type group struct {
 
 func (g *group) violating() bool { return g.selected && g.distinct > 1 }
 
-// ykKey identifies one distinct Y-projection of one group within a shard.
+// ykKey identifies one distinct Y-projection of one group.
 // The group is referenced by identity: pointer hashing is cheaper than
 // re-hashing the packed X-projection on every membership change, and the
 // snapshot codec can reference groups by arena index instead of repeating
@@ -152,45 +152,4 @@ func (g *group) violating() bool { return g.selected && g.distinct > 1 }
 type ykKey struct {
 	g  *group
 	yk string
-}
-
-// groupShard is one lock shard of a CFD's group index: the groups keyed by
-// the packed-ID X-projection, plus the flat Y-projection multiset over all
-// of the shard's groups.
-type groupShard struct {
-	mu sync.RWMutex
-	m  map[string]*group
-	// yCounts is the multiset of member Y-projections, keyed per group.
-	// An entry appearing (count 0→1) raises its group's distinct counter;
-	// an entry vanishing lowers it. Removal recomputes the member's
-	// Y-projection from the departing tuple, so no per-member index is
-	// needed at all.
-	yCounts map[ykKey]int
-}
-
-// constShard is one lock shard of a CFD's constant-violation set.
-type constShard struct {
-	mu sync.RWMutex
-	m  map[int64]bool
-}
-
-// tupleShard is one lock shard of the monitor's tuple store. Tuples are
-// ID columns: 4 bytes per value instead of a 16-byte string header —
-// the resident-memory headline E13 measures.
-type tupleShard struct {
-	mu sync.RWMutex
-	m  map[int64]idTuple
-}
-
-// shardOfKey maps a packed group key to a shard index. It MUST agree
-// with relation.HashIDs over the unpacked vector (see the invariant in
-// relation/idcol.go): the hot path routes on HashIDs of the projection,
-// while snapshot recovery re-derives the shard from the packed key here.
-func shardOfKey(s string) int {
-	return int(relation.Hash(s) % shards)
-}
-
-// shardOfTuple maps a tuple key to a shard index.
-func shardOfTuple(key int64) int {
-	return int(uint64(key) % shards)
 }

@@ -20,15 +20,16 @@ import (
 // Options.SnapshotEvery records, and startup recovers the latest snapshot
 // plus the log tail instead of re-evaluating Σ over every tuple.
 //
-// The journal has no lock of its own: every field is guarded by the
+// The journal has no lock of its own: every field is written under the
 // monitor's writer lock (Monitor.mu), which every state change holds, so
 // WAL log order equals apply order and replaying the log rebuilds the
 // exact pre-crash state; see the locking notes in monitor.go. The commit
 // window appends one record per window (changeset.go); recovery replay
 // and follower replication decode records back into ops and run them
 // through the same validator and apply step, minus the append. Readers
-// (Violations, Satisfied, Get, ...) never wait on the append or the
-// fsync: they run against the lock-sharded indexes.
+// (Violations, Satisfied, Get, ..., JournalStats) never wait on the
+// append or the fsync: they read the stores under the store lock, which
+// the apply holds only around its op loop, or read atomics.
 
 // errClosed reports a mutation against a closed durable monitor.
 var errClosed = errors.New("incremental: monitor journal is closed")
@@ -77,7 +78,8 @@ const (
 )
 
 // journal is the durable state attached to a Monitor; the monitor's
-// writer lock guards all of it.
+// writer lock guards all of it, and the atomic gauges are also read
+// without it.
 type journal struct {
 	dir       string
 	fsync     bool
@@ -89,7 +91,10 @@ type journal struct {
 
 	log  *wal.Log
 	lock *wal.DirLock
-	seq  uint64 // current generation (snap-seq is the base of wal-seq)
+	// seq is the current generation (snap-seq is the base of wal-seq).
+	// seq, records and lastSnapErr are atomics so JournalStats reads them
+	// without the writer lock; only the writer stores them.
+	seq atomic.Uint64
 	// appendErr poisons the journal after a failed append: the record may
 	// or may not be on disk, so the in-memory state and the log can no
 	// longer be trusted to agree. Further mutations are refused until a
@@ -97,15 +102,15 @@ type journal struct {
 	// in-memory state, resolving the uncertainty) or a restart (which
 	// resolves it the other way, by replaying whatever reached the disk).
 	appendErr error
-	records   int // records appended to the current segment
+	records   atomic.Int64 // mutations journaled in the current segment
 	// retryAt, after a failed snapshot, is the segment length at which
 	// the background trigger may fire again — one full snapEvery later,
 	// so a wedged directory (ENOSPC, permissions) costs one failed
 	// full-state serialization per interval, not one per mutation.
 	retryAt int
 
-	snapping    atomic.Bool // single-flight guard for background snapshots
-	lastSnapErr error       // outcome of the last background snapshot
+	snapping    atomic.Bool            // single-flight guard for background snapshots
+	lastSnapErr atomic.Pointer[string] // message of the last snapshot's failure; nil after a success
 	recovered   bool
 	closed      bool
 }
@@ -149,12 +154,12 @@ func attachJournal(m *Monitor, opts Options, seed *relation.Relation) error {
 			if err := m.seed(seed); err != nil {
 				return err
 			}
-			j.seq = 1
-			if err := wal.WriteSnapshot(dir, j.seq, m.writeSnapshot); err != nil {
+			j.seq.Store(1)
+			if err := wal.WriteSnapshot(dir, 1, m.writeSnapshot); err != nil {
 				return err
 			}
 		}
-		log, err := wal.Create(wal.LogPath(dir, j.seq), j.fsync)
+		log, err := wal.Create(wal.LogPath(dir, j.seq.Load()), j.fsync)
 		if err != nil {
 			return err
 		}
@@ -176,8 +181,8 @@ func attachJournal(m *Monitor, opts Options, seed *relation.Relation) error {
 	defer pauseGC()()
 	j.recovered = true
 	if len(snaps) > 0 {
-		j.seq = snaps[len(snaps)-1]
-		f, err := os.Open(wal.SnapshotPath(dir, j.seq))
+		j.seq.Store(snaps[len(snaps)-1])
+		f, err := os.Open(wal.SnapshotPath(dir, j.seq.Load()))
 		if err != nil {
 			return err
 		}
@@ -195,7 +200,8 @@ func attachJournal(m *Monitor, opts Options, seed *relation.Relation) error {
 		// generation 0, whose base is the empty monitor.
 		return fmt.Errorf("incremental: wal dir %s: segment %d has no snapshot", dir, logs[len(logs)-1])
 	}
-	logPath := wal.LogPath(dir, j.seq)
+	seq := j.seq.Load()
+	logPath := wal.LogPath(dir, seq)
 	if _, err := os.Stat(logPath); err == nil {
 		// j.records counts MUTATIONS (a batch record is its op count, as
 		// afterAppend counts it), so the snapshot cadence survives a
@@ -218,7 +224,7 @@ func attachJournal(m *Monitor, opts Options, seed *relation.Relation) error {
 				return err
 			}
 		}
-		j.records = ops
+		j.records.Store(int64(ops))
 	} else if !os.IsNotExist(err) {
 		return err
 	}
@@ -230,7 +236,7 @@ func attachJournal(m *Monitor, opts Options, seed *relation.Relation) error {
 		log.SetStats(m.met.logStats)
 	}
 	j.log = log
-	_ = wal.RemoveBelow(dir, j.seq, j.segmentFloor(j.seq)) // leftovers of an interrupted rotation
+	_ = wal.RemoveBelow(dir, seq, j.segmentFloor(seq)) // leftovers of an interrupted rotation
 	m.j = j
 	attached = true
 	return nil
@@ -285,8 +291,8 @@ func encodeOp(op Op) []byte {
 // (single-flight) and takes the writer lock itself, so it briefly
 // quiesces writers while the state image is serialized.
 func (j *journal) afterAppend(m *Monitor, n int) {
-	j.records += n
-	if j.snapEvery > 0 && j.records >= j.snapEvery && j.records >= j.retryAt &&
+	records := int(j.records.Add(int64(n)))
+	if j.snapEvery > 0 && records >= j.snapEvery && records >= j.retryAt &&
 		j.snapping.CompareAndSwap(false, true) {
 		go func() {
 			defer j.snapping.Store(false)
@@ -308,10 +314,12 @@ func (j *journal) snapshot(m *Monitor) error {
 		return errClosed
 	}
 	err := j.snapshotLocked(m)
-	j.lastSnapErr = err
 	if err != nil {
-		j.retryAt = j.records + j.snapEvery
+		msg := err.Error()
+		j.lastSnapErr.Store(&msg)
+		j.retryAt = int(j.records.Load()) + j.snapEvery
 	} else {
+		j.lastSnapErr.Store(nil)
 		j.retryAt = 0
 		// A fresh segment now starts from the in-memory state, so a
 		// poisoned journal (uncertain trailing record in the old, now
@@ -322,7 +330,7 @@ func (j *journal) snapshot(m *Monitor) error {
 }
 
 func (j *journal) snapshotLocked(m *Monitor) error {
-	return j.rollLocked(m, j.seq+1)
+	return j.rollLocked(m, j.seq.Load()+1)
 }
 
 // rollLocked advances the journal to an explicit generation: snap-newSeq
@@ -331,8 +339,8 @@ func (j *journal) snapshotLocked(m *Monitor) error {
 // rolls to seq+1; a follower rolls to the primary's segment numbers so
 // its directory mirrors the stream it applies (see follower.go).
 func (j *journal) rollLocked(m *Monitor, newSeq uint64) error {
-	if newSeq <= j.seq {
-		return fmt.Errorf("incremental: roll to generation %d at generation %d", newSeq, j.seq)
+	if seq := j.seq.Load(); newSeq <= seq {
+		return fmt.Errorf("incremental: roll to generation %d at generation %d", newSeq, seq)
 	}
 	met := m.met
 	var rollStart time.Time
@@ -370,7 +378,9 @@ func (j *journal) rollLocked(m *Monitor, newSeq uint64) error {
 		newLog.SetStats(met.logStats)
 	}
 	old := j.log
-	j.log, j.seq, j.records = newLog, newSeq, 0
+	j.log = newLog
+	j.seq.Store(newSeq)
+	j.records.Store(0)
 	old.Close()
 	_ = wal.RemoveBelow(j.dir, newSeq, j.segmentFloor(newSeq))
 	if met != nil {
@@ -466,7 +476,7 @@ func (m *Monitor) replayLocked(payload []byte) (int, error) {
 			m.nextKey.Store(nk)
 		}
 	}
-	m.applyLocked(ops)
+	m.applyLocked([][]Op{ops})
 	return len(ops), nil
 }
 
@@ -551,23 +561,23 @@ type JournalStats struct {
 }
 
 // JournalStats returns the durable-state counters (zero values for a
-// non-durable monitor).
+// non-durable monitor). Like every reader it never takes the writer
+// lock, so it answers while a commit window fsyncs or a snapshot rolls;
+// each counter is current, the three are not read as one cut.
 func (m *Monitor) JournalStats() JournalStats {
 	if m.j == nil {
 		return JournalStats{}
 	}
 	j := m.j
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	st := JournalStats{
 		Durable:        true,
 		Dir:            j.dir,
-		Generation:     j.seq,
-		SegmentRecords: j.records,
+		Generation:     j.seq.Load(),
+		SegmentRecords: int(j.records.Load()),
 		Recovered:      j.recovered,
 	}
-	if j.lastSnapErr != nil {
-		st.LastSnapshotErr = j.lastSnapErr.Error()
+	if msg := j.lastSnapErr.Load(); msg != nil {
+		st.LastSnapshotErr = *msg
 	}
 	return st
 }

@@ -33,16 +33,18 @@
 // reach the lock through the commit queue (changeset.go): a writer that
 // finds no leader takes the lock and commits everything queued behind it
 // as one window — one validation pass, one WAL record, one fsync — while
-// every writer still gets its own outcome and its own delta. Inside a
-// window, a vector of parallelApplyMin ops or more applies shard-parallel
-// across the tuple shards; per-key order survives because one key's ops
-// land in one shard bucket, applied in vector order.
+// every writer still gets its own outcome and its own delta. A window's
+// ops apply in one loop, in vector order.
 //
-// Readers never take the writer lock. Every index is sharded by hash
-// with per-shard read/write locks: the apply holds an op's tuple-shard
-// lock across the store write and its index maintenance, and takes index
-// shard locks one at a time underneath it, so readers (Violations,
-// Satisfied, Get, ViolationsFor) wait at most one op on one shard. The
+// Readers never take the writer lock. The stores — the tuples, and per
+// CFD the groups, the Y-projection multiset and the constant violations
+// — are plain maps behind one read/write lock, the store lock
+// (Monitor.storeMu). The apply holds it exclusively around a window's op
+// loop only; the WAL append, the fsync and the consumer folds run
+// outside it. Point readers (Get, Keys, ViolationsFor, ...) hold it
+// shared, so they see whole commit windows, never half of one; the view
+// (Violations) and the counters (Satisfied, ViolationCount) take no lock
+// at all. Lock order is Monitor.mu → store lock → interner locks. The
 // randomized property tests replay long mixed update streams — single
 // ops and batches — and cross-check the live set against a fresh
 // detect.Direct run after every step.
@@ -60,7 +62,7 @@ package incremental
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -123,21 +125,25 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-// shards is the lock-shard count of every index: the tuple store, the
-// per-CFD group and constant-violation stores.
-const shards = 16
-
 // cfdState is the per-CFD live state: the static tableau index plus the
-// sharded group and constant-violation stores.
+// group and constant-violation stores, guarded by the store lock.
 type cfdState struct {
 	cfd        *core.CFD
 	xIdx, yIdx []int
 	rows       *rowIndex
 	// yPat is the tableau's Y side resolved to value-ID patterns, one
 	// vector per row — constViolates compares integers, never strings.
-	yPat   [][]yCell
-	groups []groupShard
-	consts []constShard
+	yPat [][]yCell
+	// groups maps the packed-ID X-projection to its group.
+	groups map[string]*group
+	// yCounts is the multiset of member Y-projections, keyed per group.
+	// An entry appearing (count 0→1) raises its group's distinct counter;
+	// an entry vanishing lowers it. Removal recomputes the member's
+	// Y-projection from the departing tuple, so no per-member index is
+	// needed at all.
+	yCounts map[ykKey]int
+	// consts is the set of constant-violating tuple keys.
+	consts map[int64]bool
 	// violations counts this CFD's live violations (constant-violating
 	// tuples plus violating groups); maintained by the apply, read
 	// lock-free by Satisfied.
@@ -152,7 +158,17 @@ type Monitor struct {
 
 	nextKey atomic.Int64
 	size    atomic.Int64
-	tuples  []tupleShard
+
+	// storeMu is the store lock: it guards tuples and every cfdState's
+	// groups, yCounts and consts (see the package comment). The writer
+	// takes it exclusively around the op loop only; readers take it
+	// shared; code already holding mu reads the stores without it, since
+	// only the writer changes them.
+	storeMu sync.RWMutex
+	// tuples is the tuple store. Tuples are ID columns: 4 bytes per value
+	// instead of a 16-byte string header — the resident-memory headline
+	// E13 measures.
+	tuples map[int64]idTuple
 
 	cfds []*cfdState
 	// attrCFDs maps an attribute position to the indexes of the CFDs
@@ -178,6 +194,8 @@ type Monitor struct {
 	// by mu.
 	mu sync.Mutex
 	q  commitQueue
+	// scratch is the apply's reusable buffers, guarded by mu.
+	scratch opScratch
 
 	// j is the durable journal; nil for a memory-only monitor.
 	j *journal
@@ -238,13 +256,10 @@ func build(schema *relation.Schema, sigma []*core.CFD, opts Options) (*Monitor, 
 	m := &Monitor{
 		schema:   schema,
 		sigma:    sigma,
-		tuples:   make([]tupleShard, shards),
+		tuples:   make(map[int64]idTuple),
 		attrCFDs: make([][]int, schema.Len()),
 		vals:     vals,
 		keys:     relation.NewInterner(),
-	}
-	for i := range m.tuples {
-		m.tuples[i].m = make(map[int64]idTuple)
 	}
 	for i, c := range sigma {
 		if err := c.Validate(schema); err != nil {
@@ -259,18 +274,14 @@ func build(schema *relation.Schema, sigma []*core.CFD, opts Options) (*Monitor, 
 			return nil, err
 		}
 		cs := &cfdState{
-			cfd:    c,
-			xIdx:   xIdx,
-			yIdx:   yIdx,
-			rows:   buildRowIndex(c, vals),
-			yPat:   buildYPatterns(c, vals),
-			groups: make([]groupShard, shards),
-			consts: make([]constShard, shards),
-		}
-		for s := range cs.groups {
-			cs.groups[s].m = make(map[string]*group)
-			cs.groups[s].yCounts = make(map[ykKey]int)
-			cs.consts[s].m = make(map[int64]bool)
+			cfd:     c,
+			xIdx:    xIdx,
+			yIdx:    yIdx,
+			rows:    buildRowIndex(c, vals),
+			yPat:    buildYPatterns(c, vals),
+			groups:  make(map[string]*group),
+			yCounts: make(map[ykKey]int),
+			consts:  make(map[int64]bool),
 		}
 		m.cfds = append(m.cfds, cs)
 		for _, a := range c.Attrs() {
@@ -327,10 +338,10 @@ func Load(rel *relation.Relation, sigma []*core.CFD, opts Options) (*Monitor, er
 	return m, nil
 }
 
-// seed loads every tuple of rel as one ChangeSet — a single shard pass
-// with parallel workers, keyed 0..Len()-1 in row order. Used by both the
-// memory-only Load and the first boot of a durable directory (before the
-// journal is attached, so nothing is journaled).
+// seed loads every tuple of rel as one ChangeSet, keyed 0..Len()-1 in
+// row order. Used by both the memory-only Load and the first boot of a
+// durable directory (before the journal is attached, so nothing is
+// journaled).
 func (m *Monitor) seed(rel *relation.Relation) error {
 	ops := make([]Op, len(rel.Tuples))
 	for i, t := range rel.Tuples {
@@ -405,21 +416,28 @@ func (m *Monitor) Update(key int64, attr string, val relation.Value) (*Delta, er
 	// this read and the apply, but a racing writer makes either order a
 	// valid linearization; updateLocked re-checks, so a record journaled
 	// for a lost race replays as a no-op, never as a wrong value.
-	sh := &m.tuples[shardOfTuple(key)]
-	sh.mu.RLock()
-	old, ok := sh.m[key]
-	sh.mu.RUnlock()
+	old, ok := m.storedTuple(key)
 	if ok && m.vals.ByID(old[ai]) == val { // stored ID vectors are immutable
 		return &Delta{}, nil
 	}
 	return m.Apply(&ChangeSet{Ops: []Op{{Kind: OpUpdate, Key: key, Attr: attr, Value: val}}})
 }
 
+// storedTuple reads the ID vector stored under key under a shared hold
+// of the store lock. The vector is immutable (updateLocked stores a fresh
+// one), so the caller may read it after the lock is released.
+func (m *Monitor) storedTuple(key int64) (idTuple, bool) {
+	m.storeMu.RLock()
+	t, ok := m.tuples[key]
+	m.storeMu.RUnlock()
+	return t, ok
+}
+
 // insertLocked stores a validated tuple (as its ID vector, resolved by
 // internOps) under key and folds it into every CFD's live state. The
-// caller holds the writer lock and sh's write lock.
-func (m *Monitor) insertLocked(sh *tupleShard, key int64, ids idTuple, d *Delta, sc *opScratch) {
-	sh.m[key] = ids
+// caller holds the writer lock and the store lock.
+func (m *Monitor) insertLocked(key int64, ids idTuple, d *Delta, sc *opScratch) {
+	m.tuples[key] = ids
 	m.size.Add(1)
 	for ci := range m.cfds {
 		m.add(ci, key, ids, d, sc)
@@ -428,8 +446,8 @@ func (m *Monitor) insertLocked(sh *tupleShard, key int64, ids idTuple, d *Delta,
 
 // deleteLocked removes the validated tuple t stored under key and
 // unfolds it from every CFD's state; locking as for insertLocked.
-func (m *Monitor) deleteLocked(sh *tupleShard, key int64, t idTuple, d *Delta, sc *opScratch) {
-	delete(sh.m, key)
+func (m *Monitor) deleteLocked(key int64, t idTuple, d *Delta, sc *opScratch) {
+	delete(m.tuples, key)
 	m.size.Add(-1)
 	for ci := range m.cfds {
 		m.remove(ci, key, t, d, sc)
@@ -439,13 +457,13 @@ func (m *Monitor) deleteLocked(sh *tupleShard, key int64, t idTuple, d *Delta, s
 // updateLocked sets attribute ai of the validated tuple old stored under
 // key to the value ID vid (resolved by internOps); locking as for
 // insertLocked. A same-value update applies as a no-op.
-func (m *Monitor) updateLocked(sh *tupleShard, key int64, old idTuple, ai int, vid uint32, d *Delta, sc *opScratch) {
+func (m *Monitor) updateLocked(key int64, old idTuple, ai int, vid uint32, d *Delta, sc *opScratch) {
 	if old[ai] == vid {
 		return
 	}
 	next := append(idTuple(nil), old...)
 	next[ai] = vid
-	sh.m[key] = next
+	m.tuples[key] = next
 	for _, ci := range m.attrCFDs[ai] {
 		m.remove(ci, key, old, d, sc)
 		m.add(ci, key, next, d, sc)
@@ -455,10 +473,7 @@ func (m *Monitor) updateLocked(sh *tupleShard, key int64, old idTuple, ai int, v
 // Get returns a copy of the tuple with the given key, materialized from
 // its ID columns.
 func (m *Monitor) Get(key int64) (relation.Tuple, bool) {
-	sh := &m.tuples[shardOfTuple(key)]
-	sh.mu.RLock()
-	t, ok := sh.m[key]
-	sh.mu.RUnlock()
+	t, ok := m.storedTuple(key)
 	if !ok {
 		return nil, false
 	}
@@ -467,27 +482,39 @@ func (m *Monitor) Get(key int64) (relation.Tuple, bool) {
 
 // Keys returns the live tuple keys in ascending order.
 func (m *Monitor) Keys() []int64 {
-	out := make([]int64, 0, m.Len())
-	for si := range m.tuples {
-		sh := &m.tuples[si]
-		sh.mu.RLock()
-		for k := range sh.m {
-			out = append(out, k)
-		}
-		sh.mu.RUnlock()
+	m.storeMu.RLock()
+	out := m.keysLocked()
+	m.storeMu.RUnlock()
+	return out
+}
+
+// keysLocked returns the live keys in ascending order; the caller holds
+// the store lock (either mode) or the writer lock.
+func (m *Monitor) keysLocked() []int64 {
+	out := make([]int64, 0, len(m.tuples))
+	for k := range m.tuples {
+		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // Snapshot materializes the live tuples as a relation, in key order. The
-// returned relation is independent of the Monitor.
+// returned relation is independent of the Monitor. Keys and tuples are
+// read under one hold of the store lock, so the relation is one commit
+// window's state.
 func (m *Monitor) Snapshot() *relation.Relation {
+	m.storeMu.RLock()
+	keys := m.keysLocked()
+	ids := make([]idTuple, len(keys))
+	for i, k := range keys {
+		ids[i] = m.tuples[k]
+	}
+	m.storeMu.RUnlock()
 	rel := relation.New(m.schema)
-	for _, k := range m.Keys() {
-		if t, ok := m.Get(k); ok {
-			rel.Tuples = append(rel.Tuples, t)
-		}
+	rel.Tuples = make([]relation.Tuple, len(ids))
+	for i, t := range ids {
+		rel.Tuples[i] = m.vals.Materialize(make(relation.Tuple, 0, len(t)), t)
 	}
 	return rel
 }
@@ -515,42 +542,32 @@ func (m *Monitor) ViolationCount() int64 {
 }
 
 // ScanViolations materializes a fresh snapshot of the live violation set
-// by walking every shard — the from-scratch baseline Violations' cached
+// by walking every store — the from-scratch baseline Violations' cached
 // view is measured against, and the oracle the view property tests
-// compare to. Shards are read one at a time, so a concurrent writer is
-// never blocked for longer than one shard; under concurrent writes the
-// snapshot is a consistent cut per shard, not across the whole set.
-// Group keys are materialized to values here — the canonical order of
-// the snapshot is value-based, so two monitors with different ID
-// assignments canonicalize identically.
+// compare to. The walk holds the store lock shared throughout, so the
+// snapshot is one commit window's state. Group keys are materialized to
+// values here — the canonical order of the snapshot is value-based, so
+// two monitors with different ID assignments canonicalize identically.
 func (m *Monitor) ScanViolations() *State {
 	st := &State{PerCFD: make([]CFDViolations, len(m.cfds))}
+	m.storeMu.RLock()
+	defer m.storeMu.RUnlock()
 	for ci, cs := range m.cfds {
 		if cs.violations.Load() == 0 {
-			// Satisfied CFD: skip the shard walk and the const-slice and
+			// Satisfied CFD: skip the walk and the const-slice and
 			// vars-map allocations outright.
 			continue
 		}
 		var consts []int64
-		for si := range cs.consts {
-			sh := &cs.consts[si]
-			sh.mu.RLock()
-			for k := range sh.m {
-				consts = append(consts, k)
-			}
-			sh.mu.RUnlock()
+		for k := range cs.consts {
+			consts = append(consts, k)
 		}
 		vars := make(map[string][]relation.Value)
-		for si := range cs.groups {
-			sh := &cs.groups[si]
-			sh.mu.RLock()
-			for _, g := range sh.m {
-				if g.violating() {
-					xs := m.vals.Materialize(make([]relation.Value, 0, len(g.xids)), g.xids)
-					vars[relation.EncodeKey(xs)] = xs
-				}
+		for _, g := range cs.groups {
+			if g.violating() {
+				xs := m.vals.Materialize(make([]relation.Value, 0, len(g.xids)), g.xids)
+				vars[relation.EncodeKey(xs)] = xs
 			}
-			sh.mu.RUnlock()
 		}
 		st.PerCFD[ci] = canonicalizeState(consts, vars)
 	}
@@ -586,46 +603,38 @@ func (cs *cfdState) constViolates(rows []int, y []uint32) bool {
 // probe on the hot path allocation-free.
 func (m *Monitor) internYKey(sc *opScratch) relation.Value {
 	sc.ykey = relation.AppendIDKey(sc.ykey[:0], sc.y)
-	yk, _ := m.keys.InternBytes(sc.ykey)
-	return yk
+	return m.keys.InternBytes(sc.ykey)
 }
 
 // add folds tuple (key, t) into CFD ci's live state, appending any new
-// violations to d. sc carries the worker's reusable buffers.
+// violations to d. sc carries the writer's reusable buffers. The caller
+// holds the writer lock and the store lock.
 func (m *Monitor) add(ci int, key int64, t idTuple, d *Delta, sc *opScratch) {
 	cs := m.cfds[ci]
 	sc.x = projectIDs(sc.x[:0], t, cs.xIdx)
 	sc.y = projectIDs(sc.y[:0], t, cs.yIdx)
 	sc.rows = cs.rows.matchInto(sc.rows[:0], sc.x)
 	if cs.constViolates(sc.rows, sc.y) {
-		sh := &cs.consts[shardOfTuple(key)]
-		sh.mu.Lock()
-		sh.m[key] = true
-		sh.mu.Unlock()
+		cs.consts[key] = true
 		cs.violations.Add(1)
 		d.Added = append(d.Added, Change{CFD: ci, Kind: core.ConstViolation, Tuple: key})
 	}
-	xh := relation.HashIDs(sc.x)
 	sc.key = relation.AppendIDKey(sc.key[:0], sc.x)
 	yk := m.internYKey(sc)
-	sh := &cs.groups[int(xh%shards)]
-	sh.mu.Lock()
-	g, ok := sh.m[string(sc.key)]
+	g, ok := cs.groups[string(sc.key)]
 	if !ok {
 		g = &group{xids: append([]uint32(nil), sc.x...), selected: len(sc.rows) > 0}
-		sh.m[string(sc.key)] = g
+		cs.groups[string(sc.key)] = g
 	}
 	was := g.violating()
 	g.size++
 	kk := ykKey{g: g, yk: yk}
-	c := sh.yCounts[kk]
-	sh.yCounts[kk] = c + 1
+	c := cs.yCounts[kk]
+	cs.yCounts[kk] = c + 1
 	if c == 0 {
 		g.distinct++
 	}
-	now := g.violating()
-	sh.mu.Unlock()
-	if !was && now {
+	if !was && g.violating() {
 		cs.violations.Add(1)
 		d.Added = append(d.Added, Change{CFD: ci, Kind: core.VariableViolation,
 			Key: m.vals.Materialize(make([]relation.Value, 0, len(g.xids)), g.xids)})
@@ -639,42 +648,30 @@ func (m *Monitor) remove(ci int, key int64, t idTuple, d *Delta, sc *opScratch) 
 	// The departing tuple is in hand, so its Y-projection is recomputed
 	// here instead of being indexed per member.
 	sc.y = projectIDs(sc.y[:0], t, cs.yIdx)
-	csh := &cs.consts[shardOfTuple(key)]
-	csh.mu.Lock()
-	wasConst := csh.m[key]
-	if wasConst {
-		delete(csh.m, key)
-	}
-	csh.mu.Unlock()
-	if wasConst {
+	if cs.consts[key] {
+		delete(cs.consts, key)
 		cs.violations.Add(-1)
 		d.Removed = append(d.Removed, Change{CFD: ci, Kind: core.ConstViolation, Tuple: key})
 	}
-	xh := relation.HashIDs(sc.x)
 	sc.key = relation.AppendIDKey(sc.key[:0], sc.x)
 	yk := m.internYKey(sc)
-	sh := &cs.groups[int(xh%shards)]
-	sh.mu.Lock()
-	g, ok := sh.m[string(sc.key)]
+	g, ok := cs.groups[string(sc.key)]
 	if !ok {
-		sh.mu.Unlock()
 		return
 	}
 	was := g.violating()
 	g.size--
 	kk := ykKey{g: g, yk: yk}
-	if c := sh.yCounts[kk]; c <= 1 {
-		delete(sh.yCounts, kk)
+	if c := cs.yCounts[kk]; c <= 1 {
+		delete(cs.yCounts, kk)
 		g.distinct--
 	} else {
-		sh.yCounts[kk] = c - 1
+		cs.yCounts[kk] = c - 1
 	}
-	now := g.violating()
 	if g.size == 0 {
-		delete(sh.m, string(sc.key))
+		delete(cs.groups, string(sc.key))
 	}
-	sh.mu.Unlock()
-	if was && !now {
+	if was && !g.violating() {
 		cs.violations.Add(-1)
 		d.Removed = append(d.Removed, Change{CFD: ci, Kind: core.VariableViolation,
 			Key: m.vals.Materialize(make([]relation.Value, 0, len(g.xids)), g.xids)})

@@ -274,8 +274,8 @@ func TestErrors(t *testing.T) {
 
 // TestConcurrentReadersAndWriters hammers the monitor from parallel
 // writers while readers snapshot continuously, then cross-checks the final
-// state against the batch oracle. Run with -race to exercise the sharded
-// locking.
+// state against the batch oracle. Run with -race to exercise the store
+// lock.
 func TestConcurrentReadersAndWriters(t *testing.T) {
 	rel, sigma := custFixture(t)
 	m, err := incremental.Load(rel, sigma, incremental.Options{})

@@ -29,8 +29,8 @@ import (
 // every stored ID through the resulting translation, so the restored
 // state is correct even though the new process assigns different IDs.
 // Group map keys are not stored at all: they are re-derived by packing
-// the remapped ID vectors (relation.AppendIDKey), which also keeps the
-// shardOfKey routing consistent by construction.
+// the remapped ID vectors (relation.AppendIDKey), exactly as the live
+// apply builds them.
 
 // snapMagic identifies a Monitor snapshot. Version 3 adds the fencing
 // epoch right after nextKey; version 2 images (same length, read-only
@@ -340,7 +340,7 @@ func checkCells(d *dec, want []core.Pattern) bool {
 
 // writeSnapshot serializes the full Monitor state. The caller holds the
 // writer lock (or owns a monitor nobody else holds yet), so no mutation
-// is in flight and the stores are read without shard locks; unexported
+// is in flight and the stores are read without the store lock; unexported
 // because a caller without that quiescing would serialize a torn image.
 func (m *Monitor) writeSnapshot(w io.Writer) error {
 	if _, err := io.WriteString(w, snapMagic); err != nil {
@@ -363,12 +363,10 @@ func (m *Monitor) writeSnapshot(w io.Writer) error {
 	e.strs(vals)
 
 	// Tuple store, keyed; tuples are ID vectors of schema arity.
-	e.uvarint(uint64(m.size.Load()))
-	for si := range m.tuples {
-		for k, t := range m.tuples[si].m {
-			e.uvarint(uint64(k))
-			e.ids(t)
-		}
+	e.uvarint(uint64(len(m.tuples)))
+	for k, t := range m.tuples {
+		e.uvarint(uint64(k))
+		e.ids(t)
 	}
 
 	// Per-CFD live state: violation counter, constant violations, groups
@@ -376,49 +374,34 @@ func (m *Monitor) writeSnapshot(w io.Writer) error {
 	// entry lists so recovery is pure presized-map fills.
 	for _, cs := range m.cfds {
 		e.uvarint(uint64(cs.violations.Load()))
-		var nconsts uint64
-		for si := range cs.consts {
-			nconsts += uint64(len(cs.consts[si].m))
-		}
-		e.uvarint(nconsts)
-		for si := range cs.consts {
-			for k := range cs.consts[si].m {
-				e.uvarint(uint64(k))
-			}
-		}
-		var ngroups, nyks uint64
-		for si := range cs.groups {
-			ngroups += uint64(len(cs.groups[si].m))
-			nyks += uint64(len(cs.groups[si].yCounts))
+		e.uvarint(uint64(len(cs.consts)))
+		for k := range cs.consts {
+			e.uvarint(uint64(k))
 		}
 		// Groups are written in a stable order and the yCounts entries
 		// reference them by that ordinal, so restoring never re-hashes a
 		// group key. Only the ID vector is stored — the packed map key is
 		// re-derived from it on load.
-		e.uvarint(ngroups)
-		groupIdx := make(map[*group]uint64, ngroups)
-		for si := range cs.groups {
-			for _, g := range cs.groups[si].m {
-				groupIdx[g] = uint64(len(groupIdx))
-				e.ids(g.xids) // len(LHS) IDs
-				if g.selected {
-					e.byte(1)
-				} else {
-					e.byte(0)
-				}
-				e.uvarint(uint64(g.size))
-				e.uvarint(uint64(g.distinct))
+		e.uvarint(uint64(len(cs.groups)))
+		groupIdx := make(map[*group]uint64, len(cs.groups))
+		for _, g := range cs.groups {
+			groupIdx[g] = uint64(len(groupIdx))
+			e.ids(g.xids) // len(LHS) IDs
+			if g.selected {
+				e.byte(1)
+			} else {
+				e.byte(0)
 			}
+			e.uvarint(uint64(g.size))
+			e.uvarint(uint64(g.distinct))
 		}
-		e.uvarint(nyks)
+		e.uvarint(uint64(len(cs.yCounts)))
 		var ykIDs []uint32
-		for si := range cs.groups {
-			for kk, c := range cs.groups[si].yCounts {
-				e.uvarint(groupIdx[kk.g])
-				ykIDs = relation.DecodeIDKey(ykIDs[:0], kk.yk)
-				e.ids(ykIDs) // len(RHS) IDs
-				e.uvarint(uint64(c))
-			}
+		for kk, c := range cs.yCounts {
+			e.uvarint(groupIdx[kk.g])
+			ykIDs = relation.DecodeIDKey(ykIDs[:0], kk.yk)
+			e.ids(ykIDs) // len(RHS) IDs
+			e.uvarint(uint64(c))
 		}
 	}
 	if e.err != nil {
@@ -432,7 +415,8 @@ func (m *Monitor) writeSnapshot(w io.Writer) error {
 
 // readSnapshot restores a Monitor's state from an image produced by
 // writeSnapshot. The monitor must be freshly built (empty) from the same
-// schema and Σ; both are verified against the image. sizeHint, when
+// schema and Σ, and not yet shared — its stores are replaced without the
+// store lock; schema and Σ are verified against the image. sizeHint, when
 // positive, is the total image size (e.g. the snapshot file size) so the
 // image is read in one exact-size allocation instead of ReadAll's
 // doubling copies.
@@ -494,13 +478,8 @@ func (m *Monitor) readSnapshot(r io.Reader, sizeHint int64) error {
 		}
 	}
 
-	// presize over-allocates shard maps ~12% above the uniform share so
-	// hash skew doesn't trigger a growth rehash mid-fill.
-	presize := func(n int) int { return n / shards * 9 / 8 }
 	ntuples := int(d.uvarint())
-	for si := range m.tuples {
-		m.tuples[si].m = make(map[int64]idTuple, presize(ntuples))
-	}
+	m.tuples = make(map[int64]idTuple, ntuples)
 	nattrs := m.schema.Len()
 	// Arena: one backing array for every tuple's IDs, sliced per tuple —
 	// the map stores slice headers, so the whole tuple store costs one
@@ -515,35 +494,29 @@ func (m *Monitor) readSnapshot(r io.Reader, sizeHint int64) error {
 		if d.err != nil {
 			return d.err
 		}
-		m.tuples[shardOfTuple(k)].m[k] = t
+		m.tuples[k] = t
 	}
 
 	for _, cs := range m.cfds {
 		nlhs := len(cs.cfd.LHS)
 		cs.violations.Store(int64(d.uvarint()))
 		nconsts := int(d.uvarint())
-		for si := range cs.consts {
-			cs.consts[si].m = make(map[int64]bool, presize(nconsts))
-		}
+		cs.consts = make(map[int64]bool, nconsts)
 		for i := 0; i < nconsts; i++ {
 			k := int64(d.uvarint())
 			if d.err != nil {
 				return d.err
 			}
-			cs.consts[shardOfTuple(k)].m[k] = true
+			cs.consts[k] = true
 		}
 		ngroups := int(d.uvarint())
-		for si := range cs.groups {
-			cs.groups[si].m = make(map[string]*group, presize(ngroups))
-		}
+		cs.groups = make(map[string]*group, ngroups)
 		// Arenas again: group structs and their xids slices in two backing
-		// arrays, pointers into them in the maps. The shard of each group
-		// is remembered by ordinal so the yCounts fill below re-derives
-		// nothing. Map keys are packed from the remapped ID vectors —
-		// exactly what the live add() path builds, so routing agrees.
+		// arrays, pointers into them in the map. Map keys are packed from
+		// the remapped ID vectors — exactly what the live add() path
+		// builds.
 		groupArena := make([]group, ngroups)
 		xArena := make([]uint32, ngroups*nlhs)
-		groupShardIdx := make([]int32, ngroups)
 		var keyBuf []byte
 		for i := 0; i < ngroups; i++ {
 			g := &groupArena[i]
@@ -558,15 +531,10 @@ func (m *Monitor) readSnapshot(r io.Reader, sizeHint int64) error {
 				return d.err
 			}
 			keyBuf = relation.AppendIDKey(keyBuf[:0], g.xids)
-			xk := string(keyBuf)
-			si := shardOfKey(xk)
-			groupShardIdx[i] = int32(si)
-			cs.groups[si].m[xk] = g
+			cs.groups[string(keyBuf)] = g
 		}
 		nyks := int(d.uvarint())
-		for si := range cs.groups {
-			cs.groups[si].yCounts = make(map[ykKey]int, presize(nyks))
-		}
+		cs.yCounts = make(map[ykKey]int, nyks)
 		nrhs := len(cs.cfd.RHS)
 		ykIDs := make([]uint32, nrhs)
 		for i := 0; i < nyks; i++ {
@@ -583,8 +551,7 @@ func (m *Monitor) readSnapshot(r io.Reader, sizeHint int64) error {
 				return d.err
 			}
 			keyBuf = relation.AppendIDKey(keyBuf[:0], ykIDs)
-			yk, _ := m.keys.InternBytes(keyBuf)
-			cs.groups[groupShardIdx[gi]].yCounts[ykKey{g: &groupArena[gi], yk: yk}] = c
+			cs.yCounts[ykKey{g: &groupArena[gi], yk: m.keys.InternBytes(keyBuf)}] = c
 		}
 	}
 	if d.err != nil {

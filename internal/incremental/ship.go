@@ -62,14 +62,15 @@ func (m *Monitor) shipView(seq uint64) (view ShipChunk, err error) {
 	if err != nil {
 		return view, err
 	}
+	cur := j.seq.Load()
 	view.Seq = seq
-	view.EndSeq, view.EndOffset = j.seq, size
-	if seq > j.seq {
-		return view, fmt.Errorf("incremental: ship cursor at generation %d, primary at %d", seq, j.seq)
+	view.EndSeq, view.EndOffset = cur, size
+	if seq > cur {
+		return view, fmt.Errorf("incremental: ship cursor at generation %d, primary at %d", seq, cur)
 	}
-	if seq < j.seq {
+	if seq < cur {
 		view.Closed, view.NextSeq = true, seq+1
-		if seq < j.segmentFloor(j.seq) {
+		if seq < j.segmentFloor(cur) {
 			return view, ErrSegmentGone
 		}
 	}
@@ -153,7 +154,7 @@ func (m *Monitor) ShipSnapshot() (seq uint64, rc io.ReadCloser, size int64, err 
 			m.mu.Unlock()
 			return 0, nil, 0, errClosed
 		}
-		seq = j.seq
+		seq = j.seq.Load()
 		f, err := os.Open(wal.SnapshotPath(j.dir, seq))
 		m.mu.Unlock()
 		if err == nil {
@@ -185,7 +186,7 @@ func (m *Monitor) walCursor() (seq uint64, off int64, err error) {
 		return 0, 0, errClosed
 	}
 	off, err = j.log.Size()
-	return j.seq, off, err
+	return j.seq.Load(), off, err
 }
 
 // errNotFollowing reports a replication apply against a monitor whose
@@ -223,7 +224,7 @@ func (m *Monitor) replicate(chunk []byte) (records int, consumed int64, err erro
 			j.appendErr = err
 			return err
 		}
-		j.records += n
+		j.records.Add(int64(n))
 		return nil
 	})
 	return records, consumed, err

@@ -498,15 +498,13 @@ func (m *Monitor) TrackGroups(pairs []AttrPair) (*GroupStats, error) {
 	defer pauseGC()()
 	// Fold partition-major: one partition's group map stays cache-hot
 	// across the whole pass. The writer lock keeps the store still, so it
-	// is read without shard locks; the handle is not published yet, so
+	// is read without the store lock; the handle is not published yet, so
 	// neither is h.mu needed.
 	for part := range h.parts {
 		pt := &h.parts[part]
 		pt.groups = make(map[string]*xgroup)
-		for si := range m.tuples {
-			for _, t := range m.tuples[si].m {
-				pt.add(t)
-			}
+		for _, t := range m.tuples {
+			pt.add(t)
 		}
 	}
 	m.stats = append(m.stats, h)

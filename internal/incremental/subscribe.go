@@ -3,7 +3,6 @@ package incremental
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -169,8 +168,8 @@ func (m *Monitor) UntrackDeltas(s *DeltaSub) {
 
 // ViolatingGroup reports whether CFD ci currently has a variable
 // violation on the X-group with the given projection — a point probe
-// against the authoritative group index, one shard lock, no view
-// materialization.
+// against the authoritative group store under a shared hold of the store
+// lock, no view materialization.
 func (m *Monitor) ViolatingGroup(ci int, x []relation.Value) bool {
 	if ci < 0 || ci >= len(m.cfds) {
 		return false
@@ -184,18 +183,16 @@ func (m *Monitor) ViolatingGroup(ci int, x []relation.Value) bool {
 		ids[i] = m.vals.ID(v)
 	}
 	key := relation.AppendIDKey(nil, ids)
-	gsh := &cs.groups[int(relation.HashIDs(ids)%shards)]
-	gsh.mu.RLock()
-	g := gsh.m[string(key)]
-	ok := g != nil && g.violating()
-	gsh.mu.RUnlock()
-	return ok
+	m.storeMu.RLock()
+	defer m.storeMu.RUnlock()
+	g := cs.groups[string(key)]
+	return g != nil && g.violating()
 }
 
 // MatchingKeys returns the keys of live tuples whose projection on
 // attrs equals x, in ascending key order — the group-membership probe
 // the repair engine uses to materialize a group-level suggestion into
-// concrete cell edits. A full shard scan with integer compares:
+// concrete cell edits. A full store scan with integer compares:
 // O(|I|), intended for the (rare, human-paced) apply path, not the
 // per-batch refresh path.
 func (m *Monitor) MatchingKeys(attrs []string, x []relation.Value) ([]int64, error) {
@@ -211,23 +208,20 @@ func (m *Monitor) MatchingKeys(attrs []string, x []relation.Value) ([]int64, err
 		ids[i] = m.vals.ID(v)
 	}
 	var out []int64
-	for si := range m.tuples {
-		sh := &m.tuples[si]
-		sh.mu.RLock()
-		for k, t := range sh.m {
-			match := true
-			for i, j := range idx {
-				if t[j] != ids[i] {
-					match = false
-					break
-				}
-			}
-			if match {
-				out = append(out, k)
+	m.storeMu.RLock()
+	for k, t := range m.tuples {
+		match := true
+		for i, j := range idx {
+			if t[j] != ids[i] {
+				match = false
+				break
 			}
 		}
-		sh.mu.RUnlock()
+		if match {
+			out = append(out, k)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	m.storeMu.RUnlock()
+	slices.Sort(out)
 	return out, nil
 }

@@ -26,8 +26,8 @@ import (
 // at most once per version, by the first reader that sees a stale
 // pointer; only the CFDs dirtied since the previous build are
 // re-canonicalized, clean ones share the prior view's slices. Repeat
-// readers at an unchanged version pay one atomic pointer load — no shard
-// locks, no allocation, ever. ScanViolations (the old full scan) remains
+// readers at an unchanged version pay one atomic pointer load — no store
+// lock, no allocation, ever. ScanViolations (the old full scan) remains
 // as the from-scratch oracle the property tests compare against.
 
 // ViolationsView is one immutable published snapshot of the live
@@ -170,7 +170,7 @@ func (m *Monitor) foldView(d *Delta) {
 	v.mu.Unlock()
 }
 
-// rebuildViewBase reseeds the fold maps from a full shard scan — the
+// rebuildViewBase reseeds the fold maps from a full store scan — the
 // recovery path, where readSnapshot filled the stores of a monitor
 // nobody else holds yet, without producing deltas. WAL-tail replay
 // folds on top of this base.
@@ -186,17 +186,13 @@ func (m *Monitor) rebuildViewBase() {
 		if cs.violations.Load() == 0 {
 			continue
 		}
-		for si := range cs.consts {
-			for k := range cs.consts[si].m {
-				b.consts[k] = 1
-			}
+		for k := range cs.consts {
+			b.consts[k] = 1
 		}
-		for si := range cs.groups {
-			for _, g := range cs.groups[si].m {
-				if g.violating() {
-					xs := m.vals.Materialize(make([]relation.Value, 0, len(g.xids)), g.xids)
-					b.vars[relation.EncodeKey(xs)] = &varCount{xs: xs, n: 1}
-				}
+		for _, g := range cs.groups {
+			if g.violating() {
+				xs := m.vals.Materialize(make([]relation.Value, 0, len(g.xids)), g.xids)
+				b.vars[relation.EncodeKey(xs)] = &varCount{xs: xs, n: 1}
 			}
 		}
 	}
@@ -250,27 +246,24 @@ func (m *Monitor) rebuildView() *ViolationsView {
 // Violations returns the live violation set as a shared immutable
 // snapshot — the maintained view, a pointer load for repeat readers.
 // Callers must not modify the result; ScanViolations materializes a
-// private copy from the shards instead.
+// private copy from the stores instead.
 func (m *Monitor) Violations() *State { return m.View().State() }
 
 // ViolationsFor reports the violations the live tuple with the given key
 // currently participates in: a point probe against the authoritative
-// shard state — O(|Σ|) with one shard lock per probe, no view
-// materialization. The result uses the same canonical per-CFD shape as a
-// full snapshot: the tuple's key under ConstTuples when it constant-
-// violates, its group's X-projection under VariableKeys when the group
-// it belongs to is in conflict. The second result is false when no live
-// tuple holds the key.
+// stores — O(|Σ|) under one shared hold of the store lock, so the answer
+// is one commit window's state, and no view materialization. The result
+// uses the same canonical per-CFD shape as a full snapshot: the tuple's
+// key under ConstTuples when it constant-violates, its group's
+// X-projection under VariableKeys when the group it belongs to is in
+// conflict. The second result is false when no live tuple holds the key.
 func (m *Monitor) ViolationsFor(key int64) (*State, bool) {
-	tsh := &m.tuples[shardOfTuple(key)]
-	tsh.mu.RLock()
-	t, ok := tsh.m[key]
-	tsh.mu.RUnlock()
+	m.storeMu.RLock()
+	defer m.storeMu.RUnlock()
+	t, ok := m.tuples[key]
 	if !ok {
 		return nil, false
 	}
-	// t is safe to read unlocked from here: stored ID vectors are
-	// immutable (updateLocked swaps in a fresh slice).
 	st := &State{PerCFD: make([]CFDViolations, len(m.cfds))}
 	var x []uint32
 	var keyBuf []byte
@@ -278,24 +271,13 @@ func (m *Monitor) ViolationsFor(key int64) (*State, bool) {
 		if cs.violations.Load() == 0 {
 			continue
 		}
-		csh := &cs.consts[shardOfTuple(key)]
-		csh.mu.RLock()
-		isConst := csh.m[key]
-		csh.mu.RUnlock()
-		if isConst {
+		if cs.consts[key] {
 			st.PerCFD[ci].ConstTuples = []int64{key}
 		}
 		x = projectIDs(x[:0], t, cs.xIdx)
-		xh := relation.HashIDs(x)
 		keyBuf = relation.AppendIDKey(keyBuf[:0], x)
-		gsh := &cs.groups[int(xh%shards)]
-		gsh.mu.RLock()
-		var xs []relation.Value
-		if g := gsh.m[string(keyBuf)]; g != nil && g.violating() {
-			xs = m.vals.Materialize(make([]relation.Value, 0, len(g.xids)), g.xids)
-		}
-		gsh.mu.RUnlock()
-		if xs != nil {
+		if g := cs.groups[string(keyBuf)]; g != nil && g.violating() {
+			xs := m.vals.Materialize(make([]relation.Value, 0, len(g.xids)), g.xids)
 			st.PerCFD[ci].VariableKeys = [][]relation.Value{xs}
 		}
 	}

@@ -1,11 +1,13 @@
 package incremental_test
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/incremental"
 	"repro/internal/relation"
 )
@@ -239,5 +241,79 @@ func TestViewConcurrentReadersWriters(t *testing.T) {
 	if got, want := m.Violations(), m.ScanViolations(); !got.Equal(want) {
 		t.Fatalf("after concurrent load the view diverges from scan:\nview:\n%s\nscan:\n%s",
 			describe(got), describe(want))
+	}
+}
+
+// TestViolationsForSeesWholeWindows pins the point read's visibility: a
+// reader sees a commit window whole or not at all. One writer moves a
+// tuple back and forth between two clean states with 2-op ChangeSets —
+// ZIP=z2, ST=s2 and back to ZIP=z1, ST=s1 — while each half-applied
+// state puts it in a group whose other member has a different ST, a
+// variable violation of [ZIP] -> [ST]. Readers hammering ViolationsFor
+// on the moving key must therefore never see a violation.
+func TestViolationsForSeesWholeWindows(t *testing.T) {
+	schema := relation.MustSchema("R", relation.Attr("ZIP"), relation.Attr("ST"))
+	sigma, err := core.ParseSet("[ZIP] -> [ST]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := incremental.New(schema, sigma, incremental.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One fixed member per ZIP group, so the mover's intermediate states
+	// always conflict.
+	for _, tp := range []relation.Tuple{{"z1", "s1"}, {"z2", "s2"}} {
+		if _, _, err := m.Insert(tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key, _, err := m.Insert(relation.Tuple{"z1", "s1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const readers = 4
+	rounds := 2000 * soakFactor()
+	var (
+		wg   sync.WaitGroup
+		stop atomic.Bool
+		fail atomic.Value
+	)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				st, ok := m.ViolationsFor(key)
+				if !ok {
+					fail.Store("the moving key vanished")
+					return
+				}
+				if n := st.Total(); n != 0 {
+					fail.Store(fmt.Sprintf("ViolationsFor saw %d violations mid-window: %s", n, describe(st)))
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < rounds && fail.Load() == nil; i++ {
+		zip, st := "z2", "s2"
+		if i%2 == 1 {
+			zip, st = "z1", "s1"
+		}
+		if _, err := m.Apply((&incremental.ChangeSet{}).Update(key, "ZIP", zip).Update(key, "ST", st)); err != nil {
+			stop.Store(true)
+			wg.Wait()
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if msg := fail.Load(); msg != nil {
+		t.Fatal(msg)
+	}
+	if !m.Satisfied() {
+		t.Fatalf("both endpoints are clean, yet the monitor holds %d violations", m.ViolationCount())
 	}
 }

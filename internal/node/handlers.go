@@ -1,6 +1,7 @@
 package node
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -124,14 +125,10 @@ func pageViolations(st *incremental.State, cfdSel int, page httpapi.Page) (out [
 // repairs serves the live repair suggester: cost-ranked fix suggestions
 // for the current violation set, re-planned in O(Δ) between calls.
 func (s *Server) repairs(w http.ResponseWriter, r *http.Request) {
-	thr := 0.0
-	if v := r.URL.Query().Get("trust_threshold"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f < 0 || f > 1 {
-			httpapi.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad trust_threshold %q (want 0..1)", v))
-			return
-		}
-		thr = f
+	thr, err := parseTrustThreshold(r.URL.Query().Get("trust_threshold"))
+	if err != nil {
+		httpapi.WriteError(w, http.StatusBadRequest, err)
+		return
 	}
 	page, ok := httpapi.ParsePage(w, r, "r")
 	if !ok {
@@ -164,6 +161,21 @@ func (s *Server) repairs(w http.ResponseWriter, r *http.Request) {
 	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
+// parseTrustThreshold reads a repairs trust threshold: "" is 0, anything
+// else must be a number in 0..1. Both repairs endpoints parse it here, so
+// a threshold one refuses can never attach (and cache) a suggester
+// through the other.
+func parseTrustThreshold(v string) (float64, error) {
+	if v == "" {
+		return 0, nil
+	}
+	f, err := strconv.ParseFloat(v, 64)
+	if err != nil || !(f >= 0 && f <= 1) { // NaN fails both comparisons
+		return 0, fmt.Errorf("bad trust_threshold %q (want 0..1)", v)
+	}
+	return f, nil
+}
+
 // repairsApply converts accepted suggestion ids into one ordinary
 // ChangeSet and applies it through the same path as POST /v1/apply —
 // fencing, WAL, group commit and replication all unchanged. Unknown or
@@ -173,7 +185,7 @@ func (s *Server) repairsApply(w http.ResponseWriter, r *http.Request) {
 		IDs []string `json:"ids"`
 		// TrustThreshold selects the same cached suggester a prior
 		// GET /v1/repairs?trust_threshold=F attached.
-		TrustThreshold float64 `json:"trust_threshold"`
+		TrustThreshold json.Number `json:"trust_threshold"`
 	}
 	if !httpapi.ReadBody(w, r, &req) {
 		return
@@ -182,7 +194,12 @@ func (s *Server) repairsApply(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(w, http.StatusBadRequest, fmt.Errorf("ids is empty"))
 		return
 	}
-	sg, err := s.suggesterFor(req.TrustThreshold)
+	thr, err := parseTrustThreshold(string(req.TrustThreshold))
+	if err != nil {
+		httpapi.WriteError(w, http.StatusBadRequest, err)
+		return
+	}
+	sg, err := s.suggesterFor(thr)
 	if err != nil {
 		httpapi.WriteError(w, http.StatusBadRequest, err)
 		return

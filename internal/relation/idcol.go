@@ -2,17 +2,12 @@ package relation
 
 import "encoding/binary"
 
-// This file holds the ID-column key helpers: packed byte keys and
-// hashing over dense uint32 value-ID vectors (see Interner.ID). An
-// ID-keyed group index stores 4 bytes per value instead of the
-// length-prefixed string encoding of EncodeKey — and because IDs are
-// fixed-width, packing, hashing and comparing are tight branch-free
-// loops over words instead of per-byte scans over strings.
-//
-// Invariant: HashIDs(ids) == HashBytes(AppendIDKey(nil, ids)) — one
-// canonical routing hash whether the caller holds the ID vector or the
-// packed key string (snapshot recovery re-derives shards from packed
-// keys with Hash; the hot path hashes the vector directly).
+// This file holds the ID-column key helpers: packed byte keys over dense
+// uint32 value-ID vectors (see Interner.ID). An ID-keyed group index
+// stores 4 bytes per value instead of the length-prefixed string
+// encoding of EncodeKey — and because IDs are fixed-width, packing and
+// unpacking are tight loops over words instead of per-byte scans over
+// strings.
 
 // AppendIDKey appends the packed little-endian encoding of ids to dst
 // and returns it: 4 bytes per ID, no framing. IDs are fixed-width, so
@@ -34,36 +29,4 @@ func DecodeIDKey(dst []uint32, key string) []uint32 {
 		key = key[4:]
 	}
 	return dst
-}
-
-// HashIDs is the FNV-1a hash of the packed encoding of ids, computed
-// directly from the vector — no byte materialization, four unrolled
-// mix steps per ID.
-func HashIDs(ids []uint32) uint32 {
-	h := uint32(2166136261)
-	for _, id := range ids {
-		h ^= id & 0xff
-		h *= 16777619
-		h ^= (id >> 8) & 0xff
-		h *= 16777619
-		h ^= (id >> 16) & 0xff
-		h *= 16777619
-		h ^= id >> 24
-		h *= 16777619
-	}
-	return h
-}
-
-// EqualIDs reports whether two ID vectors are identical — the
-// branch-free batch comparison of two ID columns (one length check,
-// then a compare-accumulate loop the compiler keeps branchless).
-func EqualIDs(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	var diff uint32
-	for i := range a {
-		diff |= a[i] ^ b[i]
-	}
-	return diff == 0
 }

@@ -89,10 +89,9 @@ func TestInternerIDRoundTripConcurrent(t *testing.T) {
 	}
 }
 
-// TestIDKeyHashInvariant pins the routing invariant idcol.go documents:
-// HashIDs over the vector equals HashBytes (and Hash) over the packed
-// key, and DecodeIDKey inverts AppendIDKey.
-func TestIDKeyHashInvariant(t *testing.T) {
+// TestIDKeyRoundTrip pins the packed ID key: 4 bytes per ID, and
+// DecodeIDKey inverts AppendIDKey.
+func TestIDKeyRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 500; trial++ {
 		ids := make([]uint32, rng.Intn(6))
@@ -104,12 +103,6 @@ func TestIDKeyHashInvariant(t *testing.T) {
 		if len(packed) != 4*len(ids) {
 			t.Fatalf("packed %d IDs into %d bytes", len(ids), len(packed))
 		}
-		if h, hb := HashIDs(ids), HashBytes(packed); h != hb {
-			t.Fatalf("HashIDs = %#x, HashBytes(packed) = %#x for %v", h, hb, ids)
-		}
-		if h, hs := HashIDs(ids), Hash(string(packed)); h != hs {
-			t.Fatalf("HashIDs = %#x, Hash(packed string) = %#x for %v", h, hs, ids)
-		}
 		back := DecodeIDKey(nil, string(packed))
 		if len(back) != len(ids) {
 			t.Fatalf("decoded %d IDs, want %d", len(back), len(ids))
@@ -119,11 +112,5 @@ func TestIDKeyHashInvariant(t *testing.T) {
 				t.Fatalf("decode[%d] = %d, want %d", i, back[i], ids[i])
 			}
 		}
-		if !EqualIDs(ids, back) {
-			t.Fatalf("EqualIDs(%v, decoded) = false", ids)
-		}
-	}
-	if EqualIDs([]uint32{1, 2}, []uint32{1, 3}) || EqualIDs([]uint32{1}, []uint32{1, 1}) {
-		t.Fatal("EqualIDs accepted unequal vectors")
 	}
 }

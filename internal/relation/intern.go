@@ -9,8 +9,8 @@ import (
 // Value stays a plain string at every API boundary; interning only
 // canonicalizes the backing storage, so a relation full of categorical
 // data ("NYC" in a million tuples) holds one copy of each distinct
-// value, and the hash of an encoded projection key is computed once per
-// distinct key instead of once per mutation.
+// value, and an encoded projection key used as a map-key field is
+// pooled once per distinct key instead of allocated once per mutation.
 //
 // Beyond canonical strings, the pool hands out dense uint32 value IDs:
 // the i-th distinct value interned gets ID i. IDs are the currency of
@@ -20,42 +20,15 @@ import (
 // process-local: they depend on interning order, so they are never
 // written to the WAL, and snapshots embed their own value table and
 // remap on load (see incremental/persist.go).
-
-// Hash returns the FNV-1a hash of a value. It is the hash the sharded
-// stores route on; Interner caches it per distinct value so hot paths
-// never rehash an interned key.
-func Hash(v Value) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(v); i++ {
-		h ^= uint32(v[i])
-		h *= 16777619
-	}
-	return h
-}
-
-// HashBytes is Hash over a byte slice — same function, same values, so a
-// key encoded into stack scratch can be routed to a shard without the
-// string conversion a Hash call would allocate.
-func HashBytes(b []byte) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(b); i++ {
-		h ^= uint32(b[i])
-		h *= 16777619
-	}
-	return h
-}
-
-// sym is one interned value with its cached hash and dense ID.
-type sym struct {
-	v  Value
-	h  uint32
-	id uint32
-}
+//
+// Pool methods take no lock but the pool's own, so a caller may hold its
+// own locks across a call: the monitor interns and materializes under
+// its store lock (lock order: writer lock → store lock → pool).
 
 // Interner is a concurrency-safe dedup pool of Values. Intern of an
-// already-seen value returns the pooled copy (and its cached hash)
-// without allocating; a first-seen value is copied once into the pool
-// and assigned the next dense uint32 ID.
+// already-seen value returns the pooled copy without allocating; a
+// first-seen value is copied once into the pool and assigned the next
+// dense uint32 ID.
 //
 // The pool only grows: a value stays interned even after every tuple
 // referencing it is gone. For a monitor over categorical data that is
@@ -66,14 +39,15 @@ type sym struct {
 // note on incremental.Options.Intern.)
 type Interner struct {
 	mu sync.RWMutex
-	m  map[string]sym
-	// ids maps ID → canonical value; append-only, index = sym.id.
+	// m maps a value to its ID; its keys are the canonical copies.
+	m map[string]uint32
+	// ids maps ID → canonical value; append-only.
 	ids []Value
 }
 
 // NewInterner returns an empty pool.
 func NewInterner() *Interner {
-	return &Interner{m: make(map[string]sym)}
+	return &Interner{m: make(map[string]uint32)}
 }
 
 // Intern returns the canonical copy of v. Hits are allocation-free; a
@@ -82,59 +56,67 @@ func NewInterner() *Interner {
 // decoded WAL record).
 func (in *Interner) Intern(v Value) Value {
 	in.mu.RLock()
-	s, ok := in.m[v]
+	id, ok := in.m[v]
+	if ok {
+		v = in.ids[id]
+	}
 	in.mu.RUnlock()
 	if ok {
-		return s.v
+		return v
 	}
 	in.mu.Lock()
-	s = in.addLocked(v)
+	v = in.ids[in.addLocked(v)]
 	in.mu.Unlock()
-	return s.v
+	return v
 }
 
 // ID returns the dense uint32 ID of v, interning it first if needed.
 // The i-th distinct value gets ID i; ByID inverts the mapping.
 func (in *Interner) ID(v Value) uint32 {
 	in.mu.RLock()
-	s, ok := in.m[v]
+	id, ok := in.m[v]
 	in.mu.RUnlock()
 	if ok {
-		return s.id
+		return id
 	}
 	in.mu.Lock()
-	s = in.addLocked(v)
+	id = in.addLocked(v)
 	in.mu.Unlock()
-	return s.id
+	return id
 }
 
 // addLocked interns v under the write lock (re-checking first: another
 // goroutine may have interned it between the caller's RUnlock and here)
-// and returns its sym.
-func (in *Interner) addLocked(v Value) sym {
-	if s, ok := in.m[v]; ok {
-		return s
+// and returns its ID.
+func (in *Interner) addLocked(v Value) uint32 {
+	if id, ok := in.m[v]; ok {
+		return id
 	}
-	s := sym{v: strings.Clone(v), h: Hash(v), id: uint32(len(in.ids))}
-	in.m[s.v] = s
-	in.ids = append(in.ids, s.v)
-	return s
+	id := uint32(len(in.ids))
+	v = strings.Clone(v)
+	in.m[v] = id
+	in.ids = append(in.ids, v)
+	return id
 }
 
-// InternBytes returns the canonical Value equal to string(b) and its
-// cached hash. On a hit nothing is allocated: the conversion inside the
-// map index does not escape, and the pooled string is returned.
-func (in *Interner) InternBytes(b []byte) (Value, uint32) {
+// InternBytes returns the canonical Value equal to string(b). On a hit
+// nothing is allocated: the conversion inside the map index does not
+// escape, and the pooled string is returned.
+func (in *Interner) InternBytes(b []byte) Value {
 	in.mu.RLock()
-	s, ok := in.m[string(b)]
+	id, ok := in.m[string(b)]
+	var v Value
+	if ok {
+		v = in.ids[id]
+	}
 	in.mu.RUnlock()
 	if ok {
-		return s.v, s.h
+		return v
 	}
 	in.mu.Lock()
-	s = in.addLocked(string(b))
+	v = in.ids[in.addLocked(string(b))]
 	in.mu.Unlock()
-	return s.v, s.h
+	return v
 }
 
 // InternTuple canonicalizes every value of t in place and returns t.
@@ -153,12 +135,12 @@ func (in *Interner) AppendIDs(dst []uint32, t Tuple) []uint32 {
 	miss := false
 	in.mu.RLock()
 	for _, v := range t {
-		s, ok := in.m[v]
+		id, ok := in.m[v]
 		if !ok {
 			miss = true
 			break
 		}
-		dst = append(dst, s.id)
+		dst = append(dst, id)
 	}
 	in.mu.RUnlock()
 	if !miss {
