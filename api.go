@@ -3,7 +3,6 @@ package repro
 import (
 	"io"
 
-	"repro/internal/cind"
 	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/gen"
@@ -12,7 +11,7 @@ import (
 )
 
 // The public facade is split by subsystem: this file holds the core
-// model, reasoning, detection, workload generation and CINDs;
+// model, reasoning, detection and workload generation;
 // api_monitor.go the incremental monitor, observability and replication;
 // api_cluster.go the sharded cluster; api_discovery.go CFD mining; and
 // api_repair.go batch repair and the live repair suggester.
@@ -212,32 +211,3 @@ func CFDTemplateByAttrs(n int) (CFDTemplate, error) { return gen.TemplateByAttrs
 
 // SemanticTaxCFDs returns the constraint set clean tax data satisfies.
 func SemanticTaxCFDs() []*CFD { return gen.SemanticCFDs() }
-
-// Conditional inclusion dependencies (the second Section 7 constraint
-// class; see internal/cind).
-type (
-	// CIND is a conditional inclusion dependency (R1[X; Xp] ⊆ R2[Y; Yp], Tp).
-	CIND = cind.CIND
-	// CINDSide is one half of the embedded inclusion.
-	CINDSide = cind.Side
-	// CINDViolation is one failing LHS tuple.
-	CINDViolation = cind.Violation
-)
-
-// ParseCIND parses one line of the CIND notation, e.g.
-// "order[title | type=book] <= book[title]".
-func ParseCIND(line string) (*CIND, error) { return cind.ParseCIND(line) }
-
-// ParseCINDSet parses a multi-line CIND file, merging rows that share an
-// embedded inclusion.
-func ParseCINDSet(text string) ([]*CIND, error) { return cind.ParseSet(text) }
-
-// SatisfiesCIND reports (I1, I2) ⊨ ψ.
-func SatisfiesCIND(i1, i2 *Relation, psi *CIND) (bool, error) {
-	return cind.Satisfies(i1, i2, psi)
-}
-
-// FindCINDViolations lists the LHS tuples violating ψ.
-func FindCINDViolations(i1, i2 *Relation, psi *CIND) ([]CINDViolation, error) {
-	return cind.FindViolations(i1, i2, psi)
-}

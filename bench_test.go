@@ -1,15 +1,16 @@
 package repro
 
 // The benchmark harness regenerating every figure of the paper's
-// evaluation (Section 5). Experiment ids E1–E7 refer to DESIGN.md; the
-// series a figure plots appear here as sub-benchmarks (one per x-axis
-// point), so
+// evaluation (Section 5), plus per-layer benchmarks of the serving path.
+// Experiment ids E1–E7 number the paper's figures and its "Merging CFDs"
+// comparison, E8 onwards the serving-path layers. The series a figure
+// plots appear here as sub-benchmarks (one per x-axis point), so
 //
-//	go test -bench Fig9a -benchmem
+//	go test -run '^$' -bench Fig9a -benchmem .
 //
-// prints the same series as Figure 9(a). cmd/cfdbench runs the same
-// experiments and formats them as the paper's tables; EXPERIMENTS.md
-// records paper-vs-measured shapes.
+// prints the same series as Figure 9(a). The end-to-end benchmark over
+// real sockets is bench/ (bash bench/run.sh); this file is its per-layer
+// microscope.
 //
 // Setup (data generation, tableau encoding, SQL generation) happens
 // outside the timer: like the paper, we measure detection-query
@@ -22,7 +23,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/cind"
 	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/discovery"
@@ -363,23 +363,6 @@ func BenchmarkDiscovery(b *testing.B) {
 	}
 }
 
-// BenchmarkCINDDetection measures conditional-inclusion checking of 100K
-// tax records against the 30K-row zip directory.
-func BenchmarkCINDDetection(b *testing.B) {
-	data := taxData(100000, 0.05)
-	zipdir := gen.ZipDirectory()
-	psi, err := cind.ParseCIND("taxrecords[ZIP, ST | CC=01] <= zipdir[zip, state]")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cind.FindViolations(data.Dirty, zipdir, psi); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // E8 — incremental monitoring (beyond the paper): the serving-path claim
 // that a single-tuple change costs O(affected buckets), not a rescan of I.
 // One 100K dirty instance and three Section 5 CFD families; compare
@@ -426,9 +409,9 @@ func BenchmarkIncrementalUpdate100K(b *testing.B) {
 // on the hottest path — single-op updates against the live 100K monitor
 // — with metrics on (the default: counters, gauges and stage timers all
 // firing) versus fully disabled (obs.Disabled(): no clock reads, no
-// atomic adds). The "on" series must stay within ~5% of "off"; the
-// PR-gate bench workload runs against the default, so a regression here
-// also shows up in BENCH_baseline drift.
+// atomic adds). The "on" series must stay within ~5% of "off"; bench/
+// runs the daemons with the default, so a regression here also shows up
+// in its end-to-end latencies.
 func BenchmarkObsOverhead(b *testing.B) {
 	rel, sigma := incrementalWorkload100K(b)
 	for _, cfg := range []struct {
@@ -512,8 +495,8 @@ func BenchmarkMonitorLoad100K(b *testing.B) {
 // E9 — durability (beyond the paper): the cost of the write-ahead log on
 // the serving path's hot write, the cost of a full-state snapshot, and the
 // payoff — cold-start recovery from snapshot + log tail vs re-parsing and
-// re-indexing the CSV. cmd/cfdbench runs the same comparison as the `e9`
-// experiment; CI tracks it through BENCH_baseline.json.
+// re-indexing the CSV. bench/'s serve-write workload measures the same
+// path end to end as first_answer_s and e2e.recover_s.
 
 // durableUpdates drives n alternating CT updates through m. The value
 // parity mixes in the pass number (i/tuples) so that when n exceeds the
@@ -613,42 +596,59 @@ func BenchmarkRecover100K(b *testing.B) {
 
 // E10 — batched ingest (the ChangeSet pipeline): the per-op cost of
 // Monitor.Apply as a function of batch size, against the same workload
-// the single-op E8/E9 series use. One batch is one shard pass and — in
+// the single-op E8/E9 series use. One batch is one apply loop and — in
 // durable mode — one WAL record and one fsync, so ns/op must fall
 // steeply with batch size; the fsync series carries the headline claim
 // (a 1000-op ChangeSet ≥ 3× faster than 1000 single fsynced ops).
-// cmd/cfdbench runs the same comparison, plus concurrent writers, as the
-// `e10` experiment.
 
 // benchApplyBatch drives b.N CT updates through m in ChangeSets of the
-// given size. Values mix in the pass number so revisiting a key always
-// flips it — a same-value update inside a batch journals but does not
-// reindex, which would understate the apply cost.
-func benchApplyBatch(b *testing.B, m *incremental.Monitor, tuples, size int) {
+// given size, split across writers goroutines that each own a disjoint
+// key range; ns/op is wall time per op. Values mix in the pass number so
+// revisiting a key always flips it — a same-value update inside a batch
+// journals but does not reindex, which would understate the apply cost.
+func benchApplyBatch(b *testing.B, m *incremental.Monitor, tuples, size, writers int) {
 	b.Helper()
+	span := tuples / writers
+	errs := make([]error, writers)
+	var wg sync.WaitGroup
 	b.ResetTimer()
-	for done := 0; done < b.N; {
-		n := size
-		if rest := b.N - done; rest < n {
-			n = rest
+	for w := 0; w < writers; w++ {
+		ops := b.N / writers
+		if w < b.N%writers {
+			ops++
 		}
-		var cs incremental.ChangeSet
-		for i := 0; i < n; i++ {
-			op := done + i
-			val := "AAA"
-			if (op+op/tuples)%2 == 1 {
-				val = "BBB"
+		wg.Add(1)
+		go func(w, ops int) {
+			defer wg.Done()
+			base := w * span
+			for done := 0; done < ops; {
+				n := min(size, ops-done)
+				var cs incremental.ChangeSet
+				for i := 0; i < n; i++ {
+					op := done + i
+					val := "AAA"
+					if (op+op/span)%2 == 1 {
+						val = "BBB"
+					}
+					cs.Update(int64(base+op%span), "CT", val)
+				}
+				if _, err := m.Apply(&cs); err != nil {
+					errs[w] = err
+					return
+				}
+				done += n
 			}
-			cs.Update(int64(op%tuples), "CT", val)
-		}
-		if _, err := m.Apply(&cs); err != nil {
+		}(w, ops)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
 			b.Fatal(err)
 		}
-		done += n
 	}
 }
 
-// BenchmarkApplyBatch100K: memory-only batches — what shard-pass
+// BenchmarkApplyBatch100K: memory-only batches — what apply-loop
 // amortization and the interned hot path buy without the WAL.
 func BenchmarkApplyBatch100K(b *testing.B) {
 	rel, sigma := incrementalWorkload100K(b)
@@ -658,7 +658,7 @@ func BenchmarkApplyBatch100K(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			benchApplyBatch(b, m, rel.Len(), size)
+			benchApplyBatch(b, m, rel.Len(), size, 1)
 		})
 	}
 }
@@ -674,24 +674,29 @@ func BenchmarkApplyBatchDurable100K(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer m.Close()
-			benchApplyBatch(b, m, rel.Len(), size)
+			benchApplyBatch(b, m, rel.Len(), size, 1)
 		})
 	}
 }
 
 // BenchmarkApplyBatchFsync100K: the acceptance series — durable mode
 // with per-record fsync, where a 1000-op batch pays one sync and 1000
-// single ops pay 1000.
+// single ops pay 1000. The multi-writer cases measure commit-window
+// coalescing: concurrent writers that queue behind an in-flight fsync
+// share the next window's record and sync, so their per-op cost falls
+// toward the hand-batched rate as writers grow.
 func BenchmarkApplyBatchFsync100K(b *testing.B) {
 	rel, sigma := incrementalWorkload100K(b)
-	for _, size := range []int{1, 1000} {
-		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
+	for _, c := range []struct{ batch, writers int }{
+		{1, 1}, {1000, 1}, {1, 16}, {16, 4},
+	} {
+		b.Run(fmt.Sprintf("batch=%d/writers=%d", c.batch, c.writers), func(b *testing.B) {
 			m, err := incremental.Load(rel, sigma, incremental.Options{Durable: b.TempDir(), Fsync: true})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer m.Close()
-			benchApplyBatch(b, m, rel.Len(), size)
+			benchApplyBatch(b, m, rel.Len(), c.batch, c.writers)
 		})
 	}
 }

@@ -51,8 +51,8 @@
 //     splits every ChangeSet by owning group, fans the sub-batches out
 //     in parallel under epoch-stamped fencing, and merges the violation
 //     deltas (NewClusterRouter, ClusterLocalBackend). The cfdrouter
-//     command is the HTTP daemon over cfdserve shard nodes; the E14
-//     benchmark and bench/'s routed-mixed workload measure the scaling.
+//     command is the HTTP daemon over cfdserve shard nodes; bench/'s
+//     routed-mixed workload measures its throughput and latency.
 //   - Streaming CFD discovery (the Section 7 future-work item; see
 //     internal/discovery): one mining code path over the Monitor's
 //     generalized group-statistics substrate — DiscoverCFDs mines an
@@ -101,10 +101,10 @@
 // recovery lands exactly on a batch boundary.
 //
 // Fsync-per-window: with MonitorOptions.Fsync, a batch costs at most one
-// disk sync regardless of its length — the E10 benchmarks (cmd/cfdbench
-// -only e10, make bench-batch) measure the resulting throughput curve
-// against batch size under concurrent writers; a 1000-op ChangeSet
-// lands an order of magnitude faster than 1000 single fsynced ops.
+// disk sync regardless of its length — BenchmarkApplyBatchFsync100K
+// measures the per-op cost against batch size and concurrent writers;
+// a 1000-op ChangeSet lands an order of magnitude faster than 1000
+// single fsynced ops.
 // Apply also amortizes the in-memory work: a whole commit window applies
 // in one loop under one hold of the store lock, so point readers see it
 // whole or not at all.
@@ -137,7 +137,8 @@
 // incremental scores. CFDMiner.Refresh drains the deltas and re-scores
 // exactly the groups the interleaving changes touched — milliseconds
 // per 1K-op ChangeSet against seconds for a full re-mine at 100K tuples
-// (the E11 benchmark) — and reports the mined set's net changes.
+// (BenchmarkMinerRescore100K against BenchmarkDiscoverFull100K) — and
+// reports the mined set's net changes.
 //
 // Delta semantics: a mined CFD appears when its embedded FD first
 // qualifies (as a global FD with enough evidence, or with its first
@@ -221,11 +222,11 @@
 // every segment boundary; its directory is therefore a valid single-node
 // recovery image of exactly the applied prefix, and a follower restart
 // reuses the ordinary torn-tail-tolerant recovery before resuming the
-// stream (the E12 benchmark measures this catch-up against a CSV
-// re-seed). Replication is asynchronous: an acknowledged primary write
-// may not have reached the follower yet and — with Fsync off — a primary
-// whose OS crashed can even recover behind a follower that already
-// applied its unsynced tail; promotion, not re-subscription, is the intended
+// stream (bench/'s routed-mixed workload times a fresh standby's sync
+// as e2e.standby_sync_s). Replication is asynchronous: an acknowledged
+// primary write may not have reached the follower yet and — with Fsync
+// off — a primary whose OS crashed can even recover behind a follower
+// that already applied its unsynced tail; promotion, not re-subscription, is the intended
 // response to a dead primary (see the fencing note below). Reads
 // (Violations, stats, discovery
 // miners) serve on the follower throughout; mutations and ForceSnapshot
@@ -330,8 +331,9 @@
 // monitor stores tuples and group keys as dense value IDs
 // (4-byte columns interned through one value pool) rather than string
 // maps, so group probes hash and compare integers and resident memory
-// per tuple drops accordingly; the E13 benchmarks (cmd/cfdbench -only
-// e13) measure both.
+// per tuple drops accordingly. The writers cases of
+// BenchmarkApplyBatchFsync100K measure the coalescing, and bench/'s
+// incremental.bytes_per_tuple the memory.
 //
 // # Live repair
 //
@@ -358,10 +360,10 @@
 // (cost-ascending, paginated, version-tagged for If-None-Match) and
 // applies picked IDs via POST /v1/repairs/apply; cfdrouter fans
 // GET /v1/repairs out across shard groups; cmd/cfdrepair is the batch
-// CLI that loops suggest-plan-apply to a certified repair. The E16
-// benchmark (cmd/cfdbench -only e16, make bench-repair) gates the
-// incremental claim: re-planning after a 1K-op batch must beat a full
-// batch repair by ≥10× at 100K tuples.
+// CLI that loops suggest-plan-apply to a certified repair. bench/
+// reports the re-plan after a ChangeSet as serve-read's
+// repair.refresh_ms and one batch repair as batch-clean's
+// repair.batch_ms.
 //
 // See README.md for a walkthrough, ARCHITECTURE.md for the subsystem
 // map and data-flow diagrams, docs/operations.md for the cfdserve

@@ -97,35 +97,4 @@ func main() {
 			fmt.Printf("CFD %d (%s) violated by groups %v\n", i, sigma[i], v.VariableKeys)
 		}
 	}
-	fmt.Println()
-
-	// Referential cleaning across the sources needs the OTHER Section 7
-	// constraint class — a conditional INCLUSION dependency: UK records
-	// must reference the UK postcode directory (US records are exempt).
-	ukzips, err := repro.NewSchema("ukzips", repro.Attr("zip"))
-	if err != nil {
-		log.Fatal(err)
-	}
-	directory := repro.NewRelation(ukzips)
-	_ = directory.Insert([]string{"EH4 1DT"})
-	_ = directory.Insert([]string{"G1 1AA"})
-
-	psi, err := repro.ParseCIND("cust[ZIP | CC=44] <= ukzips[zip]")
-	if err != nil {
-		log.Fatal(err)
-	}
-	ok, err = repro.SatisfiesCIND(merged, directory, psi)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("CIND %s holds: %v\n", psi, ok)
-
-	insert("uk", "44", "131", "EDI", "High St.", "ZZ9 9ZZ") // postcode not in the directory
-	vs, err := repro.FindCINDViolations(merged, directory, psi)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, v := range vs {
-		fmt.Printf("CIND violated by tuple %d: %v\n", v.Tuple, merged.Tuples[v.Tuple])
-	}
 }

@@ -9,9 +9,9 @@ import (
 
 // LocalBackend adapts an in-process node to the Backend interface: a
 // primary is a *incremental.Monitor, a standby a *incremental.Follower
-// (whose embedded monitor serves the reads until promotion). The E14
-// bench and the cluster property tests drive whole clusters through
-// this adapter with zero HTTP in the loop; cfdrouter swaps in an HTTP
+// (whose embedded monitor serves the reads until promotion). The
+// cluster property tests drive whole clusters through this adapter
+// with zero HTTP in the loop; cfdrouter swaps in an HTTP
 // backend with identical semantics.
 type LocalBackend struct {
 	// M is the node's monitor when it is (or started as) a primary.

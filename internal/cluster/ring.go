@@ -4,11 +4,9 @@
 // internal/incremental), and a Router splits every incoming ChangeSet
 // by owning shard, fans the sub-batches out in parallel, and merges the
 // per-shard violation deltas into one response. Each shard group keeps
-// its own WAL, fsync cadence and group-commit window, so aggregate
-// fsynced write throughput grows near-linearly with shard groups (E14
-// measures it); failover inside a group is the fenced promotion of
-// internal/incremental, and the router re-points at the promoted
-// standby without re-seeding anything.
+// its own WAL, fsync cadence and group-commit window; failover inside
+// a group is the fenced promotion of internal/incremental, and the
+// router re-points at the promoted standby without re-seeding anything.
 //
 // The partition is by tuple key, so the cluster is exactly N
 // independent monitors over a key partition — the data-partitioned

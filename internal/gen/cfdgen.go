@@ -194,19 +194,6 @@ func AllZipStateCFD(tabSize int) *core.CFD {
 	return core.MustCFD([]string{"ZIP"}, []string{"ST"}, rows...)
 }
 
-// ZipDirectory materializes the zip→state reference universe as a
-// relation (schema: zip, state) — the lookup table used by inclusion
-// constraints ("every record's zip must exist in the directory") and by
-// the Figure 9(f) experiment's full tableau.
-func ZipDirectory() *relation.Relation {
-	rel := relation.New(relation.MustSchema("zipdir",
-		relation.Attr("zip"), relation.Attr("state")))
-	for i := 0; i < NumZips; i++ {
-		rel.Tuples = append(rel.Tuples, relation.Tuple{Zip(i), ZipState(i).Code})
-	}
-	return rel
-}
-
 // SemanticCFDs returns the full constraint set that clean tax data
 // satisfies — one standard-FD-style CFD per template — used by the repair
 // example and tests.

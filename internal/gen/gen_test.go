@@ -240,20 +240,6 @@ func TestAllZipStateCFD(t *testing.T) {
 	}
 }
 
-func TestZipDirectory(t *testing.T) {
-	dir := ZipDirectory()
-	if dir.Len() != NumZips {
-		t.Fatalf("directory has %d rows, want %d", dir.Len(), NumZips)
-	}
-	if !dir.Tuples[0].Equal(relation.Tuple{Zip(0), "AL"}) {
-		t.Errorf("row 0 = %v", dir.Tuples[0])
-	}
-	last := dir.Tuples[NumZips-1]
-	if !last.Equal(relation.Tuple{Zip(NumZips - 1), "WY"}) {
-		t.Errorf("last row = %v", last)
-	}
-}
-
 func TestWorkloadCFDErrors(t *testing.T) {
 	empty := relation.New(TaxSchema())
 	if _, err := GenerateWorkloadCFD(empty, CFDConfig{Template: ZipToState, TabSize: 10, ConstPct: 1}); err == nil {

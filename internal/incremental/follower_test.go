@@ -132,8 +132,8 @@ func TestFollowerTailsPrimary(t *testing.T) {
 }
 
 // TestFollowerRestartResumes: a restarted follower recovers from its own
-// snapshot + log tail and resumes the stream at its local cursor — the
-// catch-up path E12 measures against a CSV re-seed.
+// snapshot + log tail and resumes the stream at its local cursor
+// instead of re-seeding from the primary.
 func TestFollowerRestartResumes(t *testing.T) {
 	p, f, _, fdir := followerFixture(t, incremental.Options{RetainSegments: 4})
 	defer p.Close()

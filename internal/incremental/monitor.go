@@ -20,9 +20,9 @@
 // []uint32 vectors, tableau constants are pre-resolved to IDs at build
 // time, and group keys are the packed 4-byte-per-ID encoding — so the
 // hot path compares and hashes integers, and a million-tuple store costs
-// 4 bytes per cell instead of a 16-byte string header (E13 measures
-// both). Strings reappear only at API boundaries (Get, Violations,
-// deltas), materialized through the interner.
+// 4 bytes per cell instead of a 16-byte string header. Strings reappear
+// only at API boundaries (Get, Violations, deltas), materialized through
+// the interner.
 //
 // The monitor is a single-writer state machine. Monitor.mu, the writer
 // lock, is held by every state change — live Apply on memory and durable
@@ -166,8 +166,7 @@ type Monitor struct {
 	// only the writer changes them.
 	storeMu sync.RWMutex
 	// tuples is the tuple store. Tuples are ID columns: 4 bytes per value
-	// instead of a 16-byte string header — the resident-memory headline
-	// E13 measures.
+	// instead of a 16-byte string header.
 	tuples map[int64]idTuple
 
 	cfds []*cfdState

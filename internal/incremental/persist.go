@@ -15,7 +15,8 @@ import (
 // of the Monitor's full state — tuples, per-CFD group indexes, constant
 // violation sets and violation counters — so a restart materializes the
 // live state with plain map fills instead of re-running CFD evaluation
-// over every tuple (the 10× recovery claim benchmarked in E9).
+// over every tuple (BenchmarkRecover100K against
+// BenchmarkCSVColdStart100K).
 //
 // The image embeds the schema and Σ it was taken under; loading verifies
 // both against the caller's, so a WAL directory can never be silently
