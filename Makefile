@@ -6,7 +6,7 @@ test:
 	$(GO) build ./... && $(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/obs/ ./internal/relation/ ./internal/incremental/ ./internal/wal/ ./internal/cluster/ ./internal/httpapi/ ./internal/detect/ ./cmd/cfdserve/ ./cmd/cfdrouter/
+	$(GO) test -race ./internal/obs/ ./internal/core/ ./internal/relation/ ./internal/incremental/ ./internal/wal/ ./internal/cluster/ ./internal/httpapi/ ./internal/detect/ ./cmd/cfdserve/ ./cmd/cfdrouter/
 
 # End-to-end observability check: boot a durable cfdserve, push batches
 # through /v1/apply, scrape GET /v1/metrics and assert the expected

@@ -88,6 +88,7 @@ func TestErrorEnvelope(t *testing.T) {
 		{"violations bad cursor", pts.URL, http.MethodGet, "/v1/violations?cursor=zap", "", http.StatusBadRequest, "bad_request"},
 		{"violations stale cursor", pts.URL, http.MethodGet, "/v1/violations?cursor=v999:0", "", http.StatusGone, "stale_cursor"},
 		{"repairs method not allowed", pts.URL, http.MethodPost, "/v1/repairs", "{}", http.StatusMethodNotAllowed, "method_not_allowed"},
+		{"discover NaN min confidence", pts.URL, http.MethodGet, "/v1/discover?min_confidence=NaN", "", http.StatusBadRequest, "bad_request"},
 		{"repairs bad trust threshold", pts.URL, http.MethodGet, "/v1/repairs?trust_threshold=2", "", http.StatusBadRequest, "bad_request"},
 		{"apply bad trust threshold", pts.URL, http.MethodPost, "/v1/repairs/apply", `{"ids":["c0:1"],"trust_threshold":2}`, http.StatusBadRequest, "bad_request"},
 		{"repairs bad cursor", pts.URL, http.MethodGet, "/v1/repairs?cursor=zap", "", http.StatusBadRequest, "bad_request"},

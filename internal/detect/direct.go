@@ -9,10 +9,10 @@ import (
 // roles — the oracle the SQL paths are verified against, and the fast path
 // for embedding the library without any SQL surface.
 //
-// Pattern rows are bucketed by their constant-position mask so that one
-// index on the data (keyed by those positions) serves every pattern row in
-// the bucket; candidate sets then shrink to the tuples matching the row's
-// constants, giving O(Σ_p |cand(p)|) instead of O(|Tp| · |I|).
+// Each CFD's tableau is indexed once (core.TableauIndex, rows bucketed by
+// constant-position mask) and probed once per tuple, so each row's
+// candidate set is exactly the tuples matching its X pattern, in
+// O(|I| · #masks + Σ_p |cand(p)|) instead of O(|Tp| · |I|).
 
 func detectDirect(rel *relation.Relation, sigma []*core.CFD) (*Result, error) {
 	res := &Result{PerCFD: make([]CFDViolations, len(sigma))}
@@ -28,7 +28,10 @@ func detectDirect(rel *relation.Relation, sigma []*core.CFD) (*Result, error) {
 
 // FindDetailed returns the full violation list of one CFD (tableau row,
 // kind, tuples, keys) using the indexed algorithm; it is the detector the
-// repair heuristic builds on.
+// repair heuristic builds on. Violations come row by row in
+// core.TableauIndex.Order, and within a row as the constant violations in
+// tuple order followed by the conflicting groups in order of first
+// appearance — batch repair takes its proposals in this order.
 func FindDetailed(rel *relation.Relation, cfd *core.CFD) ([]core.Violation, error) {
 	xIdx, err := rel.Schema.Indexes(cfd.LHS)
 	if err != nil {
@@ -38,15 +41,45 @@ func FindDetailed(rel *relation.Relation, cfd *core.CFD) ([]core.Violation, erro
 	if err != nil {
 		return nil, err
 	}
+	// Number the tableau's constants 1..k. A data value no constant has
+	// maps to 0, which no bucket key or Y constant holds.
+	ids := make(map[relation.Value]uint32)
+	ix := core.NewTableauIndex(cfd, func(v relation.Value) uint32 {
+		id, ok := ids[v]
+		if !ok {
+			id = uint32(len(ids) + 1)
+			ids[v] = id
+		}
+		return id
+	})
+	project := func(dst []uint32, t relation.Tuple, idx []int) []uint32 {
+		for i, j := range idx {
+			dst[i] = ids[t[j]]
+		}
+		return dst
+	}
+	// One pass over the data collects every row's candidates.
+	cand := make([][]int, len(cfd.Tableau))
+	x := make([]uint32, len(xIdx))
+	var rows []int
+	for t, tup := range rel.Tuples {
+		rows = ix.Match(rows[:0], project(x, tup, xIdx))
+		for _, ri := range rows {
+			cand[ri] = append(cand[ri], t)
+		}
+	}
 	var out []core.Violation
-	err = scanPatterns(rel, cfd, xIdx, yIdx, func(ri int, row core.PatternRow, cand []int) {
+	y := make([]uint32, len(yIdx))
+	for _, ri := range ix.Order() {
+		if len(cand[ri]) == 0 {
+			continue
+		}
 		// Constant violations plus grouping for variable violations.
 		groups := make(map[string][]int)
 		var order []string
 		keys := make(map[string][]relation.Value)
-		for _, t := range cand {
-			yv := rel.Project(t, yIdx)
-			if !core.MatchCells(yv, row.Y) {
+		for _, t := range cand[ri] {
+			if !ix.MatchY(ri, project(y, rel.Tuples[t], yIdx)) {
 				out = append(out, core.Violation{Kind: core.ConstViolation, Row: ri, Tuples: []int{t}})
 			}
 			xv := rel.Project(t, xIdx)
@@ -58,25 +91,22 @@ func FindDetailed(rel *relation.Relation, cfd *core.CFD) ([]core.Violation, erro
 			groups[k] = append(groups[k], t)
 		}
 		for _, k := range order {
-			rows := groups[k]
-			if len(rows) < 2 {
+			members := groups[k]
+			if len(members) < 2 {
 				continue
 			}
 			distinct := make(map[string]bool)
-			for _, t := range rows {
+			for _, t := range members {
 				distinct[relation.EncodeKey(rel.Project(t, yIdx))] = true
 			}
 			if len(distinct) > 1 {
 				out = append(out, core.Violation{
 					Kind: core.VariableViolation, Row: ri,
-					Tuples: append([]int(nil), rows...),
+					Tuples: append([]int(nil), members...),
 					Key:    keys[k],
 				})
 			}
 		}
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }
@@ -97,80 +127,4 @@ func directOne(rel *relation.Relation, cfd *core.CFD) (CFDViolations, error) {
 		}
 	}
 	return canonicalize(constSet, keySet), nil
-}
-
-// scanPatterns calls visit once per tableau row with the candidate tuple
-// ids whose X-projection matches the row's X pattern. Pattern rows sharing
-// a constant-position mask share one hash index over the data.
-func scanPatterns(rel *relation.Relation, cfd *core.CFD, xIdx, yIdx []int,
-	visit func(ri int, row core.PatternRow, cand []int)) error {
-
-	// Bucket rows by constant mask.
-	type bucket struct {
-		constPos []int // positions within LHS that are constants
-		rows     []int // tableau row indexes
-	}
-	buckets := make(map[string]*bucket)
-	var order []string
-	for ri, row := range cfd.Tableau {
-		maskKey := ""
-		var constPos []int
-		for i, p := range row.X {
-			if p.Kind == core.Const {
-				constPos = append(constPos, i)
-				maskKey += "1"
-			} else {
-				maskKey += "0"
-			}
-		}
-		b, ok := buckets[maskKey]
-		if !ok {
-			b = &bucket{constPos: constPos}
-			buckets[maskKey] = b
-			order = append(order, maskKey)
-		}
-		b.rows = append(b.rows, ri)
-	}
-
-	allRows := func() []int {
-		out := make([]int, rel.Len())
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-
-	for _, mk := range order {
-		b := buckets[mk]
-		if len(b.constPos) == 0 {
-			// All-wildcard X: every tuple is a candidate for each row.
-			cand := allRows()
-			for _, ri := range b.rows {
-				visit(ri, cfd.Tableau[ri], cand)
-			}
-			continue
-		}
-		// Index the data on the constant positions of this mask.
-		attrs := make([]string, len(b.constPos))
-		for i, p := range b.constPos {
-			attrs[i] = cfd.LHS[p]
-		}
-		ix, err := relation.BuildIndex(rel, attrs)
-		if err != nil {
-			return err
-		}
-		key := make([]relation.Value, len(b.constPos))
-		for _, ri := range b.rows {
-			row := cfd.Tableau[ri]
-			for i, p := range b.constPos {
-				key[i] = row.X[p].Val
-			}
-			cand := ix.Lookup(key)
-			if len(cand) == 0 {
-				continue
-			}
-			visit(ri, row, cand)
-		}
-	}
-	return nil
 }

@@ -51,12 +51,13 @@ type Config struct {
 }
 
 // Validate rejects tunables no default can repair: a confidence above 1
-// can never be met by any group, and a negative pattern cap is
-// meaningless (0 already means unlimited). Discover and NewMiner
+// can never be met by any group, NaN is no confidence at all (and would
+// make two equal configs compare unequal), and a negative pattern cap
+// is meaningless (0 already means unlimited). Discover and NewMiner
 // validate on entry.
 func (c Config) Validate() error {
-	if c.MinConfidence > 1 {
-		return fmt.Errorf("discovery: MinConfidence %g is above 1 and can never be met", c.MinConfidence)
+	if !(c.MinConfidence <= 1) {
+		return fmt.Errorf("discovery: MinConfidence %g must be a number at most 1", c.MinConfidence)
 	}
 	if c.MaxPatterns < 0 {
 		return fmt.Errorf("discovery: negative MaxPatterns %d (0 means unlimited)", c.MaxPatterns)

@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -363,6 +364,9 @@ func TestMinerDynamicPruning(t *testing.T) {
 func TestConfigValidate(t *testing.T) {
 	if err := (Config{MinConfidence: 1.2}).Validate(); err == nil {
 		t.Error("MinConfidence > 1 must be rejected")
+	}
+	if err := (Config{MinConfidence: math.NaN()}).Validate(); err == nil {
+		t.Error("NaN MinConfidence must be rejected")
 	}
 	if err := (Config{MaxPatterns: -1}).Validate(); err == nil {
 		t.Error("negative MaxPatterns must be rejected")

@@ -2,14 +2,14 @@
 // tuple-level changes — the serving-path counterpart of the batch detectors
 // in internal/detect.
 //
-// A Monitor is loaded once with an instance I and a CFD set Σ; it builds
-// persistent per-pattern-bucket hash indexes (the constant-mask bucketing of
-// detect/direct.go, turned inside out: the static tableau is indexed and
-// probed per tuple) and thereafter answers Insert, Delete and Update in time
-// proportional to the tuples and groups actually affected, instead of
-// rescanning I. Every operation returns the exact delta it caused — the
-// violations that appeared and the violations that were retired — while the
-// live violation set stays queryable at any time.
+// A Monitor is loaded once with an instance I and a CFD set Σ; it indexes
+// each CFD's static tableau once (core.TableauIndex, the same index the
+// batch detector probes), probes it per tuple, and thereafter answers
+// Insert, Delete and Update in time proportional to the tuples and groups
+// actually affected, instead of rescanning I. Every operation returns the
+// exact delta it caused — the violations that appeared and the violations
+// that were retired — while the live violation set stays queryable at any
+// time.
 //
 // Every mutation flows through one batched path: Apply takes a ChangeSet
 // (an ordered vector of insert/delete/update ops), and the single-op
@@ -130,10 +130,9 @@ type Options struct {
 type cfdState struct {
 	cfd        *core.CFD
 	xIdx, yIdx []int
-	rows       *rowIndex
-	// yPat is the tableau's Y side resolved to value-ID patterns, one
-	// vector per row — constViolates compares integers, never strings.
-	yPat [][]yCell
+	// tab is the tableau index, its constants resolved through the value
+	// pool, so a probe compares integers, never strings.
+	tab *core.TableauIndex
 	// groups maps the packed-ID X-projection to its group.
 	groups map[string]*group
 	// yCounts is the multiset of member Y-projections, keyed per group.
@@ -276,8 +275,7 @@ func build(schema *relation.Schema, sigma []*core.CFD, opts Options) (*Monitor, 
 			cfd:     c,
 			xIdx:    xIdx,
 			yIdx:    yIdx,
-			rows:    buildRowIndex(c, vals),
-			yPat:    buildYPatterns(c, vals),
+			tab:     core.NewTableauIndex(c, vals.ID),
 			groups:  make(map[string]*group),
 			yCounts: make(map[ykKey]int),
 			consts:  make(map[int64]bool),
@@ -581,20 +579,6 @@ func projectIDs(dst []uint32, t idTuple, idx []int) []uint32 {
 	return dst
 }
 
-// constViolates reports whether a tuple with Y-projection y has a constant
-// violation against any of the matched tableau rows — a pure integer
-// comparison against the pre-resolved ID patterns.
-func (cs *cfdState) constViolates(rows []int, y []uint32) bool {
-	for _, ri := range rows {
-		for i, c := range cs.yPat[ri] {
-			if c.isConst && y[i] != c.id {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // internYKey packs the Y-projection held in sc and canonicalizes it
 // through the key pool: each distinct projection is packed and interned
 // once for the monitor's lifetime, after which the canonical string
@@ -612,11 +596,14 @@ func (m *Monitor) add(ci int, key int64, t idTuple, d *Delta, sc *opScratch) {
 	cs := m.cfds[ci]
 	sc.x = projectIDs(sc.x[:0], t, cs.xIdx)
 	sc.y = projectIDs(sc.y[:0], t, cs.yIdx)
-	sc.rows = cs.rows.matchInto(sc.rows[:0], sc.x)
-	if cs.constViolates(sc.rows, sc.y) {
-		cs.consts[key] = true
-		cs.violations.Add(1)
-		d.Added = append(d.Added, Change{CFD: ci, Kind: core.ConstViolation, Tuple: key})
+	sc.rows = cs.tab.Match(sc.rows[:0], sc.x)
+	for _, ri := range sc.rows {
+		if !cs.tab.MatchY(ri, sc.y) {
+			cs.consts[key] = true
+			cs.violations.Add(1)
+			d.Added = append(d.Added, Change{CFD: ci, Kind: core.ConstViolation, Tuple: key})
+			break
+		}
 	}
 	sc.key = relation.AppendIDKey(sc.key[:0], sc.x)
 	yk := m.internYKey(sc)

@@ -166,6 +166,23 @@ func (m *Monitor) UntrackDeltas(s *DeltaSub) {
 	m.subs = slices.DeleteFunc(m.subs, func(o *DeltaSub) bool { return o == s })
 }
 
+// MatchingRows returns the tableau rows of CFD ci whose X pattern the
+// projection x matches (x ≍ tp[X]), in tableau order — a probe of the
+// CFD's static tableau index, which needs no lock. An out-of-range ci or
+// a projection of the wrong width matches nothing.
+func (m *Monitor) MatchingRows(ci int, x []relation.Value) []int {
+	if ci < 0 || ci >= len(m.cfds) || len(x) != len(m.cfds[ci].xIdx) {
+		return nil
+	}
+	ids := make([]uint32, len(x))
+	for i, v := range x {
+		ids[i] = m.vals.ID(v)
+	}
+	rows := m.cfds[ci].tab.Match(nil, ids)
+	slices.Sort(rows)
+	return rows
+}
+
 // ViolatingGroup reports whether CFD ci currently has a variable
 // violation on the X-group with the given projection — a point probe
 // against the authoritative group store under a shared hold of the store

@@ -1,5 +1,5 @@
 // Package relation provides the in-memory relational substrate used by the
-// CFD library: typed schemas, tuples, relations, hash indexes and CSV I/O.
+// CFD library: typed schemas, tuples, relations, value interning and CSV I/O.
 //
 // It plays the role of the database tables in the paper's experiments
 // (the paper used DB2; see DESIGN.md for the substitution argument). All
@@ -9,7 +9,6 @@ package relation
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -301,49 +300,4 @@ func AppendKey(dst []byte, vals []Value) []byte {
 		dst = append(dst, v...)
 	}
 	return dst
-}
-
-// Index is a hash index on a fixed list of attribute positions, mapping the
-// projected key to the row ids holding it.
-type Index struct {
-	rel  *Relation
-	cols []int
-	m    map[string][]int
-}
-
-// BuildIndex builds a hash index of rel on the named attributes.
-func BuildIndex(rel *Relation, names []string) (*Index, error) {
-	cols, err := rel.Schema.Indexes(names)
-	if err != nil {
-		return nil, err
-	}
-	ix := &Index{rel: rel, cols: cols, m: make(map[string][]int, rel.Len())}
-	key := make([]Value, len(cols))
-	for row, t := range rel.Tuples {
-		for i, c := range cols {
-			key[i] = t[c]
-		}
-		k := EncodeKey(key)
-		ix.m[k] = append(ix.m[k], row)
-	}
-	return ix, nil
-}
-
-// Lookup returns the row ids whose projection equals key.
-func (ix *Index) Lookup(key []Value) []int {
-	return ix.m[EncodeKey(key)]
-}
-
-// Groups returns every (key, rows) group in deterministic (sorted-key) order.
-func (ix *Index) Groups() [][]int {
-	keys := make([]string, 0, len(ix.m))
-	for k := range ix.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([][]int, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, ix.m[k])
-	}
-	return out
 }

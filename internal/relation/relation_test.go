@@ -153,43 +153,6 @@ func TestEncodeKeyInjective(t *testing.T) {
 	}
 }
 
-func TestIndexLookup(t *testing.T) {
-	r := New(MustSchema("R", Attr("A"), Attr("B")))
-	r.MustInsert("1", "x")
-	r.MustInsert("1", "y")
-	r.MustInsert("2", "x")
-	ix, err := BuildIndex(r, []string{"A"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ix.Lookup([]Value{"1"}); !reflect.DeepEqual(got, []int{0, 1}) {
-		t.Errorf("Lookup(1) = %v", got)
-	}
-	if got := ix.Lookup([]Value{"3"}); got != nil {
-		t.Errorf("Lookup(3) = %v, want nil", got)
-	}
-	groups := ix.Groups()
-	if len(groups) != 2 {
-		t.Errorf("Groups = %v, want 2 groups", groups)
-	}
-	if _, err := BuildIndex(r, []string{"Z"}); err == nil {
-		t.Error("index on unknown attribute must fail")
-	}
-}
-
-func TestIndexMultiColumn(t *testing.T) {
-	r := New(MustSchema("R", Attr("A"), Attr("B")))
-	r.MustInsert("a", "b")
-	r.MustInsert("ab", "")
-	ix, err := BuildIndex(r, []string{"A", "B"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ix.Lookup([]Value{"a", "b"}); !reflect.DeepEqual(got, []int{0}) {
-		t.Errorf("multi-column key collided: %v", got)
-	}
-}
-
 func TestRelationString(t *testing.T) {
 	r := New(MustSchema("R", Attr("A"), Attr("Long")))
 	r.MustInsert("1", "xx")

@@ -356,14 +356,28 @@ func (s *Suggester) weight(key int64, attr string) float64 {
 	return s.opts.Cost.weight(int(key), attr)
 }
 
-// matchX reports whether the row's X patterns match the projection.
-func matchX(row core.PatternRow, xs []relation.Value) bool {
-	for i, p := range row.X {
-		if p.Kind == core.Const && p.Val != xs[i] {
-			return false
+// forcedY folds the constant Y cells of the matched tableau rows into one
+// forced value per RHS attribute: bound[yi] reports that some row binds
+// attribute yi, and conflict that two rows bind one attribute to
+// different constants (the first binding is kept).
+func forcedY(cfd *core.CFD, rows []int) (forced []relation.Value, bound []bool, matched []core.PatternRow, conflict bool) {
+	forced = make([]relation.Value, len(cfd.RHS))
+	bound = make([]bool, len(cfd.RHS))
+	for _, ri := range rows {
+		row := cfd.Tableau[ri]
+		matched = append(matched, row)
+		for yi, p := range row.Y {
+			if p.Kind != core.Const {
+				continue
+			}
+			if bound[yi] && forced[yi] != p.Val {
+				conflict = true
+				continue
+			}
+			bound[yi], forced[yi] = true, p.Val
 		}
 	}
-	return true
+	return forced, bound, matched, conflict
 }
 
 // refreshConst re-plans the suggestion of one (cfd, tuple) constant
@@ -401,26 +415,7 @@ func (s *Suggester) planConst(ci int, key int64) *Suggestion {
 	for i, a := range cfd.LHS {
 		xs[i] = t[schema.MustIndex(a)]
 	}
-	forced := make([]relation.Value, len(cfd.RHS))
-	bound := make([]bool, len(cfd.RHS))
-	conflict := false
-	var matched []core.PatternRow
-	for _, row := range cfd.Tableau {
-		if !matchX(row, xs) {
-			continue
-		}
-		matched = append(matched, row)
-		for yi := range cfd.RHS {
-			if row.Y[yi].Kind != core.Const {
-				continue
-			}
-			if bound[yi] && forced[yi] != row.Y[yi].Val {
-				conflict = true
-				continue
-			}
-			bound[yi], forced[yi] = true, row.Y[yi].Val
-		}
-	}
+	forced, bound, matched, conflict := forcedY(cfd, s.m.MatchingRows(ci, xs))
 	if conflict {
 		return s.planBreakTuple(ci, key, matched)
 	}
@@ -514,24 +509,7 @@ func (s *Suggester) refreshVar(ci int, x []relation.Value) {
 // rows forcing contradictory constants (merge impossible).
 func (s *Suggester) varTargets(ci int, x []relation.Value, xkey string) (targets []relation.Value, matched []core.PatternRow, conflict bool) {
 	cfd := s.sigma[ci]
-	targets = make([]relation.Value, len(cfd.RHS))
-	bound := make([]bool, len(cfd.RHS))
-	for _, row := range cfd.Tableau {
-		if !matchX(row, x) {
-			continue
-		}
-		matched = append(matched, row)
-		for yi := range cfd.RHS {
-			if row.Y[yi].Kind != core.Const {
-				continue
-			}
-			if bound[yi] && targets[yi] != row.Y[yi].Val {
-				conflict = true
-				continue
-			}
-			bound[yi], targets[yi] = true, row.Y[yi].Val
-		}
-	}
+	targets, bound, matched, conflict := forcedY(cfd, s.m.MatchingRows(ci, x))
 	for yi := range cfd.RHS {
 		if bound[yi] {
 			continue
