@@ -49,10 +49,10 @@ race-cluster:
 # The read-path property tests under the race detector, twice: the
 # randomized view-vs-scan oracle (including flip-flop batches), the
 # concurrent readers-vs-writers hammer on the lock-free violation view,
-# point reads that must see whole commit windows, and the router's
-# standby read fan-out with its staleness guard.
+# point reads and view rebuilds that must see whole commit windows, and
+# the router's standby read fan-out with its staleness guard.
 race-readpath:
-	$(GO) test -race -count 2 -run 'TestViewMatchesScanUnderRandomStreams|TestViewConcurrentReadersWriters|TestViolationsForSeesWholeWindows|TestPickRead' ./internal/incremental/ ./internal/cluster/
+	$(GO) test -race -count 2 -run 'TestViewMatchesScanUnderRandomStreams|TestViewConcurrentReadersWriters|TestViolationsForSeesWholeWindows|TestViewSeesWholeWindows|TestPickRead' ./internal/incremental/ ./internal/cluster/
 
 # The repair-suggester property tests under the race detector, twice:
 # randomized dirt streams must converge to I' |= Sigma through the

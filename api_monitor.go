@@ -47,8 +47,9 @@ type (
 	// MonitorViolations is one CFD's entry in a MonitorState.
 	MonitorViolations = incremental.CFDViolations
 	// MonitorViolationsView is an immutable published snapshot of the
-	// live violation set, maintained in O(Δ) from the apply path and
-	// swapped atomically — Monitor.View returns the current one (a
+	// live violation set, rebuilt from the monitor's violation stores for
+	// the CFDs an apply moved and swapped atomically — Monitor.View
+	// returns the current one (a
 	// pointer load at an unchanged version), Monitor.ViewVersion the
 	// version counter conditional reads compare against.
 	MonitorViolationsView = incremental.ViolationsView

@@ -405,6 +405,39 @@ func BenchmarkIncrementalUpdate100K(b *testing.B) {
 	}
 }
 
+// BenchmarkViewAfterUpdate100K: the read that pays for a write — one
+// Update that heals or re-injects one of the generator's ST errors (so
+// the violation set, and with it the view version, moves every
+// iteration), then View, which rebuilds the CFDs the update moved.
+func BenchmarkViewAfterUpdate100K(b *testing.B) {
+	data := taxData(100000, 0.05)
+	_, sigma := incrementalWorkload100K(b)
+	m, err := incremental.Load(data.Dirty, sigma, incremental.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var flips []gen.CellChange
+	for _, c := range data.Changes {
+		if c.Attr == "ST" {
+			flips = append(flips, c)
+		}
+	}
+	m.View()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := flips[(i/2)%len(flips)]
+		val := c.From
+		if i%2 == 1 {
+			val = c.To
+		}
+		if _, err := m.Update(int64(c.Row), "ST", val); err != nil {
+			b.Fatal(err)
+		}
+		m.View()
+	}
+}
+
 // BenchmarkObsOverhead: the per-op price of the metrics instrumentation
 // on the hottest path — single-op updates against the live 100K monitor
 // — with metrics on (the default: counters, gauges and stage timers all

@@ -51,8 +51,8 @@ func TestMutationPathAllocs(t *testing.T) {
 		durable bool
 		budget  float64
 	}{
-		{"memory", false, 224},
-		{"durable", true, 264},
+		{"memory", false, 185},
+		{"durable", true, 225},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var opts incremental.Options

@@ -59,7 +59,7 @@ func TestReadPathAllocs(t *testing.T) {
 		read   func()
 	}{
 		{"View", 0, func() { m.View() }},
-		{"ViolationsFor", 7, func() { m.ViolationsFor(key) }},
+		{"ViolationsFor", 6, func() { m.ViolationsFor(key) }},
 	} {
 		got := testing.AllocsPerRun(100, c.read)
 		if got > c.budget {

@@ -489,8 +489,8 @@ func (m *Monitor) validateWindowReq(ops []Op, overlay map[int64]bool) error {
 // --- the apply-and-fold step ---
 
 // tupleChange is one applied op's stored tuple before and after it (nil
-// before an insert, nil after a delete), recorded only while a
-// GroupStats consumer is attached.
+// before an insert, nil after a delete), recorded only while a consumer
+// besides the view is attached.
 type tupleChange struct{ before, after idTuple }
 
 // applyLocked is the one apply-and-fold step every state change ends in:
@@ -498,17 +498,18 @@ type tupleChange struct{ before, after idTuple }
 // element of vecs is one request's ops, validated under the same hold of
 // m.mu, so nothing can fail. Every op applies in one loop, in vector
 // order, under one exclusive hold of the store lock, so a reader sees
-// the whole window or none of it. Outside that hold, each request's
-// delta is normalized and folded into the view and every attached
-// DeltaSub, and its recorded tuple changes into every attached
-// GroupStats. The deltas come back aligned with vecs.
+// the whole window or none of it; the same hold marks the CFDs whose
+// violation sets moved, for the view's next rebuild. Outside that hold,
+// each request's delta is normalized and, with its ops and recorded
+// tuple changes, folded into every consumer in list order. The deltas
+// come back aligned with vecs.
 func (m *Monitor) applyLocked(vecs [][]Op) []*Delta {
 	deltas := make([]*Delta, len(vecs))
 	moved := make([][]tupleChange, len(vecs))
 	for i, ops := range vecs {
 		m.internOps(ops)
 		deltas[i] = &Delta{}
-		if len(m.stats) > 0 {
+		if len(m.consumers) > 1 {
 			moved[i] = make([]tupleChange, len(ops))
 		}
 	}
@@ -518,15 +519,12 @@ func (m *Monitor) applyLocked(vecs [][]Op) []*Delta {
 			m.applyOp(ops, j, deltas[i], moved[i])
 		}
 	}
+	m.view.markMoved(deltas)
 	m.storeMu.Unlock()
 	for i, d := range deltas {
 		d.normalize()
-		m.foldView(d)
-		for _, s := range m.subs {
-			s.fold(d)
-		}
-		for _, h := range m.stats {
-			h.fold(vecs[i], moved[i])
+		for _, c := range m.consumers {
+			c.fold(vecs[i], moved[i], d)
 		}
 	}
 	return deltas

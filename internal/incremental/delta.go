@@ -2,7 +2,6 @@ package incremental
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -24,7 +23,8 @@ type Change struct {
 	// Tuple is the offending tuple's key (ConstViolation only).
 	Tuple int64
 	// Key is the shared X-projection of the conflicting group
-	// (VariableViolation only).
+	// (VariableViolation only). The monitor's violation view holds the
+	// same slice, so callers must treat it as read-only.
 	Key []relation.Value
 }
 
@@ -152,25 +152,10 @@ func (s *State) Equal(o *State) bool {
 			}
 		}
 		for j := range a.VariableKeys {
-			if relation.EncodeKey(a.VariableKeys[j]) != relation.EncodeKey(b.VariableKeys[j]) {
+			if relation.CompareKeys(a.VariableKeys[j], b.VariableKeys[j]) != 0 {
 				return false
 			}
 		}
 	}
 	return true
-}
-
-// canonicalizeState sorts the accumulated per-CFD sets into canonical order.
-func canonicalizeState(consts []int64, vars map[string][]relation.Value) CFDViolations {
-	out := CFDViolations{ConstTuples: consts}
-	sort.Slice(out.ConstTuples, func(i, j int) bool { return out.ConstTuples[i] < out.ConstTuples[j] })
-	encoded := make([]string, 0, len(vars))
-	for k := range vars {
-		encoded = append(encoded, k)
-	}
-	sort.Strings(encoded)
-	for _, k := range encoded {
-		out.VariableKeys = append(out.VariableKeys, vars[k])
-	}
-	return out
 }

@@ -37,14 +37,16 @@
 // ops apply in one loop, in vector order.
 //
 // Readers never take the writer lock. The stores — the tuples, and per
-// CFD the groups, the Y-projection multiset and the constant violations
-// — are plain maps behind one read/write lock, the store lock
-// (Monitor.storeMu). The apply holds it exclusively around a window's op
-// loop only; the WAL append, the fsync and the consumer folds run
-// outside it. Point readers (Get, Keys, ViolationsFor, ...) hold it
-// shared, so they see whole commit windows, never half of one; the view
-// (Violations) and the counters (Satisfied, ViolationCount) take no lock
-// at all. Lock order is Monitor.mu → store lock → interner locks. The
+// CFD the groups, the Y-projection multiset, the constant violations and
+// the violating groups — are plain maps behind one read/write lock, the
+// store lock (Monitor.storeMu). The apply holds it exclusively around a
+// window's op loop only; the WAL append, the fsync and the consumer
+// folds run outside it. Point readers (Get, Keys, ViolationsFor, ...)
+// and the view's rebuild hold it shared, so they see whole commit
+// windows, never half of one; a repeat view read (Violations) and the
+// counters (Satisfied, ViolationCount) take no lock at all. Lock order
+// is Monitor.mu → store lock → interner locks, and a view rebuild takes
+// the view's own mutex before the store lock. The
 // randomized property tests replay long mixed update streams — single
 // ops and batches — and cross-check the live set against a fresh
 // detect.Direct run after every step.
@@ -62,6 +64,7 @@ package incremental
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -141,8 +144,12 @@ type cfdState struct {
 	// Y-projection from the departing tuple, so no per-member index is
 	// needed at all.
 	yCounts map[ykKey]int
-	// consts is the set of constant-violating tuple keys.
-	consts map[int64]bool
+	// consts is the set of constant-violating tuple keys, and vgroups the
+	// set of violating groups, each with its X-projection materialized
+	// once, when it started violating — the two stores the violation view
+	// reads.
+	consts  map[int64]bool
+	vgroups map[*group][]relation.Value
 	// violations counts this CFD's live violations (constant-violating
 	// tuples plus violating groups); maintained by the apply, read
 	// lock-free by Satisfied.
@@ -198,11 +205,10 @@ type Monitor struct {
 	// j is the durable journal; nil for a memory-only monitor.
 	j *journal
 
-	// subs and stats are the attached consumers: violation-delta
-	// subscriptions (subscribe.go) and group statistics (stats.go),
-	// folded after every apply under mu.
-	subs  []*DeltaSub
-	stats []*GroupStats
+	// consumers are folded after every applied request, under mu and in
+	// apply order (see subscribe.go): consumers[0] is the violation view,
+	// always attached; TrackDeltas and TrackGroups attach the others.
+	consumers []consumer
 
 	// readOnly gates the public mutation surface while the monitor
 	// follows a primary's WAL stream (see follower.go): Apply and
@@ -211,8 +217,8 @@ type Monitor struct {
 	// — may change state. Promotion clears it at a record boundary.
 	readOnly atomic.Bool
 
-	// view is the maintained violation view: fold maps updated in O(Δ)
-	// from every applied delta, published as an immutable atomically-
+	// view is the maintained violation view: rebuilt from the stores for
+	// the CFDs an apply moved, published as an immutable atomically-
 	// swapped snapshot. See view.go.
 	view viewState
 
@@ -279,6 +285,7 @@ func build(schema *relation.Schema, sigma []*core.CFD, opts Options) (*Monitor, 
 			groups:  make(map[string]*group),
 			yCounts: make(map[ykKey]int),
 			consts:  make(map[int64]bool),
+			vgroups: make(map[*group][]relation.Value),
 		}
 		m.cfds = append(m.cfds, cs)
 		for _, a := range c.Attrs() {
@@ -286,7 +293,8 @@ func build(schema *relation.Schema, sigma []*core.CFD, opts Options) (*Monitor, 
 			m.attrCFDs[ai] = append(m.attrCFDs[ai], i)
 		}
 	}
-	m.view.init(len(sigma))
+	m.view.moved = make([]bool, len(sigma))
+	m.consumers = []consumer{&m.view}
 	reg := opts.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -539,36 +547,52 @@ func (m *Monitor) ViolationCount() int64 {
 }
 
 // ScanViolations materializes a fresh snapshot of the live violation set
-// by walking every store — the from-scratch baseline Violations' cached
-// view is measured against, and the oracle the view property tests
-// compare to. The walk holds the store lock shared throughout, so the
-// snapshot is one commit window's state. Group keys are materialized to
-// values here — the canonical order of the snapshot is value-based, so
-// two monitors with different ID assignments canonicalize identically.
+// by walking every group of every CFD, not the maintained vgroups set —
+// the from-scratch oracle the view property tests compare to. The walk
+// holds the store lock shared throughout, so the snapshot is one commit
+// window's state.
 func (m *Monitor) ScanViolations() *State {
 	st := &State{PerCFD: make([]CFDViolations, len(m.cfds))}
 	m.storeMu.RLock()
 	defer m.storeMu.RUnlock()
 	for ci, cs := range m.cfds {
-		if cs.violations.Load() == 0 {
-			// Satisfied CFD: skip the walk and the const-slice and
-			// vars-map allocations outright.
-			continue
-		}
-		var consts []int64
-		for k := range cs.consts {
-			consts = append(consts, k)
-		}
-		vars := make(map[string][]relation.Value)
-		for _, g := range cs.groups {
-			if g.violating() {
-				xs := m.vals.Materialize(make([]relation.Value, 0, len(g.xids)), g.xids)
-				vars[relation.EncodeKey(xs)] = xs
+		st.PerCFD[ci] = m.cfdViolations(cs, func(yield func([]relation.Value) bool) {
+			for _, g := range cs.groups {
+				if g.violating() && !yield(m.xValues(g)) {
+					return
+				}
 			}
-		}
-		st.PerCFD[ci] = canonicalizeState(consts, vars)
+		})
 	}
 	return st
+}
+
+// cfdViolations canonicalizes CFD cs's violation set from its stores: the
+// constant-violating keys plus the violating groups' X-projections xs
+// yields. The canonical order is value-based, so two monitors with
+// different ID assignments canonicalize identically. The caller holds the
+// store lock (either mode) or the writer lock.
+func (m *Monitor) cfdViolations(cs *cfdState, xs iter.Seq[[]relation.Value]) CFDViolations {
+	if cs.violations.Load() == 0 {
+		// Satisfied CFD: skip the walk and the allocations outright.
+		return CFDViolations{}
+	}
+	out := CFDViolations{
+		ConstTuples:  make([]int64, 0, len(cs.consts)),
+		VariableKeys: make([][]relation.Value, 0, len(cs.vgroups)),
+	}
+	for k := range cs.consts {
+		out.ConstTuples = append(out.ConstTuples, k)
+	}
+	out.VariableKeys = slices.AppendSeq(out.VariableKeys, xs)
+	slices.Sort(out.ConstTuples)
+	slices.SortFunc(out.VariableKeys, relation.CompareKeys)
+	return out
+}
+
+// xValues materializes group g's X-projection through the value pool.
+func (m *Monitor) xValues(g *group) []relation.Value {
+	return m.vals.Materialize(make([]relation.Value, 0, len(g.xids)), g.xids)
 }
 
 // projectIDs appends the IDs of t at the given positions to dst.
@@ -621,9 +645,12 @@ func (m *Monitor) add(ci int, key int64, t idTuple, d *Delta, sc *opScratch) {
 		g.distinct++
 	}
 	if !was && g.violating() {
+		// The delta and the view share the materialized key: both treat
+		// it as immutable.
+		xs := m.xValues(g)
+		cs.vgroups[g] = xs
 		cs.violations.Add(1)
-		d.Added = append(d.Added, Change{CFD: ci, Kind: core.VariableViolation,
-			Key: m.vals.Materialize(make([]relation.Value, 0, len(g.xids)), g.xids)})
+		d.Added = append(d.Added, Change{CFD: ci, Kind: core.VariableViolation, Key: xs})
 	}
 }
 
@@ -658,8 +685,8 @@ func (m *Monitor) remove(ci int, key int64, t idTuple, d *Delta, sc *opScratch) 
 		delete(cs.groups, string(sc.key))
 	}
 	if was && !g.violating() {
+		d.Removed = append(d.Removed, Change{CFD: ci, Kind: core.VariableViolation, Key: cs.vgroups[g]})
+		delete(cs.vgroups, g)
 		cs.violations.Add(-1)
-		d.Removed = append(d.Removed, Change{CFD: ci, Kind: core.VariableViolation,
-			Key: m.vals.Materialize(make([]relation.Value, 0, len(g.xids)), g.xids)})
 	}
 }

@@ -533,6 +533,9 @@ func (m *Monitor) readSnapshot(r io.Reader, sizeHint int64) error {
 			}
 			keyBuf = relation.AppendIDKey(keyBuf[:0], g.xids)
 			cs.groups[string(keyBuf)] = g
+			if g.violating() {
+				cs.vgroups[g] = m.xValues(g)
+			}
 		}
 		nyks := int(d.uvarint())
 		cs.yCounts = make(map[ykKey]int, nyks)
@@ -564,9 +567,8 @@ func (m *Monitor) readSnapshot(r io.Reader, sizeHint int64) error {
 	m.nextKey.Store(nextKey)
 	m.epoch.Store(epoch)
 	m.size.Store(int64(ntuples))
-	// The stores were filled directly, without deltas; reseed the
-	// maintained view's fold maps so Violations serves the restored set
-	// (WAL-tail replay then folds on top).
-	m.rebuildViewBase()
+	// The stores were filled directly, without deltas: the view's next
+	// build re-reads every CFD (WAL-tail replay then marks on top).
+	m.view.invalidate()
 	return nil
 }

@@ -485,45 +485,41 @@ func (m *Monitor) TrackGroups(pairs []AttrPair) (*GroupStats, error) {
 		}
 	}
 
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	// The fold is one bounded allocation burst that immediately becomes
-	// resident state (groups, projections, distributions) — park the
-	// collector for its duration, the discipline recovery applies. On
-	// 20 000 generated tax tuples a MaxLHS-1 miner attaches in 0.22 s
-	// parked against 0.25 s collecting (median of 3, 2-core x86-64), at
-	// the same peak RSS. The group maps are not pre-sized: a map never
-	// gives capacity back, and reserving the tuple count (capped at
-	// 4 096) per partition cost 2.6 MB of resident heap there and no time.
-	defer pauseGC()()
-	// Fold partition-major: one partition's group map stays cache-hot
-	// across the whole pass. The writer lock keeps the store still, so it
-	// is read without the store lock; the handle is not published yet, so
-	// neither is h.mu needed.
-	for part := range h.parts {
-		pt := &h.parts[part]
-		pt.groups = make(map[string]*xgroup)
-		for _, t := range m.tuples {
-			pt.add(t)
+	m.attach(h, func() {
+		// The fold is one bounded allocation burst that immediately
+		// becomes resident state (groups, projections, distributions) —
+		// park the collector for its duration, the discipline recovery
+		// applies. On 20 000 generated tax tuples a MaxLHS-1 miner
+		// attaches in 0.22 s parked against 0.25 s collecting (median of
+		// 3, 2-core x86-64), at the same peak RSS. The group maps are not
+		// pre-sized: a map never gives capacity back, and reserving the
+		// tuple count (capped at 4 096) per partition cost 2.6 MB of
+		// resident heap there and no time.
+		defer pauseGC()()
+		// Fold partition-major: one partition's group map stays cache-hot
+		// across the whole pass. The writer lock keeps the store still, so
+		// it is read without the store lock; the handle is not published
+		// yet, so neither is h.mu needed.
+		for part := range h.parts {
+			pt := &h.parts[part]
+			pt.groups = make(map[string]*xgroup)
+			for _, t := range m.tuples {
+				pt.add(t)
+			}
 		}
-	}
-	m.stats = append(m.stats, h)
+	})
 	return h, nil
 }
 
 // UntrackGroups detaches a subscription; its handle stays readable but
 // no longer follows mutations. Unknown handles are ignored.
-func (m *Monitor) UntrackGroups(h *GroupStats) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.stats = slices.DeleteFunc(m.stats, func(o *GroupStats) bool { return o == h })
-}
+func (m *Monitor) UntrackGroups(h *GroupStats) { m.detach(h) }
 
 // fold moves every applied op's old tuple out of, and its new tuple
 // into, each partition — in vector order, under the writer lock. An
 // update only touches what its attribute routes to, and a same-value
 // update nothing.
-func (h *GroupStats) fold(ops []Op, moved []tupleChange) {
+func (h *GroupStats) fold(ops []Op, moved []tupleChange, _ *Delta) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for i, c := range moved {

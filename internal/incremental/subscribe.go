@@ -9,14 +9,43 @@ import (
 	"repro/internal/relation"
 )
 
-// This file is the violation view's subscription surface: a DeltaSub is
-// a coalesced log of which live violations a stretch of applied batches
-// touched, folded right after the view by the one apply step
-// (applyLocked) — O(Δ) per batch, one dirty mark per violation between
-// drains.
-// The streaming repair Suggester in internal/repair is the canonical
-// subscriber: it re-plans exactly the suggestions whose violations a
-// batch touched instead of re-detecting the instance.
+// This file is the consumer surface of the one apply step (applyLocked):
+// every consumer sits on one list, Monitor.consumers, and is folded after
+// every applied request, in apply order, under the writer lock. The
+// violation view (view.go) is consumers[0] and never detaches; a DeltaSub
+// (below) and a GroupStats (stats.go) attach under the writer lock with a
+// backfill of the current state, so an attach neither misses nor
+// double-counts a concurrent write, and detach removes them.
+//
+// A DeltaSub is a coalesced log of which live violations a stretch of
+// applied batches touched — O(Δ) per batch, one dirty mark per violation
+// between drains. The streaming repair Suggester in internal/repair is
+// the canonical subscriber: it re-plans exactly the suggestions whose
+// violations a batch touched instead of re-detecting the instance.
+
+// consumer is one follower of the apply step: fold sees one applied
+// request's ops, their recorded tuple changes (nil while the view is the
+// only consumer) and its normalized delta.
+type consumer interface {
+	fold(ops []Op, moved []tupleChange, d *Delta)
+}
+
+// attach adds c to the consumer list after backfill has brought it up to
+// the current state, both under the writer lock, so no write falls
+// between the two.
+func (m *Monitor) attach(c consumer, backfill func()) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	backfill()
+	m.consumers = append(m.consumers, c)
+}
+
+// detach removes c from the consumer list; unknown consumers are ignored.
+func (m *Monitor) detach(c consumer) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.consumers = slices.DeleteFunc(m.consumers, func(o consumer) bool { return o == c })
+}
 
 // TouchedCFD is one CFD's touched violations since the previous Drain:
 // constant violations by tuple key, variable violations by the group's
@@ -49,7 +78,7 @@ type touchSet struct {
 // fold marks every violation the delta names as touched. Called under
 // the writer lock; takes the sub's own mutex so Drain can run
 // concurrently.
-func (s *DeltaSub) fold(d *Delta) {
+func (s *DeltaSub) fold(_ []Op, _ []tupleChange, d *Delta) {
 	s.mu.Lock()
 	for _, c := range d.Added {
 		s.mark(c)
@@ -71,41 +100,25 @@ func (s *DeltaSub) mark(c Change) {
 	}
 	k := relation.EncodeKey(c.Key)
 	if _, ok := t.vars[k]; !ok {
-		// Delta keys are materialized fresh per delta; retaining the
-		// slice is safe (same invariant the view base relies on).
+		// Delta keys are immutable (the view shares them too), so
+		// retaining the slice is safe.
 		t.vars[k] = c.Key
 		s.n++
 	}
 }
 
-// markAll marks every currently-live violation in the view base as
-// touched — the backfill at attach time. The caller holds the writer
-// lock, so the base is still.
-func (s *DeltaSub) markAll(base []viewBase) {
-	s.mu.Lock()
-	for ci := range base {
-		b := &base[ci]
-		t := &s.cfds[ci]
-		for k, n := range b.consts {
-			if n <= 0 {
-				continue
-			}
-			if _, ok := t.consts[k]; !ok {
-				t.consts[k] = struct{}{}
-				s.n++
-			}
+// markAll marks every currently-live violation of m as touched — the
+// backfill at attach time, read from the violation stores. The caller
+// holds the writer lock, so the stores are still and s is not yet shared.
+func (s *DeltaSub) markAll(m *Monitor) {
+	for ci, cs := range m.cfds {
+		for k := range cs.consts {
+			s.mark(Change{CFD: ci, Kind: core.ConstViolation, Tuple: k})
 		}
-		for k, vc := range b.vars {
-			if vc.n <= 0 {
-				continue
-			}
-			if _, ok := t.vars[k]; !ok {
-				t.vars[k] = vc.xs
-				s.n++
-			}
+		for _, xs := range cs.vgroups {
+			s.mark(Change{CFD: ci, Kind: core.VariableViolation, Key: xs})
 		}
 	}
-	s.mu.Unlock()
 }
 
 // Drain returns the violations touched since the previous drain, one
@@ -151,20 +164,13 @@ func (m *Monitor) TrackDeltas() *DeltaSub {
 		s.cfds[i].consts = make(map[int64]struct{})
 		s.cfds[i].vars = make(map[string][]relation.Value)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s.markAll(m.view.base)
-	m.subs = append(m.subs, s)
+	m.attach(s, func() { s.markAll(m) })
 	return s
 }
 
 // UntrackDeltas detaches a subscription; its accumulated marks stay
 // drainable but no longer follow mutations. Unknown handles are ignored.
-func (m *Monitor) UntrackDeltas(s *DeltaSub) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.subs = slices.DeleteFunc(m.subs, func(o *DeltaSub) bool { return o == s })
-}
+func (m *Monitor) UntrackDeltas(s *DeltaSub) { m.detach(s) }
 
 // MatchingRows returns the tableau rows of CFD ci whose X pattern the
 // projection x matches (x ≍ tp[X]), in tableau order — a probe of the

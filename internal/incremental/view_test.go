@@ -16,9 +16,9 @@ import (
 // scenarios as the delta property test and, after every step, checks the
 // O(Δ)-maintained violation view against a from-scratch scan of the
 // stores. Every tenth step is a flip-flop batch — one ChangeSet that
-// moves a tuple out of its group and straight back — so the view's
-// refcount fold sees add/remove churn that nets to nothing and the test
-// catches any version bump or state drift such churn would leak.
+// moves a tuple out of its group and straight back — so the view sees
+// add/remove churn that nets to nothing and the test catches any state
+// drift such churn would leak.
 func TestViewMatchesScanUnderRandomStreams(t *testing.T) {
 	for _, cfg := range streamConfigs(t) {
 		cfg := cfg
@@ -315,5 +315,126 @@ func TestViolationsForSeesWholeWindows(t *testing.T) {
 	}
 	if !m.Satisfied() {
 		t.Fatalf("both endpoints are clean, yet the monitor holds %d violations", m.ViolationCount())
+	}
+}
+
+// TestViewSeesWholeWindows pins the view's visibility across CFDs: a
+// rebuild re-reads only the CFDs marked moved, so the marks must change
+// together with the stores, or a view could pair one CFD's state before
+// a window with another's after it. Three CFDs [K] -> [A], [K] -> [B],
+// [K] -> [C] and one tuple that a writer walks round a cycle of states
+// each violating exactly one of them — (a2, b1, c1), (a1, b2, c1),
+// (a1, b1, c2) — with 2-op ChangeSets, so consecutive windows share a
+// CFD and every half-applied or mixed state violates none or two.
+// Readers rebuilding the view after every window must always see
+// exactly one violation.
+func TestViewSeesWholeWindows(t *testing.T) {
+	schema := relation.MustSchema("R", relation.Attr("K"), relation.Attr("A"), relation.Attr("B"), relation.Attr("C"))
+	sigma, err := core.ParseSet("[K] -> [A]\n[K] -> [B]\n[K] -> [C]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := incremental.New(schema, sigma, incremental.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if _, _, err := m.Insert(relation.Tuple{"k", "a1", "b1", "c1"}); err != nil {
+		t.Fatal(err)
+	}
+	key, _, err := m.Insert(relation.Tuple{"k", "a2", "b1", "c1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// steps[i] leaves the state violating CFD (i+1)%3 only.
+	steps := []*incremental.ChangeSet{
+		(&incremental.ChangeSet{}).Update(key, "A", "a1").Update(key, "B", "b2"),
+		(&incremental.ChangeSet{}).Update(key, "B", "b1").Update(key, "C", "c2"),
+		(&incremental.ChangeSet{}).Update(key, "C", "c1").Update(key, "A", "a2"),
+	}
+
+	const readers = 4
+	rounds := 3000 * soakFactor()
+	var (
+		wg   sync.WaitGroup
+		stop atomic.Bool
+		fail atomic.Value
+	)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				if st := m.Violations(); st.Total() != 1 {
+					fail.Store(fmt.Sprintf("a view holds %d violations: %s", st.Total(), describe(st)))
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < rounds && fail.Load() == nil; i++ {
+		if _, err := m.Apply(steps[i%len(steps)]); err != nil {
+			stop.Store(true)
+			wg.Wait()
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if msg := fail.Load(); msg != nil {
+		t.Fatal(msg)
+	}
+}
+
+// TestViewVersionMovesOnlyWithTheSet pins the ETag contract from the
+// other side: the version moves when the violation set changes, and
+// only then — not for an update no CFD mentions, not for a flip-flop
+// batch that nets to nothing, and not for one that trades a violation's
+// witness without changing the set.
+func TestViewVersionMovesOnlyWithTheSet(t *testing.T) {
+	schema := relation.MustSchema("R", relation.Attr("ZIP"), relation.Attr("ST"), relation.Attr("NM"))
+	sigma, err := core.ParseSet("[ZIP] -> [ST]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := incremental.New(schema, sigma, incremental.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	var keys []int64
+	for _, tp := range []relation.Tuple{{"z1", "s1", "x"}, {"z1", "s2", "y"}, {"z1", "s2", "w"}} {
+		k, _, err := m.Insert(tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k)
+	}
+	v0 := m.ViewVersion()
+	if got := m.View().Version(); got != v0 || m.Violations().Total() != 1 {
+		t.Fatalf("view version %d (counter %d), %d violations; want one violation at the counter", got, v0, m.Violations().Total())
+	}
+	steps := []struct {
+		name string
+		cs   *incremental.ChangeSet
+		bump bool
+	}{
+		{"update no CFD mentions", (&incremental.ChangeSet{}).Update(keys[0], "NM", "z"), false},
+		{"flip-flop out of the group and back", (&incremental.ChangeSet{}).Update(keys[0], "ZIP", "z9").Update(keys[0], "ZIP", "z1"), false},
+		{"the group stays in conflict", (&incremental.ChangeSet{}).Update(keys[1], "ST", "s3"), false},
+		{"heal the group", (&incremental.ChangeSet{}).Update(keys[0], "ST", "s2").Update(keys[1], "ST", "s2"), true},
+		{"break it again", (&incremental.ChangeSet{}).Update(keys[2], "ST", "s1"), true},
+	}
+	for _, s := range steps {
+		before := m.ViewVersion()
+		if _, err := m.Apply(s.cs); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if bumped := m.ViewVersion() != before; bumped != s.bump {
+			t.Fatalf("%s: version %d -> %d, want bump %v", s.name, before, m.ViewVersion(), s.bump)
+		}
+		if got, want := m.Violations(), m.ScanViolations(); !got.Equal(want) {
+			t.Fatalf("%s: view diverges from scan:\nview:\n%s\nscan:\n%s", s.name, describe(got), describe(want))
+		}
 	}
 }

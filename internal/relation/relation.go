@@ -8,6 +8,8 @@
 package relation
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -300,4 +302,32 @@ func AppendKey(dst []byte, vals []Value) []byte {
 		dst = append(dst, v...)
 	}
 	return dst
+}
+
+// CompareKeys orders two value lists exactly as their EncodeKey
+// encodings compare bytewise, without encoding them — the canonical
+// order of violation keys, at no allocation per compare. It returns -1,
+// 0 or +1.
+//
+// The order is decided at the first differing value: no encoded value is
+// a proper prefix of another (the length prefix ends at the first ':',
+// so equal prefixes mean equal lengths), and a list that runs out first
+// encodes to a prefix of the other.
+func CompareKeys(a, b []Value) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		x, y := a[i], b[i]
+		if x == y {
+			continue
+		}
+		if len(x) == len(y) {
+			return strings.Compare(x, y)
+		}
+		// Different lengths: the decimal length prefixes differ before
+		// either one's ':' is passed, so they decide.
+		var bx, by [24]byte
+		px := append(strconv.AppendInt(bx[:0], int64(len(x)), 10), ':')
+		py := append(strconv.AppendInt(by[:0], int64(len(y)), 10), ':')
+		return bytes.Compare(px, py)
+	}
+	return cmp.Compare(len(a), len(b))
 }

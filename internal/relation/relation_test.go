@@ -153,6 +153,40 @@ func TestEncodeKeyInjective(t *testing.T) {
 	}
 }
 
+// TestCompareKeysMatchesEncodedOrder checks CompareKeys against its
+// definition — the bytewise order of the EncodeKey encodings — on random
+// value lists whose lengths straddle a decimal digit (9 against 10, 1
+// against 12: the length prefixes "9:" and "10:" sort opposite to the
+// lengths) and whose values share prefixes, including the empty value.
+func TestCompareKeysMatchesEncodedOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	value := func() Value {
+		n := []int{0, 1, 2, 9, 10, 12}[r.Intn(6)]
+		b := make([]byte, n)
+		for j := range b {
+			b[j] = byte('a' + r.Intn(2))
+		}
+		return Value(b)
+	}
+	list := func() []Value {
+		out := make([]Value, r.Intn(4))
+		for i := range out {
+			out[i] = value()
+		}
+		return out
+	}
+	for i := 0; i < 20000; i++ {
+		a, b := list(), list()
+		if r.Intn(4) == 0 {
+			// Share a prefix, so the first difference falls further in.
+			b = append(append([]Value(nil), a[:r.Intn(len(a)+1)]...), b...)
+		}
+		if got, want := CompareKeys(a, b), strings.Compare(EncodeKey(a), EncodeKey(b)); got != want {
+			t.Fatalf("CompareKeys(%q, %q) = %d, encoded order %d", a, b, got, want)
+		}
+	}
+}
+
 func TestRelationString(t *testing.T) {
 	r := New(MustSchema("R", Attr("A"), Attr("Long")))
 	r.MustInsert("1", "xx")
