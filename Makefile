@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test race race-batch race-discovery race-failover race-cluster race-readpath race-repair metrics-smoke docs-check
+.PHONY: test race race-props metrics-smoke docs-check
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -16,51 +16,50 @@ race:
 metrics-smoke:
 	sh scripts/metrics_smoke.sh
 
-# The batch pipeline's property tests under the race detector, twice, so
-# goroutine schedules vary: the randomized batched-stream oracle test,
-# the mid-batch kill/recover test, and the commit-window tests (one
-# record per window with per-writer outcomes; consumer attach with
-# backfill under concurrent writers).
-race-batch:
-	$(GO) test -race -count 2 -run 'TestRandomBatchesMatchOracle|TestCrashRecoveryBatchAllOrNothing|TestApplyBatch|TestCommitWindow' ./internal/incremental/
-
-# The streaming-discovery property tests under the race detector, twice:
-# the randomized miner-vs-Discover oracle equivalence, the
-# concurrent-writers refresh loop, confidence in [0, 1] under writers,
-# the attached miner's heap budget per tuple, and the shared
-# X-partitions against a fresh per-pair recount.
-race-discovery:
-	$(GO) test -race -count 2 -run 'TestMinerMatchesDiscoverOracle|TestMinerConcurrentRefresh|TestMinerConfidenceInRange|TestMinerHeapPerTuple|TestSharedPartitionsMatchRecount' ./internal/discovery/ ./internal/incremental/
-
-# The failover property test under the race detector, twice: kill the
-# primary at a random record boundary, promote the follower, cross-check
-# the promoted state against the single-node oracle — plus the
-# concurrent-stream follower test. CFD_SOAK scales the rounds (nightly).
-race-failover:
-	$(GO) test -race -count 2 -run 'TestFailoverPromotedMatchesOracle|TestFollowerConcurrentStream' ./internal/incremental/
-
-# The cluster property tests under the race detector, twice: the
-# cluster-vs-single-node oracle under random kills/partitions/promotions
-# (a fenced deposed primary must refuse writes), plus the router's
-# stale-epoch retry. CFD_SOAK scales the rounds (nightly).
-race-cluster:
-	$(GO) test -race -count 2 -run 'TestClusterMatchesOracleUnderFailover|TestRouterRetriesStaleEpoch' ./internal/cluster/
-
-# The read-path property tests under the race detector, twice: the
-# randomized view-vs-scan oracle (including flip-flop batches), the
-# concurrent readers-vs-writers hammer on the lock-free violation view,
+# The property tests under the race detector, twice each so goroutine
+# schedules vary: one row per package and -run pattern, each row
+# 'PACKAGE=PATTERN'. CFD_SOAK scales the failover, cluster and read-path
+# rounds (nightly).
+#
+# The batch pipeline: the randomized batched-stream oracle, the
+# mid-batch kill/recover test and the commit-window tests (one record per
+# window with per-writer outcomes; consumer attach with backfill under
+# concurrent writers).
+RACE_PROPS += './internal/incremental/=TestRandomBatchesMatchOracle|TestCrashRecoveryBatchAllOrNothing|TestApplyBatch|TestCommitWindow'
+# Streaming discovery: the randomized miner-vs-Discover oracle, the
+# concurrent-writers refresh loop and the attached miner's heap budget
+# per tuple, then the shared X-partitions against a fresh per-pair
+# recount.
+RACE_PROPS += './internal/discovery/=TestMinerMatchesDiscoverOracle|TestMinerConcurrentRefresh|TestMinerHeapPerTuple'
+RACE_PROPS += './internal/incremental/=TestSharedPartitionsMatchRecount'
+# Failover: kill the primary at a random record boundary, promote the
+# follower and cross-check against the single-node oracle, plus the
+# concurrent-stream follower test.
+RACE_PROPS += './internal/incremental/=TestFailoverPromotedMatchesOracle|TestFollowerConcurrentStream'
+# Cluster: the cluster-vs-single-node oracle under random kills,
+# partitions and promotions (a fenced deposed primary must refuse
+# writes), plus the router's stale-epoch retry.
+RACE_PROPS += './internal/cluster/=TestClusterMatchesOracleUnderFailover|TestRouterRetriesStaleEpoch'
+# Read path: the randomized view-vs-scan oracle (flip-flop batches
+# included), concurrent readers against writers on the lock-free view,
 # point reads and view rebuilds that must see whole commit windows, and
 # the router's standby read fan-out with its staleness guard.
-race-readpath:
-	$(GO) test -race -count 2 -run 'TestViewMatchesScanUnderRandomStreams|TestViewConcurrentReadersWriters|TestViolationsForSeesWholeWindows|TestViewSeesWholeWindows|TestPickRead' ./internal/incremental/ ./internal/cluster/
+RACE_PROPS += './internal/incremental/=TestViewMatchesScanUnderRandomStreams|TestViewConcurrentReadersWriters|TestViolationsForSeesWholeWindows|TestViewSeesWholeWindows'
+RACE_PROPS += './internal/cluster/=TestPickRead'
+# Live repair: randomized dirt must converge to I' |= Sigma through the
+# suggest-plan-apply loop, the live suggester must equal a fresh attach
+# after every refresh and keep its confidences in [0, 1] under
+# concurrent writers, and concurrent apply-vs-refresh; the node's
+# repairs endpoint keeps its trust across a discover call.
+RACE_PROPS += './internal/repair/=TestSuggestConvergesRandomDirt|TestSuggesterConcurrentRefresh|TestSuggesterMatchesFreshAttach|TestSuggesterConfidenceInRange|TestSuggesterReplansMovedConstViolation|TestSuggesterRelaxesLowTrustCFD'
+RACE_PROPS += './internal/node/=TestRepairsTrustSurvivesDiscover'
 
-# The repair-suggester property tests under the race detector, twice:
-# randomized dirt streams must converge to I' |= Sigma through the
-# suggest-plan-apply loop and land within the batch Repair oracle's
-# cost, plus the concurrent apply-vs-refresh hammer on the live
-# suggester.
-race-repair:
-	$(GO) test -race -count 2 -run 'TestSuggestConvergesRandomDirt|TestSuggesterConcurrentRefresh' ./internal/repair/
+race-props:
+	@set -e; for row in $(RACE_PROPS); do \
+		pkg=$${row%%=*}; run=$${row#*=}; \
+		echo "race-props: $$pkg -run '$$run'"; \
+		$(GO) test -race -count 2 -run "$$run" "$$pkg"; \
+	done
 
 # Documentation gate: vet, every *.md relative link and anchor resolves,
 # and the godoc examples are gofmt-clean. ci.yml's docs job runs this.

@@ -20,9 +20,7 @@ type (
 	// CFDMiner is a streaming miner attached to a live Monitor (see
 	// WatchDiscovery): Refresh re-scores what changed and reports the
 	// mined set's appear/update/retire deltas; Mined materializes the
-	// current set. Its Confidence method reports a candidate FD's live
-	// agreement ratio, making the miner a RepairTrustSource for
-	// WatchRepairs' relative-trust loop.
+	// current set.
 	CFDMiner = discovery.Miner
 	// MinedChange is one CFDMiner.Refresh outcome: an embedded FD that
 	// appeared in, changed within, or retired from the mined set.

@@ -24,9 +24,9 @@ func Repair(rel *Relation, sigma []*CFD, opts RepairOptions) (*RepairResult, err
 
 // Incremental repair-on-stream (the live counterpart of Repair; see the
 // "Live repair" section of the package documentation): a RepairSuggester
-// rides the Monitor's violation-delta and group-statistics substrates
-// and maintains a cost-ranked suggestion per live violation, re-planning
-// only the violations each ChangeSet touched — O(Δ) per batch, not
+// rides the Monitor's touched-key and group-statistics substrates and
+// maintains a cost-ranked suggestion per live violation, re-planning
+// only the keys and groups each ChangeSet touched — O(Δ) per batch, not
 // O(|I|). Accepted suggestions become ordinary ChangeSets via Plan, so
 // applying a fix goes through the same WAL/replication/fencing path as
 // any other write. cfdserve serves this surface as GET /v1/repairs and
@@ -46,12 +46,10 @@ type (
 	// suggestion.
 	RepairCellEdit = repair.CellEdit
 	// SuggestOptions configures a RepairSuggester: the cost model, and
-	// the relative-trust knobs (Trust, TrustThreshold) that switch a
-	// low-confidence CFD from data edits to a relaxation suggestion.
+	// the relative-trust threshold below which a CFD's live confidence
+	// (from the suggester's own group statistics) switches it from data
+	// edits to a relaxation suggestion.
 	SuggestOptions = repair.SuggestOptions
-	// RepairTrustSource supplies per-CFD confidence for the relative
-	// trust loop; a CFDMiner satisfies it (see its Confidence method).
-	RepairTrustSource = repair.TrustSource
 )
 
 // RepairSuggestion kinds (see RepairSuggestion.Kind).
@@ -78,7 +76,8 @@ var ErrUnknownRepairSuggestion = repair.ErrUnknownSuggestion
 
 // WatchRepairs attaches a live repair suggester to a monitor: the
 // current violation set is planned once, and every subsequent
-// ChangeSet's violation-deltas re-plan only the suggestions it touched —
+// ChangeSet's touched keys and groups re-plan only the suggestions it
+// touched —
 // call Refresh after applying changes to fold them in, Suggestions for
 // the current cost-ranked set, Plan to turn accepted suggestion IDs into
 // an ordinary ChangeSet. Detach with RepairSuggester.Close. The cfdserve

@@ -344,13 +344,20 @@
 // whichever of merging the group onto its cheapest representative or
 // breaking the cheapest LHS cell costs less under the CostModel and the
 // Monitor's group distributions — and on every Refresh re-plans only
-// the suggestions whose violations the intervening ChangeSets touched,
-// O(Δ) per batch rather than O(|I|). With SuggestOptions.Trust wired to
-// a miner's Confidence (the relative-trust loop), a CFD whose support
-// has eroded below TrustThreshold stops generating data edits and
-// instead surfaces one constraint-relaxation suggestion, on the
-// principle that low-trust constraints should bend before high-trust
-// data.
+// what the intervening ChangeSets touched, O(Δ) per batch rather than
+// O(|I|). It runs on two feeds of its own: the tuple keys the writes
+// changed on an attribute of Σ (each key's constant-violation
+// suggestions are re-planned from one probe of the monitor's stores),
+// and group statistics over every (LHS, RHS-attribute) pair of Σ (every
+// variable-violation flip moves a group of the CFD's LHS partition, so
+// the group deltas alone re-plan the variable suggestions). The same
+// deltas carry each CFD's live confidence — the fraction of tuples
+// agreeing with their LHS group's dominant RHS value, the worst over
+// its RHS attributes. A CFD whose confidence has eroded below
+// SuggestOptions.TrustThreshold (the relative-trust loop) stops
+// generating data edits and instead surfaces one
+// constraint-relaxation suggestion, on the principle that low-trust
+// constraints should bend before high-trust data.
 //
 // Accepted suggestions never bypass the write path: Plan turns a set of
 // suggestion IDs into an ordinary ChangeSet (plus the per-cell edit

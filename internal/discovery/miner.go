@@ -39,8 +39,7 @@ type Miner struct {
 	m      *incremental.Monitor
 	hub    *incremental.GroupStats
 	cands  []candidate
-	index  map[string]int32 // fdKey -> candidate, for Confidence lookups
-	det    []bool           // scratch of the per-emit pruning pass
+	det    []bool // scratch of the per-emit pruning pass
 	closed bool
 
 	// Metric handles, registered on the monitor's registry at attach
@@ -140,11 +139,6 @@ type candidate struct {
 	// actually test the FD. An FD over a near-unique LHS holds vacuously
 	// and is only emitted once evidence reaches MinSupport.
 	evidence int
-	// agree/total aggregate the groups' dominant-value counts and sizes:
-	// total-agree is the number of tuples a minimal A-edit repair of the
-	// FD would touch, making agree/total the live confidence Confidence
-	// exports (the relative-trust signal of Beskales et al.).
-	agree, total int
 	// cur/curPatterns are the candidate's emission state as of the last
 	// Refresh, diffed to produce MinedChanges.
 	cur         emitKind
@@ -152,17 +146,15 @@ type candidate struct {
 }
 
 // tally adds (sign 1) or subtracts (sign -1) one group's contribution,
-// given its support, distinct A-values and dominant-value count. A
-// support of 0 — no group — contributes nothing.
-func (c *candidate) tally(sign, support, distinct, top int) {
+// given its support and distinct A-values. A support of 0 — no group —
+// contributes nothing.
+func (c *candidate) tally(sign, support, distinct int) {
 	if distinct > 1 {
 		c.impure += sign
 	}
 	if support >= 2 {
 		c.evidence += sign * support
 	}
-	c.agree += sign * top
-	c.total += sign * support
 }
 
 // fdKey canonically names an embedded FD.
@@ -224,7 +216,7 @@ func NewMiner(m *incremental.Monitor, cfg Config) (*Miner, error) {
 	if err != nil {
 		return nil, err
 	}
-	mi := &Miner{cfg: cfg, m: m, hub: hub, cands: cands, index: index, det: make([]bool, len(cands))}
+	mi := &Miner{cfg: cfg, m: m, hub: hub, cands: cands, det: make([]bool, len(cands))}
 	reg := m.Metrics()
 	mi.metRefresh = reg.DurationHistogram("cfd_miner_refresh_seconds", "Duration of one Miner.Refresh pass (drain + re-score + emit).")
 	mi.metRescored = reg.Counter("cfd_miner_groups_rescored_total", "Touched groups re-scored across Refresh passes.")
@@ -281,8 +273,8 @@ func (mi *Miner) Refresh() []MinedChange {
 // reading of the group.
 func (mi *Miner) rescore(d *incremental.GroupDelta) {
 	c := &mi.cands[d.Pair]
-	c.tally(-1, d.PrevSupport, d.PrevDistinct, d.PrevTopCount)
-	c.tally(1, d.Support, d.Distinct, d.TopCount)
+	c.tally(-1, d.PrevSupport, d.PrevDistinct)
+	c.tally(1, d.Support, d.Distinct)
 	switch {
 	case mi.yields(d.Support, d.TopCount):
 		if c.pats == nil {
@@ -347,42 +339,6 @@ func (mi *Miner) emit() []MinedChange {
 		c.cur, c.curPatterns = kind, patterns
 	}
 	return out
-}
-
-// Confidence reports the miner's live confidence in the embedded FD
-// X → A, as of the last Refresh: the fraction of tuples whose A-value
-// agrees with their X-group's dominant value. 1.0 on an instance the
-// FD satisfies; lower the more cells a minimal RHS-edit repair would
-// have to touch — the relative-trust signal (Beskales et al.) a repair
-// engine compares against its threshold to decide between data edits
-// and constraint relaxation. The attribute order of x is irrelevant.
-// The second result is false when the FD is outside the miner's
-// lattice (|X| > MaxLHS, or unknown attributes).
-func (mi *Miner) Confidence(x []string, a string) (float64, bool) {
-	// Candidates are keyed with X in schema-attribute order; accept any
-	// caller order by canonicalizing against the monitor's schema.
-	schema := mi.m.Schema()
-	canon := make([]string, len(x))
-	copy(canon, x)
-	sort.Slice(canon, func(i, j int) bool {
-		ii, iok := schema.Index(canon[i])
-		jj, jok := schema.Index(canon[j])
-		if iok != jok {
-			return iok
-		}
-		return ii < jj
-	})
-	mi.mu.Lock()
-	defer mi.mu.Unlock()
-	ci, ok := mi.index[fdKey(canon, a)]
-	if !ok {
-		return 0, false
-	}
-	c := &mi.cands[ci]
-	if c.total <= 0 {
-		return 1, true
-	}
-	return float64(c.agree) / float64(c.total), true
 }
 
 func minedChange(k MinedChangeKind, c *candidate, form emitKind, patterns int) MinedChange {

@@ -389,79 +389,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestMinerConfidenceInRange reads every candidate's Confidence after
-// each Refresh while 4 writers insert, delete and update: a group's
-// support and dominant count come from one reading of the substrate, so
-// agree never exceeds total and every confidence lies in [0, 1].
-func TestMinerConfidenceInRange(t *testing.T) {
-	m, err := incremental.New(minerSchema(), nil, incremental.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mi, err := NewMiner(m, Config{MaxLHS: 2, MinSupport: 2, MinConfidence: 0.6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mi.Close()
-
-	const writers = 4
-	var wg sync.WaitGroup
-	var werr [writers]error
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(200 + w)))
-			var live []int64
-			for i := 0; i < 400; i++ {
-				var cs incremental.ChangeSet
-				for n := rng.Intn(6) + 1; n > 0; n-- {
-					switch op := rng.Intn(6); {
-					case op < 3 || len(live) == 0:
-						cs.Insert(randTuple(rng))
-					case op == 3:
-						j := rng.Intn(len(live))
-						cs.Delete(live[j])
-						live = append(live[:j], live[j+1:]...)
-					default:
-						ai := rng.Intn(len(minerPools))
-						cs.Update(live[rng.Intn(len(live))], m.Schema().Attrs[ai].Name, minerPools[ai][rng.Intn(len(minerPools[ai]))])
-					}
-				}
-				if _, err := m.Apply(&cs); err != nil {
-					werr[w] = err
-					return
-				}
-				for _, op := range cs.Ops {
-					if op.Kind == incremental.OpInsert {
-						live = append(live, op.Key)
-					}
-				}
-			}
-		}(w)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	for reads := 0; ; reads++ {
-		mi.Refresh()
-		for _, c := range mi.cands {
-			if conf, ok := mi.Confidence(c.pair.X, c.pair.A); !ok || conf < 0 || conf > 1 {
-				t.Fatalf("read %d: Confidence(%v -> %s) = %v (ok=%v), outside [0, 1]", reads, c.pair.X, c.pair.A, conf, ok)
-			}
-		}
-		select {
-		case <-done:
-			for _, err := range werr {
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			return
-		default:
-		}
-	}
-}
-
 // TestMinerHeapPerTuple bounds what an attached Miner keeps resident:
 // a MaxLHS-1 lattice over the 15-attribute tax schema (210 candidates)
 // shares one X-partition per attribute across its candidates and keeps

@@ -128,10 +128,11 @@ func TestCommitWindowOneRecordPerWindow(t *testing.T) {
 // DeltaSub while eight writers run. Attaching under the writer lock with
 // a backfill must lose nothing: once the writers stop, the statistics
 // drained from the mid-stream attach equal a fresh attach's, and every
-// live violation is among the mid-stream subscription's touched marks.
+// live constant violation's key is among the mid-stream subscription's
+// touched keys.
 func TestCommitWindowAttachWithBackfill(t *testing.T) {
 	schema := statsSchema(t) // R(AC, CT, NM)
-	sigma, err := core.ParseSet("[AC] -> [CT]")
+	sigma, err := core.ParseSet("[AC] -> [CT]\n[AC=1] -> [CT=x]")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,22 +218,21 @@ func TestCommitWindowAttachWithBackfill(t *testing.T) {
 		}
 	}
 
-	touched := make(map[string]bool)
-	for ci, tc := range midSub.Drain() {
-		for _, x := range tc.Vars {
-			touched[fmt.Sprint(ci, x)] = true
-		}
+	touched := make(map[int64]bool)
+	for _, k := range midSub.Drain() {
+		touched[k] = true
 	}
-	live := m.Violations()
-	if live.Total() == 0 {
-		t.Fatal("workload left no violations; the subscription check is vacuous")
-	}
-	for ci, v := range live.PerCFD {
-		for _, x := range v.VariableKeys {
-			if !touched[fmt.Sprint(ci, x)] {
-				t.Fatalf("live violation cfd %d %v missing from the mid-stream subscription", ci, x)
+	consts := 0
+	for ci, v := range m.Violations().PerCFD {
+		for _, k := range v.ConstTuples {
+			consts++
+			if !touched[k] {
+				t.Fatalf("live constant violation cfd %d key %d missing from the mid-stream subscription", ci, k)
 			}
 		}
+	}
+	if consts == 0 {
+		t.Fatal("workload left no constant violations; the subscription check is vacuous")
 	}
 }
 

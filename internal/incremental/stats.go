@@ -15,10 +15,12 @@ import (
 // count) and the full A-value distribution. It is a consumer of the one
 // apply step: while it is attached, the apply records each op's stored
 // tuple before and after, and the subscription folds those changes under
-// the writer lock, right after the apply (applyLocked). The streaming
-// CFD miner in internal/discovery is the canonical subscriber: it
-// re-scores exactly the groups a batch touched instead of re-mining the
-// instance.
+// the writer lock, right after the apply (applyLocked). Two subscribers
+// ride it: the streaming CFD miner in internal/discovery re-scores
+// exactly the groups a batch touched instead of re-mining the instance,
+// and the repair Suggester in internal/repair re-plans the variable
+// violations of exactly those groups and folds the same deltas into
+// each CFD's live confidence.
 //
 // The store is partitioned by X, not by pair (the partition sharing of
 // FD discovery): a subscription keeps one partition per distinct X
@@ -38,7 +40,8 @@ import (
 // pair tracking that (X, A). A delta carries the group's state as of
 // the drain and as of the pair's previous delta for it, so a subscriber
 // can unfold the old contribution arithmetically instead of mirroring
-// every group.
+// every group; a destroyed group's final delta still names its
+// X-projection, so a subscriber can retire what it keyed by it.
 //
 // Like the violation indexes, the statistics speak value IDs internally:
 // groups are keyed by the packed-ID X-projection and distributions count
@@ -67,9 +70,9 @@ type GroupDelta struct {
 	// X-projection, stable for the life of the subscription and usable
 	// with Stat and KeyOf.
 	XKey string
-	// X is the materialized X-projection; nil when the group was
-	// destroyed. The deltas of one group within a drain share it: treat
-	// it as read-only (it may be kept).
+	// X is the materialized X-projection, a destroyed group's included.
+	// The deltas of one group within a drain share it: treat it as
+	// read-only (it may be kept).
 	X []relation.Value
 	// Support is the group's member count; 0 reports the group was
 	// destroyed.
@@ -678,10 +681,7 @@ func (h *GroupStats) drainGroups(buf []GroupDelta, part int, groups []*xgroup) [
 	for _, g := range groups {
 		g.dirty = false
 		size := g.support()
-		var x []relation.Value
-		if size > 0 {
-			x = h.in.Materialize(make([]relation.Value, 0, len(g.x)), g.x)
-		}
+		x := h.in.Materialize(make([]relation.Value, 0, len(g.x)), g.x)
 		for s := range g.dists {
 			st := &g.dists[s]
 			if !st.dirty {

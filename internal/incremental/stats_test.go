@@ -121,8 +121,8 @@ func TestGroupDeltasFollowMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds = drainMap(h)
-	if d := ds[[2]string{"CT", k908}]; d.Support != 0 || d.X != nil {
-		t.Errorf("destroyed group delta = %+v, want Support 0", d)
+	if d := ds[[2]string{"CT", k908}]; d.Support != 0 || fmt.Sprint(d.X) != "[908]" {
+		t.Errorf("destroyed group delta = %+v, want Support 0 and X [908]", d)
 	}
 	if _, ok := h.Stat(0, k908); ok {
 		t.Error("Stat on a destroyed group must miss")

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/relation"
 )
 
@@ -17,11 +16,13 @@ import (
 // backfill of the current state, so an attach neither misses nor
 // double-counts a concurrent write, and detach removes them.
 //
-// A DeltaSub is a coalesced log of which live violations a stretch of
-// applied batches touched — O(Δ) per batch, one dirty mark per violation
-// between drains. The streaming repair Suggester in internal/repair is
-// the canonical subscriber: it re-plans exactly the suggestions whose
-// violations a batch touched instead of re-detecting the instance.
+// A DeltaSub is a coalesced set of the tuple keys a stretch of applied
+// batches changed on an attribute of Σ — O(Δ) per batch, one mark per
+// key between drains. The streaming repair Suggester in internal/repair
+// is the canonical subscriber: it re-plans the constant-violation
+// suggestions of exactly the keys a batch touched instead of
+// re-detecting the instance (its variable-violation suggestions follow
+// its GroupStats instead).
 
 // consumer is one follower of the apply step: fold sees one applied
 // request's ops, their recorded tuple changes (nil while the view is the
@@ -47,124 +48,70 @@ func (m *Monitor) detach(c consumer) {
 	m.consumers = slices.DeleteFunc(m.consumers, func(o consumer) bool { return o == c })
 }
 
-// TouchedCFD is one CFD's touched violations since the previous Drain:
-// constant violations by tuple key, variable violations by the group's
-// X-projection. "Touched" means the violation appeared, retired, or
-// flip-flopped — the subscriber re-reads the authoritative state to
-// learn which; a key listed here may no longer be violating.
-type TouchedCFD struct {
-	Consts []int64
-	Vars   [][]relation.Value
-}
-
-// Empty reports whether nothing was touched.
-func (t *TouchedCFD) Empty() bool { return len(t.Consts) == 0 && len(t.Vars) == 0 }
-
-// DeltaSub is one live violation-delta subscription over a Monitor,
-// created by TrackDeltas. Folding happens under the writer lock after
-// every apply; Drain is safe to call concurrently with mutations.
+// DeltaSub is one live touched-key subscription over a Monitor, created
+// by TrackDeltas: the coalesced set of tuple keys whose stored tuple an
+// applied op changed on an attribute some CFD mentions — inserted,
+// deleted, or updated on an attribute of Σ. Folding happens under the
+// writer lock after every apply; Drain is safe to call concurrently
+// with mutations.
 type DeltaSub struct {
-	mu   sync.Mutex
-	cfds []touchSet
-	n    int
+	mu sync.Mutex
+	// attrCFDs is the monitor's attribute → mentioning-CFDs map.
+	attrCFDs [][]int
+	keys     map[int64]struct{}
 }
 
-// touchSet is one CFD's accumulated touch marks.
-type touchSet struct {
-	consts map[int64]struct{}
-	vars   map[string][]relation.Value
-}
-
-// fold marks every violation the delta names as touched. Called under
-// the writer lock; takes the sub's own mutex so Drain can run
-// concurrently.
-func (s *DeltaSub) fold(_ []Op, _ []tupleChange, d *Delta) {
-	s.mu.Lock()
-	for _, c := range d.Added {
-		s.mark(c)
-	}
-	for _, c := range d.Removed {
-		s.mark(c)
-	}
-	s.mu.Unlock()
-}
-
-func (s *DeltaSub) mark(c Change) {
-	t := &s.cfds[c.CFD]
-	if c.Kind == core.ConstViolation {
-		if _, ok := t.consts[c.Tuple]; !ok {
-			t.consts[c.Tuple] = struct{}{}
-			s.n++
-		}
-		return
-	}
-	k := relation.EncodeKey(c.Key)
-	if _, ok := t.vars[k]; !ok {
-		// Delta keys are immutable (the view shares them too), so
-		// retaining the slice is safe.
-		t.vars[k] = c.Key
-		s.n++
-	}
-}
-
-// markAll marks every currently-live violation of m as touched — the
-// backfill at attach time, read from the violation stores. The caller
-// holds the writer lock, so the stores are still and s is not yet shared.
-func (s *DeltaSub) markAll(m *Monitor) {
-	for ci, cs := range m.cfds {
-		for k := range cs.consts {
-			s.mark(Change{CFD: ci, Kind: core.ConstViolation, Tuple: k})
-		}
-		for _, xs := range cs.vgroups {
-			s.mark(Change{CFD: ci, Kind: core.VariableViolation, Key: xs})
-		}
-	}
-}
-
-// Drain returns the violations touched since the previous drain, one
-// entry per monitored CFD (positionally aligned with Σ), and resets the
-// marks. A nil result means nothing was touched — the cheap poll path.
-func (s *DeltaSub) Drain() []TouchedCFD {
+// fold marks every applied op whose stored tuple changed on an attribute
+// of Σ. Called under the writer lock; takes the sub's own mutex so Drain
+// can run concurrently.
+func (s *DeltaSub) fold(ops []Op, moved []tupleChange, _ *Delta) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.n == 0 {
+	for i, c := range moved {
+		if ops[i].Kind == OpUpdate {
+			if ai := ops[i].ai; len(s.attrCFDs[ai]) == 0 || c.before[ai] == c.after[ai] {
+				continue
+			}
+		}
+		s.keys[ops[i].Key] = struct{}{}
+	}
+}
+
+// Drain returns the keys touched since the previous drain, in no
+// particular order, and resets the set. A key listed here may be gone or
+// no longer violating: the subscriber re-reads the authoritative state.
+// A nil result means nothing was touched — the cheap poll path.
+func (s *DeltaSub) Drain() []int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.keys) == 0 {
 		return nil
 	}
-	out := make([]TouchedCFD, len(s.cfds))
-	for ci := range s.cfds {
-		t := &s.cfds[ci]
-		if len(t.consts) > 0 {
-			out[ci].Consts = make([]int64, 0, len(t.consts))
-			for k := range t.consts {
-				out[ci].Consts = append(out[ci].Consts, k)
-			}
-			t.consts = make(map[int64]struct{})
-		}
-		if len(t.vars) > 0 {
-			out[ci].Vars = make([][]relation.Value, 0, len(t.vars))
-			for _, xs := range t.vars {
-				out[ci].Vars = append(out[ci].Vars, xs)
-			}
-			t.vars = make(map[string][]relation.Value)
-		}
+	out := make([]int64, 0, len(s.keys))
+	for k := range s.keys {
+		out = append(out, k)
 	}
-	s.n = 0
+	clear(s.keys)
 	return out
 }
 
-// TrackDeltas attaches a violation-delta subscription under the writer
-// lock: every violation currently live is pre-marked as touched (so the
-// first Drain hands the subscriber the complete initial set), and every
-// subsequent applied batch marks the violations its delta names. Like
-// group statistics, subscriptions are memory-only and do not survive a
+// TrackDeltas attaches a touched-key subscription under the writer lock:
+// every key that currently violates a constant pattern is pre-marked (so
+// the first Drain hands the subscriber the complete initial set), and
+// every subsequent applied op marks the key it changed. Like group
+// statistics, subscriptions are memory-only and do not survive a
 // restart. Detach with UntrackDeltas.
 func (m *Monitor) TrackDeltas() *DeltaSub {
-	s := &DeltaSub{cfds: make([]touchSet, len(m.cfds))}
-	for i := range s.cfds {
-		s.cfds[i].consts = make(map[int64]struct{})
-		s.cfds[i].vars = make(map[string][]relation.Value)
-	}
-	m.attach(s, func() { s.markAll(m) })
+	s := &DeltaSub{attrCFDs: m.attrCFDs, keys: make(map[int64]struct{})}
+	// The writer lock keeps the stores still, so they are read without
+	// the store lock; s is not yet shared.
+	m.attach(s, func() {
+		for _, cs := range m.cfds {
+			for k := range cs.consts {
+				s.keys[k] = struct{}{}
+			}
+		}
+	})
 	return s
 }
 
@@ -210,6 +157,22 @@ func (m *Monitor) ViolatingGroup(ci int, x []relation.Value) bool {
 	defer m.storeMu.RUnlock()
 	g := cs.groups[string(key)]
 	return g != nil && g.violating()
+}
+
+// ConstViolations returns the indexes of the CFDs whose constant patterns
+// the tuple with the given key currently violates, in Σ order (nil for
+// none) — a point probe against the constant-violation stores under one
+// shared hold of the store lock, no view materialization.
+func (m *Monitor) ConstViolations(key int64) []int {
+	var out []int
+	m.storeMu.RLock()
+	defer m.storeMu.RUnlock()
+	for ci, cs := range m.cfds {
+		if cs.consts[key] {
+			out = append(out, ci)
+		}
+	}
+	return out
 }
 
 // MatchingKeys returns the keys of live tuples whose projection on

@@ -5,9 +5,9 @@
 // handlers as their shard nodes.
 //
 // GET /v1/repairs serves the live repair suggester: the first call
-// attaches it to the monitor's violation-delta and group-statistics
-// feeds (one full planning pass); every later call re-plans only the
-// violations the interleaving writes touched. POST /v1/repairs/apply
+// attaches it to the monitor's touched-key and group-statistics feeds
+// (one full planning pass); every later call re-plans only the keys and
+// groups the interleaving writes touched. POST /v1/repairs/apply
 // turns accepted ids into an ordinary fenced ChangeSet through the same
 // apply path as POST /v1/apply. GET /v1/discover serves streaming CFD
 // discovery the same way: one attach, then O(Δ) re-scoring.
@@ -158,7 +158,7 @@ func (s *Server) Routes() []httpapi.Route {
 		get("/violations", s.violations,
 			`the live violation set from the O(Δ) view: ?key=K point lookup, ?cfd=I filter, ?limit=N&cursor=C pages; ETag "vN" at view version N`),
 		get("/repairs", s.repairs,
-			`live cost-ranked repair suggestions: ?limit=N&cursor=C pages, ?trust_threshold=F wires the miner as trust source; ETag "rN" at suggestion version N`),
+			`live cost-ranked repair suggestions: ?limit=N&cursor=C pages, ?trust_threshold=F relaxes CFDs whose live confidence is below F; ETag "rN" at suggestion version N`),
 		post("/repairs/apply", s.repairsApply,
 			`apply accepted suggestions as one ChangeSet: {"ids": ["c0:3", ...]} → {"ops", "edits", "delta"}`),
 		get("/stats", s.stats, `tuples, violations, epoch, role, next_key, build; "wal" on durable nodes, "replica" on standbys`),
@@ -274,25 +274,14 @@ func (s *Server) minerFor(cfg discovery.Config) (*discovery.Miner, error) {
 
 // suggesterFor returns the cached repair suggester when the trust
 // threshold matches, otherwise attaches a fresh one (full planning
-// pass) and retires the old. A positive threshold wires the cached
-// streaming miner in as the trust source — its candidate confidences
-// are refreshed here so the suggester's trust pass reads live values.
+// pass) and retires the old.
 func (s *Server) suggesterFor(thr float64) (*repair.Suggester, error) {
-	var trust repair.TrustSource
-	if thr > 0 {
-		mi, err := s.minerFor(discovery.Config{MaxLHS: 1, MinSupport: 2, MinConfidence: 1})
-		if err != nil {
-			return nil, err
-		}
-		mi.Refresh()
-		trust = mi
-	}
 	s.sugMu.Lock()
 	defer s.sugMu.Unlock()
 	if s.sug != nil && s.sugThr == thr {
 		return s.sug, nil
 	}
-	sg, err := repair.NewSuggester(s.Monitor(), repair.SuggestOptions{Trust: trust, TrustThreshold: thr})
+	sg, err := repair.NewSuggester(s.Monitor(), repair.SuggestOptions{TrustThreshold: thr})
 	if err != nil {
 		return nil, err
 	}

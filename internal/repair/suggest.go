@@ -3,6 +3,7 @@ package repair
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -17,9 +18,20 @@ import (
 // This file is the streaming counterpart of the batch algorithm in
 // repair.go: a Suggester attaches to a live incremental.Monitor and
 // maintains one cost-ranked repair suggestion per live violation,
-// updated in O(Δ) from the violation-delta subscription
-// (Monitor.TrackDeltas) and the group-statistics substrate
-// (Monitor.TrackGroups) — the same two feeds the streaming miner uses.
+// updated in O(Δ) from two feeds of its own:
+//
+//   - a touched-key subscription (Monitor.TrackDeltas) names the tuples
+//     the applied batches changed on an attribute of Σ; each one's
+//     constant-violation suggestions are re-planned from one probe of
+//     the monitor's stores;
+//   - a group-statistics subscription (Monitor.TrackGroups) over every
+//     (LHS, RHS-attribute) pair of Σ names the LHS groups that moved;
+//     every variable-violation flip of a CFD moves a group of its LHS
+//     partition, so these deltas alone re-plan the variable
+//     suggestions. Folded arithmetically, they also carry each CFD's
+//     live confidence: the fraction of tuples agreeing with their LHS
+//     group's dominant RHS value.
+//
 // The planning heuristics are the batch algorithm's, re-derived per
 // violation instead of per pass:
 //
@@ -31,10 +43,9 @@ import (
 //     minority cells into the target value (the pattern constant when
 //     bound, else the live distribution's majority) or breaking the
 //     minority tuples out of the group via an LHS cell;
-//   - when the configured trust source (typically the streaming miner)
-//     reports live confidence below the threshold for a CFD, its data
-//     edits give way to a single constraint-relaxation suggestion — the
-//     relative-trust loop of Beskales et al., on-stream.
+//   - when a CFD's live confidence falls below the trust threshold, its
+//     data edits give way to a single constraint-relaxation suggestion —
+//     the relative-trust loop of Beskales et al., on-stream.
 //
 // Suggestions are descriptors, not mutations: Plan materializes an
 // accepted set into an ordinary ChangeSet that flows through the
@@ -118,17 +129,12 @@ type Suggestion struct {
 	To   relation.Value
 	// Tuples is the number of cell edits the suggestion implies.
 	Tuples int
-	// Confidence is the trust source's live confidence (SuggestRelax).
+	// Confidence is the CFD's live confidence (SuggestRelax): over its
+	// RHS attributes, the least fraction of tuples whose value agrees
+	// with their LHS group's dominant one.
 	Confidence float64
 	// Reason is a one-line human-readable rationale.
 	Reason string
-}
-
-// TrustSource supplies live per-FD confidence — the streaming
-// discovery.Miner satisfies it. The attribute order of lhs does not
-// matter.
-type TrustSource interface {
-	Confidence(lhs []string, rhs string) (float64, bool)
 }
 
 // SuggestOptions configures a Suggester.
@@ -137,12 +143,10 @@ type SuggestOptions struct {
 	// argument receives the tuple's monitor key truncated to int for
 	// per-tuple decisions and -1 for group-level estimates.
 	Cost *CostModel
-	// Trust supplies live per-CFD confidence; nil disables relaxation
-	// suggestions.
-	Trust TrustSource
-	// TrustThreshold: when Trust reports confidence below this for a
-	// CFD, its data-edit suggestions are replaced by one constraint-
-	// relaxation suggestion. 0 (the default) never relaxes.
+	// TrustThreshold: when a CFD's live confidence (see
+	// Suggestion.Confidence) falls below this, its data-edit suggestions
+	// are replaced by one constraint-relaxation suggestion. 0 (the
+	// default) never relaxes.
 	TrustThreshold float64
 }
 
@@ -163,13 +167,16 @@ type Suggester struct {
 	pairBase  []int
 	cfdOfPair []int
 	yIdx      [][]int // per CFD, schema indexes of RHS
+	// agree[p] and total[p] sum pair p's groups' dominant-value counts
+	// and sizes, moved by each drained delta's change: agree/total is
+	// the pair's live confidence.
+	agree, total []int
 
 	sugs    map[string]*Suggestion
 	relaxed []bool
 	version uint64
 	sorted  []Suggestion // cost-ranked cache, nil when stale
 	freshN  int
-	drain   []incremental.GroupDelta
 	closed  bool
 
 	metRefresh *obs.Histogram
@@ -180,8 +187,8 @@ type Suggester struct {
 
 // NewSuggester attaches a streaming repair suggester to the monitor:
 // the monitored Σ's (LHS, RHS-attr) pairs are registered with the
-// group-statistics substrate, a violation-delta subscription is opened,
-// and the current violation set is planned. The first Refresh happens
+// group-statistics substrate, a touched-key subscription is opened, and
+// the current violation set is planned. The first Refresh happens
 // inside the constructor, so Suggestions is immediately complete.
 func NewSuggester(m *incremental.Monitor, opts SuggestOptions) (*Suggester, error) {
 	sigma := m.Sigma()
@@ -212,10 +219,11 @@ func NewSuggester(m *incremental.Monitor, opts SuggestOptions) (*Suggester, erro
 		return nil, err
 	}
 	s.hub = hub
+	s.agree, s.total = make([]int, len(pairs)), make([]int, len(pairs))
 	s.sub = m.TrackDeltas()
 	reg := m.Metrics()
 	s.metRefresh = reg.DurationHistogram("cfd_suggester_refresh_seconds", "Duration of one Suggester.Refresh pass (drain + re-plan).")
-	s.metTouched = reg.Counter("cfd_suggester_replanned_total", "Violations re-planned across Refresh passes.")
+	s.metTouched = reg.Counter("cfd_suggester_replanned_total", "Touched keys and group deltas re-planned across Refresh passes.")
 	s.metLive = reg.Gauge("cfd_suggestions", "Live repair suggestions currently maintained.")
 	s.metRelaxed = reg.Gauge("cfd_suggester_relaxed_cfds", "CFDs currently below the trust threshold (relaxation suggested).")
 	s.Refresh()
@@ -235,39 +243,19 @@ func (s *Suggester) Close() {
 	s.m.UntrackDeltas(s.sub)
 }
 
-// Refresh drains the violations touched since the last call and
+// Refresh drains the keys and groups touched since the last call and
 // re-plans exactly their suggestions — O(Δ), not O(|I|) — then
 // re-evaluates the trust threshold per CFD. It returns the number of
-// violations re-planned.
+// keys and group deltas re-planned.
 func (s *Suggester) Refresh() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	start := time.Now()
-	n := 0
-	touched := s.sub.Drain()
-	s.drain = s.hub.Drain(s.drain[:0])
-	for ci := range touched {
-		t := &touched[ci]
-		for _, k := range t.Consts {
-			s.refreshConst(ci, k)
-			n++
-		}
-		for _, x := range t.Vars {
-			s.refreshVar(ci, x)
-			n++
-		}
+	keys := s.sub.Drain()
+	for _, k := range keys {
+		s.refreshKey(k)
 	}
-	// Group-stat deltas catch what presence flips cannot: a group whose
-	// majority (and therefore merge target or cost) shifted while it
-	// stayed violating throughout.
-	for i := range s.drain {
-		d := &s.drain[i]
-		if d.X == nil {
-			continue // destroyed group: its retirement came through the view delta
-		}
-		s.refreshVar(s.cfdOfPair[d.Pair], d.X)
-		n++
-	}
+	n := len(keys) + s.hub.DrainFunc(s.refreshGroup)
 	s.refreshTrust()
 	s.metTouched.Add(uint64(n))
 	s.metLive.Set(int64(len(s.sugs)))
@@ -380,35 +368,41 @@ func forcedY(cfd *core.CFD, rows []int) (forced []relation.Value, bound []bool, 
 	return forced, bound, matched, conflict
 }
 
-// refreshConst re-plans the suggestion of one (cfd, tuple) constant
-// violation against the authoritative state: gone → dropped, live →
-// re-derived.
-func (s *Suggester) refreshConst(ci int, key int64) {
-	id := constID(ci, key)
-	if s.relaxed[ci] {
-		s.dropID(id)
-		return
+// refreshKey re-plans the constant-violation suggestions of one touched
+// tuple against the authoritative state: one store probe names the CFDs
+// whose constants the tuple violates, their suggestions are re-derived,
+// and every other CFD's is dropped.
+func (s *Suggester) refreshKey(key int64) {
+	cis := s.m.ConstViolations(key)
+	var t relation.Tuple
+	if len(cis) > 0 {
+		t, _ = s.m.Get(key)
 	}
-	st, live := s.m.ViolationsFor(key)
-	if !live || len(st.PerCFD[ci].ConstTuples) == 0 {
-		s.dropID(id)
-		return
-	}
-	if sug := s.planConst(ci, key); sug != nil {
-		s.put(sug)
-	} else {
-		s.dropID(id)
+	for ci := range s.sigma {
+		var sug *Suggestion
+		if t != nil && !s.relaxed[ci] && slices.Contains(cis, ci) {
+			sug = s.planConst(ci, key, t)
+		}
+		if sug != nil {
+			s.put(sug)
+		} else {
+			s.dropID(constID(ci, key))
+		}
 	}
 }
 
-// planConst derives the suggestion for a constant violation: force the
-// mismatching RHS cells to their pattern constants, or break the LHS
-// when matched rows force conflicting constants.
-func (s *Suggester) planConst(ci int, key int64) *Suggestion {
-	t, ok := s.m.Get(key)
-	if !ok {
-		return nil
-	}
+// refreshGroup folds one drained group delta into its pair's confidence
+// aggregates and re-plans the group's variable violation.
+func (s *Suggester) refreshGroup(d *incremental.GroupDelta) {
+	s.agree[d.Pair] += d.TopCount - d.PrevTopCount
+	s.total[d.Pair] += d.Support - d.PrevSupport
+	s.refreshVar(s.cfdOfPair[d.Pair], d.X)
+}
+
+// planConst derives the suggestion for tuple t's constant violation of
+// CFD ci: force the mismatching RHS cells to their pattern constants, or
+// break the LHS when matched rows force conflicting constants.
+func (s *Suggester) planConst(ci int, key int64, t relation.Tuple) *Suggestion {
 	cfd := s.sigma[ci]
 	schema := s.m.Schema()
 	xs := make([]relation.Value, len(cfd.LHS))
@@ -579,27 +573,28 @@ func (s *Suggester) planVar(ci int, x []relation.Value) *Suggestion {
 	}
 }
 
+// confidence is CFD ci's live confidence: the least, over its RHS
+// attributes, of the fraction of tuples whose value agrees with their
+// LHS group's dominant one (1 on an empty instance).
+func (s *Suggester) confidence(ci int) float64 {
+	worst := 1.0
+	for p := s.pairBase[ci]; p < s.pairBase[ci]+len(s.yIdx[ci]); p++ {
+		if s.total[p] > 0 {
+			worst = min(worst, float64(s.agree[p])/float64(s.total[p]))
+		}
+	}
+	return worst
+}
+
 // refreshTrust re-evaluates each CFD against the trust threshold and
 // swaps between data-edit and relaxation mode on crossings.
 func (s *Suggester) refreshTrust() {
-	if s.opts.Trust == nil || s.opts.TrustThreshold <= 0 {
+	if s.opts.TrustThreshold <= 0 {
 		return
 	}
 	relaxed := int64(0)
-	for ci, cfd := range s.sigma {
-		worst, any := 1.0, false
-		for _, a := range cfd.RHS {
-			if c, ok := s.opts.Trust.Confidence(cfd.LHS, a); ok {
-				any = true
-				if c < worst {
-					worst = c
-				}
-			}
-		}
-		if !any {
-			continue
-		}
-		if worst < s.opts.TrustThreshold {
+	for ci := range s.sigma {
+		if worst := s.confidence(ci); worst < s.opts.TrustThreshold {
 			relaxed++
 			if !s.relaxed[ci] {
 				s.relaxed[ci] = true
@@ -635,7 +630,7 @@ func (s *Suggester) reseed(ci int) {
 	}
 	v := st.PerCFD[ci]
 	for _, k := range v.ConstTuples {
-		s.refreshConst(ci, k)
+		s.refreshKey(k)
 	}
 	for _, x := range v.VariableKeys {
 		s.refreshVar(ci, x)
