@@ -32,6 +32,10 @@ RACE_PROPS += './internal/incremental/=TestRandomBatchesMatchOracle|TestCrashRec
 # recount.
 RACE_PROPS += './internal/discovery/=TestMinerMatchesDiscoverOracle|TestMinerConcurrentRefresh|TestMinerHeapPerTuple'
 RACE_PROPS += './internal/incremental/=TestSharedPartitionsMatchRecount'
+# The group store: per-attribute RHS distributions against the batch
+# oracle and the crash-recovery check, the v4 snapshot round trip and
+# the fold of older (v2/v3) images on recovery.
+RACE_PROPS += './internal/incremental/=TestRandomStreamsMatchOracle|TestCrashRecoveryMatchesBatchDetector|TestSnapshotRoundTrip|TestOlderSnapshotsFoldOnRecovery'
 # Failover: kill the primary at a random record boundary, promote the
 # follower and cross-check against the single-node oracle, plus the
 # concurrent-stream follower test.

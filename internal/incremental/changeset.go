@@ -554,7 +554,6 @@ func (m *Monitor) applyOp(ops []Op, i int, d *Delta, moved []tupleChange) {
 // lock, so no mutation allocates them.
 type opScratch struct {
 	key  []byte
-	ykey []byte
 	x, y []uint32
 	rows []int
 }

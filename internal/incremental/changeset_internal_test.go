@@ -63,10 +63,9 @@ func TestApplyRejectsPoisonedJournal(t *testing.T) {
 	}
 }
 
-// TestBatchKeysInterned: the mutation path dedups tuple values and
-// projection keys through the monitor's intern pools — N tuples sharing
-// categorical values must not grow the pools past the distinct-value
-// count.
+// TestBatchKeysInterned: the mutation path dedups tuple values through
+// the monitor's value pool — N tuples sharing categorical values must
+// not grow the pool past the distinct-value count.
 func TestBatchKeysInterned(t *testing.T) {
 	schema := relation.MustSchema("T", relation.Attr("A"), relation.Attr("B"))
 	cfd := core.MustCFD([]string{"A"}, []string{"B"},
@@ -85,11 +84,6 @@ func TestBatchKeysInterned(t *testing.T) {
 	}
 	if got := m.vals.Len(); got != 4 {
 		t.Fatalf("value pool holds %d entries, want 4", got)
-	}
-	// Keys: 2 Y-projections (X-projection keys are packed-ID map keys
-	// built in place, not pooled).
-	if got := m.keys.Len(); got != 2 {
-		t.Fatalf("key pool holds %d entries, want 2", got)
 	}
 	// The stored tuples really share backing bytes with the pool.
 	t0, _ := m.Get(0)

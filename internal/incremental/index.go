@@ -6,51 +6,49 @@ package incremental
 // which rows of Tp a tuple's X-projection matches, and the constant Y
 // check — is core.TableauIndex, built once per CFD with its constants
 // resolved through the monitor's value pool. The tableau-free
-// generalization of the group index — per-X-group support and Y-value
+// generalization of the group index — per-X-group support and value
 // distributions for arbitrary attribute pairs, feeding the streaming CFD
-// miner — lives in stats.go, folded from the same apply step.
+// miner and the repair Suggester — lives in stats.go, folded from the
+// same apply step, and shares its distribution type.
 //
 // Everything here speaks value IDs (relation.Interner.ID): tuples are
-// stored as []uint32 columns and group keys are the packed
-// 4-byte-per-ID encoding of relation.AppendIDKey. Strings only reappear
-// at the API boundary (Violations, Get, deltas), materialized through
-// the interner.
+// stored as []uint32 columns, group keys are the packed 4-byte-per-ID
+// encoding of relation.AppendIDKey, and a group's distributions count
+// RHS value IDs. Strings only reappear at the API boundary (Violations,
+// Get, deltas), materialized through the interner.
 
 // idTuple is a stored tuple: one value ID per attribute, positionally
 // aligned with the schema.
 type idTuple = []uint32
 
-// group is the live state of one distinct X-projection under one CFD. A
-// group is in variable violation when at least one tableau row selects it
-// and its members disagree on Y. The membership multiset itself lives in
-// the CFD's yCounts map (one flat map per CFD instead of one or two small
-// maps per group — the dominant allocation cost of both the hot write
-// path and snapshot recovery at 100K-tuple scale); the group only carries
-// the counters those entries maintain.
+// group is the live state of one distinct X-projection under one CFD:
+// one count distribution per RHS attribute (dist, the counting core
+// GroupStats uses too). Two Y-projections differ iff they differ on some
+// A ∈ Y, so the paper's QV — GROUP BY X HAVING COUNT(DISTINCT Y) > 1 —
+// holds for a group exactly when some A has more than one distinct
+// value; the group is in variable violation when, in addition, at least
+// one tableau row selects it.
 type group struct {
-	// xids is the shared X-projection as value IDs (owned by the group;
-	// treated as immutable once stored). Materialize through the
-	// monitor's interner at API boundaries.
-	xids []uint32
+	// key is the packed-ID X-projection, the group's map key (shared
+	// with the map, immutable). relation.DecodeIDKey recovers the IDs.
+	key string
 	// selected reports whether some tableau row's X pattern matches x.
 	// The tableau is static, so this is computed once at group creation.
 	selected bool
 	// size is the number of member tuples.
 	size int
-	// distinct is the number of distinct Y-projections over the members
-	// (the number of live yCounts entries with this group's xk).
-	distinct int
+	// ys[i] counts the members' values of the CFD's i-th RHS attribute.
+	ys []dist
 }
 
-func (g *group) violating() bool { return g.selected && g.distinct > 1 }
-
-// ykKey identifies one distinct Y-projection of one group.
-// The group is referenced by identity: pointer hashing is cheaper than
-// re-hashing the packed X-projection on every membership change, and the
-// snapshot codec can reference groups by arena index instead of repeating
-// their keys. yk is the packed-ID Y-projection, canonicalized through the
-// monitor's key pool so the struct-literal probe never allocates.
-type ykKey struct {
-	g  *group
-	yk string
+func (g *group) violating() bool {
+	if !g.selected {
+		return false
+	}
+	for i := range g.ys {
+		if g.ys[i].distinct() > 1 {
+			return true
+		}
+	}
+	return false
 }

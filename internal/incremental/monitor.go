@@ -37,11 +37,11 @@
 // ops apply in one loop, in vector order.
 //
 // Readers never take the writer lock. The stores — the tuples, and per
-// CFD the groups, the Y-projection multiset, the constant violations and
-// the violating groups — are plain maps behind one read/write lock, the
-// store lock (Monitor.storeMu). The apply holds it exclusively around a
-// window's op loop only; the WAL append, the fsync and the consumer
-// folds run outside it. Point readers (Get, Keys, ViolationsFor, ...)
+// CFD the groups (each with one value distribution per RHS attribute),
+// the constant violations and the violating groups — are plain maps
+// behind one read/write lock, the store lock (Monitor.storeMu). The
+// apply holds it exclusively around a window's op loop only; the WAL
+// append, the fsync and the consumer folds run outside it. Point readers (Get, Keys, ViolationsFor, ...)
 // and the view's rebuild hold it shared, so they see whole commit
 // windows, never half of one; a repeat view read (Violations) and the
 // counters (Satisfied, ViolationCount) take no lock at all. Lock order
@@ -136,14 +136,10 @@ type cfdState struct {
 	// tab is the tableau index, its constants resolved through the value
 	// pool, so a probe compares integers, never strings.
 	tab *core.TableauIndex
-	// groups maps the packed-ID X-projection to its group.
+	// groups maps the packed-ID X-projection to its group. Removal
+	// recomputes the member's projections from the departing tuple, so no
+	// per-member index is needed at all.
 	groups map[string]*group
-	// yCounts is the multiset of member Y-projections, keyed per group.
-	// An entry appearing (count 0→1) raises its group's distinct counter;
-	// an entry vanishing lowers it. Removal recomputes the member's
-	// Y-projection from the departing tuple, so no per-member index is
-	// needed at all.
-	yCounts map[ykKey]int
 	// consts is the set of constant-violating tuple keys, and vgroups the
 	// set of violating groups, each with its X-projection materialized
 	// once, when it started violating — the two stores the violation view
@@ -166,7 +162,7 @@ type Monitor struct {
 	size    atomic.Int64
 
 	// storeMu is the store lock: it guards tuples and every cfdState's
-	// groups, yCounts and consts (see the package comment). The writer
+	// groups, consts and vgroups (see the package comment). The writer
 	// takes it exclusively around the op loop only; readers take it
 	// shared; code already holding mu reads the stores without it, since
 	// only the writer changes them.
@@ -183,10 +179,7 @@ type Monitor struct {
 
 	// vals is the value pool: every stored cell is a dense uint32 ID into
 	// it, and tableau constants are resolved through it at build time.
-	// keys interns packed Y-projection keys, so the ykKey struct probe on
-	// the hot path reuses one canonical string per distinct projection
-	// instead of allocating it per mutation.
-	vals, keys *relation.Interner
+	vals *relation.Interner
 
 	// met holds the pre-registered metric handles; nil when built with
 	// obs.Disabled(), which every timing site checks before touching
@@ -263,7 +256,6 @@ func build(schema *relation.Schema, sigma []*core.CFD, opts Options) (*Monitor, 
 		tuples:   make(map[int64]idTuple),
 		attrCFDs: make([][]int, schema.Len()),
 		vals:     vals,
-		keys:     relation.NewInterner(),
 	}
 	for i, c := range sigma {
 		if err := c.Validate(schema); err != nil {
@@ -283,7 +275,6 @@ func build(schema *relation.Schema, sigma []*core.CFD, opts Options) (*Monitor, 
 			yIdx:    yIdx,
 			tab:     core.NewTableauIndex(c, vals.ID),
 			groups:  make(map[string]*group),
-			yCounts: make(map[ykKey]int),
 			consts:  make(map[int64]bool),
 			vgroups: make(map[*group][]relation.Value),
 		}
@@ -558,7 +549,7 @@ func (m *Monitor) ScanViolations() *State {
 	for ci, cs := range m.cfds {
 		st.PerCFD[ci] = m.cfdViolations(cs, func(yield func([]relation.Value) bool) {
 			for _, g := range cs.groups {
-				if g.violating() && !yield(m.xValues(g)) {
+				if g.violating() && !yield(keyValues(m.vals, g.key)) {
 					return
 				}
 			}
@@ -590,9 +581,12 @@ func (m *Monitor) cfdViolations(cs *cfdState, xs iter.Seq[[]relation.Value]) CFD
 	return out
 }
 
-// xValues materializes group g's X-projection through the value pool.
-func (m *Monitor) xValues(g *group) []relation.Value {
-	return m.vals.Materialize(make([]relation.Value, 0, len(g.xids)), g.xids)
+// keyValues materializes a packed-ID group key (an X-projection)
+// through the value pool.
+func keyValues(in *relation.Interner, key string) []relation.Value {
+	var buf [8]uint32
+	ids := relation.DecodeIDKey(buf[:0], key)
+	return in.Materialize(make([]relation.Value, 0, len(ids)), ids)
 }
 
 // projectIDs appends the IDs of t at the given positions to dst.
@@ -601,16 +595,6 @@ func projectIDs(dst []uint32, t idTuple, idx []int) []uint32 {
 		dst = append(dst, t[j])
 	}
 	return dst
-}
-
-// internYKey packs the Y-projection held in sc and canonicalizes it
-// through the key pool: each distinct projection is packed and interned
-// once for the monitor's lifetime, after which the canonical string
-// comes back without allocating — which is what keeps the ykKey struct
-// probe on the hot path allocation-free.
-func (m *Monitor) internYKey(sc *opScratch) relation.Value {
-	sc.ykey = relation.AppendIDKey(sc.ykey[:0], sc.y)
-	return m.keys.InternBytes(sc.ykey)
 }
 
 // add folds tuple (key, t) into CFD ci's live state, appending any new
@@ -630,24 +614,20 @@ func (m *Monitor) add(ci int, key int64, t idTuple, d *Delta, sc *opScratch) {
 		}
 	}
 	sc.key = relation.AppendIDKey(sc.key[:0], sc.x)
-	yk := m.internYKey(sc)
 	g, ok := cs.groups[string(sc.key)]
 	if !ok {
-		g = &group{xids: append([]uint32(nil), sc.x...), selected: len(sc.rows) > 0}
-		cs.groups[string(sc.key)] = g
+		g = &group{key: string(sc.key), selected: len(sc.rows) > 0, ys: make([]dist, len(sc.y))}
+		cs.groups[g.key] = g
 	}
 	was := g.violating()
 	g.size++
-	kk := ykKey{g: g, yk: yk}
-	c := cs.yCounts[kk]
-	cs.yCounts[kk] = c + 1
-	if c == 0 {
-		g.distinct++
+	for i, v := range sc.y {
+		g.ys[i].add(v, 1)
 	}
 	if !was && g.violating() {
 		// The delta and the view share the materialized key: both treat
 		// it as immutable.
-		xs := m.xValues(g)
+		xs := keyValues(m.vals, g.key)
 		cs.vgroups[g] = xs
 		cs.violations.Add(1)
 		d.Added = append(d.Added, Change{CFD: ci, Kind: core.VariableViolation, Key: xs})
@@ -658,31 +638,25 @@ func (m *Monitor) add(ci int, key int64, t idTuple, d *Delta, sc *opScratch) {
 func (m *Monitor) remove(ci int, key int64, t idTuple, d *Delta, sc *opScratch) {
 	cs := m.cfds[ci]
 	sc.x = projectIDs(sc.x[:0], t, cs.xIdx)
-	// The departing tuple is in hand, so its Y-projection is recomputed
-	// here instead of being indexed per member.
-	sc.y = projectIDs(sc.y[:0], t, cs.yIdx)
 	if cs.consts[key] {
 		delete(cs.consts, key)
 		cs.violations.Add(-1)
 		d.Removed = append(d.Removed, Change{CFD: ci, Kind: core.ConstViolation, Tuple: key})
 	}
 	sc.key = relation.AppendIDKey(sc.key[:0], sc.x)
-	yk := m.internYKey(sc)
 	g, ok := cs.groups[string(sc.key)]
 	if !ok {
 		return
 	}
 	was := g.violating()
 	g.size--
-	kk := ykKey{g: g, yk: yk}
-	if c := cs.yCounts[kk]; c <= 1 {
-		delete(cs.yCounts, kk)
-		g.distinct--
-	} else {
-		cs.yCounts[kk] = c - 1
+	// The departing tuple is in hand, so its Y-values are read from it
+	// instead of being indexed per member.
+	for i, j := range cs.yIdx {
+		g.ys[i].remove(t[j])
 	}
 	if g.size == 0 {
-		delete(cs.groups, string(sc.key))
+		delete(cs.groups, g.key)
 	}
 	if was && !g.violating() {
 		d.Removed = append(d.Removed, Change{CFD: ci, Kind: core.VariableViolation, Key: cs.vgroups[g]})

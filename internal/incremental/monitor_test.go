@@ -351,7 +351,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 
 // TestConcurrentSameKeyUpdates: writers racing on the SAME key must
 // serialize as whole operations — interleaved remove/add index passes
-// would leave phantom Y-values in the group multisets. Regression test
+// would leave phantom Y-values in the group distributions. Regression test
 // for a bug where the tuple-store lock was dropped before index
 // maintenance, permanently corrupting the live set.
 func TestConcurrentSameKeyUpdates(t *testing.T) {

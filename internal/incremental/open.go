@@ -1,10 +1,7 @@
 package incremental
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"os"
 
@@ -53,91 +50,17 @@ func SnapshotSchema(dir string) (*relation.Schema, error) {
 		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
-	magic := make([]byte, len(snapMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("incremental: reading snapshot header: %w", err)
-	}
-	v2 := string(magic) == snapMagicV2
-	if string(magic) != snapMagic && !v2 {
-		return nil, errors.New("incremental: not a monitor snapshot")
-	}
-	if _, err := binary.ReadUvarint(br); err != nil { // nextKey
-		return nil, fmt.Errorf("incremental: reading snapshot header: %w", err)
-	}
-	if !v2 {
-		if _, err := binary.ReadUvarint(br); err != nil { // epoch
-			return nil, fmt.Errorf("incremental: reading snapshot header: %w", err)
-		}
-	}
-	name, err := readSnapStr(br)
-	if err != nil {
-		return nil, err
-	}
-	nattrs, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("incremental: reading snapshot schema: %w", err)
-	}
-	if nattrs > maxSnapAttrs {
-		return nil, fmt.Errorf("incremental: snapshot schema claims %d attributes", nattrs)
-	}
-	attrs := make([]relation.Attribute, 0, nattrs)
-	for i := uint64(0); i < nattrs; i++ {
-		aname, err := readSnapStr(br)
-		if err != nil {
+	// The schema section follows the short header: read a prefix,
+	// doubling it until the section fits or the file ends.
+	for n := 4 << 10; ; n *= 2 {
+		buf := make([]byte, n)
+		k, err := f.ReadAt(buf, 0)
+		if err != nil && err != io.EOF {
 			return nil, err
 		}
-		flag, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("incremental: reading snapshot schema: %w", err)
+		schema, err := headerSchema(buf[:k])
+		if err == nil || k < n {
+			return schema, err
 		}
-		a := relation.Attr(aname)
-		if flag == 1 {
-			dname, err := readSnapStr(br)
-			if err != nil {
-				return nil, err
-			}
-			nvals, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("incremental: reading snapshot schema: %w", err)
-			}
-			if nvals > maxSnapDomain {
-				return nil, fmt.Errorf("incremental: snapshot domain claims %d values", nvals)
-			}
-			vals := make([]relation.Value, 0, nvals)
-			for j := uint64(0); j < nvals; j++ {
-				v, err := readSnapStr(br)
-				if err != nil {
-					return nil, err
-				}
-				vals = append(vals, v)
-			}
-			a.Domain = &relation.Domain{Name: dname, Values: vals}
-		}
-		attrs = append(attrs, a)
 	}
-	return relation.NewSchema(name, attrs...)
-}
-
-// Sanity bounds for the streaming schema read: a corrupt length must read
-// as corruption, not as an allocation request.
-const (
-	maxSnapStr    = 1 << 20
-	maxSnapAttrs  = 1 << 16
-	maxSnapDomain = 1 << 24
-)
-
-func readSnapStr(br *bufio.Reader) (string, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return "", fmt.Errorf("incremental: reading snapshot schema: %w", err)
-	}
-	if n > maxSnapStr {
-		return "", fmt.Errorf("incremental: snapshot string of %d bytes exceeds limit", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return "", fmt.Errorf("incremental: reading snapshot schema: %w", err)
-	}
-	return string(buf), nil
 }

@@ -2,6 +2,7 @@ package incremental_test
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -106,5 +107,43 @@ func TestOpenFromWALDirectory(t *testing.T) {
 	if !re.Recovered() || re.Len() != wantLen || re.ViolationCount() != wantViol {
 		t.Fatalf("opened monitor: recovered=%v len=%d violations=%d, want true/%d/%d",
 			re.Recovered(), re.Len(), re.ViolationCount(), wantLen, wantViol)
+	}
+}
+
+// SnapshotSchema reads only a prefix of the image; a schema section
+// longer than the first read (here a 3 000-value domain) must still come
+// back whole.
+func TestSnapshotSchemaPastFirstRead(t *testing.T) {
+	vals := make([]relation.Value, 3000)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("v%04d", i)
+	}
+	schema, err := relation.NewSchema("wide",
+		relation.Attr("K"), relation.Attribute{Name: "V", Domain: relation.Enum("codes", vals...)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sigma, err := core.ParseSet("[K] -> [V]\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	m, err := incremental.New(schema, sigma, incremental.Options{Durable: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.ForceSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := incremental.SnapshotSchema(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Name != "wide" || len(got.Attrs) != 2 || got.Attrs[1].Domain == nil ||
+		!reflect.DeepEqual(got.Attrs[1].Domain.Values, vals) {
+		t.Fatalf("SnapshotSchema lost the long domain: %+v", got.Attrs)
 	}
 }

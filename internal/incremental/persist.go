@@ -2,9 +2,11 @@ package incremental
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"unsafe"
 
 	"repro/internal/core"
@@ -12,35 +14,50 @@ import (
 )
 
 // This file is the snapshot codec: a versioned, CRC-trailed binary image
-// of the Monitor's full state — tuples, per-CFD group indexes, constant
-// violation sets and violation counters — so a restart materializes the
-// live state with plain map fills instead of re-running CFD evaluation
-// over every tuple (BenchmarkRecover100K against
-// BenchmarkCSVColdStart100K).
+// of the Monitor's full state — tuples, and per CFD its violation
+// counter, constant violations and groups with their RHS value
+// distributions — so a restart materializes the live state with plain
+// map fills instead of re-running CFD evaluation over every tuple
+// (BenchmarkRecover100K against BenchmarkCSVColdStart100K).
 //
 // The image embeds the schema and Σ it was taken under; loading verifies
 // both against the caller's, so a WAL directory can never be silently
 // reinterpreted under different constraints.
 //
-// Version 2 speaks value IDs. Process-local IDs (relation.Interner.ID)
+// The image speaks value IDs. Process-local IDs (relation.Interner.ID)
 // are never meaningful across restarts, so the image carries its own
 // value table — the interner's ID→value list at snapshot time — and
-// every tuple, group and Y-projection is a uvarint ID vector into it.
-// Loading re-interns the table into the fresh monitor's pool and remaps
-// every stored ID through the resulting translation, so the restored
-// state is correct even though the new process assigns different IDs.
-// Group map keys are not stored at all: they are re-derived by packing
-// the remapped ID vectors (relation.AppendIDKey), exactly as the live
-// apply builds them.
+// every tuple, group X-projection and distribution entry is a uvarint ID
+// into it. Loading re-interns the table into the fresh monitor's pool
+// and remaps every stored ID through the resulting translation, so the
+// restored state is correct even though the new process assigns
+// different IDs. Group map keys are not stored at all: they are
+// re-derived by packing the remapped ID vectors (relation.AppendIDKey),
+// exactly as the live apply builds them.
+//
+// Layout (version 4): magic, then under the CRC: nextKey, epoch, schema,
+// Σ, value table, tuples; then per CFD its violation counter, constant
+// violations and groups, each group as its X IDs, selected flag, size
+// and, per RHS attribute, the distinct count followed by that many
+// (value ID, count) pairs. Versions 2 (no epoch) and 3 (a per-CFD
+// multiset of Y-projections instead of the distributions) share the
+// prefix up to the tuples: such an image is read that far, its CRC
+// checked, and its tuples folded through the apply's add step, so an
+// older directory boots — once, at the cost of a fresh index build —
+// and its next snapshot is version 4.
 
-// snapMagic identifies a Monitor snapshot. Version 3 adds the fencing
-// epoch right after nextKey; version 2 images (same length, read-only
-// compatibility) load as epoch 0 — exactly the epoch of everything
-// written before fencing existed.
-const (
-	snapMagic   = "CFDSNAP\x03"
-	snapMagicV2 = "CFDSNAP\x02"
-)
+// snapMagic identifies a Monitor snapshot; its last byte is the version.
+const snapMagic = "CFDSNAP\x04"
+
+// snapVersion returns the format version named by an image's magic, or
+// 0 when the bytes are not a snapshot this build reads (versions 2–4).
+func snapVersion(magic []byte) byte {
+	n := len(snapMagic) - 1
+	if len(magic) == len(snapMagic) && string(magic[:n]) == snapMagic[:n] && magic[n] >= 2 && magic[n] <= snapMagic[n] {
+		return magic[n]
+	}
+	return 0
+}
 
 // snapTable is the snapshot checksum polynomial. Castagnoli has hardware
 // support (SSE4.2 / ARMv8 CRC instructions), which matters at tens of
@@ -172,6 +189,18 @@ func (d *dec) strs(n int) []relation.Value {
 	return out
 }
 
+// count reads an entry count, bounded by the bytes left: every entry
+// takes at least one byte, so a corrupt count reads as corruption, never
+// as an allocation request.
+func (d *dec) count() int {
+	n := d.uvarint()
+	if d.err == nil && n > uint64(len(d.s)-d.off) {
+		d.fail("count %d overruns image at offset %d", n, d.off)
+		return 0
+	}
+	return int(n)
+}
+
 // id reads one stored ID and translates it through remap (the image's
 // value table re-interned into the live pool). Out-of-table IDs mark
 // the image corrupt.
@@ -205,51 +234,53 @@ func encodeSchema(e *enc, s *relation.Schema) {
 	}
 }
 
-// checkSchema decodes the schema section and verifies it matches want.
+// decodeSchema reads the schema section written by encodeSchema.
+func decodeSchema(d *dec) (*relation.Schema, error) {
+	name := d.str()
+	attrs := make([]relation.Attribute, d.count())
+	for i := range attrs {
+		attrs[i].Name = d.str()
+		if d.byte() == 1 {
+			attrs[i].Domain = &relation.Domain{Name: d.str(), Values: d.strs(d.count())}
+		}
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	return relation.NewSchema(name, attrs...)
+}
+
+// checkSchema decodes the schema section and verifies it matches want:
+// the same name, attributes and domains, in order.
 func checkSchema(d *dec, want *relation.Schema) {
-	if name := d.str(); d.err == nil && name != want.Name {
-		d.fail("schema name %q, monitor has %q", name, want.Name)
+	got, err := decodeSchema(d)
+	if err != nil {
+		d.fail("%v", err)
+		return
 	}
-	n := int(d.uvarint())
-	if d.err == nil && n != want.Len() {
-		d.fail("schema has %d attributes, monitor has %d", n, want.Len())
+	same := got.Name == want.Name && len(got.Attrs) == len(want.Attrs)
+	for i := 0; same && i < len(got.Attrs); i++ {
+		g, w := got.Attrs[i], want.Attrs[i]
+		same = g.Name == w.Name && (g.Domain == nil) == (w.Domain == nil) &&
+			(g.Domain == nil || g.Domain.Name == w.Domain.Name && slices.Equal(g.Domain.Values, w.Domain.Values))
 	}
-	for i := 0; i < n && d.err == nil; i++ {
-		name := d.str()
-		if d.err == nil && name != want.Attrs[i].Name {
-			d.fail("attribute %d is %q, monitor has %q", i, name, want.Attrs[i].Name)
-		}
-		hasDomain := d.byte() == 1
-		var wantDom *relation.Domain
-		if i < want.Len() {
-			wantDom = want.Attrs[i].Domain
-		}
-		if !hasDomain {
-			if d.err == nil && wantDom != nil {
-				d.fail("attribute %q lost its domain", name)
-			}
-			continue
-		}
-		domName := d.str()
-		vals := d.strs(int(d.uvarint()))
-		if d.err != nil {
-			return
-		}
-		if wantDom == nil {
-			d.fail("attribute %q gained domain %q", name, domName)
-			return
-		}
-		if domName != wantDom.Name || len(vals) != len(wantDom.Values) {
-			d.fail("attribute %q domain changed", name)
-			return
-		}
-		for j := range vals {
-			if vals[j] != wantDom.Values[j] {
-				d.fail("attribute %q domain values changed", name)
-				return
-			}
-		}
+	if !same {
+		d.fail("schema %s%v does not match the monitor's %s%v", got.Name, got.Names(), want.Name, want.Names())
 	}
+}
+
+// headerSchema decodes the schema from the head of an image — magic,
+// nextKey, epoch, schema — without reading the rest or checking the CRC.
+func headerSchema(img []byte) (*relation.Schema, error) {
+	if len(img) < len(snapMagic) || snapVersion(img[:len(snapMagic)]) == 0 {
+		return nil, errors.New("incremental: not a monitor snapshot")
+	}
+	d := &dec{s: string(img[len(snapMagic):])}
+	d.uvarint() // nextKey
+	if img[len(snapMagic)-1] >= 3 {
+		d.uvarint() // epoch
+	}
+	return decodeSchema(d)
 }
 
 func encodeSigma(e *enc, sigma []*core.CFD) {
@@ -370,39 +401,30 @@ func (m *Monitor) writeSnapshot(w io.Writer) error {
 		e.ids(t)
 	}
 
-	// Per-CFD live state: violation counter, constant violations, groups
-	// and the flat Y-projection multiset. Everything is written as flat
-	// entry lists so recovery is pure presized-map fills.
+	// Per-CFD live state: violation counter, constant violations and
+	// groups, each group with its distributions inline, so recovery is
+	// pure presized-map fills. Only a group's X IDs are stored — the
+	// packed map key is re-derived from them on load.
+	var xids []uint32
 	for _, cs := range m.cfds {
 		e.uvarint(uint64(cs.violations.Load()))
 		e.uvarint(uint64(len(cs.consts)))
 		for k := range cs.consts {
 			e.uvarint(uint64(k))
 		}
-		// Groups are written in a stable order and the yCounts entries
-		// reference them by that ordinal, so restoring never re-hashes a
-		// group key. Only the ID vector is stored — the packed map key is
-		// re-derived from it on load.
 		e.uvarint(uint64(len(cs.groups)))
-		groupIdx := make(map[*group]uint64, len(cs.groups))
 		for _, g := range cs.groups {
-			groupIdx[g] = uint64(len(groupIdx))
-			e.ids(g.xids) // len(LHS) IDs
+			xids = relation.DecodeIDKey(xids[:0], g.key)
+			e.ids(xids) // len(LHS) IDs
 			if g.selected {
 				e.byte(1)
 			} else {
 				e.byte(0)
 			}
 			e.uvarint(uint64(g.size))
-			e.uvarint(uint64(g.distinct))
-		}
-		e.uvarint(uint64(len(cs.yCounts)))
-		var ykIDs []uint32
-		for kk, c := range cs.yCounts {
-			e.uvarint(groupIdx[kk.g])
-			ykIDs = relation.DecodeIDKey(ykIDs[:0], kk.yk)
-			e.ids(ykIDs) // len(RHS) IDs
-			e.uvarint(uint64(c))
+			for i := range g.ys { // len(RHS) distributions
+				encodeDist(e, &g.ys[i])
+			}
 		}
 	}
 	if e.err != nil {
@@ -414,20 +436,65 @@ func (m *Monitor) writeSnapshot(w io.Writer) error {
 	return err
 }
 
+// encodeDist writes a distribution as its distinct count followed by one
+// (value ID, count) pair per distinct value.
+func encodeDist(e *enc, dd *dist) {
+	e.uvarint(uint64(dd.distinct()))
+	if dd.c0 > 0 {
+		e.uvarint(uint64(dd.v0))
+		e.uvarint(uint64(dd.c0))
+	}
+	if dd.rest != nil {
+		for _, vc := range dd.rest.slots {
+			if vc.n > 0 {
+				e.uvarint(uint64(vc.id))
+				e.uvarint(uint64(vc.n))
+			}
+		}
+	}
+}
+
+// decodeDist reads a distribution written by encodeDist into dd, whose
+// group has size members: the counts must be positive, name distinct
+// values and sum to size.
+func decodeDist(d *dec, dd *dist, size int, remap []uint32) {
+	n := d.count()
+	if d.err == nil && (n < 1 || n > size) {
+		d.fail("distinct count %d outside group size %d at offset %d", n, size, d.off)
+	}
+	sum := 0
+	for i := 0; i < n && d.err == nil; i++ {
+		v := d.id(remap)
+		c := d.uvarint()
+		if d.err == nil && (c < 1 || c > uint64(size-sum)) {
+			d.fail("value count %d overruns group size %d at offset %d", c, size, d.off)
+		}
+		if d.err != nil {
+			return
+		}
+		sum += int(c)
+		dd.add(v, int32(c))
+	}
+	if d.err == nil && (sum != size || dd.distinct() != n) {
+		d.fail("distribution holds %d distinct values over %d members, want %d over %d at offset %d", dd.distinct(), sum, n, size, d.off)
+	}
+}
+
 // readSnapshot restores a Monitor's state from an image produced by
-// writeSnapshot. The monitor must be freshly built (empty) from the same
-// schema and Σ, and not yet shared — its stores are replaced without the
-// store lock; schema and Σ are verified against the image. sizeHint, when
-// positive, is the total image size (e.g. the snapshot file size) so the
-// image is read in one exact-size allocation instead of ReadAll's
-// doubling copies.
+// writeSnapshot — or by an older build: a version 2 or 3 image is read
+// up to its tuples and the index is rebuilt from them. The monitor must
+// be freshly built (empty) from the same schema and Σ, and not yet
+// shared — its stores are replaced without the store lock; schema and Σ
+// are verified against the image. sizeHint, when positive, is the total
+// image size (e.g. the snapshot file size) so the image is read in one
+// exact-size allocation instead of ReadAll's doubling copies.
 func (m *Monitor) readSnapshot(r io.Reader, sizeHint int64) error {
 	magic := make([]byte, len(snapMagic))
 	if _, err := io.ReadFull(r, magic); err != nil {
 		return fmt.Errorf("incremental: snapshot: reading magic: %w", err)
 	}
-	v2 := string(magic) == snapMagicV2
-	if string(magic) != snapMagic && !v2 {
+	version := snapVersion(magic)
+	if version == 0 {
 		return fmt.Errorf("incremental: snapshot: bad magic %q", magic)
 	}
 	var raw []byte
@@ -455,7 +522,7 @@ func (m *Monitor) readSnapshot(r io.Reader, sizeHint int64) error {
 
 	nextKey := int64(d.uvarint())
 	var epoch uint64
-	if !v2 {
+	if version >= 3 {
 		epoch = d.uvarint()
 	}
 	checkSchema(d, m.schema)
@@ -467,7 +534,7 @@ func (m *Monitor) readSnapshot(r io.Reader, sizeHint int64) error {
 	// Value table: re-intern every image value into the live pool and
 	// keep the old-ID → new-ID translation. The interner clones what it
 	// keeps, so nothing below aliases the image once remapped.
-	nvals := int(d.uvarint())
+	nvals := d.count()
 	if d.err != nil {
 		return d.err
 	}
@@ -479,7 +546,7 @@ func (m *Monitor) readSnapshot(r io.Reader, sizeHint int64) error {
 		}
 	}
 
-	ntuples := int(d.uvarint())
+	ntuples := d.count()
 	m.tuples = make(map[int64]idTuple, ntuples)
 	nattrs := m.schema.Len()
 	// Arena: one backing array for every tuple's IDs, sliced per tuple —
@@ -498,71 +565,21 @@ func (m *Monitor) readSnapshot(r io.Reader, sizeHint int64) error {
 		m.tuples[k] = t
 	}
 
-	for _, cs := range m.cfds {
-		nlhs := len(cs.cfd.LHS)
-		cs.violations.Store(int64(d.uvarint()))
-		nconsts := int(d.uvarint())
-		cs.consts = make(map[int64]bool, nconsts)
-		for i := 0; i < nconsts; i++ {
-			k := int64(d.uvarint())
-			if d.err != nil {
-				return d.err
+	if version < 4 {
+		// The index sections of an older image are not read (the CRC
+		// above covered them): the tuples are folded through the apply's
+		// add step instead, which rebuilds the same groups, distributions
+		// and violations. The next snapshot writes version 4.
+		var dl Delta
+		sc := &m.scratch
+		for k, t := range m.tuples {
+			for ci := range m.cfds {
+				m.add(ci, k, t, &dl, sc)
 			}
-			cs.consts[k] = true
+			dl.Added = dl.Added[:0]
 		}
-		ngroups := int(d.uvarint())
-		cs.groups = make(map[string]*group, ngroups)
-		// Arenas again: group structs and their xids slices in two backing
-		// arrays, pointers into them in the map. Map keys are packed from
-		// the remapped ID vectors — exactly what the live add() path
-		// builds.
-		groupArena := make([]group, ngroups)
-		xArena := make([]uint32, ngroups*nlhs)
-		var keyBuf []byte
-		for i := 0; i < ngroups; i++ {
-			g := &groupArena[i]
-			g.xids = xArena[i*nlhs : (i+1)*nlhs : (i+1)*nlhs]
-			for j := range g.xids {
-				g.xids[j] = d.id(remap)
-			}
-			g.selected = d.byte() == 1
-			g.size = int(d.uvarint())
-			g.distinct = int(d.uvarint())
-			if d.err != nil {
-				return d.err
-			}
-			keyBuf = relation.AppendIDKey(keyBuf[:0], g.xids)
-			cs.groups[string(keyBuf)] = g
-			if g.violating() {
-				cs.vgroups[g] = m.xValues(g)
-			}
-		}
-		nyks := int(d.uvarint())
-		cs.yCounts = make(map[ykKey]int, nyks)
-		nrhs := len(cs.cfd.RHS)
-		ykIDs := make([]uint32, nrhs)
-		for i := 0; i < nyks; i++ {
-			gi := int(d.uvarint())
-			for j := range ykIDs {
-				ykIDs[j] = d.id(remap)
-			}
-			c := int(d.uvarint())
-			if d.err != nil {
-				return d.err
-			}
-			if gi >= ngroups {
-				d.fail("yCounts entry %d references group %d of %d", i, gi, ngroups)
-				return d.err
-			}
-			keyBuf = relation.AppendIDKey(keyBuf[:0], ykIDs)
-			cs.yCounts[ykKey{g: &groupArena[gi], yk: m.keys.InternBytes(keyBuf)}] = c
-		}
-	}
-	if d.err != nil {
-		return d.err
-	}
-	if d.off != len(d.s) {
-		return fmt.Errorf("incremental: snapshot: %d trailing bytes", len(d.s)-d.off)
+	} else if err := m.readGroups(d, ntuples, remap); err != nil {
+		return err
 	}
 	m.nextKey.Store(nextKey)
 	m.epoch.Store(epoch)
@@ -570,5 +587,77 @@ func (m *Monitor) readSnapshot(r io.Reader, sizeHint int64) error {
 	// The stores were filled directly, without deltas: the view's next
 	// build re-reads every CFD (WAL-tail replay then marks on top).
 	m.view.invalidate()
+	return nil
+}
+
+// readGroups decodes a version 4 image's per-CFD sections, which follow
+// the tuples, into the stores and checks them for consistency: every
+// group is nonempty, the groups of one CFD hold ntuples members between
+// them, and a CFD's violation counter matches its stores.
+func (m *Monitor) readGroups(d *dec, ntuples int, remap []uint32) error {
+	for ci, cs := range m.cfds {
+		nlhs, nrhs := len(cs.xIdx), len(cs.yIdx)
+		violations := int64(d.uvarint())
+		nconsts := d.count()
+		cs.consts = make(map[int64]bool, nconsts)
+		for i := 0; i < nconsts && d.err == nil; i++ {
+			cs.consts[int64(d.uvarint())] = true
+		}
+		ngroups := d.count()
+		if d.err != nil {
+			return d.err
+		}
+		cs.groups = make(map[string]*group, ngroups)
+		// Arenas: group structs and their distributions in two backing
+		// arrays, pointers into them in the map. Map keys are packed from
+		// the remapped ID vectors — exactly what the live add() path
+		// builds.
+		groupArena := make([]group, ngroups)
+		distArena := make([]dist, ngroups*nrhs)
+		xids := make([]uint32, nlhs)
+		var keyBuf []byte
+		members := 0
+		for i := 0; i < ngroups; i++ {
+			g := &groupArena[i]
+			for j := range xids {
+				xids[j] = d.id(remap)
+			}
+			g.selected = d.byte() == 1
+			g.size = int(d.uvarint())
+			if d.err == nil && (g.size < 1 || g.size > ntuples-members) {
+				d.fail("CFD %d group %d of size %d overruns %d tuples", ci, i, g.size, ntuples)
+			}
+			if d.err != nil {
+				return d.err
+			}
+			members += g.size
+			g.ys = distArena[i*nrhs : (i+1)*nrhs : (i+1)*nrhs]
+			for j := range g.ys {
+				decodeDist(d, &g.ys[j], g.size, remap)
+			}
+			if d.err != nil {
+				return d.err
+			}
+			keyBuf = relation.AppendIDKey(keyBuf[:0], xids)
+			g.key = string(keyBuf)
+			cs.groups[g.key] = g
+			if g.violating() {
+				cs.vgroups[g] = keyValues(m.vals, g.key)
+			}
+		}
+		if members != ntuples || len(cs.groups) != ngroups {
+			return fmt.Errorf("incremental: snapshot: CFD %d groups hold %d members in %d distinct groups, want %d tuples in %d", ci, members, len(cs.groups), ntuples, ngroups)
+		}
+		if want := int64(len(cs.consts) + len(cs.vgroups)); violations != want {
+			return fmt.Errorf("incremental: snapshot: CFD %d violation counter %d, stores hold %d", ci, violations, want)
+		}
+		cs.violations.Store(violations)
+	}
+	if d.err != nil {
+		return d.err
+	}
+	if d.off != len(d.s) {
+		return fmt.Errorf("incremental: snapshot: %d trailing bytes", len(d.s)-d.off)
+	}
 	return nil
 }

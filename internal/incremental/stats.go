@@ -25,14 +25,14 @@ import (
 // The store is partitioned by X, not by pair (the partition sharing of
 // FD discovery): a subscription keeps one partition per distinct X
 // attribute list among its pairs, and each X-group of a partition holds
-// its key, X-projection and support once, plus one compact distribution
-// per tracked A. A miner's lattice of 210 pairs over 15 attributes is 15
-// partitions, not 210 group maps. An insert or delete does one map
-// lookup per partition; an update of A moves the tuple between groups
-// in the partitions whose X contains A and shifts A's distribution
-// within its group in the others. On 20 000 generated tax tuples (seed
+// its key (the packed X-projection IDs) and support once, plus one
+// compact distribution per tracked A. A miner's lattice of 210 pairs
+// over 15 attributes is 15 partitions, not 210 group maps. An insert or
+// delete does one map lookup per partition; an update of A moves the
+// tuple between groups in the partitions whose X contains A and shifts
+// A's distribution within its group in the others. On 20 000 generated tax tuples (seed
 // 1, 5 % noise) under those 210 pairs, the 15 partitions hold the
-// 43 975 distinct X-groups in 42.7 MB of live heap, 2.1 KB per tuple;
+// 43 975 distinct X-groups in 41.1 MB of live heap, 2.1 KB per tuple;
 // a group map per pair would hold 615 650 groups in 129 MB.
 //
 // Dirty marks are per (group, A): a mutation leaves one mark per
@@ -105,20 +105,32 @@ type GroupStat struct {
 	TopCount int
 }
 
-// statGroup is the A-value distribution of one X-group under one
-// tracked A. The overwhelmingly common case — a group whose members
-// agree on A — is allocation-free: the first distinct A-value ID and its
-// count live inline, and the spill exists only once a second distinct
-// value appears. Invariant: a value is tracked either in the inline slot
-// or in the spill, never both (the inline slot is matched first on
-// every add, so its value never enters the spill). The struct is 32
-// bytes; an X-group carries one per tracked A.
-type statGroup struct {
-	// v0/c0 are the inline first distinct A-value ID and its count;
+// dist counts the values of one attribute over a group's members — the
+// counting core of a statGroup, and all a CFD group keeps per RHS
+// attribute (index.go). The overwhelmingly common case — members that
+// agree on the attribute — is allocation-free: the first distinct value
+// ID and its count live inline, and the spill exists only once a second
+// distinct value appears. Invariant: a value is tracked either in the
+// inline slot or in the spill, never both (the inline slot is matched
+// first on every add, so its value never enters the spill). 16 bytes.
+type dist struct {
+	// v0/c0 are the inline first distinct value ID and its count;
 	// c0 == 0 marks the slot dead (its value fully removed). ID 0 is a
 	// valid value, so c0 — never v0 — is what encodes slot liveness.
 	v0 uint32
 	c0 int32
+	// rest holds every other distinct value ID's count; nil until a
+	// second distinct value first appears, then kept even when it
+	// empties, so a group whose disagreeing member is healed and
+	// re-injected does not reallocate it.
+	rest *spill
+}
+
+// statGroup is the A-value distribution of one X-group under one
+// tracked A: a dist plus the group's size and the drain bookkeeping. The
+// struct is 32 bytes; an X-group carries one per tracked A.
+type statGroup struct {
+	dist
 	// size is the member count (the X-group's support: every member
 	// add or remove passes through every distribution of its group).
 	size int32
@@ -127,9 +139,6 @@ type statGroup struct {
 	prevDistinct, prevTop int32
 	// dirty marks a change since the last drain.
 	dirty bool
-	// rest holds every other distinct A-value ID's count; nil until
-	// needed, and again once it empties.
-	rest *spill
 }
 
 // valCount is one spilled A-value ID and its member count.
@@ -189,7 +198,8 @@ func (s *spill) count(v uint32) int32 {
 	return s.slots[s.slot(v)].n
 }
 
-func (s *spill) inc(v uint32) {
+// inc counts n more occurrences of v.
+func (s *spill) inc(v uint32, n int32) {
 	if s.slots == nil {
 		s.slots = make([]valCount, 2)
 	}
@@ -208,7 +218,7 @@ func (s *spill) inc(v uint32) {
 		s.slots[i].id = v
 		s.n++
 	}
-	s.slots[i].n++
+	s.slots[i].n += n
 	c := s.slots[i].n
 	switch {
 	case !s.modeOK:
@@ -223,15 +233,14 @@ func (s *spill) inc(v uint32) {
 	}
 }
 
-// dec removes one occurrence of v and reports whether the spill is now
-// empty.
-func (s *spill) dec(v uint32) (empty bool) {
+// dec removes one occurrence of v.
+func (s *spill) dec(v uint32) {
 	if s == nil {
-		return true
+		return
 	}
 	i := s.slot(v)
 	if s.slots[i].n == 0 {
-		return s.n == 0
+		return
 	}
 	if s.slots[i].n--; s.slots[i].n == 0 {
 		s.n--
@@ -242,7 +251,6 @@ func (s *spill) dec(v uint32) (empty bool) {
 	} else if v == s.tie {
 		s.tied = false // it fell below the mode again
 	}
-	return s.n == 0
 }
 
 // free empties slot i, shifting later entries of its probe run back so
@@ -287,47 +295,55 @@ func (s *spill) best(in *relation.Interner) (uint32, int32) {
 	return s.mode, s.modeN
 }
 
-func (g *statGroup) distinct() int {
-	n := g.rest.len()
-	if g.c0 > 0 {
+func (d *dist) distinct() int {
+	n := d.rest.len()
+	if d.c0 > 0 {
 		n++
 	}
 	return n
 }
 
+// add counts n more members whose value ID is v.
+func (d *dist) add(v uint32, n int32) {
+	if v == d.v0 && d.c0 > 0 {
+		d.c0 += n
+		return
+	}
+	if d.c0 == 0 && d.rest.len() == 0 {
+		d.v0, d.c0 = v, n
+		return
+	}
+	if d.rest == nil {
+		d.rest = &spill{}
+	}
+	d.rest.inc(v, n)
+}
+
+// remove uncounts one member whose value ID is v.
+func (d *dist) remove(v uint32) {
+	if v == d.v0 && d.c0 > 0 {
+		d.c0--
+		return
+	}
+	d.rest.dec(v)
+}
+
+// count returns the number of members whose value ID is v.
+func (d *dist) count(v uint32) int {
+	if d.c0 > 0 && d.v0 == v {
+		return int(d.c0)
+	}
+	return int(d.rest.count(v))
+}
+
 func (g *statGroup) add(v uint32) {
 	g.size++
-	if v == g.v0 && (g.c0 > 0 || g.rest == nil) {
-		g.v0, g.c0 = v, g.c0+1
-		return
-	}
-	if g.c0 == 0 && g.rest == nil {
-		g.v0, g.c0 = v, 1
-		return
-	}
-	if g.rest == nil {
-		g.rest = &spill{}
-	}
-	g.rest.inc(v)
+	g.dist.add(v, 1)
 }
 
 func (g *statGroup) remove(v uint32) {
 	g.size--
-	if v == g.v0 && g.c0 > 0 {
-		g.c0--
-		return
-	}
-	if g.rest.dec(v) {
-		g.rest = nil
-	}
-}
-
-// count returns the number of members whose A-value ID is v.
-func (g *statGroup) count(v uint32) int {
-	if g.c0 > 0 && g.v0 == v {
-		return int(g.c0)
-	}
-	return int(g.rest.count(v))
+	g.dist.remove(v)
 }
 
 // top returns the most frequent A-value ID and its count, ties broken
@@ -357,15 +373,13 @@ func (g *statGroup) settle(in *relation.Interner) {
 	}
 }
 
-// xgroup is one live X-group of a partition: its key and X-projection,
-// held once for every pair sharing the partition's X, and one
-// distribution per slot (tracked A).
+// xgroup is one live X-group of a partition: its key, held once for
+// every pair sharing the partition's X, and one distribution per slot
+// (tracked A).
 type xgroup struct {
 	// key is the stored map key (packed X-projection IDs), kept so a
 	// destroyed group can still name itself in its final deltas.
 	key string
-	// x is the X-projection as value IDs (owned by the group, immutable).
-	x []uint32
 	// drained is the support the group's last drain reported; 0 before
 	// its first.
 	drained int32
@@ -570,13 +584,8 @@ func (p *partition) add(t idTuple) {
 	key := p.key(stack[:], t)
 	g, ok := p.groups[string(key)]
 	if !ok {
-		k := string(key)
-		x := make([]uint32, len(p.xIdx))
-		for i, j := range p.xIdx {
-			x[i] = t[j]
-		}
-		g = &xgroup{key: k, x: x, dists: make([]statGroup, len(p.aIdx))}
-		p.groups[k] = g
+		g = &xgroup{key: string(key), dists: make([]statGroup, len(p.aIdx))}
+		p.groups[g.key] = g
 	}
 	for s, ai := range p.aIdx {
 		d := &g.dists[s]
@@ -681,7 +690,7 @@ func (h *GroupStats) drainGroups(buf []GroupDelta, part int, groups []*xgroup) [
 	for _, g := range groups {
 		g.dirty = false
 		size := g.support()
-		x := h.in.Materialize(make([]relation.Value, 0, len(g.x)), g.x)
+		x := keyValues(h.in, g.key)
 		for s := range g.dists {
 			st := &g.dists[s]
 			if !st.dirty {
@@ -734,7 +743,7 @@ func (h *GroupStats) Stat(pair int, xkey string) (GroupStat, bool) {
 	}
 	top, n := st.top(h.in)
 	return GroupStat{
-		X:        h.in.Materialize(make([]relation.Value, 0, len(g.x)), g.x),
+		X:        keyValues(h.in, g.key),
 		Support:  g.support(),
 		Distinct: st.distinct(),
 		Top:      h.in.ByID(top),

@@ -9,8 +9,7 @@ import (
 // Value stays a plain string at every API boundary; interning only
 // canonicalizes the backing storage, so a relation full of categorical
 // data ("NYC" in a million tuples) holds one copy of each distinct
-// value, and an encoded projection key used as a map-key field is
-// pooled once per distinct key instead of allocated once per mutation.
+// value.
 //
 // Beyond canonical strings, the pool hands out dense uint32 value IDs:
 // the i-th distinct value interned gets ID i. IDs are the currency of
@@ -97,26 +96,6 @@ func (in *Interner) addLocked(v Value) uint32 {
 	in.m[v] = id
 	in.ids = append(in.ids, v)
 	return id
-}
-
-// InternBytes returns the canonical Value equal to string(b). On a hit
-// nothing is allocated: the conversion inside the map index does not
-// escape, and the pooled string is returned.
-func (in *Interner) InternBytes(b []byte) Value {
-	in.mu.RLock()
-	id, ok := in.m[string(b)]
-	var v Value
-	if ok {
-		v = in.ids[id]
-	}
-	in.mu.RUnlock()
-	if ok {
-		return v
-	}
-	in.mu.Lock()
-	v = in.ids[in.addLocked(string(b))]
-	in.mu.Unlock()
-	return v
 }
 
 // InternTuple canonicalizes every value of t in place and returns t.
