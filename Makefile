@@ -29,9 +29,9 @@ RACE_PROPS += './internal/incremental/=TestRandomBatchesMatchOracle|TestCrashRec
 # Streaming discovery: the randomized miner-vs-Discover oracle, the
 # concurrent-writers refresh loop and the attached miner's heap budget
 # per tuple, then the shared X-partitions against a fresh per-pair
-# recount.
+# recount and concurrent Stat readers of one group.
 RACE_PROPS += './internal/discovery/=TestMinerMatchesDiscoverOracle|TestMinerConcurrentRefresh|TestMinerHeapPerTuple'
-RACE_PROPS += './internal/incremental/=TestSharedPartitionsMatchRecount'
+RACE_PROPS += './internal/incremental/=TestSharedPartitionsMatchRecount|TestStatConcurrentReaders'
 # The group store: per-attribute RHS distributions against the batch
 # oracle and the crash-recovery check, the v4 snapshot round trip and
 # the fold of older (v2/v3) images on recovery.

@@ -21,8 +21,8 @@ type (
 	// RetainSegments (closed segments kept for WAL shipping) — and
 	// Metrics, the observability registry the monitor instruments itself
 	// into (nil: a private registry; DefaultMetrics(): the process-global
-	// one; DisabledMetrics(): off). Concurrent writers always share
-	// commit windows: one WAL record and one fsync per window.
+	// one). Concurrent writers always share commit windows: one WAL
+	// record and one fsync per window.
 	MonitorOptions = incremental.Options
 	// MonitorJournalStats describes a monitor's durable state (generation,
 	// records since last snapshot, recovery provenance).
@@ -91,10 +91,6 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 // DefaultMetrics returns the process-global registry daemons share, so
 // one /v1/metrics scrape covers every component wired into it.
 func DefaultMetrics() *MetricsRegistry { return obs.Default() }
-
-// DisabledMetrics returns the sentinel registry that turns
-// instrumentation off for any component it is passed to.
-func DisabledMetrics() *MetricsRegistry { return obs.Disabled() }
 
 // WAL segment shipping and hot standby (see the "Replication" section of
 // the package documentation): a durable Monitor exposes its snapshot and

@@ -81,8 +81,8 @@ var ErrUnknownRepairSuggestion = repair.ErrUnknownSuggestion
 // call Refresh after applying changes to fold them in, Suggestions for
 // the current cost-ranked set, Plan to turn accepted suggestion IDs into
 // an ordinary ChangeSet. Detach with RepairSuggester.Close. The cfdserve
-// /v1/repairs endpoints serve this path over HTTP, and cmd/cfdrepair is
-// the batch CLI looping it to a certified repair.
+// /v1/repairs endpoints serve this path over HTTP; cmd/cfdrepair is the
+// batch CLI over Repair instead.
 func WatchRepairs(m *Monitor, opts SuggestOptions) (*RepairSuggester, error) {
 	return repair.NewSuggester(m, opts)
 }

@@ -28,7 +28,6 @@ import (
 	"repro/internal/discovery"
 	"repro/internal/gen"
 	"repro/internal/incremental"
-	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/repair"
 	"repro/internal/sqlgen"
@@ -435,42 +434,6 @@ func BenchmarkViewAfterUpdate100K(b *testing.B) {
 			b.Fatal(err)
 		}
 		m.View()
-	}
-}
-
-// BenchmarkObsOverhead: the per-op price of the metrics instrumentation
-// on the hottest path — single-op updates against the live 100K monitor
-// — with metrics on (the default: counters, gauges and stage timers all
-// firing) versus fully disabled (obs.Disabled(): no clock reads, no
-// atomic adds). The "on" series must stay within ~5% of "off"; bench/
-// runs the daemons with the default, so a regression here also shows up
-// in its end-to-end latencies.
-func BenchmarkObsOverhead(b *testing.B) {
-	rel, sigma := incrementalWorkload100K(b)
-	for _, cfg := range []struct {
-		name string
-		opts incremental.Options
-	}{
-		{"metrics=on", incremental.Options{}},
-		{"metrics=off", incremental.Options{Metrics: obs.Disabled()}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			m, err := incremental.Load(rel, sigma, cfg.opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			n := int64(rel.Len())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				val := "AAA"
-				if i%2 == 1 {
-					val = "BBB"
-				}
-				if _, err := m.Update(int64(i)%n, "CT", val); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -6,17 +6,18 @@
 //
 //	cfdrepair -data tax.csv -cfds cfds.txt -out repaired.csv
 //
-// cfdrepair is a thin client of the live repair engine: the instance
-// is loaded into an in-memory monitor, a repair suggester plans one
-// cost-ranked fix per live violation, and each round the planned fixes
-// are applied as an ordinary ChangeSet and the suggester re-plans only
-// what the batch touched — the same engine cfdserve serves over HTTP
-// as GET /v1/repairs and POST /v1/repairs/apply, so what this command
-// does offline a client of a running node can do one suggestion at a
-// time against live data.
+// cfdrepair runs the batch repair engine (repro.Repair) over the whole
+// instance: each pass detects every violation, plans one consistent set
+// of cell edits — constant violations force pattern constants, variable
+// violations merge a group's RHS cells onto its plurality value, and a
+// cell rewritten too often has its violation broken on the LHS instead —
+// and applies it, until a pass finds no violation. A Σ that no instance
+// can satisfy is refused before the first pass. The live counterpart,
+// one cost-ranked suggestion per violation against a running node, is
+// cfdserve's GET /v1/repairs and POST /v1/repairs/apply.
 //
-// Exit status is 2 on error, 1 when the suggest-apply loop could not
-// certify I′ ⊨ Σ within its round budget, 0 on a certified repair.
+// Exit status is 2 on error, 1 when the pass budget ran out before
+// I′ ⊨ Σ was certified, 0 on a certified repair.
 package main
 
 import (
@@ -33,7 +34,7 @@ func main() {
 		dataPath  = flag.String("data", "", "CSV instance to repair (required)")
 		cfdPath   = flag.String("cfds", "", "CFD file in text notation (required)")
 		outPath   = flag.String("out", "repaired.csv", "output CSV for the repaired instance")
-		maxPasses = flag.Int("maxpasses", 0, "suggest-apply round budget (0 = default)")
+		maxPasses = flag.Int("maxpasses", 0, "detect-resolve pass budget (0 = default)")
 		verbose   = flag.Bool("v", false, "print every applied change")
 	)
 	flag.Parse()
@@ -54,76 +55,28 @@ func run(dataPath, cfdPath, outPath string, maxPasses int, verbose bool) (int, e
 	if err != nil {
 		return 2, err
 	}
-	// An inconsistent Σ has no repair at all (Section 3): refuse up
-	// front rather than looping toward an impossible certificate.
-	if ok, _, err := repro.Consistent(rel.Schema, sigma); err != nil {
-		return 2, err
-	} else if !ok {
-		return 2, fmt.Errorf("the CFD set is inconsistent: no instance can satisfy it")
-	}
-
-	m, err := repro.LoadMonitor(rel, sigma, repro.MonitorOptions{})
+	res, err := repro.Repair(rel, sigma, repro.RepairOptions{MaxPasses: maxPasses})
 	if err != nil {
 		return 2, err
 	}
-	defer m.Close()
-	sg, err := repro.WatchRepairs(m, repro.SuggestOptions{})
-	if err != nil {
-		return 2, err
-	}
-	defer sg.Close()
-
-	// Each round plans every live suggestion and applies the merged
-	// ChangeSet; the suggester re-plans only the violations that batch
-	// touched. The budget bounds rounds, not edits — one round usually
-	// clears every independent violation at once.
-	if maxPasses <= 0 {
-		maxPasses = int(m.ViolationCount()/8) + 16
-	}
-	edits, rounds := 0, 0
-	cost := 0.0
-	for ; rounds < maxPasses; rounds++ {
-		sg.Refresh()
-		sugs := sg.Suggestions()
-		if len(sugs) == 0 {
-			break
-		}
-		ids := make([]string, 0, len(sugs))
-		for _, s := range sugs {
-			ids = append(ids, s.ID)
-			cost += s.Cost
-		}
-		cs, ces, err := sg.Plan(ids)
-		if err != nil {
-			return 2, err
-		}
-		if verbose {
-			for _, ce := range ces {
-				fmt.Printf("key %d: %s: %q -> %q\n", ce.Key, ce.Attr, ce.From, ce.To)
-			}
-		}
-		edits += len(ces)
-		if cs.Len() == 0 {
-			break
-		}
-		if _, err := m.Apply(cs); err != nil {
-			return 2, err
+	if verbose {
+		for _, ch := range res.Changes {
+			fmt.Printf("row %d: %s: %q -> %q\n", ch.Row, ch.Attr, ch.From, ch.To)
 		}
 	}
-	satisfied := m.Satisfied()
-	fmt.Printf("repair: %d changes over %d rounds, cost %.0f, satisfied=%v\n",
-		edits, rounds, cost, satisfied)
+	fmt.Printf("repair: %d changes over %d passes, cost %.0f, satisfied=%v\n",
+		len(res.Changes), res.Passes, res.Cost, res.Satisfied)
 
 	out, err := os.Create(outPath)
 	if err != nil {
 		return 2, err
 	}
 	defer out.Close()
-	if err := repro.WriteCSV(out, m.Snapshot()); err != nil {
+	if err := repro.WriteCSV(out, res.Repaired); err != nil {
 		return 2, err
 	}
 	fmt.Printf("wrote repaired instance to %s\n", outPath)
-	if !satisfied {
+	if !res.Satisfied {
 		return 1, nil
 	}
 	return 0, nil

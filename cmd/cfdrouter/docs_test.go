@@ -36,7 +36,7 @@ func TestEndpointDocs(t *testing.T) {
 		}
 	}
 	table("cfdserve", node.New(nil, nil).Routes())
-	table("cfdrouter", newRouterServer(nil, 0, repro.DisabledMetrics()).routes())
+	table("cfdrouter", newRouterServer(nil, 0, repro.NewMetricsRegistry()).routes())
 	want.WriteString("\n")
 
 	raw, err := os.ReadFile(file)

@@ -66,8 +66,7 @@
 //     cost-ranked fix suggestion per live violation current under
 //     changes. See "Live repair" below. cfdserve serves the ranked set
 //     as GET /v1/repairs and applies picked fixes through POST
-//     /v1/repairs/apply; cfdrepair is the batch CLI over the same
-//     engine.
+//     /v1/repairs/apply; cfdrepair is the batch CLI over Repair.
 //   - The paper's experimental workload generator (Section 5): tax
 //     records with SZ/NOISE knobs and CFD workloads with NUMATTRs, TABSZ
 //     and NUMCONSTs knobs.
@@ -271,11 +270,10 @@
 // hand-rolled Prometheus text-exposition writer — no client library. A
 // Monitor takes its registry from MonitorOptions.Metrics: nil gives it
 // a private registry (hermetic tests; read it back via Monitor.Metrics),
-// DefaultMetrics() shares the process-global one (what cfdserve does),
-// DisabledMetrics() turns instrumentation off entirely — the disabled
-// path never reads the clock. The instrumentation adds only atomic
-// stores to the hot path; the BenchmarkObsOverhead gate holds it within
-// noise of the disabled baseline.
+// and DefaultMetrics() shares the process-global one (what cfdserve
+// does). Instrumentation is always on: the hot path pays a few atomic
+// adds and the clock reads that feed the stage timers, and every
+// bench/ workload runs with it.
 //
 // The metric catalog, all registered by the monitor (histograms are
 // *_bucket/_sum/_count families in seconds):
@@ -367,7 +365,7 @@
 // (cost-ascending, paginated, version-tagged for If-None-Match) and
 // applies picked IDs via POST /v1/repairs/apply; cfdrouter fans
 // GET /v1/repairs out across shard groups; cmd/cfdrepair is the batch
-// CLI that loops suggest-plan-apply to a certified repair. bench/
+// CLI over Repair, whose multi-pass planner certifies I′ ⊨ Σ. bench/
 // reports the re-plan after a ChangeSet as serve-read's
 // repair.refresh_ms and one batch repair as batch-clean's
 // repair.batch_ms.

@@ -43,7 +43,7 @@ type Miner struct {
 	closed bool
 
 	// Metric handles, registered on the monitor's registry at attach
-	// time (nil-safe no-ops when its instrumentation is disabled).
+	// time.
 	metRefresh  *obs.Histogram
 	metRescored *obs.Counter
 	metCands    *obs.Gauge

@@ -135,14 +135,9 @@ func (m *Monitor) Apply(cs *ChangeSet) (*Delta, error) {
 		return &Delta{}, nil
 	}
 	met := m.met
-	var start time.Time
-	if met != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	reject := func(err error) (*Delta, error) {
-		if met != nil {
-			met.rejected.Inc()
-		}
+		met.rejected.Inc()
 		return nil, err
 	}
 	if m.readOnly.Load() {
@@ -153,9 +148,7 @@ func (m *Monitor) Apply(cs *ChangeSet) (*Delta, error) {
 	if m.Fenced() {
 		// A deposed primary: a higher-epoch history exists, so accepting
 		// this write would fork state that can never be replicated.
-		if met != nil {
-			met.fencedRejected.Inc()
-		}
+		met.fencedRejected.Inc()
 		return reject(ErrFenced)
 	}
 	if err := m.resolveOps(cs.Ops); err != nil {
@@ -165,13 +158,11 @@ func (m *Monitor) Apply(cs *ChangeSet) (*Delta, error) {
 	if err != nil {
 		return reject(err)
 	}
-	if met != nil {
-		met.batches.Inc()
-		met.countOps(cs.Ops)
-		met.violationsAdded.Add(uint64(len(d.Added)))
-		met.violationsRemoved.Add(uint64(len(d.Removed)))
-		met.applySeconds.ObserveSince(start)
-	}
+	met.batches.Inc()
+	met.countOps(cs.Ops)
+	met.violationsAdded.Add(uint64(len(d.Added)))
+	met.violationsRemoved.Add(uint64(len(d.Removed)))
+	met.applySeconds.ObserveSince(start)
 	return d, nil
 }
 
@@ -305,14 +296,9 @@ func (m *Monitor) commit(ops []Op) (*Delta, error) {
 	q.leading = true
 	q.mu.Unlock()
 	if !lead {
-		var t0 time.Time
-		if m.met != nil {
-			t0 = time.Now()
-		}
+		t0 := time.Now()
 		if !<-req.wake {
-			if m.met != nil {
-				m.met.gcWaitSeconds.ObserveSince(t0)
-			}
+			m.met.gcWaitSeconds.ObserveSince(t0)
 			return req.d, req.err
 		}
 	}
@@ -353,10 +339,7 @@ func (m *Monitor) commitWindowLocked(reqs []*commitReq) {
 		}
 	}
 	met := m.met
-	var t0 time.Time
-	if met != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	var overlay map[int64]bool
 	if len(reqs) > 1 {
 		overlay = make(map[int64]bool)
@@ -367,11 +350,9 @@ func (m *Monitor) commitWindowLocked(reqs []*commitReq) {
 			total += len(r.ops)
 		}
 	}
-	if met != nil {
-		t1 := time.Now()
-		met.validateSeconds.ObserveDuration(t1.Sub(t0))
-		t0 = t1
-	}
+	t1 := time.Now()
+	met.validateSeconds.ObserveDuration(t1.Sub(t0))
+	t0 = t1
 	if total == 0 {
 		return
 	}
@@ -395,11 +376,9 @@ func (m *Monitor) commitWindowLocked(reqs []*commitReq) {
 			}
 			return
 		}
-		if met != nil {
-			t1 := time.Now()
-			met.walAppendSeconds.ObserveDuration(t1.Sub(t0))
-			t0 = t1
-		}
+		t1 = time.Now()
+		met.walAppendSeconds.ObserveDuration(t1.Sub(t0))
+		t0 = t1
 	}
 	vecs := make([][]Op, 0, len(reqs))
 	for _, r := range reqs {
@@ -413,11 +392,9 @@ func (m *Monitor) commitWindowLocked(reqs []*commitReq) {
 			r.d, deltas = deltas[0], deltas[1:]
 		}
 	}
-	if met != nil {
-		met.shardApplySeconds.ObserveSince(t0)
-		met.gcWindowOps.Observe(uint64(total))
-		met.gcWindowWriters.Observe(uint64(len(vecs)))
-	}
+	met.shardApplySeconds.ObserveSince(t0)
+	met.gcWindowOps.Observe(uint64(total))
+	met.gcWindowWriters.Observe(uint64(len(vecs)))
 	if m.j != nil {
 		m.j.afterAppend(m, total)
 	}

@@ -72,10 +72,8 @@ func (m *Monitor) ApplyAt(cs *ChangeSet, epoch uint64) (*Delta, error) {
 		if epoch > cur {
 			m.Fence(epoch)
 		}
-		if m.met != nil {
-			m.met.fencedRejected.Inc()
-			m.met.rejected.Inc()
-		}
+		m.met.fencedRejected.Inc()
+		m.met.rejected.Inc()
 		return nil, fmt.Errorf("incremental: write stamped epoch %d, monitor at epoch %d: %w", epoch, cur, ErrFenced)
 	}
 	return m.Apply(cs)

@@ -139,8 +139,7 @@ type Follower struct {
 	// coexist — this is what makes that safe).
 	syncMu sync.Mutex
 
-	// met holds the replication metric handles; nil when the monitor's
-	// instrumentation is disabled.
+	// met holds the replication metric handles.
 	met *followerMetrics
 
 	mu         sync.Mutex
@@ -205,9 +204,7 @@ func NewFollower(ctx context.Context, sigma []*core.CFD, opts Options, fo Follow
 		seq:   seq,
 		off:   off,
 	}
-	if m.met != nil {
-		f.met = newFollowerMetrics(m.met.reg)
-	}
+	f.met = newFollowerMetrics(m.met.reg)
 	if f.poll <= 0 {
 		f.poll = 200 * time.Millisecond
 	}
@@ -297,16 +294,12 @@ func (f *Follower) Sync(ctx context.Context) (int, error) {
 		f.mu.Unlock()
 		ch, err := f.src.Chunk(ctx, seq, off, f.max)
 		if err != nil {
-			if f.met != nil {
-				f.met.fetchErrors.Inc()
-			}
+			f.met.fetchErrors.Inc()
 			err = &fetchFailure{err}
 			f.note(err)
 			return applied, err
 		}
-		if f.met != nil {
-			f.met.chunks.Inc()
-		}
+		f.met.chunks.Inc()
 		// Fencing: a source whose epoch is below ours is a deposed
 		// history — this follower already serves (or replicated from) a
 		// higher term, and applying the lower-term tail would fork its
@@ -323,16 +316,11 @@ func (f *Follower) Sync(ctx context.Context) (int, error) {
 		}
 		f.mu.Unlock()
 		if len(ch.Data) > 0 {
-			var applyStart time.Time
-			if f.met != nil {
-				applyStart = time.Now()
-			}
+			applyStart := time.Now()
 			n, consumed, err := f.m.replicate(ch.Data)
-			if f.met != nil {
-				f.met.applySeconds.ObserveSince(applyStart)
-				f.met.records.Add(uint64(n))
-				f.met.bytes.Add(uint64(consumed))
-			}
+			f.met.applySeconds.ObserveSince(applyStart)
+			f.met.records.Add(uint64(n))
+			f.met.bytes.Add(uint64(consumed))
 			if n > 0 {
 				f.advance(off+consumed, int64(n), ch)
 				applied += n
@@ -378,24 +366,24 @@ func (f *Follower) advance(off, applied int64, ch ShipChunk) {
 	f.primarySeq, f.primaryOff = ch.EndSeq, ch.EndOffset
 	f.lastSync = time.Now()
 	f.lastErr = nil
-	if f.met != nil {
-		// Mirrors the Status lag computation: byte lag is only defined
-		// while follower and primary share a segment.
-		lagBytes := int64(-1)
-		var lagSegs uint64
-		if f.primarySeq >= f.seq {
-			lagSegs = f.primarySeq - f.seq
-		}
-		if f.primarySeq == f.seq {
-			lagBytes = f.primaryOff - f.off
-			if lagBytes < 0 {
-				lagBytes = 0
-			}
-		}
-		f.met.lagBytes.Set(lagBytes)
-		f.met.lagSegments.Set(int64(lagSegs))
-	}
+	lagBytes, lagSegs := f.lagLocked()
+	f.met.lagBytes.Set(lagBytes)
+	f.met.lagSegments.Set(int64(lagSegs))
 	f.mu.Unlock()
+}
+
+// lagLocked is the distance to the primary's last reported tail: whole
+// segments behind, and bytes behind — defined only while follower and
+// primary share a segment, -1 otherwise. The caller holds f.mu.
+func (f *Follower) lagLocked() (bytes int64, segs uint64) {
+	bytes = -1
+	if f.primarySeq >= f.seq {
+		segs = f.primarySeq - f.seq
+	}
+	if f.primarySeq == f.seq {
+		bytes = max(f.primaryOff-f.off, 0)
+	}
+	return bytes, segs
 }
 
 func (f *Follower) note(err error) {
@@ -538,17 +526,8 @@ func (f *Follower) Status() ReplicaStatus {
 		PrimarySeq:     f.primarySeq,
 		PrimaryOffset:  f.primaryOff,
 		LastSync:       f.lastSync,
-		LagBytes:       -1,
 	}
-	if f.primarySeq >= f.seq {
-		st.LagSegments = f.primarySeq - f.seq
-	}
-	if f.primarySeq == f.seq {
-		st.LagBytes = f.primaryOff - f.off
-		if st.LagBytes < 0 {
-			st.LagBytes = 0
-		}
-	}
+	st.LagBytes, st.LagSegments = f.lagLocked()
 	if f.lastErr != nil {
 		st.LastError = f.lastErr.Error()
 	}

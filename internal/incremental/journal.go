@@ -163,9 +163,7 @@ func attachJournal(m *Monitor, opts Options, seed *relation.Relation) error {
 		if err != nil {
 			return err
 		}
-		if m.met != nil {
-			log.SetStats(m.met.logStats)
-		}
+		log.SetStats(m.met.logStats)
 		j.log = log
 		m.j = j
 		attached = true
@@ -232,9 +230,7 @@ func attachJournal(m *Monitor, opts Options, seed *relation.Relation) error {
 	if err != nil {
 		return err
 	}
-	if m.met != nil {
-		log.SetStats(m.met.logStats)
-	}
+	log.SetStats(m.met.logStats)
 	j.log = log
 	_ = wal.RemoveBelow(dir, seq, j.segmentFloor(seq)) // leftovers of an interrupted rotation
 	m.j = j
@@ -343,10 +339,7 @@ func (j *journal) rollLocked(m *Monitor, newSeq uint64) error {
 		return fmt.Errorf("incremental: roll to generation %d at generation %d", newSeq, seq)
 	}
 	met := m.met
-	var rollStart time.Time
-	if met != nil {
-		rollStart = time.Now()
-	}
+	rollStart := time.Now()
 	// The outgoing segment must be durably complete BEFORE the snapshot
 	// that supersedes it exists: the snapshot embodies every record the
 	// segment holds (including a buffered, unsynced tail under
@@ -357,16 +350,11 @@ func (j *journal) rollLocked(m *Monitor, newSeq uint64) error {
 	if err := j.log.Sync(); err != nil {
 		return err
 	}
-	var snapStart time.Time
-	if met != nil {
-		snapStart = time.Now()
-	}
+	snapStart := time.Now()
 	if err := wal.WriteSnapshot(j.dir, newSeq, m.writeSnapshot); err != nil {
 		return err
 	}
-	if met != nil {
-		met.snapshotSeconds.ObserveSince(snapStart)
-	}
+	met.snapshotSeconds.ObserveSince(snapStart)
 	newLog, err := wal.Create(wal.LogPath(j.dir, newSeq), j.fsync)
 	if err != nil {
 		// Without its log segment the new snapshot must not become the
@@ -374,19 +362,15 @@ func (j *journal) rollLocked(m *Monitor, newSeq uint64) error {
 		os.Remove(wal.SnapshotPath(j.dir, newSeq))
 		return err
 	}
-	if met != nil {
-		newLog.SetStats(met.logStats)
-	}
+	newLog.SetStats(met.logStats)
 	old := j.log
 	j.log = newLog
 	j.seq.Store(newSeq)
 	j.records.Store(0)
 	old.Close()
 	_ = wal.RemoveBelow(j.dir, newSeq, j.segmentFloor(newSeq))
-	if met != nil {
-		met.rollSeconds.ObserveSince(rollStart)
-		met.snapshots.Inc()
-	}
+	met.rollSeconds.ObserveSince(rollStart)
+	met.snapshots.Inc()
 	return nil
 }
 

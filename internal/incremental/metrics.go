@@ -6,16 +6,13 @@ import (
 )
 
 // This file binds the Monitor's hot paths to the obs metrics core. A
-// monitor always carries a registry — a private one by default, so
-// tests stay hermetic; a process daemon passes obs.Default() through
-// Options.Metrics so one scrape covers every component; obs.Disabled()
-// switches instrumentation off entirely (m.met == nil), which is the
-// baseline BenchmarkObsOverhead compares against.
+// monitor always instruments itself — into a private registry by
+// default, so tests stay hermetic; a process daemon passes obs.Default()
+// through Options.Metrics so one scrape covers every component.
 //
 // The discipline on the hot path: updating a handle is a few atomic
-// adds (never an allocation, never a lock), and the time.Now() calls
-// that feed the stage timers only run when metrics are enabled — every
-// timing site guards on `m.met != nil` before touching the clock.
+// adds (never an allocation, never a lock), plus the time.Now() reads
+// that feed the stage timers.
 
 // monMetrics holds the Monitor's metric handles, registered once at
 // build time so the apply path never goes through the registry map.
@@ -133,13 +130,7 @@ func newFollowerMetrics(reg *obs.Registry) *followerMetrics {
 }
 
 // Metrics returns the registry this monitor instruments itself into:
-// the one passed via Options.Metrics, a private registry when none was
-// given, or the disabled sentinel when instrumentation is off. Layers
-// stacked on a monitor (discovery miners, servers) register their own
-// series here so one scrape covers the whole node.
-func (m *Monitor) Metrics() *obs.Registry {
-	if m.met == nil {
-		return obs.Disabled()
-	}
-	return m.met.reg
-}
+// the one passed via Options.Metrics, or a private registry when none
+// was given. Layers stacked on a monitor (discovery miners, servers)
+// register their own series here so one scrape covers the whole node.
+func (m *Monitor) Metrics() *obs.Registry { return m.met.reg }

@@ -76,23 +76,6 @@ func TestMonitorMetrics(t *testing.T) {
 	}
 }
 
-func TestMonitorMetricsDisabled(t *testing.T) {
-	schema, sigma := metricsSchema(t)
-	m, err := New(schema, sigma, Options{Metrics: obs.Disabled()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.met != nil {
-		t.Fatal("disabled metrics must leave m.met nil")
-	}
-	if !m.Metrics().IsDisabled() {
-		t.Fatal("Metrics() of a disabled monitor must report disabled")
-	}
-	if _, _, err := m.Insert(relation.Tuple{"x", "1"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMonitorMetricsHermetic(t *testing.T) {
 	schema, sigma := metricsSchema(t)
 	a, err := New(schema, sigma, Options{})

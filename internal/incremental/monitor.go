@@ -124,7 +124,7 @@ type Options struct {
 	// itself into (apply-stage timers, WAL timings, violation counters;
 	// see internal/obs). nil means a private registry per monitor, so
 	// tests stay hermetic; a daemon passes obs.Default() so one scrape
-	// covers every component; obs.Disabled() turns instrumentation off.
+	// covers every component.
 	Metrics *obs.Registry
 }
 
@@ -181,9 +181,7 @@ type Monitor struct {
 	// it, and tableau constants are resolved through it at build time.
 	vals *relation.Interner
 
-	// met holds the pre-registered metric handles; nil when built with
-	// obs.Disabled(), which every timing site checks before touching
-	// the clock.
+	// met holds the pre-registered metric handles.
 	met *monMetrics
 
 	// mu is the writer lock, held by every state change (see the package
@@ -290,23 +288,21 @@ func build(schema *relation.Schema, sigma []*core.CFD, opts Options) (*Monitor, 
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	if !reg.IsDisabled() {
-		m.met = newMonMetrics(reg)
-		// Live-state gauges read the monitor at scrape time. Re-binding
-		// a new monitor to a shared registry points them at the new
-		// instance (GaugeFunc: latest registration wins).
-		reg.GaugeFunc("cfd_tuples", "Live tuples in the monitor.", func() float64 { return float64(m.size.Load()) })
-		reg.GaugeFunc("cfd_violations", "Live violations across the CFD set.", func() float64 { return float64(m.ViolationCount()) })
-		reg.GaugeFunc("cfd_epoch", "Fencing epoch this node's history is written under.", func() float64 { return float64(m.epoch.Load()) })
-		reg.GaugeFunc("cfd_violations_view_version", "Version of the maintained violation view; advances only when the violation set changes.", func() float64 { return float64(m.view.version.Load()) })
-		reg.GaugeFunc("cfd_violations_view_age_seconds", "Seconds since the published violation view was materialized; -1 before the first build.", func() float64 {
-			v := m.view.cur.Load()
-			if v == nil {
-				return -1
-			}
-			return time.Since(v.built).Seconds()
-		})
-	}
+	m.met = newMonMetrics(reg)
+	// Live-state gauges read the monitor at scrape time. Re-binding a new
+	// monitor to a shared registry points them at the new instance
+	// (GaugeFunc: latest registration wins).
+	reg.GaugeFunc("cfd_tuples", "Live tuples in the monitor.", func() float64 { return float64(m.size.Load()) })
+	reg.GaugeFunc("cfd_violations", "Live violations across the CFD set.", func() float64 { return float64(m.ViolationCount()) })
+	reg.GaugeFunc("cfd_epoch", "Fencing epoch this node's history is written under.", func() float64 { return float64(m.epoch.Load()) })
+	reg.GaugeFunc("cfd_violations_view_version", "Version of the maintained violation view; advances only when the violation set changes.", func() float64 { return float64(m.view.version.Load()) })
+	reg.GaugeFunc("cfd_violations_view_age_seconds", "Seconds since the published violation view was materialized; -1 before the first build.", func() float64 {
+		v := m.view.cur.Load()
+		if v == nil {
+			return -1
+		}
+		return time.Since(v.built).Seconds()
+	})
 	return m, nil
 }
 

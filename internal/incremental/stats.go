@@ -733,10 +733,12 @@ func (h *GroupStats) group(pair int, xkey string) (*xgroup, *statGroup, bool) {
 }
 
 // Stat returns the current statistics of one group, including the full
-// distribution's top value (an O(distinct) scan).
+// distribution's top value (an O(distinct) scan). It takes h.mu
+// exclusively: finding the top may rewrite the distribution's cached
+// mode, which a delete dropped.
 func (h *GroupStats) Stat(pair int, xkey string) (GroupStat, bool) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	g, st, ok := h.group(pair, xkey)
 	if !ok {
 		return GroupStat{}, false

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/relation"
@@ -330,6 +331,41 @@ func recount(t *testing.T, m *Monitor, pair AttrPair) (map[string]groupState, *G
 // recount, every delta's Prev fields equal what that pair last drained
 // for the group, and an update dirties only the pairs that mention its
 // attribute.
+// TestStatConcurrentReaders: Stat may rescan a distribution whose cached
+// top a delete dropped, and the rescan rewrites the cache — so two
+// concurrent Stat calls on that group must not race (run it under -race).
+func TestStatConcurrentReaders(t *testing.T) {
+	schema := statsSchema(t)
+	rel := relation.New(schema)
+	for _, ct := range []relation.Value{"a", "b", "b", "c", "c", "c"} {
+		rel.MustInsert("908", ct, "n")
+	}
+	m, err := Load(rel, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := m.TrackGroups([]AttrPair{{X: []string{"AC"}, A: "CT"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Delete(5); err != nil { // one c: the cached top is dropped
+		t.Fatal(err)
+	}
+	key := h.KeyOf([]relation.Value{"908"})
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st, ok := h.Stat(0, key)
+			if !ok || st.Support != 5 || st.TopCount != 2 || st.Top != "b" {
+				t.Errorf("Stat(908) = %+v ok=%v, want support 5, top b with 2 (tie with c)", st, ok)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestSharedPartitionsMatchRecount(t *testing.T) {
 	schema := relation.MustSchema("R", relation.Attr("AC"), relation.Attr("CT"), relation.Attr("NM"), relation.Attr("ZIP"))
 	pools := [][]relation.Value{{"908", "212", "215"}, {"MH", "NYC"}, {"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l", "m", "n", "o", "p", "q", "r", "s", "t"}, {"z1", "z2", "z3", "z4", "z5"}}

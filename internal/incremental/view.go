@@ -139,9 +139,7 @@ func (m *Monitor) rebuildView() *ViolationsView {
 	m.storeMu.RUnlock()
 	next := &ViolationsView{version: version, built: time.Now(), state: st}
 	v.cur.Store(next)
-	if m.met != nil {
-		m.met.viewRebuilds.Inc()
-	}
+	m.met.viewRebuilds.Inc()
 	return next
 }
 

@@ -148,7 +148,7 @@ func (s *Server) metrics() *obs.Registry {
 	if m := s.Monitor(); m != nil {
 		return m.Metrics()
 	}
-	return obs.Disabled()
+	return obs.NewRegistry()
 }
 
 // Routes is the node's endpoint table.

@@ -13,10 +13,8 @@
 // write path free.
 //
 // Every handle type tolerates a nil receiver: a nil *Counter,
-// *Gauge, or *Histogram is a valid no-op. The Disabled registry hands
-// out nil handles from every constructor, so "metrics off" needs no
-// second code path — instrumented code holds the same fields and the
-// no-op costs one predictable branch.
+// *Gauge, or *Histogram is a valid no-op, so a component may leave a
+// handle unset (wal.LogStats, for one) without a second code path.
 package obs
 
 import (

@@ -134,31 +134,3 @@ func TestGaugeFuncReplace(t *testing.T) {
 		t.Fatalf("re-registered gauge func must win, got:\n%s", sb.String())
 	}
 }
-
-func TestDisabledRegistry(t *testing.T) {
-	r := Disabled()
-	if c := r.Counter("c_total", "h"); c != nil {
-		t.Fatal("disabled registry must hand out nil counters")
-	}
-	if g := r.Gauge("g", "h"); g != nil {
-		t.Fatal("disabled registry must hand out nil gauges")
-	}
-	if h := r.Histogram("h", "h"); h != nil {
-		t.Fatal("disabled registry must hand out nil histograms")
-	}
-	if h := r.DurationHistogram("d", "h"); h != nil {
-		t.Fatal("disabled registry must hand out nil duration histograms")
-	}
-	r.GaugeFunc("gf", "h", func() float64 { return 1 })
-	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if sb.Len() != 0 {
-		t.Fatalf("disabled registry scrape must be empty, got %q", sb.String())
-	}
-	var nilReg *Registry
-	if !nilReg.IsDisabled() {
-		t.Fatal("nil registry must report disabled")
-	}
-}

@@ -22,9 +22,6 @@ import (
 // once and cumulative bucket counts are computed from that snapshot, so
 // bucket monotonicity holds by construction.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r.IsDisabled() {
-		return nil
-	}
 	r.mu.Lock()
 	ms := append([]*metric(nil), r.order...)
 	r.mu.Unlock()

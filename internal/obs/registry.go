@@ -73,17 +73,15 @@ func (m *metric) setFn(fn func() float64) {
 // type panics — that is a programming error, not a runtime condition.
 //
 // All methods are safe for concurrent use. A Registry must be created
-// by NewRegistry (or obtained from Default/Disabled); the zero value is
-// not usable.
+// by NewRegistry (or obtained from Default); the zero value is not
+// usable.
 type Registry struct {
-	disabled bool
-
 	mu    sync.Mutex
 	byKey map[string]*metric
 	order []*metric
 }
 
-// NewRegistry returns an empty, enabled registry.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{byKey: make(map[string]*metric)} }
 
 var std = NewRegistry()
@@ -92,21 +90,7 @@ var std = NewRegistry()
 // monitors and HTTP layer into so one scrape sees everything.
 func Default() *Registry { return std }
 
-var off = &Registry{disabled: true}
-
-// Disabled returns the sentinel registry whose constructors hand out
-// nil (no-op) handles and whose scrape output is empty. Passing it to a
-// component turns that component's instrumentation off.
-func Disabled() *Registry { return off }
-
-// IsDisabled reports whether the registry drops all registrations; true
-// for a nil *Registry.
-func (r *Registry) IsDisabled() bool { return r == nil || r.disabled }
-
 func (r *Registry) register(name, help string, kind metricKind, den float64, labels []Label) *metric {
-	if r.IsDisabled() {
-		return nil
-	}
 	ls := renderLabels(labels)
 	key := name + "{" + ls + "}"
 	r.mu.Lock()
@@ -133,20 +117,12 @@ func (r *Registry) register(name, help string, kind metricKind, den float64, lab
 
 // Counter registers (or re-binds to) a counter series.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	m := r.register(name, help, kindCounter, 1, labels)
-	if m == nil {
-		return nil
-	}
-	return m.c
+	return r.register(name, help, kindCounter, 1, labels).c
 }
 
 // Gauge registers (or re-binds to) a gauge series.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	m := r.register(name, help, kindGauge, 1, labels)
-	if m == nil {
-		return nil
-	}
-	return m.g
+	return r.register(name, help, kindGauge, 1, labels).g
 }
 
 // GaugeFunc registers a gauge series whose value is computed by fn at
@@ -154,31 +130,20 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // tuple counts, violation totals). Re-registering replaces the callback,
 // so a rebuilt component points the series at its new instance.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	m := r.register(name, help, kindGaugeFunc, 1, labels)
-	if m != nil {
-		m.setFn(fn)
-	}
+	r.register(name, help, kindGaugeFunc, 1, labels).setFn(fn)
 }
 
 // Histogram registers (or re-binds to) a histogram series over raw
 // units (bytes, counts). Exposed bucket bounds are powers of two.
 func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
-	m := r.register(name, help, kindHistogram, 1, labels)
-	if m == nil {
-		return nil
-	}
-	return m.h
+	return r.register(name, help, kindHistogram, 1, labels).h
 }
 
 // DurationHistogram registers (or re-binds to) a histogram that is
 // observed in nanoseconds (ObserveDuration/ObserveSince) and exposed in
 // seconds, per Prometheus convention.
 func (r *Registry) DurationHistogram(name, help string, labels ...Label) *Histogram {
-	m := r.register(name, help, kindHistogram, 1e9, labels)
-	if m == nil {
-		return nil
-	}
-	return m.h
+	return r.register(name, help, kindHistogram, 1e9, labels).h
 }
 
 // renderLabels pre-renders a label set in sorted key order so that the

@@ -78,7 +78,7 @@ func (r *repairer) buildPlan(vs []violationRef) *plan {
 					continue
 				}
 				id := r.cellID(t, col)
-				if r.writes[id] >= r.opts.StuckThreshold {
+				if r.writes[id] >= stuckThreshold {
 					p.breaks = append(p.breaks, brk)
 					continue
 				}
@@ -110,7 +110,7 @@ func (r *repairer) buildPlan(vs []violationRef) *plan {
 					}
 					id := r.cellID(t, col)
 					brk := breakReq{row: row, tuple: t, lhs: c.LHS}
-					if r.writes[id] >= r.opts.StuckThreshold {
+					if r.writes[id] >= stuckThreshold {
 						p.breaks = append(p.breaks, brk)
 						continue
 					}

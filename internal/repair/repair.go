@@ -54,13 +54,14 @@ func (m *CostModel) weight(row int, attr string) float64 {
 	return m.Weight(row, attr)
 }
 
+// stuckThreshold is the number of times a cell may be rewritten before
+// the algorithm switches to LHS-breaking for its violations.
+const stuckThreshold = 3
+
 // Options configures the heuristic.
 type Options struct {
 	// MaxPasses bounds the detect-resolve iterations (default 20).
 	MaxPasses int
-	// StuckThreshold is the number of times a cell may be rewritten before
-	// the algorithm switches to LHS-breaking for its violations (default 3).
-	StuckThreshold int
 	// Cost is the repair cost model (nil = unit cost).
 	Cost *CostModel
 }
@@ -68,9 +69,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxPasses <= 0 {
 		o.MaxPasses = 20
-	}
-	if o.StuckThreshold <= 0 {
-		o.StuckThreshold = 3
 	}
 	return o
 }

@@ -52,11 +52,8 @@ type Log struct {
 	// buf is the reused frame: header and payload, written in one call.
 	buf []byte
 
-	// stats are the optional metric hooks (obs handles are nil-safe);
-	// timed caches whether any timer is armed, so an uninstrumented log
-	// never reads the clock.
+	// stats are the optional metric hooks (obs handles are nil-safe).
 	stats LogStats
-	timed bool
 }
 
 // LogStats are optional observability hooks a Log reports through: the
@@ -76,10 +73,7 @@ type LogStats struct {
 
 // SetStats arms the metric hooks. Not safe to call concurrently with
 // Append/Sync; callers set stats right after Create/OpenAppend.
-func (l *Log) SetStats(s LogStats) {
-	l.stats = s
-	l.timed = s.AppendSeconds != nil || s.SyncSeconds != nil
-}
+func (l *Log) SetStats(s LogStats) { l.stats = s }
 
 // Create starts a new, empty log segment at path.
 func Create(path string, fsync bool) (*Log, error) {
@@ -107,10 +101,7 @@ func (l *Log) Append(payload []byte) error {
 	if len(payload) > maxRecord {
 		return fmt.Errorf("wal: record of %d bytes exceeds limit", len(payload))
 	}
-	var start time.Time
-	if l.timed {
-		start = time.Now()
-	}
+	start := time.Now()
 	l.buf = binary.LittleEndian.AppendUint32(l.buf[:0], uint32(len(payload)))
 	l.buf = binary.LittleEndian.AppendUint32(l.buf, crc32.ChecksumIEEE(payload))
 	l.buf = append(l.buf, payload...)
@@ -123,9 +114,7 @@ func (l *Log) Append(payload []byte) error {
 	}
 	l.stats.Records.Inc()
 	l.stats.Bytes.Add(uint64(headerSize + len(payload)))
-	if l.timed {
-		l.stats.AppendSeconds.ObserveSince(start)
-	}
+	l.stats.AppendSeconds.ObserveSince(start)
 	if l.fsync {
 		return l.Sync()
 	}
@@ -145,16 +134,11 @@ func (l *Log) Size() (int64, error) {
 
 // Sync fsyncs the file.
 func (l *Log) Sync() error {
-	var start time.Time
-	if l.timed {
-		start = time.Now()
-	}
+	start := time.Now()
 	if err := l.f.Sync(); err != nil {
 		return err
 	}
-	if l.timed {
-		l.stats.SyncSeconds.ObserveSince(start)
-	}
+	l.stats.SyncSeconds.ObserveSince(start)
 	return nil
 }
 
