@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test race race-props metrics-smoke docs-check
+.PHONY: test race race-props metrics-smoke bench-smoke docs-check
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -15,6 +15,12 @@ race:
 # CFD_SOAK scales the applied load (nightly runs it at 8).
 metrics-smoke:
 	sh scripts/metrics_smoke.sh
+
+# The batch-path benchmarks of the root bench_test.go, one iteration
+# each: go test ./... never runs a benchmark, so one that panics or
+# stops certifying its result would otherwise go unnoticed.
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'BenchmarkStrategyDirect$$|BenchmarkRepair$$' -benchtime 1x -benchmem .
 
 # The property tests under the race detector, twice each so goroutine
 # schedules vary: one row per package and -run pattern, each row

@@ -159,10 +159,12 @@ func NewMonitorChunkSource(m *Monitor) WALChunkSource {
 }
 
 // NewMonitor builds an empty incremental monitor for the schema and Σ;
-// feed it with Monitor.Insert. With opts.Durable set, every mutation is
-// journaled to a write-ahead log before it is applied, and a directory
-// that already holds journaled state is recovered (latest snapshot + log
-// tail) instead of starting empty.
+// feed it with Monitor.Insert. Every monitor constructor refuses an
+// inconsistent Σ (see Consistent), naming the CFDs that conflict. With
+// opts.Durable set, every mutation is journaled to a write-ahead log
+// before it is applied, and a directory that already holds journaled
+// state is recovered (latest snapshot + log tail) instead of starting
+// empty.
 func NewMonitor(schema *Schema, sigma []*CFD, opts MonitorOptions) (*Monitor, error) {
 	return incremental.New(schema, sigma, opts)
 }

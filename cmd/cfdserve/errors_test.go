@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -129,6 +131,45 @@ func TestErrorEnvelope(t *testing.T) {
 			// re-sync its view of the group without a second round trip.
 			if _, hasEpoch := env["epoch"]; hasEpoch != (tc.wantCode == "fenced") {
 				t.Fatalf("epoch presence = %v for code %v: %v", hasEpoch, tc.wantCode, env)
+			}
+		})
+	}
+}
+
+// TestBootErrors pins the refusals that happen before a node serves: a
+// Σ no nonempty instance satisfies is refused at boot, memory or
+// durable, with the conflicting CFDs named — the Suggester would
+// otherwise chase a repair that does not exist.
+func TestBootErrors(t *testing.T) {
+	data, _ := writeInputs(t)
+	// Every tuple with a CC must have CT = NYC and CT = PHI at once.
+	inconsistent := "[CC] -> [CT=NYC]\n[CC] -> [CT=PHI]\n" + figure2CFDs
+	const conflict = "CFD 0 ([CC] -> [CT], 2 pattern rows)"
+	for _, tc := range []struct {
+		name    string
+		cfds    string
+		durable bool
+		want    string
+	}{
+		{"inconsistent Σ", inconsistent, false, conflict},
+		{"inconsistent Σ, durable", inconsistent, true, conflict},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfds := filepath.Join(t.TempDir(), "cfds.txt")
+			if err := os.WriteFile(cfds, []byte(tc.cfds), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var opts repro.MonitorOptions
+			if tc.durable {
+				opts.Durable = t.TempDir()
+			}
+			srv, err := newServer(data, cfds, opts)
+			if err == nil {
+				srv.Close()
+				t.Fatal("boot succeeded")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("boot error %q does not name %q", err, tc.want)
 			}
 		})
 	}

@@ -1,6 +1,9 @@
 package detect
 
 import (
+	"encoding/binary"
+	"strconv"
+
 	"repro/internal/core"
 	"repro/internal/relation"
 )
@@ -12,7 +15,11 @@ import (
 // Each CFD's tableau is indexed once (core.TableauIndex, rows bucketed by
 // constant-position mask) and probed once per tuple, so each row's
 // candidate set is exactly the tuples matching its X pattern, in
-// O(|I| · #masks + Σ_p |cand(p)|) instead of O(|Tp| · |I|).
+// O(|I| · #masks + Σ_p |cand(p)|) instead of O(|Tp| · |I|). One map per
+// CFD, keyed by (row, t[X]), groups every row's candidates at once, and a
+// group is a variable violation when some member disagrees with its first
+// member on an attribute of Y. Detection allocates per group and per
+// violation, never per tuple.
 
 func detectDirect(rel *relation.Relation, sigma []*core.CFD) (*Result, error) {
 	res := &Result{PerCFD: make([]CFDViolations, len(sigma))}
@@ -32,6 +39,13 @@ func detectDirect(rel *relation.Relation, sigma []*core.CFD) (*Result, error) {
 // core.TableauIndex.Order, and within a row as the constant violations in
 // tuple order followed by the conflicting groups in order of first
 // appearance — batch repair takes its proposals in this order.
+//
+// One pass over the data groups each row's candidates by t[X] in a single
+// map keyed by (row, t[X]). A group keeps only its first member and its
+// size, and is a variable violation iff some later member differs from
+// the first on an attribute of Y — the Monitor's rule, with no
+// Y-projection encoded. Member lists are built only for violating groups,
+// so the cost is one allocation per group and per violation.
 func FindDetailed(rel *relation.Relation, cfd *core.CFD) ([]core.Violation, error) {
 	xIdx, err := rel.Schema.Indexes(cfd.LHS)
 	if err != nil {
@@ -58,57 +72,91 @@ func FindDetailed(rel *relation.Relation, cfd *core.CFD) ([]core.Violation, erro
 		}
 		return dst
 	}
-	// One pass over the data collects every row's candidates.
-	cand := make([][]int, len(cfd.Tableau))
-	x := make([]uint32, len(xIdx))
-	var rows []int
+
+	type group struct {
+		row, first, size int
+		violates         bool
+		members          []int // filled only once the group is known to violate
+	}
+	type hit struct{ t, g int } // tuple t is a member of groups[g]
+	var (
+		groups []group
+		byKey  = make(map[string]int) // row, then t[X] → index into groups
+		// hits lists every (tuple, group) membership in tuple order, so
+		// violating groups collect their members without a second probe.
+		hits      []hit
+		consts    = make([][]core.Violation, len(cfd.Tableau))
+		violating = make([][]int, len(cfd.Tableau)) // per row, in first-appearance order
+		x         = make([]uint32, len(xIdx))
+		y         = make([]uint32, len(yIdx))
+		rows      []int
+		key       []byte
+	)
 	for t, tup := range rel.Tuples {
 		rows = ix.Match(rows[:0], project(x, tup, xIdx))
+		if len(rows) == 0 {
+			continue
+		}
+		project(y, tup, yIdx)
 		for _, ri := range rows {
-			cand[ri] = append(cand[ri], t)
+			if !ix.MatchY(ri, y) {
+				consts[ri] = append(consts[ri], core.Violation{Kind: core.ConstViolation, Row: ri, Tuples: []int{t}})
+			}
+			// The key is the row as a uvarint, then t[X] in
+			// relation.AppendKey's encoding, built without a projection;
+			// a string(key) probe does not allocate.
+			key = binary.AppendUvarint(key[:0], uint64(ri))
+			for _, j := range xIdx {
+				key = strconv.AppendInt(key, int64(len(tup[j])), 10)
+				key = append(key, ':')
+				key = append(key, tup[j]...)
+			}
+			g, ok := byKey[string(key)]
+			if !ok {
+				g = len(groups)
+				byKey[string(key)] = g
+				groups = append(groups, group{row: ri, first: t})
+			} else if gr := &groups[g]; !gr.violates {
+				gr.violates = !agreeOn(tup, rel.Tuples[gr.first], yIdx)
+			}
+			groups[g].size++
+			hits = append(hits, hit{t, g})
+		}
+	}
+	for g := range groups {
+		if gr := &groups[g]; gr.violates {
+			gr.members = make([]int, 0, gr.size)
+			violating[gr.row] = append(violating[gr.row], g)
+		}
+	}
+	for _, h := range hits {
+		if gr := &groups[h.g]; gr.violates {
+			gr.members = append(gr.members, h.t)
 		}
 	}
 	var out []core.Violation
-	y := make([]uint32, len(yIdx))
 	for _, ri := range ix.Order() {
-		if len(cand[ri]) == 0 {
-			continue
-		}
-		// Constant violations plus grouping for variable violations.
-		groups := make(map[string][]int)
-		var order []string
-		keys := make(map[string][]relation.Value)
-		for _, t := range cand[ri] {
-			if !ix.MatchY(ri, project(y, rel.Tuples[t], yIdx)) {
-				out = append(out, core.Violation{Kind: core.ConstViolation, Row: ri, Tuples: []int{t}})
-			}
-			xv := rel.Project(t, xIdx)
-			k := relation.EncodeKey(xv)
-			if _, ok := groups[k]; !ok {
-				order = append(order, k)
-				keys[k] = xv
-			}
-			groups[k] = append(groups[k], t)
-		}
-		for _, k := range order {
-			members := groups[k]
-			if len(members) < 2 {
-				continue
-			}
-			distinct := make(map[string]bool)
-			for _, t := range members {
-				distinct[relation.EncodeKey(rel.Project(t, yIdx))] = true
-			}
-			if len(distinct) > 1 {
-				out = append(out, core.Violation{
-					Kind: core.VariableViolation, Row: ri,
-					Tuples: append([]int(nil), members...),
-					Key:    keys[k],
-				})
-			}
+		out = append(out, consts[ri]...)
+		for _, g := range violating[ri] {
+			out = append(out, core.Violation{
+				Kind: core.VariableViolation, Row: ri,
+				Tuples: groups[g].members,
+				Key:    rel.Project(groups[g].first, xIdx),
+			})
 		}
 	}
 	return out, nil
+}
+
+// agreeOn reports whether a and b hold the same value on every attribute
+// in idx.
+func agreeOn(a, b relation.Tuple, idx []int) bool {
+	for _, j := range idx {
+		if a[j] != b[j] {
+			return false
+		}
+	}
+	return true
 }
 
 func directOne(rel *relation.Relation, cfd *core.CFD) (CFDViolations, error) {

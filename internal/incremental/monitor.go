@@ -66,6 +66,7 @@ import (
 	"fmt"
 	"iter"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -227,8 +228,9 @@ type Monitor struct {
 func (m *Monitor) ReadOnly() bool { return m.readOnly.Load() }
 
 // New builds an empty Monitor for the schema and Σ. Every CFD is validated
-// against the schema up front. With Options.Durable set, a directory that
-// already holds journaled state is recovered instead.
+// against the schema, and Σ must be consistent, up front. With
+// Options.Durable set, a directory that already holds journaled state is
+// recovered instead.
 func New(schema *relation.Schema, sigma []*core.CFD, opts Options) (*Monitor, error) {
 	m, err := build(schema, sigma, opts)
 	if err != nil {
@@ -242,7 +244,9 @@ func New(schema *relation.Schema, sigma []*core.CFD, opts Options) (*Monitor, er
 	return m, nil
 }
 
-// build constructs the in-memory monitor without any journal wiring.
+// build constructs the in-memory monitor without any journal wiring. It
+// refuses an inconsistent Σ, so New, Load, Open and followers share the
+// check.
 func build(schema *relation.Schema, sigma []*core.CFD, opts Options) (*Monitor, error) {
 	vals := opts.Intern
 	if vals == nil {
@@ -282,6 +286,9 @@ func build(schema *relation.Schema, sigma []*core.CFD, opts Options) (*Monitor, 
 			m.attrCFDs[ai] = append(m.attrCFDs[ai], i)
 		}
 	}
+	if err := checkConsistent(schema, sigma); err != nil {
+		return nil, err
+	}
 	m.view.moved = make([]bool, len(sigma))
 	m.consumers = []consumer{&m.view}
 	reg := opts.Metrics
@@ -304,6 +311,51 @@ func build(schema *relation.Schema, sigma []*core.CFD, opts Options) (*Monitor, 
 		return time.Since(v.built).Seconds()
 	})
 	return m, nil
+}
+
+// checkConsistent refuses a Σ that no nonempty instance satisfies: every
+// tuple would violate it and no repair could converge. The error names a
+// conflicting subset found by deletion: each CFD in turn stays out if the
+// rest is still inconsistent, so no proper subset of what remains
+// conflicts. That costs at most |Σ| more Consistent calls, paid only on
+// refusal.
+func checkConsistent(schema *relation.Schema, sigma []*core.CFD) error {
+	ok, _, err := core.Consistent(schema, sigma)
+	if err != nil {
+		return fmt.Errorf("incremental: consistency check: %w", err)
+	}
+	if ok {
+		return nil
+	}
+	in := make([]int, len(sigma)) // indexes of the CFDs still in the conflict
+	for i := range in {
+		in[i] = i
+	}
+	for k := 0; k < len(in); {
+		rest := make([]*core.CFD, 0, len(in)-1)
+		for _, j := range in {
+			if j != in[k] {
+				rest = append(rest, sigma[j])
+			}
+		}
+		ok, _, err := core.Consistent(schema, rest)
+		if err != nil {
+			return fmt.Errorf("incremental: consistency check: %w", err)
+		}
+		if ok {
+			k++ // σ[in[k]] is needed for the conflict
+		} else {
+			in = slices.Delete(in, k, k+1)
+		}
+	}
+	names := make([]string, len(in))
+	for k, i := range in {
+		c := sigma[i]
+		names[k] = fmt.Sprintf("CFD %d ([%s] -> [%s], %d pattern rows)",
+			i, strings.Join(c.LHS, ", "), strings.Join(c.RHS, ", "), len(c.Tableau))
+	}
+	return fmt.Errorf("incremental: Σ is inconsistent: no nonempty instance satisfies it; these CFDs conflict: %s",
+		strings.Join(names, "; "))
 }
 
 // Load builds a Monitor over an existing instance: tuples are keyed

@@ -2,6 +2,8 @@ package incremental_test
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -270,6 +272,54 @@ func TestErrors(t *testing.T) {
 	if _, err := incremental.New(schema, []*core.CFD{bad}, incremental.Options{}); err == nil {
 		t.Error("invalid Σ accepted")
 	}
+}
+
+// TestInconsistentSigmaRefused: a monitor refuses the paper's Example 3.1
+// sets — ψ1 = ([A] → [B], {(_, b), (_, c)}) alone, and ψ2, ψ3 jointly
+// over dom(A) = bool — and the error names exactly the conflicting CFDs,
+// not the consistent bystanders beside them. Over an unbounded dom(A)
+// the same Σ is consistent and boots.
+func TestInconsistentSigmaRefused(t *testing.T) {
+	row := func(x, y core.Pattern) core.PatternRow {
+		return core.PatternRow{X: []core.Pattern{x}, Y: []core.Pattern{y}}
+	}
+	bystanderAC := core.MustCFD([]string{"A"}, []string{"C"}, row(core.W(), core.W()))
+	bystanderCB := core.MustCFD([]string{"C"}, []string{"B"}, row(core.W(), core.W()))
+	psi1 := core.MustCFD([]string{"A"}, []string{"B"}, row(core.W(), core.C("b")), row(core.W(), core.C("c")))
+	psi2 := core.MustCFD([]string{"A"}, []string{"B"}, row(core.C("true"), core.C("b1")), row(core.C("false"), core.C("b2")))
+	psi3 := core.MustCFD([]string{"B"}, []string{"A"}, row(core.C("b1"), core.C("false")), row(core.C("b2"), core.C("true")))
+	boolA := relation.MustSchema("R",
+		relation.Attribute{Name: "A", Domain: relation.Bool()}, relation.Attr("B"), relation.Attr("C"))
+	for _, c := range []struct {
+		name     string
+		sigma    []*core.CFD
+		conflict []int
+	}{
+		{"ψ1", []*core.CFD{bystanderAC, psi1, bystanderCB}, []int{1}},
+		{"ψ2 and ψ3 over bool", []*core.CFD{bystanderAC, psi2, bystanderCB, psi3}, []int{1, 3}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, errNew := incremental.New(boolA, c.sigma, incremental.Options{})
+			_, errLoad := incremental.Load(relation.New(boolA), c.sigma, incremental.Options{})
+			for _, err := range []error{errNew, errLoad} {
+				if err == nil {
+					t.Fatal("inconsistent Σ accepted")
+				}
+				for i := range c.sigma {
+					named := strings.Contains(err.Error(), fmt.Sprintf("CFD %d (", i))
+					if want := slices.Contains(c.conflict, i); named != want {
+						t.Errorf("CFD %d named = %v, want %v: %v", i, named, want, err)
+					}
+				}
+			}
+		})
+	}
+	unbounded := relation.MustSchema("R", relation.Attr("A"), relation.Attr("B"), relation.Attr("C"))
+	m, err := incremental.New(unbounded, []*core.CFD{bystanderAC, psi2, bystanderCB, psi3}, incremental.Options{})
+	if err != nil {
+		t.Fatalf("ψ2, ψ3 over an unbounded dom(A) refused: %v", err)
+	}
+	m.Close()
 }
 
 // TestConcurrentReadersAndWriters hammers the monitor from parallel
