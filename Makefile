@@ -16,11 +16,12 @@ race:
 metrics-smoke:
 	sh scripts/metrics_smoke.sh
 
-# The batch-path benchmarks of the root bench_test.go, one iteration
-# each: go test ./... never runs a benchmark, so one that panics or
-# stops certifying its result would otherwise go unnoticed.
+# The batch-path benchmarks of the root bench_test.go and the live
+# Suggester's attach, one iteration each: go test ./... never runs a
+# benchmark, so one that panics or stops certifying its result would
+# otherwise go unnoticed.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkStrategyDirect$$|BenchmarkRepair$$' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkStrategyDirect$$|BenchmarkRepair$$|BenchmarkSuggesterAttach$$' -benchtime 1x -benchmem .
 
 # The property tests under the race detector, twice each so goroutine
 # schedules vary: one row per package and -run pattern, each row

@@ -769,3 +769,45 @@ func BenchmarkDiscoverFull100K(b *testing.B) {
 		}
 	}
 }
+
+// E12 — live repair (beyond the paper): attaching the streaming
+// Suggester must cost the group backfill plus one plan per multi-valued
+// group, not a plan per group.
+
+// BenchmarkSuggesterAttach: NewSuggester plus the first Suggestions on
+// the instance serve-read boots — 20 000 tax rows with 5 % noise loaded
+// through a shared value pool as cfdserve loads its CSV, under the
+// semantic Σ plus a TABSZ-200 workload CFD at trust threshold 0.9 — the
+// in-process part of serve-read's first_answer_s.
+func BenchmarkSuggesterAttach(b *testing.B) {
+	data := gen.GenerateTax(gen.TaxConfig{Size: 20000, Noise: 0.05, Seed: 1})
+	sigma, err := core.ParseSet(core.FormatSet(append(gen.SemanticCFDs(), workloadCFD(b, data.Clean, 3, 200, 1.0))))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := relation.WriteCSV(&buf, data.Dirty); err != nil {
+		b.Fatal(err)
+	}
+	pool := relation.NewInterner()
+	rel, err := relation.ReadCSVInterned(&buf, "R", pool)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := incremental.Load(rel, sigma, incremental.Options{Intern: pool})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sg, err := repair.NewSuggester(m, repair.SuggestOptions{TrustThreshold: 0.9})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(sg.Suggestions()) == 0 {
+			b.Fatal("no suggestions on the dirty instance")
+		}
+		sg.Close()
+	}
+}

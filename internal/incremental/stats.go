@@ -18,9 +18,9 @@ import (
 // the writer lock, right after the apply (applyLocked). Two subscribers
 // ride it: the streaming CFD miner in internal/discovery re-scores
 // exactly the groups a batch touched instead of re-mining the instance,
-// and the repair Suggester in internal/repair re-plans the variable
-// violations of exactly those groups and folds the same deltas into
-// each CFD's live confidence.
+// and the repair Suggester in internal/repair folds every delta into
+// each CFD's live confidence and re-plans the variable violations of
+// those groups whose RHS attribute has, or had, two values.
 //
 // The store is partitioned by X, not by pair (the partition sharing of
 // FD discovery): a subscription keeps one partition per distinct X
@@ -63,6 +63,16 @@ type AttrPair struct {
 // between drains — a 1000-op batch hitting one group yields one delta —
 // and carry the group's state as of the drain, read under the same lock
 // as one consistent whole.
+//
+// Which pairs a change reaches is part of the contract (the repair
+// Suggester's re-plan rule rests on it): a change in a group's support —
+// an insert, a delete, or an update of an attribute in X — yields a
+// delta for every pair tracked under that X, and an update of an
+// attribute A outside X yields deltas only for A's pairs. A delta
+// compares the group with the previous delta's report, not with the
+// states between the two: several updates in one window can rewrite A
+// in every member, from one value to another, and drain as Distinct 1
+// and PrevDistinct 1 at unchanged support.
 type GroupDelta struct {
 	// Pair indexes the pair within the subscription's TrackGroups order.
 	Pair int

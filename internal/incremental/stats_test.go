@@ -156,6 +156,75 @@ func TestGroupStatsBatchCoalesces(t *testing.T) {
 	}
 }
 
+// TestSupportChangeDeltasEveryPair pins the delivery contract of
+// GroupDelta that the repair Suggester's re-plan rule rests on: a change
+// in a group's support yields a delta for every pair tracked under its
+// X, an update of an attribute outside X only for that attribute's
+// pairs.
+func TestSupportChangeDeltasEveryPair(t *testing.T) {
+	m, err := New(statsSchema(t), nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := m.TrackGroups([]AttrPair{{X: []string{"AC"}, A: "CT"}, {X: []string{"AC"}, A: "NM"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seed ChangeSet
+	seed.Insert(relation.Tuple{"908", "MH", "Mike"})
+	seed.Insert(relation.Tuple{"908", "MH", "Rick"})
+	seed.Insert(relation.Tuple{"212", "NYC", "Joe"})
+	if _, err := m.Apply(&seed); err != nil {
+		t.Fatal(err)
+	}
+	h.Drain(nil)
+	k908, k212 := h.KeyOf([]relation.Value{"908"}), h.KeyOf([]relation.Value{"212"})
+
+	// An insert into 908: CT keeps its one value, yet its pair gets a
+	// delta as well as NM's.
+	key, _, err := m.Insert(relation.Tuple{"908", "MH", "Eve"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := drainMap(h)
+	if len(ds) != 2 {
+		t.Fatalf("insert drained %d deltas, want one per pair: %+v", len(ds), ds)
+	}
+	if d, ok := ds[[2]string{"CT", k908}]; !ok || d.Support != 3 || d.PrevSupport != 2 || d.Distinct != 1 || d.PrevDistinct != 1 {
+		t.Errorf("CT delta after insert = %+v (ok=%v), want support 2→3 with one value", d, ok)
+	}
+	if d, ok := ds[[2]string{"NM", k908}]; !ok || d.Support != 3 || d.Distinct != 3 || d.PrevDistinct != 2 {
+		t.Errorf("NM delta after insert = %+v (ok=%v), want support 3, distinct 2→3", d, ok)
+	}
+
+	// An NM update keeps the support: only NM's pair moves.
+	if _, err := m.Update(key, "NM", "Ann"); err != nil {
+		t.Fatal(err)
+	}
+	ds = drainMap(h)
+	if _, ok := ds[[2]string{"NM", k908}]; len(ds) != 1 || !ok {
+		t.Errorf("NM update drained %+v, want the NM pair's 908 delta alone", ds)
+	}
+
+	// An AC update moves the tuple from 908 to 212: both groups change
+	// support, so both pairs drain both groups.
+	if _, err := m.Update(key, "AC", "212"); err != nil {
+		t.Fatal(err)
+	}
+	ds = drainMap(h)
+	if len(ds) != 4 {
+		t.Fatalf("AC update drained %d deltas, want 2 pairs × 2 groups: %+v", len(ds), ds)
+	}
+	for _, a := range []string{"CT", "NM"} {
+		if d := ds[[2]string{a, k908}]; d.Support != 2 || d.PrevSupport != 3 {
+			t.Errorf("%s delta of 908 = %+v, want support 3→2", a, d)
+		}
+		if d := ds[[2]string{a, k212}]; d.Support != 2 || d.PrevSupport != 1 {
+			t.Errorf("%s delta of 212 = %+v, want support 1→2", a, d)
+		}
+	}
+}
+
 // TestStatGroupDistribution drives the inline-slot/spill-map layout
 // through adds and removes, checking distinct and top at every step.
 func TestStatGroupDistribution(t *testing.T) {

@@ -137,25 +137,22 @@ func (m *Monitor) MatchingRows(ci int, x []relation.Value) []int {
 }
 
 // ViolatingGroup reports whether CFD ci currently has a variable
-// violation on the X-group with the given projection — a point probe
-// against the authoritative group store under a shared hold of the store
-// lock, no view materialization.
-func (m *Monitor) ViolatingGroup(ci int, x []relation.Value) bool {
+// violation on the X-group with the given key — a point probe against
+// the authoritative group store under a shared hold of the store lock,
+// no view materialization. xkey is the group's packed X-projection IDs
+// over the CFD's LHS: the XKey a GroupStats pair with X = LHS gives the
+// group (GroupDelta.XKey, GroupStats.KeyOf).
+func (m *Monitor) ViolatingGroup(ci int, xkey string) bool {
 	if ci < 0 || ci >= len(m.cfds) {
 		return false
 	}
 	cs := m.cfds[ci]
-	if cs.violations.Load() == 0 || len(x) != len(cs.xIdx) {
+	if cs.violations.Load() == 0 {
 		return false
 	}
-	ids := make([]uint32, len(x))
-	for i, v := range x {
-		ids[i] = m.vals.ID(v)
-	}
-	key := relation.AppendIDKey(nil, ids)
 	m.storeMu.RLock()
 	defer m.storeMu.RUnlock()
-	g := cs.groups[string(key)]
+	g := cs.groups[xkey]
 	return g != nil && g.violating()
 }
 

