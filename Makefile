@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test race race-props metrics-smoke bench-smoke docs-check
+.PHONY: test race race-props metrics-smoke cli-smoke bench-smoke docs-check
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -15,6 +15,12 @@ race:
 # CFD_SOAK scales the applied load (nightly runs it at 8).
 metrics-smoke:
 	sh scripts/metrics_smoke.sh
+
+# The batch CLIs as processes: build cfdgen, cfddetect and cfdrepair,
+# generate 2 000 rows and assert main's exit codes (1 dirty under every
+# strategy, 0 after cfdrepair, 2 on a refused flag).
+cli-smoke:
+	GO=$(GO) sh scripts/cli_smoke.sh
 
 # The batch-path benchmarks of the root bench_test.go and the live
 # Suggester's attach, one iteration each: go test ./... never runs a

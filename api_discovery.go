@@ -51,16 +51,12 @@ func DiscoverCFDs(rel *Relation, cfg DiscoveryConfig) ([]DiscoveredCFD, error) {
 	return discovery.Discover(rel, cfg)
 }
 
-// DiscoveredToCFDs extracts the constraint list from mining results.
-func DiscoveredToCFDs(ds []DiscoveredCFD) []*CFD { return discovery.CFDs(ds) }
-
 // WatchDiscovery attaches a streaming CFD miner to a live monitor: the
 // current instance is scored once, and every subsequent ChangeSet's
 // group-deltas re-score only the X-groups it touched — call Refresh
 // after applying changes to fold them in and learn what appeared or
 // retired, Mined for the current set. Detach with CFDMiner.Close. The
-// cfdserve GET /v1/discover endpoint and cfddetect -watch -mine are this
-// path as a service.
+// cfdserve GET /v1/discover endpoint is this path as a service.
 func WatchDiscovery(m *Monitor, cfg DiscoveryConfig) (*CFDMiner, error) {
 	return discovery.NewMiner(m, cfg)
 }

@@ -726,8 +726,7 @@ func BenchmarkCSVColdStart100K(b *testing.B) {
 // a re-mine of the instance.
 
 // BenchmarkMinerRescore100K: apply a 1K-op ChangeSet and re-score the
-// streaming miner — the incremental path GET /discover and -watch -mine
-// serve from.
+// streaming miner — the incremental path GET /v1/discover serves from.
 func BenchmarkMinerRescore100K(b *testing.B) {
 	rel, _ := incrementalWorkload100K(b)
 	cfg := discovery.Config{MaxLHS: 1, MinSupport: 2}

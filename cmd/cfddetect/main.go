@@ -6,45 +6,20 @@
 //	cfddetect -data tax.csv -cfds cfds.txt
 //	cfddetect -data tax.csv -cfds cfds.txt -strategy merged -form cnf
 //	cfddetect -data tax.csv -cfds cfds.txt -show-sql
-//	cfddetect -data tax.csv -cfds cfds.txt -watch changes.csv
-//
-// With -watch, the instance is loaded into an incremental Monitor and the
-// named CSV change stream ('-' for stdin) is tailed: each record is
-// op,args... — "insert,v1,...,vn", "delete,KEY" or "update,KEY,ATTR,VALUE"
-// — and the violation delta each change causes is printed as it happens,
-// instead of re-detecting from scratch. Adding -wal-dir journals the
-// stream: every applied change is written ahead to a durable change log,
-// and a later -watch run over the same directory resumes from the logged
-// state instead of re-loading the CSV.
-//
-// With -batch N (N > 1), stream records are coalesced into ChangeSets of
-// up to N ops applied through one Monitor.Apply each: one shard pass and
-// one WAL record (one fsync) per batch instead of per change, at the
-// cost of per-op delta attribution — the printed delta is the batch's
-// combined net change.
-//
-// With -mine (requires -watch), a streaming CFD miner rides the same
-// monitor: after every applied change the mined set is re-scored
-// incrementally, and embedded FDs are printed as they appear (+),
-// change form (~) and retire (-); the final mined set is dumped after
-// the stream. -mine-maxlhs, -mine-support and -mine-confidence tune it.
 //
 // Diagnostics go to stderr through log/slog: -log-level sets the
 // threshold (debug, info, warn, error) and -log-json switches the
 // stream to JSON lines; results stay on stdout.
 //
-// Exit status is 2 on error, 1 when violations were found (for -watch:
-// when violations remain live after the stream), 0 when clean.
+// Exit status is 2 on error, 1 when violations were found or Σ is
+// inconsistent, 0 when clean.
 package main
 
 import (
-	"encoding/csv"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro"
@@ -60,13 +35,6 @@ func main() {
 		showSQL  = flag.Bool("show-sql", false, "print the generated detection queries")
 		explain  = flag.Bool("explain", false, "print the physical query plans (nested loop vs hash join)")
 		maxShow  = flag.Int("max", 10, "max violations to print per CFD")
-		watch    = flag.String("watch", "", "apply a CSV change stream incrementally ('-' = stdin) instead of one-shot detection")
-		walDir   = flag.String("wal-dir", "", "with -watch: journal the stream to this durable WAL directory and resume from it on later runs")
-		batch    = flag.Int("batch", 1, "with -watch: coalesce up to this many stream records into one ChangeSet per apply (1 = per-op deltas)")
-		mine     = flag.Bool("mine", false, "with -watch: stream CFD discovery alongside monitoring, printing mined CFDs as they appear and retire")
-		mineLHS  = flag.Int("mine-maxlhs", 1, "with -mine: bound on candidate LHS size")
-		mineSup  = flag.Int("mine-support", 2, "with -mine: minimum pattern support")
-		mineConf = flag.Float64("mine-confidence", 1, "with -mine: minimum pattern confidence (1 = exact)")
 		logLevel = flag.String("log-level", "info", "log threshold: debug, info, warn or error")
 		logJSON  = flag.Bool("log-json", false, "write logs to stderr as JSON lines instead of text")
 	)
@@ -76,32 +44,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cfddetect:", err)
 		os.Exit(2)
 	}
-	if *walDir != "" && *watch == "" {
-		lg.Error("-wal-dir only applies to -watch mode")
-		os.Exit(2)
-	}
-	if *mine && *watch == "" {
-		lg.Error("-mine only applies to -watch mode")
-		os.Exit(2)
-	}
-	if *batch < 1 {
-		lg.Error("-batch must be >= 1")
-		os.Exit(2)
-	}
 	if *dataPath == "" || *cfdPath == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	var code int
-	if *watch != "" {
-		var mineCfg *repro.DiscoveryConfig
-		if *mine {
-			mineCfg = &repro.DiscoveryConfig{MaxLHS: *mineLHS, MinSupport: *mineSup, MinConfidence: *mineConf}
-		}
-		code, err = runWatch(*dataPath, *cfdPath, *watch, *walDir, *batch, mineCfg, os.Stdout)
-	} else {
-		code, err = run(*dataPath, *cfdPath, *strategy, *form, *showSQL, *explain, *maxShow)
-	}
+	code, err := run(*dataPath, *cfdPath, *strategy, *form, *showSQL, *explain, *maxShow, os.Stdout)
 	if err != nil {
 		lg.Error("run failed", "error", err)
 		os.Exit(2)
@@ -109,253 +56,17 @@ func main() {
 	os.Exit(code)
 }
 
-// runWatch loads the instance into an incremental Monitor (recovering
-// from walDir when it holds previous state) and tails the change stream,
-// printing each change's violation delta. With batch > 1, records are
-// coalesced into ChangeSets of up to that many ops, each applied (and
-// journaled, and fsynced) as one unit. A non-nil mineCfg attaches a
-// streaming miner whose appear/retire changes print after every delta.
-func runWatch(dataPath, cfdPath, watchPath, walDir string, batch int, mineCfg *repro.DiscoveryConfig, out io.Writer) (code int, err error) {
-	sigma, err := cliutil.LoadCFDs(cfdPath)
-	if err != nil {
-		return 2, err
+// run is the batch detection pipeline: load I and Σ, check Σ's
+// consistency, then detect with the chosen strategy, printing to out.
+func run(dataPath, cfdPath, strategy, form string, showSQL, explain bool, maxShow int, out io.Writer) (int, error) {
+	if maxShow < 0 {
+		return 2, fmt.Errorf("-max must be >= 0, got %d", maxShow)
 	}
-	var m *repro.Monitor
-	if walDir != "" {
-		// A previous run's state lives in the WAL directory: the CSV is
-		// not parsed (or required) again.
-		m, err = repro.OpenMonitor(sigma, repro.MonitorOptions{Durable: walDir})
-		if err != nil && !errors.Is(err, repro.ErrNoMonitorState) {
-			return 2, err
-		}
-	}
-	if m == nil {
-		// Seed load and monitor share one value pool (see cliutil).
-		rel, pool, err := cliutil.LoadCSVPooled(dataPath)
-		if err != nil {
-			return 2, err
-		}
-		m, err = repro.LoadMonitor(rel, sigma, repro.MonitorOptions{Durable: walDir, Intern: pool})
-		if err != nil {
-			return 2, err
-		}
-	}
-	// A failed Close means journaled records never reached the disk — the
-	// printed deltas would silently vanish from the next resume, so it
-	// must override a success exit.
-	defer func() {
-		if cerr := m.Close(); cerr != nil && err == nil {
-			code, err = 2, fmt.Errorf("flushing journal: %w", cerr)
-		}
-	}()
-	source := ""
-	if m.Recovered() {
-		source = fmt.Sprintf(" (resumed from %s)", walDir)
-	}
-	fmt.Fprintf(out, "monitoring %d tuples against %d CFDs; %d live violations%s\n",
-		m.Len(), len(sigma), m.ViolationCount(), source)
-	var miner *repro.CFDMiner
-	if mineCfg != nil {
-		miner, err = repro.WatchDiscovery(m, *mineCfg)
-		if err != nil {
-			return 2, err
-		}
-		ds, err := miner.Mined()
-		if err != nil {
-			return 2, err
-		}
-		fmt.Fprintf(out, "mining: %d CFDs hold on the loaded instance (max LHS %d, min support %d)\n",
-			len(ds), miner.Config().MaxLHS, miner.Config().MinSupport)
-	}
-
-	var src io.Reader = os.Stdin
-	if watchPath != "-" {
-		f, err := os.Open(watchPath)
-		if err != nil {
-			return 2, err
-		}
-		defer f.Close()
-		src = f
-	}
-	cr := csv.NewReader(src)
-	cr.FieldsPerRecord = -1
-	// printDelta is the per-apply report hook: the violation delta, then —
-	// when mining — the incremental re-score's mined-set changes.
-	printDelta := func(d *repro.ViolationDelta) {
-		for _, c := range d.Added {
-			fmt.Fprintf(out, "  + %s\n", c)
-		}
-		for _, c := range d.Removed {
-			fmt.Fprintf(out, "  - %s\n", c)
-		}
-		if miner != nil {
-			for _, ch := range miner.Refresh() {
-				fmt.Fprintf(out, "  mine %s\n", ch)
-			}
-		}
-	}
-	if batch > 1 {
-		if err := watchBatched(m, cr, batch, out, printDelta); err != nil {
-			return 2, err
-		}
-		return watchEpilogue(m, miner, walDir, out)
-	}
-	for line := 1; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return 2, fmt.Errorf("change stream line %d: %w", line, err)
-		}
-		if len(rec) == 0 || rec[0] == "" || strings.HasPrefix(rec[0], "#") {
-			continue
-		}
-		op, err := parseStreamRecord(rec, line)
-		if err != nil {
-			return 2, err
-		}
-		switch op.Kind {
-		case repro.OpInsert:
-			key, d, err := m.Insert(op.Tuple)
-			if err != nil {
-				return 2, fmt.Errorf("change stream line %d: %w", line, err)
-			}
-			fmt.Fprintf(out, "insert -> key %d\n", key)
-			printDelta(d)
-		case repro.OpDelete:
-			d, err := m.Delete(op.Key)
-			if err != nil {
-				return 2, fmt.Errorf("change stream line %d: %w", line, err)
-			}
-			fmt.Fprintf(out, "delete key %d\n", op.Key)
-			printDelta(d)
-		case repro.OpUpdate:
-			d, err := m.Update(op.Key, op.Attr, op.Value)
-			if err != nil {
-				return 2, fmt.Errorf("change stream line %d: %w", line, err)
-			}
-			fmt.Fprintf(out, "update key %d: %s = %s\n", op.Key, op.Attr, op.Value)
-			printDelta(d)
-		}
-	}
-	return watchEpilogue(m, miner, walDir, out)
-}
-
-// parseStreamRecord parses one change-stream record — the grammar shared
-// by the per-op and batched watch loops — into a ChangeSet op.
-func parseStreamRecord(rec []string, line int) (repro.ChangeOp, error) {
-	switch rec[0] {
-	case "insert":
-		return repro.ChangeOp{Kind: repro.OpInsert, Tuple: repro.Tuple(rec[1:])}, nil
-	case "delete":
-		if len(rec) != 2 {
-			return repro.ChangeOp{}, fmt.Errorf("change stream line %d: delete wants 1 argument", line)
-		}
-		key, err := strconv.ParseInt(rec[1], 10, 64)
-		if err != nil {
-			return repro.ChangeOp{}, fmt.Errorf("change stream line %d: bad key %q", line, rec[1])
-		}
-		return repro.ChangeOp{Kind: repro.OpDelete, Key: key}, nil
-	case "update":
-		if len(rec) != 4 {
-			return repro.ChangeOp{}, fmt.Errorf("change stream line %d: update wants 3 arguments", line)
-		}
-		key, err := strconv.ParseInt(rec[1], 10, 64)
-		if err != nil {
-			return repro.ChangeOp{}, fmt.Errorf("change stream line %d: bad key %q", line, rec[1])
-		}
-		return repro.ChangeOp{Kind: repro.OpUpdate, Key: key, Attr: rec[2], Value: rec[3]}, nil
-	default:
-		return repro.ChangeOp{}, fmt.Errorf("change stream line %d: unknown op %q", line, rec[0])
-	}
-}
-
-// watchEpilogue prints the final tally (and, when mining, the final
-// mined set), folds a journaled stream into a fresh generation, and maps
-// satisfaction onto the exit code.
-func watchEpilogue(m *repro.Monitor, miner *repro.CFDMiner, walDir string, out io.Writer) (int, error) {
-	fmt.Fprintf(out, "final: %d tuples, %d live violations, satisfied=%v\n",
-		m.Len(), m.ViolationCount(), m.Satisfied())
-	if miner != nil {
-		miner.Refresh()
-		ds, err := miner.Mined()
-		if err != nil {
-			return 2, err
-		}
-		fmt.Fprintf(out, "final mined set: %d CFDs\n", len(ds))
-		if len(ds) > 0 {
-			fmt.Fprint(out, repro.FormatCFDSet(repro.DiscoveredToCFDs(ds)))
-		}
-	}
-	if walDir != "" {
-		// Fold the stream into a fresh generation: without this, every
-		// resume would replay the concatenation of all previous runs.
-		if serr := m.ForceSnapshot(); serr != nil {
-			return 2, fmt.Errorf("final snapshot: %w", serr)
-		}
-	}
-	if m.Satisfied() {
-		return 0, nil
-	}
-	return 1, nil
-}
-
-// watchBatched coalesces stream records into ChangeSets of up to batch
-// ops, each applied through one Monitor.Apply: one shard pass, one WAL
-// record, one fsync. The printed delta is the batch's combined net
-// change; inserted keys are echoed in op order.
-func watchBatched(m *repro.Monitor, cr *csv.Reader, batch int, out io.Writer, printDelta func(*repro.ViolationDelta)) error {
-	var cs repro.ChangeSet
-	flush := func(endLine int) error {
-		if cs.Len() == 0 {
-			return nil
-		}
-		d, err := m.Apply(&cs)
-		if err != nil {
-			return fmt.Errorf("change stream batch ending at line %d: %w", endLine, err)
-		}
-		fmt.Fprintf(out, "batch of %d ops", cs.Len())
-		for i := range cs.Ops {
-			if cs.Ops[i].Kind == repro.OpInsert {
-				fmt.Fprintf(out, " +key %d", cs.Ops[i].Key)
-			}
-		}
-		fmt.Fprintln(out)
-		printDelta(d)
-		cs = repro.ChangeSet{}
-		return nil
-	}
-	for line := 1; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return flush(line)
-		}
-		if err != nil {
-			return fmt.Errorf("change stream line %d: %w", line, err)
-		}
-		if len(rec) == 0 || rec[0] == "" || strings.HasPrefix(rec[0], "#") {
-			continue
-		}
-		op, err := parseStreamRecord(rec, line)
-		if err != nil {
-			return err
-		}
-		cs.Ops = append(cs.Ops, op)
-		if cs.Len() >= batch {
-			if err := flush(line); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-func run(dataPath, cfdPath, strategy, form string, showSQL, explain bool, maxShow int) (int, error) {
 	rel, sigma, err := cliutil.LoadInputs(dataPath, cfdPath)
 	if err != nil {
 		return 2, err
 	}
-	fmt.Printf("loaded %d tuples, %d CFDs\n", rel.Len(), len(sigma))
+	fmt.Fprintf(out, "loaded %d tuples, %d CFDs\n", rel.Len(), len(sigma))
 
 	// Consistency first — the paper's point: inconsistent Σ needs no data
 	// validation at all.
@@ -364,7 +75,7 @@ func run(dataPath, cfdPath, strategy, form string, showSQL, explain bool, maxSho
 		return 2, err
 	}
 	if !ok {
-		fmt.Println("the CFD set is INCONSISTENT: no nonempty instance can satisfy it; fix the constraints first")
+		fmt.Fprintln(out, "the CFD set is INCONSISTENT: no nonempty instance can satisfy it; fix the constraints first")
 		return 1, nil
 	}
 
@@ -398,7 +109,7 @@ func run(dataPath, cfdPath, strategy, form string, showSQL, explain bool, maxSho
 			if err != nil {
 				return 2, err
 			}
-			fmt.Printf("-- CFD %d: QC\n%s\n-- CFD %d: QV\n%s\n\n", i, qc, i, qv)
+			fmt.Fprintf(out, "-- CFD %d: QC\n%s\n-- CFD %d: QV\n%s\n\n", i, qc, i, qv)
 		}
 	}
 	if explain {
@@ -407,7 +118,7 @@ func run(dataPath, cfdPath, strategy, form string, showSQL, explain bool, maxSho
 			if err != nil {
 				return 2, err
 			}
-			fmt.Printf("-- CFD %d plans:\n%s\n", i, plan)
+			fmt.Fprintf(out, "-- CFD %d plans:\n%s\n", i, plan)
 		}
 	}
 
@@ -416,28 +127,28 @@ func run(dataPath, cfdPath, strategy, form string, showSQL, explain bool, maxSho
 		return 2, err
 	}
 	if res.Clean() {
-		fmt.Println("no violations: the instance satisfies Σ")
+		fmt.Fprintln(out, "no violations: the instance satisfies Σ")
 		return 0, nil
 	}
 	for i, v := range res.PerCFD {
 		if len(v.ConstTuples) == 0 && len(v.VariableKeys) == 0 {
 			continue
 		}
-		fmt.Printf("CFD %d violated: %d constant-violating tuples, %d conflicting groups\n",
+		fmt.Fprintf(out, "CFD %d violated: %d constant-violating tuples, %d conflicting groups\n",
 			i, len(v.ConstTuples), len(v.VariableKeys))
 		for j, t := range v.ConstTuples {
 			if j >= maxShow {
-				fmt.Printf("  ... %d more tuples\n", len(v.ConstTuples)-maxShow)
+				fmt.Fprintf(out, "  ... %d more tuples\n", len(v.ConstTuples)-maxShow)
 				break
 			}
-			fmt.Printf("  tuple %d: %s\n", t, strings.Join(rel.Tuples[t], ", "))
+			fmt.Fprintf(out, "  tuple %d: %s\n", t, strings.Join(rel.Tuples[t], ", "))
 		}
 		for j, k := range v.VariableKeys {
 			if j >= maxShow {
-				fmt.Printf("  ... %d more groups\n", len(v.VariableKeys)-maxShow)
+				fmt.Fprintf(out, "  ... %d more groups\n", len(v.VariableKeys)-maxShow)
 				break
 			}
-			fmt.Printf("  group X = (%s)\n", strings.Join(k, ", "))
+			fmt.Fprintf(out, "  group X = (%s)\n", strings.Join(k, ", "))
 		}
 	}
 	return 1, nil

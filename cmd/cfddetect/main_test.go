@@ -2,12 +2,11 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro"
 )
 
 const custCSV = `CC,AC,PN,NM,STR,CT,ZIP
@@ -44,7 +43,7 @@ func TestRunFindsViolations(t *testing.T) {
 	data, cfds := writeFixtures(t)
 	for _, strategy := range []string{"direct", "sql", "merged"} {
 		for _, form := range []string{"cnf", "dnf"} {
-			code, err := run(data, cfds, strategy, form, false, false, 10)
+			code, err := run(data, cfds, strategy, form, false, false, 10, io.Discard)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", strategy, form, err)
 			}
@@ -66,7 +65,7 @@ func TestRunCleanInstance(t *testing.T) {
 	if err := os.WriteFile(cfds, []byte("[CC=01, AC=215] -> [CT=PHI]\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code, err := run(data, cfds, "direct", "dnf", false, false, 10)
+	code, err := run(data, cfds, "direct", "dnf", false, false, 10, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +84,7 @@ func TestRunInconsistentSigma(t *testing.T) {
 	if err := os.WriteFile(cfds, []byte("[CC] -> [CT=x]\n[CC] -> [CT=y]\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code, err := run(data, cfds, "direct", "dnf", false, false, 10)
+	code, err := run(data, cfds, "direct", "dnf", false, false, 10, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,237 +93,40 @@ func TestRunInconsistentSigma(t *testing.T) {
 	}
 }
 
+// TestRunShowSQL: -show-sql prints each CFD's QC/QV pair, -explain its
+// plans, and -max caps the listing per CFD, reporting how many were left
+// out — CFD 1 has two constant-violating tuples (Mike, Rick).
 func TestRunShowSQL(t *testing.T) {
 	data, cfds := writeFixtures(t)
-	if _, err := run(data, cfds, "sql", "dnf", true, true, 3); err != nil {
+	var out bytes.Buffer
+	if _, err := run(data, cfds, "sql", "dnf", true, true, 1, &out); err != nil {
 		t.Fatal(err)
+	}
+	for _, want := range []string{"-- CFD 0: QC\n", "-- CFD 0: QV\n", "-- CFD 0 plans:\n", "  ... 1 more tuples\n"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, out.String())
+		}
+	}
+	if got := strings.Count(out.String(), "  tuple "); got != 1 {
+		t.Errorf("-max 1 listed %d tuples, want 1:\n%s", got, out.String())
 	}
 }
 
 func TestRunErrors(t *testing.T) {
 	data, cfds := writeFixtures(t)
-	if _, err := run("missing.csv", cfds, "direct", "dnf", false, false, 10); err == nil {
+	if _, err := run("missing.csv", cfds, "direct", "dnf", false, false, 10, io.Discard); err == nil {
 		t.Error("missing data file must error")
 	}
-	if _, err := run(data, "missing.txt", "direct", "dnf", false, false, 10); err == nil {
+	if _, err := run(data, "missing.txt", "direct", "dnf", false, false, 10, io.Discard); err == nil {
 		t.Error("missing CFD file must error")
 	}
-	if _, err := run(data, cfds, "warp", "dnf", false, false, 10); err == nil {
+	if _, err := run(data, cfds, "warp", "dnf", false, false, 10, io.Discard); err == nil {
 		t.Error("unknown strategy must error")
 	}
-	if _, err := run(data, cfds, "direct", "xnf", false, false, 10); err == nil {
+	if _, err := run(data, cfds, "direct", "xnf", false, false, 10, io.Discard); err == nil {
 		t.Error("unknown form must error")
 	}
-}
-
-func TestRunWatch(t *testing.T) {
-	data, cfds := writeFixtures(t)
-	dir := t.TempDir()
-	changes := filepath.Join(dir, "changes.csv")
-	// Heal the seeded violations, then introduce and retire a fresh one.
-	stream := `update,0,CT,MH
-update,1,CT,MH
-update,3,ZIP,01202
-insert,01,908,5555555,Eve,Oak Ave.,NYC,07974
-update,6,CT,MH
-delete,6
-`
-	if err := os.WriteFile(changes, []byte(stream), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	code, err := runWatch(data, cfds, changes, "", 1, nil, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != 0 {
-		t.Errorf("exit = %d, want 0 (stream ends clean):\n%s", code, out.String())
-	}
-	for _, want := range []string{
-		"monitoring 6 tuples against 2 CFDs",
-		"- cfd 1 variable key", // healing t1/t2's CT conflict
-		"insert -> key 6",
-		"+ cfd 1 const tuple 6", // Eve's 908 number is not in MH
-		"update key 6: CT = MH",
-		"final: 6 tuples, 0 live violations, satisfied=true",
-	} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("watch output missing %q:\n%s", want, out.String())
-		}
-	}
-}
-
-func TestRunWatchDirtyFinal(t *testing.T) {
-	data, cfds := writeFixtures(t)
-	dir := t.TempDir()
-	changes := filepath.Join(dir, "changes.csv")
-	if err := os.WriteFile(changes, []byte("insert,01,908,9999999,Zed,Elsewhere,NYC,00000\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	code, err := runWatch(data, cfds, changes, "", 1, nil, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != 1 {
-		t.Errorf("exit = %d, want 1 (violations remain):\n%s", code, out.String())
-	}
-}
-
-// TestRunWatchBatched: with -batch > 1 the stream coalesces into
-// ChangeSets — same final state and exit code as the per-op run, with
-// batch-level combined-delta reporting.
-func TestRunWatchBatched(t *testing.T) {
-	data, cfds := writeFixtures(t)
-	dir := t.TempDir()
-	changes := filepath.Join(dir, "changes.csv")
-	stream := `update,0,CT,MH
-update,1,CT,MH
-update,3,ZIP,01202
-insert,01,908,5555555,Eve,Oak Ave.,NYC,07974
-update,6,CT,MH
-delete,6
-`
-	if err := os.WriteFile(changes, []byte(stream), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	code, err := runWatch(data, cfds, changes, "", 4, nil, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != 0 {
-		t.Errorf("exit = %d, want 0 (stream ends clean):\n%s", code, out.String())
-	}
-	for _, want := range []string{
-		"batch of 4 ops +key 6", // the coalesced first window, insert key echoed
-		"batch of 2 ops",        // the tail window
-		"- cfd 1 variable key",  // healing the seeded conflicts
-		"final: 6 tuples, 0 live violations, satisfied=true",
-	} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("batched watch output missing %q:\n%s", want, out.String())
-		}
-	}
-	// A journaled batched run recovers to the same state as per-op.
-	walDir := filepath.Join(dir, "wal")
-	out.Reset()
-	if code, err = runWatch(data, cfds, changes, walDir, 3, nil, &out); err != nil || code != 0 {
-		t.Fatalf("journaled batched run: code=%d err=%v\n%s", code, err, out.String())
-	}
-	out.Reset()
-	empty := filepath.Join(dir, "empty.csv")
-	if err := os.WriteFile(empty, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if code, err = runWatch(data, cfds, empty, walDir, 3, nil, &out); err != nil || code != 0 {
-		t.Fatalf("resume after batched run: code=%d err=%v\n%s", code, err, out.String())
-	}
-	if !strings.Contains(out.String(), "resumed from") || !strings.Contains(out.String(), "monitoring 6 tuples") {
-		t.Errorf("batched journal did not resume:\n%s", out.String())
-	}
-}
-
-// TestRunWatchJournaled: with -wal-dir, a second watch run resumes from
-// the journaled state — the first stream's changes persist across runs.
-func TestRunWatchJournaled(t *testing.T) {
-	data, cfds := writeFixtures(t)
-	dir := t.TempDir()
-	walDir := filepath.Join(dir, "wal")
-	changes1 := filepath.Join(dir, "c1.csv")
-	if err := os.WriteFile(changes1, []byte("insert,01,908,9999999,Zed,Elsewhere,NYC,00000\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	code, err := runWatch(data, cfds, changes1, walDir, 1, nil, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != 1 || strings.Contains(out.String(), "resumed from") {
-		t.Fatalf("first journaled run: code=%d\n%s", code, out.String())
-	}
-
-	// Second run: Zed's dirty tuple (key 6) is still there, and can be
-	// deleted by key — proof the state survived the restart.
-	changes2 := filepath.Join(dir, "c2.csv")
-	if err := os.WriteFile(changes2, []byte("delete,6\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if _, err = runWatch(data, cfds, changes2, walDir, 1, nil, &out); err != nil {
-		t.Fatal(err)
-	}
-	// The seed's own violations remain; what matters is that Zed's tuple
-	// and his constant violation survived the restart and retire on delete.
-	for _, want := range []string{"resumed from", "monitoring 7 tuples", "delete key 6", "- cfd 1 const tuple 6"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("journaled watch output missing %q:\n%s", want, out.String())
-		}
-	}
-}
-
-func TestRunWatchErrors(t *testing.T) {
-	data, cfds := writeFixtures(t)
-	dir := t.TempDir()
-	write := func(name, content string) string {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	var out bytes.Buffer
-	if _, err := runWatch(data, cfds, filepath.Join(dir, "missing.csv"), "", 1, nil, &out); err == nil {
-		t.Error("missing change stream must error")
-	}
-	for name, content := range map[string]string{
-		"badop.csv":     "upsert,1,CT,NYC\n",
-		"badkey.csv":    "delete,notakey\n",
-		"badarity.csv":  "insert,justone\n",
-		"badupdate.csv": "update,0,CT\n",
-		"nokey.csv":     "delete,999\n",
-	} {
-		p := write(name, content)
-		if _, err := runWatch(data, cfds, p, "", 1, nil, &out); err == nil {
-			t.Errorf("%s: expected error", name)
-		}
-	}
-}
-
-// TestRunWatchMine: -mine rides the watch loop — the mined set is
-// reported on load, re-scored after every change (form changes print as
-// mine lines), and dumped after the stream.
-func TestRunWatchMine(t *testing.T) {
-	data, cfds := writeFixtures(t)
-	dir := t.TempDir()
-	changes := filepath.Join(dir, "changes.csv")
-	// AC → CT holds as an FD on the fixture (908 and 212 are supported
-	// pure groups). Breaking the 908 group demotes it to pattern form;
-	// healing restores the FD.
-	stream := `update,0,CT,MH
-update,0,CT,NYC
-`
-	if err := os.WriteFile(changes, []byte(stream), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	cfg := repro.DiscoveryConfig{MaxLHS: 1, MinSupport: 2, MinConfidence: 1}
-	code, err := runWatch(data, cfds, changes, "", 1, &cfg, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != 1 {
-		t.Errorf("exit = %d, want 1 (fixture violations remain):\n%s", code, out.String())
-	}
-	for _, want := range []string{
-		"mining:",
-		"mine ~ [AC] -> CT (1 patterns)", // 908 group breaks: FD demotes to the 212 pattern
-		"mine ~ [AC] -> CT (fd)",         // healed: FD form returns
-		"final mined set:",
-		"[AC] -> [CT]", // the dumped set contains the FD
-	} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("mine output missing %q:\n%s", want, out.String())
-		}
+	if code, err := run(data, cfds, "direct", "dnf", false, false, -1, io.Discard); err == nil || code != 2 {
+		t.Errorf("-max -1: code=%d err=%v, want exit 2 with an error", code, err)
 	}
 }

@@ -39,20 +39,16 @@ func main() {
 	}
 }
 
+// run validates the knobs and builds Σ before it creates any file, so a
+// refused run leaves nothing behind.
 func run(sz int, noise float64, seed int64, out, cleanOut, cfdOut string, numAttrs, tabsz int, constPct float64) error {
+	if sz < 1 {
+		return fmt.Errorf("-sz must be >= 1, got %d", sz)
+	}
+	if noise < 0 || noise > 1 {
+		return fmt.Errorf("-noise must be in [0, 1], got %v", noise)
+	}
 	data := repro.GenerateTax(repro.TaxConfig{Size: sz, Noise: noise, Seed: seed})
-
-	if err := writeCSV(out, data.Dirty); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %d dirty records to %s (%d cells corrupted)\n", data.Dirty.Len(), out, len(data.Changes))
-	if cleanOut != "" {
-		if err := writeCSV(cleanOut, data.Clean); err != nil {
-			return err
-		}
-		fmt.Printf("wrote clean records to %s\n", cleanOut)
-	}
-
 	var sigma []*repro.CFD
 	if numAttrs == 0 {
 		sigma = repro.SemanticTaxCFDs()
@@ -68,6 +64,17 @@ func run(sz int, noise float64, seed int64, out, cleanOut, cfdOut string, numAtt
 			return err
 		}
 		sigma = []*repro.CFD{cfd}
+	}
+
+	if err := writeCSV(out, data.Dirty); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %d dirty records to %s (%d cells corrupted)\n", data.Dirty.Len(), out, len(data.Changes))
+	if cleanOut != "" {
+		if err := writeCSV(cleanOut, data.Clean); err != nil {
+			return err
+		}
+		fmt.Printf("wrote clean records to %s\n", cleanOut)
 	}
 	f, err := os.Create(cfdOut)
 	if err != nil {

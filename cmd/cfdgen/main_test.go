@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -73,10 +75,31 @@ func TestRunWorkloadCFD(t *testing.T) {
 	}
 }
 
+// TestRunBadNumAttrs: a refused run exits before it creates any file —
+// an unknown NUMATTRs template, like an out-of-range -sz or -noise.
 func TestRunBadNumAttrs(t *testing.T) {
-	dir := t.TempDir()
-	err := run(10, 0, 1, filepath.Join(dir, "t.csv"), "", filepath.Join(dir, "c.txt"), 5, 10, 1)
-	if err == nil {
-		t.Error("NUMATTRs=5 has no template and must fail")
+	for _, tc := range []struct {
+		name     string
+		sz       int
+		noise    float64
+		numAttrs int
+	}{
+		{"numattrs=5", 10, 0, 5},
+		{"numattrs=9", 10, 0, 9},
+		{"sz=0", 0, 0, 0},
+		{"noise=1.5", 10, 1.5, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			out, clean, cfds := filepath.Join(dir, "t.csv"), filepath.Join(dir, "clean.csv"), filepath.Join(dir, "c.txt")
+			if err := run(tc.sz, tc.noise, 1, out, clean, cfds, tc.numAttrs, 10, 1); err == nil {
+				t.Fatal("run must fail")
+			}
+			for _, p := range []string{out, clean, cfds} {
+				if _, err := os.Stat(p); !errors.Is(err, fs.ErrNotExist) {
+					t.Errorf("%s exists after a refused run (stat err %v)", filepath.Base(p), err)
+				}
+			}
+		})
 	}
 }

@@ -17,8 +17,8 @@
 // See docs/operations.md for the full runbook: the endpoint list
 // (generated from the route table in internal/node), the error
 // envelope, topology recipes, promotion/failover procedure, the metrics
-// catalog and tuning. To feed a change stream without an HTTP client,
-// cfddetect -watch - reads one from stdin.
+// catalog and tuning. A change stream is fed as ChangeSets through
+// POST /v1/apply.
 //
 // With -wal-dir the node is durable: every accepted change is appended to
 // a write-ahead log before it is applied, background snapshots bound the

@@ -29,8 +29,7 @@
 //     violation delta of every change (NewMonitor, LoadMonitor). Changes
 //     batch as ChangeSets through Monitor.Apply — see "Batched ingest"
 //     below. The cfdserve command exposes it as an HTTP service (POST
-//     /v1/apply), and cfddetect -watch tails a CSV change stream — a
-//     file or stdin — through it (-batch coalescing).
+//     /v1/apply).
 //   - Durability for the serving path (internal/wal): with
 //     MonitorOptions.Durable set to a directory, the Monitor journals
 //     every mutation to a write-ahead log and periodically snapshots its
@@ -58,8 +57,7 @@
 //     generalized group-statistics substrate — DiscoverCFDs mines an
 //     instance from scratch by seeding a miner, WatchDiscovery keeps
 //     the mined set current under changes. See "Streaming discovery"
-//     below. cfdserve serves it as GET /v1/discover and cfddetect -watch
-//     -mine prints mined CFDs as they appear and retire.
+//     below. cfdserve serves it as GET /v1/discover.
 //   - A heuristic repair algorithm (Section 6): cost-based value
 //     modification with the CFD-specific LHS-breaking move (Repair),
 //     plus a live variant on the Monitor — WatchRepairs keeps a

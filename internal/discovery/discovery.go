@@ -110,15 +110,6 @@ func Discover(rel *relation.Relation, cfg Config) ([]Discovered, error) {
 	return mi.Mined()
 }
 
-// CFDs extracts just the constraint list.
-func CFDs(ds []Discovered) []*core.CFD {
-	out := make([]*core.CFD, len(ds))
-	for i, d := range ds {
-		out[i] = d.CFD
-	}
-	return out
-}
-
 // subsetsUpTo enumerates nonempty subsets of attrs with size ≤ k, smaller
 // sizes first (so minimality pruning sees subsets before supersets).
 func subsetsUpTo(attrs []string, k int) [][]string {

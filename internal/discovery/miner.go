@@ -227,9 +227,6 @@ func NewMiner(m *incremental.Monitor, cfg Config) (*Miner, error) {
 	return mi, nil
 }
 
-// Config returns the miner's configuration with defaults applied.
-func (mi *Miner) Config() Config { return mi.cfg }
-
 // Close detaches the miner from the monitor's apply path. The last
 // refreshed state stays readable.
 func (mi *Miner) Close() {
