@@ -6,7 +6,7 @@ test:
 	$(GO) build ./... && $(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/obs/ ./internal/core/ ./internal/relation/ ./internal/incremental/ ./internal/wal/ ./internal/cluster/ ./internal/httpapi/ ./internal/detect/ ./cmd/cfdserve/ ./cmd/cfdrouter/
+	$(GO) test -race ./internal/obs/ ./internal/core/ ./internal/relation/ ./internal/incremental/ ./internal/wal/ ./internal/cluster/ ./internal/httpapi/ ./internal/detect/ ./internal/repair/ ./internal/discovery/ ./internal/node/ ./cmd/cfdserve/ ./cmd/cfdrouter/
 
 # End-to-end observability check: boot a durable cfdserve, push batches
 # through /v1/apply, scrape GET /v1/metrics and assert the expected
@@ -45,6 +45,11 @@ RACE_PROPS += './internal/incremental/=TestRandomBatchesMatchOracle|TestCrashRec
 # recount and concurrent Stat readers of one group.
 RACE_PROPS += './internal/discovery/=TestMinerMatchesDiscoverOracle|TestMinerConcurrentRefresh|TestMinerHeapPerTuple'
 RACE_PROPS += './internal/incremental/=TestSharedPartitionsMatchRecount|TestStatConcurrentReaders'
+# The partitions a subscription shares with Σ's own groups: drains,
+# Stat, Count and KeyOf against a Σ-less twin that owns its partitions,
+# concurrent Stat and Count readers beside writers and a drainer, and
+# writes landing between a drain's chunks.
+RACE_PROPS += './internal/incremental/=TestSharedStoreMatchesOwned|TestSharedStatConcurrentReaders|TestDrainChunksSeeLaterWrites'
 # The group store: per-attribute RHS distributions against the batch
 # oracle and the crash-recovery check, the v4 snapshot round trip and
 # the fold of older (v2/v3) images on recovery.

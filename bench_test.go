@@ -770,8 +770,8 @@ func BenchmarkDiscoverFull100K(b *testing.B) {
 }
 
 // E12 — live repair (beyond the paper): attaching the streaming
-// Suggester must cost the group backfill plus one plan per multi-valued
-// group, not a plan per group.
+// Suggester must cost one drain of Σ's own groups plus one plan per
+// multi-valued group: no tuple folded, and no plan per group.
 
 // BenchmarkSuggesterAttach: NewSuggester plus the first Suggestions on
 // the instance serve-read boots — 20 000 tax rows with 5 % noise loaded

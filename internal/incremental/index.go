@@ -9,7 +9,9 @@ package incremental
 // generalization of the group index — per-X-group support and value
 // distributions for arbitrary attribute pairs, feeding the streaming CFD
 // miner and the repair Suggester — lives in stats.go, folded from the
-// same apply step, and shares its distribution type.
+// same apply step, and shares its distribution type. A statistics
+// partition Σ covers reads these groups instead of keeping its own: the
+// apply marks it (cfdState.watch) before it changes a group.
 //
 // Everything here speaks value IDs (relation.Interner.ID): tuples are
 // stored as []uint32 columns, group keys are the packed 4-byte-per-ID

@@ -46,7 +46,9 @@
 // windows, never half of one; a repeat view read (Violations) and the
 // counters (Satisfied, ViolationCount) take no lock at all. Lock order
 // is Monitor.mu → store lock → interner locks, and a view rebuild takes
-// the view's own mutex before the store lock. The
+// the view's own mutex before the store lock; a group-statistics
+// subscription's lock (GroupStats.mu) sits between Monitor.mu and the
+// store lock. The
 // randomized property tests replay long mixed update streams — single
 // ops and batches — and cross-check the live set against a fresh
 // detect.Direct run after every step.
@@ -151,6 +153,11 @@ type cfdState struct {
 	// tuples plus violating groups); maintained by the apply, read
 	// lock-free by Satisfied.
 	violations atomic.Int64
+	// watch lists the GroupStats partitions that read this CFD's groups
+	// instead of keeping their own (stats.go). The apply marks them
+	// before it changes a group; nil while no such partition is attached.
+	// Guarded by the writer lock.
+	watch []*partition
 }
 
 // Monitor is a stateful incremental violation monitor for one relation
@@ -500,7 +507,10 @@ func (m *Monitor) deleteLocked(key int64, t idTuple, d *Delta, sc *opScratch) {
 
 // updateLocked sets attribute ai of the validated tuple old stored under
 // key to the value ID vid (resolved by internOps); locking as for
-// insertLocked. A same-value update applies as a no-op.
+// insertLocked. A same-value update applies as a no-op. A CFD whose RHS,
+// but not LHS, holds the attribute keeps the tuple in its group and
+// moves one distribution (shift); any other mentioning CFD moves it
+// between groups.
 func (m *Monitor) updateLocked(key int64, old idTuple, ai int, vid uint32, d *Delta, sc *opScratch) {
 	if old[ai] == vid {
 		return
@@ -509,6 +519,11 @@ func (m *Monitor) updateLocked(key int64, old idTuple, ai int, vid uint32, d *De
 	next[ai] = vid
 	m.tuples[key] = next
 	for _, ci := range m.attrCFDs[ai] {
+		cs := m.cfds[ci]
+		if yi := slices.Index(cs.yIdx, ai); yi >= 0 && !slices.Contains(cs.xIdx, ai) {
+			m.shift(ci, key, old[ai], next, yi, d, sc)
+			continue
+		}
 		m.remove(ci, key, old, d, sc)
 		m.add(ci, key, next, d, sc)
 	}
@@ -650,51 +665,36 @@ func projectIDs(dst []uint32, t idTuple, idx []int) []uint32 {
 // holds the writer lock and the store lock.
 func (m *Monitor) add(ci int, key int64, t idTuple, d *Delta, sc *opScratch) {
 	cs := m.cfds[ci]
-	sc.x = projectIDs(sc.x[:0], t, cs.xIdx)
-	sc.y = projectIDs(sc.y[:0], t, cs.yIdx)
-	sc.rows = cs.tab.Match(sc.rows[:0], sc.x)
-	for _, ri := range sc.rows {
-		if !cs.tab.MatchY(ri, sc.y) {
-			cs.consts[key] = true
-			cs.violations.Add(1)
-			d.Added = append(d.Added, Change{CFD: ci, Kind: core.ConstViolation, Tuple: key})
-			break
-		}
-	}
+	m.checkConst(ci, key, t, d, sc)
 	sc.key = relation.AppendIDKey(sc.key[:0], sc.x)
 	g, ok := cs.groups[string(sc.key)]
 	if !ok {
 		g = &group{key: string(sc.key), selected: len(sc.rows) > 0, ys: make([]dist, len(sc.y))}
 		cs.groups[g.key] = g
 	}
+	for _, p := range cs.watch {
+		p.touch(g, -1)
+	}
 	was := g.violating()
 	g.size++
 	for i, v := range sc.y {
 		g.ys[i].add(v, 1)
 	}
-	if !was && g.violating() {
-		// The delta and the view share the materialized key: both treat
-		// it as immutable.
-		xs := keyValues(m.vals, g.key)
-		cs.vgroups[g] = xs
-		cs.violations.Add(1)
-		d.Added = append(d.Added, Change{CFD: ci, Kind: core.VariableViolation, Key: xs})
-	}
+	m.flip(ci, g, was, d)
 }
 
 // remove undoes add for tuple (key, t), appending retired violations to d.
 func (m *Monitor) remove(ci int, key int64, t idTuple, d *Delta, sc *opScratch) {
 	cs := m.cfds[ci]
+	m.dropConst(ci, key, d)
 	sc.x = projectIDs(sc.x[:0], t, cs.xIdx)
-	if cs.consts[key] {
-		delete(cs.consts, key)
-		cs.violations.Add(-1)
-		d.Removed = append(d.Removed, Change{CFD: ci, Kind: core.ConstViolation, Tuple: key})
-	}
 	sc.key = relation.AppendIDKey(sc.key[:0], sc.x)
 	g, ok := cs.groups[string(sc.key)]
 	if !ok {
 		return
+	}
+	for _, p := range cs.watch {
+		p.touch(g, -1)
 	}
 	was := g.violating()
 	g.size--
@@ -706,7 +706,68 @@ func (m *Monitor) remove(ci int, key int64, t idTuple, d *Delta, sc *opScratch) 
 	if g.size == 0 {
 		delete(cs.groups, g.key)
 	}
-	if was && !g.violating() {
+	m.flip(ci, g, was, d)
+}
+
+// shift re-folds tuple (key, t) into CFD ci after an update of its yi-th
+// RHS attribute, outside the LHS, from value ID ov: the tuple keeps its
+// group, so only the constant check and one distribution move.
+func (m *Monitor) shift(ci int, key int64, ov uint32, t idTuple, yi int, d *Delta, sc *opScratch) {
+	cs := m.cfds[ci]
+	m.dropConst(ci, key, d)
+	m.checkConst(ci, key, t, d, sc)
+	sc.key = relation.AppendIDKey(sc.key[:0], sc.x)
+	g := cs.groups[string(sc.key)]
+	for _, p := range cs.watch {
+		p.touch(g, yi)
+	}
+	was := g.violating()
+	g.ys[yi].remove(ov)
+	g.ys[yi].add(sc.y[yi], 1)
+	m.flip(ci, g, was, d)
+}
+
+// checkConst projects t onto CFD ci's X and Y into sc.x and sc.y, matches
+// its tableau rows into sc.rows, and records a constant violation of
+// any matched row.
+func (m *Monitor) checkConst(ci int, key int64, t idTuple, d *Delta, sc *opScratch) {
+	cs := m.cfds[ci]
+	sc.x = projectIDs(sc.x[:0], t, cs.xIdx)
+	sc.y = projectIDs(sc.y[:0], t, cs.yIdx)
+	sc.rows = cs.tab.Match(sc.rows[:0], sc.x)
+	for _, ri := range sc.rows {
+		if !cs.tab.MatchY(ri, sc.y) {
+			cs.consts[key] = true
+			cs.violations.Add(1)
+			d.Added = append(d.Added, Change{CFD: ci, Kind: core.ConstViolation, Tuple: key})
+			return
+		}
+	}
+}
+
+// dropConst retires tuple key's constant violation of CFD ci, if any.
+func (m *Monitor) dropConst(ci int, key int64, d *Delta) {
+	cs := m.cfds[ci]
+	if cs.consts[key] {
+		delete(cs.consts, key)
+		cs.violations.Add(-1)
+		d.Removed = append(d.Removed, Change{CFD: ci, Kind: core.ConstViolation, Tuple: key})
+	}
+}
+
+// flip records a change of group g's violation status under CFD ci,
+// given whether it was violating before the op.
+func (m *Monitor) flip(ci int, g *group, was bool, d *Delta) {
+	cs := m.cfds[ci]
+	switch now := g.violating(); {
+	case !was && now:
+		// The delta and the view share the materialized key: both treat
+		// it as immutable.
+		xs := keyValues(m.vals, g.key)
+		cs.vgroups[g] = xs
+		cs.violations.Add(1)
+		d.Added = append(d.Added, Change{CFD: ci, Kind: core.VariableViolation, Key: xs})
+	case was && !now:
 		d.Removed = append(d.Removed, Change{CFD: ci, Kind: core.VariableViolation, Key: cs.vgroups[g]})
 		delete(cs.vgroups, g)
 		cs.violations.Add(-1)

@@ -30,10 +30,23 @@ import (
 // over 15 attributes is 15 partitions, not 210 group maps. An insert or
 // delete does one map lookup per partition; an update of A moves the
 // tuple between groups in the partitions whose X contains A and shifts
-// A's distribution within its group in the others. On 20 000 generated tax tuples (seed
-// 1, 5 % noise) under those 210 pairs, the 15 partitions hold the
-// 43 975 distinct X-groups in 41.1 MB of live heap, 2.1 KB per tuple;
-// a group map per pair would hold 615 650 groups in 129 MB.
+// A's distribution within its group in the others. On 20 000 generated
+// tax tuples (seed 1, 5 % noise) under those 210 pairs, the 15
+// partitions hold the 43 975 distinct X-groups in 41.1 MB of live heap,
+// 2.1 KB per tuple; a group map per pair would hold 615 650 groups in
+// 129 MB.
+//
+// The sharing reaches Σ's own groups. A partition whose X is a CFD's
+// LHS, and whose tracked A's are all in that CFD's RHS, holds nothing
+// the CFD's groups (index.go) do not: each keeps the group's size and
+// one distribution per RHS attribute. Such a partition owns no groups.
+// The apply marks it before it changes a CFD group (touch), the marks
+// record what the group's last drain reported, and the drain reads the
+// CFD group itself. Its attach folds no tuple, and the apply folds each
+// change once, not once for Σ and again for the subscription. The
+// repair Suggester tracks exactly Σ's (LHS, RHS attribute) pairs, so
+// all its partitions are shared; the miner's, which track every other
+// attribute under an X, stay owned.
 //
 // Dirty marks are per (group, A): a mutation leaves one mark per
 // distribution it moved, and Drain turns each into one GroupDelta per
@@ -289,20 +302,30 @@ func (s *spill) settle(in *relation.Interner) {
 	}
 }
 
-// best returns the spill's mode and its count, rescanning when the
-// cache was dropped.
+// best returns the spill's mode and its count, caching what peek found.
 func (s *spill) best(in *relation.Interner) (uint32, int32) {
-	s.settle(in)
-	if !s.modeOK {
-		s.mode, s.modeN = 0, 0
-		for _, e := range s.slots {
-			if e.n > s.modeN || (e.n > 0 && e.n == s.modeN && in.ByID(e.id) < in.ByID(s.mode)) {
-				s.mode, s.modeN = e.id, e.n
-			}
-		}
-		s.modeOK = true
-	}
+	s.mode, s.modeN = s.peek(in)
+	s.modeOK, s.tied = true, false
 	return s.mode, s.modeN
+}
+
+// peek is best without writing the cache: the cached mode with a parked
+// tie settled, or a rescan when the cache was dropped.
+func (s *spill) peek(in *relation.Interner) (uint32, int32) {
+	if s.modeOK {
+		if s.tied && in.ByID(s.tie) < in.ByID(s.mode) {
+			return s.tie, s.modeN
+		}
+		return s.mode, s.modeN
+	}
+	var mode uint32
+	var n int32
+	for _, e := range s.slots {
+		if e.n > n || (e.n > 0 && e.n == n && in.ByID(e.id) < in.ByID(mode)) {
+			mode, n = e.id, e.n
+		}
+	}
+	return mode, n
 }
 
 func (d *dist) distinct() int {
@@ -356,39 +379,51 @@ func (g *statGroup) remove(v uint32) {
 	g.dist.remove(v)
 }
 
-// top returns the most frequent A-value ID and its count, ties broken
+// top returns the most frequent value ID and its count, ties broken
 // toward the smallest VALUE (not the smallest ID — IDs are assigned by
 // interning order, so comparing them would make the winner depend on
 // arrival order; the miner's pattern selection needs the value-based
 // rule for determinism). O(1) while the spill's cached mode holds, a
-// scan of the spill when it was dropped.
-func (g *statGroup) top(in *relation.Interner) (best uint32, n int) {
-	if g.c0 > 0 {
-		best, n = g.v0, int(g.c0)
+// scan of the spill when it was dropped; the scan's result is cached, so
+// only the distribution's writer, or a reader holding it exclusively,
+// may call top.
+func (d *dist) top(in *relation.Interner) (uint32, int) { return d.pick(in, (*spill).best) }
+
+// peek is top for readers that share the distribution: it never writes
+// the spill's cached mode.
+func (d *dist) peek(in *relation.Interner) (uint32, int) { return d.pick(in, (*spill).peek) }
+
+func (d *dist) pick(in *relation.Interner, best func(*spill, *relation.Interner) (uint32, int32)) (top uint32, n int) {
+	if d.c0 > 0 {
+		top, n = d.v0, int(d.c0)
 	}
-	if g.rest != nil {
-		v, c := g.rest.best(in)
-		if int(c) > n || (int(c) == n && in.ByID(v) < in.ByID(best)) {
-			best, n = v, int(c)
+	if d.rest != nil {
+		v, c := best(d.rest, in)
+		if int(c) > n || (int(c) == n && in.ByID(v) < in.ByID(top)) {
+			top, n = v, int(c)
 		}
 	}
-	return best, n
+	return top, n
 }
 
 // settle resolves a count tie the last add left pending in the spill's
 // cached mode; the fold calls it after every add.
-func (g *statGroup) settle(in *relation.Interner) {
-	if g.rest != nil {
-		g.rest.settle(in)
+func (d *dist) settle(in *relation.Interner) {
+	if d.rest != nil {
+		d.rest.settle(in)
 	}
 }
 
-// xgroup is one live X-group of a partition: its key, held once for
-// every pair sharing the partition's X, and one distribution per slot
-// (tracked A).
+// xgroup is one X-group of a partition as the subscription sees it: its
+// key, held once for every pair sharing the partition's X, and per slot
+// (tracked A) the drain bookkeeping. In an owned partition it is the
+// group itself, each slot holding its distribution. In a shared
+// partition it is a mark on a CFD group (src) the apply moved since the
+// last drain, and the slots' distributions go unused: src holds them.
 type xgroup struct {
-	// key is the stored map key (packed X-projection IDs), kept so a
-	// destroyed group can still name itself in its final deltas.
+	// key is the packed X-projection IDs (the owned map key, or src's),
+	// kept so a destroyed group can still name itself in its final
+	// deltas.
 	key string
 	// drained is the support the group's last drain reported; 0 before
 	// its first.
@@ -396,26 +431,60 @@ type xgroup struct {
 	// dirty marks membership in the partition's dirty list — a repeat
 	// mark is one branch, not a map operation.
 	dirty bool
-	// dists holds one distribution per slot of the partition.
+	// src is the CFD group a shared partition's mark reads; nil in an
+	// owned partition.
+	src *group
+	// dists holds one distribution per slot of the partition. A shared
+	// partition's mark uses only each slot's drain fields, and a
+	// first-report mark (take) has none: every slot dirty, Prev zero.
 	dists []statGroup
 }
 
-// support is the group's member count, which every distribution carries.
+// support is an owned group's member count, which every distribution
+// carries.
 func (g *xgroup) support() int { return int(g.dists[0].size) }
 
 // partition is the live group store of one distinct X attribute list:
 // the X-groups keyed by packed X-projection IDs, plus the dirty list —
 // the groups with a pending delta, in first-mark order. A destroyed
-// group leaves the map but stays on the list (support 0) until drained.
+// group leaves the store but stays on the list (support 0) until
+// drained.
+//
+// Who owns the store is the one difference between partitions. A
+// partition whose X is a CFD's LHS, and whose tracked attributes are all
+// in that CFD's RHS, is shared: the CFD's groups already hold its
+// support and distributions, so it keeps no groups of its own. The
+// apply marks it (touch) before it changes a group, and the partition
+// holds a mark only for the groups moved since their last drain. Every
+// other partition is owned: it keeps its groups and folds each applied
+// tuple change into them (fold). Both drain, and answer Stat and Count,
+// through the same code.
 type partition struct {
 	in   *relation.Interner
 	xIdx []int
 	// aIdx[s] is the schema position of slot s's A; pairs[s] lists the
 	// pairs it serves (pairs repeating an (X, A) share one slot).
-	aIdx   []int
-	pairs  [][]int
+	aIdx  []int
+	pairs [][]int
+	// groups is an owned partition's store.
 	groups map[string]*xgroup
-	dirty  []*xgroup
+	// cs is a shared partition's CFD, and ys[s] the RHS position of slot
+	// s's A. marks maps a CFD group to its pending mark. fresh holds
+	// until the first drain, which reports every group of the CFD: until
+	// then no mark is needed.
+	cs    *cfdState
+	ys    []int
+	marks map[*group]*xgroup
+	fresh bool
+	dirty []*xgroup
+}
+
+// state returns group g's support and slot s's distribution.
+func (p *partition) state(g *xgroup, s int) (int, *dist) {
+	if g.src != nil {
+		return g.src.size, &g.src.ys[p.ys[s]]
+	}
+	return int(g.dists[s].size), &g.dists[s].dist
 }
 
 // slotRef locates a distribution: a partition and a slot within it.
@@ -423,22 +492,63 @@ type partition struct {
 type slotRef struct{ part, slot int32 }
 
 // GroupStats is one live group-statistics subscription over a Monitor,
-// created by TrackGroups. All methods are safe for concurrent use; mu
-// orders Drain, Stat and Count against the fold, so each observes the
-// statistics between two applied requests.
+// created by TrackGroups. All methods are safe for concurrent use.
+//
+// Locking. mu orders Drain, Stat and Count against the fold, so each
+// observes the statistics between two applied requests; an owned
+// partition's groups are written only under mu held exclusively. A
+// shared partition's groups and marks are written by the apply under
+// the monitor's store lock held exclusively, so a drain of a shared
+// partition, Stat and Count add a shared hold of the store lock. The
+// lock order is Monitor.mu → GroupStats.mu → store lock → value pool:
+// the fold takes mu under the writer lock after the apply released the
+// store lock, and nothing takes mu while holding the store lock. Only a
+// holder of mu exclusively (the drain of an owned partition) or of the
+// store lock exclusively (the apply) may write a spill's cached mode;
+// Stat and Count, and the drain of a shared partition, read it with
+// peek.
 type GroupStats struct {
 	// in is the monitor's value pool; IDs in the index resolve through
 	// it when deltas and stats cross to the caller.
 	in    *relation.Interner
 	mu    sync.RWMutex
+	store *sync.RWMutex
 	pairs []AttrPair
 	// at[i] is pair i's distribution.
 	at    []slotRef
 	parts []partition
+	// owned and shared report whether some partition owns its store, and
+	// whether some partition reads a CFD's.
+	owned, shared bool
 	// byAttr maps an attribute position to what an update of it
-	// touches: every partition whose X contains it (slot -1), and the
-	// slot of its distribution in the others that track it.
+	// touches in the owned partitions: every partition whose X contains
+	// it (slot -1), and the slot of its distribution in the others that
+	// track it.
 	byAttr [][]slotRef
+}
+
+// lock takes mu (exclusively when excl) and, when store is set, the
+// store lock shared; unlock releases both.
+func (h *GroupStats) lock(excl, store bool) {
+	if excl {
+		h.mu.Lock()
+	} else {
+		h.mu.RLock()
+	}
+	if store {
+		h.store.RLock()
+	}
+}
+
+func (h *GroupStats) unlock(excl, store bool) {
+	if store {
+		h.store.RUnlock()
+	}
+	if excl {
+		h.mu.Unlock()
+	} else {
+		h.mu.RUnlock()
+	}
 }
 
 // NumPairs returns the number of tracked pairs, in TrackGroups order.
@@ -449,21 +559,34 @@ func (h *GroupStats) Pair(i int) AttrPair { return h.pairs[i] }
 
 // KeyOf returns the XKey a group with the given X-projection would
 // carry — the bridge from caller-side values to GroupDelta.XKey / Stat
-// identities.
+// identities. The probe does not grow the value pool: a projection
+// holding a value the pool has never seen names no group, and KeyOf
+// returns "", which no group of a non-empty X carries.
 func (h *GroupStats) KeyOf(x []relation.Value) string {
 	ids := make([]uint32, len(x))
 	for i, v := range x {
-		ids[i] = h.in.ID(v)
+		id, ok := h.in.Lookup(v)
+		if !ok {
+			return ""
+		}
+		ids[i] = id
 	}
 	return string(relation.AppendIDKey(nil, ids))
 }
 
 // TrackGroups attaches a group-statistics subscription for the given
-// attribute pairs and returns its handle. The current instance is folded
-// in under the writer lock — briefly quiescing writers — so the attach
-// is atomic against the apply path, and every later apply folds its
-// tuple changes in. Every folded group starts dirty, so the first Drain
-// hands the subscriber the complete initial state.
+// attribute pairs and returns its handle, atomically against the apply
+// path: the attach runs under the writer lock, briefly quiescing
+// writers, and every later apply reaches the subscription. Every group
+// starts dirty, so the first Drain hands the subscriber the complete
+// initial state.
+//
+// What the attach costs depends on who owns each partition (see
+// partition). The pairs of a partition whose X is a CFD's LHS, and whose
+// A's are all in that CFD's RHS, read the monitor's own groups: the
+// attach folds nothing for them, and the first drain walks the CFD's
+// groups. Every other partition is backfilled, folding each stored
+// tuple into its groups.
 //
 // The statistics are memory-only: a durable monitor does not journal or
 // snapshot them, and a subscription does not survive a restart —
@@ -471,6 +594,7 @@ func (h *GroupStats) KeyOf(x []relation.Value) string {
 func (m *Monitor) TrackGroups(pairs []AttrPair) (*GroupStats, error) {
 	h := &GroupStats{
 		in:     m.vals,
+		store:  &m.storeMu,
 		pairs:  slices.Clone(pairs),
 		at:     make([]slotRef, len(pairs)),
 		byAttr: make([][]slotRef, m.schema.Len()),
@@ -502,7 +626,19 @@ func (m *Monitor) TrackGroups(pairs []AttrPair) (*GroupStats, error) {
 		pt.pairs[slot] = append(pt.pairs[slot], pi)
 		h.at[pi] = slotRef{int32(part), int32(slot)}
 	}
-	for part, pt := range h.parts {
+	for part := range h.parts {
+		pt := &h.parts[part]
+		for _, cs := range m.cfds {
+			if ys, ok := covers(cs, pt); ok {
+				pt.cs, pt.ys = cs, ys
+				break
+			}
+		}
+		if pt.cs != nil {
+			h.shared = true
+			continue
+		}
+		h.owned = true
 		for ai := range h.byAttr {
 			if slices.Contains(pt.xIdx, ai) {
 				h.byAttr[ai] = append(h.byAttr[ai], slotRef{int32(part), -1})
@@ -513,6 +649,16 @@ func (m *Monitor) TrackGroups(pairs []AttrPair) (*GroupStats, error) {
 	}
 
 	m.attach(h, func() {
+		for part := range h.parts {
+			pt := &h.parts[part]
+			if pt.cs != nil {
+				pt.marks, pt.fresh = make(map[*group]*xgroup), true
+				pt.cs.watch = append(pt.cs.watch, pt)
+			}
+		}
+		if !h.owned {
+			return
+		}
 		// The fold is one bounded allocation burst that immediately
 		// becomes resident state (groups, projections, distributions) —
 		// park the collector for its duration, the discipline recovery
@@ -529,6 +675,9 @@ func (m *Monitor) TrackGroups(pairs []AttrPair) (*GroupStats, error) {
 		// yet, so neither is h.mu needed.
 		for part := range h.parts {
 			pt := &h.parts[part]
+			if pt.cs != nil {
+				continue
+			}
 			pt.groups = make(map[string]*xgroup)
 			for _, t := range m.tuples {
 				pt.add(t)
@@ -538,21 +687,51 @@ func (m *Monitor) TrackGroups(pairs []AttrPair) (*GroupStats, error) {
 	return h, nil
 }
 
+// covers reports whether CFD cs's groups hold partition p's statistics —
+// X is the CFD's LHS and every tracked A is in its RHS — and returns
+// each slot's RHS position.
+func covers(cs *cfdState, p *partition) ([]int, bool) {
+	if !slices.Equal(cs.xIdx, p.xIdx) {
+		return nil, false
+	}
+	ys := make([]int, len(p.aIdx))
+	for s, ai := range p.aIdx {
+		if ys[s] = slices.Index(cs.yIdx, ai); ys[s] < 0 {
+			return nil, false
+		}
+	}
+	return ys, true
+}
+
 // UntrackGroups detaches a subscription; its handle stays readable but
-// no longer follows mutations. Unknown handles are ignored.
-func (m *Monitor) UntrackGroups(h *GroupStats) { m.detach(h) }
+// its drains no longer follow mutations (Stat and Count of a pair read
+// from a CFD's groups still see them). Unknown handles are ignored.
+func (m *Monitor) UntrackGroups(h *GroupStats) {
+	m.detach(h, func() {
+		for part := range h.parts {
+			if pt := &h.parts[part]; pt.cs != nil {
+				pt.cs.watch = slices.DeleteFunc(pt.cs.watch, func(o *partition) bool { return o == pt })
+			}
+		}
+	})
+}
 
 // fold moves every applied op's old tuple out of, and its new tuple
-// into, each partition — in vector order, under the writer lock. An
-// update only touches what its attribute routes to, and a same-value
-// update nothing.
+// into, each owned partition — in vector order, under the writer lock.
+// An update only touches what its attribute routes to, and a same-value
+// update nothing. The apply already marked the shared partitions.
 func (h *GroupStats) fold(ops []Op, moved []tupleChange, _ *Delta) {
+	if !h.owned {
+		return
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for i, c := range moved {
 		if ops[i].Kind != OpUpdate {
 			for part := range h.parts {
-				h.parts[part].move(c)
+				if pt := &h.parts[part]; pt.cs == nil {
+					pt.move(c)
+				}
 			}
 			continue
 		}
@@ -648,6 +827,55 @@ func (p *partition) markDirty(g *xgroup) {
 	}
 }
 
+// touch marks CFD group g of a shared partition before the apply changes
+// it: every slot when its support moves (yi < 0), else the slot tracking
+// the RHS position yi, if any — the marks an owned partition's fold would
+// leave. A group's first mark since its last drain records the state
+// that drain reported, which the group still has, as its next delta's
+// Prev fields; a group the op creates records zeros. The caller holds
+// the writer lock and the store lock exclusively.
+func (p *partition) touch(g *group, yi int) {
+	if p.fresh || (yi >= 0 && !slices.Contains(p.ys, yi)) {
+		return
+	}
+	r := p.marks[g]
+	if r == nil {
+		r = &xgroup{key: g.key, src: g, drained: int32(g.size), dists: make([]statGroup, len(p.ys))}
+		p.marks[g] = r
+		p.markDirty(r)
+	}
+	for s, y := range p.ys {
+		if st := &r.dists[s]; !st.dirty && (yi < 0 || y == yi) {
+			d := &g.ys[y]
+			_, top := d.top(p.in)
+			st.prevDistinct, st.prevTop, st.dirty = int32(d.distinct()), int32(top), true
+		}
+	}
+}
+
+// take hands the dirty list to a drain and starts a new one. A shared
+// partition's first drain takes a first-report mark for every group of
+// its CFD: no slots, which drainGroups reads as every slot dirty with
+// zero Prev fields, and one allocation for them all. A later mark of a
+// group whose first-report mark is still unread is folded into it
+// (drainGroups). The caller holds what drainGroups needs.
+func (p *partition) take() []*xgroup {
+	if !p.fresh {
+		out := p.dirty
+		p.dirty = nil
+		return out
+	}
+	p.fresh = false
+	recs := make([]xgroup, len(p.cs.groups))
+	out := make([]*xgroup, 0, len(recs))
+	for _, g := range p.cs.groups {
+		r := &recs[len(out)]
+		r.key, r.src, r.dirty = g.key, g, true
+		out = append(out, r)
+	}
+	return out
+}
+
 // Drain appends every group-delta accumulated since the previous drain
 // to buf and returns it, clearing the dirty marks. Each delta carries
 // its group's state as of the drain.
@@ -669,20 +897,21 @@ const drainChunk = 256
 // was read wait for the next drain. The *GroupDelta is reused: copy
 // what outlives the call (its X may be kept as is).
 func (h *GroupStats) DrainFunc(fn func(*GroupDelta)) int {
-	h.mu.Lock()
 	work := make([][]*xgroup, len(h.parts))
+	h.lock(true, h.shared)
 	for part := range h.parts {
-		work[part], h.parts[part].dirty = h.parts[part].dirty, nil
+		work[part] = h.parts[part].take()
 	}
-	h.mu.Unlock()
+	h.unlock(true, h.shared)
 	n := 0
 	var buf []GroupDelta
 	for part, groups := range work {
+		shared := h.parts[part].cs != nil
 		for len(groups) > 0 {
 			k := min(drainChunk, len(groups))
-			h.mu.Lock()
+			h.lock(true, shared)
 			buf = h.drainGroups(buf[:0], part, groups[:k])
-			h.mu.Unlock()
+			h.unlock(true, shared)
 			groups = groups[k:]
 			for i := range buf {
 				fn(&buf[i])
@@ -694,29 +923,48 @@ func (h *GroupStats) DrainFunc(fn func(*GroupDelta)) int {
 }
 
 // drainGroups appends the deltas of the given dirty groups of one
-// partition to buf and clears their marks; the caller holds h.mu.
+// partition to buf and clears their marks; the caller holds h.mu
+// exclusively, and for a shared partition the store lock shared.
 func (h *GroupStats) drainGroups(buf []GroupDelta, part int, groups []*xgroup) []GroupDelta {
 	p := &h.parts[part]
 	for _, g := range groups {
+		if !g.dirty {
+			continue // folded into a first-drain mark read earlier
+		}
 		g.dirty = false
-		size := g.support()
+		if g.src != nil {
+			// Reported, the group is clean: its next mark records what
+			// this drain reads. A mark the apply made while the group's
+			// first-drain mark waited is covered by this report.
+			if o := p.marks[g.src]; o != nil && o != g {
+				o.dirty = false
+			}
+			delete(p.marks, g.src)
+		}
+		size, _ := p.state(g, 0)
+		if size == 0 && g.drained == 0 {
+			continue // born and destroyed within the window: nothing to report
+		}
 		x := keyValues(h.in, g.key)
-		for s := range g.dists {
-			st := &g.dists[s]
-			if !st.dirty {
-				continue
-			}
-			st.dirty = false
-			if size == 0 && g.drained == 0 {
-				continue // born and destroyed within the window: nothing to report
-			}
-			d := GroupDelta{
-				XKey: g.key, X: x, Support: size,
-				PrevSupport: int(g.drained), PrevDistinct: int(st.prevDistinct), PrevTopCount: int(st.prevTop),
+		for s := range p.pairs {
+			d := GroupDelta{XKey: g.key, X: x, Support: size, PrevSupport: int(g.drained)}
+			st := &statGroup{} // a first-report mark's slot
+			if g.dists != nil {
+				if st = &g.dists[s]; !st.dirty {
+					continue
+				}
+				st.dirty = false
+				d.PrevDistinct, d.PrevTopCount = int(st.prevDistinct), int(st.prevTop)
 			}
 			if size > 0 {
-				top, c := st.top(h.in)
-				d.Distinct, d.Top, d.TopCount = st.distinct(), h.in.ByID(top), c
+				_, dd := p.state(g, s)
+				var top uint32
+				if g.src != nil {
+					top, d.TopCount = dd.peek(h.in)
+				} else {
+					top, d.TopCount = dd.top(h.in)
+				}
+				d.Distinct, d.Top = dd.distinct(), h.in.ByID(top)
 			}
 			st.prevDistinct, st.prevTop = int32(d.Distinct), int32(d.TopCount)
 			for _, pi := range p.pairs[s] {
@@ -731,33 +979,42 @@ func (h *GroupStats) drainGroups(buf []GroupDelta, part int, groups []*xgroup) [
 	return buf
 }
 
-// group returns pair's live group with the given key and the pair's
-// distribution within it.
-func (h *GroupStats) group(pair int, xkey string) (*xgroup, *statGroup, bool) {
+// lookup returns pair's live group with the given key: its key, its
+// support and the pair's distribution within it. The caller holds what
+// Stat holds.
+func (h *GroupStats) lookup(pair int, xkey string) (string, int, *dist, bool) {
 	r := h.at[pair]
-	g, ok := h.parts[r.part].groups[xkey]
-	if !ok {
-		return nil, nil, false
+	p := &h.parts[r.part]
+	if p.cs != nil {
+		g, ok := p.cs.groups[xkey]
+		if !ok {
+			return "", 0, nil, false
+		}
+		return g.key, g.size, &g.ys[p.ys[r.slot]], true
 	}
-	return g, &g.dists[r.slot], true
+	g, ok := p.groups[xkey]
+	if !ok {
+		return "", 0, nil, false
+	}
+	return g.key, g.support(), &g.dists[r.slot].dist, true
 }
 
 // Stat returns the current statistics of one group, including the full
-// distribution's top value (an O(distinct) scan). It takes h.mu
-// exclusively: finding the top may rewrite the distribution's cached
-// mode, which a delete dropped.
+// distribution's top value (an O(distinct) scan when the cached mode was
+// dropped; the scan is not cached, so readers run in parallel).
 func (h *GroupStats) Stat(pair int, xkey string) (GroupStat, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	g, st, ok := h.group(pair, xkey)
+	shared := h.parts[h.at[pair].part].cs != nil
+	h.lock(false, shared)
+	defer h.unlock(false, shared)
+	key, size, d, ok := h.lookup(pair, xkey)
 	if !ok {
 		return GroupStat{}, false
 	}
-	top, n := st.top(h.in)
+	top, n := d.peek(h.in)
 	return GroupStat{
-		X:        keyValues(h.in, g.key),
-		Support:  g.support(),
-		Distinct: st.distinct(),
+		X:        keyValues(h.in, key),
+		Support:  size,
+		Distinct: d.distinct(),
 		Top:      h.in.ByID(top),
 		TopCount: n,
 	}, true
@@ -766,14 +1023,19 @@ func (h *GroupStats) Stat(pair int, xkey string) (GroupStat, bool) {
 // Count returns the number of members of one group whose A-value equals
 // v — the distribution probe a repair planner needs when its target
 // value is a pattern constant rather than the group majority. Zero when
-// the group (or the value) is unknown.
+// the group (or the value) is unknown; the probe does not grow the
+// value pool.
 func (h *GroupStats) Count(pair int, xkey string, v relation.Value) int {
-	id := h.in.ID(v)
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	_, st, ok := h.group(pair, xkey)
+	id, ok := h.in.Lookup(v)
 	if !ok {
 		return 0
 	}
-	return st.count(id)
+	shared := h.parts[h.at[pair].part].cs != nil
+	h.lock(false, shared)
+	defer h.unlock(false, shared)
+	_, _, d, ok := h.lookup(pair, xkey)
+	if !ok {
+		return 0
+	}
+	return d.count(id)
 }

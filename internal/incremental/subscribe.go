@@ -14,7 +14,9 @@ import (
 // violation view (view.go) is consumers[0] and never detaches; a DeltaSub
 // (below) and a GroupStats (stats.go) attach under the writer lock with a
 // backfill of the current state, so an attach neither misses nor
-// double-counts a concurrent write, and detach removes them.
+// double-counts a concurrent write, and detach removes them. (A
+// GroupStats partition that reads Σ's groups needs no backfill: the
+// apply marks it directly.)
 //
 // A DeltaSub is a coalesced set of the tuple keys a stretch of applied
 // batches changed on an attribute of Σ — O(Δ) per batch, one mark per
@@ -41,11 +43,17 @@ func (m *Monitor) attach(c consumer, backfill func()) {
 	m.consumers = append(m.consumers, c)
 }
 
-// detach removes c from the consumer list; unknown consumers are ignored.
-func (m *Monitor) detach(c consumer) {
+// detach removes c from the consumer list and then runs undo, both
+// under the writer lock; unknown consumers are ignored (undo does not
+// run).
+func (m *Monitor) detach(c consumer, undo func()) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	n := len(m.consumers)
 	m.consumers = slices.DeleteFunc(m.consumers, func(o consumer) bool { return o == c })
+	if len(m.consumers) < n {
+		undo()
+	}
 }
 
 // DeltaSub is one live touched-key subscription over a Monitor, created
@@ -117,19 +125,26 @@ func (m *Monitor) TrackDeltas() *DeltaSub {
 
 // UntrackDeltas detaches a subscription; its accumulated marks stay
 // drainable but no longer follow mutations. Unknown handles are ignored.
-func (m *Monitor) UntrackDeltas(s *DeltaSub) { m.detach(s) }
+func (m *Monitor) UntrackDeltas(s *DeltaSub) { m.detach(s, func() {}) }
 
 // MatchingRows returns the tableau rows of CFD ci whose X pattern the
 // projection x matches (x ≍ tp[X]), in tableau order — a probe of the
 // CFD's static tableau index, which needs no lock. An out-of-range ci or
-// a projection of the wrong width matches nothing.
+// a projection of the wrong width matches nothing. The probe does not
+// grow the value pool: a value it has never seen equals no pattern
+// constant (every constant was pooled when the index was built), so it
+// matches only a wildcard.
 func (m *Monitor) MatchingRows(ci int, x []relation.Value) []int {
 	if ci < 0 || ci >= len(m.cfds) || len(x) != len(m.cfds[ci].xIdx) {
 		return nil
 	}
 	ids := make([]uint32, len(x))
 	for i, v := range x {
-		ids[i] = m.vals.ID(v)
+		id, ok := m.vals.Lookup(v)
+		if !ok {
+			id = ^uint32(0) // an ID the dense pool never reaches
+		}
+		ids[i] = id
 	}
 	rows := m.cfds[ci].tab.Match(nil, ids)
 	slices.Sort(rows)
@@ -177,7 +192,8 @@ func (m *Monitor) ConstViolations(key int64) []int {
 // the repair engine uses to materialize a group-level suggestion into
 // concrete cell edits. A full store scan with integer compares:
 // O(|I|), intended for the (rare, human-paced) apply path, not the
-// per-batch refresh path.
+// per-batch refresh path. A value the pool has never seen is held by no
+// tuple: the probe answers empty without pooling it.
 func (m *Monitor) MatchingKeys(attrs []string, x []relation.Value) ([]int64, error) {
 	idx, err := m.schema.Indexes(attrs)
 	if err != nil {
@@ -188,7 +204,11 @@ func (m *Monitor) MatchingKeys(attrs []string, x []relation.Value) ([]int64, err
 	}
 	ids := make([]uint32, len(x))
 	for i, v := range x {
-		ids[i] = m.vals.ID(v)
+		id, ok := m.vals.Lookup(v)
+		if !ok {
+			return nil, nil
+		}
+		ids[i] = id
 	}
 	var out []int64
 	m.storeMu.RLock()

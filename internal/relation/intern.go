@@ -84,6 +84,16 @@ func (in *Interner) ID(v Value) uint32 {
 	return id
 }
 
+// Lookup returns the ID of v and true if v is pooled, or false without
+// interning it: the probe for read paths, where a value no tuple holds
+// matches nothing and must not grow the pool.
+func (in *Interner) Lookup(v Value) (uint32, bool) {
+	in.mu.RLock()
+	id, ok := in.m[v]
+	in.mu.RUnlock()
+	return id, ok
+}
+
 // addLocked interns v under the write lock (re-checking first: another
 // goroutine may have interned it between the caller's RUnlock and here)
 // and returns its ID.

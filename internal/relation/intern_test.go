@@ -22,6 +22,19 @@ func TestInternerCanonicalizes(t *testing.T) {
 	}
 }
 
+// TestInternerLookup: Lookup finds a pooled value's ID and reports a
+// miss without pooling the value.
+func TestInternerLookup(t *testing.T) {
+	in := NewInterner()
+	id := in.ID("NYC")
+	if got, ok := in.Lookup("NYC"); !ok || got != id {
+		t.Fatalf("Lookup(NYC) = %d, %v; want %d, true", got, ok, id)
+	}
+	if _, ok := in.Lookup("MH"); ok || in.Len() != 1 {
+		t.Fatalf("Lookup(MH) found it or pooled it: ok %v, Len %d", ok, in.Len())
+	}
+}
+
 func TestInternTuple(t *testing.T) {
 	in := NewInterner()
 	tp := Tuple{"a", "b", "a"}

@@ -18,11 +18,15 @@ import (
 // NewSuggester plus Close — on 4 000 generated tax rows with 5 % noise
 // under the six semantic CFDs plus a 200-row, 3-attribute workload CFD
 // (merged into the [ZIP, CT] tableau, as a daemon parses it), at trust
-// threshold 0.9. An attach pays the group backfill and the first drain,
-// and plans only the groups whose RHS has two values: planning every
-// drained group, as the Suggester once did, measured 80 537 allocations
-// per attach. The count moves by a few from run to run (map growth
-// follows the hash seed): it measures 37 419–37 421, so the budget keeps
+// threshold 0.9. An attach plans only the groups whose RHS has two
+// values: planning every drained group, as the Suggester once did,
+// measured 80 537 allocations per attach. Every tracked pair is one of
+// Σ's (LHS, RHS attribute) pairs, so its partition reads the monitor's
+// own CFD groups: the attach folds no tuple, and the first drain takes
+// one mark per group in a single allocation per partition. Backfilling
+// private partitions tuple by tuple, as TrackGroups once did for these
+// pairs too, measured 37 419–37 421; the count now measures 11 893,
+// mostly the drain's X per group and the plans, and the budget keeps
 // about 5 % headroom. A change that moves the count edits the budget and
 // says why.
 func TestSuggesterAttachAllocs(t *testing.T) {
@@ -46,7 +50,7 @@ func TestSuggesterAttachAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	const budget = 39300
+	const budget = 12500
 	n := 0
 	got := testing.AllocsPerRun(5, func() {
 		sg, err := NewSuggester(m, SuggestOptions{TrustThreshold: 0.9})

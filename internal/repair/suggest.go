@@ -40,9 +40,9 @@ import (
 //   - a group violates, and has a suggestion, only while some RHS
 //     attribute has two values (the Monitor's group.violating);
 //   - a change in a group's size dirties every slot of its partition
-//     (partition.add, partition.remove), so a violating group that
-//     grows, shrinks or dies delivers a delta with Distinct > 1 or
-//     PrevDistinct > 1 for its multi-valued attribute;
+//     (partition.add, partition.remove, partition.touch), so a
+//     violating group that grows, shrinks or dies delivers a delta with
+//     Distinct > 1 or PrevDistinct > 1 for its multi-valued attribute;
 //   - one update of a single-valued attribute A outside X makes A
 //     two-valued, unless the group has one member, which cannot
 //     violate;
@@ -53,11 +53,13 @@ import (
 //     delta; otherwise the clause costs a change and its undo in one
 //     window, which is rare.
 //
-// An attach therefore costs the group backfill (TrackGroups folds every
-// tuple into each LHS partition of Σ) plus one plan per multi-valued
-// group, not one per group: on 20 000 generated tax rows under the
-// semantic Σ plus a TABSZ-200 workload CFD, the first Refresh drains
-// 34 407 group deltas and re-plans 585 of them into 525 suggestions.
+// Every tracked pair is covered by Σ — its X is a CFD's LHS and its A in
+// that CFD's RHS — so the subscription reads the Monitor's own groups
+// and TrackGroups folds no tuple. An attach therefore costs one drain of
+// Σ's groups plus one plan per multi-valued group, not one per group: on
+// 20 000 generated tax rows under the semantic Σ plus a TABSZ-200
+// workload CFD, the first Refresh drains 34 407 group deltas and
+// re-plans 585 of them into 525 suggestions.
 //
 // The planning heuristics are the batch algorithm's, re-derived per
 // violation instead of per pass:
