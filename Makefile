@@ -22,12 +22,12 @@ metrics-smoke:
 cli-smoke:
 	GO=$(GO) sh scripts/cli_smoke.sh
 
-# The batch-path benchmarks of the root bench_test.go and the live
-# Suggester's attach, one iteration each: go test ./... never runs a
-# benchmark, so one that panics or stops certifying its result would
-# otherwise go unnoticed.
+# The batch-path benchmarks of the root bench_test.go, the live
+# Suggester's attach and the monitor's bulk load, one iteration each:
+# go test ./... never runs a benchmark, so one that panics or stops
+# certifying its result would otherwise go unnoticed.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkStrategyDirect$$|BenchmarkRepair$$|BenchmarkSuggesterAttach$$' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkStrategyDirect$$|BenchmarkRepair$$|BenchmarkSuggesterAttach$$|BenchmarkMonitorLoad100K$$' -benchtime 1x -benchmem .
 
 # The property tests under the race detector, twice each so goroutine
 # schedules vary: one row per package and -run pattern, each row
@@ -54,6 +54,9 @@ RACE_PROPS += './internal/incremental/=TestSharedStoreMatchesOwned|TestSharedSta
 # oracle and the crash-recovery check, the v4 snapshot round trip and
 # the fold of older (v2/v3) images on recovery.
 RACE_PROPS += './internal/incremental/=TestRandomStreamsMatchOracle|TestCrashRecoveryMatchesBatchDetector|TestSnapshotRoundTrip|TestOlderSnapshotsFoldOnRecovery'
+# The bulk build: a Load, whose per-CFD folds run concurrently, against
+# a twin seeded by one Apply, before and through a random op stream.
+RACE_PROPS += './internal/incremental/=TestBulkLoadMatchesApply'
 # Failover: kill the primary at a random record boundary, promote the
 # follower and cross-check against the single-node oracle, plus the
 # concurrent-stream follower test.

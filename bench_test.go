@@ -774,8 +774,8 @@ func BenchmarkDiscoverFull100K(b *testing.B) {
 // multi-valued group: no tuple folded, and no plan per group.
 
 // BenchmarkSuggesterAttach: NewSuggester plus the first Suggestions on
-// the instance serve-read boots — 20 000 tax rows with 5 % noise loaded
-// through a shared value pool as cfdserve loads its CSV, under the
+// the instance serve-read boots — 20 000 tax rows with 5 % noise, read
+// from CSV and loaded as cfdserve loads them, under the
 // semantic Σ plus a TABSZ-200 workload CFD at trust threshold 0.9 — the
 // in-process part of serve-read's first_answer_s.
 func BenchmarkSuggesterAttach(b *testing.B) {
@@ -788,12 +788,11 @@ func BenchmarkSuggesterAttach(b *testing.B) {
 	if err := relation.WriteCSV(&buf, data.Dirty); err != nil {
 		b.Fatal(err)
 	}
-	pool := relation.NewInterner()
-	rel, err := relation.ReadCSVInterned(&buf, "R", pool)
+	rel, err := relation.ReadCSV(&buf, "R")
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := incremental.Load(rel, sigma, incremental.Options{Intern: pool})
+	m, err := incremental.Load(rel, sigma, incremental.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

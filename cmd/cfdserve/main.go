@@ -282,14 +282,12 @@ func newServer(dataPath, cfdPath string, opts repro.MonitorOptions) (*node.Serve
 			return nil, err
 		}
 	}
-	// The seed load and the monitor share one value pool: the CSV's
-	// categorical values are deduplicated once and the monitor interns
-	// against the same copies.
-	rel, pool, err := cliutil.LoadCSVPooled(dataPath)
+	// The monitor interns the CSV's values once, in its bulk build; the
+	// read itself keeps none of them.
+	rel, err := cliutil.LoadCSV(dataPath)
 	if err != nil {
 		return nil, err
 	}
-	opts.Intern = pool
 	m, err := repro.LoadMonitor(rel, sigma, opts)
 	if err != nil {
 		return nil, err

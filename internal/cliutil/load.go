@@ -25,8 +25,8 @@ func LoadInputs(dataPath, cfdPath string) (*relation.Relation, []*core.CFD, erro
 }
 
 // LoadCSV reads a CSV instance; the header row becomes the schema. It
-// does not intern — the right call for one-shot commands that scan and
-// exit. Long-lived monitors seed through LoadCSVPooled.
+// does not intern: a one-shot command scans and exits, and a monitor
+// seeded from the relation interns every value once in its bulk build.
 func LoadCSV(dataPath string) (*relation.Relation, error) {
 	f, err := os.Open(dataPath)
 	if err != nil {
@@ -34,24 +34,6 @@ func LoadCSV(dataPath string) (*relation.Relation, error) {
 	}
 	defer f.Close()
 	return relation.ReadCSV(f, "R")
-}
-
-// LoadCSVPooled reads a CSV instance through a shared value pool and
-// returns the pool alongside — hand it to MonitorOptions.Intern and the
-// monitor seeded from the load adopts the same pool instead of cloning
-// every distinct value into a second one.
-func LoadCSVPooled(dataPath string) (*relation.Relation, *relation.Interner, error) {
-	f, err := os.Open(dataPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	pool := relation.NewInterner()
-	rel, err := relation.ReadCSVInterned(f, "R", pool)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rel, pool, nil
 }
 
 // LoadCFDs reads a CFD set in the text notation. Durable commands use it

@@ -83,25 +83,3 @@ func TestLoadInputsEmptyCSV(t *testing.T) {
 		t.Fatal("empty CSV (no header): no error")
 	}
 }
-
-// TestLoadCSVPooled: the returned pool holds the relation's distinct
-// values, ready to hand to MonitorOptions.Intern.
-func TestLoadCSVPooled(t *testing.T) {
-	csv := "CC,CT\n01,NYC\n01,NYC\n44,EDI\n"
-	rel, pool, err := LoadCSVPooled(write(t, "data.csv", csv))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel.Len() != 3 {
-		t.Fatalf("len = %d", rel.Len())
-	}
-	if pool == nil || pool.Len() != 4 {
-		t.Fatalf("pool holds %v values, want the 4 distinct", pool.Len())
-	}
-	if got := pool.Intern("NYC"); got != rel.Tuples[0][1] {
-		t.Error("pool copy is not the relation's backing copy")
-	}
-	if _, _, err := LoadCSVPooled("missing.csv"); err == nil {
-		t.Error("missing file must error")
-	}
-}

@@ -119,6 +119,10 @@ func (ix *TableauIndex) MatchY(ri int, y []uint32) bool {
 	return true
 }
 
+// ConstY reports whether row ri's Y pattern holds a constant — whether
+// MatchY can fail for it at all.
+func (ix *TableauIndex) ConstY(ri int) bool { return len(ix.y[ri]) > 0 }
+
 // Order returns every tableau row in probe order: the constant-position
 // masks in order of first appearance, then tableau order within a mask.
 // The slice is shared; treat it as read-only.

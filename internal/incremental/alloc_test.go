@@ -14,13 +14,11 @@ import (
 	"repro/internal/incremental"
 )
 
-// TestReadPathAllocs pins the allocations of the two read paths on
-// 20 000 generated tax rows under the three Section 5 workload CFDs: a
-// repeat View at an unchanged version (one atomic load, no allocation)
-// and a ViolationsFor point probe of a tuple whose injected ST error
-// makes it a violation. A change that moves a count edits its budget and
-// says why.
-func TestReadPathAllocs(t *testing.T) {
+// directWorkload is root BenchmarkStrategyDirect's instance: 20 000
+// generated tax rows (5 % noise) under the three Section 5 workload CFDs
+// at TABSZ 500.
+func directWorkload(t *testing.T) (*gen.TaxData, []*core.CFD) {
+	t.Helper()
 	data := gen.GenerateTax(gen.TaxConfig{Size: 20000, Noise: 0.05, Seed: 1})
 	var sigma []*core.CFD
 	for i, tpl := range []gen.Template{gen.ZipToState, gen.ZipCityToState, gen.AreaCodeToState} {
@@ -32,6 +30,36 @@ func TestReadPathAllocs(t *testing.T) {
 		}
 		sigma = append(sigma, cfd)
 	}
+	return data, sigma
+}
+
+// TestLoadAllocs pins the allocations of a memory Load on
+// directWorkload's instance. The bulk build measures about 15 600: about
+// 14 600 of them are the constructor's (Σ's consistency check and
+// tableau indexes), the rest is per-CFD arena slabs and the violating
+// groups' materialized keys. A seed through one Apply made 180 061. A
+// change that moves the count edits the budget and says why.
+func TestLoadAllocs(t *testing.T) {
+	data, sigma := directWorkload(t)
+	const budget = 17000
+	got := testing.AllocsPerRun(3, func() {
+		if _, err := incremental.Load(data.Dirty, sigma, incremental.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > budget {
+		t.Errorf("Load: %.0f allocs, budget %d", got, budget)
+	}
+}
+
+// TestReadPathAllocs pins the allocations of the two read paths on
+// 20 000 generated tax rows under the three Section 5 workload CFDs: a
+// repeat View at an unchanged version (one atomic load, no allocation)
+// and a ViolationsFor point probe of a tuple whose injected ST error
+// makes it a violation. A change that moves a count edits its budget and
+// says why.
+func TestReadPathAllocs(t *testing.T) {
+	data, sigma := directWorkload(t)
 	m, err := incremental.Load(data.Dirty, sigma, incremental.Options{})
 	if err != nil {
 		t.Fatal(err)

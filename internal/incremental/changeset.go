@@ -229,7 +229,7 @@ func (m *Monitor) resolveOps(ops []Op) error {
 // pool — the form the store keeps. It runs only on ops that passed
 // validation and WILL apply — including replayed records — so the pool
 // grows with applied state, never with rejected requests. Inserted
-// tuples share one ID arena per batch, so a million-op seed costs one
+// tuples share one ID arena per batch, so a million-op batch costs one
 // allocation for all its ID vectors.
 func (m *Monitor) internOps(ops []Op) {
 	nattrs := m.schema.Len()
@@ -410,7 +410,7 @@ func (m *Monitor) commitWindowLocked(reqs []*commitReq) {
 // The caller holds m.mu, so the store is read without the store lock.
 func (m *Monitor) validateWindowReq(ops []Op, overlay map[int64]bool) error {
 	// Allocator-keyed inserts are fresh by construction: a request of
-	// nothing else, with nobody after it (a seed load), has nothing to
+	// nothing else, with nobody after it (a bulk insert), has nothing to
 	// check and nothing to stage.
 	refs := overlay != nil
 	for i := 0; i < len(ops) && !refs; i++ {

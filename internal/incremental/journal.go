@@ -148,8 +148,8 @@ func attachJournal(m *Monitor, opts Options, seed *relation.Relation) error {
 	}
 
 	if len(snaps) == 0 && len(logs) == 0 {
-		// Fresh directory. The journal is not attached yet, so the seed
-		// batch applies without journaling; the snapshot below captures it.
+		// Fresh directory. The journal is not attached yet, so the seed's
+		// bulk build journals nothing; the snapshot below captures it.
 		if seed != nil {
 			if err := m.seed(seed); err != nil {
 				return err

@@ -13,7 +13,11 @@
 //
 // Every mutation flows through one batched path: Apply takes a ChangeSet
 // (an ordered vector of insert/delete/update ops), and the single-op
-// Insert, Delete and Update are one-element wrappers over it.
+// Insert, Delete and Update are one-element wrappers over it. Building
+// state from a whole relation is not a mutation of live state, and goes
+// through the bulk build instead (bulk.go): Load's seed and the fold of
+// an older snapshot's tuples group each CFD's tuples in one pass, with no
+// delta, before any reader or consumer can see the monitor.
 //
 // State is stored as dense value-ID columns: every distinct value is
 // interned once (relation.Interner) and handed a uint32 ID, tuples are
@@ -112,15 +116,16 @@ type Options struct {
 	// single-node default).
 	RetainSegments int
 
-	// Intern, when non-nil, is a shared value pool the monitor adopts
-	// instead of a private one — pass the pool a CSV load deduplicated
-	// through (relation.ReadCSVInterned) and the seed batch's values hit
-	// the pool instead of being cloned into a second one. The monitor
-	// stores tuples as dense value IDs handed out by this pool, so every
-	// column's distinct values are interned — including free-text ones.
-	// The pool only grows: a column of unbounded unique values (UUIDs,
-	// timestamps) keeps each distinct value pooled for the monitor's
-	// lifetime, the price of the 4-byte ID cells.
+	// Intern, when non-nil, is a value pool the monitor adopts instead of
+	// a private one, so monitors that share it share every pooled value
+	// and hand out the same value IDs. A CSV boot needs none: the bulk
+	// build interns the relation's values once, under one hold of the
+	// pool's lock. The monitor stores tuples as dense value IDs handed out
+	// by this pool, so every column's distinct values are interned —
+	// including free-text ones. The pool only grows: a column of
+	// unbounded unique values (UUIDs, timestamps) keeps each distinct
+	// value pooled for the monitor's lifetime, the price of the 4-byte ID
+	// cells.
 	Intern *relation.Interner
 
 	// Metrics is the observability registry the monitor instruments
@@ -367,11 +372,12 @@ func checkConsistent(schema *relation.Schema, sigma []*core.CFD) error {
 
 // Load builds a Monitor over an existing instance: tuples are keyed
 // 0..Len()-1 in row order, so keys coincide with the batch detectors' row
-// ids for the initial load. With Options.Durable set, a directory that
-// already holds journaled state wins over rel — the snapshot and log tail
-// are recovered and the instance is ignored; a fresh directory is seeded
-// from rel and immediately snapshotted so later boots skip the CSV path
-// entirely.
+// ids for the initial load. The instance is folded in by the bulk build
+// (bulk.go), one pass per CFD, and is not retained. With Options.Durable
+// set, a directory that already holds journaled state wins over rel — the
+// snapshot and log tail are recovered and the instance is ignored; a
+// fresh directory is seeded from rel and immediately snapshotted so later
+// boots skip the CSV path entirely.
 func Load(rel *relation.Relation, sigma []*core.CFD, opts Options) (*Monitor, error) {
 	m, err := build(rel.Schema, sigma, opts)
 	if err != nil {
@@ -387,22 +393,6 @@ func Load(rel *relation.Relation, sigma []*core.CFD, opts Options) (*Monitor, er
 		return nil, err
 	}
 	return m, nil
-}
-
-// seed loads every tuple of rel as one ChangeSet, keyed 0..Len()-1 in
-// row order. Used by both the memory-only Load and the first boot of a
-// durable directory (before the journal is attached, so nothing is
-// journaled).
-func (m *Monitor) seed(rel *relation.Relation) error {
-	ops := make([]Op, len(rel.Tuples))
-	for i, t := range rel.Tuples {
-		ops[i] = Op{Kind: OpInsert, Tuple: t}
-	}
-	// Apply validates each row; opErr already carries the row index.
-	if _, err := m.Apply(&ChangeSet{Ops: ops}); err != nil {
-		return fmt.Errorf("incremental: loading instance: %w", err)
-	}
-	return nil
 }
 
 // Schema returns the monitored schema.

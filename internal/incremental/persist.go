@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"slices"
 	"unsafe"
 
@@ -42,7 +43,7 @@ import (
 // (value ID, count) pairs. Versions 2 (no epoch) and 3 (a per-CFD
 // multiset of Y-projections instead of the distributions) share the
 // prefix up to the tuples: such an image is read that far, its CRC
-// checked, and its tuples folded through the apply's add step, so an
+// checked, and its tuples folded by the bulk build (bulk.go), so an
 // older directory boots — once, at the cost of a fresh index build —
 // and its next snapshot is version 4.
 
@@ -567,17 +568,15 @@ func (m *Monitor) readSnapshot(r io.Reader, sizeHint int64) error {
 
 	if version < 4 {
 		// The index sections of an older image are not read (the CRC
-		// above covered them): the tuples are folded through the apply's
-		// add step instead, which rebuilds the same groups, distributions
-		// and violations. The next snapshot writes version 4.
-		var dl Delta
-		sc := &m.scratch
-		for k, t := range m.tuples {
-			for ci := range m.cfds {
-				m.add(ci, k, t, &dl, sc)
-			}
-			dl.Added = dl.Added[:0]
+		// above covered them): the tuples go through the bulk build
+		// instead, which rebuilds the same groups, distributions and
+		// violations. The next snapshot writes version 4.
+		keys := slices.Sorted(maps.Keys(m.tuples))
+		rows := make([]idTuple, len(keys))
+		for i, k := range keys {
+			rows[i] = m.tuples[k]
 		}
+		m.bulkFold(keys, rows)
 	} else if err := m.readGroups(d, ntuples, remap); err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package relation
 import (
 	"strings"
 	"sync"
+	"unsafe"
 )
 
 // This file is the interned value pool behind the mutation hot path.
@@ -42,6 +43,10 @@ type Interner struct {
 	m map[string]uint32
 	// ids maps ID → canonical value; append-only.
 	ids []Value
+	// buf is the chunk first-seen values are copied into, so n pooled
+	// values cost a few allocations, not n. A chunk lives while any
+	// value in it does; values are never dropped, so none pins garbage.
+	buf []byte
 }
 
 // NewInterner returns an empty pool.
@@ -50,7 +55,7 @@ func NewInterner() *Interner {
 }
 
 // Intern returns the canonical copy of v. Hits are allocation-free; a
-// first-seen value is cloned into the pool so the pool never retains a
+// first-seen value is copied into the pool so the pool never retains a
 // larger backing array v might be a substring of (a CSV read buffer, a
 // decoded WAL record).
 func (in *Interner) Intern(v Value) Value {
@@ -102,10 +107,26 @@ func (in *Interner) addLocked(v Value) uint32 {
 		return id
 	}
 	id := uint32(len(in.ids))
-	v = strings.Clone(v)
+	v = in.copyLocked(v)
 	in.m[v] = id
 	in.ids = append(in.ids, v)
 	return id
+}
+
+// copyLocked copies v into the pool's current chunk, cutting a new one —
+// twice the last, from 1 KiB up to 64 KiB — when v does not fit; a value
+// over a quarter of the largest chunk gets its own allocation.
+func (in *Interner) copyLocked(v Value) Value {
+	const maxChunk = 64 << 10
+	if len(v) == 0 || len(v) > maxChunk/4 {
+		return strings.Clone(v)
+	}
+	if len(in.buf)+len(v) > cap(in.buf) {
+		in.buf = make([]byte, 0, max(min(2*cap(in.buf), maxChunk), 1<<10))
+	}
+	start := len(in.buf)
+	in.buf = append(in.buf, v...)
+	return unsafe.String(&in.buf[start], len(v))
 }
 
 // InternTuple canonicalizes every value of t in place and returns t.
@@ -138,6 +159,21 @@ func (in *Interner) AppendIDs(dst []uint32, t Tuple) []uint32 {
 	dst = dst[:base]
 	for _, v := range t {
 		dst = append(dst, in.ID(v))
+	}
+	return dst
+}
+
+// AppendRows appends the IDs of every value of every tuple of ts to dst,
+// row by row, and returns it: AppendIDs over a whole relation under one
+// hold of the write lock, handing out the IDs that AppendIDs tuple by
+// tuple would — the bulk path of a monitor's seed load.
+func (in *Interner) AppendRows(dst []uint32, ts []Tuple) []uint32 {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	for _, t := range ts {
+		for _, v := range t {
+			dst = append(dst, in.addLocked(v))
+		}
 	}
 	return dst
 }

@@ -12,6 +12,13 @@
 // The paper's detection technique is "SQL a DBMS can run"; routing our
 // queries through database/sql keeps the reproduction honest about that
 // claim — the detector uses the same API a DB2-backed implementation would.
+//
+// That is why the package stays although no serving path uses it: with
+// detect.Options.ViaDriver set, the generated QC/QV queries go through
+// database/sql's open, query and row-scan contract instead of a direct
+// call into sqlmini, so a query that needs a private engine hook fails
+// here first. Deleting the package would leave the claim untested.
+// BenchmarkDriverOverhead prices the layer.
 package sqldriver
 
 import (
