@@ -22,12 +22,13 @@ metrics-smoke:
 cli-smoke:
 	GO=$(GO) sh scripts/cli_smoke.sh
 
-# The batch-path benchmarks of the root bench_test.go, the live
-# Suggester's attach and the monitor's bulk load, one iteration each:
+# The batch-path benchmarks of the root bench_test.go (discovery
+# included), the live Suggester's attach and the monitor's bulk load,
+# one iteration each:
 # go test ./... never runs a benchmark, so one that panics or stops
 # certifying its result would otherwise go unnoticed.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkStrategyDirect$$|BenchmarkRepair$$|BenchmarkSuggesterAttach$$|BenchmarkMonitorLoad100K$$' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkStrategyDirect$$|BenchmarkRepair$$|BenchmarkDiscovery$$|BenchmarkSuggesterAttach$$|BenchmarkMonitorLoad100K$$' -benchtime 1x -benchmem .
 
 # The property tests under the race detector, twice each so goroutine
 # schedules vary: one row per package and -run pattern, each row
@@ -39,11 +40,11 @@ bench-smoke:
 # window with per-writer outcomes; consumer attach with backfill under
 # concurrent writers).
 RACE_PROPS += './internal/incremental/=TestRandomBatchesMatchOracle|TestCrashRecoveryBatchAllOrNothing|TestApplyBatch|TestCommitWindow'
-# Streaming discovery: the randomized miner-vs-Discover oracle, the
-# concurrent-writers refresh loop and the attached miner's heap budget
-# per tuple, then the shared X-partitions against a fresh per-pair
-# recount and concurrent Stat readers of one group.
-RACE_PROPS += './internal/discovery/=TestMinerMatchesDiscoverOracle|TestMinerConcurrentRefresh|TestMinerHeapPerTuple'
+# Discovery: the stripped-partition kernel against a brute-force GROUP BY
+# per candidate on random instances, then the group-statistics
+# substrate's shared X-partitions against a fresh per-pair recount and
+# concurrent Stat readers of one group.
+RACE_PROPS += './internal/discovery/=TestDiscoverMatchesBruteForce'
 RACE_PROPS += './internal/incremental/=TestSharedPartitionsMatchRecount|TestStatConcurrentReaders'
 # The partitions a subscription shares with Σ's own groups: drains,
 # Stat, Count and KeyOf against a Σ-less twin that owns its partitions,

@@ -65,7 +65,7 @@ const (
 // Observability (see the "Observability" section of the package
 // documentation and internal/obs). Every Monitor instruments its apply
 // pipeline, WAL and replication into a MetricsRegistry; layers on top
-// (discovery miners, cfdserve's HTTP middleware) register theirs into
+// (the repair Suggester, cfdserve's HTTP middleware) register theirs into
 // the same registry, and WritePrometheus renders it all in Prometheus
 // text exposition format.
 type (

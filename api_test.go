@@ -2,6 +2,8 @@ package repro
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -375,10 +377,11 @@ func TestChangeSetThroughFacade(t *testing.T) {
 	}
 }
 
-// TestStreamingDiscoveryThroughFacade: WatchDiscovery rides a live
-// monitor — the mined set follows changes, matches the bulk DiscoverCFDs
-// on the materialized instance, and the generalized group-statistics
-// substrate is reachable for custom aggregations.
+// TestStreamingDiscoveryThroughFacade: DiscoverCFDs over a live
+// monitor's Snapshot follows its changes — an insert contradicting a
+// mined FD changes the mined set, deleting it restores the seed's set —
+// and the generalized group-statistics substrate is reachable for
+// custom aggregations.
 func TestStreamingDiscoveryThroughFacade(t *testing.T) {
 	_, rel := custFixture(t)
 	sigma, err := ParseCFDSet(figure2Text)
@@ -390,58 +393,50 @@ func TestStreamingDiscoveryThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DiscoveryConfig{MaxLHS: 1, MinSupport: 2}
-	miner, err := WatchDiscovery(m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer miner.Close()
-
-	compare := func(step string) {
+	mine := func() []string {
 		t.Helper()
-		got, err := miner.Mined()
+		ds, err := DiscoverCFDs(m.Snapshot(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := DiscoverCFDs(m.Snapshot(), cfg)
-		if err != nil {
-			t.Fatal(err)
+		out := make([]string, len(ds))
+		for i, d := range ds {
+			out[i] = fmt.Sprintf("%v %v %v", d.CFD, d.IsFD, d.Support)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: miner mined %d, Discover %d", step, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].CFD.String() != want[i].CFD.String() || got[i].IsFD != want[i].IsFD {
-				t.Fatalf("%s: entry %d differs: %v vs %v", step, i, got[i].CFD, want[i].CFD)
-			}
-		}
+		return out
 	}
-	compare("seed")
+	seed := mine()
+	if len(seed) == 0 {
+		t.Fatal("nothing mined from the seed")
+	}
+	if want, err := DiscoverCFDs(rel, cfg); err != nil || len(want) != len(seed) {
+		t.Fatalf("the snapshot mines %d CFDs, the loaded relation %d (%v)", len(seed), len(want), err)
+	}
 
-	// Break a mined FD and watch the change stream report it.
+	// Break a mined FD: the next snapshot mines a different set.
 	key, _, err := m.Insert(Tuple{"01", "908", "7777777", "Eve", "Oak Ave.", "LA", "99999"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	changes := miner.Refresh()
-	if len(changes) == 0 {
+	if got := mine(); reflect.DeepEqual(got, seed) {
 		t.Fatal("the insert must change the mined set")
 	}
-	compare("after insert")
 	if _, err := m.Delete(key); err != nil {
 		t.Fatal(err)
 	}
-	miner.Refresh()
-	compare("after delete")
+	if got := mine(); !reflect.DeepEqual(got, seed) {
+		t.Fatalf("after the delete the mined set is\n%v\nwant the seed's\n%v", got, seed)
+	}
 
 	// Invalid configs are rejected at the facade.
-	if _, err := WatchDiscovery(m, DiscoveryConfig{MinConfidence: 1.5}); err == nil {
+	if _, err := DiscoverCFDs(m.Snapshot(), DiscoveryConfig{MinConfidence: 1.5}); err == nil {
 		t.Fatal("invalid config must be rejected")
 	}
 	if _, err := DiscoverCFDs(rel, DiscoveryConfig{MaxPatterns: -1}); err == nil {
 		t.Fatal("invalid config must be rejected by DiscoverCFDs")
 	}
 
-	// The substrate below the miner: track one pair directly.
+	// The group-statistics substrate: track one pair directly.
 	stats, err := m.TrackGroups([]MonitorAttrPair{{X: []string{"AC"}, A: "CT"}})
 	if err != nil {
 		t.Fatal(err)

@@ -721,43 +721,10 @@ func BenchmarkCSVColdStart100K(b *testing.B) {
 	}
 }
 
-// E11 — streaming discovery (beyond the paper): keeping the mined CFD
-// set current after a 1K-op ChangeSet must cost the touched groups, not
-// a re-mine of the instance.
+// E11 — discovery on demand (beyond the paper): GET /v1/discover mines
+// a snapshot of the live instance from scratch on every call.
 
-// BenchmarkMinerRescore100K: apply a 1K-op ChangeSet and re-score the
-// streaming miner — the incremental path GET /v1/discover serves from.
-func BenchmarkMinerRescore100K(b *testing.B) {
-	rel, _ := incrementalWorkload100K(b)
-	cfg := discovery.Config{MaxLHS: 1, MinSupport: 2}
-	m, err := incremental.Load(rel, nil, incremental.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	miner, err := discovery.NewMiner(m, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer miner.Close()
-	sz := rel.Len()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		vals := [2]string{fmt.Sprintf("MAA%d", i), fmt.Sprintf("MBB%d", i)}
-		var cs incremental.ChangeSet
-		for j := 0; j < 1000; j++ {
-			cs.Update(int64(j%sz), "CT", vals[j%2])
-		}
-		if _, err := m.Apply(&cs); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		miner.Refresh()
-	}
-}
-
-// BenchmarkDiscoverFull100K: the bulk path the miner replaces per
-// change-batch — mine the whole instance from scratch.
+// BenchmarkDiscoverFull100K: mine the 100K instance from scratch.
 func BenchmarkDiscoverFull100K(b *testing.B) {
 	rel, _ := incrementalWorkload100K(b)
 	cfg := discovery.Config{MaxLHS: 1, MinSupport: 2}

@@ -50,7 +50,7 @@
 // Observability: every endpoint is wrapped in request/error counters and
 // a latency histogram (cfdserve_http_* series, labeled by path), and the
 // monitor's own instrumentation — apply-stage timings, WAL append/fsync
-// latencies, replication lag, miner refresh cost — is exposed through
+// latencies, replication lag, suggester refresh cost — is exposed through
 // GET /v1/metrics in the Prometheus text format, no client library
 // required. -pprof-addr serves net/http/pprof on a second, private
 // listener for CPU/heap profiles. Diagnostics go through log/slog:

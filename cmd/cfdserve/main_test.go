@@ -397,10 +397,9 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestDiscoverEndpoint: GET /discover serves the streaming miner —
-// mined CFDs follow the live instance across writes, config query
-// params select (and re-select) the mining configuration, and invalid
-// configs are rejected.
+// TestDiscoverEndpoint: GET /discover mines a snapshot of the live
+// instance — mined CFDs follow it across writes, config query params
+// select the mining configuration, and invalid configs are rejected.
 func TestDiscoverEndpoint(t *testing.T) {
 	srv := newTestServer(t)
 	api := serveAPI(t, srv)
@@ -454,7 +453,7 @@ func TestDiscoverEndpoint(t *testing.T) {
 	}
 
 	// A second 908/MH tuple gives AC → CT a supported testing group; the
-	// next /discover re-scores incrementally and mines it as an FD.
+	// next /discover mines it as an FD.
 	body := strings.NewReader(`{"values":["01","908","1111111","Rick","Tree Ave.","MH","07974"]}`)
 	resp, err := http.Post(api+"/insert", "application/json", body)
 	if err != nil {
@@ -469,20 +468,19 @@ func TestDiscoverEndpoint(t *testing.T) {
 		t.Errorf("count did not grow: %d -> %d", first.Count, second.Count)
 	}
 
-	// A stricter config re-attaches the miner: evidence 2 < min_support 3.
+	// A stricter config: evidence 2 < min_support 3.
 	strict := get("/discover?min_support=3", http.StatusOK)
 	if hasFD(strict, "AC", "CT") {
 		t.Errorf("min_support=3 should drop the evidence-2 FD: %+v", strict.Mined)
 	}
 
 	// Invalid configs and methods are rejected; max_lhs is capped on the
-	// serving surface (an attach quiesces writers).
+	// serving surface (the lattice is exponential in it).
 	get("/discover?min_confidence=2", http.StatusBadRequest)
 	get("/discover?max_patterns=-1", http.StatusBadRequest)
 	get("/discover?max_lhs=zap", http.StatusBadRequest)
 	get("/discover?max_lhs=9", http.StatusBadRequest)
-	// Zero values normalize to the defaults (same cached miner, not a
-	// re-attach) and serve fine.
+	// Zero values normalize to the defaults and serve fine.
 	if norm := get("/discover?max_lhs=0&min_support=0", http.StatusOK); norm.Count != strict.Count && norm.Tuples != 3 {
 		t.Errorf("normalized default config should serve: %+v", norm)
 	}

@@ -52,12 +52,11 @@
 //     deltas (NewClusterRouter, ClusterLocalBackend). The cfdrouter
 //     command is the HTTP daemon over cfdserve shard nodes; bench/'s
 //     routed-mixed workload measures its throughput and latency.
-//   - Streaming CFD discovery (the Section 7 future-work item; see
-//     internal/discovery): one mining code path over the Monitor's
-//     generalized group-statistics substrate — DiscoverCFDs mines an
-//     instance from scratch by seeding a miner, WatchDiscovery keeps
-//     the mined set current under changes. See "Streaming discovery"
-//     below. cfdserve serves it as GET /v1/discover.
+//   - CFD discovery on demand (the Section 7 future-work item; see
+//     internal/discovery): DiscoverCFDs mines an instance in one
+//     level-wise pass over stripped partitions; over a live monitor,
+//     mine its Snapshot. See "Discovery on demand" below. cfdserve
+//     serves it as GET /v1/discover.
 //   - A heuristic repair algorithm (Section 6): cost-based value
 //     modification with the CFD-specific LHS-breaking move (Repair),
 //     plus a live variant on the Monitor — WatchRepairs keeps a
@@ -106,54 +105,26 @@
 // in one loop under one hold of the store lock, so point readers see it
 // whole or not at all.
 //
-// # Streaming discovery
+// # Discovery on demand
 //
-// A Monitor maintains, on request (Monitor.TrackGroups), group
-// statistics for arbitrary attribute pairs (X → A): every live X-group's
-// support and A-value distribution, folded under the writer lock right
-// after every apply that maintains the violation indexes. Each apply leaves
-// coalesced group-delta events behind — group created or destroyed,
-// support ±, distinct ± collapse to one delta per touched group — which
-// a subscriber drains on its own schedule.
+// DiscoverCFDs is one computation over the relation it is given, a
+// level-wise search over stripped partitions in the TANE lineage: each
+// column is encoded once to dense value IDs in sorted-value order, π_A
+// is built per attribute, and π_{X∪B} refines π_X by column B through a
+// probe table, a level freed once the next is built. Every candidate
+// X → A (|X| ≤ MaxLHS) reads its per-group A-value counts off π_X; a
+// candidate some smaller LHS already determines is never scored. On 5 000
+// generated tax tuples at MaxLHS 2 a run takes about 70 ms and 4 400
+// allocations (BenchmarkDiscovery). Mining a live monitor is
+// DiscoverCFDs(m.Snapshot(), cfg): nothing rides the apply path, and
+// cfdserve's GET /v1/discover does exactly this per call, one run at a
+// time per node. Mining again after a change shows what it broke.
 //
-// The statistics are shared across pairs: one partition per distinct X
-// attribute list maps each X-group to its key, X-projection and support,
-// held once, plus one compact distribution per tracked A. Every
-// candidate with the same LHS reads the same groups, so a MaxLHS-1
-// lattice over 15 attributes keeps 15 partitions, not 210 group maps.
-// A delta carries the group's support, distinct count and top both now
-// and as last drained, read as one state under the subscription's lock,
-// so the miner moves its aggregates arithmetically and keeps per-group
-// state only for the pattern rows it prints. On 20 000 generated tax
-// tuples an attached MaxLHS-1 miner holds 2.5 KB of live heap per tuple
-// (2.1 KB of it the shared statistics), where a group map per candidate
-// plus a per-group copy in the miner takes 13.7 KB.
-//
-// WatchDiscovery builds CFD discovery on that substrate: a CFDMiner
-// holds the candidate lattice of embedded FDs (|X| ≤ MaxLHS) as
-// incremental scores. CFDMiner.Refresh drains the deltas and re-scores
-// exactly the groups the interleaving changes touched — milliseconds
-// per 1K-op ChangeSet against seconds for a full re-mine at 100K tuples
-// (BenchmarkMinerRescore100K against BenchmarkDiscoverFull100K) — and
-// reports the mined set's net changes.
-//
-// Delta semantics: a mined CFD appears when its embedded FD first
-// qualifies (as a global FD with enough evidence, or with its first
-// supported pattern), updates when it flips between FD and pattern form
-// or its pattern count moves, and retires when the last pattern loses
-// support, the FD breaks without minable patterns, or a newly-holding
-// subset FD prunes it (minimality pruning is dynamic — deletions can
-// resurrect a subset FD and retire its supersets). Under deletions,
-// confidence is recomputed from the surviving members only: a group
-// whose dissenting tuples are deleted becomes pure again and its
-// pattern returns.
-//
-// There is exactly one mining code path: DiscoverCFDs seeds a throwaway
-// monitor with the instance as one bulk batch and reads the miner's
-// initial state, so bulk and streaming discovery cannot disagree — a
-// randomized property test drives a miner with random ChangeSet streams
-// and checks it lands exactly on DiscoverCFDs' output at every
-// checkpoint.
+// Monitor.TrackGroups keeps group statistics for arbitrary attribute
+// pairs (X → A) current under changes — every live X-group's support
+// and A-value distribution, with coalesced group-delta events a
+// subscriber drains on its own schedule — for custom aggregations over
+// a live monitor (MonitorAttrPair, MonitorGroupStats).
 //
 // # Durability guarantees
 //
@@ -225,8 +196,7 @@
 // off — a primary whose OS crashed can even recover behind a follower
 // that already applied its unsynced tail; promotion, not re-subscription, is the intended
 // response to a dead primary (see the fencing note below). Reads
-// (Violations, stats, discovery
-// miners) serve on the follower throughout; mutations and ForceSnapshot
+// (Violations, stats, discovery) serve on the follower throughout; mutations and ForceSnapshot
 // return ErrMonitorReadOnly. A follower whose cursor falls below the
 // primary's retention window gets ErrWALSegmentGone and must resync
 // from the current snapshot (FollowOptions.Resync; cfdserve does this
@@ -299,10 +269,6 @@
 //	cfd_replica_*                   follower only: chunks/records/bytes
 //	                                shipped, fetch errors, apply latency,
 //	                                lag in bytes and segments
-//	cfd_miner_refresh_seconds       incremental re-score latency
-//	cfd_miner_groups_rescored_total groups the re-scores touched
-//	cfd_miner_candidates            candidate lattice size (gauge)
-//	cfd_miner_mined_cfds            currently mined CFDs (gauge)
 //
 // cfdserve serves its registry — the monitor series above plus
 // per-endpoint cfdserve_http_requests_total / cfdserve_http_errors_total

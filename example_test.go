@@ -165,38 +165,27 @@ func ExampleFollowMonitor() {
 	// promoted: read-only = false, 4 tuples
 }
 
-// WatchDiscovery attaches a miner to a live monitor's group indexes:
-// Mined reports the CFDs that currently hold, and each Refresh
-// re-scores only the groups the interleaved changes touched — never
-// the whole instance.
-func ExampleWatchDiscovery() {
+// DiscoverCFDs mines the CFDs that hold on an instance; over a live
+// monitor, mine its Snapshot. A tuple contradicting phone→city changes
+// what the next snapshot mines.
+func ExampleDiscoverCFDs() {
 	m, _, _ := custExample(repro.MonitorOptions{})
-	miner, err := repro.WatchDiscovery(m, repro.DiscoveryConfig{MaxLHS: 1, MinSupport: 2})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer miner.Close()
-	mined, err := miner.Mined()
+	cfg := repro.DiscoveryConfig{MaxLHS: 1, MinSupport: 2}
+	mined, err := repro.DiscoverCFDs(m.Snapshot(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("mined: %d CFDs hold\n", len(mined))
 
-	// A tuple contradicting phone→city degrades the mined set; Refresh
-	// reports exactly what changed.
-	key, _, err := m.Insert(repro.Tuple{"01", "908", "1111111", "Sam", "Tree Ave.", "LA", "07974"})
+	if _, _, err := m.Insert(repro.Tuple{"01", "908", "1111111", "Sam", "Tree Ave.", "LA", "07974"}); err != nil {
+		log.Fatal(err)
+	}
+	mined, err = repro.DiscoverCFDs(m.Snapshot(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("after a contradicting insert: %d mined-set changes\n", len(miner.Refresh()))
-
-	// Deleting it heals the instance and the set recovers.
-	if _, err := m.Delete(key); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("after healing: %d mined-set changes\n", len(miner.Refresh()))
+	fmt.Printf("after a contradicting insert: %d CFDs hold\n", len(mined))
 	// Output:
 	// mined: 25 CFDs hold
-	// after a contradicting insert: 4 mined-set changes
-	// after healing: 4 mined-set changes
+	// after a contradicting insert: 21 CFDs hold
 }

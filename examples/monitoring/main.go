@@ -12,9 +12,9 @@
 // engine, which keeps one cost-ranked fix suggestion per live violation
 // and turns accepted suggestions into an ordinary ChangeSet — the
 // GET /v1/repairs and POST /v1/repairs/apply path of cfdserve. The
-// fifth act streams discovery: a CFDMiner rides the monitor's group
-// indexes and re-scores the mined constraint set after every change,
-// reporting CFDs as they appear and retire. The sixth act makes the
+// fifth act mines the monitor's own constraints on demand: DiscoverCFDs
+// over Monitor.Snapshot, before and after a contradicting insert, shows
+// which CFDs the change broke — the GET /v1/discover path of cfdserve. The sixth act makes the
 // monitor durable: journaled to a write-ahead log (a ChangeSet is one
 // record and one fsync), snapshotted, closed, and resumed from disk
 // without touching the original instance. The seventh act replicates it:
@@ -206,44 +206,47 @@ func main() {
 	fmt.Printf("suggestions after the fix: %d — discovery below sees the clean instance\n\n", len(sg.Suggestions()))
 	sg.Close()
 
-	// --- streaming discovery ---
+	// --- discovery on demand ---
 	//
-	// The same monitor can mine its own constraints: WatchDiscovery
-	// attaches a miner to the live group indexes, and each Refresh
-	// re-scores only the groups the interleaving changes touched —
-	// never the whole instance.
-	miner, err := repro.WatchDiscovery(m, repro.DiscoveryConfig{MaxLHS: 1, MinSupport: 2})
+	// The same monitor can mine its own constraints: DiscoverCFDs runs
+	// over a snapshot of the live instance, so mining again after a
+	// change shows what the change broke.
+	cfg := repro.DiscoveryConfig{MaxLHS: 1, MinSupport: 2}
+	before, err := repro.DiscoverCFDs(m.Snapshot(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	mined, err := miner.Mined()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("discovery: %d CFDs hold on the current instance, e.g.:\n", len(mined))
-	for i, d := range mined {
+	fmt.Printf("discovery: %d CFDs hold on the current instance, e.g.:\n", len(before))
+	for i, d := range before {
 		if i == 3 {
 			fmt.Println("  ...")
 			break
 		}
 		fmt.Printf("  %s\n", d.CFD)
 	}
-	// A tuple that contradicts phone→city: the mined FD degrades (or
-	// retires) and Refresh says so — then returns once the data heals.
+	// A tuple that contradicts phone→city: mining the next snapshot
+	// drops the CFDs it breaks. Deleting it heals the instance.
 	breakKey, _, err := m.Insert(repro.Tuple{"01", "908", "1111111", "Sam", "Tree Ave.", "LA", "07974"})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, ch := range miner.Refresh() {
-		fmt.Printf("  mine %s\n", ch)
+	after, err := repro.DiscoverCFDs(m.Snapshot(), cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("after a contradicting insert: %d CFDs hold\n", len(after))
+	holds := make(map[string]bool, len(after))
+	for _, d := range after {
+		holds[d.CFD.String()] = true
+	}
+	for _, d := range before {
+		if !holds[d.CFD.String()] {
+			fmt.Printf("  no longer holds: %s\n", d.CFD)
+		}
 	}
 	if _, err := m.Delete(breakKey); err != nil {
 		log.Fatal(err)
 	}
-	for _, ch := range miner.Refresh() {
-		fmt.Printf("  mine %s\n", ch)
-	}
-	miner.Close()
 	fmt.Println()
 
 	// --- restart and resume ---

@@ -1,8 +1,8 @@
 // Package discovery implements automated CFD discovery from data — the
 // future-work item of the paper's Section 7 ("we are developing automated
 // methods for discovering CFDs"), in the style the follow-up literature
-// later standardized (constant-pattern mining à la CFDMiner plus
-// FD-style candidate search).
+// later standardized (constant-pattern mining plus FD-style candidate
+// search).
 //
 // For every candidate embedded FD X → A with |X| ≤ MaxLHS the miner:
 //
@@ -17,20 +17,23 @@
 // input instance (property-tested). The search is exponential in MaxLHS
 // only, matching the fixed-schema regime of the paper's analyses.
 //
-// There is exactly one mining code path, and it is streaming: a Miner
-// (see miner.go) subscribes to the group-statistics substrate of an
-// incremental.Monitor and re-scores only the X-groups each ChangeSet
-// touched. Discover is the from-scratch entry point — it seeds a
-// throwaway Monitor with the instance as one bulk batch and reads the
-// Miner's initial state — so batch and streaming discovery cannot
-// drift apart.
+// Discover is one on-demand computation over a relation: a level-wise
+// search over stripped partitions in the TANE lineage. Columns are
+// encoded to dense value IDs in sorted-value order, so the smallest value
+// is the smallest ID. Level l+1 refines each π_X of level l by one more
+// column through a probe table indexed by value ID (π_{X∪B} = π_X · π_B);
+// a level is freed once the next is built. Singleton groups are stripped
+// when MinSupport ≥ 2 (they can neither break an FD nor yield a pattern).
+// Each candidate X → A reads its per-group A-value counts off π_X, and a
+// candidate a smaller LHS already determines is never scored. cfdserve's
+// GET /v1/discover runs the same computation on a monitor's snapshot.
 package discovery
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
-	"repro/internal/incremental"
 	"repro/internal/relation"
 )
 
@@ -53,8 +56,8 @@ type Config struct {
 // Validate rejects tunables no default can repair: a confidence above 1
 // can never be met by any group, NaN is no confidence at all (and would
 // make two equal configs compare unequal), and a negative pattern cap
-// is meaningless (0 already means unlimited). Discover and NewMiner
-// validate on entry.
+// is meaningless (0 already means unlimited). Discover validates on
+// entry.
 func (c Config) Validate() error {
 	if !(c.MinConfidence <= 1) {
 		return fmt.Errorf("discovery: MinConfidence %g must be a number at most 1", c.MinConfidence)
@@ -87,10 +90,11 @@ type Discovered struct {
 	Support []int
 }
 
-// Discover mines CFDs from the instance. It is the bulk entry of the
-// one streaming code path: the instance is loaded into a throwaway
-// monitor as a single batch, a Miner is seeded over it, and its initial
-// mined set is returned.
+// Discover mines CFDs from the instance. The output is RHS-major: for
+// each attribute A in schema order, its embedded FDs X → A with smaller
+// LHSs first and, within a size, in schema-order combination order.
+// Pattern rows are ordered by support (descending), ties by encoded
+// X-projection, and capped at MaxPatterns.
 func Discover(rel *relation.Relation, cfg Config) ([]Discovered, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -98,43 +102,348 @@ func Discover(rel *relation.Relation, cfg Config) ([]Discovered, error) {
 	if rel.Len() == 0 {
 		return nil, fmt.Errorf("discovery: empty instance")
 	}
-	m, err := incremental.Load(rel, nil, incremental.Options{})
-	if err != nil {
-		return nil, err
-	}
-	mi, err := NewMiner(m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer mi.Close()
-	return mi.Mined()
+	k := newKernel(rel, cfg.withDefaults())
+	k.run()
+	return k.emit(), nil
 }
 
-// subsetsUpTo enumerates nonempty subsets of attrs with size ≤ k, smaller
-// sizes first (so minimality pruning sees subsets before supersets).
-func subsetsUpTo(attrs []string, k int) [][]string {
-	var out [][]string
-	var build func(start int, cur []string)
-	for size := 1; size <= k && size <= len(attrs); size++ {
-		build = func(start int, cur []string) {
-			if len(cur) == size {
-				out = append(out, append([]string(nil), cur...))
-				return
+// partition is π_X, its groups' tuple indexes back to back in rows:
+// group g ends at ends[g].
+type partition struct {
+	rows, ends []int32
+}
+
+// subset is one LHS of the lattice, an ascending list of attribute
+// indexes. subs indexes the subsets with one attribute dropped (none at
+// size 1), and next[b] the subset grown by attribute b once the next
+// level is built. p is its partition while its level is live, nil when
+// every candidate over it is pruned.
+type subset struct {
+	attrs      []int
+	subs, next []int32
+	p          *partition
+}
+
+// pat is the pattern row one X-group yields: a representative tuple (for
+// its X-projection), the dominant A-value's ID and the group's support.
+type pat struct {
+	rep, top, sup int32
+}
+
+// candidate is one embedded FD X → A's scores.
+type candidate struct {
+	// det reports that X determines A: the candidate is pruned (some
+	// subset determines A, so X does too) or no X-group is impure.
+	det, pruned bool
+	// impure counts groups whose members disagree on A; evidence counts
+	// the tuples in groups of size ≥ 2 — the tuples that actually test
+	// the FD, which is emitted only once evidence reaches MinSupport.
+	impure, evidence int
+	// pats holds the yielded pattern rows, kept only when impure > 0.
+	pats []pat
+}
+
+// kernel is one Discover run's state.
+type kernel struct {
+	cfg   Config
+	attrs []string
+	cols  [][]int32          // cols[a][t]: tuple t's value ID in column a
+	vals  [][]relation.Value // vals[a][id]: the value an ID stands for
+	// minSize is the smallest group a partition keeps: 2 strips
+	// singletons, 1 (MinSupport = 1) keeps them as pattern rows.
+	minSize int
+	subsets []subset
+	cands   []candidate // cands[s*len(attrs)+a] scores subsets[s] → a
+	// The probe table, indexed by value ID; seen lists the IDs one group
+	// touched, so a reset costs the group. pats is score's scratch.
+	cnt, off []int32
+	seen     []int32
+	pats     []pat
+}
+
+func newKernel(rel *relation.Relation, cfg Config) *kernel {
+	k := &kernel{cfg: cfg, attrs: rel.Schema.Names(), minSize: min(cfg.MinSupport, 2)}
+	n, width := rel.Len(), len(k.attrs)
+	cells := make([]int32, n*width)
+	k.cols = make([][]int32, width)
+	k.vals = make([][]relation.Value, width)
+	maxVals := 0
+	ids := make(map[relation.Value]int32) // reused: one growth, not one per column
+	for a := range k.attrs {
+		k.cols[a] = cells[a*n : (a+1)*n]
+		k.vals[a] = encode(rel.Tuples, a, k.cols[a], ids)
+		maxVals = max(maxVals, len(k.vals[a]))
+	}
+	k.cnt, k.off = make([]int32, maxVals), make([]int32, maxVals)
+	// Level 1: π_A is the whole relation, one group, refined by column A.
+	all := &partition{rows: make([]int32, n), ends: []int32{int32(n)}}
+	for t := range all.rows {
+		all.rows[t] = int32(t)
+	}
+	for a := range width {
+		k.subsets = append(k.subsets, subset{attrs: []int{a}, p: k.refine(all, k.cols[a])})
+	}
+	k.cands = make([]candidate, width*width)
+	return k
+}
+
+// encode fills col with column a's value IDs, numbered in sorted-value
+// order, and returns the values by ID. ids is scratch.
+func encode(tuples []relation.Tuple, a int, col []int32, ids map[relation.Value]int32) []relation.Value {
+	clear(ids)
+	var vals []relation.Value
+	for t, tu := range tuples {
+		id, ok := ids[tu[a]]
+		if !ok {
+			id = int32(len(vals))
+			ids[tu[a]] = id
+			vals = append(vals, tu[a])
+		}
+		col[t] = id
+	}
+	slices.Sort(vals)
+	rank := make([]int32, len(vals))
+	for r, v := range vals {
+		rank[ids[v]] = int32(r)
+	}
+	for t, id := range col {
+		col[t] = rank[id]
+	}
+	return vals
+}
+
+// run scores the lattice level by level.
+func (k *kernel) run() {
+	level := make([]int32, len(k.attrs))
+	for a := range level {
+		level[a] = int32(a)
+	}
+	for size := 1; len(level) > 0; size++ {
+		for _, s := range level {
+			k.scoreSubset(s)
+		}
+		if size == k.cfg.MaxLHS {
+			return
+		}
+		level = k.extend(level)
+	}
+}
+
+// scoreSubset scores every candidate over subsets[s]. A pruned candidate
+// is not scored: it determines A because a subset of its LHS does.
+func (k *kernel) scoreSubset(s int32) {
+	sub := &k.subsets[s]
+	for a := range k.attrs {
+		if c := &k.cands[int(s)*len(k.attrs)+a]; !c.pruned && !slices.Contains(sub.attrs, a) {
+			k.score(sub.p, k.cols[a], c)
+			c.det = c.impure == 0
+		}
+	}
+}
+
+// extend builds the next level from level: each subset X grows by every
+// attribute B after its last, π_{X∪B} refining π_X by column B. A new
+// subset whose candidates are all pruned gets no partition; its own
+// extensions are then all pruned too, since it is one of their subsets.
+// The old level's partitions are freed.
+func (k *kernel) extend(level []int32) []int32 {
+	width := len(k.attrs)
+	var next []int32
+	for _, s := range level {
+		x := k.subsets[s].attrs
+		k.subsets[s].next = make([]int32, width)
+		for b := x[len(x)-1] + 1; b < width; b++ {
+			ns := int32(len(k.subsets))
+			k.subsets[s].next[b] = ns
+			y := append(slices.Clip(x), b)
+			// Drop B: X itself. Drop x[j]: X's subset without x[j],
+			// grown by B one level earlier (at size 1, the singleton {B}).
+			subs := []int32{s}
+			if len(x) == 1 {
+				subs = append(subs, int32(b))
 			}
-			for i := start; i < len(attrs); i++ {
-				build(i+1, append(cur, attrs[i]))
+			for _, d := range k.subsets[s].subs {
+				subs = append(subs, k.subsets[d].next[b])
+			}
+			k.subsets = append(k.subsets, subset{attrs: y, subs: subs})
+			k.cands = append(k.cands, make([]candidate, width)...)
+			live := false
+			for a := range width {
+				c := &k.cands[int(ns)*width+a]
+				for _, d := range subs {
+					c.pruned = c.pruned || k.cands[int(d)*width+a].det
+				}
+				c.det = c.pruned
+				live = live || !c.pruned && !slices.Contains(y, a)
+			}
+			if live {
+				k.subsets[ns].p = k.refine(k.subsets[s].p, k.cols[b])
+			}
+			next = append(next, ns)
+		}
+	}
+	for _, s := range level {
+		k.subsets[s].p = nil
+	}
+	return next
+}
+
+// refine returns π_X · π_B: each group of p split by column B's value
+// IDs, the parts of at least minSize tuples kept in tuple order.
+func (k *kernel) refine(p *partition, col []int32) *partition {
+	q := &partition{rows: make([]int32, 0, len(p.rows))}
+	start := int32(0)
+	for _, end := range p.ends {
+		g := p.rows[start:end]
+		start = end
+		seen := k.count(g, col)
+		at := int32(len(q.rows))
+		for _, v := range seen {
+			if n := k.cnt[v]; int(n) >= k.minSize {
+				k.off[v] = at
+				at += n
+				q.ends = append(q.ends, at)
 			}
 		}
-		build(0, nil)
+		q.rows = q.rows[:at]
+		for _, t := range g {
+			if v := col[t]; int(k.cnt[v]) >= k.minSize {
+				q.rows[k.off[v]] = t
+				k.off[v]++
+			}
+		}
+		for _, v := range seen {
+			k.cnt[v] = 0
+		}
+	}
+	return q
+}
+
+// count tallies the group's value IDs in cnt and returns them as seen.
+func (k *kernel) count(g, col []int32) []int32 {
+	k.seen = k.seen[:0]
+	for _, t := range g {
+		v := col[t]
+		if k.cnt[v] == 0 {
+			k.seen = append(k.seen, v)
+		}
+		k.cnt[v]++
+	}
+	return k.seen
+}
+
+// score folds every group of π_X into candidate X → A, col being A's
+// column: its distinct A-values, its dominant one (ties toward the
+// smallest ID, so the smallest value) and whether it yields a pattern.
+func (k *kernel) score(p *partition, col []int32, c *candidate) {
+	pats := k.pats[:0]
+	start := int32(0)
+	for _, end := range p.ends {
+		g := p.rows[start:end]
+		start = end
+		seen := k.count(g, col)
+		top, topN := seen[0], int32(0)
+		for _, v := range seen {
+			if n := k.cnt[v]; n > topN || n == topN && v < top {
+				top, topN = v, n
+			}
+			k.cnt[v] = 0
+		}
+		support := len(g)
+		if len(seen) > 1 {
+			c.impure++
+		}
+		if support >= 2 {
+			c.evidence += support
+		}
+		if k.yields(support, int(topN)) {
+			pats = append(pats, pat{rep: g[0], top: top, sup: int32(support)})
+		}
+	}
+	if c.impure > 0 && len(pats) > 0 {
+		c.pats = slices.Clone(pats)
+	}
+	k.pats = pats
+}
+
+// yields reports whether a group with the given support and dominant
+// A-value count contributes a pattern row: it is supported, and its
+// dominant value clears MinConfidence (a pure group's is 1).
+func (k *kernel) yields(support, top int) bool {
+	return support >= k.cfg.MinSupport && float64(top)/float64(support) >= k.cfg.MinConfidence
+}
+
+// emit materializes the mined set in output order: a candidate not
+// pruned is an FD when no group is impure and its evidence reaches
+// MinSupport, and a pattern tableau when some group yielded a row.
+func (k *kernel) emit() []Discovered {
+	var out []Discovered
+	for a, name := range k.attrs {
+		for s := range k.subsets {
+			c := &k.cands[s*len(k.attrs)+a]
+			x := k.subsets[s].attrs
+			switch {
+			case c.pruned || slices.Contains(x, a):
+			case c.impure == 0:
+				if c.evidence >= k.cfg.MinSupport {
+					cells := slices.Repeat([]core.Pattern{core.W()}, len(x)+1)
+					row := core.PatternRow{X: cells[:len(x)], Y: cells[len(x):]}
+					cfd := &core.CFD{LHS: k.names(x), RHS: []string{name}, Tableau: []core.PatternRow{row}}
+					out = append(out, Discovered{CFD: cfd, IsFD: true, Support: []int{c.evidence}})
+				}
+			case len(c.pats) > 0:
+				out = append(out, k.patterns(x, a, c.pats))
+			}
+		}
 	}
 	return out
 }
 
-func contains(xs []string, a string) bool {
-	for _, x := range xs {
-		if x == a {
-			return true
+// patterns builds the constant-pattern CFD X → A from its yielded rows:
+// sorted by support, ties by encoded X-projection, then capped.
+func (k *kernel) patterns(x []int, a int, pats []pat) Discovered {
+	type row struct {
+		x []relation.Value
+		pat
+	}
+	w := len(x)
+	xs := make([]relation.Value, len(pats)*w)
+	rows := make([]row, len(pats))
+	for i, p := range pats {
+		rows[i] = row{xs[i*w : (i+1)*w], p}
+		for j, b := range x {
+			rows[i].x[j] = k.vals[b][k.cols[b][p.rep]]
 		}
 	}
-	return false
+	slices.SortFunc(rows, func(r, q row) int {
+		if r.sup != q.sup {
+			return int(q.sup - r.sup)
+		}
+		return relation.CompareKeys(r.x, q.x)
+	})
+	if k.cfg.MaxPatterns > 0 && len(rows) > k.cfg.MaxPatterns {
+		rows = rows[:k.cfg.MaxPatterns]
+	}
+	cells := make([]core.Pattern, len(rows)*(w+1))
+	tab := make([]core.PatternRow, len(rows))
+	support := make([]int, len(rows))
+	for i, r := range rows {
+		c := cells[i*(w+1) : (i+1)*(w+1)]
+		for j, v := range r.x {
+			c[j] = core.C(v)
+		}
+		c[w] = core.C(k.vals[a][r.top])
+		tab[i] = core.PatternRow{X: c[:w:w], Y: c[w:]}
+		support[i] = int(r.sup)
+	}
+	cfd := &core.CFD{LHS: k.names(x), RHS: []string{k.attrs[a]}, Tableau: tab}
+	return Discovered{CFD: cfd, Support: support}
+}
+
+func (k *kernel) names(x []int) []string {
+	out := make([]string, len(x))
+	for i, b := range x {
+		out[i] = k.attrs[b]
+	}
+	return out
 }

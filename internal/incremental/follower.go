@@ -22,7 +22,7 @@ import (
 // valid single-node recovery image of exactly that prefix (segment
 // numbers mirror the primary's, torn tails truncate on restart like any
 // crash), and Promote turns it into a writable primary at the boundary
-// it has applied. Queries (Violations, Stat, discovery miners) serve
+// it has applied. Queries (Violations, Stat, Snapshot) serve
 // throughout; only mutations are gated.
 
 // ErrReadOnly reports a mutation against a monitor that is following a

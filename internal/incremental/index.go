@@ -7,8 +7,8 @@ package incremental
 // check — is core.TableauIndex, built once per CFD with its constants
 // resolved through the monitor's value pool. The tableau-free
 // generalization of the group index — per-X-group support and value
-// distributions for arbitrary attribute pairs, feeding the streaming CFD
-// miner and the repair Suggester — lives in stats.go, folded from the
+// distributions for arbitrary attribute pairs, feeding the repair
+// Suggester — lives in stats.go, folded from the
 // same apply step, and shares its distribution type. A statistics
 // partition Σ covers reads these groups instead of keeping its own: the
 // apply marks it (cfdState.watch) before it changes a group.

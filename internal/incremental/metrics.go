@@ -131,6 +131,6 @@ func newFollowerMetrics(reg *obs.Registry) *followerMetrics {
 
 // Metrics returns the registry this monitor instruments itself into:
 // the one passed via Options.Metrics, or a private registry when none
-// was given. Layers stacked on a monitor (discovery miners, servers)
+// was given. Layers stacked on a monitor (the repair Suggester, servers)
 // register their own series here so one scrape covers the whole node.
 func (m *Monitor) Metrics() *obs.Registry { return m.met.reg }

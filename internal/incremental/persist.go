@@ -67,34 +67,48 @@ var snapTable = crc32.MakeTable(crc32.Castagnoli)
 
 // --- encoder ---
 
+// snapBlock is the encoder's block size: the image is appended into one
+// reused buffer and flushed once it holds a block, with one Write and one
+// CRC update per block rather than per value.
+const snapBlock = 64 << 10
+
 type enc struct {
-	w       io.Writer
-	scratch []byte
-	err     error
+	w   io.Writer
+	buf []byte
+	crc uint32 // over every flushed byte
+	err error
 }
 
-func (e *enc) bytes(p []byte) {
-	if e.err == nil {
-		_, e.err = e.w.Write(p)
+// flush writes out the buffered bytes once they fill a block, or all of
+// them when final. After a failed Write the rest is dropped, so the
+// buffer stays one block.
+func (e *enc) flush(final bool) {
+	if len(e.buf) == 0 || len(e.buf) < snapBlock && !final {
+		return
 	}
+	if e.err == nil {
+		e.crc = crc32.Update(e.crc, snapTable, e.buf)
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
 }
 
 func (e *enc) uvarint(v uint64) {
-	e.scratch = binary.AppendUvarint(e.scratch[:0], v)
-	e.bytes(e.scratch)
+	e.buf = binary.AppendUvarint(e.buf, v)
+	e.flush(false)
 }
 
 func (e *enc) byte(b byte) {
-	e.scratch = append(e.scratch[:0], b)
-	e.bytes(e.scratch)
+	e.buf = append(e.buf, b)
+	e.flush(false)
 }
 
-// str frames the string through the reusable scratch buffer: one Write,
-// no per-string allocation (snapshots write millions of values).
+// str frames the string into the block: no per-string allocation or
+// Write (snapshots write millions of values).
 func (e *enc) str(s string) {
-	e.scratch = binary.AppendUvarint(e.scratch[:0], uint64(len(s)))
-	e.scratch = append(e.scratch, s...)
-	e.bytes(e.scratch)
+	e.buf = binary.AppendUvarint(e.buf, uint64(len(s)))
+	e.buf = append(e.buf, s...)
+	e.flush(false)
 }
 
 func (e *enc) strs(vals []relation.Value) {
@@ -107,8 +121,9 @@ func (e *enc) strs(vals []relation.Value) {
 // reader from the schema or CFD shape, so no length prefix).
 func (e *enc) ids(ids []uint32) {
 	for _, id := range ids {
-		e.uvarint(uint64(id))
+		e.buf = binary.AppendUvarint(e.buf, uint64(id))
 	}
+	e.flush(false)
 }
 
 // --- decoder ---
@@ -379,8 +394,7 @@ func (m *Monitor) writeSnapshot(w io.Writer) error {
 	if _, err := io.WriteString(w, snapMagic); err != nil {
 		return err
 	}
-	h := crc32.New(snapTable)
-	e := &enc{w: io.MultiWriter(w, h)}
+	e := &enc{w: w, buf: make([]byte, 0, snapBlock+4<<10)}
 
 	e.uvarint(uint64(m.nextKey.Load()))
 	e.uvarint(m.epoch.Load())
@@ -428,11 +442,12 @@ func (m *Monitor) writeSnapshot(w io.Writer) error {
 			}
 		}
 	}
+	e.flush(true)
 	if e.err != nil {
 		return e.err
 	}
 	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], h.Sum32())
+	binary.LittleEndian.PutUint32(sum[:], e.crc)
 	_, err := w.Write(sum[:])
 	return err
 }

@@ -130,6 +130,56 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// countingWriter counts the Write calls it receives and their bytes.
+type countingWriter struct{ writes, size int }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	w.size += len(p)
+	return len(p), nil
+}
+
+// TestSnapshotWritesInBlocks: the encoder frames the image into blocks,
+// so writeSnapshot makes one Write per block plus the magic and the
+// checksum — not one per value — and the image still reads back.
+func TestSnapshotWritesInBlocks(t *testing.T) {
+	schema, sigma, _ := snapshotFixture(t)
+	rel := relation.New(schema)
+	for i := 0; i < 20000; i++ {
+		rel.MustInsert("01", fmt.Sprint(900+i%50), fmt.Sprintf("%07d", i), []string{"MH", "NYC", "PHI"}[i%3])
+	}
+	m, err := Load(rel, sigma, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cw countingWriter
+	if err := m.writeSnapshot(&cw); err != nil {
+		t.Fatal(err)
+	}
+	limit := (cw.size+snapBlock-1)/snapBlock + 2
+	t.Logf("%d bytes in %d writes (limit %d)", cw.size, cw.writes, limit)
+	if cw.size < 4*snapBlock {
+		t.Fatalf("image of %d bytes spans too few blocks to test framing", cw.size)
+	}
+	if cw.writes > limit {
+		t.Fatalf("writeSnapshot made %d writes for %d bytes, want at most %d", cw.writes, cw.size, limit)
+	}
+	var buf bytes.Buffer
+	if err := m.writeSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	m2, err := New(schema, sigma, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m2.readSnapshot(bytes.NewReader(buf.Bytes()), int64(buf.Len())); err != nil {
+		t.Fatal(err)
+	}
+	if m2.Len() != m.Len() || !m2.Violations().Equal(m.Violations()) {
+		t.Fatalf("block-framed image read back %d tuples, want %d with the same violations", m2.Len(), m.Len())
+	}
+}
+
 // TestSnapshotRejectsCorruption: a flipped byte anywhere in the body must
 // fail the CRC, mismatched schema/Σ must be refused, and so must a group
 // section whose distributions contradict its group.

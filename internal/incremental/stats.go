@@ -15,19 +15,18 @@ import (
 // count) and the full A-value distribution. It is a consumer of the one
 // apply step: while it is attached, the apply records each op's stored
 // tuple before and after, and the subscription folds those changes under
-// the writer lock, right after the apply (applyLocked). Two subscribers
-// ride it: the streaming CFD miner in internal/discovery re-scores
-// exactly the groups a batch touched instead of re-mining the instance,
-// and the repair Suggester in internal/repair folds every delta into
-// each CFD's live confidence and re-plans the variable violations of
-// those groups whose RHS attribute has, or had, two values.
+// the writer lock, right after the apply (applyLocked). The repair
+// Suggester in internal/repair rides it: it folds every delta into each
+// CFD's live confidence and re-plans the variable violations of those
+// groups whose RHS attribute has, or had, two values. The facade exposes
+// it for arbitrary pairs (MonitorAttrPair).
 //
 // The store is partitioned by X, not by pair (the partition sharing of
 // FD discovery): a subscription keeps one partition per distinct X
 // attribute list among its pairs, and each X-group of a partition holds
 // its key (the packed X-projection IDs) and support once, plus one
-// compact distribution per tracked A. A miner's lattice of 210 pairs
-// over 15 attributes is 15 partitions, not 210 group maps. An insert or
+// compact distribution per tracked A. A lattice of 210 pairs over 15
+// attributes is 15 partitions, not 210 group maps. An insert or
 // delete does one map lookup per partition; an update of A moves the
 // tuple between groups in the partitions whose X contains A and shifts
 // A's distribution within its group in the others. On 20 000 generated
@@ -45,8 +44,8 @@ import (
 // CFD group itself. Its attach folds no tuple, and the apply folds each
 // change once, not once for Σ and again for the subscription. The
 // repair Suggester tracks exactly Σ's (LHS, RHS attribute) pairs, so
-// all its partitions are shared; the miner's, which track every other
-// attribute under an X, stay owned.
+// all its partitions are shared; a subscription that tracks every other
+// attribute under an X keeps its partitions owned.
 //
 // Dirty marks are per (group, A): a mutation leaves one mark per
 // distribution it moved, and Drain turns each into one GroupDelta per
@@ -382,7 +381,7 @@ func (g *statGroup) remove(v uint32) {
 // top returns the most frequent value ID and its count, ties broken
 // toward the smallest VALUE (not the smallest ID — IDs are assigned by
 // interning order, so comparing them would make the winner depend on
-// arrival order; the miner's pattern selection needs the value-based
+// arrival order; a subscriber's pattern selection needs the value-based
 // rule for determinism). O(1) while the spill's cached mode holds, a
 // scan of the spill when it was dropped; the scan's result is cached, so
 // only the distribution's writer, or a reader holding it exclusively,
@@ -662,9 +661,9 @@ func (m *Monitor) TrackGroups(pairs []AttrPair) (*GroupStats, error) {
 		// The fold is one bounded allocation burst that immediately
 		// becomes resident state (groups, projections, distributions) —
 		// park the collector for its duration, the discipline recovery
-		// applies. On 20 000 generated tax tuples a MaxLHS-1 miner
-		// attaches in 0.22 s parked against 0.25 s collecting (median of
-		// 3, 2-core x86-64), at the same peak RSS. The group maps are not
+		// applies. On 20 000 generated tax tuples the 210 pairs of a
+		// MaxLHS-1 lattice attach in 0.22 s parked against 0.25 s
+		// collecting (median of 3, 2-core x86-64), at the same peak RSS. The group maps are not
 		// pre-sized: a map never gives capacity back, and reserving the
 		// tuple count (capped at 4 096) per partition cost 2.6 MB of
 		// resident heap there and no time.

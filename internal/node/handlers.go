@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/discovery"
 	"repro/internal/httpapi"
 	"repro/internal/incremental"
 	"repro/internal/repair"
@@ -265,22 +266,23 @@ func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
 	httpapi.WriteJSON(w, http.StatusOK, st)
 }
 
-// discover serves the current mined CFD set under the config the query
-// params select. The miner re-scores incrementally between calls; only
-// a config change pays a full pass.
+// discover mines the CFDs that hold on a snapshot of the served
+// monitor under the config the query params select, one run at a time
+// per node; tuples is the size of the snapshot mined. An empty monitor
+// mines nothing.
 func (s *Server) discover(w http.ResponseWriter, r *http.Request) {
 	cfg, err := discoverConfig(r.URL.Query())
 	if err != nil {
 		httpapi.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	mi, err := s.minerFor(cfg)
-	if err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, err)
-		return
+	s.discMu.Lock()
+	snap := s.Monitor().Snapshot()
+	var ds []discovery.Discovered
+	if snap.Len() > 0 {
+		ds, err = discovery.Discover(snap, cfg)
 	}
-	mi.Refresh()
-	ds, err := mi.Mined()
+	s.discMu.Unlock()
 	if err != nil {
 		httpapi.WriteError(w, http.StatusInternalServerError, err)
 		return
@@ -303,7 +305,7 @@ func (s *Server) discover(w http.ResponseWriter, r *http.Request) {
 			"min_confidence": cfg.MinConfidence,
 			"max_patterns":   cfg.MaxPatterns,
 		},
-		"tuples": s.Monitor().Len(),
+		"tuples": snap.Len(),
 		"count":  len(out),
 		"mined":  out,
 	})

@@ -9,8 +9,9 @@
 // (one full planning pass); every later call re-plans only the keys and
 // groups the interleaving writes touched. POST /v1/repairs/apply
 // turns accepted ids into an ordinary fenced ChangeSet through the same
-// apply path as POST /v1/apply. GET /v1/discover serves streaming CFD
-// discovery the same way: one attach, then O(Δ) re-scoring.
+// apply path as POST /v1/apply. GET /v1/discover mines CFDs on demand:
+// each call runs discovery over a snapshot of the served monitor, one
+// run at a time per node.
 //
 // Fencing: every mutation may carry an X-Cfd-Epoch header stamping the
 // epoch the caller believes this node's history is at (routers do). A
@@ -55,15 +56,15 @@ type Server struct {
 	// Log is the diagnostic logger; nil falls back to slog.Default.
 	Log *slog.Logger
 
-	// The lazily-attached discovery miner behind GET /v1/discover,
-	// cached per config: re-attaching costs a full scoring pass, so the
-	// one live miner is kept until a request names a different config.
-	mineMu   sync.Mutex
-	miner    *discovery.Miner
-	minerCfg discovery.Config
+	// discMu admits one GET /v1/discover run at a time: each mines a
+	// whole snapshot, so concurrent polls queue instead of multiplying
+	// the memory one run takes.
+	discMu sync.Mutex
 
 	// The lazily-attached repair suggester behind GET /v1/repairs,
-	// cached per trust threshold the same way.
+	// cached per trust threshold: re-attaching costs a full planning
+	// pass, so the one live suggester is kept until a request names a
+	// different threshold.
 	sugMu  sync.Mutex
 	sug    *repair.Suggester
 	sugThr float64
@@ -90,22 +91,12 @@ func (s *Server) Logger() *slog.Logger {
 	return slog.Default()
 }
 
-// SetReplica swaps in a (new) monitor + follower pair. The whole swap —
-// miner retirement included — happens under mineMu, so a concurrent
-// /discover cannot read the old monitor and cache a fresh miner against
-// it after the swap (minerFor reads Monitor() under the same mutex).
-// The follower is stored before the monitor so a reader that sees the
-// new monitor also sees its follower.
+// SetReplica swaps in a (new) monitor + follower pair. The suggester is
+// retired under sugMu — suggesterFor reads Monitor() under the same
+// mutex, so it either caches against the new monitor or has its stale
+// suggester closed here. The follower is stored before the monitor so a
+// reader that sees the new monitor also sees its follower.
 func (s *Server) SetReplica(m *incremental.Monitor, f *incremental.Follower) {
-	s.mineMu.Lock()
-	defer s.mineMu.Unlock()
-	if s.miner != nil {
-		s.miner.Close()
-		s.miner = nil
-	}
-	// The suggester is retired the same way, under its own mutex —
-	// suggesterFor reads Monitor() under sugMu, so it either caches
-	// against the new monitor or has its stale suggester closed here.
 	s.sugMu.Lock()
 	if s.sug != nil {
 		s.sug.Close()
@@ -164,7 +155,7 @@ func (s *Server) Routes() []httpapi.Route {
 		get("/stats", s.stats, `tuples, violations, epoch, role, next_key, build; "wal" on durable nodes, "replica" on standbys`),
 		get("/metrics", httpapi.MetricsHandler(s.metrics()), `Prometheus text exposition of the node's registry`),
 		get("/discover", s.discover,
-			`the streaming miner's current CFD set: ?max_lhs= (≤ 3) ?min_support= ?min_confidence= ?max_patterns=`),
+			`CFDs mined on demand from a snapshot of the live instance: ?max_lhs= (≤ 3) ?min_support= ?min_confidence= ?max_patterns=`),
 		post("/snapshot", s.snapshot, `admin: force a snapshot generation now → {"generation"} (durable nodes)`),
 		post("/promote", s.promote, `admin: flip a standby into a writable primary under a bumped epoch (idempotent)`),
 		post("/fence", s.fence, `admin: {"epoch": E} — refuse every write under a lower epoch from now on`),
@@ -198,15 +189,14 @@ func (s *Server) apply(w http.ResponseWriter, r *http.Request, cs *incremental.C
 }
 
 // maxDiscoverLHS bounds max_lhs on the serving endpoint: the candidate
-// lattice is exponential in it, and a config change pays a full
-// scoring pass under the monitor's write locks — an unbounded value
-// would let one cheap GET stall every writer for minutes.
+// lattice is exponential in it, and every call mines the whole snapshot
+// — an unbounded value would let one cheap GET take the node's CPU and
+// memory for minutes.
 const maxDiscoverLHS = 3
 
 // discoverConfig parses the /discover query params into a mining config,
-// normalized to the miner's documented defaults so that an explicit
-// "?max_lhs=1" (or a zero value the miner would default) and a bare
-// request share one cached miner.
+// normalized to discovery's documented defaults so that the response
+// reports the config that actually ran.
 func discoverConfig(q url.Values) (discovery.Config, error) {
 	cfg := discovery.Config{MaxLHS: 1, MinSupport: 2, MinConfidence: 1}
 	intParam := func(name string, dst *int) error {
@@ -238,9 +228,7 @@ func discoverConfig(q url.Values) (discovery.Config, error) {
 	if cfg.MaxLHS > maxDiscoverLHS {
 		return cfg, fmt.Errorf("max_lhs %d above the serving limit %d", cfg.MaxLHS, maxDiscoverLHS)
 	}
-	// Normalize the values the miner would default, so every spelling of
-	// the same effective config hits the same cached miner instead of
-	// paying a re-attach.
+	// Normalize the values discovery would default.
 	if cfg.MaxLHS <= 0 {
 		cfg.MaxLHS = 1
 	}
@@ -250,26 +238,7 @@ func discoverConfig(q url.Values) (discovery.Config, error) {
 	if cfg.MinConfidence <= 0 {
 		cfg.MinConfidence = 1
 	}
-	return cfg, nil
-}
-
-// minerFor returns the cached miner when the config matches, otherwise
-// attaches a fresh one (full scoring pass) and retires the old.
-func (s *Server) minerFor(cfg discovery.Config) (*discovery.Miner, error) {
-	s.mineMu.Lock()
-	defer s.mineMu.Unlock()
-	if s.miner != nil && s.minerCfg == cfg {
-		return s.miner, nil
-	}
-	mi, err := discovery.NewMiner(s.Monitor(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	if s.miner != nil {
-		s.miner.Close()
-	}
-	s.miner, s.minerCfg = mi, cfg
-	return mi, nil
+	return cfg, cfg.Validate()
 }
 
 // suggesterFor returns the cached repair suggester when the trust

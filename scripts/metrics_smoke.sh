@@ -3,7 +3,7 @@
 # surface: boot a durable primary, push batches through /v1/apply,
 # exercise /v1/discover and /v1/snapshot, then assert GET /v1/metrics
 # exposes the expected series (apply-stage latencies, WAL fsync timing,
-# miner refresh, HTTP middleware under their /v1 paths only) with
+# HTTP middleware under their /v1 paths only) with
 # enough distinct families for a dashboard. A follower
 # is booted against the primary and must expose its replication-lag
 # gauge. CFD_SOAK (default 1) scales the applied batches, so the nightly
@@ -87,7 +87,8 @@ while [ "$n" -lt "$total" ]; do
 done
 echo "metrics-smoke: applied $total batches"
 
-# Exercise the miner and the snapshot path so their series have data.
+# Exercise discovery and the snapshot path so their series have data
+# (the HTTP middleware times /v1/discover).
 curl -fsS "http://$ADDR/v1/discover" > /dev/null
 curl -fsS -X POST "http://$ADDR/v1/snapshot" -d '' > /dev/null
 
@@ -109,12 +110,10 @@ for series in \
     cfd_wal_append_bytes_total \
     cfd_wal_snapshots_total \
     cfd_wal_snapshot_seconds_bucket \
-    cfd_miner_refresh_seconds_bucket \
-    cfd_miner_candidates \
-    cfd_miner_mined_cfds \
     cfd_tuples \
     cfd_violations \
     'cfdserve_http_requests_total{path="/v1/apply"}' \
+    'cfdserve_http_requests_total{path="/v1/discover"}' \
     cfdserve_http_request_seconds_bucket \
 ; do
     grep -qF "$series" "$TMP/metrics.txt" || fail "scrape missing series $series"
