@@ -23,12 +23,12 @@ cli-smoke:
 	GO=$(GO) sh scripts/cli_smoke.sh
 
 # The batch-path benchmarks of the root bench_test.go (discovery
-# included), the live Suggester's attach and the monitor's bulk load,
-# one iteration each:
+# included), the live Suggester's attach, the monitor's bulk load and
+# one GET /v1/discover through a node's handler, one iteration each:
 # go test ./... never runs a benchmark, so one that panics or stops
 # certifying its result would otherwise go unnoticed.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkStrategyDirect$$|BenchmarkRepair$$|BenchmarkDiscovery$$|BenchmarkSuggesterAttach$$|BenchmarkMonitorLoad100K$$' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkStrategyDirect$$|BenchmarkRepair$$|BenchmarkDiscovery$$|BenchmarkSuggesterAttach$$|BenchmarkMonitorLoad100K$$|BenchmarkDiscoverEndpoint$$' -benchtime 1x -benchmem .
 
 # The property tests under the race detector, twice each so goroutine
 # schedules vary: one row per package and -run pattern, each row
@@ -41,10 +41,14 @@ bench-smoke:
 # concurrent writers).
 RACE_PROPS += './internal/incremental/=TestRandomBatchesMatchOracle|TestCrashRecoveryBatchAllOrNothing|TestApplyBatch|TestCommitWindow'
 # Discovery: the stripped-partition kernel against a brute-force GROUP BY
-# per candidate on random instances, then the group-statistics
-# substrate's shared X-partitions against a fresh per-pair recount and
-# concurrent Stat readers of one group.
+# per candidate on random instances; the node's streamed GET
+# /v1/discover against a snapshot mined and encoded whole, on random
+# churned instances and beside concurrent writers whose ChangeSets leave
+# the state as they found it; then the group-statistics substrate's
+# shared X-partitions against a fresh per-pair recount and concurrent
+# Stat readers of one group.
 RACE_PROPS += './internal/discovery/=TestDiscoverMatchesBruteForce'
+RACE_PROPS += './internal/node/=TestDiscoverAnswerMatchesSnapshot|TestDiscoverBesideWriters'
 RACE_PROPS += './internal/incremental/=TestSharedPartitionsMatchRecount|TestStatConcurrentReaders'
 # The partitions a subscription shares with Σ's own groups: drains,
 # Stat, Count and KeyOf against a Σ-less twin that owns its partitions,

@@ -6,10 +6,12 @@ import (
 )
 
 // CFD discovery (the Section 7 future-work item). Discovery is one
-// on-demand computation over a relation: DiscoverCFDs runs a level-wise
-// stripped-partition search over the instance it is given. To mine a
-// live monitor, pass it Monitor.Snapshot(); the cfdserve GET
-// /v1/discover endpoint does exactly that.
+// on-demand computation over an instance: DiscoverCFDs runs a level-wise
+// stripped-partition search over the relation it is given. To mine a
+// live monitor, pass it Monitor.Snapshot(). The cfdserve GET
+// /v1/discover endpoint runs the same kernel without materializing a
+// tuple: on the monitor's own value IDs, copied out column by column
+// (Monitor.Columns), with the same answer.
 type (
 	// DiscoveryConfig tunes discovery (MaxLHS, MinSupport, MinConfidence,
 	// MaxPatterns). Invalid tunables (MinConfidence > 1, negative

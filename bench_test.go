@@ -19,6 +19,8 @@ package repro
 import (
 	"bytes"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
@@ -28,6 +30,7 @@ import (
 	"repro/internal/discovery"
 	"repro/internal/gen"
 	"repro/internal/incremental"
+	"repro/internal/node"
 	"repro/internal/relation"
 	"repro/internal/repair"
 	"repro/internal/sqlgen"
@@ -358,6 +361,52 @@ func BenchmarkDiscovery(b *testing.B) {
 		}
 		if len(ds) == 0 {
 			b.Fatal("nothing discovered")
+		}
+	}
+}
+
+// discardBody is a ResponseWriter that keeps only an answer's first
+// bytes, so a handler benchmark measures the handler, not a buffer.
+type discardBody struct {
+	h    http.Header
+	head []byte
+	code int
+}
+
+func (w *discardBody) Header() http.Header  { return w.h }
+func (w *discardBody) WriteHeader(code int) { w.code = code }
+func (w *discardBody) Write(p []byte) (int, error) {
+	if n := min(len(p), cap(w.head)-len(w.head)); n > 0 {
+		w.head = append(w.head, p[:n]...)
+	}
+	return len(p), nil
+}
+
+// BenchmarkDiscoverEndpoint measures one GET /v1/discover through a
+// node's handler at the poll configuration on 20 000 dirty tax rows:
+// the column read of the monitor's value IDs, the mining run and the
+// streamed answer, whose count must equal what mining a snapshot finds.
+func BenchmarkDiscoverEndpoint(b *testing.B) {
+	data := gen.GenerateTax(gen.TaxConfig{Size: 20000, Noise: 0.05, Seed: 1})
+	m, err := incremental.Load(data.Dirty, nil, incremental.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := node.New(m, nil)
+	defer s.Close()
+	h := s.Handler()
+	ds, err := discovery.Discover(m.Snapshot(), discovery.Config{MaxLHS: 1, MinSupport: 2, MinConfidence: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	count := []byte(fmt.Sprintf(`,"count":%d,`, len(ds)))
+	req := httptest.NewRequest(http.MethodGet, "/v1/discover?max_lhs=1&min_support=2&min_confidence=1", nil)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := &discardBody{h: make(http.Header), head: make([]byte, 0, 256)}
+		h.ServeHTTP(w, req)
+		if w.code != http.StatusOK || !bytes.Contains(w.head, count) {
+			b.Fatalf("status %d, answer begins %s; want %s", w.code, w.head, count)
 		}
 	}
 }

@@ -56,7 +56,7 @@
 //     internal/discovery): DiscoverCFDs mines an instance in one
 //     level-wise pass over stripped partitions; over a live monitor,
 //     mine its Snapshot. See "Discovery on demand" below. cfdserve
-//     serves it as GET /v1/discover.
+//     serves it as GET /v1/discover, on the monitor's own value IDs.
 //   - A heuristic repair algorithm (Section 6): cost-based value
 //     modification with the CFD-specific LHS-breaking move (Repair),
 //     plus a live variant on the Monitor — WatchRepairs keeps a
@@ -108,17 +108,23 @@
 // # Discovery on demand
 //
 // DiscoverCFDs is one computation over the relation it is given, a
-// level-wise search over stripped partitions in the TANE lineage: each
-// column is encoded once to dense value IDs in sorted-value order, π_A
-// is built per attribute, and π_{X∪B} refines π_X by column B through a
+// level-wise search over stripped partitions in the TANE lineage: the
+// relation is interned once into columns of dense value IDs, π_A is
+// built per attribute, and π_{X∪B} refines π_X by column B through a
 // probe table, a level freed once the next is built. Every candidate
 // X → A (|X| ≤ MaxLHS) reads its per-group A-value counts off π_X; a
-// candidate some smaller LHS already determines is never scored. On 5 000
-// generated tax tuples at MaxLHS 2 a run takes about 70 ms and 4 400
-// allocations (BenchmarkDiscovery). Mining a live monitor is
-// DiscoverCFDs(m.Snapshot(), cfg): nothing rides the apply path, and
-// cfdserve's GET /v1/discover does exactly this per call, one run at a
-// time per node. Mining again after a change shows what it broke.
+// candidate some smaller LHS already determines is never scored. IDs
+// carry no order: a dominant-value tie goes to the smallest value and
+// pattern rows are ordered by value. On 5 000 generated tax tuples at
+// MaxLHS 2 a run takes about 65 ms and 4 400 allocations
+// (BenchmarkDiscovery). Mining a live monitor is
+// DiscoverCFDs(m.Snapshot(), cfg): nothing rides the apply path.
+// cfdserve's GET /v1/discover gets the same answer without the
+// snapshot: it copies the monitor's own value IDs column by column
+// under the store lock, renumbered over the live values, runs the same
+// kernel on them, one run at a time per node, and streams the answer
+// one mined CFD at a time. Mining again after a change shows what it
+// broke.
 //
 // Monitor.TrackGroups keeps group statistics for arbitrary attribute
 // pairs (X → A) current under changes — every live X-group's support

@@ -172,34 +172,87 @@ func (c *CFD) IsInstanceFD() bool {
 }
 
 // String renders the CFD in the library's text notation, one line per
-// pattern row, e.g. "[CC=01, AC=908, PN] -> [STR, CT=MH, ZIP]".
+// pattern row, e.g. "[CC=01, AC=908, PN] -> [STR, CT=MH, ZIP]", into one
+// builder sized up front. A CFD without rows renders its attribute lists
+// and "  # empty tableau".
 func (c *CFD) String() string {
+	var b strings.Builder
 	if len(c.Tableau) == 0 {
-		return fmt.Sprintf("[%s] -> [%s]  # empty tableau", strings.Join(c.LHS, ", "), strings.Join(c.RHS, ", "))
+		const note = "  # empty tableau"
+		b.Grow(rowLen(c.LHS, c.RHS, PatternRow{}) + len(note))
+		writeRow(&b, c.LHS, c.RHS, PatternRow{})
+		b.WriteString(note)
+		return b.String()
 	}
-	lines := make([]string, 0, len(c.Tableau))
+	n := len(c.Tableau) - 1 // the newlines
 	for _, r := range c.Tableau {
-		lines = append(lines, formatRow(c.LHS, c.RHS, r))
+		n += rowLen(c.LHS, c.RHS, r)
 	}
-	return strings.Join(lines, "\n")
+	b.Grow(n)
+	for i, r := range c.Tableau {
+		if i > 0 {
+			b.WriteByte('\n')
+		}
+		writeRow(&b, c.LHS, c.RHS, r)
+	}
+	return b.String()
 }
 
-func formatRow(lhs, rhs []string, r PatternRow) string {
-	side := func(names []string, pats []Pattern) string {
-		parts := make([]string, len(names))
-		for i, a := range names {
-			switch pats[i].Kind {
-			case Wildcard:
-				parts[i] = a
-			case DontCare:
-				parts[i] = a + "=@"
-			default:
-				parts[i] = a + "=" + pats[i].String()
-			}
+// writeRow writes one pattern row, "[X side] -> [Y side]": each side
+// its attribute names joined by ", ", a name followed by its cell — none
+// for '_' (and for a row without cells), "=@" for '@', "=" and the
+// constant otherwise. rowLen is its length.
+func writeRow(b *strings.Builder, lhs, rhs []string, r PatternRow) {
+	b.WriteByte('[')
+	writeSide(b, lhs, r.X)
+	b.WriteString("] -> [")
+	writeSide(b, rhs, r.Y)
+	b.WriteByte(']')
+}
+
+func writeSide(b *strings.Builder, names []string, pats []Pattern) {
+	for i, a := range names {
+		if i > 0 {
+			b.WriteString(", ")
 		}
-		return strings.Join(parts, ", ")
+		b.WriteString(a)
+		if i >= len(pats) {
+			continue
+		}
+		switch p := pats[i]; p.Kind {
+		case Wildcard:
+		case DontCare:
+			b.WriteString("=@")
+		default:
+			b.WriteByte('=')
+			writeConst(b, p.Val)
+		}
 	}
-	return fmt.Sprintf("[%s] -> [%s]", side(lhs, r.X), side(rhs, r.Y))
+}
+
+func rowLen(lhs, rhs []string, r PatternRow) int {
+	return len("[] -> []") + sideLen(lhs, r.X) + sideLen(rhs, r.Y)
+}
+
+func sideLen(names []string, pats []Pattern) int {
+	n := 0
+	for i, a := range names {
+		if i > 0 {
+			n += len(", ")
+		}
+		n += len(a)
+		if i >= len(pats) {
+			continue
+		}
+		switch p := pats[i]; p.Kind {
+		case Wildcard:
+		case DontCare:
+			n += len("=@")
+		default:
+			n += 1 + constLen(p.Val)
+		}
+	}
+	return n
 }
 
 // Simple is a CFD in the normal form of Section 3.2: a single RHS attribute
@@ -225,7 +278,12 @@ func (s *Simple) Clone() *Simple {
 
 // String renders the simple CFD in text notation.
 func (s *Simple) String() string {
-	return formatRow(s.X, []string{s.A}, PatternRow{X: s.TX, Y: []Pattern{s.PA}})
+	rhs, pa := [1]string{s.A}, [1]Pattern{s.PA}
+	r := PatternRow{X: s.TX, Y: pa[:]}
+	var b strings.Builder
+	b.Grow(rowLen(s.X, rhs[:], r))
+	writeRow(&b, s.X, rhs[:], r)
+	return b.String()
 }
 
 // Equal reports structural equality (same attribute lists, same patterns).

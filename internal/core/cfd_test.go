@@ -182,6 +182,37 @@ func TestSimpleEqualAndString(t *testing.T) {
 	}
 }
 
+// TestStringGolden pins the text notation CFD.String and Simple.String
+// share, row by row: '_' cells print the bare name, '@' cells "=@",
+// constants "=" and the value, quoted when it would not parse back bare
+// (a space, a comma, '=', the empty string, a lone '_' or '@'; a quote
+// inside is doubled); rows join with newlines, and a CFD without rows
+// prints its attribute lists and a note. The parse round trip cannot see
+// a change of format made consistently on both sides; this can.
+func TestStringGolden(t *testing.T) {
+	multi := &CFD{
+		LHS: []string{"CC", "AC", "STR"},
+		RHS: []string{"CT", "ZIP"},
+		Tableau: []PatternRow{
+			{X: []Pattern{C("01"), W(), C("15 Oak Ave.")}, Y: []Pattern{AtSign(), C("O'Brien")}},
+			{X: []Pattern{W(), C("908"), W()}, Y: []Pattern{C("MH"), W()}},
+			{X: []Pattern{C(""), C("_"), C("a,b")}, Y: []Pattern{C("@"), C("x=y")}},
+		},
+	}
+	simple := &Simple{X: []string{"A", "B"}, A: "C", TX: []Pattern{C("it's"), W()}, PA: AtSign()}
+	for _, tc := range []struct{ got, want string }{
+		{multi.String(), "[CC=01, AC, STR='15 Oak Ave.'] -> [CT=@, ZIP='O''Brien']\n" +
+			"[CC, AC=908, STR] -> [CT=MH, ZIP]\n" +
+			"[CC='', AC='_', STR='a,b'] -> [CT='@', ZIP='x=y']"},
+		{(&CFD{LHS: []string{"A", "B"}, RHS: []string{"C"}}).String(), "[A, B] -> [C]  # empty tableau"},
+		{simple.String(), "[A='it''s', B] -> [C=@]"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("String =\n%s\nwant\n%s", tc.got, tc.want)
+		}
+	}
+}
+
 func TestIsStandardAndInstanceFD(t *testing.T) {
 	multi := phi2()
 	if multi.IsStandardFD() || multi.IsInstanceFD() {

@@ -66,11 +66,43 @@ func (p Pattern) String() string {
 	case DontCare:
 		return "@"
 	default:
-		if needsQuoting(p.Val) {
-			return "'" + strings.ReplaceAll(p.Val, "'", "''") + "'"
+		if !needsQuoting(p.Val) {
+			return p.Val
 		}
-		return p.Val
+		var b strings.Builder
+		b.Grow(constLen(p.Val))
+		writeConst(&b, p.Val)
+		return b.String()
 	}
+}
+
+// writeConst writes a constant cell: the value itself, or quoted in
+// single quotes with each quote doubled when it would not parse back
+// bare. constLen is its length.
+func writeConst(b *strings.Builder, v string) {
+	if !needsQuoting(v) {
+		b.WriteString(v)
+		return
+	}
+	b.WriteByte('\'')
+	for {
+		i := strings.IndexByte(v, '\'')
+		if i < 0 {
+			break
+		}
+		b.WriteString(v[:i+1])
+		b.WriteByte('\'')
+		v = v[i+1:]
+	}
+	b.WriteString(v)
+	b.WriteByte('\'')
+}
+
+func constLen(v string) int {
+	if !needsQuoting(v) {
+		return len(v)
+	}
+	return len(v) + 2 + strings.Count(v, "'")
 }
 
 func needsQuoting(v string) bool {

@@ -17,16 +17,22 @@
 // input instance (property-tested). The search is exponential in MaxLHS
 // only, matching the fixed-schema regime of the paper's analyses.
 //
-// Discover is one on-demand computation over a relation: a level-wise
-// search over stripped partitions in the TANE lineage. Columns are
-// encoded to dense value IDs in sorted-value order, so the smallest value
-// is the smallest ID. Level l+1 refines each π_X of level l by one more
-// column through a probe table indexed by value ID (π_{X∪B} = π_X · π_B);
-// a level is freed once the next is built. Singleton groups are stripped
-// when MinSupport ≥ 2 (they can neither break an FD nor yield a pattern).
-// Each candidate X → A reads its per-group A-value counts off π_X, and a
-// candidate a smaller LHS already determines is never scored. cfdserve's
-// GET /v1/discover runs the same computation on a monitor's snapshot.
+// Discover is one on-demand computation over an instance: a level-wise
+// search over stripped partitions in the TANE lineage. The kernel runs
+// on relation.Columns, every column as dense value IDs with its own
+// value table: Discover interns a relation into that shape, and cfdserve's
+// GET /v1/discover hands it the columns a monitor copies out of its own
+// value IDs (incremental.Monitor.Columns), so no tuple is materialized.
+// IDs carry no order; the two places order matters compare values — a
+// dominant-value tie goes to the lexicographically smallest value, and
+// pattern rows keep relation.CompareKeys order. Level l+1 refines each
+// π_X of level l by one more column through a probe table indexed by
+// value ID (π_{X∪B} = π_X · π_B); a level is freed once the next is
+// built, and the last before the answer is emitted. Singleton groups
+// are stripped when MinSupport ≥ 2 (they can neither break an FD nor
+// yield a pattern). Each candidate X → A reads its per-group A-value
+// counts off π_X, and a candidate a smaller LHS already determines is
+// never scored.
 package discovery
 
 import (
@@ -93,16 +99,23 @@ type Discovered struct {
 // Discover mines CFDs from the instance. The output is RHS-major: for
 // each attribute A in schema order, its embedded FDs X → A with smaller
 // LHSs first and, within a size, in schema-order combination order.
-// Pattern rows are ordered by support (descending), ties by encoded
-// X-projection, and capped at MaxPatterns.
+// Pattern rows are ordered by support (descending), ties by X-projection
+// in relation.CompareKeys order, and capped at MaxPatterns.
 func Discover(rel *relation.Relation, cfg Config) ([]Discovered, error) {
+	return DiscoverColumns(rel.Columns(), cfg)
+}
+
+// DiscoverColumns is Discover over an instance already in column form.
+// Its answer does not depend on the tuple order or on how the IDs are
+// numbered. The kernel reads c and never changes it.
+func DiscoverColumns(c *relation.Columns, cfg Config) ([]Discovered, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if rel.Len() == 0 {
+	if c.Len() == 0 {
 		return nil, fmt.Errorf("discovery: empty instance")
 	}
-	k := newKernel(rel, cfg.withDefaults())
+	k := newKernel(c, cfg.withDefaults())
 	k.run()
 	return k.emit(), nil
 }
@@ -161,18 +174,12 @@ type kernel struct {
 	pats     []pat
 }
 
-func newKernel(rel *relation.Relation, cfg Config) *kernel {
-	k := &kernel{cfg: cfg, attrs: rel.Schema.Names(), minSize: min(cfg.MinSupport, 2)}
-	n, width := rel.Len(), len(k.attrs)
-	cells := make([]int32, n*width)
-	k.cols = make([][]int32, width)
-	k.vals = make([][]relation.Value, width)
+func newKernel(c *relation.Columns, cfg Config) *kernel {
+	k := &kernel{cfg: cfg, attrs: c.Schema.Names(), cols: c.Cols, vals: c.Vals, minSize: min(cfg.MinSupport, 2)}
+	n, width := c.Len(), len(k.attrs)
 	maxVals := 0
-	ids := make(map[relation.Value]int32) // reused: one growth, not one per column
-	for a := range k.attrs {
-		k.cols[a] = cells[a*n : (a+1)*n]
-		k.vals[a] = encode(rel.Tuples, a, k.cols[a], ids)
-		maxVals = max(maxVals, len(k.vals[a]))
+	for _, vs := range k.vals {
+		maxVals = max(maxVals, len(vs))
 	}
 	k.cnt, k.off = make([]int32, maxVals), make([]int32, maxVals)
 	// Level 1: π_A is the whole relation, one group, refined by column A.
@@ -187,31 +194,6 @@ func newKernel(rel *relation.Relation, cfg Config) *kernel {
 	return k
 }
 
-// encode fills col with column a's value IDs, numbered in sorted-value
-// order, and returns the values by ID. ids is scratch.
-func encode(tuples []relation.Tuple, a int, col []int32, ids map[relation.Value]int32) []relation.Value {
-	clear(ids)
-	var vals []relation.Value
-	for t, tu := range tuples {
-		id, ok := ids[tu[a]]
-		if !ok {
-			id = int32(len(vals))
-			ids[tu[a]] = id
-			vals = append(vals, tu[a])
-		}
-		col[t] = id
-	}
-	slices.Sort(vals)
-	rank := make([]int32, len(vals))
-	for r, v := range vals {
-		rank[ids[v]] = int32(r)
-	}
-	for t, id := range col {
-		col[t] = rank[id]
-	}
-	return vals
-}
-
 // run scores the lattice level by level.
 func (k *kernel) run() {
 	level := make([]int32, len(k.attrs))
@@ -223,6 +205,7 @@ func (k *kernel) run() {
 			k.scoreSubset(s)
 		}
 		if size == k.cfg.MaxLHS {
+			k.free(level)
 			return
 		}
 		level = k.extend(level)
@@ -235,7 +218,7 @@ func (k *kernel) scoreSubset(s int32) {
 	sub := &k.subsets[s]
 	for a := range k.attrs {
 		if c := &k.cands[int(s)*len(k.attrs)+a]; !c.pruned && !slices.Contains(sub.attrs, a) {
-			k.score(sub.p, k.cols[a], c)
+			k.score(sub.p, a, c)
 			c.det = c.impure == 0
 		}
 	}
@@ -282,10 +265,15 @@ func (k *kernel) extend(level []int32) []int32 {
 			next = append(next, ns)
 		}
 	}
+	k.free(level)
+	return next
+}
+
+// free drops the partitions of level's subsets.
+func (k *kernel) free(level []int32) {
 	for _, s := range level {
 		k.subsets[s].p = nil
 	}
-	return next
 }
 
 // refine returns π_X · π_B: each group of p split by column B's value
@@ -332,22 +320,24 @@ func (k *kernel) count(g, col []int32) []int32 {
 	return k.seen
 }
 
-// score folds every group of π_X into candidate X → A, col being A's
+// score folds every group of π_X into candidate X → A, a being A's
 // column: its distinct A-values, its dominant one (ties toward the
-// smallest ID, so the smallest value) and whether it yields a pattern.
-func (k *kernel) score(p *partition, col []int32, c *candidate) {
+// smallest value; IDs carry no order) and whether it yields a pattern.
+func (k *kernel) score(p *partition, a int, c *candidate) {
+	col, vals := k.cols[a], k.vals[a]
 	pats := k.pats[:0]
 	start := int32(0)
 	for _, end := range p.ends {
 		g := p.rows[start:end]
 		start = end
 		seen := k.count(g, col)
-		top, topN := seen[0], int32(0)
+		top, topN, tie := seen[0], int32(0), false
 		for _, v := range seen {
-			if n := k.cnt[v]; n > topN || n == topN && v < top {
-				top, topN = v, n
+			if n := k.cnt[v]; n > topN {
+				top, topN, tie = v, n, false
+			} else if n == topN {
+				tie = true
 			}
-			k.cnt[v] = 0
 		}
 		support := len(g)
 		if len(seen) > 1 {
@@ -357,7 +347,17 @@ func (k *kernel) score(p *partition, col []int32, c *candidate) {
 			c.evidence += support
 		}
 		if k.yields(support, int(topN)) {
+			if tie { // only a yielded row's tie matters: settle it by value
+				for _, v := range seen {
+					if k.cnt[v] == topN && vals[v] < vals[top] {
+						top = v
+					}
+				}
+			}
 			pats = append(pats, pat{rep: g[0], top: top, sup: int32(support)})
+		}
+		for _, v := range seen {
+			k.cnt[v] = 0
 		}
 	}
 	if c.impure > 0 && len(pats) > 0 {
@@ -400,7 +400,8 @@ func (k *kernel) emit() []Discovered {
 }
 
 // patterns builds the constant-pattern CFD X → A from its yielded rows:
-// sorted by support, ties by encoded X-projection, then capped.
+// sorted by support, ties by X-projection in relation.CompareKeys order,
+// then capped.
 func (k *kernel) patterns(x []int, a int, pats []pat) Discovered {
 	type row struct {
 		x []relation.Value

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -21,9 +22,12 @@ import (
 // pure, so determination is transitive), the FD form needs no impure
 // group and evidence ≥ MinSupport, a group yields a pattern row when its
 // support and its dominant value's share clear the thresholds (ties
-// toward the smallest value), and rows are sorted by support then
-// encoded X-projection before the MaxPatterns cap. Value pools are tiny
-// so groups collide, tie and flip between pure and mixed.
+// toward the lexicographically smallest value), and rows are sorted by
+// support then encoded X-projection (relation.CompareKeys order: length
+// first) before the MaxPatterns cap. Value pools are tiny so groups
+// collide, tie and flip between pure and mixed, and their values differ
+// in length so that the two orders disagree: "a10" sorts before "a9"
+// lexicographically but after it length first.
 
 func kernelSchema() *relation.Schema {
 	return relation.MustSchema("R",
@@ -31,10 +35,10 @@ func kernelSchema() *relation.Schema {
 }
 
 var kernelPools = [][]relation.Value{
-	{"a1", "a2", "a3"},
-	{"b1", "b2"},
-	{"c1", "c2", "c3", "c4"},
-	{"d1", "d2"},
+	{"a9", "a10", "a3"},
+	{"b", "ab"},
+	{"c1", "c22", "c333", "c4"},
+	{"d", "cd"},
 }
 
 // randInstance draws n tuples over kernelPools. Each attribute after the
@@ -243,6 +247,29 @@ func TestDiscoverMatchesBruteForce(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestDominantTieTakesSmallestValue: a group whose A-values tie yields
+// its row with the lexicographically smallest one — "ab", not "b", which
+// sorts first length first — however the tuples are ordered.
+func TestDominantTieTakesSmallestValue(t *testing.T) {
+	for _, order := range [][]relation.Value{{"b", "ab"}, {"ab", "b"}} {
+		rel := relation.New(relation.MustSchema("R", relation.Attr("X"), relation.Attr("A")))
+		for _, v := range order {
+			rel.MustInsert("x", v)
+		}
+		ds, err := Discover(rel, Config{MaxLHS: 1, MinSupport: 2, MinConfidence: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, d := range ds {
+			got = append(got, d.CFD.String())
+		}
+		if want := "[X=x] -> [A=ab]"; !slices.Contains(got, want) {
+			t.Errorf("tuples %v mined %q, want %q among them", order, got, want)
 		}
 	}
 }

@@ -568,6 +568,46 @@ func (m *Monitor) Snapshot() *relation.Relation {
 	return rel
 }
 
+// Columns copies the live tuples' value IDs into column form, column by
+// column under one hold of the store lock, so the columns are one commit
+// window's state; tuple order is the store's and varies between calls.
+// Each column's pool IDs are then renumbered densely over the values its
+// live cells hold, and only those values are materialized: the pool
+// only grows, but a call's memory follows the live state.
+func (m *Monitor) Columns() *relation.Columns {
+	width := m.schema.Len()
+	m.storeMu.RLock()
+	n := len(m.tuples)
+	cells := make([]int32, n*width)
+	t := 0
+	for _, tu := range m.tuples {
+		for a, id := range tu {
+			cells[a*n+t] = int32(id)
+		}
+		t++
+	}
+	m.storeMu.RUnlock()
+	c := &relation.Columns{Schema: m.schema, Cols: make([][]int32, width), Vals: make([][]relation.Value, width)}
+	renum := make(map[uint32]int32) // one column's pool IDs at a time
+	var ids []uint32
+	for a := range c.Cols {
+		clear(renum)
+		ids = ids[:0]
+		col := cells[a*n : (a+1)*n : (a+1)*n]
+		for i, id := range col {
+			v, ok := renum[uint32(id)]
+			if !ok {
+				v = int32(len(ids))
+				renum[uint32(id)] = v
+				ids = append(ids, uint32(id))
+			}
+			col[i] = v
+		}
+		c.Cols[a], c.Vals[a] = col, m.vals.Materialize(make([]relation.Value, 0, len(ids)), ids)
+	}
+	return c
+}
+
 // Satisfied reports whether the live instance currently satisfies Σ. It is
 // lock-free: a per-CFD violation counter is maintained by the apply and
 // read atomically here.

@@ -475,3 +475,70 @@ func TestConcurrentUpdateDeleteSameKey(t *testing.T) {
 		}
 	}
 }
+
+// TestColumnsMatchSnapshot: the column read holds the live tuples — the
+// same multiset Snapshot materializes — and each column's value table
+// holds each value a live tuple has in that column exactly once, however
+// many dead values a stream of updates and deletes left in the pool.
+func TestColumnsMatchSnapshot(t *testing.T) {
+	schema := relation.MustSchema("R", relation.Attr("A"), relation.Attr("B"), relation.Attr("C"))
+	pool := relation.NewInterner()
+	m, err := incremental.New(schema, nil, incremental.Options{Intern: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := func(ts []relation.Tuple) []string {
+		out := make([]string, len(ts))
+		for i, tu := range ts {
+			out[i] = relation.EncodeKey(tu)
+		}
+		slices.Sort(out)
+		return out
+	}
+	for step := 0; step < 30; step++ {
+		var cs incremental.ChangeSet
+		for i := 0; i < 5; i++ {
+			cs.Insert(relation.Tuple{fmt.Sprint("a", (step+i)%4), fmt.Sprint("b", i%2), "c"})
+		}
+		keys := m.Keys()
+		for i, k := range keys {
+			switch i % 5 {
+			case 0:
+				cs.Update(k, "C", fmt.Sprint("dead", step)).Update(k, "C", fmt.Sprint("c", step%3))
+			case 1:
+				cs.Delete(k)
+			}
+		}
+		if _, err := m.Apply(&cs); err != nil {
+			t.Fatal(err)
+		}
+		c := m.Columns()
+		snap := m.Snapshot()
+		if c.Len() != snap.Len() || c.Schema != schema {
+			t.Fatalf("step %d: columns hold %d tuples, snapshot %d", step, c.Len(), snap.Len())
+		}
+		got := make([]relation.Tuple, c.Len())
+		for r := range got {
+			for a := range c.Cols {
+				got[r] = append(got[r], c.Vals[a][c.Cols[a][r]])
+			}
+		}
+		if g, w := rows(got), rows(snap.Tuples); !slices.Equal(g, w) {
+			t.Fatalf("step %d: columns hold %v, snapshot %v", step, g, w)
+		}
+		live := make(map[relation.Value]bool)
+		for a := range c.Cols {
+			col := make(map[relation.Value]bool)
+			for _, tu := range snap.Tuples {
+				col[tu[a]] = true
+				live[tu[a]] = true
+			}
+			if vals := c.Vals[a]; len(vals) != len(col) || len(slices.Compact(slices.Sorted(slices.Values(vals)))) != len(col) {
+				t.Fatalf("step %d: column %d's value table is %v, its live values %v", step, a, vals, col)
+			}
+		}
+		if step > 0 && pool.Len() <= len(live) {
+			t.Fatalf("step %d: pool holds %d values, no dead ones beside the %d live", step, pool.Len(), len(live))
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -266,10 +267,11 @@ func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
 	httpapi.WriteJSON(w, http.StatusOK, st)
 }
 
-// discover mines the CFDs that hold on a snapshot of the served
-// monitor under the config the query params select, one run at a time
-// per node; tuples is the size of the snapshot mined. An empty monitor
-// mines nothing.
+// discover mines the CFDs that hold on the served monitor's live tuples
+// under the config the query params select, one run at a time per node.
+// The kernel runs on the monitor's own value IDs (Monitor.Columns), so
+// no tuple is materialized, and the answer is streamed (writeDiscovered).
+// tuples is the number of tuples mined. An empty monitor mines nothing.
 func (s *Server) discover(w http.ResponseWriter, r *http.Request) {
 	cfg, err := discoverConfig(r.URL.Query())
 	if err != nil {
@@ -277,38 +279,76 @@ func (s *Server) discover(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.discMu.Lock()
-	snap := s.Monitor().Snapshot()
+	cols := s.Monitor().Columns()
+	tuples := cols.Len()
 	var ds []discovery.Discovered
-	if snap.Len() > 0 {
-		ds, err = discovery.Discover(snap, cfg)
+	if tuples > 0 {
+		ds, err = discovery.DiscoverColumns(cols, cfg)
 	}
 	s.discMu.Unlock()
 	if err != nil {
 		httpapi.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	type mined struct {
-		LHS     []string `json:"lhs"`
-		RHS     []string `json:"rhs"`
-		IsFD    bool     `json:"is_fd"`
-		Support []int    `json:"support"`
-		CFD     string   `json:"cfd"`
+	writeDiscovered(w, cfg, tuples, ds)
+}
+
+// discoverConfigJSON and minedJSON are the parts of a /v1/discover
+// answer; discoverConfigJSON's fields are in key order, as a map's are.
+type discoverConfigJSON struct {
+	MaxLHS        int     `json:"max_lhs"`
+	MaxPatterns   int     `json:"max_patterns"`
+	MinConfidence float64 `json:"min_confidence"`
+	MinSupport    int     `json:"min_support"`
+}
+
+type minedJSON struct {
+	LHS     []string `json:"lhs"`
+	RHS     []string `json:"rhs"`
+	IsFD    bool     `json:"is_fd"`
+	Support []int    `json:"support"`
+	CFD     string   `json:"cfd"`
+}
+
+// writeDiscovered answers 200 with the mined set: the bytes
+// httpapi.WriteJSON writes for the object {config, count, mined, tuples},
+// but written one mined CFD at a time — rendered, encoded, written and
+// then dropped from ds — so the rendered answer is never whole in
+// memory and what is left of the mined set shrinks as it goes.
+func writeDiscovered(w http.ResponseWriter, cfg discovery.Config, tuples int, ds []discovery.Discovered) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// A write fails only once the client has hung up, and the failure
+	// sticks (the response's buffered writer keeps it), so checking each
+	// Encode is enough to stop rendering what nobody reads.
+	enc := json.NewEncoder(trimNewline{w})
+	_, _ = io.WriteString(w, `{"config":`)
+	cj := discoverConfigJSON{MaxLHS: cfg.MaxLHS, MaxPatterns: cfg.MaxPatterns, MinConfidence: cfg.MinConfidence, MinSupport: cfg.MinSupport}
+	if enc.Encode(cj) != nil {
+		return
 	}
-	out := make([]mined, len(ds))
-	for i, d := range ds {
-		out[i] = mined{LHS: d.CFD.LHS, RHS: d.CFD.RHS, IsFD: d.IsFD, Support: d.Support, CFD: d.CFD.String()}
+	_, _ = fmt.Fprintf(w, `,"count":%d,"mined":[`, len(ds))
+	for i := range ds {
+		if i > 0 {
+			_, _ = io.WriteString(w, ",")
+		}
+		d := &ds[i]
+		if enc.Encode(minedJSON{LHS: d.CFD.LHS, RHS: d.CFD.RHS, IsFD: d.IsFD, Support: d.Support, CFD: d.CFD.String()}) != nil {
+			return
+		}
+		*d = discovery.Discovered{}
 	}
-	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
-		"config": map[string]any{
-			"max_lhs":        cfg.MaxLHS,
-			"min_support":    cfg.MinSupport,
-			"min_confidence": cfg.MinConfidence,
-			"max_patterns":   cfg.MaxPatterns,
-		},
-		"tuples": snap.Len(),
-		"count":  len(out),
-		"mined":  out,
-	})
+	_, _ = fmt.Fprintf(w, "],\"tuples\":%d}\n", tuples)
+}
+
+// trimNewline passes a json.Encoder's output on without the newline
+// Encode ends every value with, so encoded values join into one
+// document. Compact JSON holds no raw newline, so only that one goes.
+type trimNewline struct{ w io.Writer }
+
+func (t trimNewline) Write(p []byte) (int, error) {
+	_, err := t.w.Write(bytes.TrimSuffix(p, []byte("\n")))
+	return len(p), err
 }
 
 // durableStatus classifies a failed durable-state operation: asking a

@@ -10,8 +10,9 @@
 // groups the interleaving writes touched. POST /v1/repairs/apply
 // turns accepted ids into an ordinary fenced ChangeSet through the same
 // apply path as POST /v1/apply. GET /v1/discover mines CFDs on demand:
-// each call runs discovery over a snapshot of the served monitor, one
-// run at a time per node.
+// each call runs discovery over the served monitor's own value IDs,
+// copied out under its store lock, one run at a time per node, and
+// streams the answer.
 //
 // Fencing: every mutation may carry an X-Cfd-Epoch header stamping the
 // epoch the caller believes this node's history is at (routers do). A
@@ -56,9 +57,10 @@ type Server struct {
 	// Log is the diagnostic logger; nil falls back to slog.Default.
 	Log *slog.Logger
 
-	// discMu admits one GET /v1/discover run at a time: each mines a
-	// whole snapshot, so concurrent polls queue instead of multiplying
-	// the memory one run takes.
+	// discMu admits one GET /v1/discover run at a time: each copies and
+	// mines the whole live state, so concurrent polls queue instead of
+	// multiplying the memory one run takes. The answer is streamed after
+	// the run, outside it, so a slow reader holds no other call up.
 	discMu sync.Mutex
 
 	// The lazily-attached repair suggester behind GET /v1/repairs,
@@ -155,7 +157,7 @@ func (s *Server) Routes() []httpapi.Route {
 		get("/stats", s.stats, `tuples, violations, epoch, role, next_key, build; "wal" on durable nodes, "replica" on standbys`),
 		get("/metrics", httpapi.MetricsHandler(s.metrics()), `Prometheus text exposition of the node's registry`),
 		get("/discover", s.discover,
-			`CFDs mined on demand from a snapshot of the live instance: ?max_lhs= (≤ 3) ?min_support= ?min_confidence= ?max_patterns=`),
+			`CFDs mined on demand from the live tuples, one commit window's state: ?max_lhs= (≤ 3) ?min_support= ?min_confidence= ?max_patterns=`),
 		post("/snapshot", s.snapshot, `admin: force a snapshot generation now → {"generation"} (durable nodes)`),
 		post("/promote", s.promote, `admin: flip a standby into a writable primary under a bumped epoch (idempotent)`),
 		post("/fence", s.fence, `admin: {"epoch": E} — refuse every write under a lower epoch from now on`),

@@ -210,3 +210,30 @@ func TestTupleEqual(t *testing.T) {
 		t.Error("different values reported equal")
 	}
 }
+
+// TestColumns: interning a relation into columns keeps every cell, gives
+// each distinct value of a column one ID, and an empty relation has no
+// tuples.
+func TestColumns(t *testing.T) {
+	rel := New(MustSchema("R", Attr("A"), Attr("B")))
+	rel.MustInsert("x", "y")
+	rel.MustInsert("y", "x")
+	rel.MustInsert("x", "z")
+	c := rel.Columns()
+	if c.Len() != 3 || len(c.Vals[0]) != 2 || len(c.Vals[1]) != 3 {
+		t.Fatalf("Len %d, values %v; want 3 tuples over 2 + 3 column values", c.Len(), c.Vals)
+	}
+	for r, tu := range rel.Tuples {
+		for a, v := range tu {
+			if got := c.Vals[a][c.Cols[a][r]]; got != v {
+				t.Errorf("cell (%d, %d) = %q, want %q", r, a, got, v)
+			}
+		}
+	}
+	if c.Cols[0][0] != c.Cols[0][2] || c.Cols[0][0] == c.Cols[0][1] {
+		t.Errorf(`column A's IDs %v must follow its values x, y, x`, c.Cols[0])
+	}
+	if n := New(rel.Schema).Columns().Len(); n != 0 {
+		t.Errorf("empty relation: Len %d", n)
+	}
+}
