@@ -76,6 +76,10 @@ RACE_PROPS += './internal/cluster/=TestClusterMatchesOracleUnderFailover|TestRou
 # the router's standby read fan-out with its staleness guard.
 RACE_PROPS += './internal/incremental/=TestViewMatchesScanUnderRandomStreams|TestViewConcurrentReadersWriters|TestViolationsForSeesWholeWindows|TestViewSeesWholeWindows'
 RACE_PROPS += './internal/cluster/=TestPickRead'
+# The router's parallel read fan-out: totals, point reads routed to the
+# owner (a lagging standby's 404 retried on the primary), one-row total
+# pages and shard connection reuse.
+RACE_PROPS += './cmd/cfdrouter/=TestDaemonReadFanout|TestRoutedPointReadGoesToOwner|TestRoutedPointReadFallsBackToPrimary|TestRoutedTotalReadsOneRowPages|TestRouterReusesShardConnections'
 # Live repair: randomized dirt must converge to I' |= Sigma through the
 # suggest-plan-apply loop, the live suggester must equal a fresh attach
 # after every refresh and keep its confidences in [0, 1] under

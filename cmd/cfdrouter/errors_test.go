@@ -63,6 +63,7 @@ func TestRouterErrorEnvelope(t *testing.T) {
 		{"keyless delete op", http.MethodPost, "/v1/apply", `{"ops":[{"op":"delete"}]}`, http.StatusBadRequest, "bad_request"},
 		{"unknown op", http.MethodPost, "/v1/apply", `{"ops":[{"op":"merge"}]}`, http.StatusBadRequest, "bad_request"},
 		{"bad ring key", http.MethodGet, "/v1/ring?key=zap", "", http.StatusBadRequest, "bad_request"},
+		{"bad point-read key", http.MethodGet, "/v1/violations?key=zap", "", http.StatusBadRequest, "bad_request"},
 		{"bad read consistency", http.MethodGet, "/v1/violations?consistency=quorum", "", http.StatusBadRequest, "bad_request"},
 		{"repairs method not allowed", http.MethodPost, "/v1/repairs", "{}", http.StatusMethodNotAllowed, "method_not_allowed"},
 		{"repairs bad consistency", http.MethodGet, "/v1/repairs?consistency=quorum", "", http.StatusBadRequest, "bad_request"},

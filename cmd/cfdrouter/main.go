@@ -26,12 +26,18 @@
 // use the same error envelope as cfdserve.
 //
 // Reads fan out: /v1/violations, /v1/repairs and /v1/stats?shards=1
-// accept ?consistency=primary|any. "primary" (the default) serves every
-// group's read from its current primary; "any" round-robins the primary
-// and the group's standbys, skipping any standby that is fenced behind
-// the group's epoch or lagging the primary's WAL tail by more than
-// -max-read-lag bytes — so hot standbys absorb read traffic without
-// ever serving a stale-beyond-bound or deposed history.
+// read every group in parallel and accept ?consistency=primary|any.
+// "primary" (the default) serves every group's read from its current
+// primary; "any" round-robins the primary and the group's standbys,
+// skipping any standby that is fenced behind the group's epoch or
+// lagging the primary's WAL tail by more than -max-read-lag bytes — so
+// hot standbys absorb read traffic without ever serving a
+// stale-beyond-bound or deposed history. A violation total asks each
+// group for a one-row page and keeps only its total. A point read
+// (/v1/violations?key=K) goes to the key's owning group alone and its
+// answer passes through undecoded; a standby's 404 there is retried on
+// the primary, since the standby may only lag the insert that made the
+// key.
 //
 // Atomicity is per shard group: a batch spanning groups may commit on
 // some and fail on others, in which case the response names the failed
@@ -57,6 +63,7 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -84,20 +91,21 @@ func newHTTPBackend(base string, timeout time.Duration) *httpBackend {
 	return &httpBackend{base: strings.TrimRight(base, "/"), hc: &http.Client{Timeout: timeout}}
 }
 
-// call runs one JSON exchange against an endpoint path below /v1. A nil
-// body means a bare request (GET or an empty POST).
-func (b *httpBackend) call(ctx context.Context, method, path string, body any, epoch *uint64, out any) error {
+// do sends one request to an endpoint path below /v1. A nil body means
+// a bare request (GET or an empty POST). The caller hands the answer to
+// drain.
+func (b *httpBackend) do(ctx context.Context, method, path string, body any, epoch *uint64) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		buf, err := json.Marshal(body)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rd = bytes.NewReader(buf)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, b.base+httpapi.Prefix+path, rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -107,9 +115,28 @@ func (b *httpBackend) call(ctx context.Context, method, path string, body any, e
 	}
 	resp, err := b.hc.Do(req)
 	if err != nil {
-		return fmt.Errorf("shard %s: %w", b.base, err)
+		return nil, fmt.Errorf("shard %s: %w", b.base, err)
 	}
-	defer resp.Body.Close()
+	return resp, nil
+}
+
+// drain reads a shard answer to EOF and closes it. net/http returns the
+// connection to its keep-alive pool only then; a decoded answer still
+// has its trailing newline and, when chunked, its terminator unread, and
+// closing it early would make the next exchange dial again.
+func drain(resp *http.Response) {
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+}
+
+// call runs one JSON exchange against an endpoint path below /v1,
+// decoding a 2xx answer into out (when non-nil).
+func (b *httpBackend) call(ctx context.Context, method, path string, body any, epoch *uint64, out any) error {
+	resp, err := b.do(ctx, method, path, body, epoch)
+	if err != nil {
+		return err
+	}
+	defer drain(resp)
 	if resp.StatusCode/100 != 2 {
 		return fmt.Errorf("shard %s%s: %w", b.base, path, httpapi.ErrorFromResponse(resp))
 	}
@@ -117,6 +144,21 @@ func (b *httpBackend) call(ctx context.Context, method, path string, body any, e
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// fetch runs one GET and returns the node's answer undecoded: its status
+// and whole body, whatever the status.
+func (b *httpBackend) fetch(ctx context.Context, path string) (int, []byte, error) {
+	resp, err := b.do(ctx, http.MethodGet, path, nil, nil)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer drain(resp)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return 0, nil, fmt.Errorf("shard %s%s: %w", b.base, path, err)
+	}
+	return resp.StatusCode, body, nil
 }
 
 func (b *httpBackend) Apply(ctx context.Context, epoch uint64, cs *repro.ChangeSet) (*repro.ViolationDelta, error) {
@@ -209,7 +251,8 @@ func newRouterServer(rt *repro.ClusterRouter, vnodes int, reg *repro.MetricsRegi
 func (s *routerServer) routes() []httpapi.Route {
 	get, post := httpapi.GET, httpapi.POST
 	return append(httpapi.MutationRoutes(s.apply, s.rt.Owner), []httpapi.Route{
-		get("/violations", s.violations, `cluster-wide violation count, summed over one read per group: ?consistency=primary|any`),
+		get("/violations", s.violations,
+			`cluster-wide violation count, summed over one one-row page per group; ?key=K passes the owning group's point read through (a standby's 404 retried on the primary): ?consistency=primary|any`),
 		get("/repairs", s.repairs,
 			`each group's live repair suggestions under its name and node URL: ?consistency=, ?trust_threshold= and ?limit= forwarded`),
 		get("/stats", s.stats, `per-group epoch and standbys, next_key, vnodes; ?shards=1 adds one node /v1/stats per group (?consistency= applies)`),
@@ -260,8 +303,8 @@ func readMode(w http.ResponseWriter, r *http.Request) (repro.ClusterReadConsiste
 	return mode, err == nil
 }
 
-// readGroup runs one fan-out read against the node mode picks for the
-// group, timed under the endpoint's histogram. The status classifies a
+// readGroup runs one read against the node mode picks for the group,
+// timed under the endpoint's histogram. The status classifies a
 // failure: 500 when no node could be picked, 502 when the node failed.
 func (s *routerServer) readGroup(ctx context.Context, name string, mode repro.ClusterReadConsistency, dur *obs.Histogram, read func(*httpBackend) error) (int, error) {
 	be, err := s.rt.PickRead(ctx, name, mode)
@@ -282,34 +325,105 @@ func (s *routerServer) readGroup(ctx context.Context, name string, mode repro.Cl
 	return http.StatusOK, nil
 }
 
+// groupRead is one group's answer to a fan-out read: its value, or the
+// error and the status readGroup classified it under.
+type groupRead[T any] struct {
+	name   string
+	val    T
+	status int
+	err    error
+}
+
+// fanOut runs read once per group through readGroup, every group in
+// parallel, and returns the answers in sorted-group order.
+func fanOut[T any](ctx context.Context, s *routerServer, mode repro.ClusterReadConsistency, dur *obs.Histogram, read func(*httpBackend) (T, error)) []groupRead[T] {
+	names := s.rt.Groups()
+	out := make([]groupRead[T], len(names))
+	var wg sync.WaitGroup
+	for i, name := range names {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g := &out[i]
+			g.name = name
+			g.status, g.err = s.readGroup(ctx, name, mode, dur, func(hb *httpBackend) (err error) {
+				g.val, err = read(hb)
+				return err
+			})
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// parseKey reads a tuple key from a query value, answering 400 on junk.
+func parseKey(w http.ResponseWriter, kq string) (int64, bool) {
+	key, err := strconv.ParseInt(kq, 10, 64)
+	if err != nil {
+		httpapi.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad key %q: %w", kq, err))
+	}
+	return key, err == nil
+}
+
 // violations answers the cluster-wide violation count: the sum of one
-// read per group. Totals are disjoint because each group owns its key
-// range.
+// one-row page per group, of which only the total is kept. Totals are
+// disjoint because each group owns its key range. ?key=K is a point
+// read on the owning group alone.
 func (s *routerServer) violations(w http.ResponseWriter, r *http.Request) {
 	mode, ok := readMode(w, r)
 	if !ok {
 		return
 	}
+	if kq := r.URL.Query().Get("key"); kq != "" {
+		if key, ok := parseKey(w, kq); ok {
+			s.pointRead(w, r, mode, key)
+		}
+		return
+	}
 	groups := make(map[string]int)
 	total := 0
-	for _, name := range s.rt.Groups() {
-		status, err := s.readGroup(r.Context(), name, mode, s.readViolations, func(hb *httpBackend) error {
-			var res struct {
-				Total int `json:"total"`
-			}
-			if err := hb.call(r.Context(), http.MethodGet, "/violations", nil, nil, &res); err != nil {
-				return err
-			}
-			groups[name] = res.Total
-			total += res.Total
-			return nil
-		})
-		if err != nil {
-			httpapi.WriteError(w, status, err)
+	for _, g := range fanOut(r.Context(), s, mode, s.readViolations, func(hb *httpBackend) (int, error) {
+		var res struct {
+			Total int `json:"total"`
+		}
+		err := hb.call(r.Context(), http.MethodGet, "/violations?limit=1", nil, nil, &res)
+		return res.Total, err
+	}) {
+		if g.err != nil {
+			httpapi.WriteError(w, g.status, g.err)
 			return
 		}
+		groups[g.name] = g.val
+		total += g.val
 	}
 	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"groups": groups, "total": total, "consistency": mode.String()})
+}
+
+// pointRead passes the owning group's answer for one key through
+// undecoded, status and body. A standby that answers 404 may only lag
+// the insert that created the key, so its 404 is retried once on the
+// group's primary, whose answer is authoritative.
+func (s *routerServer) pointRead(w http.ResponseWriter, r *http.Request, mode repro.ClusterReadConsistency, key int64) {
+	name := s.rt.Owner(key)
+	path := "/violations?key=" + strconv.FormatInt(key, 10)
+	var status int
+	var body []byte
+	code, err := s.readGroup(r.Context(), name, mode, s.readViolations, func(hb *httpBackend) (err error) {
+		status, body, err = hb.fetch(r.Context(), path)
+		if err == nil && status == http.StatusNotFound {
+			if primary, ok := s.rt.Primary(name).(*httpBackend); ok && primary != hb {
+				status, body, err = primary.fetch(r.Context(), path)
+			}
+		}
+		return err
+	})
+	if err != nil {
+		httpapi.WriteError(w, code, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(body) // the client hanging up mid-answer is not ours to handle
 }
 
 // repairs merges one GET /v1/repairs per group under per-group labels.
@@ -332,35 +446,33 @@ func (s *routerServer) repairs(w http.ResponseWriter, r *http.Request) {
 	if len(fwd) > 0 {
 		path += "?" + fwd.Encode()
 	}
+	// The suggestions pass through untouched.
+	type groupRepairs struct {
+		Suggestions []json.RawMessage `json:"suggestions"`
+		Total       int               `json:"total"`
+		Version     uint64            `json:"version"`
+		Node        string            `json:"node"`
+	}
 	groups := make(map[string]any)
 	total := 0
-	for _, name := range s.rt.Groups() {
-		status, err := s.readGroup(r.Context(), name, mode, s.readRepairs, func(hb *httpBackend) error {
-			// The suggestions pass through untouched.
-			var res struct {
-				Suggestions []json.RawMessage `json:"suggestions"`
-				Total       int               `json:"total"`
-				Version     uint64            `json:"version"`
-				Node        string            `json:"node"`
-			}
-			if err := hb.call(r.Context(), http.MethodGet, path, nil, nil, &res); err != nil {
-				return err
-			}
-			res.Node = hb.base
-			groups[name] = res
-			total += res.Total
-			return nil
-		})
-		if err != nil {
-			httpapi.WriteError(w, status, err)
+	for _, g := range fanOut(r.Context(), s, mode, s.readRepairs, func(hb *httpBackend) (res groupRepairs, err error) {
+		err = hb.call(r.Context(), http.MethodGet, path, nil, nil, &res)
+		res.Node = hb.base
+		return res, err
+	}) {
+		if g.err != nil {
+			httpapi.WriteError(w, g.status, g.err)
 			return
 		}
+		groups[g.name] = g.val
+		total += g.val.Total
 	}
 	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"groups": groups, "total": total, "consistency": mode.String()})
 }
 
 // stats answers the router's own view; ?shards=1 additionally fans one
-// GET /v1/stats out per group, routed like any other read.
+// GET /v1/stats out per group, routed like any other read. A group
+// whose read failed shows the error in its place.
 func (s *routerServer) stats(w http.ResponseWriter, r *http.Request) {
 	out := map[string]any{
 		"groups":         s.rt.Status(),
@@ -374,18 +486,16 @@ func (s *routerServer) stats(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		shards := make(map[string]any)
-		for _, name := range s.rt.Groups() {
-			_, err := s.readGroup(r.Context(), name, mode, s.readStats, func(hb *httpBackend) error {
-				var raw map[string]any
-				if err := hb.call(r.Context(), http.MethodGet, "/stats", nil, nil, &raw); err != nil {
-					return err
-				}
+		for _, g := range fanOut(r.Context(), s, mode, s.readStats, func(hb *httpBackend) (raw map[string]any, err error) {
+			if err = hb.call(r.Context(), http.MethodGet, "/stats", nil, nil, &raw); err == nil {
 				raw["node"] = hb.base
-				shards[name] = raw
-				return nil
-			})
-			if err != nil {
-				shards[name] = map[string]any{"error": err.Error()}
+			}
+			return raw, err
+		}) {
+			if g.err != nil {
+				shards[g.name] = map[string]any{"error": g.err.Error()}
+			} else {
+				shards[g.name] = g.val
 			}
 		}
 		out["shards"] = shards
@@ -396,12 +506,9 @@ func (s *routerServer) stats(w http.ResponseWriter, r *http.Request) {
 // ring is the ownership probe: which group would serve a key.
 func (s *routerServer) ring(w http.ResponseWriter, r *http.Request) {
 	if kq := r.URL.Query().Get("key"); kq != "" {
-		key, err := strconv.ParseInt(kq, 10, 64)
-		if err != nil {
-			httpapi.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad key %q: %w", kq, err))
-			return
+		if key, ok := parseKey(w, kq); ok {
+			httpapi.WriteJSON(w, http.StatusOK, map[string]any{"key": key, "owner": s.rt.Owner(key)})
 		}
-		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"key": key, "owner": s.rt.Owner(key)})
 		return
 	}
 	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"members": s.rt.Groups(), "vnodes": s.vnodes})
