@@ -22,13 +22,13 @@ metrics-smoke:
 cli-smoke:
 	GO=$(GO) sh scripts/cli_smoke.sh
 
-# The batch-path benchmarks of the root bench_test.go (discovery
-# included), the live Suggester's attach, the monitor's bulk load and
+# The batch-path benchmarks of the root bench_test.go (discovery and
+# the merged CNF detection pair included), the live Suggester's attach, the monitor's bulk load and
 # one GET /v1/discover through a node's handler, one iteration each:
 # go test ./... never runs a benchmark, so one that panics or stops
 # certifying its result would otherwise go unnoticed.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkStrategyDirect$$|BenchmarkRepair$$|BenchmarkDiscovery$$|BenchmarkSuggesterAttach$$|BenchmarkMonitorLoad100K$$|BenchmarkDiscoverEndpoint$$' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkStrategyDirect$$|BenchmarkRepair$$|BenchmarkDiscovery$$|BenchmarkSuggesterAttach$$|BenchmarkMonitorLoad100K$$|BenchmarkDiscoverEndpoint$$|BenchmarkMergedVsPerCFDMergedCNF$$' -benchtime 1x -benchmem .
 
 # The property tests under the race detector, twice each so goroutine
 # schedules vary: one row per package and -run pattern, each row
@@ -79,7 +79,7 @@ RACE_PROPS += './internal/cluster/=TestPickRead'
 # The router's parallel read fan-out: totals, point reads routed to the
 # owner (a lagging standby's 404 retried on the primary), one-row total
 # pages and shard connection reuse.
-RACE_PROPS += './cmd/cfdrouter/=TestDaemonReadFanout|TestRoutedPointReadGoesToOwner|TestRoutedPointReadFallsBackToPrimary|TestRoutedTotalReadsOneRowPages|TestRouterReusesShardConnections'
+RACE_PROPS += './cmd/cfdrouter/=TestDaemonReadFanout|TestRoutedPointReadGoesToOwner|TestRoutedPointReadFallsBackToPrimary|TestRoutedTotalReadsOneRowPages|TestRouterReusesShardConnections|TestRoutedRepairsPassThrough'
 # Live repair: randomized dirt must converge to I' |= Sigma through the
 # suggest-plan-apply loop, the live suggester must equal a fresh attach
 # after every refresh and keep its confidences in [0, 1] under

@@ -446,28 +446,55 @@ func (s *routerServer) repairs(w http.ResponseWriter, r *http.Request) {
 	if len(fwd) > 0 {
 		path += "?" + fwd.Encode()
 	}
-	// The suggestions pass through untouched.
 	type groupRepairs struct {
-		Suggestions []json.RawMessage `json:"suggestions"`
-		Total       int               `json:"total"`
-		Version     uint64            `json:"version"`
-		Node        string            `json:"node"`
+		Suggestions json.RawMessage `json:"suggestions"`
+		Total       int             `json:"total"`
+		Version     uint64          `json:"version"`
+		Node        string          `json:"-"`
 	}
-	groups := make(map[string]any)
-	total := 0
-	for _, g := range fanOut(r.Context(), s, mode, s.readRepairs, func(hb *httpBackend) (res groupRepairs, err error) {
+	reads := fanOut(r.Context(), s, mode, s.readRepairs, func(hb *httpBackend) (res groupRepairs, err error) {
 		err = hb.call(r.Context(), http.MethodGet, path, nil, nil, &res)
 		res.Node = hb.base
 		return res, err
-	}) {
+	})
+	for _, g := range reads {
 		if g.err != nil {
 			httpapi.WriteError(w, g.status, g.err)
 			return
 		}
-		groups[g.name] = g.val
+	}
+	// Each group's suggestion array goes out as its node wrote it
+	// (compact, HTML-escaped), not through encoding/json, which would
+	// validate and compact every element a second time. Around it go the
+	// bytes WriteJSON writes for the equivalent map: keys in sorted order
+	// (fanOut answers in sorted-group order), strings quoted as
+	// json.Marshal quotes them.
+	total := 0
+	b := append(appendQuoted([]byte(`{"consistency":`), mode.String()), `,"groups":{`...)
+	for i, g := range reads {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(appendQuoted(b, g.name), `:{"suggestions":`...)
+		if len(g.val.Suggestions) == 0 {
+			b = append(b, "null"...)
+		}
+		b = append(b, g.val.Suggestions...)
+		b = strconv.AppendInt(append(b, `,"total":`...), int64(g.val.Total), 10)
+		b = strconv.AppendUint(append(b, `,"version":`...), g.val.Version, 10)
+		b = append(appendQuoted(append(b, `,"node":`...), g.val.Node), '}')
 		total += g.val.Total
 	}
-	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"groups": groups, "total": total, "consistency": mode.String()})
+	b = append(strconv.AppendInt(append(b, `},"total":`...), int64(total), 10), "}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b) // the client hanging up mid-answer is not ours to handle
+}
+
+// appendQuoted appends s as json.Marshal quotes it.
+func appendQuoted(b []byte, s string) []byte {
+	enc, _ := json.Marshal(s) // a string always encodes
+	return append(b, enc...)
 }
 
 // stats answers the router's own view; ?shards=1 additionally fans one

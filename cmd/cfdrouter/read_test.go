@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -408,4 +411,69 @@ func getRaw(t *testing.T, url string) (int, string) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, string(body)
+}
+
+// TestRoutedRepairsPassThrough: the routed /v1/repairs body, whose
+// suggestion arrays pass through undecoded, is byte for byte the merged
+// map encoded whole through WriteJSON from each node's answer, values
+// carrying HTML-escaped and non-ASCII characters included, with and
+// without ?limit.
+func TestRoutedRepairsPassThrough(t *testing.T) {
+	schema, sigma := custFixture(t)
+	nodeURL := make(map[string]string)
+	var groups []repro.ClusterGroupConfig
+	for gi, name := range []string{"g0", "g1"} {
+		m, err := repro.NewMonitor(schema, sigma, repro.MonitorOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cs repro.ChangeSet
+		for i := 0; i < 12+gi*5; i++ {
+			cs.Insert(repro.Tuple{"01", "908", fmt.Sprintf("%07d", i), "Zoë", "Oak <Ave> & Co", fmt.Sprintf("N<Y>%d&é", i%3), "07974"})
+		}
+		if _, err := m.Apply(&cs); err != nil {
+			t.Fatal(err)
+		}
+		nodeURL[name] = startNode(t, m, nil)
+		groups = append(groups, repro.ClusterGroupConfig{Name: name, Primary: newHTTPBackend(nodeURL[name], 10*time.Second)})
+	}
+	_, url := startRouter(t, groups)
+
+	for _, query := range []string{"", "&limit=3"} {
+		code, got := getRaw(t, url+"/repairs?consistency=primary"+query)
+		if code != http.StatusOK {
+			t.Fatalf("routed repairs%s: %d %s", query, code, got)
+		}
+		type groupRepairs struct {
+			Suggestions []json.RawMessage `json:"suggestions"`
+			Total       int               `json:"total"`
+			Version     uint64            `json:"version"`
+			Node        string            `json:"node"`
+		}
+		merged := make(map[string]any)
+		total := 0
+		for name, base := range nodeURL {
+			code, body := getRaw(t, base+httpapi.Prefix+"/repairs?"+strings.TrimPrefix(query, "&"))
+			if code != http.StatusOK {
+				t.Fatalf("node %s repairs: %d %s", name, code, body)
+			}
+			var g groupRepairs
+			if err := json.Unmarshal([]byte(body), &g); err != nil {
+				t.Fatal(err)
+			}
+			if len(g.Suggestions) == 0 || !strings.Contains(body, `\u003c`) {
+				t.Fatalf("fixture: node %s answered no HTML-escaped suggestions: %s", name, body)
+			}
+			g.Node = base
+			merged[name] = g
+			total += g.Total
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(map[string]any{"groups": merged, "total": total, "consistency": "primary"}); err != nil {
+			t.Fatal(err)
+		}
+		if got != want.String() {
+			t.Errorf("routed repairs%s:\ngot  %s\nwant %s", query, got, want.String())
+		}
+	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/sqlgen"
 )
 
 // TestFindDetailedAllocs pins FindDetailed's allocations over Σ — the six
@@ -50,5 +51,48 @@ func TestFindDetailedAllocs(t *testing.T) {
 	}
 	if got > budget {
 		t.Errorf("FindDetailed over Σ: %.0f allocs per run, budget %d", got, budget)
+	}
+}
+
+// TestMergedCNFAllocs pins Detect(SQLMerged, CNF) — the paper's two
+// merged queries QCΣ and QVΣ — on 500 generated tax rows with 5 % noise
+// under the six semantic CFDs plus three 40-row workload CFDs. Both
+// queries nested-loop every tuple against every pattern row; the
+// value-ID compare allocates per query (dictionaries, ID arrays), never
+// per tuple or per pair. Most of the count is QVΣ's GROUP BY, which
+// allocates per group. It measures 17 798–17 799, so the budget keeps
+// under 3 % headroom: one allocation per outer row adds 1 000 (500 rows,
+// two queries), one per pair far more. A change that moves the count
+// edits the budget and says why.
+func TestMergedCNFAllocs(t *testing.T) {
+	data := gen.GenerateTax(gen.TaxConfig{Size: 500, Noise: 0.05, Seed: 1})
+	sigma := gen.SemanticCFDs()
+	for i, tpl := range []gen.Template{gen.ZipToState, gen.ZipCityToState, gen.AreaCodeToState} {
+		cfd, err := gen.GenerateWorkloadCFD(data.Clean, gen.CFDConfig{
+			Template: tpl, TabSize: 40, ConstPct: 1.0, Seed: int64(3 + i),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sigma = append(sigma, cfd)
+	}
+	opts := Options{Strategy: SQLMerged, Form: sqlgen.CNF}
+	const budget = 18300
+	found := 0
+	got := testing.AllocsPerRun(10, func() {
+		res, err := Detect(data.Dirty, sigma, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found = 0
+		for _, v := range res.PerCFD {
+			found += len(v.ConstTuples) + len(v.VariableKeys)
+		}
+	})
+	if found == 0 {
+		t.Fatal("no violations on the dirty instance")
+	}
+	if got > budget {
+		t.Errorf("Detect(SQLMerged, CNF): %.0f allocs per run, budget %d", got, budget)
 	}
 }

@@ -14,10 +14,21 @@ package sqlmini
 // Hoisting: at a join step, a conjunct of the form (d1 OR d2 OR ...) may
 // have disjuncts that read only the step's own source — the merged CNF
 // queries' (txp.A = '_' or txp.A = '@'). Those are evaluated once per
-// source row into a []bool before the enumeration, and the per-pair test
-// becomes flag[j] || rest(frame). Every pair is still visited, so a CNF
-// WHERE clause still plans and runs as a nested loop; Explain reports the
-// hoisted count.
+// source row before the enumeration, and the per-pair test becomes
+// flag[j] || rest(frame). When rest is one equality between a column of
+// the step's source and a column of a source joined before it — the
+// t.A = txp.A of (t.A = txp.A or txp.A = '_' or txp.A = '@') — the test
+// compares value IDs instead, with no closure: the step's column is
+// interned over its filtered rows into dense int32 IDs, one dictionary
+// per such conjunct, held contiguously per row with the flag folded in
+// as a match-all sentinel. Per outer row the other side's value is looked
+// up once per conjunct (a value the dictionary lacks matches only flagged
+// rows); per pair the IDs are compared before the frame is loaded for the
+// remaining filters. Values are strings compared with ==, so equal IDs
+// are equal values, rowids included, and the output rows and their order
+// are those of the closure test. Every pair is still visited, so a CNF
+// WHERE clause still plans and runs as a nested loop; Explain counts both
+// kinds as hoisted.
 
 import (
 	"encoding/binary"
@@ -79,6 +90,21 @@ type hoistedAtom struct {
 	flags       []bool
 }
 
+// eqAtom is a hoisted conjunct whose rest is the equality in = out, in a
+// column of the step's source and out one of a source joined before it.
+// Its pair test compares value IDs (see the file comment).
+type eqAtom struct {
+	inner   boolFn
+	in, out column
+}
+
+// Value-ID sentinels: a row whose hoisted flag holds matches every outer
+// value; an outer value missing from the dictionary matches only those.
+const (
+	matchAll int32 = -1
+	absent   int32 = -2
+)
+
 // joinStep joins one source into the accumulated row, either by hash
 // lookup (probeKeys/buildKeys non-empty) or nested iteration.
 type joinStep struct {
@@ -87,7 +113,13 @@ type joinStep struct {
 	buildKeys []column // columns of the new source
 	atoms     []boolFn
 	hoisted   []*hoistedAtom
-	hash      map[string][]int // built at execution time
+	eqs       []eqAtom
+
+	// Built at execution time.
+	hash  map[string][]int
+	dicts []map[relation.Value]int32 // per eq: its in column's value IDs
+	ids   []int32                    // len(eqs) per source row
+	probe []int32                    // per eq: the current outer value's ID
 }
 
 type selectExec struct {
@@ -266,17 +298,9 @@ func (ex *selectExec) planDisjunct(d Expr) (*disjunctPlan, error) {
 		}
 		// Equality between two column references of different sources is a
 		// hash-join candidate.
-		if b, ok := c.(*BinOp); ok && b.Op == "=" {
-			lRef, lok := b.L.(*ColRef)
-			rRef, rok := b.R.(*ColRef)
-			if lok && rok {
-				l, errL := ex.scope.resolve(lRef.Qual, lRef.Name)
-				r, errR := ex.scope.resolve(rRef.Qual, rRef.Name)
-				if errL == nil && errR == nil && l.src != r.src {
-					equis = append(equis, &equiCand{a: a, l: l, r: r})
-					continue
-				}
-			}
+		if l, r, ok := ex.colEq(c); ok {
+			equis = append(equis, &equiCand{a: a, l: l, r: r})
+			continue
 		}
 		atoms = append(atoms, a)
 	}
@@ -357,8 +381,28 @@ func (ex *selectExec) planDisjunct(d Expr) (*disjunctPlan, error) {
 	return &disjunctPlan{prefilters: prefilters, steps: steps}, nil
 }
 
+// colEq reports whether e is an equality between column references of two
+// different sources, and resolves them.
+func (ex *selectExec) colEq(e Expr) (l, r column, ok bool) {
+	b, isBin := e.(*BinOp)
+	if !isBin || b.Op != "=" {
+		return l, r, false
+	}
+	lRef, lok := b.L.(*ColRef)
+	rRef, rok := b.R.(*ColRef)
+	if !lok || !rok {
+		return l, r, false
+	}
+	l, errL := ex.scope.resolve(lRef.Qual, lRef.Name)
+	r, errR := ex.scope.resolve(rRef.Qual, rRef.Name)
+	return l, r, errL == nil && errR == nil && l.src != r.src
+}
+
 // attach adds a residual conjunct to a join step, hoisting the disjuncts
-// that read only the step's own source (see the file comment).
+// that read only the step's own source (see the file comment). A rest
+// that is one equality with the step's source on one side becomes an
+// eqAtom; the conjunct attaches once all its sources are joined, so the
+// other side is a source joined before the step's.
 func (ex *selectExec) attach(step *joinStep, a *atom, comp *compiler) error {
 	var inner, rest []Expr
 	for _, d := range splitOr(a.e, nil) {
@@ -379,6 +423,15 @@ func (ex *selectExec) attach(step *joinStep, a *atom, comp *compiler) error {
 	innerFn, err := comp.compileBool(orOf(inner))
 	if err != nil {
 		return err
+	}
+	if len(rest) == 1 {
+		if l, r, ok := ex.colEq(rest[0]); ok && (l.src == step.src || r.src == step.src) {
+			if r.src == step.src {
+				l, r = r, l
+			}
+			step.eqs = append(step.eqs, eqAtom{inner: innerFn, in: l, out: r})
+			return nil
+		}
 	}
 	restFn, err := comp.compileBool(orOf(rest))
 	if err != nil {
@@ -427,6 +480,29 @@ func (ex *selectExec) execDisjunct(plan *disjunctPlan) []int32 {
 				h.flags[j] = h.inner(f)
 			}
 		}
+		if k := len(st.eqs); k > 0 {
+			st.dicts = make([]map[relation.Value]int32, k)
+			for a := range st.dicts {
+				st.dicts[a] = make(map[relation.Value]int32)
+			}
+			st.ids = make([]int32, k*len(src.rows))
+			st.probe = make([]int32, k)
+			for _, j := range filtered[st.src] {
+				f.set(st.src, src, j)
+				for a, e := range st.eqs {
+					id := matchAll
+					if !e.inner(f) {
+						dict, v := st.dicts[a], src.value(j, e.in.col)
+						var ok bool
+						if id, ok = dict[v]; !ok {
+							id = int32(len(dict))
+							dict[v] = id
+						}
+					}
+					st.ids[j*k+a] = id
+				}
+			}
+		}
 		if len(st.buildKeys) == 0 {
 			continue
 		}
@@ -460,8 +536,22 @@ func (ex *selectExec) execDisjunct(plan *disjunctPlan) []int32 {
 			key = relation.AppendKey(key[:0], vals)
 			cands = st.hash[string(key)]
 		}
+		k, ids, probe := len(st.eqs), st.ids, st.probe
+		for a, e := range st.eqs {
+			id, ok := st.dicts[a][ex.sources[e.out.src].value(int(f.pos[e.out.src]), e.out.col)]
+			if !ok {
+				id = absent
+			}
+			probe[a] = id
+		}
 	pairs:
 		for _, j := range cands {
+			row := ids[j*k:][:len(probe)]
+			for a, id := range probe {
+				if row[a] != id && row[a] != matchAll {
+					continue pairs
+				}
+			}
 			f.set(s, src, j)
 			for _, h := range st.hoisted {
 				if !h.flags[j] && !h.rest(f) {

@@ -72,10 +72,10 @@ func (db *DB) explainSelect(sel *Select, b *strings.Builder, indent string) erro
 				pre = fmt.Sprintf(", %d prefilter(s)", n)
 			}
 			post := ""
-			if n := len(st.atoms) + len(st.hoisted); n > 0 {
+			if n := len(st.atoms) + len(st.hoisted) + len(st.eqs); n > 0 {
 				post = fmt.Sprintf(", %d residual filter(s)", n)
 			}
-			if n := len(st.hoisted); n > 0 {
+			if n := len(st.hoisted) + len(st.eqs); n > 0 {
 				post += fmt.Sprintf(", %d hoisted", n)
 			}
 			stepIndent := indent + "  "
