@@ -32,8 +32,10 @@ bench-smoke:
 
 # The property tests under the race detector, twice each so goroutine
 # schedules vary: one row per package and -run pattern, each row
-# 'PACKAGE=PATTERN'. CFD_SOAK scales the failover, cluster and read-path
-# rounds (nightly).
+# 'PACKAGE=PATTERN'. Every '|'-alternative of a pattern must name at
+# least one test (go test -list), so a deleted or renamed test fails the
+# gate instead of dropping out of it. CFD_SOAK scales the failover,
+# cluster and read-path rounds (nightly).
 #
 # The batch pipeline: the randomized batched-stream oracle, the
 # mid-batch kill/recover test and the commit-window tests (one record per
@@ -44,17 +46,15 @@ RACE_PROPS += './internal/incremental/=TestRandomBatchesMatchOracle|TestCrashRec
 # per candidate on random instances; the node's streamed GET
 # /v1/discover against a snapshot mined and encoded whole, on random
 # churned instances and beside concurrent writers whose ChangeSets leave
-# the state as they found it; then the group-statistics substrate's
-# shared X-partitions against a fresh per-pair recount and concurrent
-# Stat readers of one group.
+# the state as they found it.
 RACE_PROPS += './internal/discovery/=TestDiscoverMatchesBruteForce'
 RACE_PROPS += './internal/node/=TestDiscoverAnswerMatchesSnapshot|TestDiscoverBesideWriters'
-RACE_PROPS += './internal/incremental/=TestSharedPartitionsMatchRecount|TestStatConcurrentReaders'
-# The partitions a subscription shares with Σ's own groups: drains,
-# Stat, Count and KeyOf against a Σ-less twin that owns its partitions,
-# concurrent Stat and Count readers beside writers and a drainer, and
+# The group statistics over Σ's own groups: drains, Stat and Count
+# against a brute-force recount of the snapshot (a Σ whose CFDs share an
+# LHS included, writes landing mid-drain), concurrent Stat readers of
+# one group, Stat and Count readers beside writers and a drainer, and
 # writes landing between a drain's chunks.
-RACE_PROPS += './internal/incremental/=TestSharedStoreMatchesOwned|TestSharedStatConcurrentReaders|TestDrainChunksSeeLaterWrites'
+RACE_PROPS += './internal/incremental/=TestGroupStatsMatchRecount|TestStatConcurrentReaders|TestSharedStatConcurrentReaders|TestDrainChunksSeeLaterWrites'
 # The group store: per-attribute RHS distributions against the batch
 # oracle and the crash-recovery check, the v4 snapshot round trip and
 # the fold of older (v2/v3) images on recovery.
@@ -82,15 +82,22 @@ RACE_PROPS += './internal/cluster/=TestPickRead'
 RACE_PROPS += './cmd/cfdrouter/=TestDaemonReadFanout|TestRoutedPointReadGoesToOwner|TestRoutedPointReadFallsBackToPrimary|TestRoutedTotalReadsOneRowPages|TestRouterReusesShardConnections|TestRoutedRepairsPassThrough'
 # Live repair: randomized dirt must converge to I' |= Sigma through the
 # suggest-plan-apply loop, the live suggester must equal a fresh attach
-# after every refresh and keep its confidences in [0, 1] under
-# concurrent writers, and concurrent apply-vs-refresh; the node's
-# repairs endpoint keeps its trust across a discover call.
-RACE_PROPS += './internal/repair/=TestSuggestConvergesRandomDirt|TestSuggesterConcurrentRefresh|TestSuggesterMatchesFreshAttach|TestSuggesterConfidenceInRange|TestSuggesterReplansMovedConstViolation|TestSuggesterRelaxesLowTrustCFD'
+# after every refresh (over a Σ whose CFDs share an LHS too) and keep
+# its confidences in [0, 1] under concurrent writers, and concurrent
+# apply-vs-refresh; the node's repairs endpoint keeps its trust across
+# a discover call.
+RACE_PROPS += './internal/repair/=TestSuggestConvergesRandomDirt|TestSuggesterConcurrentRefresh|TestSuggesterMatchesFreshAttach|TestSuggesterSharedLHSMatchesFreshAttach|TestSuggesterConfidenceInRange|TestSuggesterReplansMovedConstViolation|TestSuggesterRelaxesLowTrustCFD'
 RACE_PROPS += './internal/node/=TestRepairsTrustSurvivesDiscover'
 
 race-props:
 	@set -e; for row in $(RACE_PROPS); do \
 		pkg=$${row%%=*}; run=$${row#*=}; \
+		list=$$($(GO) test -list "$$run" "$$pkg" | grep -E '^(Test|Example|Fuzz)' || true); \
+		for alt in $$(echo "$$run" | tr '|' ' '); do \
+			if ! echo "$$list" | grep -qE -- "$$alt"; then \
+				echo "race-props: $$pkg -run '$$alt' matches no test" >&2; exit 1; \
+			fi; \
+		done; \
 		echo "race-props: $$pkg -run '$$run'"; \
 		$(GO) test -race -count 2 -run "$$run" "$$pkg"; \
 	done

@@ -20,11 +20,9 @@ type (
 	// DiscoveredCFD is one mined constraint with support metadata.
 	DiscoveredCFD = discovery.Discovered
 
-	// MonitorAttrPair is one tracked pair of the Monitor's generalized
-	// group-statistics substrate (Monitor.TrackGroups), usable directly
-	// for custom aggregations over a live monitor.
-	MonitorAttrPair = incremental.AttrPair
-	// MonitorGroupStats is a live group-statistics subscription.
+	// MonitorGroupStats is a live group-statistics subscription over
+	// the Monitor's Σ (Monitor.TrackGroups): every CFD's LHS groups with
+	// their support and RHS value distributions.
 	MonitorGroupStats = incremental.GroupStats
 	// MonitorGroupDelta is one drained group-delta event.
 	MonitorGroupDelta = incremental.GroupDelta

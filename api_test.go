@@ -436,16 +436,13 @@ func TestStreamingDiscoveryThroughFacade(t *testing.T) {
 		t.Fatal("invalid config must be rejected by DiscoverCFDs")
 	}
 
-	// The group-statistics substrate: track one pair directly.
-	stats, err := m.TrackGroups([]MonitorAttrPair{{X: []string{"AC"}, A: "CT"}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The group-statistics substrate: track Σ's groups directly.
+	var stats *MonitorGroupStats = m.TrackGroups()
 	defer m.UntrackGroups(stats)
 	var deltas []MonitorGroupDelta
 	deltas = stats.Drain(deltas)
 	if len(deltas) == 0 {
-		t.Fatal("the attach fold must leave every group drainable")
+		t.Fatal("the first drain must report every group")
 	}
 	for _, d := range deltas {
 		if d.XKey == "" || d.Support == 0 {

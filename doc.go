@@ -126,11 +126,12 @@
 // one mined CFD at a time. Mining again after a change shows what it
 // broke.
 //
-// Monitor.TrackGroups keeps group statistics for arbitrary attribute
-// pairs (X → A) current under changes — every live X-group's support
-// and A-value distribution, with coalesced group-delta events a
-// subscriber drains on its own schedule — for custom aggregations over
-// a live monitor (MonitorAttrPair, MonitorGroupStats).
+// Monitor.TrackGroups reads the group statistics of Σ itself — every
+// CFD's live LHS groups, with their support and the value distribution
+// of each RHS attribute — as coalesced group-delta events a subscriber
+// drains on its own schedule (MonitorGroupStats). The subscription
+// keeps no groups of its own: the Monitor's groups are the ones the
+// paper's QV query flags.
 //
 // # Durability guarantees
 //
@@ -316,9 +317,9 @@
 // O(|I|). It runs on two feeds of its own: the tuple keys the writes
 // changed on an attribute of Σ (each key's constant-violation
 // suggestions are re-planned from one probe of the monitor's stores),
-// and group statistics over every (LHS, RHS-attribute) pair of Σ (every
-// variable-violation flip moves a group of the CFD's LHS partition, so
-// the group deltas alone re-plan the variable suggestions). The same
+// and the group statistics of Σ's own LHS groups (every
+// variable-violation flip moves a group of the CFD, so the group deltas
+// alone re-plan the variable suggestions). The same
 // deltas carry each CFD's live confidence — the fraction of tuples
 // agreeing with their LHS group's dominant RHS value, the worst over
 // its RHS attributes. A CFD whose confidence has eroded below

@@ -70,7 +70,7 @@ func bulkCases(t *testing.T) []bulkCase {
 // TestBulkLoadMatchesApply: Load's bulk build yields the monitor that New
 // plus one Apply of the same inserts yields — the same violations
 // (maintained and scanned), counters, keys and tuples, and the same
-// statistics through a TrackGroups over Σ's own groups. Both then take
+// statistics through a TrackGroups. Both then take
 // one random op stream and are compared after every step, the scan
 // against a fresh detect.Direct run too.
 func TestBulkLoadMatchesApply(t *testing.T) {
@@ -94,24 +94,7 @@ func TestBulkLoadMatchesApply(t *testing.T) {
 			if bulk.ViolationCount() == 0 {
 				t.Fatal("instance holds no violations")
 			}
-			// One subscription per CFD, over its LHS and each RHS attribute:
-			// every partition reads that CFD's groups.
-			track := func(m *incremental.Monitor) []*incremental.GroupStats {
-				var hs []*incremental.GroupStats
-				for _, cfd := range c.sigma {
-					var pairs []incremental.AttrPair
-					for _, a := range cfd.RHS {
-						pairs = append(pairs, incremental.AttrPair{X: cfd.LHS, A: a})
-					}
-					h, err := m.TrackGroups(pairs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					hs = append(hs, h)
-				}
-				return hs
-			}
-			hb, ht := track(bulk), track(twin)
+			hb, ht := bulk.TrackGroups(), twin.TrackGroups()
 			mr := &mirror{m: make(map[int64]relation.Tuple)}
 			for i, tp := range c.rel.Tuples {
 				mr.m[int64(i)] = tp.Clone()
@@ -183,7 +166,7 @@ func TestBulkLoadMatchesApply(t *testing.T) {
 // twin agree on every read TestBulkLoadMatchesApply compares, and b's
 // scanned violations equal a batch detect.Direct run over the mirror.
 func sameMonitors(t *testing.T, step int, schema *relation.Schema, sigma []*core.CFD,
-	b, twin *incremental.Monitor, hb, ht []*incremental.GroupStats, mr *mirror) {
+	b, twin *incremental.Monitor, hb, ht *incremental.GroupStats, mr *mirror) {
 	t.Helper()
 	if got, want := b.Violations(), twin.Violations(); !got.Equal(want) {
 		t.Fatalf("step %d: Violations\n%s\ntwin\n%s", step, describe(got), describe(want))
@@ -212,7 +195,7 @@ func sameMonitors(t *testing.T, step int, schema *relation.Schema, sigma []*core
 	}
 	for ci, cfd := range sigma {
 		xIdx, _ := schema.Indexes(cfd.LHS)
-		for pair, a := range cfd.RHS {
+		for y, a := range cfd.RHS {
 			ai, _ := schema.Index(a)
 			for _, k := range b.Keys() {
 				tp := mr.m[k]
@@ -220,15 +203,15 @@ func sameMonitors(t *testing.T, step int, schema *relation.Schema, sigma []*core
 				for i, j := range xIdx {
 					x[i] = tp[j]
 				}
-				kb, kt := hb[ci].KeyOf(x), ht[ci].KeyOf(x)
-				sb, okb := hb[ci].Stat(pair, kb)
-				st, okt := ht[ci].Stat(pair, kt)
+				kb, kt := hb.KeyOf(x), ht.KeyOf(x)
+				sb, okb := hb.Stat(ci, y, kb)
+				st, okt := ht.Stat(ci, y, kt)
 				if !okb || !okt || !slices.Equal(sb.X, st.X) || sb.Support != st.Support ||
 					sb.Distinct != st.Distinct || sb.Top != st.Top || sb.TopCount != st.TopCount {
-					t.Fatalf("step %d: CFD %d pair %d Stat(%v) = %+v, %v; twin %+v, %v", step, ci, pair, x, sb, okb, st, okt)
+					t.Fatalf("step %d: CFD %d RHS %d Stat(%v) = %+v, %v; twin %+v, %v", step, ci, y, x, sb, okb, st, okt)
 				}
-				if nb, nt := hb[ci].Count(pair, kb, tp[ai]), ht[ci].Count(pair, kt, tp[ai]); nb != nt {
-					t.Fatalf("step %d: CFD %d pair %d Count(%v, %s) = %d, twin %d", step, ci, pair, x, tp[ai], nb, nt)
+				if nb, nt := hb.Count(ci, y, kb, tp[ai]), ht.Count(ci, y, kt, tp[ai]); nb != nt {
+					t.Fatalf("step %d: CFD %d RHS %d Count(%v, %s) = %d, twin %d", step, ci, y, x, tp[ai], nb, nt)
 				}
 			}
 		}

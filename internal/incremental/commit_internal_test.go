@@ -125,8 +125,9 @@ func TestCommitWindowOneRecordPerWindow(t *testing.T) {
 }
 
 // TestCommitWindowAttachWithBackfill attaches a GroupStats and a
-// DeltaSub while eight writers run. Attaching under the writer lock with
-// a backfill must lose nothing: once the writers stop, the statistics
+// DeltaSub while eight writers run. Attaching under the writer lock —
+// the DeltaSub with a backfill, the GroupStats with a first drain of
+// Σ's groups — must lose nothing: once the writers stop, the statistics
 // drained from the mid-stream attach equal a fresh attach's, and every
 // live constant violation's key is among the mid-stream subscription's
 // touched keys.
@@ -140,7 +141,6 @@ func TestCommitWindowAttachWithBackfill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs := []AttrPair{{X: []string{"AC"}, A: "CT"}, {X: []string{"CT"}, A: "NM"}}
 	acs, cts := []string{"1", "2", "3"}, []string{"x", "y"}
 
 	const writers, opsPer = 8, 150
@@ -177,27 +177,17 @@ func TestCommitWindowAttachWithBackfill(t *testing.T) {
 	for done.Load() < writers*opsPer/4 {
 		time.Sleep(50 * time.Microsecond)
 	}
-	mid, err := m.TrackGroups(pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mid := m.TrackGroups()
 	midSub := m.TrackDeltas()
 	wg.Wait()
 
-	fresh, err := m.TrackGroups(pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh := m.TrackGroups()
 	// Later entries for a key supersede earlier ones (a group destroyed
 	// and re-created drains twice, old object first); dead groups drop.
-	type groupID struct {
-		pair int
-		xkey string
-	}
-	last := func(h *GroupStats) map[groupID]GroupDelta {
-		out := make(map[groupID]GroupDelta)
+	last := func(h *GroupStats) map[gid]GroupDelta {
+		out := make(map[gid]GroupDelta)
 		for _, d := range h.Drain(nil) {
-			k := groupID{d.Pair, d.XKey}
+			k := gid{d.CFD, d.Y, d.XKey}
 			if d.Support == 0 {
 				delete(out, k)
 			} else {
@@ -211,8 +201,8 @@ func TestCommitWindowAttachWithBackfill(t *testing.T) {
 		t.Fatalf("mid-stream attach drained\n%v\nfresh attach drained\n%v", got, want)
 	}
 	for k := range want {
-		a, _ := mid.Stat(k.pair, k.xkey)
-		b, _ := fresh.Stat(k.pair, k.xkey)
+		a, _ := mid.Stat(k.cfd, k.y, k.xkey)
+		b, _ := fresh.Stat(k.cfd, k.y, k.xkey)
 		if fmt.Sprint(a) != fmt.Sprint(b) {
 			t.Fatalf("Stat(%v) = %+v, fresh %+v", k, a, b)
 		}

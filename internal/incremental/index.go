@@ -5,13 +5,10 @@ package incremental
 // behind the one store lock (see monitor.go); the static tableau side —
 // which rows of Tp a tuple's X-projection matches, and the constant Y
 // check — is core.TableauIndex, built once per CFD with its constants
-// resolved through the monitor's value pool. The tableau-free
-// generalization of the group index — per-X-group support and value
-// distributions for arbitrary attribute pairs, feeding the repair
-// Suggester — lives in stats.go, folded from the
-// same apply step, and shares its distribution type. A statistics
-// partition Σ covers reads these groups instead of keeping its own: the
-// apply marks it (cfdState.watch) before it changes a group.
+// resolved through the monitor's value pool. The group statistics that
+// feed the repair Suggester (stats.go) read these groups too: the apply
+// marks each attached subscription's watch (cfdState.watch) before it
+// changes a group, and the distribution type lives there.
 //
 // Everything here speaks value IDs (relation.Interner.ID): tuples are
 // stored as []uint32 columns, group keys are the packed 4-byte-per-ID
@@ -24,8 +21,8 @@ package incremental
 type idTuple = []uint32
 
 // group is the live state of one distinct X-projection under one CFD:
-// one count distribution per RHS attribute (dist, the counting core
-// GroupStats uses too). Two Y-projections differ iff they differ on some
+// one count distribution per RHS attribute (dist, which a GroupStats
+// reads). Two Y-projections differ iff they differ on some
 // A ∈ Y, so the paper's QV — GROUP BY X HAVING COUNT(DISTINCT Y) > 1 —
 // holds for a group exactly when some A has more than one distinct
 // value; the group is in variable violation when, in addition, at least

@@ -49,11 +49,10 @@
 // and the view's rebuild hold it shared, so they see whole commit
 // windows, never half of one; a repeat view read (Violations) and the
 // counters (Satisfied, ViolationCount) take no lock at all. Lock order
-// is Monitor.mu → store lock → interner locks, and a view rebuild takes
-// the view's own mutex before the store lock; a group-statistics
-// subscription's lock (GroupStats.mu) sits between Monitor.mu and the
-// store lock. The
-// randomized property tests replay long mixed update streams — single
+// is Monitor.mu → store lock → interner locks; a view rebuild takes the
+// view's own mutex, and a group-statistics drain its subscription's
+// (GroupStats.mu), before the store lock, and neither takes Monitor.mu.
+// The randomized property tests replay long mixed update streams — single
 // ops and batches — and cross-check the live set against a fresh
 // detect.Direct run after every step.
 //
@@ -158,11 +157,11 @@ type cfdState struct {
 	// tuples plus violating groups); maintained by the apply, read
 	// lock-free by Satisfied.
 	violations atomic.Int64
-	// watch lists the GroupStats partitions that read this CFD's groups
-	// instead of keeping their own (stats.go). The apply marks them
-	// before it changes a group; nil while no such partition is attached.
-	// Guarded by the writer lock.
-	watch []*partition
+	// watch lists the attached GroupStats' watches of this CFD, one per
+	// subscription (stats.go). The apply marks them before it changes a
+	// group; nil while no subscription is attached. Guarded by the writer
+	// lock.
+	watch []*watch
 }
 
 // Monitor is a stateful incremental violation monitor for one relation
@@ -211,7 +210,7 @@ type Monitor struct {
 
 	// consumers are folded after every applied request, under mu and in
 	// apply order (see subscribe.go): consumers[0] is the violation view,
-	// always attached; TrackDeltas and TrackGroups attach the others.
+	// always attached; TrackDeltas attaches the others.
 	consumers []consumer
 
 	// readOnly gates the public mutation surface while the monitor
@@ -702,8 +701,8 @@ func (m *Monitor) add(ci int, key int64, t idTuple, d *Delta, sc *opScratch) {
 		g = &group{key: string(sc.key), selected: len(sc.rows) > 0, ys: make([]dist, len(sc.y))}
 		cs.groups[g.key] = g
 	}
-	for _, p := range cs.watch {
-		p.touch(g, -1)
+	for _, w := range cs.watch {
+		w.touch(g, -1)
 	}
 	was := g.violating()
 	g.size++
@@ -723,8 +722,8 @@ func (m *Monitor) remove(ci int, key int64, t idTuple, d *Delta, sc *opScratch) 
 	if !ok {
 		return
 	}
-	for _, p := range cs.watch {
-		p.touch(g, -1)
+	for _, w := range cs.watch {
+		w.touch(g, -1)
 	}
 	was := g.violating()
 	g.size--
@@ -748,8 +747,8 @@ func (m *Monitor) shift(ci int, key int64, ov uint32, t idTuple, yi int, d *Delt
 	m.checkConst(ci, key, t, d, sc)
 	sc.key = relation.AppendIDKey(sc.key[:0], sc.x)
 	g := cs.groups[string(sc.key)]
-	for _, p := range cs.watch {
-		p.touch(g, yi)
+	for _, w := range cs.watch {
+		w.touch(g, yi)
 	}
 	was := g.violating()
 	g.ys[yi].remove(ov)

@@ -1,12 +1,11 @@
 package incremental
 
 import (
-	"cmp"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 
@@ -14,40 +13,39 @@ import (
 	"repro/internal/relation"
 )
 
-// The tests of this file check the partitions a GroupStats shares with
-// Σ's own groups (partition.cs != nil) against the partitions it owns.
+// The tests of this file check a GroupStats — one watch per CFD, reading
+// Σ's own groups — against a brute-force GROUP BY over the monitor's
+// snapshot, under random op streams, concurrent readers and writes that
+// land while a drain hands its chunks over.
 
-// sharedSigma covers every pair of sharedPairs: each pair's X is a CFD's
-// LHS and its A is in that CFD's RHS. The constant rows give the
-// tableau something to select; they do not change the statistics.
+// sharedSigma gives the CFDs two- and one-attribute LHSs and RHSs. The
+// constant rows give the tableau something to select; they do not
+// change the statistics. ParseSet merges the two [AC] CFDs into CFD 0.
 const sharedSigma = `[AC] -> [CT, NM]
 [AC=908] -> [CT=MH, NM]
 [AC, CT] -> [ZIP]
 [ZIP] -> [AC]
 [NM] -> [ZIP]`
 
-// sharedPairs are TestSharedPartitionsMatchRecount's pairs plus one on
-// NM, whose 20 values keep its groups small, so deletes destroy them.
-var sharedPairs = []AttrPair{
-	{X: []string{"AC"}, A: "CT"},
-	{X: []string{"AC"}, A: "NM"},
-	{X: []string{"AC", "CT"}, A: "ZIP"},
-	{X: []string{"ZIP"}, A: "AC"},
-	{X: []string{"AC"}, A: "CT"},
-	{X: []string{"NM"}, A: "ZIP"},
-}
+// sharedLHSSigma has two CFDs on the LHS [AC] with different RHSs, so no
+// one CFD's groups carry both attributes: each CFD's watch reads its own
+// copy of the AC-groups.
+const sharedLHSSigma = `[AC] -> [CT]
+[AC=908] -> [CT=MH]
+[AC] -> [NM]
+[ZIP] -> [AC]`
 
 func sharedSchema() *relation.Schema {
 	return relation.MustSchema("R", relation.Attr("AC"), relation.Attr("CT"), relation.Attr("NM"), relation.Attr("ZIP"))
 }
 
-// sharedPools are TestSharedPartitionsMatchRecount's value pools.
+// sharedPools are the value pools of the tests' random tuples.
 var sharedPools = [][]relation.Value{{"908", "212", "215"}, {"MH", "NYC"}, {"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l", "m", "n", "o", "p", "q", "r", "s", "t"}, {"z1", "z2", "z3", "z4", "z5"}}
 
-// opGen draws TestSharedPartitionsMatchRecount's op mix — inserts,
+// opGen draws TestGroupStatsMatchRecount's op mix — inserts,
 // deletes, and updates of a random attribute, so of X and of A alike —
-// over explicit keys from its own range, so two monitors fed the same
-// ops store the same tuples under the same keys.
+// over explicit keys from its own range, so generators with disjoint
+// ranges can write one monitor side by side.
 type opGen struct {
 	rng  *rand.Rand
 	next int64
@@ -102,134 +100,244 @@ func changeSet(ops []Op) *ChangeSet {
 	return cs
 }
 
-// byGroup orders a drain by (pair, group), keeping the order of one
-// group's deltas — a death before its re-creation.
-func byGroup(ds []GroupDelta) []GroupDelta {
-	slices.SortStableFunc(ds, func(a, b GroupDelta) int {
-		return cmp.Or(cmp.Compare(a.Pair, b.Pair), strings.Compare(a.XKey, b.XKey))
-	})
-	return ds
+// groupState is one group's statistics under one RHS attribute, as a
+// subscriber holds them.
+type groupState struct {
+	Support, Distinct, TopCount int
+	Top                         relation.Value
 }
 
-// TestSharedStoreMatchesOwned: the same pairs tracked on a monitor whose
-// Σ covers them (every partition shared) and on a Σ-less twin (every
-// partition owned), fed the same random op streams, drain the same
-// deltas — as a multiset per drain, one group's deltas in order — and
-// answer the same Stat, Count and KeyOf. The two monitors share one
-// value pool, so XKeys compare directly.
-func TestSharedStoreMatchesOwned(t *testing.T) {
-	schema := sharedSchema()
-	sigma, err := core.ParseSet(sharedSigma)
-	if err != nil {
-		t.Fatal(err)
+// gid names one group of CFD cfd under its y-th RHS attribute.
+type gid struct {
+	cfd, y int
+	xkey   string
+}
+
+// subscriber folds drained deltas into the groups they report.
+type subscriber map[gid]groupState
+
+// fold folds one delta, and describes it when its Prev fields are not
+// what the previous delta of its (group, attribute) reported.
+func (s subscriber) fold(d *GroupDelta) string {
+	k := gid{d.CFD, d.Y, d.XKey}
+	prev := s[k]
+	if d.Support == 0 {
+		delete(s, k)
+	} else {
+		s[k] = groupState{d.Support, d.Distinct, d.TopCount, d.Top}
 	}
-	pool := relation.NewInterner()
-	ms, err := New(schema, sigma, Options{Intern: pool})
-	if err != nil {
-		t.Fatal(err)
+	if d.PrevSupport != prev.Support || d.PrevDistinct != prev.Distinct || d.PrevTopCount != prev.TopCount {
+		return fmt.Sprintf("CFD %d RHS %d delta %+v carries Prev %d/%d/%d, last drained %+v",
+			d.CFD, d.Y, d.X, d.PrevSupport, d.PrevDistinct, d.PrevTopCount, prev)
 	}
-	mo, err := New(schema, nil, Options{Intern: pool})
-	if err != nil {
-		t.Fatal(err)
+	return ""
+}
+
+// recount is a brute-force GROUP BY over m's snapshot: every CFD's LHS
+// groups under each of its RHS attributes, by XKey, with their
+// statistics and their value counts.
+func recount(m *Monitor, h *GroupStats) (map[gid]groupState, map[gid]map[relation.Value]int) {
+	schema := m.Schema()
+	counts := make(map[gid]map[relation.Value]int)
+	for _, tu := range m.Snapshot().Tuples {
+		for ci, cfd := range m.Sigma() {
+			x := make([]relation.Value, len(cfd.LHS))
+			for i, a := range cfd.LHS {
+				x[i] = tu[schema.MustIndex(a)]
+			}
+			xkey := h.KeyOf(x)
+			for y, a := range cfd.RHS {
+				k := gid{ci, y, xkey}
+				if counts[k] == nil {
+					counts[k] = make(map[relation.Value]int)
+				}
+				counts[k][tu[schema.MustIndex(a)]]++
+			}
+		}
 	}
-	gen := &opGen{rng: rand.New(rand.NewSource(11))}
-	apply := func(ops []Op) {
-		t.Helper()
-		for _, m := range []*Monitor{ms, mo} {
-			if _, err := m.Apply(changeSet(ops)); err != nil {
+	states := make(map[gid]groupState)
+	for k, dist := range counts {
+		st := groupState{Distinct: len(dist)}
+		for v, c := range dist {
+			st.Support += c
+			if c > st.TopCount || (c == st.TopCount && v < st.Top) {
+				st.Top, st.TopCount = v, c
+			}
+		}
+		states[k] = st
+	}
+	return states, counts
+}
+
+// checkRecount fails the test unless the groups a subscriber folded,
+// and Stat and Count of every group over sharedPools, equal a recount.
+func checkRecount(t *testing.T, step int, m *Monitor, h *GroupStats, view subscriber) {
+	t.Helper()
+	want, counts := recount(m, h)
+	if !reflect.DeepEqual(map[gid]groupState(view), want) {
+		t.Fatalf("step %d: folded\n%v\nrecount\n%v", step, view, want)
+	}
+	for k, st := range want {
+		got, ok := h.Stat(k.cfd, k.y, k.xkey)
+		if !ok || (groupState{got.Support, got.Distinct, got.TopCount, got.Top}) != st || h.KeyOf(got.X) != k.xkey {
+			t.Fatalf("step %d: Stat(%d, %d, %q) = %+v, %v; recount %+v", step, k.cfd, k.y, k.xkey, got, ok, st)
+		}
+		ai := m.Schema().MustIndex(m.Sigma()[k.cfd].RHS[k.y])
+		for _, v := range sharedPools[ai] {
+			if n := h.Count(k.cfd, k.y, k.xkey, v); n != counts[k][v] {
+				t.Fatalf("step %d: Count(%d, %d, %v, %s) = %d, recount %d", step, k.cfd, k.y, got.X, v, n, counts[k][v])
+			}
+		}
+	}
+}
+
+// TestGroupStatsMatchRecount drives a subscription through random
+// ChangeSets, one row per Σ — sharedSigma, and sharedLHSSigma, whose
+// CFDs on [AC] share an LHS but no RHS attribute — and checks after
+// every drain that the deltas a subscriber folds, Stat and Count equal
+// a brute-force recount of the snapshot; that every delta's Prev fields
+// equal what the previous delta of its (group, attribute) reported; that
+// a destroyed group's Stat misses; and that an update dirties exactly
+// the (CFD, RHS attribute) slots whose CFD mentions the updated
+// attribute on its LHS or as that RHS attribute, and a same-value update
+// none. Half the drains take a write between their chunks, which lands
+// before the later CFDs' groups are read, and a second drain hands over
+// the rest. NM's 20 values grow distributions past the spill's linear
+// range and keep NM's groups small, so deletes destroy them.
+func TestGroupStatsMatchRecount(t *testing.T) {
+	for _, tc := range []struct{ name, sigma string }{{"sigma", sharedSigma}, {"shared-lhs", sharedLHSSigma}} {
+		t.Run(tc.name, func(t *testing.T) {
+			schema := sharedSchema()
+			sigma, err := core.ParseSet(tc.sigma)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	// Some state before the attach, so the first drain reports groups
-	// the attach did not fold.
-	for range 4 {
-		apply(gen.ops(schema, 30))
-	}
-	hs, err := ms.TrackGroups(sharedPairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ho, err := mo.TrackGroups(sharedPairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for part := range hs.parts {
-		if hs.parts[part].cs == nil || ho.parts[part].cs != nil {
-			t.Fatalf("partition %d: shared %v on the Σ monitor, %v on the twin; want shared, owned",
-				part, hs.parts[part].cs != nil, ho.parts[part].cs != nil)
-		}
-	}
-
-	type gid struct {
-		pair int
-		xkey string
-	}
-	live := make(map[gid][]relation.Value)
-	drain := func(step int) {
-		t.Helper()
-		ds, do := byGroup(hs.Drain(nil)), byGroup(ho.Drain(nil))
-		if !reflect.DeepEqual(ds, do) {
-			t.Fatalf("step %d: shared drain\n%+v\nowned drain\n%+v", step, ds, do)
-		}
-		for _, d := range do {
-			if d.Support == 0 {
-				delete(live, gid{d.Pair, d.XKey})
-			} else {
-				live[gid{d.Pair, d.XKey}] = d.X
+			m, err := New(schema, sigma, Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for _, d := range do {
-			if _, ok := live[gid{d.Pair, d.XKey}]; !ok {
-				if _, found := hs.Stat(d.Pair, d.XKey); found {
-					t.Fatalf("step %d: Stat of destroyed group %v found it", step, d.X)
+			gen := &opGen{rng: rand.New(rand.NewSource(7))}
+			apply := func(ops []Op) {
+				t.Helper()
+				if _, err := m.Apply(changeSet(ops)); err != nil {
+					t.Fatal(err)
 				}
 			}
-		}
-		for k, x := range live {
-			a, aok := hs.Stat(k.pair, k.xkey)
-			b, bok := ho.Stat(k.pair, k.xkey)
-			if !aok || !reflect.DeepEqual(a, b) {
-				t.Fatalf("step %d: pair %d Stat(%v) = %+v, %v; owned %+v, %v", step, k.pair, x, a, aok, b, bok)
+			// Some state before the attach, so the first drain reports
+			// groups no mark recorded.
+			for range 4 {
+				apply(gen.ops(schema, 30))
 			}
-			if ks, ko := hs.KeyOf(x), ho.KeyOf(x); ks != k.xkey || ko != k.xkey {
-				t.Fatalf("step %d: KeyOf(%v) = %q shared, %q owned, want %q", step, x, ks, ko, k.xkey)
+			h := m.TrackGroups()
+			view := make(subscriber)
+			drain := func(step int, write bool) []GroupDelta {
+				t.Helper()
+				var ds []GroupDelta
+				h.DrainFunc(func(d *GroupDelta) {
+					if write {
+						write = false
+						apply(gen.ops(schema, 30))
+					}
+					if msg := view.fold(d); msg != "" {
+						t.Fatalf("step %d: %s", step, msg)
+					}
+					ds = append(ds, *d)
+				})
+				return ds
 			}
-			ai, _ := schema.Index(sharedPairs[k.pair].A)
-			for _, v := range sharedPools[ai] {
-				if a, b := hs.Count(k.pair, k.xkey, v), ho.Count(k.pair, k.xkey, v); a != b {
-					t.Fatalf("step %d: pair %d Count(%v, %s) = %d, owned %d", step, k.pair, x, v, a, b)
+			check := func(step int, ds []GroupDelta) {
+				t.Helper()
+				checkRecount(t, step, m, h, view)
+				for _, d := range ds {
+					if _, live := view[gid{d.CFD, d.Y, d.XKey}]; !live {
+						if _, found := h.Stat(d.CFD, d.Y, d.XKey); found {
+							t.Fatalf("step %d: Stat of destroyed group %v found it", step, d.X)
+						}
+					}
 				}
 			}
-		}
-	}
+			settle := func(step int) {
+				t.Helper()
+				ds := drain(step, gen.rng.Intn(2) == 0)
+				check(step, append(ds, drain(step, false)...))
+			}
+			mentions := func(d gid, attr string) bool {
+				cfd := sigma[d.cfd]
+				return cfd.RHS[d.y] == attr || slices.Contains(cfd.LHS, attr)
+			}
 
-	drain(-1)
-	for step := 0; step < 200; step++ {
-		// One to three ChangeSets per drain window, so deltas coalesce.
-		for w := gen.rng.Intn(3); w >= 0; w-- {
-			apply(gen.ops(schema, 30))
-		}
-		if step%3 == 0 && len(gen.live) > 0 {
-			// A key deleted and re-inserted in one window: the groups that
-			// die with it are re-created, and drain death first.
-			key := gen.live[gen.rng.Intn(len(gen.live))]
-			tu, _ := mo.Get(key)
-			apply([]Op{{Kind: OpDelete, Key: key}, {Kind: OpInsert, Key: key, Tuple: tu}})
-			apply([]Op{{Kind: OpDelete, Key: key}})
-			apply([]Op{{Kind: OpInsert, Key: key, Tuple: gen.tuple()}})
-		}
-		drain(step)
+			// The first drain always takes a write: the groups of the CFDs
+			// after the first are marked while their first report waits.
+			check(-1, append(drain(-1, true), drain(-1, false)...))
+			for step := range 150 {
+				// One to three ChangeSets per drain window, so deltas coalesce.
+				for w := gen.rng.Intn(3); w >= 0; w-- {
+					apply(gen.ops(schema, 30))
+				}
+				settle(step)
+				if len(gen.live) == 0 {
+					continue
+				}
+
+				// A key deleted and re-inserted within one window: the
+				// groups that die with it are re-created, and drain death
+				// first.
+				key := gen.live[gen.rng.Intn(len(gen.live))]
+				tu, _ := m.Get(key)
+				apply([]Op{{Kind: OpDelete, Key: key}, {Kind: OpInsert, Key: key, Tuple: tu}})
+				if gen.rng.Intn(2) == 0 {
+					apply([]Op{{Kind: OpDelete, Key: key}})
+					apply([]Op{{Kind: OpInsert, Key: key, Tuple: gen.tuple()}})
+				}
+				settle(step)
+				if len(gen.live) == 0 {
+					continue
+				}
+
+				// An update of one attribute dirties exactly the slots whose
+				// CFD mentions it, a same-value update none. The settling
+				// drain may have deleted key: pick again.
+				key = gen.live[gen.rng.Intn(len(gen.live))]
+				ai := gen.rng.Intn(len(sharedPools))
+				attr := schema.Attrs[ai].Name
+				tu, _ = m.Get(key)
+				apply([]Op{{Kind: OpUpdate, Key: key, Attr: attr, Value: tu[ai]}})
+				if ds := drain(step, false); len(ds) != 0 {
+					t.Fatalf("step %d: same-value update of %s drained %d deltas", step, attr, len(ds))
+				}
+				var nv relation.Value
+				for nv = tu[ai]; nv == tu[ai]; {
+					nv = sharedPools[ai][gen.rng.Intn(len(sharedPools[ai]))]
+				}
+				apply([]Op{{Kind: OpUpdate, Key: key, Attr: attr, Value: nv}})
+				ds := drain(step, false)
+				check(step, ds)
+				touched := make(map[[2]int]bool)
+				for _, d := range ds {
+					if !mentions(gid{d.CFD, d.Y, ""}, attr) {
+						t.Fatalf("step %d: update of %s drained CFD %d RHS %d", step, attr, d.CFD, d.Y)
+					}
+					touched[[2]int{d.CFD, d.Y}] = true
+				}
+				for ci, cfd := range sigma {
+					for y := range cfd.RHS {
+						if mentions(gid{ci, y, ""}, attr) && !touched[[2]int{ci, y}] {
+							t.Fatalf("step %d: update of %s did not drain CFD %d RHS %d", step, attr, ci, y)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
-// TestSharedStatConcurrentReaders is TestStatConcurrentReaders over
-// pairs Σ covers: Stat and Count run from several goroutines while
-// writers apply and a drainer drains, all reading the monitor's own
-// groups — a spill whose cached mode a delete dropped included, which a
-// reader must rescan without rewriting (run it under -race). The
-// drained deltas chain (each carries the previous one's state as its
-// Prev fields) and fold to a fresh recount.
+// TestSharedStatConcurrentReaders is TestStatConcurrentReaders with
+// writers: Stat and Count run from several goroutines while writers
+// apply and a drainer drains, all reading the monitor's own groups — a
+// spill whose cached mode a delete dropped included, which a reader must
+// rescan without rewriting (run it under -race). The drained deltas
+// chain (each carries the previous one's state as its Prev fields) and
+// fold to a recount.
 func TestSharedStatConcurrentReaders(t *testing.T) {
 	schema := sharedSchema()
 	sigma, err := core.ParseSet(sharedSigma)
@@ -244,34 +352,19 @@ func TestSharedStatConcurrentReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := m.TrackGroups(sharedPairs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := m.TrackGroups()
 	if _, err := m.Delete(5); err != nil { // one MH: a tie, the cached mode dropped
 		t.Fatal(err)
 	}
 	key := h.KeyOf([]relation.Value{"212"})
 
-	type gid struct {
-		pair int
-		xkey string
-	}
-	view := make(map[gid]groupState)
+	view := make(subscriber)
 	fold := func() {
-		for _, d := range h.Drain(nil) {
-			k := gid{d.Pair, d.XKey}
-			prev := view[k]
-			if d.PrevSupport != prev.Support || d.PrevDistinct != prev.Distinct || d.PrevTopCount != prev.TopCount {
-				t.Errorf("pair %d delta %+v: Prev %d/%d/%d, last drained %+v",
-					d.Pair, d.X, d.PrevSupport, d.PrevDistinct, d.PrevTopCount, prev)
+		h.DrainFunc(func(d *GroupDelta) {
+			if msg := view.fold(d); msg != "" {
+				t.Error(msg)
 			}
-			if d.Support == 0 {
-				delete(view, k)
-			} else {
-				view[k] = groupState{d.Support, d.Distinct, d.TopCount, d.Top}
-			}
-		}
+		})
 	}
 
 	const writers = 2
@@ -305,10 +398,10 @@ func TestSharedStatConcurrentReaders(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					xkey = h.KeyOf([]relation.Value{sharedPools[0][rng.Intn(3)]})
 				}
-				if st, ok := h.Stat(0, xkey); ok && (st.TopCount < 1 || st.TopCount > st.Support || st.Distinct < 1 || st.Distinct > st.Support) {
+				if st, ok := h.Stat(0, 0, xkey); ok && (st.TopCount < 1 || st.TopCount > st.Support || st.Distinct < 1 || st.Distinct > st.Support) {
 					t.Errorf("Stat = %+v: not one group's state", st)
 				}
-				if n := h.Count(0, xkey, "MH"); n < 0 {
+				if n := h.Count(0, 0, xkey, "MH"); n < 0 {
 					t.Errorf("Count = %d", n)
 				}
 			}
@@ -330,18 +423,7 @@ func TestSharedStatConcurrentReaders(t *testing.T) {
 	close(done)
 	rg.Wait()
 	fold()
-	for pi, p := range sharedPairs {
-		want, _ := recount(t, m, p)
-		got := make(map[string]groupState)
-		for k, st := range view {
-			if k.pair == pi {
-				got[k.xkey] = st
-			}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("pair %d %v folded\n%v\nrecount\n%v", pi, p, got, want)
-		}
-	}
+	checkRecount(t, -1, m, h, view)
 }
 
 // TestReadProbesDoNotGrowPool: KeyOf, Count, MatchingRows and
@@ -362,15 +444,12 @@ func TestReadProbesDoNotGrowPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := m.TrackGroups(sharedPairs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := m.TrackGroups()
 	n := pool.Len()
 	if k := h.KeyOf([]relation.Value{"unseen-1"}); k != "" {
 		t.Errorf("KeyOf(unseen) = %q, want no group's key", k)
 	}
-	if c := h.Count(0, h.KeyOf([]relation.Value{"908"}), "unseen-2"); c != 0 {
+	if c := h.Count(0, 0, h.KeyOf([]relation.Value{"908"}), "unseen-2"); c != 0 {
 		t.Errorf("Count(unseen) = %d, want 0", c)
 	}
 	// ParseSet merges the two [AC] CFDs into CFD 0, rows (_) and (908):
@@ -398,14 +477,13 @@ func TestReadProbesDoNotGrowPool(t *testing.T) {
 // over its chunks reaches each group once. A group whose chunk was read
 // before the write drains again at the next drain, Prev fields as first
 // reported; a group read after the write carries it in this drain and
-// not again. A shared partition's first drain must fold the marks the
-// apply made for groups it had not read yet; an owned partition keeps
-// the same contract.
+// not again. The first drain must fold the marks the apply made for
+// groups it had not read yet.
 func TestDrainChunksSeeLaterWrites(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		sigma string
-	}{{"shared", "[K] -> [V]"}, {"owned", ""}} {
+	}{{"shared", "[K] -> [V]"}} {
 		t.Run(tc.name, func(t *testing.T) {
 			schema := relation.MustSchema("R", relation.Attr("K"), relation.Attr("V"))
 			sigma, err := core.ParseSet(tc.sigma)
@@ -421,13 +499,7 @@ func TestDrainChunksSeeLaterWrites(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h, err := m.TrackGroups([]AttrPair{{X: []string{"K"}, A: "V"}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if shared := h.parts[0].cs != nil; shared != (tc.name == "shared") {
-				t.Fatalf("partition shared = %v", shared)
-			}
+			h := m.TrackGroups()
 			first := make(map[string]relation.Value)
 			h.DrainFunc(func(d *GroupDelta) {
 				if len(first) == 0 {

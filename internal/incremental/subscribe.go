@@ -12,11 +12,11 @@ import (
 // every consumer sits on one list, Monitor.consumers, and is folded after
 // every applied request, in apply order, under the writer lock. The
 // violation view (view.go) is consumers[0] and never detaches; a DeltaSub
-// (below) and a GroupStats (stats.go) attach under the writer lock with a
-// backfill of the current state, so an attach neither misses nor
-// double-counts a concurrent write, and detach removes them. (A
-// GroupStats partition that reads Σ's groups needs no backfill: the
-// apply marks it directly.)
+// (below) attaches under the writer lock with a backfill of the current
+// state, so an attach neither misses nor double-counts a concurrent
+// write, and detach removes it. A GroupStats (stats.go) is no consumer:
+// it reads Σ's own groups, which the apply marks for it directly, so it
+// needs neither a fold nor a backfill.
 //
 // A DeltaSub is a coalesced set of the tuple keys a stretch of applied
 // batches changed on an attribute of Σ — O(Δ) per batch, one mark per
@@ -43,17 +43,12 @@ func (m *Monitor) attach(c consumer, backfill func()) {
 	m.consumers = append(m.consumers, c)
 }
 
-// detach removes c from the consumer list and then runs undo, both
-// under the writer lock; unknown consumers are ignored (undo does not
-// run).
-func (m *Monitor) detach(c consumer, undo func()) {
+// detach removes c from the consumer list under the writer lock;
+// unknown consumers are ignored.
+func (m *Monitor) detach(c consumer) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := len(m.consumers)
 	m.consumers = slices.DeleteFunc(m.consumers, func(o consumer) bool { return o == c })
-	if len(m.consumers) < n {
-		undo()
-	}
 }
 
 // DeltaSub is one live touched-key subscription over a Monitor, created
@@ -125,7 +120,7 @@ func (m *Monitor) TrackDeltas() *DeltaSub {
 
 // UntrackDeltas detaches a subscription; its accumulated marks stay
 // drainable but no longer follow mutations. Unknown handles are ignored.
-func (m *Monitor) UntrackDeltas(s *DeltaSub) { m.detach(s, func() {}) }
+func (m *Monitor) UntrackDeltas(s *DeltaSub) { m.detach(s) }
 
 // MatchingRows returns the tableau rows of CFD ci whose X pattern the
 // projection x matches (x ≍ tp[X]), in tableau order — a probe of the
@@ -155,8 +150,8 @@ func (m *Monitor) MatchingRows(ci int, x []relation.Value) []int {
 // violation on the X-group with the given key — a point probe against
 // the authoritative group store under a shared hold of the store lock,
 // no view materialization. xkey is the group's packed X-projection IDs
-// over the CFD's LHS: the XKey a GroupStats pair with X = LHS gives the
-// group (GroupDelta.XKey, GroupStats.KeyOf).
+// over the CFD's LHS: the XKey a GroupStats delta of CFD ci carries
+// (GroupDelta.XKey, GroupStats.KeyOf).
 func (m *Monitor) ViolatingGroup(ci int, xkey string) bool {
 	if ci < 0 || ci >= len(m.cfds) {
 		return false

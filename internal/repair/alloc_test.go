@@ -20,15 +20,14 @@ import (
 // (merged into the [ZIP, CT] tableau, as a daemon parses it), at trust
 // threshold 0.9. An attach plans only the groups whose RHS has two
 // values: planning every drained group, as the Suggester once did,
-// measured 80 537 allocations per attach. Every tracked pair is one of
-// Σ's (LHS, RHS attribute) pairs, so its partition reads the monitor's
-// own CFD groups: the attach folds no tuple, and the first drain takes
-// one mark per group in a single allocation per partition. Backfilling
-// private partitions tuple by tuple, as TrackGroups once did for these
-// pairs too, measured 37 419–37 421; the count now measures 11 893,
-// mostly the drain's X per group and the plans, and the budget keeps
-// about 5 % headroom. A change that moves the count edits the budget and
-// says why.
+// measured 80 537 allocations per attach. The group statistics read the
+// monitor's own CFD groups, one watch per CFD: the attach folds no
+// tuple, and the first drain takes one mark per group in a single
+// allocation per CFD. Backfilling private group stores tuple by tuple,
+// as TrackGroups once did, measured 37 419–37 421; the count now
+// measures 11 810, mostly the drain's X per group and the plans, and
+// the budget keeps about 5 % headroom. A change that moves the count
+// edits the budget and says why.
 func TestSuggesterAttachAllocs(t *testing.T) {
 	data := gen.GenerateTax(gen.TaxConfig{Size: 4000, Noise: 0.05, Seed: 1})
 	tpl, err := gen.TemplateByAttrs(3)

@@ -24,25 +24,25 @@ import (
 //     the applied batches changed on an attribute of Σ; each one's
 //     constant-violation suggestions are re-planned from one probe of
 //     the monitor's stores;
-//   - a group-statistics subscription (Monitor.TrackGroups) over every
-//     (LHS, RHS-attribute) pair of Σ names the LHS groups that moved.
-//     Folded arithmetically, every delta carries each CFD's live
+//   - a group-statistics subscription (Monitor.TrackGroups) over Σ's
+//     own groups names the LHS groups that moved, one delta per RHS
+//     attribute. Folded arithmetically, the deltas carry each CFD's live
 //     confidence: the fraction of tuples agreeing with their LHS
 //     group's dominant RHS value. The deltas that can move a variable
 //     violation re-plan its suggestion (the rule below).
 //
 // The re-plan rule (replans). The paper's QV flags exactly the X-groups
 // whose Y takes more than one value, so a group delta re-plans its
-// (CFD, X) only when the pair's RHS attribute has, or had, two values in
-// the group (Distinct > 1 || PrevDistinct > 1), or when the group kept a
-// support of two or more. No needed re-plan is skipped:
+// (CFD, X) only when the delta's RHS attribute has, or had, two values
+// in the group (Distinct > 1 || PrevDistinct > 1), or when the group
+// kept a support of two or more. No needed re-plan is skipped:
 //
 //   - a group violates, and has a suggestion, only while some RHS
 //     attribute has two values (the Monitor's group.violating);
-//   - a change in a group's size dirties every slot of its partition
-//     (partition.add, partition.remove, partition.touch), so a
-//     violating group that grows, shrinks or dies delivers a delta with
-//     Distinct > 1 or PrevDistinct > 1 for its multi-valued attribute;
+//   - a change in a group's size marks every RHS attribute of the group
+//     (watch.touch), so a violating group that grows, shrinks or dies
+//     delivers a delta with Distinct > 1 or PrevDistinct > 1 for its
+//     multi-valued attribute;
 //   - one update of a single-valued attribute A outside X makes A
 //     two-valued, unless the group has one member, which cannot
 //     violate;
@@ -53,13 +53,12 @@ import (
 //     delta; otherwise the clause costs a change and its undo in one
 //     window, which is rare.
 //
-// Every tracked pair is covered by Σ — its X is a CFD's LHS and its A in
-// that CFD's RHS — so the subscription reads the Monitor's own groups
-// and TrackGroups folds no tuple. An attach therefore costs one drain of
-// Σ's groups plus one plan per multi-valued group, not one per group: on
-// 20 000 generated tax rows under the semantic Σ plus a TABSZ-200
-// workload CFD, the first Refresh drains 34 407 group deltas and
-// re-plans 585 of them into 525 suggestions.
+// The subscription reads the Monitor's own groups, so TrackGroups folds
+// no tuple. An attach therefore costs one drain of Σ's groups plus one
+// plan per multi-valued group, not one per group: on 20 000 generated
+// tax rows under the semantic Σ plus a TABSZ-200 workload CFD, the
+// first Refresh drains 34 407 group deltas and re-plans 585 of them
+// into 525 suggestions.
 //
 // The planning heuristics are the batch algorithm's, re-derived per
 // violation instead of per pass:
@@ -191,15 +190,11 @@ type Suggester struct {
 	sub   *incremental.DeltaSub
 	hub   *incremental.GroupStats
 
-	// pairBase[ci] is the first of len(RHS) contiguous tracked pairs of
-	// CFD ci; cfdOfPair inverts the mapping.
-	pairBase  []int
-	cfdOfPair []int
-	yIdx      [][]int // per CFD, schema indexes of RHS
-	// agree[p] and total[p] sum pair p's groups' dominant-value counts
-	// and sizes, moved by each drained delta's change: agree/total is
-	// the pair's live confidence.
-	agree, total []int
+	yIdx [][]int // per CFD, schema indexes of RHS
+	// agree[a] and total[a] sum the dominant-value counts and sizes of
+	// the groups of RHS attribute a of its CFD, moved by each drained
+	// delta's change: agree/total is a's live confidence.
+	agree, total map[rhsAttr]int
 
 	sugs    map[string]*Suggestion
 	relaxed []bool
@@ -214,11 +209,11 @@ type Suggester struct {
 	metRelaxed *obs.Gauge
 }
 
-// NewSuggester attaches a streaming repair suggester to the monitor:
-// the monitored Σ's (LHS, RHS-attr) pairs are registered with the
-// group-statistics substrate, a touched-key subscription is opened, and
-// the current violation set is planned. The first Refresh happens
-// inside the constructor, so Suggestions is immediately complete.
+// NewSuggester attaches a streaming repair suggester to the monitor: a
+// group-statistics subscription over Σ's groups and a touched-key
+// subscription are opened, and the current violation set is planned.
+// The first Refresh happens inside the constructor, so Suggestions is
+// immediately complete.
 func NewSuggester(m *incremental.Monitor, opts SuggestOptions) (*Suggester, error) {
 	sigma := m.Sigma()
 	s := &Suggester{
@@ -228,9 +223,7 @@ func NewSuggester(m *incremental.Monitor, opts SuggestOptions) (*Suggester, erro
 		sugs:    make(map[string]*Suggestion),
 		relaxed: make([]bool, len(sigma)),
 	}
-	var pairs []incremental.AttrPair
 	for ci, cfd := range sigma {
-		s.pairBase = append(s.pairBase, len(pairs))
 		yIdx := make([]int, len(cfd.RHS))
 		for yi, a := range cfd.RHS {
 			j, ok := m.Schema().Index(a)
@@ -238,17 +231,11 @@ func NewSuggester(m *incremental.Monitor, opts SuggestOptions) (*Suggester, erro
 				return nil, fmt.Errorf("repair: CFD %d: schema %q has no attribute %q", ci, m.Schema().Name, a)
 			}
 			yIdx[yi] = j
-			pairs = append(pairs, incremental.AttrPair{X: cfd.LHS, A: a})
-			s.cfdOfPair = append(s.cfdOfPair, ci)
 		}
 		s.yIdx = append(s.yIdx, yIdx)
 	}
-	hub, err := m.TrackGroups(pairs)
-	if err != nil {
-		return nil, err
-	}
-	s.hub = hub
-	s.agree, s.total = make([]int, len(pairs)), make([]int, len(pairs))
+	s.agree, s.total = make(map[rhsAttr]int), make(map[rhsAttr]int)
+	s.hub = m.TrackGroups()
 	s.sub = m.TrackDeltas()
 	reg := m.Metrics()
 	s.metRefresh = reg.DurationHistogram("cfd_suggester_refresh_seconds", "Duration of one Suggester.Refresh pass (drain + re-plan).")
@@ -426,16 +413,21 @@ func (s *Suggester) refreshKey(key int64) {
 	}
 }
 
-// refreshGroup folds one drained group delta into its pair's confidence
-// aggregates and, when the delta can move the group's variable
-// suggestion, re-plans it. It reports whether it did.
+// rhsAttr names one RHS attribute of one CFD: its index in Σ and its
+// position in the CFD's RHS.
+type rhsAttr struct{ ci, yi int }
+
+// refreshGroup folds one drained group delta into its RHS attribute's
+// confidence aggregates and, when the delta can move the group's
+// variable suggestion, re-plans it. It reports whether it did.
 func (s *Suggester) refreshGroup(d *incremental.GroupDelta) bool {
-	s.agree[d.Pair] += d.TopCount - d.PrevTopCount
-	s.total[d.Pair] += d.Support - d.PrevSupport
+	a := rhsAttr{d.CFD, d.Y}
+	s.agree[a] += d.TopCount - d.PrevTopCount
+	s.total[a] += d.Support - d.PrevSupport
 	if !replans(d) {
 		return false
 	}
-	s.refreshVar(s.cfdOfPair[d.Pair], d.XKey, d.X)
+	s.refreshVar(d.CFD, d.XKey, d.X)
 	return true
 }
 
@@ -554,7 +546,7 @@ func (s *Suggester) varTargets(ci int, x []relation.Value, xkey string) (targets
 		if bound[yi] {
 			continue
 		}
-		st, ok := s.hub.Stat(s.pairBase[ci]+yi, xkey)
+		st, ok := s.hub.Stat(ci, yi, xkey)
 		if !ok {
 			return nil, nil, false
 		}
@@ -577,12 +569,11 @@ func (s *Suggester) planVar(ci int, xkey string, x []relation.Value) *Suggestion
 	var attr string
 	var to relation.Value
 	for yi, a := range cfd.RHS {
-		pair := s.pairBase[ci] + yi
-		st, ok := s.hub.Stat(pair, xkey)
+		st, ok := s.hub.Stat(ci, yi, xkey)
 		if !ok {
 			return nil
 		}
-		minority := st.Support - s.hub.Count(pair, xkey, targets[yi])
+		minority := st.Support - s.hub.Count(ci, yi, xkey, targets[yi])
 		if minority <= 0 {
 			continue
 		}
@@ -623,9 +614,9 @@ func (s *Suggester) planVar(ci int, xkey string, x []relation.Value) *Suggestion
 // LHS group's dominant one (1 on an empty instance).
 func (s *Suggester) confidence(ci int) float64 {
 	worst := 1.0
-	for p := s.pairBase[ci]; p < s.pairBase[ci]+len(s.yIdx[ci]); p++ {
-		if s.total[p] > 0 {
-			worst = min(worst, float64(s.agree[p])/float64(s.total[p]))
+	for yi := range s.yIdx[ci] {
+		if a := (rhsAttr{ci, yi}); s.total[a] > 0 {
+			worst = min(worst, float64(s.agree[a])/float64(s.total[a]))
 		}
 	}
 	return worst

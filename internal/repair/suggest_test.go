@@ -310,31 +310,37 @@ func trustFixture(t *testing.T, n int) *incremental.Monitor {
 // across the LHS groups, top being a group's dominant-value count.
 func scratchConfidence(m *incremental.Monitor, cfd *core.CFD) float64 {
 	rel := m.Snapshot()
-	xIdx, _ := rel.Schema.Indexes(cfd.LHS)
 	worst := 1.0
-	for _, a := range cfd.RHS {
-		ai := rel.Schema.MustIndex(a)
-		counts := make(map[string]map[relation.Value]int)
-		for row, tp := range rel.Tuples {
-			xk := relation.EncodeKey(rel.Project(row, xIdx))
-			if counts[xk] == nil {
-				counts[xk] = make(map[relation.Value]int)
-			}
-			counts[xk][tp[ai]]++
-		}
-		agree := 0
-		for _, dist := range counts {
-			top := 0
-			for _, c := range dist {
-				top = max(top, c)
-			}
-			agree += top
-		}
+	for yi := range cfd.RHS {
 		if len(rel.Tuples) > 0 {
-			worst = min(worst, float64(agree)/float64(len(rel.Tuples)))
+			worst = min(worst, float64(scratchAgree(rel, cfd, yi))/float64(len(rel.Tuples)))
 		}
 	}
 	return worst
+}
+
+// scratchAgree sums, over the LHS groups of cfd in rel, the count of
+// the group's dominant value of the yi-th RHS attribute.
+func scratchAgree(rel *relation.Relation, cfd *core.CFD, yi int) int {
+	xIdx, _ := rel.Schema.Indexes(cfd.LHS)
+	ai := rel.Schema.MustIndex(cfd.RHS[yi])
+	counts := make(map[string]map[relation.Value]int)
+	for row, tp := range rel.Tuples {
+		xk := relation.EncodeKey(rel.Project(row, xIdx))
+		if counts[xk] == nil {
+			counts[xk] = make(map[relation.Value]int)
+		}
+		counts[xk][tp[ai]]++
+	}
+	agree := 0
+	for _, dist := range counts {
+		top := 0
+		for _, c := range dist {
+			top = max(top, c)
+		}
+		agree += top
+	}
+	return agree
 }
 
 // assertMatchesFresh fails unless sg's live suggestions deep-equal those
@@ -594,6 +600,85 @@ func TestSuggesterMatchesFreshAttach(t *testing.T) {
 			}
 			if into == 0 || outOf == 0 {
 				t.Fatalf("%d crossings into relaxation, %d out of it: the stream must cross both ways", into, outOf)
+			}
+		})
+	}
+}
+
+// TestSuggesterSharedLHSMatchesFreshAttach drives a Suggester over a Σ
+// whose CFDs share an LHS but no RHS attribute — [A] → [B] with a
+// constant row and [A] → [C], so no one CFD's groups carry both B and C
+// — through a random stream: after every Refresh its suggestions equal
+// a fresh attach's, and its trust counts equal a from-scratch count of
+// the snapshot, per CFD and RHS attribute.
+func TestSuggesterSharedLHSMatchesFreshAttach(t *testing.T) {
+	schema := relation.MustSchema("R", relation.Attr("A"), relation.Attr("B"), relation.Attr("C"))
+	sigma, err := core.ParseSet("[A] -> [B]\n[A=a1] -> [B=b1]\n[A] -> [C]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pick := func(rng *rand.Rand, prefix string, n int) string { return fmt.Sprintf("%s%d", prefix, rng.Intn(n)) }
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			m, err := incremental.New(schema, sigma, incremental.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			opts := SuggestOptions{TrustThreshold: 0.7}
+			sg, err := NewSuggester(m, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sg.Close()
+			var live []int64
+			planned := make(map[int]bool)
+			for step := 0; step < 120; step++ {
+				var cs incremental.ChangeSet
+				for n := rng.Intn(4) + 1; n > 0; n-- {
+					switch op := rng.Intn(10); {
+					case op < 4 || len(live) < 4:
+						a := pick(rng, "a", 3)
+						cs.Insert(relation.Tuple{a, "b" + a[1:], "c" + a[1:]})
+					case op < 6:
+						j := rng.Intn(len(live))
+						cs.Delete(live[j])
+						live = append(live[:j], live[j+1:]...)
+					default:
+						attr := []string{"A", "B", "C"}[rng.Intn(3)]
+						cs.Update(live[rng.Intn(len(live))], attr, pick(rng, strings.ToLower(attr), 3))
+					}
+				}
+				if _, err := m.Apply(&cs); err != nil {
+					t.Fatal(err)
+				}
+				for _, op := range cs.Ops {
+					if op.Kind == incremental.OpInsert {
+						live = append(live, op.Key)
+					}
+				}
+				sg.Refresh()
+				assertMatchesFresh(t, m, sg, opts)
+				for _, s := range sg.Suggestions() {
+					planned[s.CFD] = true
+				}
+				rel := m.Snapshot()
+				sg.mu.Lock()
+				for ci, cfd := range sigma {
+					for yi := range cfd.RHS {
+						a := rhsAttr{ci, yi}
+						if want := scratchAgree(rel, cfd, yi); sg.agree[a] != want || sg.total[a] != len(rel.Tuples) {
+							sg.mu.Unlock()
+							t.Fatalf("step %d: CFD %d RHS %d agree/total %d/%d, from scratch %d/%d",
+								step, ci, yi, sg.agree[a], sg.total[a], want, len(rel.Tuples))
+						}
+					}
+				}
+				sg.mu.Unlock()
+			}
+			if len(planned) != len(sigma) {
+				t.Fatalf("suggestions named CFDs %v; the stream must dirty all %d", planned, len(sigma))
 			}
 		})
 	}
