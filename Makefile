@@ -39,8 +39,9 @@ bench-smoke:
 #
 # The batch pipeline: the randomized batched-stream oracle, the
 # mid-batch kill/recover test and the commit-window tests (one record per
-# window with per-writer outcomes; consumer attach with backfill under
-# concurrent writers).
+# window with per-writer outcomes; a group-statistics attach, whose
+# first group and key drains must lose nothing, under concurrent
+# writers).
 RACE_PROPS += './internal/incremental/=TestRandomBatchesMatchOracle|TestCrashRecoveryBatchAllOrNothing|TestApplyBatch|TestCommitWindow'
 # Discovery: the stripped-partition kernel against a brute-force GROUP BY
 # per candidate on random instances; the node's streamed GET
@@ -49,11 +50,13 @@ RACE_PROPS += './internal/incremental/=TestRandomBatchesMatchOracle|TestCrashRec
 # the state as they found it.
 RACE_PROPS += './internal/discovery/=TestDiscoverMatchesBruteForce'
 RACE_PROPS += './internal/node/=TestDiscoverAnswerMatchesSnapshot|TestDiscoverBesideWriters'
-# The group statistics over Σ's own groups: drains, Stat and Count
-# against a brute-force recount of the snapshot (a Σ whose CFDs share an
-# LHS included, writes landing mid-drain), concurrent Stat readers of
-# one group, Stat and Count readers beside writers and a drainer, and
-# writes landing between a drain's chunks.
+# The group statistics over Σ's own groups and constant-violation keys:
+# group drains, Stat and Count against a brute-force recount of the
+# snapshot, and the key drain against a brute-force constant-pattern
+# check (a Σ whose CFDs share an LHS included, writes landing
+# mid-drain), concurrent Stat readers of one group, Stat and Count
+# readers beside writers and a drainer, and writes landing between a
+# drain's chunks.
 RACE_PROPS += './internal/incremental/=TestGroupStatsMatchRecount|TestStatConcurrentReaders|TestSharedStatConcurrentReaders|TestDrainChunksSeeLaterWrites'
 # The group store: per-attribute RHS distributions against the batch
 # oracle and the crash-recovery check, the v4 snapshot round trip and
@@ -83,10 +86,12 @@ RACE_PROPS += './cmd/cfdrouter/=TestDaemonReadFanout|TestRoutedPointReadGoesToOw
 # Live repair: randomized dirt must converge to I' |= Sigma through the
 # suggest-plan-apply loop, the live suggester must equal a fresh attach
 # after every refresh (over a Σ whose CFDs share an LHS too) and keep
-# its confidences in [0, 1] under concurrent writers, and concurrent
-# apply-vs-refresh; the node's repairs endpoint keeps its trust across
-# a discover call.
-RACE_PROPS += './internal/repair/=TestSuggestConvergesRandomDirt|TestSuggesterConcurrentRefresh|TestSuggesterMatchesFreshAttach|TestSuggesterSharedLHSMatchesFreshAttach|TestSuggesterConfidenceInRange|TestSuggesterReplansMovedConstViolation|TestSuggesterRelaxesLowTrustCFD'
+# its confidences in [0, 1] under concurrent writers, concurrent
+# apply-vs-refresh, and the re-plans the key marks and group deltas
+# must drive (a constant violation moved to another tableau row, a
+# wholesale RHS rewrite, the live set tracked op by op); the node's
+# repairs endpoint keeps its trust across a discover call.
+RACE_PROPS += './internal/repair/=TestSuggestConvergesRandomDirt|TestSuggesterConcurrentRefresh|TestSuggesterMatchesFreshAttach|TestSuggesterSharedLHSMatchesFreshAttach|TestSuggesterConfidenceInRange|TestSuggesterReplansMovedConstViolation|TestSuggesterRelaxesLowTrustCFD|TestSuggesterReplansWholesaleRHSRewrite|TestSuggesterTracksLiveSet'
 RACE_PROPS += './internal/node/=TestRepairsTrustSurvivesDiscover'
 
 race-props:

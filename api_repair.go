@@ -24,9 +24,10 @@ func Repair(rel *Relation, sigma []*CFD, opts RepairOptions) (*RepairResult, err
 
 // Incremental repair-on-stream (the live counterpart of Repair; see the
 // "Live repair" section of the package documentation): a RepairSuggester
-// rides the Monitor's touched-key and group-statistics substrates and
-// maintains a cost-ranked suggestion per live violation, re-planning
-// only the keys and groups each ChangeSet touched — O(Δ) per batch, not
+// rides the Monitor's group statistics — its constant-violation key
+// marks and group deltas — and maintains a cost-ranked suggestion per
+// live violation, re-planning only the keys and groups each ChangeSet
+// marked — O(Δ) per batch, not
 // O(|I|). Accepted suggestions become ordinary ChangeSets via Plan, so
 // applying a fix goes through the same WAL/replication/fencing path as
 // any other write. cfdserve serves this surface as GET /v1/repairs and
@@ -76,7 +77,7 @@ var ErrUnknownRepairSuggestion = repair.ErrUnknownSuggestion
 
 // WatchRepairs attaches a live repair suggester to a monitor: the
 // current violation set is planned once, and every subsequent
-// ChangeSet's touched keys and groups re-plan only the suggestions it
+// ChangeSet's marked keys and groups re-plan only the suggestions it
 // touched —
 // call Refresh after applying changes to fold them in, Suggestions for
 // the current cost-ranked set, Plan to turn accepted suggestion IDs into

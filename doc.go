@@ -129,9 +129,11 @@
 // Monitor.TrackGroups reads the group statistics of Σ itself — every
 // CFD's live LHS groups, with their support and the value distribution
 // of each RHS attribute — as coalesced group-delta events a subscriber
-// drains on its own schedule (MonitorGroupStats). The subscription
-// keeps no groups of its own: the Monitor's groups are the ones the
-// paper's QV query flags.
+// drains on its own schedule (MonitorGroupStats), and the keys that
+// were, or became, constant-violating (DrainKeys). The subscription
+// keeps no groups or keys of its own: the Monitor's groups are the ones
+// the paper's QV query flags, and its constant-violation sets the
+// tuples its QC query flags.
 //
 // # Durability guarantees
 //
@@ -259,7 +261,7 @@
 //	cfd_apply_seconds               whole-batch apply latency
 //	cfd_apply_validate_seconds      the validation stage, per commit window
 //	cfd_apply_wal_append_seconds    the journal stage (append + any fsync)
-//	cfd_apply_shard_seconds         the apply + consumer-fold stage
+//	cfd_apply_shard_seconds         the in-memory apply stage, marks included
 //	cfd_group_commit_window_ops     ops committed per commit window
 //	cfd_group_commit_window_writers writers coalesced per commit window
 //	cfd_group_commit_wait_seconds   a follower's wait for its leader
@@ -314,12 +316,12 @@
 // breaking the cheapest LHS cell costs less under the CostModel and the
 // Monitor's group distributions — and on every Refresh re-plans only
 // what the intervening ChangeSets touched, O(Δ) per batch rather than
-// O(|I|). It runs on two feeds of its own: the tuple keys the writes
-// changed on an attribute of Σ (each key's constant-violation
-// suggestions are re-planned from one probe of the monitor's stores),
-// and the group statistics of Σ's own LHS groups (every
+// O(|I|). It runs on the two feeds of one MonitorGroupStats: the
+// constant-violation key marks (each (CFD, key) that was, or became,
+// constant-violating has that one suggestion re-planned from the
+// tuple), and the group statistics of Σ's own LHS groups (every
 // variable-violation flip moves a group of the CFD, so the group deltas
-// alone re-plan the variable suggestions). The same
+// alone re-plan the variable suggestions). The group
 // deltas carry each CFD's live confidence — the fraction of tuples
 // agreeing with their LHS group's dominant RHS value, the worst over
 // its RHS attributes. A CFD whose confidence has eroded below

@@ -16,7 +16,7 @@ import (
 // writers into one window: each request is validated by the one
 // key-existence check (validateWindowReq), the accepted ones are
 // journaled as ONE WAL record (one fsync in durable mode), and all of
-// them are then applied and folded by the one apply step (applyLocked)
+// them are then applied by the one apply step (applyLocked)
 // that recovery replay and follower replication end in too.
 
 // OpKind distinguishes the three mutation kinds of a ChangeSet op. The
@@ -463,66 +463,52 @@ func (m *Monitor) validateWindowReq(ops []Op, overlay map[int64]bool) error {
 	return nil
 }
 
-// --- the apply-and-fold step ---
+// --- the apply step ---
 
-// tupleChange is one applied op's stored tuple before and after it (nil
-// before an insert, nil after a delete), recorded only while a consumer
-// besides the view is attached.
-type tupleChange struct{ before, after idTuple }
-
-// applyLocked is the one apply-and-fold step every state change ends in:
-// a live window's requests, a recovered record, a shipped one. Each
-// element of vecs is one request's ops, validated under the same hold of
-// m.mu, so nothing can fail. Every op applies in one loop, in vector
-// order, under one exclusive hold of the store lock, so a reader sees
-// the whole window or none of it; the same hold marks the CFDs whose
-// violation sets moved, for the view's next rebuild. Outside that hold,
-// each request's delta is normalized and, with its ops and recorded
-// tuple changes, folded into every consumer in list order. The deltas
-// come back aligned with vecs.
+// applyLocked is the one apply step every state change ends in: a live
+// window's requests, a recovered record, a shipped one. Each element of
+// vecs is one request's ops, validated under the same hold of m.mu, so
+// nothing can fail. Every op applies in one loop, in vector order, under
+// one exclusive hold of the store lock, so a reader sees the whole
+// window or none of it; where an op changes a store, the same hold marks
+// the CFD moved for the view's next rebuild and marks each attached
+// GroupStats watch. Outside that hold, each request's delta is
+// normalized, and the view's version advances once per request whose
+// violation set changed. The deltas come back aligned with vecs.
 func (m *Monitor) applyLocked(vecs [][]Op) []*Delta {
 	deltas := make([]*Delta, len(vecs))
-	moved := make([][]tupleChange, len(vecs))
 	for i, ops := range vecs {
 		m.internOps(ops)
 		deltas[i] = &Delta{}
-		if len(m.consumers) > 1 {
-			moved[i] = make([]tupleChange, len(ops))
-		}
 	}
 	m.storeMu.Lock()
 	for i, ops := range vecs {
 		for j := range ops {
-			m.applyOp(ops, j, deltas[i], moved[i])
+			m.applyOp(&ops[j], deltas[i])
 		}
 	}
-	m.view.markMoved(deltas)
 	m.storeMu.Unlock()
-	for i, d := range deltas {
-		d.normalize()
-		for _, c := range m.consumers {
-			c.fold(vecs[i], moved[i], d)
+	for _, d := range deltas {
+		// A flip-flop request nets to an empty delta and keeps the
+		// version, and the ETags derived from it.
+		if d.normalize(); !d.Empty() {
+			m.view.version.Add(1)
 		}
 	}
 	return deltas
 }
 
-// applyOp applies validated op i and records its tuple change when moved
-// is non-nil. The caller holds the writer lock and the store lock.
-func (m *Monitor) applyOp(ops []Op, i int, d *Delta, moved []tupleChange) {
-	op := &ops[i]
+// applyOp applies validated op. The caller holds the writer lock and the
+// store lock.
+func (m *Monitor) applyOp(op *Op, d *Delta) {
 	sc := &m.scratch
-	before := m.tuples[op.Key]
 	switch op.Kind {
 	case OpInsert:
 		m.insertLocked(op.Key, op.ids, d, sc)
 	case OpDelete:
-		m.deleteLocked(op.Key, before, d, sc)
+		m.deleteLocked(op.Key, m.tuples[op.Key], d, sc)
 	case OpUpdate:
-		m.updateLocked(op.Key, before, op.ai, op.vid, d, sc)
-	}
-	if moved != nil {
-		moved[i] = tupleChange{before, m.tuples[op.Key]}
+		m.updateLocked(op.Key, m.tuples[op.Key], op.ai, op.vid, d, sc)
 	}
 }
 

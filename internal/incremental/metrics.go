@@ -59,7 +59,7 @@ func newMonMetrics(reg *obs.Registry) *monMetrics {
 	mm.applySeconds = reg.DurationHistogram("cfd_apply_seconds", "End-to-end Monitor.Apply latency per ChangeSet.")
 	mm.validateSeconds = reg.DurationHistogram("cfd_apply_validate_seconds", "Key-existence validation stage per commit window.")
 	mm.walAppendSeconds = reg.DurationHistogram("cfd_apply_wal_append_seconds", "WAL append stage per commit window, including the fsync when enabled.")
-	mm.shardApplySeconds = reg.DurationHistogram("cfd_apply_shard_seconds", "In-memory apply and consumer fold stage per commit window.")
+	mm.shardApplySeconds = reg.DurationHistogram("cfd_apply_shard_seconds", "In-memory apply stage per commit window.")
 	mm.violationsAdded = reg.Counter("cfd_violations_added_total", "Violations that appeared, summed over apply deltas.")
 	mm.violationsRemoved = reg.Counter("cfd_violations_removed_total", "Violations that were retired, summed over apply deltas.")
 	mm.viewRebuilds = reg.Counter("cfd_violations_view_rebuilds_total", "Lazy materializations of the violation view (at most one per view version).")

@@ -600,7 +600,10 @@ func (m *Monitor) readSnapshot(r io.Reader, sizeHint int64) error {
 	m.size.Store(int64(ntuples))
 	// The stores were filled directly, without deltas: the view's next
 	// build re-reads every CFD (WAL-tail replay then marks on top).
-	m.view.invalidate()
+	for _, cs := range m.cfds {
+		cs.moved = true
+	}
+	m.view.version.Add(1)
 	return nil
 }
 

@@ -14,7 +14,8 @@ import (
 )
 
 // The tests of this file check a GroupStats — one watch per CFD, reading
-// Σ's own groups — against a brute-force GROUP BY over the monitor's
+// Σ's own groups and constant-violation keys — against a brute-force
+// GROUP BY and a brute-force constant-pattern check over the monitor's
 // snapshot, under random op streams, concurrent readers and writes that
 // land while a drain hands its chunks over.
 
@@ -191,6 +192,74 @@ func checkRecount(t *testing.T, step int, m *Monitor, h *GroupStats, view subscr
 	}
 }
 
+// constKey names one (CFD, key) pair, and constState its projection on
+// the CFD's attributes and whether it constant-violates the CFD.
+type constKey struct {
+	cfd int
+	key int64
+}
+
+type constState struct {
+	proj      string
+	violating bool
+}
+
+// constRecount is a brute-force constant-pattern check over m's
+// snapshot: every live (CFD, key) with its projection on the CFD's
+// attributes and whether some tableau row's X matches it while its Y
+// does not.
+func constRecount(m *Monitor) map[constKey]constState {
+	schema := m.Schema()
+	out := make(map[constKey]constState)
+	rel, keys := m.Snapshot(), m.Keys()
+	for i, tu := range rel.Tuples {
+		for ci, cfd := range m.Sigma() {
+			var proj []relation.Value
+			for _, a := range cfd.Attrs() {
+				proj = append(proj, tu[schema.MustIndex(a)])
+			}
+			st := constState{proj: relation.EncodeKey(proj)}
+			for _, row := range cfd.Tableau {
+				match := true
+				for j, a := range cfd.LHS {
+					match = match && row.X[j].Matches(tu[schema.MustIndex(a)])
+				}
+				for j, a := range cfd.RHS {
+					st.violating = st.violating || match && !row.Y[j].Matches(tu[schema.MustIndex(a)])
+				}
+			}
+			out[constKey{ci, keys[i]}] = st
+		}
+	}
+	return out
+}
+
+// checkKeys drains h's key marks and fails the test unless every drained
+// flag equals a constant recount, and every (CFD, key) that violated at
+// the previous key drain (prev) or violates now, and whose status or
+// projection changed in between, was drained. It returns the recount,
+// the next call's prev.
+func checkKeys(t *testing.T, step int, m *Monitor, h *GroupStats, prev map[constKey]constState) map[constKey]constState {
+	t.Helper()
+	drained := make(map[constKey]bool)
+	h.DrainKeys(func(ci int, key int64, violating bool) { drained[constKey{ci, key}] = violating })
+	now := constRecount(m)
+	for k, v := range drained {
+		if v != now[k].violating {
+			t.Fatalf("step %d: CFD %d key %d drained violating=%v, recount %+v", step, k.cfd, k.key, v, now[k])
+		}
+	}
+	for _, side := range []map[constKey]constState{prev, now} {
+		for k := range side {
+			was, is := prev[k], now[k]
+			if _, ok := drained[k]; !ok && was != is && (was.violating || is.violating) {
+				t.Fatalf("step %d: CFD %d key %d went %+v → %+v undrained", step, k.cfd, k.key, was, is)
+			}
+		}
+	}
+	return now
+}
+
 // TestGroupStatsMatchRecount drives a subscription through random
 // ChangeSets, one row per Σ — sharedSigma, and sharedLHSSigma, whose
 // CFDs on [AC] share an LHS but no RHS attribute — and checks after
@@ -200,7 +269,11 @@ func checkRecount(t *testing.T, step int, m *Monitor, h *GroupStats, view subscr
 // a destroyed group's Stat misses; and that an update dirties exactly
 // the (CFD, RHS attribute) slots whose CFD mentions the updated
 // attribute on its LHS or as that RHS attribute, and a same-value update
-// none. Half the drains take a write between their chunks, which lands
+// none. After every check its key drain (checkKeys) is held to a constant
+// recount: each drained flag is the key's status, and no (CFD, key) that
+// violated before or after a change of its status or projection is
+// missed; the first key drain reports every violating key, and a
+// same-value update drains no key. Half the drains take a write between their chunks, which lands
 // before the later CFDs' groups are read, and a second drain hands over
 // the rest. NM's 20 values grow distributions past the spill's linear
 // range and keep NM's groups small, so deletes destroy them.
@@ -230,6 +303,7 @@ func TestGroupStatsMatchRecount(t *testing.T) {
 			}
 			h := m.TrackGroups()
 			view := make(subscriber)
+			var consts map[constKey]constState
 			drain := func(step int, write bool) []GroupDelta {
 				t.Helper()
 				var ds []GroupDelta
@@ -248,6 +322,7 @@ func TestGroupStatsMatchRecount(t *testing.T) {
 			check := func(step int, ds []GroupDelta) {
 				t.Helper()
 				checkRecount(t, step, m, h, view)
+				consts = checkKeys(t, step, m, h, consts)
 				for _, d := range ds {
 					if _, live := view[gid{d.CFD, d.Y, d.XKey}]; !live {
 						if _, found := h.Stat(d.CFD, d.Y, d.XKey); found {
@@ -304,6 +379,9 @@ func TestGroupStatsMatchRecount(t *testing.T) {
 				apply([]Op{{Kind: OpUpdate, Key: key, Attr: attr, Value: tu[ai]}})
 				if ds := drain(step, false); len(ds) != 0 {
 					t.Fatalf("step %d: same-value update of %s drained %d deltas", step, attr, len(ds))
+				}
+				if n := h.DrainKeys(func(int, int64, bool) {}); n != 0 {
+					t.Fatalf("step %d: same-value update of %s drained %d keys", step, attr, n)
 				}
 				var nv relation.Value
 				for nv = tu[ai]; nv == tu[ai]; {

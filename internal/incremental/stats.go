@@ -1,6 +1,7 @@
 package incremental
 
 import (
+	"maps"
 	"math/bits"
 	"slices"
 	"sync"
@@ -19,10 +20,19 @@ import (
 // groups of its own. It is one watch per CFD: the apply marks the watch
 // before it changes a group (touch), a mark records what the group's
 // last drain reported, and the drain reads the CFD group itself. An
-// attach folds no tuple, and the apply folds each change once. The
-// repair Suggester in internal/repair rides it: it folds every delta
-// into each CFD's live confidence and re-plans the variable violations
-// of those groups whose RHS attribute has, or had, two values.
+// attach folds no tuple, and the apply folds each change once.
+//
+// The same watch carries the CFD's constant-violation key marks: the
+// apply marks a key where it adds it to the CFD's constant-violation set
+// (checkConst) or drops it from it (dropConst), and DrainKeys reports
+// each marked key with whether it violates as of the drain. Keys and
+// groups drain under one contract (drain): take the marks, then read
+// them a chunk at a time under the store lock; a subscription's first
+// drain reports the whole store instead of marks. The repair Suggester
+// in internal/repair rides both: it re-plans the constant-violation
+// suggestion of each drained (CFD, key), folds every group delta into
+// each CFD's live confidence, and re-plans the variable violations of
+// those groups whose RHS attribute has, or had, two values.
 //
 // Dirty marks are per (group, RHS attribute): a mutation marks every
 // distribution it moved, and Drain turns each into one GroupDelta. A
@@ -370,32 +380,39 @@ type mark struct {
 	slots []slotMark
 }
 
-// watch is a subscription's view of one CFD's groups: the pending mark
-// of each group the apply moved since its last drain, and the dirty list
-// — the marks with a pending delta, in first-mark order. A destroyed
-// group's mark stays on the list until drained. fresh holds until the
-// first drain, which reports every group of the CFD: until then no mark
-// is needed.
+// watch is a subscription's view of one CFD's groups and
+// constant-violation keys: the pending mark of each group the apply
+// moved since its last drain, the dirty list — the marks with a pending
+// delta, in first-mark order — and the keys marked since the last key
+// drain. A destroyed group's mark stays on the list until drained. fresh
+// holds until the first group drain, which reports every group of the
+// CFD, and keyFresh until the first key drain, which reports every
+// constant-violating key: until then no mark is needed.
 type watch struct {
 	in    *relation.Interner
 	cs    *cfdState
 	marks map[*group]*mark
 	fresh bool
 	dirty []*mark
+
+	keys     map[int64]bool
+	keyFresh bool
 }
 
 // GroupStats is one live group-statistics subscription over a Monitor,
-// created by TrackGroups: one watch per CFD of Σ, in Σ order. All methods
-// are safe for concurrent use.
+// created by TrackGroups: one watch per CFD of Σ, in Σ order, over its
+// groups and its constant-violation keys. All methods are safe for
+// concurrent use.
 //
 // Locking. The apply writes the marks under the writer lock and the
 // store lock held exclusively. Drain, Stat and Count read the groups
 // under a shared hold of the store lock, so each observes the statistics
-// between two commit windows; a drain also writes the marks under that
-// shared hold, so mu serializes drains. The lock order is GroupStats.mu
-// → store lock → value pool, and nothing here takes the writer lock but
-// TrackGroups and UntrackGroups. Only the apply may write a spill's
-// cached mode; Stat, Count and the drain read it with peek.
+// between two commit windows; a drain (of groups or keys) also writes
+// the marks under that shared hold, so mu serializes drains. The lock
+// order is GroupStats.mu → store lock → value pool, and nothing here
+// takes the writer lock but TrackGroups and UntrackGroups. Only the
+// apply may write a spill's cached mode; Stat, Count and the drain read
+// it with peek.
 type GroupStats struct {
 	m       *Monitor
 	mu      sync.Mutex
@@ -423,7 +440,8 @@ func (h *GroupStats) KeyOf(x []relation.Value) string {
 // Σ and returns its handle. The attach hooks one watch onto each CFD
 // under the writer lock, briefly quiescing writers, so every later apply
 // marks it; it folds no tuple. The first Drain reports every group of
-// every CFD, handing the subscriber the complete initial state.
+// every CFD, and the first DrainKeys every constant-violating key,
+// handing the subscriber the complete initial state.
 //
 // The statistics are memory-only: a durable monitor does not journal or
 // snapshot them, and a subscription does not survive a restart —
@@ -434,15 +452,17 @@ func (m *Monitor) TrackGroups() *GroupStats {
 	defer m.mu.Unlock()
 	for ci, cs := range m.cfds {
 		w := &h.watches[ci]
-		*w = watch{in: m.vals, cs: cs, marks: make(map[*group]*mark), fresh: true}
+		*w = watch{in: m.vals, cs: cs, marks: make(map[*group]*mark), fresh: true,
+			keys: make(map[int64]bool), keyFresh: true}
 		cs.watch = append(cs.watch, w)
 	}
 	return h
 }
 
 // UntrackGroups detaches a subscription: its drains no longer follow
-// mutations, marks already made stay drainable, and a subscription never
-// drained drains nothing. Stat and Count still read the live groups.
+// mutations, marks already made (group and key marks alike) stay
+// drainable, and a subscription never drained drains nothing. Stat and
+// Count still read the live groups.
 // Another monitor's handles are ignored.
 func (m *Monitor) UntrackGroups(h *GroupStats) {
 	if h.m != m {
@@ -455,7 +475,7 @@ func (m *Monitor) UntrackGroups(h *GroupStats) {
 	for ci := range h.watches {
 		w := &h.watches[ci]
 		w.cs.watch = slices.DeleteFunc(w.cs.watch, func(o *watch) bool { return o == w })
-		w.fresh = false
+		w.fresh, w.keyFresh = false, false
 	}
 }
 
@@ -507,6 +527,45 @@ func (w *watch) take() []*mark {
 	return out
 }
 
+// markKey marks key, which the apply just added to the CFD's
+// constant-violation set or dropped from it. The caller holds the writer
+// lock and the store lock exclusively.
+func (w *watch) markKey(key int64) {
+	if !w.keyFresh {
+		w.keys[key] = true
+	}
+}
+
+// takeKeys hands the marked keys to a drain and starts a new set; the
+// first key drain takes every key of the CFD's constant-violation set
+// instead. The caller holds what readKeys needs.
+func (w *watch) takeKeys() []int64 {
+	src := w.keys
+	if w.keyFresh {
+		w.keyFresh, src = false, w.cs.consts
+	}
+	out := slices.AppendSeq(make([]int64, 0, len(src)), maps.Keys(src))
+	clear(w.keys)
+	return out
+}
+
+// keyMark is one drained key of CFD ci and whether it violates.
+type keyMark struct {
+	ci        int
+	key       int64
+	violating bool
+}
+
+// readKeys appends the reports of the given keys of CFD ci to buf; the
+// caller holds lock.
+func (h *GroupStats) readKeys(buf []keyMark, ci int, keys []int64) []keyMark {
+	cs := h.watches[ci].cs
+	for _, k := range keys {
+		buf = append(buf, keyMark{ci, k, cs.consts[k]})
+	}
+	return buf
+}
+
 // Drain appends every group-delta accumulated since the previous drain
 // to buf and returns it, clearing the dirty marks. Each delta carries
 // its group's state as of the drain.
@@ -514,10 +573,6 @@ func (h *GroupStats) Drain(buf []GroupDelta) []GroupDelta {
 	h.DrainFunc(func(d *GroupDelta) { buf = append(buf, *d) })
 	return buf
 }
-
-// drainChunk is how many dirty groups DrainFunc reads per hold of the
-// subscription's lock.
-const drainChunk = 256
 
 // DrainFunc is Drain without the caller's buffer: it hands each delta
 // to fn in turn and returns how many it handed over. The dirty groups
@@ -528,19 +583,48 @@ const drainChunk = 256
 // for the next drain. The *GroupDelta is reused: copy what outlives the
 // call (its X may be kept as is).
 func (h *GroupStats) DrainFunc(fn func(*GroupDelta)) int {
-	work := make([][]*mark, len(h.watches))
+	return drain(h, (*watch).take, h.drainGroups, fn)
+}
+
+// DrainKeys hands fn each (CFD, key) marked since the previous key
+// drain, CFD by CFD in Σ order, with whether the key constant-violates
+// the CFD as of the drain, and returns how many it handed over. The
+// apply marks a key where it adds the key to the CFD's
+// constant-violation set or drops it from it; an op that changes the
+// tuple on the CFD's attributes drops the key, then checks it again, so
+// every key that violated before or after such a change is marked, and
+// no other. The first key
+// drain reports every constant-violating key instead. Keys are read a
+// chunk at a time, as DrainFunc reads groups; a key marked again after
+// its chunk was read drains again at the next drain. A key listed may
+// be gone: the subscriber re-reads the tuple.
+func (h *GroupStats) DrainKeys(fn func(ci int, key int64, violating bool)) int {
+	return drain(h, (*watch).takeKeys, h.readKeys, func(k *keyMark) { fn(k.ci, k.key, k.violating) })
+}
+
+// drainChunk is how many marks a drain reads per hold of the
+// subscription's lock.
+const drainChunk = 256
+
+// drain is the one drain contract of group and key marks alike: it takes
+// every watch's pending marks under lock, then reads them drainChunk at
+// a time under lock — read appends the reports of CFD ci's marks to buf
+// — and hands each report to fn outside it. It returns how many reports
+// it handed over.
+func drain[M, D any](h *GroupStats, take func(*watch) []M, read func(buf []D, ci int, marks []M) []D, fn func(*D)) int {
+	work := make([][]M, len(h.watches))
 	h.lock()
 	for ci := range h.watches {
-		work[ci] = h.watches[ci].take()
+		work[ci] = take(&h.watches[ci])
 	}
 	h.unlock()
 	n := 0
-	var buf []GroupDelta
+	var buf []D
 	for ci, marks := range work {
 		for len(marks) > 0 {
 			k := min(drainChunk, len(marks))
 			h.lock()
-			buf = h.drainGroups(buf[:0], ci, marks[:k])
+			buf = read(buf[:0], ci, marks[:k])
 			h.unlock()
 			marks = marks[k:]
 			for i := range buf {

@@ -15,15 +15,17 @@ import (
 // monitor's own stores — each CFD's constant-violation set and its set of
 // violating groups — never from a copy of them.
 //
-// The view keeps only bookkeeping: which CFDs' violation sets moved since
-// the last build, and a version. The apply marks a CFD moved under the
-// store lock, in the same exclusive hold that changes its stores, so a
-// rebuild (which reads the stores under the shared hold) always sees marks
-// and stores agree and never mixes two windows across CFDs. The version
-// bumps in the view's fold, from each request's normalized delta, so it
-// moves only when the violation set actually changed: a flip-flop batch (a
-// group leaving and re-entering violation) nets to an empty delta and
-// keeps the version — and the ETags derived from it — stable.
+// The view keeps only a version and the published pointer; which CFDs'
+// violation sets moved since the last build is a flag on each CFD's state
+// (cfdState.moved). The apply sets it where it changes the CFD's
+// constant-violation set or a group's violation status, under the store
+// lock, in the same exclusive hold that changes the stores, so a rebuild
+// (which reads the stores under the shared hold) always sees flags and
+// stores agree and never mixes two windows across CFDs. The version
+// bumps in the apply (applyLocked), from each request's normalized delta,
+// so it moves only when the violation set actually changed: a flip-flop
+// batch (a group leaving and re-entering violation) nets to an empty
+// delta and keeps the version — and the ETags derived from it — stable.
 //
 // Publication is copy-on-write: the canonical *State is rebuilt lazily,
 // at most once per version, by the first reader that sees a stale
@@ -56,47 +58,14 @@ func (v *ViolationsView) Built() time.Time { return v.built }
 // full scan produces. Shared and immutable — callers must not modify it.
 func (v *ViolationsView) State() *State { return v.state }
 
-// viewState anchors the Monitor's maintained view: the moved marks, the
-// version counter and the published pointer. moved[ci] is set by the
-// apply under the exclusive store lock and read and cleared by the
-// rebuild under the shared store lock plus mu, which serializes
-// rebuilders; the published pointer and version reads are lock-free.
+// viewState anchors the Monitor's maintained view: the version counter
+// and the published pointer. mu serializes rebuilders, which read and
+// clear the CFDs' moved flags under it and the shared store lock; the
+// published pointer and version reads are lock-free.
 type viewState struct {
 	mu      sync.Mutex
 	version atomic.Uint64
 	cur     atomic.Pointer[ViolationsView]
-	moved   []bool
-}
-
-// markMoved marks every CFD a window's raw deltas name. The caller holds
-// the store lock exclusively.
-func (v *viewState) markMoved(deltas []*Delta) {
-	for _, d := range deltas {
-		for _, c := range d.Added {
-			v.moved[c.CFD] = true
-		}
-		for _, c := range d.Removed {
-			v.moved[c.CFD] = true
-		}
-	}
-}
-
-// fold bumps the version for a request whose normalized delta changed the
-// violation set. The view is the built-in consumer (consumers[0]).
-func (v *viewState) fold(_ []Op, _ []tupleChange, d *Delta) {
-	if !d.Empty() {
-		v.version.Add(1)
-	}
-}
-
-// invalidate marks every CFD moved and bumps the version — recovery,
-// where readSnapshot filled the stores of a monitor nobody else holds
-// yet, without deltas.
-func (v *viewState) invalidate() {
-	for ci := range v.moved {
-		v.moved[ci] = true
-	}
-	v.version.Add(1)
 }
 
 // ViewVersion returns the current violation-set version without
@@ -129,12 +98,12 @@ func (m *Monitor) rebuildView() *ViolationsView {
 	st := &State{PerCFD: make([]CFDViolations, len(m.cfds))}
 	m.storeMu.RLock()
 	for ci, cs := range m.cfds {
-		if prev != nil && !v.moved[ci] {
+		if prev != nil && !cs.moved {
 			st.PerCFD[ci] = prev.state.PerCFD[ci]
 			continue
 		}
 		st.PerCFD[ci] = m.cfdViolations(cs, maps.Values(cs.vgroups))
-		v.moved[ci] = false
+		cs.moved = false
 	}
 	m.storeMu.RUnlock()
 	next := &ViolationsView{version: version, built: time.Now(), state: st}

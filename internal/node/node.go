@@ -5,9 +5,9 @@
 // handlers as their shard nodes.
 //
 // GET /v1/repairs serves the live repair suggester: the first call
-// attaches it to the monitor's touched-key and group-statistics feeds
-// (one full planning pass); every later call re-plans only the keys and
-// groups the interleaving writes touched. POST /v1/repairs/apply
+// attaches it to the monitor's group statistics, key marks and group
+// deltas (one full planning pass); every later call re-plans only the
+// keys and groups the interleaving writes marked. POST /v1/repairs/apply
 // turns accepted ids into an ordinary fenced ChangeSet through the same
 // apply path as POST /v1/apply. GET /v1/discover mines CFDs on demand:
 // each call runs discovery over the served monitor's own value IDs,

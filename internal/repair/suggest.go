@@ -3,7 +3,6 @@ package repair
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -18,18 +17,20 @@ import (
 // This file is the streaming counterpart of the batch algorithm in
 // repair.go: a Suggester attaches to a live incremental.Monitor and
 // maintains one cost-ranked repair suggestion per live violation,
-// updated in O(Δ) from two feeds of its own:
+// updated in O(Δ) from the two drains of one group-statistics
+// subscription (Monitor.TrackGroups), which watches each CFD of Σ:
 //
-//   - a touched-key subscription (Monitor.TrackDeltas) names the tuples
-//     the applied batches changed on an attribute of Σ; each one's
-//     constant-violation suggestions are re-planned from one probe of
-//     the monitor's stores;
-//   - a group-statistics subscription (Monitor.TrackGroups) over Σ's
-//     own groups names the LHS groups that moved, one delta per RHS
-//     attribute. Folded arithmetically, the deltas carry each CFD's live
-//     confidence: the fraction of tuples agreeing with their LHS
-//     group's dominant RHS value. The deltas that can move a variable
-//     violation re-plan its suggestion (the rule below).
+//   - its key drain (DrainKeys) names each (CFD, key) that was, or
+//     became, constant-violating since the last drain, with whether it
+//     violates now; that one suggestion is re-planned from the tuple. A
+//     constant-violation plan reads nothing but the CFD's own attributes
+//     and static data, and the apply marks a violating key whenever it
+//     changes one of them, so no other (CFD, key) can need a re-plan;
+//   - its group drain (DrainFunc) names the LHS groups that moved, one
+//     delta per RHS attribute. Folded arithmetically, the deltas carry
+//     each CFD's live confidence: the fraction of tuples agreeing with
+//     their LHS group's dominant RHS value. The deltas that can move a
+//     variable violation re-plan its suggestion (the rule below).
 //
 // The re-plan rule (replans). The paper's QV flags exactly the X-groups
 // whose Y takes more than one value, so a group delta re-plans its
@@ -187,7 +188,6 @@ type Suggester struct {
 	m     *incremental.Monitor
 	sigma []*core.CFD
 	opts  SuggestOptions
-	sub   *incremental.DeltaSub
 	hub   *incremental.GroupStats
 
 	yIdx [][]int // per CFD, schema indexes of RHS
@@ -210,8 +210,8 @@ type Suggester struct {
 }
 
 // NewSuggester attaches a streaming repair suggester to the monitor: a
-// group-statistics subscription over Σ's groups and a touched-key
-// subscription are opened, and the current violation set is planned.
+// group-statistics subscription over Σ's groups and constant-violation
+// keys is opened, and the current violation set is planned.
 // The first Refresh happens inside the constructor, so Suggestions is
 // immediately complete.
 func NewSuggester(m *incremental.Monitor, opts SuggestOptions) (*Suggester, error) {
@@ -236,10 +236,9 @@ func NewSuggester(m *incremental.Monitor, opts SuggestOptions) (*Suggester, erro
 	}
 	s.agree, s.total = make(map[rhsAttr]int), make(map[rhsAttr]int)
 	s.hub = m.TrackGroups()
-	s.sub = m.TrackDeltas()
 	reg := m.Metrics()
 	s.metRefresh = reg.DurationHistogram("cfd_suggester_refresh_seconds", "Duration of one Suggester.Refresh pass (drain + re-plan).")
-	s.metTouched = reg.Counter("cfd_suggester_replanned_total", "Touched keys plus group deltas that pass the re-plan rule (an RHS attribute with two values in the group), re-planned across Refresh passes.")
+	s.metTouched = reg.Counter("cfd_suggester_replanned_total", "Marked constant-violation keys plus group deltas that pass the re-plan rule (an RHS attribute with two values in the group), re-planned across Refresh passes.")
 	s.metLive = reg.Gauge("cfd_suggestions", "Live repair suggestions currently maintained.")
 	s.metRelaxed = reg.Gauge("cfd_suggester_relaxed_cfds", "CFDs currently below the trust threshold (relaxation suggested).")
 	s.Refresh()
@@ -256,23 +255,18 @@ func (s *Suggester) Close() {
 	}
 	s.closed = true
 	s.m.UntrackGroups(s.hub)
-	s.m.UntrackDeltas(s.sub)
 }
 
-// Refresh drains the keys and groups touched since the last call,
-// re-plans the touched keys and the group deltas the re-plan rule
-// selects — O(Δ), not O(|I|) — then re-evaluates the trust threshold
-// per CFD. It returns how many it re-planned: the touched keys plus the
-// group deltas that passed the rule, not every drained delta.
+// Refresh drains the keys and groups marked since the last call,
+// re-plans the marked (CFD, key) pairs and the group deltas the re-plan
+// rule selects — O(Δ), not O(|I|) — then re-evaluates the trust
+// threshold per CFD. It returns how many it re-planned: the marked keys
+// plus the group deltas that passed the rule, not every drained delta.
 func (s *Suggester) Refresh() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	start := time.Now()
-	keys := s.sub.Drain()
-	for _, k := range keys {
-		s.refreshKey(k)
-	}
-	n := len(keys)
+	n := s.hub.DrainKeys(s.refreshKey)
 	s.hub.DrainFunc(func(d *incremental.GroupDelta) {
 		if s.refreshGroup(d) {
 			n++
@@ -390,26 +384,21 @@ func forcedY(cfd *core.CFD, rows []int) (forced []relation.Value, bound []bool, 
 	return forced, bound, matched, conflict
 }
 
-// refreshKey re-plans the constant-violation suggestions of one touched
-// tuple against the authoritative state: one store probe names the CFDs
-// whose constants the tuple violates, their suggestions are re-derived,
-// and every other CFD's is dropped.
-func (s *Suggester) refreshKey(key int64) {
-	cis := s.m.ConstViolations(key)
-	var t relation.Tuple
-	if len(cis) > 0 {
-		t, _ = s.m.Get(key)
-	}
-	for ci := range s.sigma {
-		var sug *Suggestion
-		if t != nil && !s.relaxed[ci] && slices.Contains(cis, ci) {
+// refreshKey re-plans the constant-violation suggestion of CFD ci for
+// one tuple, given whether the tuple violates the CFD's constants: a
+// violating tuple's suggestion is re-derived from its current values,
+// and any other's is dropped.
+func (s *Suggester) refreshKey(ci int, key int64, violating bool) {
+	var sug *Suggestion
+	if violating && !s.relaxed[ci] {
+		if t, ok := s.m.Get(key); ok {
 			sug = s.planConst(ci, key, t)
 		}
-		if sug != nil {
-			s.put(sug)
-		} else {
-			s.dropID(constID(ci, key))
-		}
+	}
+	if sug != nil {
+		s.put(sug)
+	} else {
+		s.dropID(constID(ci, key))
 	}
 }
 
@@ -666,7 +655,7 @@ func (s *Suggester) reseed(ci int) {
 	}
 	v := st.PerCFD[ci]
 	for _, k := range v.ConstTuples {
-		s.refreshKey(k)
+		s.refreshKey(ci, k, true)
 	}
 	for _, x := range v.VariableKeys {
 		s.refreshVar(ci, s.hub.KeyOf(x), x)

@@ -10,7 +10,7 @@ import (
 
 // writeSegment appends the payloads to a fresh segment and returns its
 // path and the per-record frame boundaries (cumulative byte offsets).
-func writeSegment(t *testing.T, payloads [][]byte) (path string, bounds []int64) {
+func writeSegment(t testing.TB, payloads [][]byte) (path string, bounds []int64) {
 	t.Helper()
 	path = filepath.Join(t.TempDir(), "wal-00000001")
 	l, err := Create(path, false)
